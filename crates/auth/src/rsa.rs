@@ -19,13 +19,20 @@ pub struct PublicKey {
     pub e: u64,
 }
 
-/// An RSA secret key `(n, d)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An RSA secret key `(n, d)`. `Debug` prints the public modulus and
+/// redacts the private exponent.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SecretKey {
     /// Modulus `n = p·q`.
     pub n: u64,
     /// Private exponent.
     pub d: u64,
+}
+
+impl std::fmt::Debug for SecretKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SecretKey").field("n", &self.n).field("d", &"<redacted>").finish()
+    }
 }
 
 /// A signature over a message digest.
@@ -275,6 +282,17 @@ mod tests {
         let kp1 = KeyPair::generate(&mut StdRng::seed_from_u64(99));
         let kp2 = KeyPair::generate(&mut StdRng::seed_from_u64(99));
         assert_eq!(kp1.public, kp2.public);
+    }
+
+    #[test]
+    fn debug_redacts_the_private_exponent() {
+        let kp = KeyPair::generate(&mut StdRng::seed_from_u64(5));
+        let d = kp.secret.d.to_string();
+        for shown in [format!("{:?}", kp.secret), format!("{kp:?}"), format!("{:#?}", kp.secret)] {
+            assert!(!shown.contains(&d), "{shown}");
+            assert!(!shown.contains(&format!("{:x}", kp.secret.d)), "{shown}");
+            assert!(shown.contains("redacted"), "{shown}");
+        }
     }
 
     #[test]

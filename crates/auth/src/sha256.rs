@@ -104,45 +104,56 @@ impl Sha256 {
         Sha256 { state: H0, buffer: [0; 64], buffer_len: 0, total_len: 0 }
     }
 
+    /// Resumes hashing from a saved chaining `state` after `absorbed`
+    /// bytes (a whole number of 64-byte blocks) have been compressed into
+    /// it. Lets a caller that hashes many messages behind one fixed
+    /// prefix (the HMAC pads, see [`crate::hmac::HmacKey`]) keep 32 bytes
+    /// per prefix instead of a whole hasher.
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0);
+        Sha256 { state, buffer: [0; 64], buffer_len: 0, total_len: absorbed }
+    }
+
+    /// The chaining state after the blocks compressed so far; only
+    /// meaningful to [`Sha256::resume`] when no partial block is buffered.
+    pub(crate) fn chaining_state(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buffer_len, 0);
+        self.state
+    }
+
     /// Absorbs more input.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
-            let need = 64 - self.buffer_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buffer_len).min(data.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
             data = rest;
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..data.len()].copy_from_slice(data);
+        self.buffer_len = data.len();
     }
 
     /// Finalizes and returns the digest, consuming the hasher.
     pub fn finish(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit length.
+        // Padding: 0x80, zeros to 56 mod 64, then the 64-bit length —
+        // at most one block plus the 8 length bytes.
         let rem = (self.buffer_len + 1) % 64;
         let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        let mut pad = Vec::with_capacity(1 + zeros + 8);
-        pad.push(0x80);
-        pad.resize(1 + zeros, 0);
-        pad.extend_from_slice(&bit_len.to_be_bytes());
-        self.update(&pad);
+        let mut pad = [0u8; 72];
+        pad[0] = 0x80;
+        pad[1 + zeros..1 + zeros + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&pad[..1 + zeros + 8]);
         debug_assert_eq!(self.buffer_len, 0);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -150,50 +161,51 @@ impl Sha256 {
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// One application of the SHA-256 compression function to `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
     }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
 }
 
 #[cfg(test)]
@@ -258,6 +270,38 @@ mod tests {
             h2.update(&data[..mid]);
             h2.update(&data[mid..]);
             assert_eq!(one, h2.finish(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn padding_edges_match_independent_digests() {
+        // `[0xAB; len]` hashed by another implementation (Python's
+        // hashlib), at every length where the padding changes shape:
+        // the 0x80 and the length share the last block up to 55 bytes
+        // and spill into one more from 56.
+        for (len, want) in [
+            (55usize, "48d76eab30e51201f4f03ec7a85dab8510fb3409ccd15b54767f9b4435c9f54d"),
+            (56, "a8c9906ade2a2eff868fd8f97a570bbc01a13cddc32c3dfdc9a18f0618d69e55"),
+            (57, "21d063693fbba44f9ffa966466e2f94d9931b9c9519120c3804ef1ceafd989b5"),
+            (63, "d1036ba30d050c74b1a5ab301fa29ff0c607a27cc55af3412577f7e06dbd190b"),
+            (64, "ec65c8798ecf95902413c40f7b9e6d4b0068885f5f324aba1f9ba1c8e14aea61"),
+            (65, "39cd843414d5125dd308568ace26d04e60b7fa6d2b1a901fb5184fa2eae0598b"),
+            (119, "a773085d98f8978583efd89d0f06e29076a12e2e059103ec533f63e1c6f17dd7"),
+            (120, "3442eea54f994b0d41c1da867e8347d69fa1a40e2d8a437dcde54dae74504922"),
+        ] {
+            assert_eq!(Digest::of(&vec![0xAB; len]).to_hex(), want, "len {len}");
+        }
+    }
+
+    #[test]
+    fn resume_continues_from_a_saved_block_boundary() {
+        let data: Vec<u8> = (0u32..200).map(|i| i as u8).collect();
+        for blocks in [1usize, 2, 3] {
+            let mut head = Sha256::new();
+            head.update(&data[..blocks * 64]);
+            let mut tail = Sha256::resume(head.chaining_state(), (blocks * 64) as u64);
+            tail.update(&data[blocks * 64..]);
+            assert_eq!(tail.finish(), Digest::of(&data), "{blocks} blocks");
         }
     }
 

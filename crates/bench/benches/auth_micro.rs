@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wanacl_auth::hmac::hmac_sha256;
+use wanacl_auth::hmac::{hmac_sha256, HmacKey};
 use wanacl_auth::rsa::{self, KeyPair};
 use wanacl_auth::sha256::Digest;
 
@@ -25,6 +25,16 @@ fn bench_hmac(c: &mut Criterion) {
     let data = vec![0x5Au8; 256];
     c.bench_function("auth/hmac_256B", |b| {
         b.iter(|| black_box(hmac_sha256(b"shared-key", black_box(&data))))
+    });
+    // The channel's widest message (a granting `QueryReply`) under a
+    // 32-byte key: set the key up per tag, or hold it.
+    let (key, msg) = ([0x11u8; 32], [0x5Au8; 31]);
+    c.bench_function("auth/hmac_tag_oneshot_31B", |b| {
+        b.iter(|| black_box(hmac_sha256(black_box(&key), black_box(&msg))))
+    });
+    let held = HmacKey::new(&key);
+    c.bench_function("auth/hmac_tag_keyed_31B", |b| {
+        b.iter(|| black_box(held.tag(black_box(&msg))))
     });
 }
 

@@ -6,7 +6,7 @@
 //! adjustment of §3.2 (charging the whole round trip against the budget)
 //! falls out of anchoring at query start rather than response receipt.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use wanacl_sim::clock::LocalTime;
 
@@ -55,13 +55,13 @@ struct Entry {
 #[derive(Debug, Clone, Default)]
 pub struct AclCache {
     entries: BTreeMap<UserId, Entry>,
-    /// Expiry-ordered index: `limit → users indexed under that limit`.
-    /// `sweep` walks only the buckets whose limit has passed instead of
-    /// scanning every live entry. Buckets are invalidated lazily — an
-    /// entry that was extended, removed, or re-created since its bucket
-    /// was written is re-validated against `entries` before removal —
-    /// so the index never has to be updated on those paths.
-    expiry: BTreeMap<LocalTime, Vec<UserId>>,
+    /// Expiry-ordered index of `(limit, user)` pairs. `sweep` pops only
+    /// the pairs whose limit has passed instead of scanning every live
+    /// entry. Pairs are invalidated lazily — an entry that was extended,
+    /// removed, or re-created since its pair was written is re-validated
+    /// against `entries` before removal — so the index never has to be
+    /// updated on those paths.
+    expiry: BTreeSet<(LocalTime, UserId)>,
     /// Fault-injection knob: when set, `lookup` treats expired entries as
     /// fresh and `sweep` drops nothing. This deliberately breaks the
     /// protocol's time-bound revocation guarantee so nemesis campaigns
@@ -104,15 +104,15 @@ impl AclCache {
         match self.entries.entry(user) {
             Slot::Vacant(slot) => {
                 slot.insert(Entry { limit, last_used: LocalTime::ZERO });
-                self.expiry.entry(limit).or_default().push(user);
+                self.expiry.insert((limit, user));
             }
             Slot::Occupied(mut slot) => {
                 let entry = slot.get_mut();
                 if limit > entry.limit {
-                    // The old bucket goes stale; sweep skips it because
-                    // the entry's limit no longer matches.
+                    // The old pair goes stale; sweep skips it because
+                    // the entry's limit has moved past it.
                     entry.limit = limit;
-                    self.expiry.entry(limit).or_default().push(user);
+                    self.expiry.insert((limit, user));
                 }
             }
         }
@@ -135,28 +135,23 @@ impl AclCache {
     /// dropped. This is the §3.2 periodic check that "can save memory and
     /// processing overhead".
     ///
-    /// Cost is proportional to the number of *due* expiry buckets, not
-    /// the number of live entries: the expiry index orders entries by
-    /// limit, so a sweep with nothing expired is one `BTreeMap` peek.
+    /// Cost is proportional to the number of *due* index pairs, not the
+    /// number of live entries: the expiry index orders entries by limit,
+    /// so a sweep with nothing expired is one `BTreeSet` peek.
     pub fn sweep(&mut self, now: LocalTime) -> usize {
         if self.ignore_expiry {
             // Leave the index intact: if the injected bug is later
-            // turned off, the overdue buckets are still there to sweep.
+            // turned off, the overdue pairs are still there to sweep.
             return 0;
         }
         let mut dropped = 0;
-        while let Some((&bucket, _)) = self.expiry.first_key_value() {
-            if now < bucket {
-                break;
-            }
-            let (_, users) = self.expiry.pop_first().expect("peeked non-empty");
-            for user in users {
-                // Re-validate: the entry may have been extended past
-                // this bucket, removed, or re-created since.
-                if self.entries.get(&user).is_some_and(|e| now >= e.limit) {
-                    self.entries.remove(&user);
-                    dropped += 1;
-                }
+        while self.expiry.first().is_some_and(|&(limit, _)| limit <= now) {
+            let (_, user) = self.expiry.pop_first().expect("peeked non-empty");
+            // Re-validate: the entry may have been extended past this
+            // pair, removed, or re-created since.
+            if self.entries.get(&user).is_some_and(|e| now >= e.limit) {
+                self.entries.remove(&user);
+                dropped += 1;
             }
         }
         dropped
@@ -316,6 +311,37 @@ mod tests {
         c.insert(UserId(2), t(100));
         assert_eq!(c.sweep(t(40)), 0);
         assert_eq!(c.peek(UserId(2)), Some(t(100)));
+    }
+
+    #[test]
+    fn sweep_drops_every_user_sharing_a_limit() {
+        let mut c = AclCache::new();
+        for user in 0..50 {
+            c.insert(UserId(user), t(10));
+        }
+        c.insert(UserId(99), t(11));
+        assert_eq!(c.sweep(t(9)), 0);
+        assert_eq!(c.sweep(t(10)), 50, "all fifty leases end at the same instant");
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.peek(UserId(99)), Some(t(11)));
+        assert_eq!(c.sweep(t(10)), 0, "their index pairs went with them");
+    }
+
+    #[test]
+    fn extended_entry_leaves_a_stale_index_pair_that_sweep_discards() {
+        let mut c = AclCache::new();
+        c.insert(UserId(1), t(10));
+        c.insert(UserId(2), t(10));
+        c.insert(UserId(1), t(100));
+        c.insert(UserId(1), t(100)); // same limit again: no second pair
+        c.insert(UserId(1), t(50)); // shorter: ignored, no pair
+        assert_eq!(c.expiry.len(), 3, "(10,1) stale, (10,2), (100,1)");
+        // The stale pair is due but its entry is not: only user 2 goes.
+        assert_eq!(c.sweep(t(10)), 1);
+        assert_eq!(c.peek(UserId(1)), Some(t(100)));
+        assert_eq!(c.expiry.len(), 1, "the stale pair was popped, not kept");
+        assert_eq!(c.sweep(t(100)), 1);
+        assert!(c.is_empty() && c.expiry.is_empty());
     }
 
     #[test]

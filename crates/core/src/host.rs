@@ -28,6 +28,7 @@ use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::breaker::{FailureOutcome, PeerBreaker};
 use crate::cache::{AclCache, CacheDecision};
+use crate::channel::ChannelEnd;
 use crate::msg::{
     invoke_signing_bytes, ns_record_signing_bytes_sharded, InvokeOutcome, ProtoMsg, QueryVerdict,
     ReqId, ShardEntry,
@@ -222,7 +223,10 @@ pub struct HostNode {
     next_pending: u64,
     next_req: u64,
     next_refresh: u64,
-    channel: Option<Arc<crate::channel::ChannelKeys>>,
+    /// This host's end of the authenticated manager channel: the key it
+    /// shares with each manager heard from so far. `None` accepts
+    /// replies and notices untagged.
+    channel: Option<ChannelEnd>,
     /// Trust anchor for replicated-directory records: the registry to
     /// verify against and the principal whose signature records must
     /// carry. `None` accepts records unverified (protocol-only runs).
@@ -318,8 +322,10 @@ impl HostNode {
 
     /// Installs pairwise channel keys: `QueryReply` and `RevokeNotice`
     /// messages must then carry valid HMAC tags (see [`crate::channel`]).
+    /// Installing again (key rotation) forgets every key derived under
+    /// the previous master.
     pub fn set_channel_keys(&mut self, keys: Arc<crate::channel::ChannelKeys>) {
-        self.channel = Some(keys);
+        self.channel = Some(ChannelEnd::new(keys));
     }
 
     /// The host's decision counters.
@@ -1246,12 +1252,12 @@ impl Node for HostNode {
                 self.on_invoke(ctx, from, app, user, req, payload, signature);
             }
             ProtoMsg::QueryReply { req, app, user, verdict, mac } => {
-                if let Some(keys) = &self.channel {
-                    let ok = mac
-                        .map(|tag| {
-                            keys.verify_query_reply(from, ctx.id(), req, app, user, &verdict, &tag)
-                        })
-                        .unwrap_or(false);
+                if let Some(channel) = &mut self.channel {
+                    let ok = mac.is_some_and(|tag| {
+                        channel
+                            .pair(ctx.id(), from)
+                            .verify_query_reply(req, app, user, &verdict, &tag)
+                    });
                     if !ok {
                         ctx.metric_incr("host.bad_channel_mac");
                         return;
@@ -1260,10 +1266,10 @@ impl Node for HostNode {
                 self.on_query_reply(ctx, from, req, verdict);
             }
             ProtoMsg::RevokeNotice { app, user, mac } => {
-                if let Some(keys) = &self.channel {
-                    let ok = mac
-                        .map(|tag| keys.verify_revoke_notice(from, ctx.id(), app, user, &tag))
-                        .unwrap_or(false);
+                if let Some(channel) = &mut self.channel {
+                    let ok = mac.is_some_and(|tag| {
+                        channel.pair(ctx.id(), from).verify_revoke_notice(app, user, &tag)
+                    });
                     if !ok {
                         ctx.metric_incr("host.bad_channel_mac");
                         return;
@@ -2192,6 +2198,168 @@ mod tests {
             effects
         };
         assert!(sends(&effects).iter().any(|(_, m)| matches!(m, ProtoMsg::NsQuery { .. })));
+    }
+
+    fn bad_macs(effects: &[Effect<ProtoMsg>]) -> usize {
+        effects
+            .iter()
+            .filter(|e| matches!(e, Effect::MetricIncr { name: "host.bad_channel_mac" }))
+            .count()
+    }
+
+    /// Sends `invoke(user)` from node 7 and returns the id of the query
+    /// round it opened.
+    fn open_query(h: &mut Harness, host: &mut HostNode, user: u64) -> ReqId {
+        let effects = h.deliver(host, 7, invoke(user));
+        sends(&effects)
+            .into_iter()
+            .find_map(|(_, m)| match m {
+                ProtoMsg::Query { req, .. } => Some(*req),
+                _ => None,
+            })
+            .expect("query sent")
+    }
+
+    fn grant_reply(req: ReqId, user: u64, mac: Option<wanacl_auth::hmac::Tag>) -> ProtoMsg {
+        ProtoMsg::QueryReply {
+            req,
+            app: AppId(0),
+            user: UserId(user),
+            verdict: crate::channel::grant(9),
+            mac,
+        }
+    }
+
+    #[test]
+    fn authenticated_host_rejects_every_kind_of_wrong_tag() {
+        use crate::channel::ChannelKeys;
+        let me = NodeId::from_index(9);
+        let mgr = NodeId::from_index(0);
+        let keys = Arc::new(ChannelKeys::from_seed(1));
+        let mut host = host_with_managers(&[0, 1]);
+        host.set_channel_keys(keys.clone());
+        let mut h = Harness::new(9);
+        let req = open_query(&mut h, &mut host, 1);
+        let v = crate::channel::grant(9);
+        let good = keys.tag_query_reply(mgr, me, req, AppId(0), UserId(1), &v);
+        let mut tampered = good;
+        tampered.0[0] ^= 0x80;
+        let wrong = [
+            None,
+            Some(tampered),
+            // Made by manager 1 under the key it shares with this host.
+            Some(keys.tag_query_reply(NodeId::from_index(1), me, req, AppId(0), UserId(1), &v)),
+            // Made under the right pair of another deployment's master.
+            Some(ChannelKeys::from_seed(2).tag_query_reply(mgr, me, req, AppId(0), UserId(1), &v)),
+            // A revoke-notice tag is not a query-reply tag.
+            Some(keys.tag_revoke_notice(mgr, me, AppId(0), UserId(1))),
+        ];
+        for mac in wrong {
+            let effects = h.deliver(&mut host, 0, grant_reply(req, 1, mac));
+            assert_eq!(bad_macs(&effects), 1, "{mac:?}");
+            assert!(sends(&effects).is_empty(), "{mac:?}");
+            assert_eq!(host.cached_limit(AppId(0), UserId(1)), None, "{mac:?}");
+        }
+        let effects = h.deliver(&mut host, 0, grant_reply(req, 1, Some(good)));
+        assert_eq!(bad_macs(&effects), 0);
+        assert!(sends(&effects).iter().any(|(_, m)| matches!(
+            m,
+            ProtoMsg::InvokeReply { outcome: InvokeOutcome::Allowed { .. }, .. }
+        )));
+
+        // The same for flushes: only the sender's own tag removes a lease.
+        let good = keys.tag_revoke_notice(mgr, me, AppId(0), UserId(1));
+        let mut tampered = good;
+        tampered.0[31] ^= 1;
+        let wrong = [
+            None,
+            Some(tampered),
+            Some(keys.tag_revoke_notice(NodeId::from_index(1), me, AppId(0), UserId(1))),
+            Some(ChannelKeys::from_seed(2).tag_revoke_notice(mgr, me, AppId(0), UserId(1))),
+            Some(keys.tag_revoke_notice(mgr, me, AppId(0), UserId(2))),
+        ];
+        for mac in wrong {
+            let notice = ProtoMsg::RevokeNotice { app: AppId(0), user: UserId(1), mac };
+            assert_eq!(bad_macs(&h.deliver(&mut host, 0, notice)), 1, "{mac:?}");
+            assert!(host.cached_limit(AppId(0), UserId(1)).is_some(), "{mac:?}");
+        }
+        let notice = ProtoMsg::RevokeNotice { app: AppId(0), user: UserId(1), mac: Some(good) };
+        assert_eq!(bad_macs(&h.deliver(&mut host, 0, notice)), 0);
+        assert_eq!(host.cached_limit(AppId(0), UserId(1)), None);
+        assert_eq!(host.stats().revoke_flushes, 1);
+    }
+
+    #[test]
+    fn rekeying_a_host_drops_held_keys_and_rejects_tags_of_the_old_master() {
+        use crate::channel::ChannelKeys;
+        let me = NodeId::from_index(9);
+        let mgr = NodeId::from_index(0);
+        let old = Arc::new(ChannelKeys::from_seed(1));
+        let new = Arc::new(ChannelKeys::from_seed(2));
+        let mut host = host_with_managers(&[0]);
+        host.set_channel_keys(old.clone());
+        let mut h = Harness::new(9);
+        let v = crate::channel::grant(9);
+        let req = open_query(&mut h, &mut host, 1);
+        let tag = old.tag_query_reply(mgr, me, req, AppId(0), UserId(1), &v);
+        assert_eq!(bad_macs(&h.deliver(&mut host, 0, grant_reply(req, 1, Some(tag)))), 0);
+        assert_eq!(host.channel.as_ref().map(|c| c.peers()), Some(1));
+
+        host.set_channel_keys(new.clone());
+        assert_eq!(host.channel.as_ref().map(|c| c.peers()), Some(0), "rotation empties the table");
+        // A notice tagged before the rotation no longer flushes ...
+        let stale = old.tag_revoke_notice(mgr, me, AppId(0), UserId(1));
+        let notice = ProtoMsg::RevokeNotice { app: AppId(0), user: UserId(1), mac: Some(stale) };
+        assert_eq!(bad_macs(&h.deliver(&mut host, 0, notice)), 1);
+        assert!(host.cached_limit(AppId(0), UserId(1)).is_some());
+        // ... nor does a reply tagged before it grant ...
+        let req = open_query(&mut h, &mut host, 2);
+        let stale = old.tag_query_reply(mgr, me, req, AppId(0), UserId(2), &v);
+        assert_eq!(bad_macs(&h.deliver(&mut host, 0, grant_reply(req, 2, Some(stale)))), 1);
+        assert_eq!(host.cached_limit(AppId(0), UserId(2)), None);
+        // ... while tags under the new master do both.
+        let fresh = new.tag_query_reply(mgr, me, req, AppId(0), UserId(2), &v);
+        assert_eq!(bad_macs(&h.deliver(&mut host, 0, grant_reply(req, 2, Some(fresh)))), 0);
+        assert!(host.cached_limit(AppId(0), UserId(2)).is_some());
+        let fresh = new.tag_revoke_notice(mgr, me, AppId(0), UserId(1));
+        let notice = ProtoMsg::RevokeNotice { app: AppId(0), user: UserId(1), mac: Some(fresh) };
+        assert_eq!(bad_macs(&h.deliver(&mut host, 0, notice)), 0);
+        assert_eq!(host.cached_limit(AppId(0), UserId(1)), None);
+        assert_eq!(host.channel.as_ref().map(|c| c.peers()), Some(1));
+    }
+
+    #[test]
+    fn host_holds_one_pair_key_per_tagging_peer_and_prints_none() {
+        use crate::channel::ChannelKeys;
+        let me = NodeId::from_index(9);
+        let master = *b"an unmistakable 32-byte master!!";
+        let keys = Arc::new(ChannelKeys::new(master));
+        let mut host = host_with_managers(&[0, 1, 2]);
+        host.set_channel_keys(keys.clone());
+        let mut h = Harness::new(9);
+        let v = crate::channel::grant(9);
+        // Replies and notices from three managers, interleaved and
+        // repeated; a forged tag from a fourth node; an untagged message
+        // from a fifth, which is refused before any key is derived.
+        for (user, from) in [(1u64, 0usize), (2, 1), (3, 0), (4, 2), (5, 1), (6, 4)] {
+            let req = open_query(&mut h, &mut host, user);
+            let from_id = NodeId::from_index(from);
+            let tag = keys.tag_query_reply(from_id, me, req, AppId(0), UserId(user), &v);
+            h.deliver(&mut host, from, grant_reply(req, user, Some(tag)));
+            let tag = keys.tag_revoke_notice(from_id, me, AppId(0), UserId(user));
+            let mac = Some(tag);
+            let notice = ProtoMsg::RevokeNotice { app: AppId(0), user: UserId(user), mac };
+            h.deliver(&mut host, from, notice);
+        }
+        let untagged = ProtoMsg::RevokeNotice { app: AppId(0), user: UserId(1), mac: None };
+        assert_eq!(bad_macs(&h.deliver(&mut host, 5, untagged)), 1);
+        assert_eq!(host.channel.as_ref().map(|c| c.peers()), Some(4), "peers 0, 1, 2 and 4");
+
+        let shown = format!("{host:?} {host:#?}");
+        assert!(shown.contains("ChannelEnd"), "{shown}");
+        assert!(!shown.contains("unmistakable"), "{shown}");
+        assert!(!shown.contains("97, 110, 32, 117"), "{shown}");
+        assert!(!shown.contains("616e20756e"), "{shown}");
     }
 
     impl Harness {

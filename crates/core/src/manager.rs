@@ -33,6 +33,7 @@ use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::storage::{Recovered, Storage, StorageStats};
 use wanacl_sim::time::SimDuration;
 
+use crate::channel::ChannelEnd;
 use crate::msg::{
     admin_signing_bytes, AclOp, AdminStatus, NsRecord, OpId, ProtoMsg, QueryVerdict, RejectReason,
     ReqId,
@@ -423,7 +424,10 @@ pub struct ManagerNode {
     unlogged: BTreeMap<OpId, UnloggedOp>,
     /// WAL appends since the last snapshot (drives the cadence).
     wal_since_snapshot: u64,
-    channel: Option<Arc<crate::channel::ChannelKeys>>,
+    /// This manager's end of the authenticated host channel: the key it
+    /// shares with each host written to so far. `None` sends replies
+    /// and notices untagged.
+    channel: Option<ChannelEnd>,
     /// Shard-scoped stores; empty = legacy flat mode.
     shards: BTreeMap<ShardId, ShardState>,
     /// Handoff coordination per shard (primary source only).
@@ -535,8 +539,10 @@ impl ManagerNode {
 
     /// Installs pairwise channel keys: `QueryReply` and `RevokeNotice`
     /// messages will carry HMAC tags (see [`crate::channel`]).
+    /// Installing again (key rotation) forgets every key derived under
+    /// the previous master.
     pub fn set_channel_keys(&mut self, keys: Arc<crate::channel::ChannelKeys>) {
-        self.channel = Some(keys);
+        self.channel = Some(ChannelEnd::new(keys));
     }
 
     /// The manager's counters.
@@ -1415,7 +1421,7 @@ impl ManagerNode {
         for host in targets.keys() {
             ctx.metric_incr("mgr.revoke_notices");
             let mac =
-                self.channel.as_ref().map(|k| k.tag_revoke_notice(ctx.id(), *host, app, user));
+                self.channel.as_mut().map(|c| c.pair(ctx.id(), *host).tag_revoke_notice(app, user));
             ctx.send(*host, ProtoMsg::RevokeNotice { app, user, mac });
         }
         self.pending_revokes.push(PendingRevoke { app, user, targets });
@@ -1715,7 +1721,7 @@ impl ManagerNode {
     }
 
     fn send_query_reply(
-        &self,
+        &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
         host: NodeId,
         req: ReqId,
@@ -1725,8 +1731,8 @@ impl ManagerNode {
     ) {
         let mac = self
             .channel
-            .as_ref()
-            .map(|k| k.tag_query_reply(ctx.id(), host, req, app, user, &verdict));
+            .as_mut()
+            .map(|c| c.pair(ctx.id(), host).tag_query_reply(req, app, user, &verdict));
         ctx.send(host, ProtoMsg::QueryReply { req, app, user, verdict, mac });
     }
 
@@ -1780,8 +1786,8 @@ impl ManagerNode {
                 ctx.metric_incr("mgr.revoke_notices_resent");
                 let mac = self
                     .channel
-                    .as_ref()
-                    .map(|k| k.tag_revoke_notice(ctx.id(), *host, pr.app, pr.user));
+                    .as_mut()
+                    .map(|c| c.pair(ctx.id(), *host).tag_revoke_notice(pr.app, pr.user));
                 ctx.send(*host, ProtoMsg::RevokeNotice { app: pr.app, user: pr.user, mac });
                 resent += 1;
             }
@@ -2202,6 +2208,107 @@ mod tests {
             ProtoMsg::QueryReply { verdict: QueryVerdict::Deny, .. }
         ));
         assert_eq!(mgr.granted_hosts(AppId(0), UserId(9)), 0);
+    }
+
+    fn query(user: u64, req: u64) -> ProtoMsg {
+        ProtoMsg::Query { app: AppId(0), user: UserId(user), req: ReqId(req) }
+    }
+
+    fn revoke_user_1() -> ProtoMsg {
+        ProtoMsg::Admin {
+            op: AclOp::Revoke { app: AppId(0), user: UserId(1), right: Right::Use },
+            req: ReqId(1),
+            issuer: UserId(0),
+            signature: None,
+        }
+    }
+
+    /// Every `(host, tag)` of the `RevokeNotice`s for user 1 in `effects`.
+    fn notice_tags(effects: &[Effect<ProtoMsg>]) -> Vec<(NodeId, wanacl_auth::hmac::Tag)> {
+        sends(effects)
+            .into_iter()
+            .filter_map(|(to, m)| match m {
+                ProtoMsg::RevokeNotice { app: AppId(0), user: UserId(1), mac } => {
+                    Some((to, mac.expect("authenticated managers tag every notice")))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn manager_tags_every_send_under_the_key_held_for_that_host() {
+        use crate::channel::ChannelKeys;
+        let me = NodeId::from_index(0);
+        let master = *b"an unmistakable 32-byte master!!";
+        let keys = Arc::new(ChannelKeys::new(master));
+        let (mut mgr, mut h) = manager_with_peers(0, &[]);
+        mgr.set_channel_keys(keys.clone());
+        // Grants to user 1 and a denial to user 9, from three hosts,
+        // interleaved and repeated: each reply verifies under the
+        // deployment's key for (this manager, that host) and no other.
+        let queries = [(7usize, 1u64, 1u64), (8, 1, 2), (7, 9, 3), (6, 1, 4), (8, 9, 5)];
+        for (host, user, req) in queries {
+            let effects = h.deliver(&mut mgr, host, query(user, req));
+            let (to, msg) = sends(&effects)[0];
+            let ProtoMsg::QueryReply { req, app, user, verdict, mac: Some(tag) } = msg else {
+                panic!("expected a tagged reply, got {msg:?}");
+            };
+            assert_eq!(to, NodeId::from_index(host));
+            assert!(keys.verify_query_reply(me, to, *req, *app, *user, verdict, tag));
+            let other = NodeId::from_index(5);
+            assert!(!keys.verify_query_reply(me, other, *req, *app, *user, verdict, tag));
+        }
+        // Revoking user 1 notifies the three hosts that cached the right;
+        // the retry tick notifies them again with the same tags.
+        let first = notice_tags(&h.deliver(&mut mgr, 9, revoke_user_1()));
+        assert_eq!(first.len(), 3);
+        for (host, tag) in &first {
+            assert!(keys.verify_revoke_notice(me, *host, AppId(0), UserId(1), tag));
+        }
+        let again = {
+            let mut effects = Vec::new();
+            let mut ctx = Context::new(h.id, h.now, &mut effects, &mut h.rng, &mut h.next_timer);
+            mgr.on_timer(&mut ctx, TAG_RETRY);
+            notice_tags(&effects)
+        };
+        assert_eq!(again, first);
+        assert_eq!(mgr.channel.as_ref().map(|c| c.peers()), Some(3), "hosts 6, 7 and 8");
+
+        let shown = format!("{mgr:?} {mgr:#?}");
+        assert!(shown.contains("ChannelEnd"), "{shown}");
+        assert!(!shown.contains("unmistakable"), "{shown}");
+        assert!(!shown.contains("97, 110, 32, 117"), "{shown}");
+        assert!(!shown.contains("616e20756e"), "{shown}");
+    }
+
+    #[test]
+    fn rekeying_a_manager_drops_held_keys_and_tags_under_the_new_master() {
+        use crate::channel::ChannelKeys;
+        let me = NodeId::from_index(0);
+        let host = NodeId::from_index(7);
+        let old = Arc::new(ChannelKeys::from_seed(1));
+        let new = Arc::new(ChannelKeys::from_seed(2));
+        let (mut mgr, mut h) = manager_with_peers(0, &[]);
+        let reply_tag = |effects: &[Effect<ProtoMsg>]| match sends(effects)[0].1 {
+            ProtoMsg::QueryReply { verdict, mac: Some(tag), .. } => (*verdict, *tag),
+            other => panic!("expected a tagged reply, got {other:?}"),
+        };
+        mgr.set_channel_keys(old.clone());
+        let (v, tag) = reply_tag(&h.deliver(&mut mgr, 7, query(1, 1)));
+        assert!(old.verify_query_reply(me, host, ReqId(1), AppId(0), UserId(1), &v, &tag));
+        assert_eq!(mgr.channel.as_ref().map(|c| c.peers()), Some(1));
+
+        mgr.set_channel_keys(new.clone());
+        assert_eq!(mgr.channel.as_ref().map(|c| c.peers()), Some(0), "rotation empties the table");
+        let (v, tag) = reply_tag(&h.deliver(&mut mgr, 7, query(1, 2)));
+        assert!(new.verify_query_reply(me, host, ReqId(2), AppId(0), UserId(1), &v, &tag));
+        assert!(!old.verify_query_reply(me, host, ReqId(2), AppId(0), UserId(1), &v, &tag));
+        let notices = notice_tags(&h.deliver(&mut mgr, 9, revoke_user_1()));
+        assert_eq!(notices.len(), 1);
+        assert!(new.verify_revoke_notice(me, host, AppId(0), UserId(1), &notices[0].1));
+        assert!(!old.verify_revoke_notice(me, host, AppId(0), UserId(1), &notices[0].1));
+        assert_eq!(mgr.channel.as_ref().map(|c| c.peers()), Some(1));
     }
 
     #[test]
