@@ -3,24 +3,16 @@
 //! the in-process router, at flash-crowd scale.
 //!
 //! The headline label is `rt_live/wall_per_check` (full profile:
-//! 1000 hosts), written in the same per-unit shape as the committed
-//! thread-per-node baseline `rt_soak/wall_per_invoke`, so
-//! `bench_guard --require-faster` can prove the event-driven pool beats
-//! the old runtime on checks/sec. The quick profile shrinks the crowd
-//! so CI smoke stays in seconds; labels encode the profile so a guard
-//! never compares quick against full.
-//!
-//! `rt_live/codec_frame` exercises the length-prefixed batch codec the
-//! coalesced flush path uses at a byte boundary.
+//! 1000 hosts). The quick profile shrinks the crowd so CI smoke stays
+//! in seconds; labels encode the profile so a guard never compares
+//! quick against full.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use wanacl_core::prelude::*;
-use wanacl_rt::codec::{decode_batch, encode_batch};
-use wanacl_rt::RuntimeBuilder;
-use wanacl_sim::node::NodeId;
+use wanacl_rt::{install_roster, RuntimeBuilder};
 use wanacl_sim::time::SimDuration;
 
 fn full_profile() -> bool {
@@ -42,44 +34,16 @@ fn live_policy(c: usize) -> Policy {
 /// quorum path, later waves hit the warm cache. Returns the measured
 /// drive-and-drain wall time; build and shutdown are excluded.
 fn run_live_checks(hosts: usize, rounds: u64) -> Duration {
-    let policy = live_policy(2);
-    let mut acl = Acl::new();
-    acl.add(UserId(1), Right::Use);
-
+    // No user agents: the environment invokes at the hosts directly.
+    let roster = Scenario::builder(77)
+        .managers(3)
+        .hosts(hosts)
+        .users(0)
+        .initial_rights(vec![(UserId(1), Right::Use)])
+        .policy(live_policy(2))
+        .roster();
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(77);
-    let manager_ids: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let peers = manager_ids.iter().copied().filter(|p| *p != id).collect();
-        let config = ManagerConfig {
-            peers,
-            apps: vec![ManagerApp {
-                app: AppId(0),
-                policy: policy.clone(),
-                initial_acl: acl.clone(),
-            }],
-            registry: None,
-            enforce_manage_right: false,
-            ..ManagerConfig::default()
-        };
-        let got = b.add_node(format!("manager{i}"), Box::new(ManagerNode::new(config)));
-        assert_eq!(got, id);
-    }
-    let host_ids: Vec<NodeId> = (0..hosts)
-        .map(|i| {
-            b.add_node(
-                format!("host{i}"),
-                Box::new(HostNode::new(
-                    vec![AppHost {
-                        app: AppId(0),
-                        policy: policy.clone(),
-                        directory: ManagerDirectory::Static(manager_ids.clone().into()),
-                        application: Box::new(CountingApp::new()),
-                    }],
-                    None,
-                )),
-            )
-        })
-        .collect();
+    let host_ids = install_roster(&mut b, roster, |_| None).hosts;
     let rt = b.start();
 
     let expected = hosts as u64 * rounds;
@@ -133,8 +97,7 @@ fn bench_live_checks(c: &mut Criterion) {
     let profile = if full { "full" } else { "quick" };
 
     // One reference run for the headline per-check figure: total checks
-    // over drive-and-drain wall time, comparable unit-for-unit with the
-    // committed `rt_soak/wall_per_invoke` thread-per-node baseline.
+    // over drive-and-drain wall time.
     let checks = hosts as u64 * rounds;
     let elapsed = run_live_checks(hosts, rounds);
     let per_check_ns = elapsed.as_nanos() as f64 / checks as f64;
@@ -154,20 +117,5 @@ fn bench_live_checks(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_codec_frame(c: &mut Criterion) {
-    // A realistic coalesced flush: 64 envelopes of ~100 bytes.
-    let batch: Vec<Vec<u8>> =
-        (0..64).map(|i| format!("check app=0 user=1 req={i} payload=bench-envelope").into_bytes()).collect();
-    let mut group = c.benchmark_group("rt_live");
-    group.bench_function("codec_frame", |b| {
-        b.iter(|| {
-            let framed = encode_batch(black_box(&batch));
-            let back: Vec<Vec<u8>> = decode_batch(black_box(&framed)).expect("round trip");
-            black_box(back.len())
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_live_checks, bench_codec_frame);
+criterion_group!(benches, bench_live_checks);
 criterion_main!(benches);

@@ -23,14 +23,12 @@ use wanacl_sim::time::{SimDuration, SimTime};
 use wanacl_sim::world::ObserverId;
 
 use crate::client::AdminAction;
-use crate::host::HostNode;
 use crate::manager::ManagerNode;
-use crate::msg::AclOp;
+use crate::msg::{AclOp, ProtoMsg};
 use crate::nameservice::DirectoryReplica;
 use crate::oracle::{InvariantOracle, OracleStats, OracleViolation};
 use crate::policy::Policy;
-use crate::msg::ShardEntry;
-use crate::scenario::{Deployment, Scenario};
+use crate::scenario::{Deployment, Roster, Scenario};
 use crate::types::{AppId, Right, ShardId, UserId};
 
 /// A deliberately planted protocol bug, for proving the oracle catches
@@ -337,11 +335,12 @@ pub fn sample_plan(config: &CampaignConfig) -> NemesisPlan {
 }
 
 /// Admin churn: every user gets its `use` right revoked and re-granted
-/// at seed-deterministic times inside the horizon, so the oracle's
-/// bounded-revocation check has real revocations to bite on. In sharded
-/// mode the ops span tenants — user `u` belongs to application
-/// `(u − 1) mod tenants` — so every shard sees churn, including churn
-/// racing a rebalance of its own keyspace.
+/// at seed-deterministic times inside the horizon (the re-grant lands
+/// no later than 0.9 × horizon), so the oracle's bounded-revocation
+/// check has real revocations to bite on. In sharded mode the ops span
+/// tenants — user `u` belongs to application `(u − 1) mod tenants` — so
+/// every shard sees churn, including churn racing a rebalance of its
+/// own keyspace.
 fn admin_script(config: &CampaignConfig) -> Vec<AdminAction> {
     let mut rng = SimRng::seed_from(config.seed ^ 0x6164_6d69);
     let h = config.horizon.as_secs_f64();
@@ -367,31 +366,17 @@ fn admin_script(config: &CampaignConfig) -> Vec<AdminAction> {
     script
 }
 
-/// The campaign-owned [`SimStorage`] of one manager (panics if the
-/// manager has no storage or a foreign storage type — campaigns attach
-/// `SimStorage` to every manager before faults or bugs touch it).
-fn sim_storage(deployment: &mut Deployment, mgr: NodeId) -> &mut SimStorage {
-    deployment
-        .world
-        .node_as_mut::<ManagerNode>(mgr)
-        .storage_mut()
-        .expect("campaign manager has storage attached")
-        .as_any_mut()
-        .downcast_mut::<SimStorage>()
-        .expect("campaign manager storage is SimStorage")
-}
-
-fn build_deployment(
-    config: &CampaignConfig,
-    plan: &NemesisPlan,
-) -> (Deployment, ObserverId) {
-    let base = WanNet::builder()
-        .uniform_delay(SimDuration::from_millis(10), SimDuration::from_millis(60))
-        .loss(0.01)
-        .build();
+/// The deployment a campaign runs, on either executor: every user
+/// granted and issuing a Poisson workload, the scripted admin churn,
+/// drifting clocks, and the flat, name-service, replicated-directory or
+/// sharded layout the config asks for. Its roster's node ids equal
+/// [`campaign_targets`].
+///
+/// # Panics
+///
+/// Panics if the config asks for tenants without directory replicas.
+pub fn campaign_scenario(config: &CampaignConfig) -> Scenario {
     let min_rate = config.policy.clock_rate_bound();
-    let mean_interarrival = SimDuration::from_millis(300);
-    let sharded = config.tenants > 0;
     let mut scenario = Scenario::builder(config.seed)
         .hosts(config.hosts)
         .users(config.users)
@@ -399,11 +384,10 @@ fn build_deployment(
         .all_users_granted()
         .manager_clock(ClockSpec::RandomRate { min_rate })
         .host_clock(ClockSpec::RandomRate { min_rate })
-        .workload(mean_interarrival)
+        .workload(SimDuration::from_millis(300))
         .request_timeout(SimDuration::from_secs(5))
-        .admin_script(admin_script(config))
-        .net(Box::new(plan.wrap_net(Box::new(base))));
-    if sharded {
+        .admin_script(admin_script(config));
+    if config.tenants > 0 {
         assert!(
             config.ns_replicas > 0,
             "sharded campaigns need the replicated directory (the shard map lives there)"
@@ -422,7 +406,124 @@ fn build_deployment(
     } else if config.use_name_service {
         scenario = scenario.with_name_service(CAMPAIGN_NS_TTL);
     }
-    let mut deployment = scenario.build();
+    scenario
+}
+
+/// What a campaign adds to its roster that is the same whoever runs it.
+#[derive(Debug)]
+pub struct CampaignArming {
+    /// Environment messages to deliver at campaign times, in the order
+    /// to schedule them: the signed `ShardHandoff` kickoffs of every
+    /// rebalance, or a flat directory's mid-horizon republish.
+    pub injections: Vec<(SimTime, NodeId, ProtoMsg)>,
+    /// The oracle, armed with the directory shape and every shard-map
+    /// version the run can legitimately route by.
+    pub oracle: InvariantOracle,
+}
+
+/// Arms a campaign roster for `plan`, before any executor installs it:
+/// pins the hosts a stale-shard-map fault names, turns the plan's
+/// rebalances into kickoffs (ring-next targets, skipping moves an
+/// earlier move made non-disjoint) while advancing `roster.layout`'s
+/// shard maps, publishes a fresher flat directory record to ONE replica
+/// mid-horizon (anti-entropy must spread it — the path stale-replica
+/// and split-brain faults attack), and builds the oracle. `slack` is
+/// the oracle's timing tolerance: zero under the simulator, wall-clock
+/// jitter on live threads.
+pub fn arm_campaign(
+    config: &CampaignConfig,
+    plan: &NemesisPlan,
+    roster: &mut Roster,
+    slack: SimDuration,
+) -> CampaignArming {
+    let mut oracle = InvariantOracle::new(&config.policy, slack);
+    if config.ns_replicas > 0 {
+        oracle.set_directory(config.ns_replicas, effective_read_quorum(config), CAMPAIGN_NS_TTL);
+    }
+    let mut injections = Vec::new();
+    if config.tenants == 0 {
+        if config.ns_replicas > 0 {
+            let at = SimTime::ZERO + config.horizon.mul_f64(0.4);
+            let (replica, msg) = roster.layout.republish(0, 2, roster.layout.managers.clone());
+            injections.push((at, replica, msg));
+        }
+        return CampaignArming { injections, oracle };
+    }
+
+    // Every shard-map version the run publishes is one the oracle's
+    // tenant-isolation check (I8) accepts: genesis, then one per move.
+    for (app, (version, entries)) in &roster.layout.shard_maps {
+        oracle.expect_shard_map(*app, *version, entries);
+    }
+    let total_shards = (config.tenants * config.shards_per_tenant) as u32;
+    let mut moves: Vec<(u32, SimTime)> = plan.shard_rebalances();
+    if let Some(InjectedBug::LostHandoff { manager_index }) = config.inject_bug {
+        // Force one rebalance whose targets include the bugged
+        // manager: with ring-next targeting, moving the ring-
+        // *previous* shard lands on the bugged manager's set, so the
+        // dropped tail always has a handoff to corrupt.
+        let owned = (manager_index / 2) as u32;
+        let victim = (owned + total_shards - 1) % total_shards;
+        moves.push((victim, SimTime::ZERO + config.horizon.mul_f64(0.5)));
+        moves.sort_by_key(|&(_, at)| at);
+    }
+    for (s, at) in moves {
+        let shard = ShardId(s % total_shards);
+        let sources = roster.layout.shard_owners(shard);
+        let targets = roster.layout.shard_owners(ShardId((shard.0 + 1) % total_shards));
+        if targets.iter().any(|t| sources.contains(t)) {
+            continue;
+        }
+        let (recipients, kickoff) = roster.layout.rebalance(shard, targets);
+        for node in recipients {
+            injections.push((at, node, kickoff.clone()));
+        }
+        let (app, (version, entries)) = roster
+            .layout
+            .shard_maps
+            .iter()
+            .find(|(_, (_, es))| es.iter().any(|e| e.shard == shard))
+            .expect("rebalanced shard keeps a map entry");
+        oracle.expect_shard_map(*app, *version, entries);
+    }
+    let apps: Vec<AppId> = roster.layout.shard_maps.keys().copied().collect();
+    for host in plan.stale_shard_map_hosts() {
+        for &app in &apps {
+            roster.host_mut(host).set_pin_ns_version(app);
+        }
+    }
+    CampaignArming { injections, oracle }
+}
+
+/// The campaign-owned [`SimStorage`] of one manager (panics if the
+/// manager has no storage or a foreign storage type — campaigns attach
+/// `SimStorage` to every manager before faults or bugs touch it).
+fn sim_storage(deployment: &mut Deployment, mgr: NodeId) -> &mut SimStorage {
+    deployment
+        .world
+        .node_as_mut::<ManagerNode>(mgr)
+        .storage_mut()
+        .expect("campaign manager has storage attached")
+        .as_any_mut()
+        .downcast_mut::<SimStorage>()
+        .expect("campaign manager storage is SimStorage")
+}
+
+/// The simulator's half of a campaign: the faulty WAN, simulated disks,
+/// the directory and planted-bug hooks that need a built node, and the
+/// plan's crash/recover lifecycle.
+fn build_deployment(
+    config: &CampaignConfig,
+    plan: &NemesisPlan,
+) -> (Deployment, ObserverId) {
+    let base = WanNet::builder()
+        .uniform_delay(SimDuration::from_millis(10), SimDuration::from_millis(60))
+        .loss(0.01)
+        .build();
+    let mut roster = campaign_scenario(config).roster();
+    let CampaignArming { injections, oracle } =
+        arm_campaign(config, plan, &mut roster, SimDuration::ZERO);
+    let mut deployment = roster.into_deployment(Some(Box::new(plan.wrap_net(Box::new(base)))));
 
     // The arithmetic layout used for plan sampling must match reality.
     let targets = campaign_targets(config);
@@ -448,113 +549,45 @@ fn build_deployment(
 
     // Directory replicas get their own stable storage (so crash-restart
     // faults exercise WAL/snapshot recovery), then the plan's directory
-    // faults are armed, and a fresher record is published mid-horizon to
-    // ONE replica — anti-entropy must spread it, which is exactly the
-    // path stale-replica and split-brain faults attack.
-    if !deployment.ns_replicas.is_empty() {
-        for (i, &replica) in deployment.ns_replicas.clone().iter().enumerate() {
-            let disk_seed =
-                config.seed ^ 0x6e73_6469 ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            deployment
-                .world
-                .node_as_mut::<DirectoryReplica>(replica)
-                .set_storage(Box::new(SimStorage::new(disk_seed)));
-        }
-        for replica in plan.stale_replicas() {
-            deployment
-                .world
-                .node_as_mut::<DirectoryReplica>(replica)
-                .set_suppress_sync(true);
-        }
-        for (replica, window) in plan.malicious_replicas() {
-            deployment.world.node_as_mut::<DirectoryReplica>(replica).set_malicious(window);
-        }
-        if !sharded {
-            let at = SimTime::ZERO + config.horizon.mul_f64(0.4);
-            let managers = deployment.managers.clone();
-            deployment.republish_managers_at(at, 0, 2, managers);
-        }
+    // faults are armed.
+    for (i, &replica) in deployment.ns_replicas.clone().iter().enumerate() {
+        let disk_seed =
+            config.seed ^ 0x6e73_6469 ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        deployment
+            .world
+            .node_as_mut::<DirectoryReplica>(replica)
+            .set_storage(Box::new(SimStorage::new(disk_seed)));
+    }
+    for replica in plan.stale_replicas() {
+        deployment.world.node_as_mut::<DirectoryReplica>(replica).set_suppress_sync(true);
+    }
+    for (replica, window) in plan.malicious_replicas() {
+        deployment.world.node_as_mut::<DirectoryReplica>(replica).set_malicious(window);
     }
 
     match config.inject_bug {
         Some(InjectedBug::IgnoreCacheExpiry { host_index }) => {
-            let host = deployment.hosts[host_index];
             let app = deployment.app;
-            deployment.world.node_as_mut::<HostNode>(host).inject_ignore_expiry(app);
+            deployment.host_mut(host_index).inject_ignore_expiry(app);
         }
         Some(InjectedBug::DropWal { manager_index }) => {
             let mgr = deployment.managers[manager_index];
             sim_storage(&mut deployment, mgr).set_drop_state_on_recover(true);
         }
         Some(InjectedBug::NsTrustUnsigned { host_index }) => {
-            let host = deployment.hosts[host_index];
-            deployment.world.node_as_mut::<HostNode>(host).inject_ns_trust_unsigned();
+            deployment.host_mut(host_index).inject_ns_trust_unsigned();
         }
         Some(InjectedBug::LostHandoff { manager_index }) => {
-            assert!(sharded, "the lost-handoff bug needs a sharded deployment");
+            assert!(config.tenants > 0, "the lost-handoff bug needs a sharded deployment");
             deployment.manager_mut(manager_index).set_drop_handoff_tail(true);
         }
         None => {}
     }
 
-    // Sharded driver: schedule the plan's online rebalances (ring-next
-    // targets, skipping moves an earlier move made non-disjoint), pin
-    // stale-map hosts, and record every shard-map version the run can
-    // legitimately route by — the oracle's tenant-isolation check (I8)
-    // accepts exactly this set.
-    let mut expected_maps: Vec<(AppId, u64, Vec<ShardEntry>)> = Vec::new();
-    if sharded {
-        for (app, (version, entries)) in &deployment.shard_maps {
-            expected_maps.push((*app, *version, entries.clone()));
-        }
-        let total_shards = (config.tenants * config.shards_per_tenant) as u32;
-        let mut moves: Vec<(u32, SimTime)> = plan.shard_rebalances();
-        if let Some(InjectedBug::LostHandoff { manager_index }) = config.inject_bug {
-            // Force one rebalance whose targets include the bugged
-            // manager: with ring-next targeting, moving the ring-
-            // *previous* shard lands on the bugged manager's set, so the
-            // dropped tail always has a handoff to corrupt.
-            let owned = (manager_index / 2) as u32;
-            let victim = (owned + total_shards - 1) % total_shards;
-            moves.push((victim, SimTime::ZERO + config.horizon.mul_f64(0.5)));
-            moves.sort_by_key(|&(_, at)| at);
-        }
-        for (s, at) in moves {
-            let shard = ShardId(s % total_shards);
-            let sources = deployment.shard_owners(shard);
-            let targets = deployment.shard_owners(ShardId((shard.0 + 1) % total_shards));
-            if targets.iter().any(|t| sources.contains(t)) {
-                continue;
-            }
-            deployment.rebalance_shard_at(at, shard, targets);
-            let (app, (version, entries)) = deployment
-                .shard_maps
-                .iter()
-                .find(|(_, (_, es))| es.iter().any(|e| e.shard == shard))
-                .expect("rebalanced shard keeps a map entry");
-            expected_maps.push((*app, *version, entries.clone()));
-        }
-        let apps: Vec<AppId> = deployment.shard_maps.keys().copied().collect();
-        for node in plan.stale_shard_map_hosts() {
-            let i = deployment
-                .hosts
-                .iter()
-                .position(|&h| h == node)
-                .expect("stale-map fault targets a campaign host");
-            for &app in &apps {
-                deployment.host_mut(i).set_pin_ns_version(app);
-            }
-        }
+    for (at, node, msg) in injections {
+        deployment.world.inject(at, node, msg);
     }
-
     plan.install_lifecycle(&mut deployment.world);
-    let mut oracle = InvariantOracle::new(&config.policy, SimDuration::ZERO);
-    if config.ns_replicas > 0 {
-        oracle.set_directory(config.ns_replicas, effective_read_quorum(config), CAMPAIGN_NS_TTL);
-    }
-    for (app, version, entries) in &expected_maps {
-        oracle.expect_shard_map(*app, *version, entries);
-    }
     let oracle_id = deployment.world.add_observer(Box::new(oracle));
     (deployment, oracle_id)
 }
@@ -1024,6 +1057,56 @@ mod tests {
             .find(|v| v.kind == crate::oracle::InvariantKind::RebalanceSafety)
             .expect("lost handoff must surface as a rebalance-safety violation");
         assert!(violation.event_index > 0, "violation must carry a replay coordinate");
+    }
+
+    /// One description, checked against the arithmetic layout the plan
+    /// sampler uses and against history: for each deployment shape the
+    /// roster's ids are `campaign_targets`', and the world installed
+    /// from it reproduces, note for note, the run the hand-assembled
+    /// deployment of the parent commit (1f081cb) produced.
+    #[test]
+    fn roster_ids_match_campaign_targets_and_runs_reproduce_pinned_digests() {
+        type Shape = (&'static str, fn(u64) -> CampaignConfig, u64, [u64; 5]);
+        let shapes: [Shape; 4] = [
+            ("flat", quick_config, 1, [
+                0xe53297824ff91b31, 0x28bef6f8bf23f43e, 0xd702adf1e0998229,
+                0x77da7619670d10d5, 0x3a9da89d0335bef6,
+            ]),
+            ("name-service", |s| CampaignConfig { use_name_service: true, ..quick_config(s) }, 1, [
+                0xe64622a527c1afeb, 0x0c4c627bc1cec003, 0xd246d5d5b16b71fb,
+                0x723ff1f0f89a814b, 0x578d425fa0ffb5ec,
+            ]),
+            (
+                "replicated-directory",
+                |s| CampaignConfig { ns_replicas: 3, ns_faults: true, ..quick_config(s) },
+                1,
+                [
+                    0xd9eff15451cbb629, 0xcba836399afa7e62, 0x25609c1eb32b2a33,
+                    0xb39674a67642994c, 0xac03a8df6964dec1,
+                ],
+            ),
+            ("sharded", sharded_config, 21, [
+                0xbc9e0e550a70807c, 0xb56212709cee1f84, 0xe6684938cf16a0b7,
+                0xe2a7df96d9bdd338, 0x9ae209080e3087e0,
+            ]),
+        ];
+        for (shape, config_for, first_seed, digests) in shapes {
+            for (seed, pinned) in (first_seed..).zip(digests) {
+                let config = config_for(seed);
+                let roster = campaign_scenario(&config).roster();
+                let targets = campaign_targets(&config);
+                assert_eq!(roster.layout.managers, targets.managers, "{shape} seed {seed}");
+                assert_eq!(roster.layout.ns_replicas, targets.ns_replicas, "{shape} seed {seed}");
+                assert_eq!(roster.layout.hosts, targets.hosts, "{shape} seed {seed}");
+                let name_service = roster.entries.iter().position(|e| e.name == "nameservice");
+                assert_eq!(name_service.map(NodeId::from_index), targets.name_service, "{shape}");
+                for (s, owners) in targets.shard_managers.iter().enumerate() {
+                    assert_eq!(&roster.layout.shard_owners(ShardId(s as u32)), owners, "{shape}");
+                }
+                let digest = run_campaign(&config).audit_digest;
+                assert_eq!(digest, pinned, "{shape} seed {seed}: {digest:#018x}");
+            }
+        }
     }
 
     #[test]

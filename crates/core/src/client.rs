@@ -98,6 +98,17 @@ pub struct UserStats {
     pub timeouts: u64,
 }
 
+impl std::ops::AddAssign for UserStats {
+    fn add_assign(&mut self, other: UserStats) {
+        self.sent += other.sent;
+        self.allowed += other.allowed;
+        self.denied += other.denied;
+        self.unavailable += other.unavailable;
+        self.bad_signature += other.bad_signature;
+        self.timeouts += other.timeouts;
+    }
+}
+
 impl UserStats {
     /// Requests with any definitive reply.
     pub fn replied(&self) -> u64 {

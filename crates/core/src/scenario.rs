@@ -1,9 +1,13 @@
 //! One-stop deployment assembly for experiments, examples, and tests.
 //!
 //! A [`Scenario`] describes a complete §2.2 system — managers, application
-//! hosts, users, an admin, optionally a name service — and builds it into
-//! a ready-to-run [`Deployment`] over a simulated WAN.
+//! hosts, users, an admin, optionally a name service — and lays it out as
+//! a [`Roster`]: the nodes in id order plus their [`Layout`]. Installing
+//! the roster on a simulated WAN gives a ready-to-run [`Deployment`]
+//! ([`Scenario::build`] does both steps); `wanacl-rt` installs the same
+//! roster on live threads.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -13,7 +17,7 @@ use wanacl_auth::rsa::SecretKey;
 use wanacl_auth::signed::{KeyRegistry, PrincipalId};
 use wanacl_sim::clock::ClockSpec;
 use wanacl_sim::net::NetModel;
-use wanacl_sim::node::NodeId;
+use wanacl_sim::node::{Node, NodeId};
 use wanacl_sim::time::{SimDuration, SimTime};
 use wanacl_sim::world::World;
 
@@ -258,12 +262,24 @@ impl Scenario {
         self
     }
 
-    /// Builds the deployment.
-    pub fn build(self) -> Deployment {
-        let mut world: World<ProtoMsg> = World::new(self.seed);
-        if let Some(net) = self.net {
-            world.set_net(net);
-        }
+    /// Builds the deployment on a simulated world.
+    pub fn build(mut self) -> Deployment {
+        let net = self.net.take();
+        self.roster().into_deployment(net)
+    }
+
+    /// Lays the deployment out without choosing who runs it: the nodes
+    /// in id order, plus everything a driver needs to address them.
+    /// [`Roster::into_deployment`] installs it on a simulated world
+    /// (that is all [`Scenario::build`] does); `wanacl_rt::install_roster`
+    /// installs it on the live runtime. The network model, if one was
+    /// set, is not part of the roster.
+    pub fn roster(self) -> Roster {
+        let mut entries: Vec<RosterEntry> = Vec::new();
+        let mut add = |name: String, clock: ClockSpec, node: RosterNode| -> NodeId {
+            entries.push(RosterEntry { name, clock, node });
+            NodeId::from_index(entries.len() - 1)
+        };
 
         // Deterministic key material.
         let mut keyrng = StdRng::seed_from_u64(self.seed ^ 0x00a1_1ce5);
@@ -401,12 +417,8 @@ impl Scenario {
                 },
                 ..self.manager_config.clone()
             };
-            let mut node = ManagerNode::new(config);
-            if let Some(keys) = &channel {
-                node.set_channel_keys(keys.clone());
-            }
-            let got = world.add_node(format!("manager{i}"), Box::new(node), self.manager_clock);
-            assert_eq!(got, id, "manager ids must be dense from zero");
+            let spec = ManagerSpec { config, channel: channel.clone() };
+            add(format!("manager{i}"), self.manager_clock, RosterNode::Manager(spec));
         }
 
         // Optional replicated directory: replicas sit right after the
@@ -442,9 +454,7 @@ impl Scenario {
                 for record in &genesis {
                     replica.preload(record.clone());
                 }
-                let got =
-                    world.add_node(format!("nsreplica{i}"), Box::new(replica), ClockSpec::Perfect);
-                assert_eq!(got, id, "replica ids must follow the managers");
+                add(format!("nsreplica{i}"), ClockSpec::Perfect, RosterNode::Directory(replica));
             }
         }
 
@@ -453,7 +463,7 @@ impl Scenario {
         let name_service = if self.use_name_service && self.ns_replicas == 0 {
             let mut ns = NameServiceNode::new(self.ns_ttl);
             ns.register(self.app, manager_ids.clone());
-            Some(world.add_node("nameservice", Box::new(ns), ClockSpec::Perfect))
+            Some(add("nameservice".into(), ClockSpec::Perfect, RosterNode::NameService(ns)))
         } else {
             None
         };
@@ -491,7 +501,7 @@ impl Scenario {
             if let Some(keys) = &channel {
                 host.set_channel_keys(keys.clone());
             }
-            host_ids.push(world.add_node(format!("host{i}"), Box::new(host), self.host_clock));
+            host_ids.push(add(format!("host{i}"), self.host_clock, RosterNode::Host(host)));
         }
 
         // Users. The host list is shared across all user agents — at
@@ -513,14 +523,15 @@ impl Scenario {
                 request_timeout: self.request_timeout,
                 max_requests: None,
             });
-            let id = world.add_node(format!("user{i}"), Box::new(agent), ClockSpec::Perfect);
+            let id = add(format!("user{i}"), ClockSpec::Perfect, RosterNode::User(agent));
             users.push((user, id));
         }
 
         // Admin.
-        let admin = world.add_node(
-            "admin",
-            Box::new(AdminAgent::new(AdminAgentConfig {
+        let admin = add(
+            "admin".into(),
+            ClockSpec::Perfect,
+            RosterNode::Admin(AdminAgent::new(AdminAgentConfig {
                 issuer: admin_user,
                 secret: admin_secret,
                 manager: manager_ids[0],
@@ -537,39 +548,139 @@ impl Scenario {
                 resend_interval: SimDuration::from_millis(500),
                 serial: self.serial_admin,
             })),
-            ClockSpec::Perfect,
         );
 
         // The live shard map the deployment tracks for rebalances: per
         // app, the current record version plus its entries.
-        let mut shard_maps: std::collections::BTreeMap<AppId, (u64, Vec<ShardEntry>)> =
-            std::collections::BTreeMap::new();
+        let mut shard_maps: BTreeMap<AppId, (u64, Vec<ShardEntry>)> = BTreeMap::new();
         for (app, entry) in &shard_entries {
             shard_maps.entry(*app).or_insert_with(|| (1, Vec::new())).1.push(entry.clone());
         }
 
-        Deployment {
-            world,
-            app: self.app,
-            tenants: self.tenants,
-            shards_per_tenant: self.shards_per_tenant,
-            managers: manager_ids,
-            hosts: host_ids,
-            users,
-            admin,
-            admin_user,
-            ns_replicas: ns_replica_ids,
-            ns_writer_secret,
-            shard_maps,
+        Roster {
+            seed: self.seed,
+            entries,
+            layout: Layout {
+                app: self.app,
+                tenants: self.tenants,
+                shards_per_tenant: self.shards_per_tenant,
+                managers: manager_ids,
+                hosts: host_ids,
+                users,
+                admin,
+                admin_user,
+                ns_replicas: ns_replica_ids,
+                ns_writer_secret,
+                shard_maps,
+            },
         }
     }
 }
 
-/// A built deployment, ready to run.
+/// Everything needed to construct one manager, short of its stable
+/// storage. Managers are the one node kind a roster describes instead
+/// of holding: the live runtime rebuilds a killed manager from this
+/// description, reopening its storage directory.
+#[derive(Debug, Clone)]
+pub struct ManagerSpec {
+    /// Peers, apps, shards, trust anchors and timers.
+    pub config: ManagerConfig,
+    /// Host↔manager channel keys (authenticated deployments).
+    pub channel: Option<Arc<crate::channel::ChannelKeys>>,
+}
+
+impl ManagerSpec {
+    /// Constructs the manager (attach storage before it starts).
+    pub fn build(&self) -> ManagerNode {
+        let mut node = ManagerNode::new(self.config.clone());
+        if let Some(keys) = &self.channel {
+            node.set_channel_keys(keys.clone());
+        }
+        node
+    }
+}
+
+/// One node of a [`Roster`].
 #[derive(Debug)]
-pub struct Deployment {
-    /// The simulated world (run it with `run_until`/`run_for`).
-    pub world: World<ProtoMsg>,
+pub enum RosterNode {
+    /// An ACL manager, as its construction recipe.
+    Manager(ManagerSpec),
+    /// A replica of the signed directory.
+    Directory(DirectoryReplica),
+    /// The legacy single name service.
+    NameService(NameServiceNode),
+    /// An application host.
+    Host(HostNode),
+    /// A user agent.
+    User(UserAgent),
+    /// The admin agent.
+    Admin(AdminAgent),
+}
+
+/// One roster row; the row's index is the node's id on any executor.
+#[derive(Debug)]
+pub struct RosterEntry {
+    /// Node name (`manager0`, `host1`, ...).
+    pub name: String,
+    /// The local clock a simulated world gives the node (the live
+    /// runtime runs every node on the wall clock).
+    pub clock: ClockSpec,
+    /// The node.
+    pub node: RosterNode,
+}
+
+/// A deployment laid out but not yet running anywhere: what
+/// [`Scenario::roster`] returns and what each executor installs.
+#[derive(Debug)]
+pub struct Roster {
+    /// Seed for the executor's per-node RNG streams.
+    pub seed: u64,
+    /// The nodes, in id order.
+    pub entries: Vec<RosterEntry>,
+    /// How to address them.
+    pub layout: Layout,
+}
+
+impl Roster {
+    /// Installs the roster on a fresh simulated world over `net`
+    /// (default: perfect 50 ms links).
+    pub fn into_deployment(self, net: Option<Box<dyn NetModel>>) -> Deployment {
+        let mut world: World<ProtoMsg> = World::new(self.seed);
+        if let Some(net) = net {
+            world.set_net(net);
+        }
+        for entry in self.entries {
+            let node: Box<dyn Node<Msg = ProtoMsg>> = match entry.node {
+                RosterNode::Manager(spec) => Box::new(spec.build()),
+                RosterNode::Directory(node) => Box::new(node),
+                RosterNode::NameService(node) => Box::new(node),
+                RosterNode::Host(node) => Box::new(node),
+                RosterNode::User(node) => Box::new(node),
+                RosterNode::Admin(node) => Box::new(node),
+            };
+            world.add_node(entry.name, node, entry.clock);
+        }
+        Deployment { world, layout: self.layout }
+    }
+
+    /// The host node with id `id`, before installation (fault hooks
+    /// that must be armed on either executor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a host of this roster.
+    pub fn host_mut(&mut self, id: NodeId) -> &mut HostNode {
+        match &mut self.entries[id.index()].node {
+            RosterNode::Host(host) => host,
+            other => panic!("{id} is not a host: {other:?}"),
+        }
+    }
+}
+
+/// Node ids, key material and shard maps of a deployment — the part of
+/// a [`Roster`] that outlives installation.
+#[derive(Debug)]
+pub struct Layout {
     /// The application under access control (the first tenant's app in
     /// sharded mode).
     pub app: AppId,
@@ -594,8 +705,109 @@ pub struct Deployment {
     /// mid-run (present iff replicas are).
     pub ns_writer_secret: Option<SecretKey>,
     /// Per-app current shard map: `(record version, entries)`. Empty in
-    /// legacy deployments; updated by [`Deployment::rebalance_shard_at`].
-    pub shard_maps: std::collections::BTreeMap<AppId, (u64, Vec<ShardEntry>)>,
+    /// legacy deployments; updated by [`Layout::rebalance`].
+    pub shard_maps: BTreeMap<AppId, (u64, Vec<ShardEntry>)>,
+}
+
+impl Layout {
+    /// Current owners of a shard (sharded deployments).
+    pub fn shard_owners(&self, shard: ShardId) -> Vec<NodeId> {
+        self.shard_maps
+            .values()
+            .flat_map(|(_, entries)| entries.iter())
+            .find(|e| e.shard == shard)
+            .map(|e| e.managers.clone())
+            .expect("unknown shard")
+    }
+
+    /// A new signed manager-set record for the app, addressed to ONE
+    /// replica (index `replica_index`). Anti-entropy is responsible for
+    /// spreading it — which is exactly what stale-replica and
+    /// split-brain faults attack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the deployment has no replicated directory.
+    pub fn republish(
+        &self,
+        replica_index: usize,
+        version: u64,
+        managers: Vec<NodeId>,
+    ) -> (NodeId, ProtoMsg) {
+        let secret =
+            self.ns_writer_secret.as_ref().expect("deployment has no replicated directory");
+        let record = NsRecord::signed(self.app, version, managers, NS_WRITER, secret);
+        (self.ns_replicas[replica_index], ProtoMsg::NsPublish { record: Box::new(record) })
+    }
+
+    /// Starts an online rebalance of `shard` onto `new_owners`: bumps
+    /// the owning app's map version, signs the new shard-map record and
+    /// returns the `ShardHandoff` kickoff with its recipients — every
+    /// current owner (sources) and every new owner (targets). The
+    /// sources freeze, snapshot-transfer, and durably release before any
+    /// target activates and republishes the map (DESIGN.md §14).
+    ///
+    /// # Panics
+    ///
+    /// Panics without a replicated directory, on an unknown shard, or if
+    /// `new_owners` overlaps the current owner set.
+    pub fn rebalance(
+        &mut self,
+        shard: ShardId,
+        new_owners: Vec<NodeId>,
+    ) -> (Vec<NodeId>, ProtoMsg) {
+        let secret = self
+            .ns_writer_secret
+            .as_ref()
+            .expect("rebalance needs the replicated directory's writer key");
+        let (&app, (version, entries)) = self
+            .shard_maps
+            .iter_mut()
+            .find(|(_, (_, entries))| entries.iter().any(|e| e.shard == shard))
+            .expect("unknown shard");
+        let idx = entries.iter().position(|e| e.shard == shard).expect("entry exists");
+        let mut recipients = entries[idx].managers.clone();
+        assert!(
+            recipients.iter().all(|m| !new_owners.contains(m)),
+            "rebalance targets must be disjoint from the current owners"
+        );
+        *version += 1;
+        entries[idx].managers = new_owners.clone();
+        let record = NsRecord::signed_sharded(app, *version, entries.clone(), NS_WRITER, secret);
+        recipients.extend(&new_owners);
+        let kickoff = ProtoMsg::ShardHandoff {
+            shard,
+            epoch: *version,
+            record: Box::new(record),
+            targets: new_owners,
+            publish_to: self.ns_replicas.clone(),
+        };
+        (recipients, kickoff)
+    }
+}
+
+/// A roster installed on a simulated world, ready to run. Derefs to
+/// its [`Layout`], so `deployment.managers`, `deployment.shard_maps`
+/// and friends read as fields.
+#[derive(Debug)]
+pub struct Deployment {
+    /// The simulated world (run it with `run_until`/`run_for`).
+    pub world: World<ProtoMsg>,
+    /// Node ids, key material and shard maps.
+    pub layout: Layout,
+}
+
+impl std::ops::Deref for Deployment {
+    type Target = Layout;
+    fn deref(&self) -> &Layout {
+        &self.layout
+    }
+}
+
+impl std::ops::DerefMut for Deployment {
+    fn deref_mut(&mut self) -> &mut Layout {
+        &mut self.layout
+    }
 }
 
 impl Deployment {
@@ -603,32 +815,24 @@ impl Deployment {
     /// admin agent, so it is signed and retried like any real op).
     pub fn grant(&mut self, user: UserId, right: Right) {
         let op = AclOp::Add { app: self.app, user, right };
-        self.inject_admin(op);
+        self.admin_op(op);
     }
 
     /// Injects an admin `Revoke(app, user, right)` now.
     pub fn revoke(&mut self, user: UserId, right: Right) {
         let op = AclOp::Revoke { app: self.app, user, right };
-        self.inject_admin(op);
+        self.admin_op(op);
     }
 
-    fn inject_admin(&mut self, op: AclOp) {
+    /// Injects an arbitrary admin operation through the admin agent (so
+    /// it is signed, routed to the owning shard, and retried).
+    pub fn admin_op(&mut self, op: AclOp) {
         let now = self.world.now();
-        self.world.inject(
-            now,
-            self.admin,
-            ProtoMsg::Admin { op, req: ReqId(0), issuer: self.admin_user, signature: None },
-        );
+        let msg = ProtoMsg::Admin { op, req: ReqId(0), issuer: self.admin_user, signature: None };
+        self.world.inject(now, self.layout.admin, msg);
     }
 
-    /// Publishes a new signed manager-set record for the app to ONE
-    /// replica (index `replica_index`) now. Anti-entropy is responsible
-    /// for spreading it — which is exactly what stale-replica and
-    /// split-brain faults attack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deployment has no replicated directory.
+    /// Publishes [`Layout::republish`]'s record now.
     pub fn republish_managers(
         &mut self,
         replica_index: usize,
@@ -647,11 +851,8 @@ impl Deployment {
         version: u64,
         managers: Vec<NodeId>,
     ) {
-        let secret =
-            self.ns_writer_secret.as_ref().expect("deployment has no replicated directory");
-        let record = NsRecord::signed(self.app, version, managers, NS_WRITER, secret);
-        let target = self.ns_replicas[replica_index];
-        self.world.inject(at, target, ProtoMsg::NsPublish { record: Box::new(record) });
+        let (target, msg) = self.layout.republish(replica_index, version, managers);
+        self.world.inject(at, target, msg);
     }
 
     /// The directory replica node for index `i`.
@@ -659,62 +860,10 @@ impl Deployment {
         self.world.node_as::<DirectoryReplica>(self.ns_replicas[i])
     }
 
-    /// Current owners of a shard (sharded deployments).
-    pub fn shard_owners(&self, shard: ShardId) -> Vec<NodeId> {
-        self.shard_maps
-            .values()
-            .flat_map(|(_, entries)| entries.iter())
-            .find(|e| e.shard == shard)
-            .map(|e| e.managers.clone())
-            .expect("unknown shard")
-    }
-
-    /// Injects an arbitrary admin operation through the admin agent (so
-    /// it is signed, routed to the owning shard, and retried).
-    pub fn admin_op(&mut self, op: AclOp) {
-        self.inject_admin(op);
-    }
-
-    /// Schedules an online rebalance of `shard` onto `new_owners` at
-    /// `at`: signs the version-bumped shard-map record and injects the
-    /// `ShardHandoff` kickoff to every current owner (sources) and every
-    /// new owner (targets). The sources freeze, snapshot-transfer, and
-    /// durably release before any target activates and republishes the
-    /// map (DESIGN.md §14).
-    ///
-    /// # Panics
-    ///
-    /// Panics without a replicated directory, on an unknown shard, or if
-    /// `new_owners` overlaps the current owner set.
+    /// Schedules [`Layout::rebalance`]'s kickoff at `at`.
     pub fn rebalance_shard_at(&mut self, at: SimTime, shard: ShardId, new_owners: Vec<NodeId>) {
-        let secret = self
-            .ns_writer_secret
-            .as_ref()
-            .expect("rebalance needs the replicated directory's writer key");
-        let (&app, _) = self
-            .shard_maps
-            .iter()
-            .find(|(_, (_, entries))| entries.iter().any(|e| e.shard == shard))
-            .expect("unknown shard");
-        let (version, entries) = self.shard_maps.get_mut(&app).expect("map exists");
-        let idx = entries.iter().position(|e| e.shard == shard).expect("entry exists");
-        let old_owners = entries[idx].managers.clone();
-        assert!(
-            old_owners.iter().all(|m| !new_owners.contains(m)),
-            "rebalance targets must be disjoint from the current owners"
-        );
-        *version += 1;
-        let epoch = *version;
-        entries[idx].managers = new_owners.clone();
-        let record = NsRecord::signed_sharded(app, epoch, entries.clone(), NS_WRITER, secret);
-        let kickoff = ProtoMsg::ShardHandoff {
-            shard,
-            epoch,
-            record: Box::new(record),
-            targets: new_owners.clone(),
-            publish_to: self.ns_replicas.clone(),
-        };
-        for &m in old_owners.iter().chain(new_owners.iter()) {
+        let (recipients, kickoff) = self.layout.rebalance(shard, new_owners);
+        for m in recipients {
             self.world.inject(at, m, kickoff.clone());
         }
     }
@@ -772,13 +921,7 @@ impl Deployment {
     pub fn aggregate_user_stats(&self) -> crate::client::UserStats {
         let mut total = crate::client::UserStats::default();
         for i in 0..self.users.len() {
-            let s = self.user_agent(i).stats();
-            total.sent += s.sent;
-            total.allowed += s.allowed;
-            total.denied += s.denied;
-            total.unavailable += s.unavailable;
-            total.bad_signature += s.bad_signature;
-            total.timeouts += s.timeouts;
+            total += self.user_agent(i).stats();
         }
         total
     }

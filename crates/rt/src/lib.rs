@@ -13,8 +13,9 @@
 //! each wake drains-then-steps one node, outbound sends coalesce into
 //! one per-peer batch through the in-process [`router`] (with optional
 //! loss/partition policy), and timers fire from a per-worker
-//! [`mod@wheel`] by absolute deadline. Batches that must cross a byte
-//! boundary are framed by the [`codec`].
+//! [`mod@wheel`] by absolute deadline. [`live`] installs a
+//! `wanacl-core` deployment roster on the pool and soaks it under a
+//! nemesis plan.
 //!
 //! Unlike the simulator, a pooled run is *not* deterministic — worker
 //! scheduling and wall-clock jitter are real. That is the point: the
@@ -25,13 +26,16 @@
 #![warn(missing_debug_implementations)]
 
 pub mod chaos;
-pub mod codec;
+pub mod live;
 pub mod router;
 pub mod runtime;
 pub mod storage;
 pub mod wheel;
 
 pub use chaos::ChaosRouter;
+pub use live::{
+    install_roster, live_manager_tuning, live_policy, run_live_campaign, soak_policy, LiveReport,
+};
 pub use router::{LinkPolicy, Transport};
 pub use runtime::{
     LiveTraceEntry, NodeExit, NodeFactory, NodeResult, Runtime, RuntimeBuilder, RuntimeError,

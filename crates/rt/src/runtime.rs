@@ -40,6 +40,8 @@ use wanacl_sim::node::{Context, Effect, Node, NodeId};
 use wanacl_sim::obs::MetricsSink;
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::SimTime;
+use wanacl_sim::trace::TraceEvent;
+use wanacl_sim::world::Observer;
 
 use crate::router::{Router, Transport};
 use crate::wheel::{TimerEntry, TimerWheel};
@@ -173,6 +175,17 @@ impl TraceBuffer {
             std::mem::take(&mut *self.entries.lock().unwrap_or_else(|e| e.into_inner()));
         entries.sort_by_key(|e| e.at);
         entries
+    }
+
+    /// Drains the buffer into `observer` as the `Note` stream a
+    /// simulated world would have shown it; returns the event count.
+    pub fn replay_into(&self, observer: &mut dyn Observer) -> usize {
+        let entries = self.drain_sorted();
+        let count = entries.len();
+        for (i, e) in entries.into_iter().enumerate() {
+            observer.on_event(e.at, i as u64, &TraceEvent::Note { node: e.node, text: e.text });
+        }
+        count
     }
 }
 

@@ -6,36 +6,9 @@ use std::any::Any;
 use std::time::{Duration, Instant};
 
 use wanacl_core::prelude::*;
-use wanacl_rt::RuntimeBuilder;
+use wanacl_rt::{install_roster, live_manager_tuning, live_policy, RuntimeBuilder};
 use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::time::SimDuration;
-use wanacl_sim::world::Observer;
-
-fn live_policy(c: usize) -> Policy {
-    Policy::builder(c)
-        .revocation_bound(SimDuration::from_secs(2))
-        .clock_rate_bound(1.0)
-        .query_timeout(SimDuration::from_millis(100))
-        .max_attempts(2)
-        .cache_sweep_interval(SimDuration::from_millis(500))
-        .build()
-}
-
-fn fast_manager_config(peers: Vec<NodeId>, app_policy: Policy, acl: Acl) -> ManagerConfig {
-    ManagerConfig {
-        peers,
-        apps: vec![ManagerApp { app: AppId(0), policy: app_policy, initial_acl: acl }],
-        registry: None,
-        enforce_manage_right: false,
-        retry_interval: SimDuration::from_millis(100),
-        retry_cap: SimDuration::from_secs(2),
-        retry_jitter: 0.1,
-        heartbeat_interval: SimDuration::from_millis(100),
-        grant_sweep_interval: SimDuration::from_millis(500),
-        snapshot_every: 64,
-        ..ManagerConfig::default()
-    }
-}
 
 /// What one run of the seeded soak settles into: every manager's final
 /// ACL over a (user, right) probe grid, the user agent's verdicts, and
@@ -53,47 +26,18 @@ struct SoakOutcome {
 /// Runs the same seeded admin + invoke workload on a 3-manager quorum
 /// cluster, with per-peer send coalescing either on or off.
 fn run_soak(coalesce: bool) -> SoakOutcome {
-    let policy = live_policy(2);
-    let mut acl = Acl::new();
-    acl.add(UserId(1), Right::Use);
-
+    let policy = live_policy(2).build();
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(21);
     b.coalesce_sends(coalesce);
     let traces = b.capture_traces();
-    let manager_ids: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let peers = manager_ids.iter().copied().filter(|p| *p != id).collect();
-        let got = b.add_node(
-            format!("manager{i}"),
-            Box::new(ManagerNode::new(fast_manager_config(peers, policy.clone(), acl.clone()))),
-        );
-        assert_eq!(got, id);
-    }
-    let host = b.add_node(
-        "host",
-        Box::new(HostNode::new(
-            vec![AppHost {
-                app: AppId(0),
-                policy: policy.clone(),
-                directory: ManagerDirectory::Static(manager_ids.clone().into()),
-                application: Box::new(CountingApp::new()),
-            }],
-            None,
-        )),
-    );
-    let user = b.add_node(
-        "user",
-        Box::new(UserAgent::new(UserAgentConfig {
-            user: UserId(1),
-            app: AppId(0),
-            hosts: vec![host].into(),
-            workload: None,
-            payload: "live".into(),
-            secret: None,
-            request_timeout: SimDuration::from_secs(5),
-            max_requests: None,
-        })),
-    );
+    let roster = Scenario::builder(21)
+        .managers(3)
+        .policy(policy.clone())
+        .all_users_granted()
+        .manager_tuning(live_manager_tuning())
+        .roster();
+    let layout = install_roster(&mut b, roster, |_| None);
+    let (manager_ids, user) = (layout.managers, layout.users[0].1);
     let rt = b.start();
     std::thread::sleep(Duration::from_millis(150));
 
@@ -146,10 +90,7 @@ fn run_soak(coalesce: bool) -> SoakOutcome {
     let stats = nodes[user.index()].as_any().downcast_ref::<UserAgent>().expect("user").stats();
 
     let mut oracle = InvariantOracle::new(&policy, SimDuration::from_millis(500));
-    for (i, e) in traces.drain_sorted().iter().enumerate() {
-        let event = wanacl_sim::trace::TraceEvent::Note { node: e.node, text: e.text.clone() };
-        oracle.on_event(e.at, i as u64, &event);
-    }
+    traces.replay_into(&mut oracle);
     SoakOutcome {
         acl_grid,
         allowed: stats.allowed,

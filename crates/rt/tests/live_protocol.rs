@@ -5,83 +5,48 @@
 use std::time::Duration;
 
 use wanacl_core::prelude::*;
+use wanacl_core::scenario::Layout;
 use wanacl_rt::router::PartitionSwitch;
-use wanacl_rt::RuntimeBuilder;
+use wanacl_rt::{
+    install_roster, live_manager_tuning, live_policy, run_live_campaign, soak_policy, FileStorage,
+    Runtime, RuntimeBuilder,
+};
+use wanacl_sim::nemesis::NemesisPlan;
 use wanacl_sim::node::NodeId;
-use wanacl_sim::time::SimDuration;
+use wanacl_sim::time::{SimDuration, SimTime};
 
-fn live_policy(c: usize) -> Policy {
-    Policy::builder(c)
-        .revocation_bound(SimDuration::from_secs(2))
-        .clock_rate_bound(1.0)
-        .query_timeout(SimDuration::from_millis(100))
-        .max_attempts(2)
-        .cache_sweep_interval(SimDuration::from_millis(500))
-        .build()
+/// M managers (fast timers) + 1 host + 1 granted user agent under
+/// check quorum C, as a scenario the tests refine before installing.
+fn live_scenario(seed: u64, m: usize, c: usize) -> Scenario {
+    Scenario::builder(seed)
+        .managers(m)
+        .policy(live_policy(c).build())
+        .all_users_granted()
+        .manager_tuning(live_manager_tuning())
 }
 
-fn fast_manager_config(peers: Vec<NodeId>, app_policy: Policy, acl: Acl) -> ManagerConfig {
-    ManagerConfig {
-        peers,
-        apps: vec![ManagerApp { app: AppId(0), policy: app_policy, initial_acl: acl }],
-        registry: None,
-        enforce_manage_right: false,
-        retry_interval: SimDuration::from_millis(100),
-        retry_cap: SimDuration::from_secs(2),
-        retry_jitter: 0.1,
-        heartbeat_interval: SimDuration::from_millis(100),
-        grant_sweep_interval: SimDuration::from_millis(500),
-        snapshot_every: 64,
-        ..ManagerConfig::default()
-    }
-}
-
-/// Builds M managers + 1 host + 1 user agent on threads and returns
-/// (runtime, host id, user-agent id, manager ids).
-fn build_live(
-    m: usize,
-    c: usize,
-) -> (wanacl_rt::Runtime<ProtoMsg>, NodeId, NodeId, Vec<NodeId>) {
-    let policy = live_policy(c);
-    let mut acl = Acl::new();
-    acl.add(UserId(1), Right::Use);
-
+/// Installs the scenario's roster on threads (managers without stable
+/// storage) and returns (runtime, host id, user-agent id, manager ids).
+fn build_live(m: usize, c: usize) -> (Runtime<ProtoMsg>, NodeId, NodeId, Vec<NodeId>) {
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(7);
-    let manager_ids: Vec<NodeId> = (0..m).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let peers = manager_ids.iter().copied().filter(|p| *p != id).collect();
-        let got = b.add_node(
-            format!("manager{i}"),
-            Box::new(ManagerNode::new(fast_manager_config(peers, policy.clone(), acl.clone()))),
-        );
-        assert_eq!(got, id);
-    }
-    let host = b.add_node(
-        "host",
-        Box::new(HostNode::new(
-            vec![AppHost {
-                app: AppId(0),
-                policy: policy.clone(),
-                directory: ManagerDirectory::Static(manager_ids.clone().into()),
-                application: Box::new(CountingApp::new()),
-            }],
-            None,
-        )),
-    );
-    let user = b.add_node(
-        "user",
-        Box::new(UserAgent::new(UserAgentConfig {
-            user: UserId(1),
-            app: AppId(0),
-            hosts: vec![host].into(),
-            workload: None,
-            payload: "live".into(),
-            secret: None,
-            request_timeout: SimDuration::from_secs(5),
-            max_requests: None,
-        })),
-    );
-    (b.start(), host, user, manager_ids)
+    let layout = install_roster(&mut b, live_scenario(7, m, c).roster(), |_| None);
+    (b.start(), layout.hosts[0], layout.users[0].1, layout.managers)
+}
+
+/// Installs the roster with every manager on a `FileStorage` WAL under
+/// `base/m{i}` (snapshot cadence 2, so three ops leave a snapshot plus a
+/// WAL tail), reporting into the builder's metrics sink.
+fn install_durable(
+    b: &mut RuntimeBuilder<ProtoMsg>,
+    scenario: Scenario,
+    base: &std::path::Path,
+) -> Layout {
+    let (base, sink) = (base.to_owned(), b.metrics().clone());
+    let tuning = ManagerConfig { snapshot_every: 2, ..live_manager_tuning() };
+    install_roster(b, scenario.manager_tuning(tuning).roster(), move |i| {
+        let storage = FileStorage::open(base.join(format!("m{i}"))).expect("storage dir");
+        Some(storage.with_metrics(sink.clone()))
+    })
 }
 
 fn trigger_invoke(rt: &wanacl_rt::Runtime<ProtoMsg>, user: NodeId) {
@@ -193,52 +158,12 @@ fn live_manager_crash_and_recovery() {
 /// come back from disk — no surviving peer holds it in memory.
 #[test]
 fn live_full_cluster_restart_recovers_from_disk() {
-    let policy = live_policy(1);
-    let mut acl = Acl::new();
-    acl.add(UserId(1), Right::Use);
-
     let base = std::env::temp_dir().join(format!("wanacl-live-restart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(7);
-    let manager_ids: Vec<NodeId> = (0..2).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let peers = manager_ids.iter().copied().filter(|p| *p != id).collect();
-        let mut config = fast_manager_config(peers, policy.clone(), acl.clone());
-        config.snapshot_every = 2; // force a live snapshot + WAL tail
-        let mut node = ManagerNode::new(config);
-        node.set_storage(Box::new(
-            wanacl_rt::FileStorage::open(base.join(format!("m{i}")))
-                .expect("storage dir")
-                .with_metrics(b.metrics().clone()),
-        ));
-        b.add_node(format!("manager{i}"), Box::new(node));
-    }
-    let host = b.add_node(
-        "host",
-        Box::new(HostNode::new(
-            vec![AppHost {
-                app: AppId(0),
-                policy: policy.clone(),
-                directory: ManagerDirectory::Static(manager_ids.clone().into()),
-                application: Box::new(CountingApp::new()),
-            }],
-            None,
-        )),
-    );
-    let user = b.add_node(
-        "user",
-        Box::new(UserAgent::new(UserAgentConfig {
-            user: UserId(1),
-            app: AppId(0),
-            hosts: vec![host].into(),
-            workload: None,
-            payload: "live".into(),
-            secret: None,
-            request_timeout: SimDuration::from_secs(5),
-            max_requests: None,
-        })),
-    );
+    let layout = install_durable(&mut b, live_scenario(7, 2, 1), &base);
+    let (manager_ids, user) = (layout.managers, layout.users[0].1);
     let rt = b.start();
     std::thread::sleep(Duration::from_millis(150));
 
@@ -298,69 +223,14 @@ fn live_full_cluster_restart_recovers_from_disk() {
 /// anti-entropy, and the host's jittered refresh picks it up.
 #[test]
 fn live_replicated_directory_quorum_reads_and_converges() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use wanacl_core::auth::signed::KeyRegistry;
-    use wanacl_core::msg::NsRecord;
-    use wanacl_core::scenario::NS_WRITER;
-
-    let policy = live_policy(1);
-    let mut acl = Acl::new();
-    acl.add(UserId(1), Right::Use);
-
-    let mut registry = KeyRegistry::new();
-    let writer_kp = registry.enroll(NS_WRITER, &mut StdRng::seed_from_u64(7));
-    let registry = std::sync::Arc::new(registry);
-
-    let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(7);
-    let manager_ids: Vec<NodeId> = (0..2).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let peers = manager_ids.iter().copied().filter(|p| *p != id).collect();
-        let got = b.add_node(
-            format!("manager{i}"),
-            Box::new(ManagerNode::new(fast_manager_config(peers, policy.clone(), acl.clone()))),
-        );
-        assert_eq!(got, id);
-    }
     // Short TTL so anti-entropy (TTL/4) and the host refresh (~0.8 TTL)
     // both fire well inside the test's sleeps.
     let ttl = SimDuration::from_millis(800);
-    let replica_ids: Vec<NodeId> = (2..5).map(NodeId::from_index).collect();
-    let genesis = NsRecord::signed(AppId(0), 1, manager_ids.clone(), NS_WRITER, &writer_kp.secret);
-    for (i, &id) in replica_ids.iter().enumerate() {
-        let peers = replica_ids.iter().copied().filter(|p| *p != id).collect();
-        let mut replica = DirectoryReplica::new(ttl, peers, registry.clone(), NS_WRITER);
-        replica.preload(genesis.clone());
-        let got = b.add_node(format!("nsreplica{i}"), Box::new(replica));
-        assert_eq!(got, id);
-    }
-    let mut host_node = HostNode::new(
-        vec![AppHost {
-            app: AppId(0),
-            policy: policy.clone(),
-            directory: ManagerDirectory::Replicated {
-                replicas: replica_ids.clone(),
-                read_quorum: 2,
-            },
-            application: Box::new(CountingApp::new()),
-        }],
-        None,
-    );
-    host_node.set_ns_trust(registry.clone(), NS_WRITER);
-    let host = b.add_node("host", Box::new(host_node));
-    let user = b.add_node(
-        "user",
-        Box::new(UserAgent::new(UserAgentConfig {
-            user: UserId(1),
-            app: AppId(0),
-            hosts: vec![host].into(),
-            workload: None,
-            payload: "live".into(),
-            secret: None,
-            request_timeout: SimDuration::from_secs(5),
-            max_requests: None,
-        })),
-    );
+    let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(7);
+    let roster = live_scenario(7, 2, 1).with_replicated_directory(3, 2, ttl).roster();
+    let layout = install_roster(&mut b, roster, |_| None);
+    let replica_ids = layout.ns_replicas.clone();
+    let (host, user) = (layout.hosts[0], layout.users[0].1);
     let rt = b.start();
 
     // The startup quorum read must land a verified manager set before
@@ -371,8 +241,8 @@ fn live_replicated_directory_quorum_reads_and_converges() {
 
     // Publish version 2 to ONE replica; anti-entropy spreads it and the
     // host's TTL refresh re-reads the quorum.
-    let v2 = NsRecord::signed(AppId(0), 2, manager_ids.clone(), NS_WRITER, &writer_kp.secret);
-    rt.send_from_env(replica_ids[0], ProtoMsg::NsPublish { record: Box::new(v2) });
+    let (replica, v2) = layout.republish(0, 2, layout.managers.clone());
+    rt.send_from_env(replica, v2);
     std::thread::sleep(Duration::from_millis(1_200));
 
     let snapshot = rt.metrics().snapshot();
@@ -427,61 +297,14 @@ fn live_partition_trips_check_quorum() {
 /// everything acked before the kill comes back from disk).
 #[test]
 fn live_kill_restart_mid_update_converges_from_wal() {
-    let policy = live_policy(2); // C = 2: checks need BOTH managers
-    let mut acl = Acl::new();
-    acl.add(UserId(1), Right::Use);
-
     let base = std::env::temp_dir().join(format!("wanacl-live-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
+    let policy = live_policy(2).build(); // C = 2: checks need BOTH managers
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(11);
     let traces = b.capture_traces();
-    let manager_ids: Vec<NodeId> = (0..2).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let mut config =
-            fast_manager_config(vec![manager_ids[1 - i]], policy.clone(), acl.clone());
-        config.snapshot_every = 2;
-        let dir = base.join(format!("m{i}"));
-        let sink = b.metrics().clone();
-        let got = b.add_node_with_factory(
-            format!("manager{i}"),
-            std::sync::Arc::new(move || {
-                let mut node = ManagerNode::new(config.clone());
-                node.set_storage(Box::new(
-                    wanacl_rt::FileStorage::open(dir.clone())
-                        .expect("storage dir")
-                        .with_metrics(sink.clone()),
-                ));
-                Box::new(node)
-            }),
-        );
-        assert_eq!(got, id);
-    }
-    let host = b.add_node(
-        "host",
-        Box::new(HostNode::new(
-            vec![AppHost {
-                app: AppId(0),
-                policy: policy.clone(),
-                directory: ManagerDirectory::Static(manager_ids.clone().into()),
-                application: Box::new(CountingApp::new()),
-            }],
-            None,
-        )),
-    );
-    let user = b.add_node(
-        "user",
-        Box::new(UserAgent::new(UserAgentConfig {
-            user: UserId(1),
-            app: AppId(0),
-            hosts: vec![host].into(),
-            workload: None,
-            payload: "live".into(),
-            secret: None,
-            request_timeout: SimDuration::from_secs(5),
-            max_requests: None,
-        })),
-    );
+    let layout = install_durable(&mut b, live_scenario(11, 2, 2), &base);
+    let (manager_ids, user) = (layout.managers, layout.users[0].1);
     let mut rt = b.start();
     std::thread::sleep(Duration::from_millis(150));
 
@@ -547,14 +370,8 @@ fn live_kill_restart_mid_update_converges_from_wal() {
     // The live trace, replayed through the campaign oracle: bounded
     // revocation, quorum hygiene, and durability (I5) all hold — the
     // disk recovery claim must account for every durable slot.
-    use wanacl_sim::world::Observer;
     let mut oracle = InvariantOracle::new(&policy, SimDuration::from_millis(500));
-    let entries = traces.drain_sorted();
-    for (i, e) in entries.iter().enumerate() {
-        let event =
-            wanacl_sim::trace::TraceEvent::Note { node: e.node, text: e.text.clone() };
-        oracle.on_event(e.at, i as u64, &event);
-    }
+    traces.replay_into(&mut oracle);
     assert!(oracle.stats().allows >= 1, "the oracle must have seen real evidence");
     assert!(
         oracle.is_clean(),
@@ -562,4 +379,41 @@ fn live_kill_restart_mid_update_converges_from_wal() {
         oracle.violations()
     );
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The sharded plane on real threads, through the driver `wanacl chaos`
+/// runs: a 2-tenant x 2-shard campaign roster (eight managers on WALs,
+/// three directory replicas) installed on the pool, one rebalance from
+/// the shared campaign schedule, and the kill/restart + crash/recover
+/// of manager 0 — a genesis owner of the moved shard. The campaign
+/// oracle, armed with every published map version, must come back
+/// clean on I1-I9 with the handoff and its installs counted.
+#[test]
+fn live_sharded_roster_rebalances_and_survives_manager_zero_kill() {
+    let config = CampaignConfig {
+        seed: 5,
+        users: 4,
+        tenants: 2,
+        shards_per_tenant: 2,
+        ns_replicas: 3,
+        horizon: SimDuration::from_secs(4),
+        policy: soak_policy(2),
+        ..CampaignConfig::default()
+    };
+    let plan = NemesisPlan::builder(SimTime::ZERO + config.horizon)
+        .shard_rebalance(0, SimTime::ZERO + SimDuration::from_secs(1))
+        .build();
+    let report = run_live_campaign(&config, Some(&plan), 0).expect("runtime starts");
+    assert!(report.is_clean(), "{:?} {:?}", report.oracle.violations(), report.failures);
+    let stats = report.oracle.stats();
+    assert!(stats.shard_handoffs >= 1 && stats.shard_installs >= 1, "{stats:?}");
+    assert!(stats.shard_allows >= 1 && stats.revokes >= 1, "no evidence: {stats:?}");
+    assert!(report.user_stats.allowed >= 1, "{:?}", report.user_stats);
+    for step in ["handoff kickoff", "kill n0", "restart n0", "crash n0", "recover n0"] {
+        assert!(
+            report.lifecycle.iter().any(|l| l.starts_with(step) && !l.contains("FAILED")),
+            "missing `{step}` in {:?}",
+            report.lifecycle
+        );
+    }
 }

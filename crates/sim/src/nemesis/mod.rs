@@ -764,33 +764,40 @@ impl NemesisPlan {
         NemesisNet::new(base, self.net_faults())
     }
 
-    /// Schedules the plan's lifecycle faults (crashes, recoveries,
-    /// name-service outages) into a world. Call before running; events
-    /// already in the past are skipped rather than panicking, so a plan
-    /// can be installed mid-run for staged scenarios.
+    /// The plan's lifecycle faults as `(node, down, up)` outages, in
+    /// plan order: crashes, name-service outages, and every member of a
+    /// correlated cluster restart. Each executor turns these into its
+    /// own crash/recover calls.
+    pub fn outages(&self) -> Vec<(NodeId, SimTime, SimTime)> {
+        let mut out = Vec::new();
+        for fault in &self.faults {
+            match fault {
+                Fault::Crash { node, at, down_for } => out.push((*node, *at, *at + *down_for)),
+                Fault::NsOutage { ns, window } => out.push((*ns, window.start, window.end)),
+                Fault::ClusterRestart { nodes, at, down_for } => {
+                    out.extend(nodes.iter().map(|node| (*node, *at, *at + *down_for)));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Schedules the plan's [outages](NemesisPlan::outages) into a
+    /// world. Call before running; events already in the past are
+    /// skipped rather than panicking, so a plan can be installed mid-run
+    /// for staged scenarios.
     pub fn install_lifecycle<M: Clone + std::fmt::Debug + 'static>(
         &self,
         world: &mut crate::world::World<M>,
     ) {
         let now = world.now();
-        let mut schedule = |down: SimTime, up: SimTime, node: NodeId| {
+        for (node, down, up) in self.outages() {
             if down >= now {
                 world.schedule_crash(down, node);
             }
             if up >= now {
                 world.schedule_recover(up, node);
-            }
-        };
-        for fault in &self.faults {
-            match fault {
-                Fault::Crash { node, at, down_for } => schedule(*at, *at + *down_for, *node),
-                Fault::NsOutage { ns, window } => schedule(window.start, window.end, *ns),
-                Fault::ClusterRestart { nodes, at, down_for } => {
-                    for node in nodes {
-                        schedule(*at, *at + *down_for, *node);
-                    }
-                }
-                _ => {}
             }
         }
     }

@@ -19,33 +19,30 @@
 //! $ wanacl chaos --seed 1 --seconds 8
 //! $ wanacl chaos --seed 1 --inject-bug drop-wal
 //! $ wanacl chaos --seed 1 --tenants 2 --shards-per-tenant 2
-//! $ wanacl chaos --control true --bench-out BENCH_rt.json
+//! $ wanacl chaos --control true --report-out control.jsonl
 //! ```
 
-use std::collections::HashMap;
-use std::time::Duration;
+use std::collections::BTreeMap;
 
 use wanacl::core::audit::AuditLog;
 use wanacl::core::campaign::{
     rollup_metrics, run_campaigns_parallel, sample_plan, shrink_plan, CampaignConfig, InjectedBug,
 };
 use wanacl::prelude::*;
-use wanacl::rt::{ChaosRouter, FileStorage, NodeExit, RuntimeBuilder};
+use wanacl::rt::{run_live_campaign, soak_policy, LiveReport};
 use wanacl::sim::obs::{metrics_jsonl, prometheus_text};
-use wanacl::sim::trace::TraceEvent;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (command, flags) = parse(&args);
-    match command.as_deref() {
-        Some("demo") => demo(&flags),
-        Some("tradeoff") => tradeoff(&flags),
-        Some("tables") => tables(&flags),
-        Some("audit") => audit(&flags),
-        Some("nemesis") => nemesis(&flags),
-        Some("chaos") => chaos(&flags),
-        Some("obs") => obs(&flags),
-        Some("scale") => scale(&flags),
+    let flags = Flags::parse(std::env::args().skip(1).collect());
+    match flags.command.as_str() {
+        "demo" => demo(flags),
+        "tradeoff" => tradeoff(flags),
+        "tables" => tables(flags),
+        "audit" => audit(flags),
+        "nemesis" => nemesis(flags),
+        "chaos" => chaos(flags),
+        "obs" => obs(flags),
+        "scale" => scale(flags),
         _ => {
             eprintln!(
                 "usage: wanacl <command> [--flag value ...]\n\n\
@@ -90,26 +87,26 @@ fn main() {
                  \x20                  --metrics-out PATH   write per-seed + rollup metrics as\n\
                  \x20                                       JSONL to PATH and the Prometheus\n\
                  \x20                                       rollup snapshot to PATH.prom\n\
-                 \x20 chaos     run a live (threaded) soak under the seeded fault plan\n\
-                 \x20           `nemesis` would use, with a manager kill/restart and\n\
-                 \x20           crash/recover, checked by the invariant oracle\n\
-                 \x20           flags: --seed S --seconds T --managers N --hosts N\n\
-                 \x20                  --users N --check-quorum C --intensity X\n\
-                 \x20                  --inject-bug drop-wal  arm manager 0's WAL to drop\n\
-                 \x20                                       state on recovery (the oracle\n\
-                 \x20                                       must catch it live)\n\
-                 \x20                  --tenants N          live sharded soak: N tenant apps\n\
-                 \x20                                       on their own manager pairs, a\n\
-                 \x20                                       replicated directory, and a live\n\
-                 \x20                                       online rebalance mid-soak\n\
-                 \x20                  --shards-per-tenant K  shards per tenant (default 2)\n\
-                 \x20                  --workers N          worker threads for the event\n\
-                 \x20                                       pool (default: one per core,\n\
-                 \x20                                       clamped to the node count)\n\
-                 \x20                  --report-out PATH    write the JSONL soak report\n\
-                 \x20                  --control true       fault-free control run\n\
-                 \x20                  --bench-out PATH     (control only) write BENCH_rt\n\
-                 \x20                                       baseline JSONL\n\
+                 \x20 chaos     run a live (threaded) soak of the deployment `nemesis` would
+                 \x20           simulate, under the fault plan it would sample, with a
+                 \x20           kill/restart and crash/recover of manager 0, checked by the
+                 \x20           invariant oracle
+                 \x20           flags: --seed S --seconds T --managers N --hosts N
+                 \x20                  --users N --check-quorum C --intensity X
+                 \x20                  --inject-bug drop-wal  arm manager 0's WAL to drop
+                 \x20                                       state on recovery (the oracle
+                 \x20                                       must catch it live)
+                 \x20                  --tenants N          sharded soak: N tenant apps on
+                 \x20                                       their own manager pairs (overrides
+                 \x20                                       --managers), three directory
+                 \x20                                       replicas, and at least one live
+                 \x20                                       online rebalance
+                 \x20                  --shards-per-tenant K  shards per tenant (default 2)
+                 \x20                  --workers N          worker threads for the event
+                 \x20                                       pool (default: one per core,
+                 \x20                                       clamped to the node count)
+                 \x20                  --report-out PATH    write the JSONL soak report
+                 \x20                  --control true       fault-free control run
                  \x20 obs       run a short deployment and export its metrics snapshot\n\
                  \x20           flags: --managers N --hosts N --users N --check-quorum C\n\
                  \x20                  --minutes M --pi P --seed S\n\
@@ -135,37 +132,73 @@ fn main() {
     }
 }
 
-/// Parses `<command> --key value ...` without external crates.
-fn parse(args: &[String]) -> (Option<String>, HashMap<String, String>) {
-    let mut flags = HashMap::new();
-    let command = args.first().cloned();
-    let mut i = 1;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            flags.insert(key.to_owned(), value);
-            i += 2;
-        } else {
-            eprintln!("unexpected argument: {}", args[i]);
-            std::process::exit(2);
+/// Prints a usage error and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// `<command> --key value ...`, parsed without external crates. A
+/// subcommand takes each flag it understands out with [`Flags::get`] or
+/// [`Flags::text`] and then calls [`Flags::done`], so the set of flags a
+/// subcommand accepts is exactly the set it reads: anything left over
+/// is an unknown flag, and a value that does not parse is an error —
+/// neither silently falls back to a default.
+struct Flags {
+    command: String,
+    values: BTreeMap<String, String>,
+}
+
+impl Flags {
+    fn parse(args: Vec<String>) -> Flags {
+        let mut args = args.into_iter();
+        let command = args.next().unwrap_or_default();
+        let mut values = BTreeMap::new();
+        while let Some(arg) = args.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                usage_error(&format!("unexpected argument: {arg}"));
+            };
+            values.insert(key.to_owned(), args.next().unwrap_or_default());
+        }
+        Flags { command, values }
+    }
+
+    /// Takes `--key` as text.
+    fn text(&mut self, key: &str) -> Option<String> {
+        self.values.remove(key)
+    }
+
+    /// Takes `--key` parsed as `T`, if present.
+    fn opt<T: std::str::FromStr>(&mut self, key: &str) -> Option<T> {
+        self.text(key).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| usage_error(&format!("invalid value for --{key}: {v:?}")))
+        })
+    }
+
+    /// Takes `--key` parsed as `T`, or `default` when absent.
+    fn get<T: std::str::FromStr>(&mut self, key: &str, default: T) -> T {
+        self.opt(key).unwrap_or(default)
+    }
+
+    /// Rejects every flag the subcommand did not take.
+    fn done(self) {
+        if let Some(key) = self.values.keys().next() {
+            usage_error(&format!("unknown flag --{key} for `wanacl {}`", self.command));
         }
     }
-    (command, flags)
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
-fn demo(flags: &HashMap<String, String>) {
-    let managers: usize = get(flags, "managers", 5);
-    let hosts: usize = get(flags, "hosts", 3);
-    let users: usize = get(flags, "users", 4);
-    let c: usize = get(flags, "check-quorum", (managers / 2).max(1));
-    let te: u64 = get(flags, "te", 60);
-    let minutes: u64 = get(flags, "minutes", 10);
-    let pi: f64 = get(flags, "pi", 0.1);
-    let seed: u64 = get(flags, "seed", 1);
+fn demo(mut flags: Flags) {
+    let managers: usize = flags.get("managers", 5);
+    let hosts: usize = flags.get("hosts", 3);
+    let users: usize = flags.get("users", 4);
+    let c: usize = flags.get("check-quorum", (managers / 2).max(1));
+    let te: u64 = flags.get("te", 60);
+    let minutes: u64 = flags.get("minutes", 10);
+    let pi: f64 = flags.get("pi", 0.1);
+    let seed: u64 = flags.get("seed", 1);
+    flags.done();
 
     let policy = Policy::builder(c)
         .revocation_bound(SimDuration::from_secs(te))
@@ -208,10 +241,11 @@ fn demo(flags: &HashMap<String, String>) {
     }
 }
 
-fn tradeoff(flags: &HashMap<String, String>) {
-    let managers: usize = get(flags, "managers", 10);
-    let pi: f64 = get(flags, "pi", 0.2);
-    let trials: u64 = get(flags, "trials", 150);
+fn tradeoff(mut flags: Flags) {
+    let managers: usize = flags.get("managers", 10);
+    let pi: f64 = flags.get("pi", 0.2);
+    let trials: u64 = flags.get("trials", 150);
+    flags.done();
     println!("M={managers} Pi={pi} trials={trials}\n");
     println!("  C | PA model  PA measured | PS model  PS measured");
     println!(" ---+------------------------+----------------------");
@@ -229,7 +263,8 @@ fn tradeoff(flags: &HashMap<String, String>) {
     }
 }
 
-fn tables(_flags: &HashMap<String, String>) {
+fn tables(flags: Flags) {
+    flags.done();
     println!("{}", wanacl::analysis::tables::render_table1(10, &[0.1, 0.2]));
     println!("{}", wanacl::analysis::tables::render_table2(&[0.1, 0.2]));
 }
@@ -239,41 +274,36 @@ fn tables(_flags: &HashMap<String, String>) {
 /// the per-operation check-overhead numbers. This is the interactive
 /// face of `repro_scale`'s empirical section: one configurable world
 /// instead of the paper's full table sweep.
-fn scale(flags: &HashMap<String, String>) {
+fn scale(mut flags: Flags) {
     use wanacl::analysis::empirical::{run_empirical, FlashSpec, ScaleConfig};
 
-    let hosts: usize = get(flags, "hosts", 10_000);
-    let managers: usize = get(flags, "managers", 10);
-    let check_quorum: usize = get(flags, "check-quorum", (managers / 2).max(1));
-    let pi: f64 = get(flags, "pi", 0.1);
-    let epoch_secs: u64 = get(flags, "epoch-secs", 10);
-    let horizon_secs: u64 = get(flags, "horizon-secs", 600);
-    let checks_per_host: f64 = get(flags, "checks-per-host", 5.0);
-    let diurnal: f64 = get(flags, "diurnal", 0.5);
-    let zipf_users: usize = get(flags, "zipf-users", hosts.max(1));
-    let zipf_s: f64 = get(flags, "zipf-s", 1.1);
-    let revoke_ops: u64 = get(flags, "revoke-ops", 2_000);
-    let timeout_ms: u64 = get(flags, "timeout-ms", 1_000);
-    let seed: u64 = get(flags, "seed", 1);
-    let scheduler = match flags.get("scheduler").map(String::as_str) {
+    let hosts: usize = flags.get("hosts", 10_000);
+    let managers: usize = flags.get("managers", 10);
+    let check_quorum: usize = flags.get("check-quorum", (managers / 2).max(1));
+    let pi: f64 = flags.get("pi", 0.1);
+    let epoch_secs: u64 = flags.get("epoch-secs", 10);
+    let horizon_secs: u64 = flags.get("horizon-secs", 600);
+    let checks_per_host: f64 = flags.get("checks-per-host", 5.0);
+    let diurnal: f64 = flags.get("diurnal", 0.5);
+    let zipf_users: usize = flags.get("zipf-users", hosts.max(1));
+    let zipf_s: f64 = flags.get("zipf-s", 1.1);
+    let revoke_ops: u64 = flags.get("revoke-ops", 2_000);
+    let timeout_ms: u64 = flags.get("timeout-ms", 1_000);
+    let seed: u64 = flags.get("seed", 1);
+    let scheduler = match flags.text("scheduler").as_deref() {
         None | Some("calendar") => Scheduler::Calendar,
         Some("heap") => Scheduler::NaiveHeap,
-        Some(other) => {
-            eprintln!("unknown scheduler: {other} (expected calendar|heap)");
-            std::process::exit(2);
-        }
+        Some(other) => usage_error(&format!("unknown scheduler: {other} (expected calendar|heap)")),
     };
-    let flash = flags.get("flash-at").map(|at| {
-        let start_secs: u64 = at.parse().unwrap_or_else(|_| {
-            eprintln!("--flash-at must be seconds");
-            std::process::exit(2);
-        });
-        FlashSpec {
-            start: SimTime::ZERO + SimDuration::from_secs(start_secs),
-            duration: SimDuration::from_secs(get(flags, "flash-secs", 60)),
-            multiplier: get(flags, "flash-mult", 3.0),
-        }
+    let flash_secs: u64 = flags.get("flash-secs", 60);
+    let flash_mult: f64 = flags.get("flash-mult", 3.0);
+    let flash = flags.opt::<u64>("flash-at").map(|start_secs| FlashSpec {
+        start: SimTime::ZERO + SimDuration::from_secs(start_secs),
+        duration: SimDuration::from_secs(flash_secs),
+        multiplier: flash_mult,
     });
+    let metrics_out = flags.text("metrics-out");
+    flags.done();
 
     let cfg = ScaleConfig {
         hosts,
@@ -357,12 +387,119 @@ fn scale(flags: &HashMap<String, String>) {
         100.0 * unavail as f64 / out.checks.max(1) as f64
     );
 
-    if let Some(path) = flags.get("metrics-out") {
+    if let Some(path) = &metrics_out {
         std::fs::write(path, metrics_jsonl(&out.metrics, "scale")).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });
         println!("\nmetrics snapshot written to {path}");
+    }
+}
+
+/// The `--inject-bug` spellings.
+const BUGS: [(&str, InjectedBug); 4] = [
+    ("cache-expiry", InjectedBug::IgnoreCacheExpiry { host_index: 0 }),
+    ("drop-wal", InjectedBug::DropWal { manager_index: 0 }),
+    ("ns-trust-unsigned", InjectedBug::NsTrustUnsigned { host_index: 0 }),
+    ("lost-handoff", InjectedBug::LostHandoff { manager_index: 0 }),
+];
+
+fn bug_name(bug: Option<InjectedBug>) -> &'static str {
+    BUGS.iter().find(|(_, b)| Some(*b) == bug).map_or("none", |(name, _)| name)
+}
+
+/// Reads the campaign both executors run from the command line:
+/// `nemesis` simulates it, `chaos` (`live`) soaks it on threads. The
+/// live soak fixes what the simulator leaves to flags — three directory
+/// replicas and shard faults whenever `--tenants` is set, no name
+/// service, no disk or directory faults — and calls its horizon
+/// `--seconds`.
+fn campaign_config(flags: &mut Flags, live: bool) -> CampaignConfig {
+    let seed: u64 = flags.get("seed", 1);
+    let horizon_secs: u64 =
+        if live { flags.get("seconds", 8) } else { flags.get("horizon-secs", 10) };
+    let managers: usize = flags.get("managers", 3);
+    let hosts: usize = flags.get("hosts", 2);
+    let tenants: usize = flags.get("tenants", 0);
+    let users: usize = flags.get("users", if live && tenants > 0 { 4 } else { 2 });
+    let shards_per_tenant: usize = flags.get("shards-per-tenant", if live { 2 } else { 1 });
+    let intensity: f64 = flags.get("intensity", 1.0);
+    let inject_bug = match flags.text("inject-bug").as_deref() {
+        None | Some("none") => None,
+        Some(name) => match BUGS.iter().find(|(n, _)| *n == name) {
+            Some((_, bug)) => Some(*bug),
+            None => usage_error(&format!(
+                "unknown --inject-bug {name} \
+                 (expected: cache-expiry, drop-wal, ns-trust-unsigned, or lost-handoff)"
+            )),
+        },
+    };
+    let sharded = tenants > 0;
+    let common = CampaignConfig {
+        seed,
+        managers,
+        hosts,
+        users,
+        horizon: SimDuration::from_secs(horizon_secs),
+        intensity,
+        tenants,
+        shards_per_tenant,
+        inject_bug,
+        ..CampaignConfig::default()
+    };
+    let config = if live {
+        CampaignConfig { ns_replicas: 3 * usize::from(sharded), shard_faults: sharded, ..common }
+    } else {
+        CampaignConfig {
+            use_name_service: flags.get("name-service", false),
+            ns_replicas: flags.get("ns-replicas", 0),
+            ns_read_quorum: flags.get("ns-read-quorum", 0),
+            ns_faults: flags.get("ns-faults", false),
+            disk_faults: flags.get("disk-faults", false),
+            shard_faults: flags.get("shard-faults", false),
+            ..common
+        }
+    };
+    if matches!(inject_bug, Some(InjectedBug::NsTrustUnsigned { .. })) && config.ns_replicas == 0 {
+        usage_error("--inject-bug ns-trust-unsigned needs --ns-replicas N (N >= 1)");
+    }
+    if matches!(inject_bug, Some(InjectedBug::LostHandoff { .. })) && !sharded {
+        usage_error("--inject-bug lost-handoff needs --tenants N (the sharded plane)");
+    }
+    if sharded && config.ns_replicas == 0 {
+        usage_error("--tenants needs --ns-replicas N (the shard map lives in the directory)");
+    }
+    if config.shard_faults && !sharded {
+        usage_error("--shard-faults true needs --tenants N (the sharded plane)");
+    }
+    if sharded && !(1..=256).contains(&shards_per_tenant) {
+        usage_error("--shards-per-tenant must be in 1..=256");
+    }
+    if managers == 0 || hosts == 0 || users == 0 || horizon_secs == 0 || intensity <= 0.0 {
+        usage_error("need at least one manager, host, user and second, and a positive intensity");
+    }
+    config
+}
+
+/// `M=3` or `tenants=2 shards/tenant=2 M=8`: the manager plane of a
+/// campaign header.
+fn plane(config: &CampaignConfig) -> String {
+    if config.tenants > 0 {
+        format!(
+            "tenants={} shards/tenant={} M={}",
+            config.tenants,
+            config.shards_per_tenant,
+            campaign_targets(config).managers.len()
+        )
+    } else {
+        format!("M={}", config.managers)
+    }
+}
+
+fn write_or_exit(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2);
     }
 }
 
@@ -373,120 +510,54 @@ fn scale(flags: &HashMap<String, String>) {
 /// sequential run, and reports print in seed order regardless of which
 /// worker finished first. On the lowest-seed violation, prints the
 /// replayable counterexample, greedily shrinks the plan, and exits 1.
-fn nemesis(flags: &HashMap<String, String>) {
-    let seed: u64 = get(flags, "seed", 1);
-    let campaigns: u64 = get(flags, "campaigns", 1);
-    let jobs: usize = get(flags, "jobs", 0);
-    let horizon_secs: u64 = get(flags, "horizon-secs", 10);
-    let managers: usize = get(flags, "managers", 3);
-    let hosts: usize = get(flags, "hosts", 2);
-    let users: usize = get(flags, "users", 2);
-    let intensity: f64 = get(flags, "intensity", 1.0);
-    let use_name_service: bool = get(flags, "name-service", false);
-    let ns_replicas: usize = get(flags, "ns-replicas", 0);
-    let ns_read_quorum: usize = get(flags, "ns-read-quorum", 0);
-    let ns_faults: bool = get(flags, "ns-faults", false);
-    let disk_faults: bool = get(flags, "disk-faults", false);
-    let tenants: usize = get(flags, "tenants", 0);
-    let shards_per_tenant: usize = get(flags, "shards-per-tenant", 1);
-    let shard_faults: bool = get(flags, "shard-faults", false);
-    let inject_bug = match flags.get("inject-bug").map(String::as_str) {
-        None | Some("none") => None,
-        Some("cache-expiry") => Some(InjectedBug::IgnoreCacheExpiry { host_index: 0 }),
-        Some("drop-wal") => Some(InjectedBug::DropWal { manager_index: 0 }),
-        Some("ns-trust-unsigned") => Some(InjectedBug::NsTrustUnsigned { host_index: 0 }),
-        Some("lost-handoff") => Some(InjectedBug::LostHandoff { manager_index: 0 }),
-        Some(other) => {
-            eprintln!(
-                "unknown --inject-bug {other} \
-                 (expected: cache-expiry, drop-wal, ns-trust-unsigned, or lost-handoff)"
-            );
-            std::process::exit(2);
-        }
-    };
-    if matches!(inject_bug, Some(InjectedBug::NsTrustUnsigned { .. })) && ns_replicas == 0 {
-        eprintln!("--inject-bug ns-trust-unsigned needs --ns-replicas N (N >= 1)");
-        std::process::exit(2);
-    }
-    if matches!(inject_bug, Some(InjectedBug::LostHandoff { .. })) && tenants == 0 {
-        eprintln!("--inject-bug lost-handoff needs --tenants N (the sharded plane)");
-        std::process::exit(2);
-    }
-    if tenants > 0 && ns_replicas == 0 {
-        eprintln!("--tenants needs --ns-replicas N (the shard map lives in the directory)");
-        std::process::exit(2);
-    }
-    if shard_faults && tenants == 0 {
-        eprintln!("--shard-faults true needs --tenants N (the sharded plane)");
-        std::process::exit(2);
-    }
+fn nemesis(mut flags: Flags) {
+    let campaigns: u64 = flags.get("campaigns", 1);
+    let jobs: usize = flags.get("jobs", 0);
+    let metrics_out = flags.text("metrics-out");
+    let base = campaign_config(&mut flags, false);
+    flags.done();
 
     println!(
-        "nemesis: {campaigns} campaign(s) from seed {seed}, horizon {horizon_secs}s, \
-         {} hosts={hosts} users={users} intensity={intensity}{}{}{}{}",
-        if tenants > 0 {
+        "nemesis: {campaigns} campaign(s) from seed {}, horizon {}s, \
+         {} hosts={} users={} intensity={}{}{}{}{}",
+        base.seed,
+        base.horizon.as_secs_f64(),
+        plane(&base),
+        base.hosts,
+        base.users,
+        base.intensity,
+        if base.disk_faults { " +disk-faults" } else { "" },
+        if base.shard_faults { " +shard-faults" } else { "" },
+        if base.ns_replicas > 0 {
             format!(
-                "tenants={tenants} shards/tenant={shards_per_tenant} \
-                 M={}",
-                2 * tenants * shards_per_tenant
+                " +directory[{} replicas{}]",
+                base.ns_replicas,
+                if base.ns_faults { ", faults" } else { "" }
             )
-        } else {
-            format!("M={managers}")
-        },
-        if disk_faults { " +disk-faults" } else { "" },
-        if shard_faults { " +shard-faults" } else { "" },
-        if ns_replicas > 0 {
-            format!(" +directory[{ns_replicas} replicas{}]", if ns_faults { ", faults" } else { "" })
         } else {
             String::new()
         },
-        match inject_bug {
-            Some(InjectedBug::IgnoreCacheExpiry { .. }) => " [BUG INJECTED: cache-expiry]",
-            Some(InjectedBug::DropWal { .. }) => " [BUG INJECTED: drop-wal]",
-            Some(InjectedBug::NsTrustUnsigned { .. }) => " [BUG INJECTED: ns-trust-unsigned]",
-            Some(InjectedBug::LostHandoff { .. }) => " [BUG INJECTED: lost-handoff]",
-            None => "",
+        match base.inject_bug {
+            Some(_) => format!(" [BUG INJECTED: {}]", bug_name(base.inject_bug)),
+            None => String::new(),
         }
     );
-    let configs: Vec<CampaignConfig> = (seed..seed + campaigns)
-        .map(|s| CampaignConfig {
-            seed: s,
-            managers,
-            hosts,
-            users,
-            horizon: SimDuration::from_secs(horizon_secs),
-            intensity,
-            use_name_service,
-            ns_replicas,
-            ns_read_quorum,
-            ns_faults,
-            disk_faults,
-            tenants,
-            shards_per_tenant,
-            shard_faults,
-            inject_bug,
-            ..CampaignConfig::default()
-        })
+    let configs: Vec<CampaignConfig> = (base.seed..base.seed + campaigns)
+        .map(|seed| CampaignConfig { seed, ..base.clone() })
         .collect();
     let reports = run_campaigns_parallel(&configs, jobs);
     // Metrics export happens before the violation scan so the artifact
     // exists even when a counterexample aborts the run below.
-    if let Some(path) = flags.get("metrics-out") {
+    if let Some(path) = &metrics_out {
         let mut jsonl = String::new();
         for report in &reports {
             jsonl.push_str(&metrics_jsonl(&report.metrics, &format!("seed-{}", report.seed)));
         }
         let rollup = rollup_metrics(&reports);
         jsonl.push_str(&metrics_jsonl(&rollup, "rollup"));
-        if let Err(e) = std::fs::write(path, jsonl) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        }
+        write_or_exit(path, jsonl);
         let prom_path = format!("{path}.prom");
-        if let Err(e) = std::fs::write(&prom_path, prometheus_text(&rollup)) {
-            eprintln!("cannot write {prom_path}: {e}");
-            std::process::exit(2);
-        }
+        write_or_exit(&prom_path, prometheus_text(&rollup));
         println!("metrics: per-seed + rollup JSONL -> {path}, Prometheus rollup -> {prom_path}");
     }
     for (config, report) in configs.iter().zip(&reports) {
@@ -517,944 +588,209 @@ fn nemesis(flags: &HashMap<String, String>) {
     println!("all {campaigns} campaign(s) clean: no invariant violations");
 }
 
-/// A scheduled action in the live soak, offset from the runtime epoch.
-enum LiveEvent {
-    Admin(AclOp),
-    Crash(NodeId),
-    Recover(NodeId),
-    Kill(NodeId),
-    Restart(NodeId),
+/// One `{"kind":K,"<key>":"<text>"}` soak-report line, minimally escaped.
+fn json_line(kind: &str, key: &str, text: &str) -> String {
+    let text = text.replace('\\', "\\\\").replace('"', "\\\"");
+    format!("{{\"kind\":\"{kind}\",\"{key}\":\"{text}\"}}\n")
 }
 
-/// Minimal JSON string escaping for the soak report lines.
-fn json_str(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Runs a seeded chaos soak on the *live* threaded runtime: the same
-/// node objects the simulator runs, on OS threads, under the exact
-/// fault plan `wanacl nemesis` samples for this seed (replayed by a
-/// `ChaosRouter` over wall-clock windows), plus a deterministic
-/// kill/restart (process death, recovery from the `FileStorage` WAL)
-/// and crash/recover cycle of manager 0. The drained live trace feeds
-/// the same invariant oracle (I1–I7) the campaigns use; any violation
-/// prints and exits 1. `--control true` skips all fault injection and
-/// can emit a `BENCH_rt` baseline via `--bench-out`.
-fn chaos(flags: &HashMap<String, String>) {
-    if get::<usize>(flags, "tenants", 0) > 0 {
-        chaos_sharded(flags);
-        return;
+/// Runs a seeded chaos soak on the *live* threaded runtime
+/// ([`run_live_campaign`]): the deployment `wanacl nemesis` would
+/// simulate for these flags, on OS threads, under the exact fault plan
+/// it would sample for this seed, plus a deterministic kill/restart
+/// (process death, recovery from the `FileStorage` WAL) and
+/// crash/recover cycle of manager 0. `--tenants N` soaks the sharded
+/// plane instead of the flat one — same driver, different roster — and
+/// forces one online rebalance if the plan drew none, so a sharded soak
+/// never leaves I9 untested. The drained live trace feeds the same
+/// invariant oracle (I1–I9) the campaigns use; any violation or lost
+/// node prints and exits 1. `--control true` skips all fault injection.
+fn chaos(mut flags: Flags) {
+    let control: bool = flags.get("control", false);
+    let workers: usize = flags.get("workers", 0);
+    let report_out = flags.text("report-out");
+    let mut config = campaign_config(&mut flags, true);
+    let manager_set = if config.tenants > 0 { 2 } else { config.managers };
+    let c: usize = flags.get("check-quorum", 2.min(manager_set));
+    flags.done();
+    if !(1..=manager_set).contains(&c) {
+        usage_error(&format!("--check-quorum must be in 1..={manager_set}"));
     }
-    let seed: u64 = get(flags, "seed", 1);
-    let seconds: u64 = get(flags, "seconds", 8);
-    let managers: usize = get(flags, "managers", 3);
-    let hosts: usize = get(flags, "hosts", 2);
-    let users: usize = get(flags, "users", 2);
-    let c: usize = get(flags, "check-quorum", 2.min(managers.max(1)));
-    let intensity: f64 = get(flags, "intensity", 1.0);
-    let control: bool = get(flags, "control", false);
-    let workers: usize = get(flags, "workers", 0);
-    let drop_wal = match flags.get("inject-bug").map(String::as_str) {
-        None | Some("none") => false,
-        Some("drop-wal") => true,
-        Some(other) => {
-            eprintln!("unknown --inject-bug {other} (live chaos supports: drop-wal)");
-            std::process::exit(2);
-        }
+    let drop_wal = match config.inject_bug {
+        None => false,
+        Some(InjectedBug::DropWal { .. }) => true,
+        Some(_) => usage_error(&format!(
+            "unknown --inject-bug {} (live chaos supports: drop-wal)",
+            bug_name(config.inject_bug)
+        )),
     };
-    if managers == 0 || hosts == 0 || users == 0 || seconds == 0 {
-        eprintln!("chaos needs at least one manager, host, user, and second");
-        std::process::exit(2);
-    }
     if drop_wal && control {
-        eprintln!("--inject-bug drop-wal contradicts --control true");
-        std::process::exit(2);
+        usage_error("--inject-bug drop-wal contradicts --control true");
     }
+    config.policy = soak_policy(c);
 
-    // The live check path runs with its belt on: a deadline budget and
-    // a per-peer circuit breaker on top of the usual quorum policy.
-    let te = SimDuration::from_secs(2);
-    let policy = Policy::builder(c)
-        .revocation_bound(te)
-        .clock_rate_bound(1.0)
-        .query_timeout(SimDuration::from_millis(100))
-        .max_attempts(2)
-        .cache_sweep_interval(SimDuration::from_millis(500))
-        .deadline_budget(SimDuration::from_secs(1))
-        .breaker(BreakerConfig::default())
-        .build();
-
-    // Plan parity with the simulator: same CampaignConfig shape, same
-    // seed derivation, same sampler — `wanacl nemesis --seed S` and
-    // `wanacl chaos --seed S` replay one fault plan on two executors.
-    let horizon = SimDuration::from_secs(seconds);
-    let campaign = CampaignConfig {
-        seed,
-        managers,
-        hosts,
-        users,
-        horizon,
-        intensity,
-        ..CampaignConfig::default()
-    };
-    let plan = sample_plan(&campaign);
+    // Plan parity with the simulator: same CampaignConfig, same seed
+    // derivation, same sampler — `wanacl nemesis --seed S` and `wanacl
+    // chaos --seed S` replay one fault plan on two executors.
+    let mut plan = sample_plan(&config);
+    if config.tenants > 0 && plan.shard_rebalances().is_empty() {
+        plan.faults.push(Fault::ShardRebalance {
+            shard: 0,
+            at: SimTime::ZERO + config.horizon.mul_f64(0.5),
+        });
+    }
     println!(
-        "chaos: seed {seed}, {seconds}s live soak, M={managers} C={c} hosts={hosts} users={users}{}{}",
+        "chaos: seed {}, {}s live soak, {} C={c} hosts={} users={}{}{}",
+        config.seed,
+        config.horizon.as_secs_f64(),
+        plane(&config),
+        config.hosts,
+        config.users,
         if control { " [CONTROL: no faults]" } else { "" },
         if drop_wal { " [BUG INJECTED: drop-wal]" } else { "" },
     );
     if !control {
         print!("{}", plan.describe());
     }
-
-    // Fresh WAL directories per run; managers respawn from them.
-    let base = std::env::temp_dir().join(format!("wanacl-chaos-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-
-    let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(seed);
-    b.inbox_capacity(1024);
-    let traces = b.capture_traces();
-    let sink = b.metrics().clone();
-    let mut acl = Acl::new();
-    for u in 1..=users {
-        acl.add(UserId(u as u64), Right::Use);
-    }
-    // Node layout mirrors `campaign_targets`: managers first, hosts
-    // right after, so the sampled plan's NodeIds land on the same roles.
-    let manager_ids: Vec<NodeId> = (0..managers).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let config = ManagerConfig {
-            peers: manager_ids.iter().copied().filter(|p| *p != id).collect(),
-            apps: vec![ManagerApp { app: AppId(0), policy: policy.clone(), initial_acl: acl.clone() }],
-            registry: None,
-            enforce_manage_right: false,
-            retry_interval: SimDuration::from_millis(100),
-            retry_cap: SimDuration::from_secs(2),
-            retry_jitter: 0.1,
-            heartbeat_interval: SimDuration::from_millis(100),
-            grant_sweep_interval: SimDuration::from_millis(500),
-            snapshot_every: 8,
-            ..ManagerConfig::default()
-        };
-        let dir = base.join(format!("m{i}"));
-        let arm = drop_wal && i == 0;
-        let factory_sink = sink.clone();
-        let got = b.add_node_with_factory(
-            format!("manager{i}"),
-            std::sync::Arc::new(move || {
-                let mut node = ManagerNode::new(config.clone());
-                let mut storage = FileStorage::open(dir.clone())
-                    .expect("chaos storage dir")
-                    .with_metrics(factory_sink.clone());
-                if arm {
-                    storage.set_drop_state_on_recover(true);
-                }
-                node.set_storage(Box::new(storage));
-                Box::new(node)
-            }),
-        );
-        assert_eq!(got, id);
-    }
-    let host_ids: Vec<NodeId> =
-        (managers..managers + hosts).map(NodeId::from_index).collect();
-    for (i, &id) in host_ids.iter().enumerate() {
-        let got = b.add_node(
-            format!("host{i}"),
-            Box::new(HostNode::new(
-                vec![AppHost {
-                    app: AppId(0),
-                    policy: policy.clone(),
-                    directory: ManagerDirectory::Static(manager_ids.clone().into()),
-                    application: Box::new(CountingApp::new()),
-                }],
-                None,
-            )),
-        );
-        assert_eq!(got, id);
-    }
-    let mut user_ids = Vec::new();
-    for u in 1..=users {
-        user_ids.push(b.add_node(
-            format!("user{u}"),
-            Box::new(UserAgent::new(UserAgentConfig {
-                user: UserId(u as u64),
-                app: AppId(0),
-                hosts: host_ids.clone().into(),
-                workload: Some(WorkloadShape::Periodic { period: SimDuration::from_millis(300) }),
-                payload: "chaos".into(),
-                secret: None,
-                request_timeout: SimDuration::from_secs(5),
-                max_requests: None,
-            })),
-        ));
-    }
-    let net_fault_count = plan.net_faults().len();
-    if !control && net_fault_count > 0 {
-        let faults = plan.net_faults();
-        let chaos_sink = sink.clone();
-        b.wrap_transport(move |router| ChaosRouter::new(router, faults, seed, Some(chaos_sink)));
-    }
-    if workers > 0 {
-        b.workers(workers);
-    }
-    let mut rt = match b.try_start() {
-        Ok(rt) => rt,
-        Err(e) => {
-            eprintln!("chaos: cannot start the live runtime: {e}");
-            std::process::exit(2);
-        }
+    let plan = (!control).then_some(&plan);
+    let report = match run_live_campaign(&config, plan, workers) {
+        Ok(report) => report,
+        Err(e) => usage_error(&format!("chaos: cannot start the live runtime: {e}")),
     };
-    println!("chaos: worker pool of {} threads", rt.workers());
-    let epoch = rt.epoch();
-
-    // Build the event schedule up front, offsets from the epoch: admin
-    // churn (same shape as the campaign's: revoke then re-grant every
-    // user inside the horizon), the plan's lifecycle faults, and — on
-    // every non-control run — a deterministic kill/restart plus a
-    // crash/recover cycle of manager 0 so the WAL recovery path runs.
-    let mut schedule: Vec<(Duration, LiveEvent)> = Vec::new();
-    let h = horizon.as_secs_f64();
-    let mut rng = SimRng::seed_from(seed ^ 0x6164_6d69);
-    for u in 1..=users {
-        let user = UserId(u as u64);
-        let revoke_at = h * (0.2 + 0.4 * rng.unit());
-        let regrant_at = (revoke_at + h * (0.1 + 0.2 * rng.unit())).min(h);
-        schedule.push((
-            Duration::from_secs_f64(revoke_at),
-            LiveEvent::Admin(AclOp::Revoke { app: AppId(0), user, right: Right::Use }),
-        ));
-        schedule.push((
-            Duration::from_secs_f64(regrant_at),
-            LiveEvent::Admin(AclOp::Add { app: AppId(0), user, right: Right::Use }),
-        ));
-    }
-    if !control {
-        for fault in &plan.faults {
-            if let Fault::Crash { node, at, down_for } = fault {
-                let at = Duration::from_secs_f64(at.as_secs_f64());
-                schedule.push((at, LiveEvent::Crash(*node)));
-                schedule.push((
-                    at + Duration::from_secs_f64(down_for.as_secs_f64()),
-                    LiveEvent::Recover(*node),
-                ));
-            }
-        }
-        let kill_at = Duration::from_secs_f64(h * 0.40);
-        schedule.push((kill_at, LiveEvent::Kill(manager_ids[0])));
-        schedule.push((kill_at + Duration::from_millis(300), LiveEvent::Restart(manager_ids[0])));
-        let crash_at = Duration::from_secs_f64(h * 0.65);
-        schedule.push((crash_at, LiveEvent::Crash(manager_ids[0])));
-        schedule.push((crash_at + Duration::from_millis(200), LiveEvent::Recover(manager_ids[0])));
-    }
-    schedule.sort_by_key(|(at, _)| *at);
-
-    // Dispatch against the wall clock. Admin ops go to the last manager
-    // (not the kill victim) over the env channel, which bypasses chaos —
-    // only the *dissemination* between managers runs the gauntlet.
-    let admin_target = manager_ids[managers - 1];
-    let mut req = 0u64;
-    let mut lifecycle_log = Vec::new();
-    for (at, event) in schedule {
-        let now = epoch.elapsed();
-        if at > now {
-            std::thread::sleep(at - now);
-        }
-        let stamp = epoch.elapsed().as_secs_f64();
-        match event {
-            LiveEvent::Admin(op) => {
-                req += 1;
-                rt.send_from_env(
-                    admin_target,
-                    ProtoMsg::Admin { op, req: ReqId(req), issuer: UserId(999), signature: None },
-                );
-            }
-            LiveEvent::Crash(n) => {
-                lifecycle_log.push(format!("crash {n} at {stamp:.2}s"));
-                rt.crash(n);
-            }
-            LiveEvent::Recover(n) => {
-                lifecycle_log.push(format!("recover {n} at {stamp:.2}s"));
-                rt.recover(n);
-            }
-            LiveEvent::Kill(n) => match rt.kill(n) {
-                Ok(exit) => lifecycle_log.push(format!("kill {n} at {stamp:.2}s ({exit:?})")),
-                Err(e) => lifecycle_log.push(format!("kill {n} at {stamp:.2}s FAILED: {e}")),
-            },
-            LiveEvent::Restart(n) => match rt.restart(n) {
-                Ok(()) => lifecycle_log.push(format!("restart {n} at {stamp:.2}s")),
-                Err(e) => lifecycle_log.push(format!("restart {n} at {stamp:.2}s FAILED: {e}")),
-            },
-        }
-    }
-    // Drain tail: run past the horizon so residual leases expire and
-    // retransmissions settle, mirroring the campaign's drain window.
-    let end = Duration::from_secs(seconds) + Duration::from_secs_f64(2.0 * te.as_secs_f64());
-    while epoch.elapsed() < end {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    let soak_wall_ns = epoch.elapsed().as_nanos() as u64;
-    for line in &lifecycle_log {
+    println!("chaos: worker pool of {} threads", report.workers);
+    for line in &report.lifecycle {
         println!("  {line}");
     }
-
-    let results = rt.shutdown();
-    let snapshot = sink.snapshot();
-
-    // Same oracle as the campaigns, over the drained live trace. The
-    // slack absorbs wall-clock jitter (thread scheduling, sleep
-    // overshoot) that the deterministic simulator never has.
-    let mut oracle = InvariantOracle::new(&policy, SimDuration::from_millis(1_000));
-    let entries = traces.drain_sorted();
-    for (i, e) in entries.iter().enumerate() {
-        let event = TraceEvent::Note { node: e.node, text: e.text.clone() };
-        oracle.on_event(e.at, i as u64, &event);
-    }
-    let stats = oracle.stats();
-
-    // Per-node exits: a panic or wedged inbox is a failure of the soak
-    // even when the oracle stays clean.
-    let mut panics = Vec::new();
-    for (i, r) in results.iter().enumerate() {
-        match r {
-            Ok((NodeExit::Stopped | NodeExit::Killed, _)) => {}
-            Ok((NodeExit::Disconnected, _)) => {
-                panics.push(format!("node {i} inbox disconnected (wedged deployment)"));
-            }
-            Err(msg) => panics.push(format!("node {i} panicked: {msg}")),
-        }
-    }
-    let mut user_stats = UserStats::default();
-    for &id in &user_ids {
-        if let Some(Ok((_, node))) = results.get(id.index()) {
-            if let Some(agent) = node.as_any().downcast_ref::<UserAgent>() {
-                let s = agent.stats();
-                user_stats.sent += s.sent;
-                user_stats.allowed += s.allowed;
-                user_stats.denied += s.denied;
-                user_stats.unavailable += s.unavailable;
-                user_stats.timeouts += s.timeouts;
-            }
-        }
-    }
-
-    println!(
-        "oracle: {} allows, {} revokes checked over {} live trace events",
-        stats.allows,
-        stats.revokes,
-        entries.len()
-    );
-    println!(
-        "user outcomes: {} sent, {} allowed, {} denied, {} unavailable, {} timeouts",
-        user_stats.sent,
-        user_stats.allowed,
-        user_stats.denied,
-        user_stats.unavailable,
-        user_stats.timeouts
-    );
-    println!(
-        "hardening: breaker open={} close={} skipped={} all-open={} deadline-exceeded={}",
-        snapshot.counter("rt.breaker_open"),
-        snapshot.counter("rt.breaker_close"),
-        snapshot.counter("rt.breaker_skipped"),
-        snapshot.counter("rt.breaker_all_open"),
-        snapshot.counter("rt.deadline_exceeded"),
-    );
-    if !control {
-        println!(
-            "chaos transport: dropped={} duplicated={} delayed={} inbox overflow={}",
-            snapshot.counter("rt.chaos_dropped"),
-            snapshot.counter("rt.chaos_duplicated"),
-            snapshot.counter("rt.chaos_delayed"),
-            snapshot.counter("rt.inbox_overflow"),
-        );
-    }
-
-    // JSONL report: one meta line, one line per injected fault, the
-    // oracle roll-up, every violation, and the outcome verdict.
-    if let Some(path) = flags.get("report-out") {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"kind\":\"meta\",\"seed\":{seed},\"seconds\":{seconds},\"managers\":{managers},\
-             \"hosts\":{hosts},\"users\":{users},\"check_quorum\":{c},\"intensity\":{intensity},\
-             \"control\":{control},\"inject_bug\":\"{}\"}}\n",
-            if drop_wal { "drop-wal" } else { "none" }
-        ));
-        if !control {
-            for fault in &plan.faults {
-                out.push_str(&format!("{{\"kind\":\"fault\",\"desc\":\"{}\"}}\n", json_str(&format!("{fault}"))));
-            }
-            for line in &lifecycle_log {
-                out.push_str(&format!("{{\"kind\":\"lifecycle\",\"desc\":\"{}\"}}\n", json_str(line)));
-            }
-        }
-        out.push_str(&format!(
-            "{{\"kind\":\"oracle\",\"allows\":{},\"revokes\":{},\"trace_events\":{},\
-             \"digest\":{},\"violations\":{}}}\n",
-            stats.allows,
-            stats.revokes,
-            entries.len(),
-            oracle.audit_digest(),
-            oracle.violations().len()
-        ));
-        for v in oracle.violations() {
-            out.push_str(&format!("{{\"kind\":\"violation\",\"detail\":\"{}\"}}\n", json_str(&format!("{v}"))));
-        }
-        for p in &panics {
-            out.push_str(&format!("{{\"kind\":\"panic\",\"detail\":\"{}\"}}\n", json_str(p)));
-        }
-        out.push_str(&format!(
-            "{{\"kind\":\"outcome\",\"clean\":{},\"sent\":{},\"allowed\":{},\"denied\":{},\
-             \"unavailable\":{},\"timeouts\":{}}}\n",
-            oracle.is_clean() && panics.is_empty(),
-            user_stats.sent,
-            user_stats.allowed,
-            user_stats.denied,
-            user_stats.unavailable,
-            user_stats.timeouts
-        ));
-        if let Err(e) = std::fs::write(path, out) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("report: JSONL soak report -> {path}");
-    }
-
-    // Fault-free control runs can emit the live baseline BENCH_rt.json:
-    // wall time per issued request plus the measured cold-check latency.
-    if control {
-        if let Some(path) = flags.get("bench-out") {
-            let mut out = String::new();
-            if user_stats.sent > 0 {
-                out.push_str(&format!(
-                    "{{\"label\":\"rt_soak/wall_per_invoke\",\"mean_ns\":{:.1},\"iters\":{}}}\n",
-                    soak_wall_ns as f64 / user_stats.sent as f64,
-                    user_stats.sent
-                ));
-            }
-            if let Some(summary) =
-                snapshot.histogram("host.check_latency_s").and_then(|hist| hist.summary())
-            {
-                out.push_str(&format!(
-                    "{{\"label\":\"rt_soak/cold_check_latency\",\"mean_ns\":{:.1},\"iters\":{}}}\n",
-                    summary.mean * 1e9,
-                    summary.count
-                ));
-            }
-            if let Err(e) = std::fs::write(path, out) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("bench: live baseline -> {path}");
-        }
-    }
-
-    let _ = std::fs::remove_dir_all(&base);
-    let mut failed = false;
-    for v in oracle.violations() {
-        println!("VIOLATION: {v}");
-        failed = true;
-    }
-    for p in &panics {
-        println!("FAILURE: {p}");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("chaos soak clean: no invariant violations, no node failures");
-}
-
-/// Runs a seeded chaos soak of the *sharded multi-tenant* plane on the
-/// live threaded runtime: `2 × tenants × shards-per-tenant` managers
-/// each serving their own bucket-range shard, three directory replicas
-/// publishing the signed shard map, hosts routing checks through
-/// verified quorum reads, and — mid-soak — a live online rebalance
-/// (every `ShardRebalance` the seed's plan draws, or one forced move
-/// when it draws none) racing the plan's network faults plus the
-/// deterministic kill/restart of manager 0. The drained trace feeds the
-/// oracle with the tenant-isolation (I8) and rebalance-safety (I9)
-/// invariants armed.
-fn chaos_sharded(flags: &HashMap<String, String>) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use wanacl::core::auth::signed::KeyRegistry;
-    use wanacl::core::scenario::NS_WRITER;
-
-    let seed: u64 = get(flags, "seed", 1);
-    let seconds: u64 = get(flags, "seconds", 8);
-    let tenants: usize = get(flags, "tenants", 2);
-    let spt: usize = get(flags, "shards-per-tenant", 2);
-    let hosts: usize = get(flags, "hosts", 2);
-    let users: usize = get(flags, "users", 4);
-    let intensity: f64 = get(flags, "intensity", 1.0);
-    let workers: usize = get(flags, "workers", 0);
-    let ns_replicas = 3usize;
-    let managers = 2 * tenants * spt;
-    let total_shards = tenants * spt;
-    if seconds == 0 || hosts == 0 || users == 0 || spt == 0 || spt > 256 {
-        eprintln!("chaos --tenants needs seconds, hosts, users > 0 and 1..=256 shards per tenant");
-        std::process::exit(2);
-    }
-
-    let te = SimDuration::from_secs(2);
-    let policy = Policy::builder(2)
-        .revocation_bound(te)
-        .clock_rate_bound(1.0)
-        .query_timeout(SimDuration::from_millis(100))
-        .max_attempts(2)
-        .cache_sweep_interval(SimDuration::from_millis(500))
-        .deadline_budget(SimDuration::from_secs(1))
-        .breaker(BreakerConfig::default())
-        .build();
-
-    // Same sampler as `wanacl nemesis --tenants ...`: one plan, two
-    // executors.
-    let horizon = SimDuration::from_secs(seconds);
-    let campaign = CampaignConfig {
-        seed,
-        hosts,
-        users,
-        horizon,
-        intensity,
-        tenants,
-        shards_per_tenant: spt,
-        ns_replicas,
-        shard_faults: true,
-        ..CampaignConfig::default()
-    };
-    let plan = sample_plan(&campaign);
-    println!(
-        "chaos: seed {seed}, {seconds}s live sharded soak, tenants={tenants} \
-         shards/tenant={spt} M={managers} hosts={hosts} users={users}"
-    );
-    print!("{}", plan.describe());
-
-    // Deterministic key material: the directory writer signs the shard
-    // map; every manager, replica, and host verifies against the same
-    // registry.
-    let mut registry = KeyRegistry::new();
-    let mut wrng = StdRng::seed_from_u64(seed ^ 0x6e73_7772);
-    let writer_secret = registry.enroll(NS_WRITER, &mut wrng).secret;
-    let registry = std::sync::Arc::new(registry);
-
-    // The genesis shard map: global shard s = tenant·spt + j covers
-    // buckets [j·256/spt, (j+1)·256/spt) and is owned by managers
-    // {2s, 2s+1}.
-    let apps: Vec<AppId> = (0..tenants as u32).map(AppId).collect();
-    let shard_range = |j: usize| -> (u8, u8) {
-        ((j * 256 / spt) as u8, ((j + 1) * 256 / spt - 1) as u8)
-    };
-    let genesis_entry = |s: usize| -> ShardEntry {
-        let (lo, hi) = shard_range(s % spt);
-        ShardEntry {
-            shard: ShardId(s as u32),
-            lo,
-            hi,
-            managers: vec![NodeId::from_index(2 * s), NodeId::from_index(2 * s + 1)],
-        }
-    };
-    let entries_of = |app: AppId, owners: &[Vec<NodeId>]| -> Vec<ShardEntry> {
-        (0..spt)
-            .map(|j| {
-                let s = app.0 as usize * spt + j;
-                let (lo, hi) = shard_range(j);
-                ShardEntry { shard: ShardId(s as u32), lo, hi, managers: owners[s].clone() }
-            })
-            .collect()
-    };
-    let mut owners: Vec<Vec<NodeId>> =
-        (0..total_shards).map(|s| genesis_entry(s).managers.clone()).collect();
-    let mut versions: Vec<u64> = vec![1; tenants];
-
-    // The oracle accepts exactly the map versions this run publishes.
-    let mut expected_maps: Vec<(AppId, u64, Vec<ShardEntry>)> = Vec::new();
-    for &app in &apps {
-        expected_maps.push((app, 1, entries_of(app, &owners)));
-    }
-
-    // Fresh WAL directories per run; managers respawn from them.
-    let base =
-        std::env::temp_dir().join(format!("wanacl-chaos-shard-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-
-    let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(seed);
-    b.inbox_capacity(1024);
-    let traces = b.capture_traces();
-    let sink = b.metrics().clone();
-
-    // Managers: every manager bootstraps the full per-app ACL (routing
-    // comes from the shard map, not ACL content) and serves only its own
-    // shard's bucket range.
-    let manager_ids: Vec<NodeId> = (0..managers).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let s = i / 2;
-        let entry = genesis_entry(s);
-        let config = ManagerConfig {
-            peers: manager_ids.iter().copied().filter(|p| *p != id).collect(),
-            apps: apps
-                .iter()
-                .map(|&app| {
-                    let mut acl = Acl::new();
-                    for u in 1..=users {
-                        if (u - 1) % tenants == app.0 as usize {
-                            acl.add(UserId(u as u64), Right::Use);
-                        }
-                    }
-                    ManagerApp { app, policy: policy.clone(), initial_acl: acl }
-                })
-                .collect(),
-            registry: None,
-            enforce_manage_right: false,
-            shards: vec![ManagerShard {
-                shard: entry.shard,
-                app: AppId((s / spt) as u32),
-                lo: entry.lo,
-                hi: entry.hi,
-                peers: entry.managers.iter().copied().filter(|p| *p != id).collect(),
-            }],
-            ns_trust: Some(registry.clone()),
-            retry_interval: SimDuration::from_millis(100),
-            retry_cap: SimDuration::from_secs(2),
-            retry_jitter: 0.1,
-            heartbeat_interval: SimDuration::from_millis(100),
-            grant_sweep_interval: SimDuration::from_millis(500),
-            snapshot_every: 8,
-        };
-        let dir = base.join(format!("m{i}"));
-        let factory_sink = sink.clone();
-        let got = b.add_node_with_factory(
-            format!("manager{i}"),
-            std::sync::Arc::new(move || {
-                let mut node = ManagerNode::new(config.clone());
-                let storage = FileStorage::open(dir.clone())
-                    .expect("chaos storage dir")
-                    .with_metrics(factory_sink.clone());
-                node.set_storage(Box::new(storage));
-                Box::new(node)
-            }),
-        );
-        assert_eq!(got, id);
-    }
-
-    // Directory replicas, preloaded with the signed genesis maps.
-    let replica_ids: Vec<NodeId> =
-        (managers..managers + ns_replicas).map(NodeId::from_index).collect();
-    let genesis_records: Vec<NsRecord> = apps
-        .iter()
-        .map(|&app| {
-            NsRecord::signed_sharded(app, 1, entries_of(app, &owners), NS_WRITER, &writer_secret)
-        })
-        .collect();
-    for (i, &id) in replica_ids.iter().enumerate() {
-        let peers: Vec<NodeId> = replica_ids.iter().copied().filter(|p| *p != id).collect();
-        let mut replica =
-            DirectoryReplica::new(SimDuration::from_secs(2), peers, registry.clone(), NS_WRITER);
-        for record in &genesis_records {
-            replica.preload(record.clone());
-        }
-        let got = b.add_node(format!("nsreplica{i}"), Box::new(replica));
-        assert_eq!(got, id);
-    }
-
-    // Hosts route every check through the directory-published map; the
-    // plan's stale-map fault pins a host to whatever it installs first.
-    let host_ids: Vec<NodeId> =
-        (managers + ns_replicas..managers + ns_replicas + hosts).map(NodeId::from_index).collect();
-    let pinned = plan.stale_shard_map_hosts();
-    for (i, &id) in host_ids.iter().enumerate() {
-        let mut host = HostNode::new(
-            apps.iter()
-                .map(|&app| AppHost {
-                    app,
-                    policy: policy.clone(),
-                    directory: ManagerDirectory::Replicated {
-                        replicas: replica_ids.clone(),
-                        read_quorum: 2,
-                    },
-                    application: Box::new(CountingApp::new()),
-                })
-                .collect(),
-            None,
-        );
-        host.set_ns_trust(registry.clone(), NS_WRITER);
-        if pinned.contains(&id) {
-            for &app in &apps {
-                host.set_pin_ns_version(app);
-            }
-        }
-        let got = b.add_node(format!("host{i}"), Box::new(host));
-        assert_eq!(got, id);
-    }
-
-    let mut user_ids = Vec::new();
-    for u in 1..=users {
-        user_ids.push(b.add_node(
-            format!("user{u}"),
-            Box::new(UserAgent::new(UserAgentConfig {
-                user: UserId(u as u64),
-                app: AppId(((u - 1) % tenants) as u32),
-                hosts: host_ids.clone().into(),
-                workload: Some(WorkloadShape::Periodic { period: SimDuration::from_millis(300) }),
-                payload: "chaos".into(),
-                secret: None,
-                request_timeout: SimDuration::from_secs(5),
-                max_requests: None,
-            })),
-        ));
-    }
-    if !plan.net_faults().is_empty() {
-        let faults = plan.net_faults();
-        let chaos_sink = sink.clone();
-        b.wrap_transport(move |router| ChaosRouter::new(router, faults, seed, Some(chaos_sink)));
-    }
-    if workers > 0 {
-        b.workers(workers);
-    }
-    let mut rt = match b.try_start() {
-        Ok(rt) => rt,
-        Err(e) => {
-            eprintln!("chaos: cannot start the live runtime: {e}");
-            std::process::exit(2);
-        }
-    };
-    println!("chaos: worker pool of {} threads", rt.workers());
-    let epoch = rt.epoch();
-
-    // Live rebalances: every ShardRebalance the plan drew (ring-next
-    // targets, skipping moves an earlier move made non-disjoint), or one
-    // forced move of shard 0 when the plan drew none — a soak without a
-    // handoff would leave I9 untested.
-    enum SEvent {
-        Admin(AclOp),
-        Handoff { recipients: Vec<NodeId>, msg: ProtoMsg },
-        Crash(NodeId),
-        Recover(NodeId),
-        Kill(NodeId),
-        Restart(NodeId),
-    }
-    let mut schedule: Vec<(Duration, SEvent)> = Vec::new();
-    let h = horizon.as_secs_f64();
-    let mut moves: Vec<(u32, f64)> = plan
-        .shard_rebalances()
-        .into_iter()
-        .map(|(s, at)| (s, at.as_secs_f64()))
-        .collect();
-    if moves.is_empty() {
-        moves.push((0, h * 0.5));
-    }
-    let mut scheduled_moves = Vec::new();
-    for (s, at) in moves {
-        let s = (s as usize) % total_shards;
-        let sources = owners[s].clone();
-        let targets = owners[(s + 1) % total_shards].clone();
-        if targets.iter().any(|t| sources.contains(t)) {
-            continue;
-        }
-        let t = s / spt;
-        versions[t] += 1;
-        let epoch_v = versions[t];
-        owners[s] = targets.clone();
-        let app = AppId(t as u32);
-        let entries = entries_of(app, &owners);
-        let record =
-            NsRecord::signed_sharded(app, epoch_v, entries.clone(), NS_WRITER, &writer_secret);
-        expected_maps.push((app, epoch_v, entries));
-        let msg = ProtoMsg::ShardHandoff {
-            shard: ShardId(s as u32),
-            epoch: epoch_v,
-            record: Box::new(record),
-            targets: targets.clone(),
-            publish_to: replica_ids.clone(),
-        };
-        scheduled_moves.push(format!("shard {s} -> {targets:?} at {at:.2}s (map v{epoch_v})"));
-        schedule.push((
-            Duration::from_secs_f64(at),
-            SEvent::Handoff { recipients: sources.into_iter().chain(targets).collect(), msg },
-        ));
-    }
-    for line in &scheduled_moves {
-        println!("  rebalance: {line}");
-    }
-
-    // Admin churn spans tenants; ops route to the genesis primary owner
-    // of the user's shard (post-move sources forward them on).
-    let route_admin = |app: AppId, user: UserId| -> NodeId {
-        let bucket = wanacl::core::types::user_bucket(user);
-        let j = (0..spt).position(|j| {
-            let (lo, hi) = shard_range(j);
-            lo <= bucket && bucket <= hi
-        });
-        let s = app.0 as usize * spt + j.expect("bucket ranges tile 0..=255");
-        NodeId::from_index(2 * s)
-    };
-    let mut rng = SimRng::seed_from(seed ^ 0x6164_6d69);
-    for u in 1..=users {
-        let user = UserId(u as u64);
-        let app = AppId(((u - 1) % tenants) as u32);
-        let revoke_at = h * (0.2 + 0.4 * rng.unit());
-        let regrant_at = (revoke_at + h * (0.1 + 0.2 * rng.unit())).min(h);
-        schedule.push((
-            Duration::from_secs_f64(revoke_at),
-            SEvent::Admin(AclOp::Revoke { app, user, right: Right::Use }),
-        ));
-        schedule.push((
-            Duration::from_secs_f64(regrant_at),
-            SEvent::Admin(AclOp::Add { app, user, right: Right::Use }),
-        ));
-    }
-    for fault in &plan.faults {
-        if let Fault::Crash { node, at, down_for } = fault {
-            let at = Duration::from_secs_f64(at.as_secs_f64());
-            schedule.push((at, SEvent::Crash(*node)));
-            schedule
-                .push((at + Duration::from_secs_f64(down_for.as_secs_f64()), SEvent::Recover(*node)));
-        }
-    }
-    // The deterministic kill/restart: manager 0 is a genesis owner of
-    // shard 0, so when a move of shard 0 lands nearby this doubles as a
-    // source death racing the handoff — recovery must honour the durable
-    // release markers in its WAL.
-    let kill_at = Duration::from_secs_f64(h * 0.40);
-    schedule.push((kill_at, SEvent::Kill(manager_ids[0])));
-    schedule.push((kill_at + Duration::from_millis(300), SEvent::Restart(manager_ids[0])));
-    schedule.sort_by_key(|(at, _)| *at);
-
-    let mut req = 0u64;
-    let mut lifecycle_log = Vec::new();
-    for (at, event) in schedule {
-        let now = epoch.elapsed();
-        if at > now {
-            std::thread::sleep(at - now);
-        }
-        let stamp = epoch.elapsed().as_secs_f64();
-        match event {
-            SEvent::Admin(op) => {
-                req += 1;
-                let target = route_admin(op.app(), op.user());
-                rt.send_from_env(
-                    target,
-                    ProtoMsg::Admin { op, req: ReqId(req), issuer: UserId(999), signature: None },
-                );
-            }
-            SEvent::Handoff { recipients, msg } => {
-                lifecycle_log.push(format!("handoff kickoff at {stamp:.2}s"));
-                for node in recipients {
-                    rt.send_from_env(node, msg.clone());
-                }
-            }
-            SEvent::Crash(n) => {
-                lifecycle_log.push(format!("crash {n} at {stamp:.2}s"));
-                rt.crash(n);
-            }
-            SEvent::Recover(n) => {
-                lifecycle_log.push(format!("recover {n} at {stamp:.2}s"));
-                rt.recover(n);
-            }
-            SEvent::Kill(n) => match rt.kill(n) {
-                Ok(exit) => lifecycle_log.push(format!("kill {n} at {stamp:.2}s ({exit:?})")),
-                Err(e) => lifecycle_log.push(format!("kill {n} at {stamp:.2}s FAILED: {e}")),
-            },
-            SEvent::Restart(n) => match rt.restart(n) {
-                Ok(()) => lifecycle_log.push(format!("restart {n} at {stamp:.2}s")),
-                Err(e) => lifecycle_log.push(format!("restart {n} at {stamp:.2}s FAILED: {e}")),
-            },
-        }
-    }
-    let end = Duration::from_secs(seconds) + Duration::from_secs_f64(2.0 * te.as_secs_f64());
-    while epoch.elapsed() < end {
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    for line in &lifecycle_log {
-        println!("  {line}");
-    }
-
-    let results = rt.shutdown();
-
-    // Same oracle as the sharded campaigns — I8 armed with every map
-    // version this run published, I9 from the handoff/install audits.
-    let mut oracle = InvariantOracle::new(&policy, SimDuration::from_millis(1_000));
-    for (app, version, entries) in &expected_maps {
-        oracle.expect_shard_map(*app, *version, entries);
-    }
-    let entries = traces.drain_sorted();
-    for (i, e) in entries.iter().enumerate() {
-        let event = TraceEvent::Note { node: e.node, text: e.text.clone() };
-        oracle.on_event(e.at, i as u64, &event);
-    }
-    let stats = oracle.stats();
-
-    let mut panics = Vec::new();
-    for (i, r) in results.iter().enumerate() {
-        match r {
-            Ok((NodeExit::Stopped | NodeExit::Killed, _)) => {}
-            Ok((NodeExit::Disconnected, _)) => {
-                panics.push(format!("node {i} inbox disconnected (wedged deployment)"));
-            }
-            Err(msg) => panics.push(format!("node {i} panicked: {msg}")),
-        }
-    }
-    let mut user_stats = UserStats::default();
-    for &id in &user_ids {
-        if let Some(Ok((_, node))) = results.get(id.index()) {
-            if let Some(agent) = node.as_any().downcast_ref::<UserAgent>() {
-                let s = agent.stats();
-                user_stats.sent += s.sent;
-                user_stats.allowed += s.allowed;
-                user_stats.denied += s.denied;
-                user_stats.unavailable += s.unavailable;
-                user_stats.timeouts += s.timeouts;
-            }
-        }
-    }
+    let stats = report.oracle.stats();
     println!(
         "oracle: {} allows ({} shard-routed), {} revokes, {} handoffs, {} installs \
-         over {} live trace events",
+         checked over {} live trace events",
         stats.allows,
         stats.shard_allows,
         stats.revokes,
         stats.shard_handoffs,
         stats.shard_installs,
-        entries.len()
+        report.trace_events
     );
+    let users = report.user_stats;
     println!(
         "user outcomes: {} sent, {} allowed, {} denied, {} unavailable, {} timeouts",
-        user_stats.sent,
-        user_stats.allowed,
-        user_stats.denied,
-        user_stats.unavailable,
-        user_stats.timeouts
+        users.sent, users.allowed, users.denied, users.unavailable, users.timeouts
     );
-
-    let _ = std::fs::remove_dir_all(&base);
-    let mut failed = false;
-    for v in oracle.violations() {
+    let counter = |name: &str| report.metrics.counter(name);
+    println!(
+        "hardening: breaker open={} close={} skipped={} all-open={} deadline-exceeded={}",
+        counter("rt.breaker_open"),
+        counter("rt.breaker_close"),
+        counter("rt.breaker_skipped"),
+        counter("rt.breaker_all_open"),
+        counter("rt.deadline_exceeded"),
+    );
+    if !control {
+        println!(
+            "chaos transport: dropped={} duplicated={} delayed={} inbox overflow={}",
+            counter("rt.chaos_dropped"),
+            counter("rt.chaos_duplicated"),
+            counter("rt.chaos_delayed"),
+            counter("rt.inbox_overflow"),
+        );
+    }
+    if let Some(path) = &report_out {
+        write_or_exit(path, soak_report_jsonl(&config, c, plan, &report));
+        println!("report: JSONL soak report -> {path}");
+    }
+    for v in report.oracle.violations() {
         println!("VIOLATION: {v}");
-        failed = true;
     }
-    for p in &panics {
-        println!("FAILURE: {p}");
-        failed = true;
+    for failure in &report.failures {
+        println!("FAILURE: {failure}");
     }
-    if failed {
+    if !report.is_clean() {
         std::process::exit(1);
     }
-    println!("sharded chaos soak clean: no invariant violations, no node failures");
+    println!("chaos soak clean: no invariant violations, no node failures");
+}
+
+/// The JSONL soak report: one meta line, one line per injected fault
+/// and lifecycle step (`plan` is `None` on control runs), the oracle
+/// roll-up, every violation and node failure, and the outcome verdict.
+fn soak_report_jsonl(
+    config: &CampaignConfig,
+    check_quorum: usize,
+    plan: Option<&NemesisPlan>,
+    report: &LiveReport,
+) -> String {
+    let mut out = format!(
+        "{{\"kind\":\"meta\",\"seed\":{},\"seconds\":{},\"managers\":{},\"hosts\":{},\
+         \"users\":{},\"check_quorum\":{check_quorum},\"intensity\":{},\"control\":{},\
+         \"inject_bug\":\"{}\",\"tenants\":{},\"shards_per_tenant\":{}}}\n",
+        config.seed,
+        config.horizon.as_secs_f64(),
+        campaign_targets(config).managers.len(),
+        config.hosts,
+        config.users,
+        config.intensity,
+        plan.is_none(),
+        bug_name(config.inject_bug),
+        config.tenants,
+        config.shards_per_tenant,
+    );
+    if let Some(plan) = plan {
+        for fault in &plan.faults {
+            out.push_str(&json_line("fault", "desc", &fault.to_string()));
+        }
+        for step in &report.lifecycle {
+            out.push_str(&json_line("lifecycle", "desc", step));
+        }
+    }
+    let stats = report.oracle.stats();
+    out.push_str(&format!(
+        "{{\"kind\":\"oracle\",\"allows\":{},\"revokes\":{},\"handoffs\":{},\"installs\":{},\
+         \"trace_events\":{},\"digest\":{},\"violations\":{}}}\n",
+        stats.allows,
+        stats.revokes,
+        stats.shard_handoffs,
+        stats.shard_installs,
+        report.trace_events,
+        report.oracle.audit_digest(),
+        report.oracle.violations().len()
+    ));
+    for v in report.oracle.violations() {
+        out.push_str(&json_line("violation", "detail", &v.to_string()));
+    }
+    for failure in &report.failures {
+        out.push_str(&json_line("panic", "detail", failure));
+    }
+    let users = report.user_stats;
+    out.push_str(&format!(
+        "{{\"kind\":\"outcome\",\"clean\":{},\"sent\":{},\"allowed\":{},\"denied\":{},\
+         \"unavailable\":{},\"timeouts\":{}}}\n",
+        report.is_clean(),
+        users.sent,
+        users.allowed,
+        users.denied,
+        users.unavailable,
+        users.timeouts
+    ));
+    out
 }
 
 /// Runs a short standard deployment and exports its full metrics
 /// snapshot — the same registry (DESIGN.md §11) the simulator campaigns
 /// and the live rt runtime emit — as Prometheus text or JSONL.
-fn obs(flags: &HashMap<String, String>) {
-    let managers: usize = get(flags, "managers", 3);
-    let hosts: usize = get(flags, "hosts", 2);
-    let users: usize = get(flags, "users", 3);
-    let c: usize = get(flags, "check-quorum", (managers / 2).max(1));
-    let minutes: u64 = get(flags, "minutes", 2);
-    let pi: f64 = get(flags, "pi", 0.1);
-    let seed: u64 = get(flags, "seed", 1);
-    let ns_replicas: usize = get(flags, "ns-replicas", 0);
-    let ns_read_quorum: usize = get(flags, "ns-read-quorum", 0);
-    let format = flags.get("format").map(String::as_str).unwrap_or("prometheus");
+fn obs(mut flags: Flags) {
+    let managers: usize = flags.get("managers", 3);
+    let hosts: usize = flags.get("hosts", 2);
+    let users: usize = flags.get("users", 3);
+    let c: usize = flags.get("check-quorum", (managers / 2).max(1));
+    let minutes: u64 = flags.get("minutes", 2);
+    let pi: f64 = flags.get("pi", 0.1);
+    let seed: u64 = flags.get("seed", 1);
+    let ns_replicas: usize = flags.get("ns-replicas", 0);
+    let ns_read_quorum: usize = flags.get("ns-read-quorum", 0);
+    let format = flags.text("format").unwrap_or_else(|| "prometheus".to_owned());
+    let out = flags.text("out");
+    flags.done();
 
     let policy = Policy::builder(c)
         .revocation_bound(SimDuration::from_secs(20))
@@ -1490,28 +826,23 @@ fn obs(flags: &HashMap<String, String>) {
     d.run_for(SimDuration::from_secs(30));
 
     let metrics = d.world.metrics();
-    let rendered = match format {
+    let rendered = match format.as_str() {
         "prometheus" | "prom" => prometheus_text(metrics),
         "jsonl" => metrics_jsonl(metrics, &format!("seed-{seed}")),
-        other => {
-            eprintln!("unknown --format {other} (expected: prometheus or jsonl)");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown --format {other} (expected: prometheus or jsonl)")),
     };
-    match flags.get("out") {
+    match out {
         Some(path) => {
-            if let Err(e) = std::fs::write(path, rendered) {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(2);
-            }
+            write_or_exit(&path, rendered);
             println!("metrics snapshot ({format}) -> {path}");
         }
         None => print!("{rendered}"),
     }
 }
 
-fn audit(flags: &HashMap<String, String>) {
-    let seed: u64 = get(flags, "seed", 7);
+fn audit(mut flags: Flags) {
+    let seed: u64 = flags.get("seed", 7);
+    flags.done();
     let te = SimDuration::from_secs(20);
     let policy = Policy::builder(2)
         .revocation_bound(te)

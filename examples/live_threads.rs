@@ -8,68 +8,21 @@ use std::time::Duration;
 
 use wanacl::prelude::*;
 use wanacl::rt::router::PartitionSwitch;
-use wanacl::rt::RuntimeBuilder;
+use wanacl::rt::{install_roster, live_manager_tuning, live_policy, RuntimeBuilder};
 
 fn main() {
-    let policy = Policy::builder(2)
-        .revocation_bound(SimDuration::from_secs(2))
-        .query_timeout(SimDuration::from_millis(150))
-        .max_attempts(2)
-        .cache_sweep_interval(SimDuration::from_millis(500))
-        .build();
-    let mut acl = Acl::new();
-    acl.add(UserId(1), Right::Use);
-
+    // The roster a simulated `Scenario::build()` would install on a
+    // `World`, installed on the worker pool instead.
+    let roster = Scenario::builder(3)
+        .managers(3)
+        .policy(live_policy(2).build())
+        .all_users_granted()
+        .manager_tuning(live_manager_tuning())
+        .application(|_| Box::new(EchoApp))
+        .roster();
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(3);
-    let manager_ids: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
-    for (i, &id) in manager_ids.iter().enumerate() {
-        let peers = manager_ids.iter().copied().filter(|p| *p != id).collect();
-        b.add_node(
-            format!("manager{i}"),
-            Box::new(ManagerNode::new(ManagerConfig {
-                peers,
-                apps: vec![ManagerApp {
-                    app: AppId(0),
-                    policy: policy.clone(),
-                    initial_acl: acl.clone(),
-                }],
-                registry: None,
-                enforce_manage_right: false,
-                retry_interval: SimDuration::from_millis(100),
-                retry_cap: SimDuration::from_secs(2),
-                retry_jitter: 0.1,
-                heartbeat_interval: SimDuration::from_millis(200),
-                grant_sweep_interval: SimDuration::from_secs(1),
-                snapshot_every: 64,
-                ..ManagerConfig::default()
-            })),
-        );
-    }
-    let host = b.add_node(
-        "host",
-        Box::new(HostNode::new(
-            vec![AppHost {
-                app: AppId(0),
-                policy: policy.clone(),
-                directory: ManagerDirectory::Static(manager_ids.clone().into()),
-                application: Box::new(EchoApp),
-            }],
-            None,
-        )),
-    );
-    let user = b.add_node(
-        "user",
-        Box::new(UserAgent::new(UserAgentConfig {
-            user: UserId(1),
-            app: AppId(0),
-            hosts: vec![host].into(),
-            workload: None,
-            payload: "live request".into(),
-            secret: None,
-            request_timeout: SimDuration::from_secs(5),
-            max_requests: None,
-        })),
-    );
+    let layout = install_roster(&mut b, roster, |_| None);
+    let (manager_ids, host, user) = (layout.managers, layout.hosts[0], layout.users[0].1);
 
     let rt = b.start();
     let invoke = |payload: &str| {
@@ -85,7 +38,7 @@ fn main() {
         );
     };
 
-    println!("live deployment on {} threads; C=2 of M=3", manager_ids.len() + 2);
+    println!("live deployment on {} threads; C=2 of M=3", rt.workers());
     std::thread::sleep(Duration::from_millis(200));
 
     invoke("first");
