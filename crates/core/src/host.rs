@@ -502,7 +502,7 @@ impl HostNode {
         if let Some(b) = state.breaker.as_mut() {
             if b.record_success(from) {
                 ctx.metric_incr("rt.breaker_close");
-                ctx.trace(format!("audit=breaker-close peer={}", from.index()));
+                ctx.trace_with(|| format!("audit=breaker-close peer={}", from.index()));
             }
         }
         if !state.ns_inflight {
@@ -589,7 +589,7 @@ impl HostNode {
             }
             state.ns_expiry_timer = Some(ctx.set_timer(ttl, TAG_NSEXP | u64::from(app.0)));
             ctx.metric_incr("ns.installs");
-            ctx.trace(format!(
+            ctx.trace_with(|| format!(
                 "audit=ns-install app={} version={} mode=quorum acks={} quorum={} mgrs={} ttl={}",
                 app.0,
                 version,
@@ -629,7 +629,7 @@ impl HostNode {
                 for peer in silent {
                     if b.record_failure(peer, bnow) == FailureOutcome::Opened {
                         ctx.metric_incr("rt.breaker_open");
-                        ctx.trace(format!("audit=breaker-open peer={}", peer.index()));
+                        ctx.trace_with(|| format!("audit=breaker-open peer={}", peer.index()));
                     }
                 }
             }
@@ -641,7 +641,7 @@ impl HostNode {
                 // Graceful degradation: the quorum is unreachable but the
                 // last-known-good record has TTL left — keep serving it.
                 ctx.metric_incr("ns.degraded_rounds");
-                ctx.trace(format!(
+                ctx.trace_with(|| format!(
                     "audit=ns-degraded app={} version={}",
                     app.0, state.record_version,
                 ));
@@ -661,7 +661,7 @@ impl HostNode {
             return; // superseded by a fresher install; its timer is armed
         }
         ctx.metric_incr("ns.record_expired");
-        ctx.trace(format!(
+        ctx.trace_with(|| format!(
             "audit=ns-expire app={} version={}",
             app.0, state.record_version,
         ));
@@ -823,22 +823,10 @@ impl HostNode {
                     .get(&p.app)
                     .map(|s| s.policy.check_quorum())
                     .unwrap_or(0);
-                // Streamed into the detail buffer: this runs once per
-                // granted check, so no per-manager Strings or join vector.
-                use std::fmt::Write as _;
-                let mut detail =
-                    format!("mode=quorum confirms={} c={} mgrs=", p.grants.len(), check_quorum);
-                for (i, n) in p.grants.keys().enumerate() {
-                    if i > 0 {
-                        detail.push(';');
-                    }
-                    let _ = write!(detail, "{}", n.index());
-                }
-                let _ = write!(detail, " started={}", p.attempt_started.as_nanos());
-                if min_te > SimDuration::ZERO {
-                    let limit = p.attempt_started.plus(min_te);
-                    detail.push_str(&format!(" limit={}", limit.as_nanos()));
-                    ctx.trace(format!(
+                let limit =
+                    (min_te > SimDuration::ZERO).then(|| p.attempt_started.plus(min_te));
+                if let Some(limit) = limit {
+                    ctx.trace_with(|| format!(
                         "audit=cache-store app={} user={} started={} limit={} te={}",
                         p.app.0,
                         p.user.0,
@@ -853,18 +841,36 @@ impl HostNode {
                     }
                     self.arm_refresh(ctx, p.app, p.user, limit);
                 }
-                self.allow(ctx, p.app, p.user, &p.payload, &detail)
+                self.allow(ctx, p.app, p.user, &p.payload, || {
+                    // Streamed into one buffer: this runs once per
+                    // granted check, so no per-manager Strings or join
+                    // vector.
+                    use std::fmt::Write as _;
+                    let mut detail =
+                        format!("mode=quorum confirms={} c={} mgrs=", p.grants.len(), check_quorum);
+                    for (i, n) in p.grants.keys().enumerate() {
+                        if i > 0 {
+                            detail.push(';');
+                        }
+                        let _ = write!(detail, "{}", n.index());
+                    }
+                    let _ = write!(detail, " started={}", p.attempt_started.as_nanos());
+                    if let Some(limit) = limit {
+                        let _ = write!(detail, " limit={}", limit.as_nanos());
+                    }
+                    detail
+                })
             }
             FinishKind::FailOpen => {
                 // Figure 4: allow, but nothing is cached — no te is known.
                 self.stats.fail_open_allows += 1;
                 ctx.metric_incr("host.fail_open");
-                self.allow(ctx, p.app, p.user, &p.payload, "mode=failopen")
+                self.allow(ctx, p.app, p.user, &p.payload, || "mode=failopen".to_owned())
             }
             FinishKind::Deny => {
                 self.stats.denied += 1;
                 ctx.metric_incr("host.denied");
-                ctx.trace(format!("audit=deny app={} user={}", p.app.0, p.user.0));
+                ctx.trace_with(|| format!("audit=deny app={} user={}", p.app.0, p.user.0));
                 InvokeOutcome::Denied
             }
             FinishKind::Unavailable => {
@@ -889,7 +895,7 @@ impl HostNode {
                     p.grants.values().copied().min().unwrap_or(SimDuration::ZERO);
                 if min_te > SimDuration::ZERO {
                     let limit = p.attempt_started.plus(min_te);
-                    ctx.trace(format!(
+                    ctx.trace_with(|| format!(
                         "audit=cache-store app={} user={} started={} limit={} te={}",
                         p.app.0,
                         p.user.0,
@@ -992,18 +998,19 @@ impl HostNode {
     /// Grants the invocation. `detail` is appended to the audit note as
     /// extra `key=value` tokens recording *why* the host said yes
     /// (cache hit, fresh quorum, fail-open) — the invariant oracle
-    /// reads these; `parse_note` ignores them.
+    /// reads these; `parse_note` ignores them. It runs only when the
+    /// driver consumes notes.
     fn allow(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
         app: AppId,
         user: UserId,
         payload: &str,
-        detail: &str,
+        detail: impl FnOnce() -> String,
     ) -> InvokeOutcome {
         self.stats.allowed += 1;
         ctx.metric_incr("host.allowed");
-        ctx.trace(format!("audit=allow app={} user={} {}", app.0, user.0, detail));
+        ctx.trace_with(|| format!("audit=allow app={} user={} {}", app.0, user.0, detail()));
         let response = match self.apps.get_mut(&app) {
             Some(state) => state.application.handle(user, payload),
             None => String::new(),
@@ -1061,12 +1068,10 @@ impl HostNode {
                 // construction. Recording it keeps the latency split
                 // histograms directly comparable.
                 ctx.metric_observe("host.latency.cache_s", 0.0);
-                let detail = format!(
-                    "mode=cache now={} limit={}",
-                    ctx.local_now().as_nanos(),
-                    limit.as_nanos(),
-                );
-                let outcome = self.allow(ctx, app, user, &payload, &detail);
+                let now = ctx.local_now();
+                let outcome = self.allow(ctx, app, user, &payload, || {
+                    format!("mode=cache now={} limit={}", now.as_nanos(), limit.as_nanos())
+                });
                 ctx.send(from, ProtoMsg::InvokeReply { req, outcome });
             }
             CacheDecision::Expired | CacheDecision::Missing => {
@@ -1126,7 +1131,7 @@ impl HostNode {
         if let Some(b) = self.apps.get_mut(&app).and_then(|s| s.breaker.as_mut()) {
             if b.record_success(from) {
                 ctx.metric_incr("rt.breaker_close");
-                ctx.trace(format!("audit=breaker-close peer={}", from.index()));
+                ctx.trace_with(|| format!("audit=breaker-close peer={}", from.index()));
             }
         }
         let Some(p) = self.pending.get_mut(&pending_id) else { return };
@@ -1174,7 +1179,12 @@ impl HostNode {
         // answered is charged a breaker failure. (The early abort via
         // `Unavailable` replies does not charge anyone — those peers
         // were never given their full timeout.)
-        if let Some(p) = self.pending.get(&pending_id) {
+        if let Some(p) = self.pending.get_mut(&pending_id) {
+            // The timer that brought us here is spent: forget its id, or
+            // the next attempt (or `finish`) would cancel it again and a
+            // wall-clock driver would keep the id until a wheel entry
+            // that has already matured matures.
+            p.timer = None;
             let silent: Vec<NodeId> = p
                 .targets
                 .iter()
@@ -1187,7 +1197,7 @@ impl HostNode {
                 for peer in silent {
                     if b.record_failure(peer, bnow) == FailureOutcome::Opened {
                         ctx.metric_incr("rt.breaker_open");
-                        ctx.trace(format!("audit=breaker-open peer={}", peer.index()));
+                        ctx.trace_with(|| format!("audit=breaker-open peer={}", peer.index()));
                     }
                 }
             }
@@ -1212,7 +1222,7 @@ impl HostNode {
             .unwrap_or(false);
         if deadline_hit {
             ctx.metric_incr("rt.deadline_exceeded");
-            ctx.trace(format!(
+            ctx.trace_with(|| format!(
                 "audit=deadline app={} user={} attempt={}",
                 p.app.0, p.user.0, p.attempt,
             ));

@@ -697,7 +697,7 @@ impl ManagerNode {
             // Everything acked from here on must survive any crash; the
             // oracle's durability invariant checks recoveries against
             // these notes.
-            ctx.trace(format!(
+            ctx.trace_with(|| format!(
                 "audit=durable app={} user={} right={} kind={} seq={} origin={}",
                 op.app().0,
                 op.user().0,
@@ -740,7 +740,7 @@ impl ManagerNode {
             let elapsed = ctx.local_now().since(pending.started);
             ctx.metric_observe("mgr.time_to_quorum_s", elapsed.as_secs_f64());
             let kind = if pending.op.is_revoke() { "revoke-stable" } else { "grant-stable" };
-            ctx.trace(format!(
+            ctx.trace_with(|| format!(
                 "audit={kind} app={} user={} seq={} origin={}",
                 pending.op.app().0,
                 pending.op.user().0,
@@ -842,19 +842,28 @@ impl ManagerNode {
         self.wal_since_snapshot = recovered.records.len() as u64;
         self.stats.recovered_from_disk += 1;
         ctx.metric_incr("mgr.recovered_from_disk");
-        use std::fmt::Write as _;
-        let mut note = format!(
-            "audit=recovered mode=disk replayed={replayed} torn={} slots=",
-            recovered.torn_records,
-        );
-        for (i, (&(app, user, right), &(id, _))) in self.lww.iter().enumerate() {
-            if i > 0 {
-                note.push(',');
+        ctx.trace_with(|| {
+            use std::fmt::Write as _;
+            let mut note = format!(
+                "audit=recovered mode=disk replayed={replayed} torn={} slots=",
+                recovered.torn_records,
+            );
+            for (i, (&(app, user, right), &(id, _))) in self.lww.iter().enumerate() {
+                if i > 0 {
+                    note.push(',');
+                }
+                let _ = write!(
+                    note,
+                    "{}:{}:{}:{}:{}",
+                    app.0,
+                    user.0,
+                    right,
+                    id.seq,
+                    id.origin.index()
+                );
             }
-            let _ =
-                write!(note, "{}:{}:{}:{}:{}", app.0, user.0, right, id.seq, id.origin.index());
-        }
-        ctx.trace(note);
+            note
+        });
     }
 
     /// Replays local stable storage if there is any; returns whether the
@@ -1067,7 +1076,7 @@ impl ManagerNode {
         let digest = transfer_digest(&ops);
         // The I9 source-side note: what this source claims to have
         // handed over. The target's install note must match it.
-        ctx.trace(format!(
+        ctx.trace_with(|| format!(
             "audit=shard-handoff shard={} epoch={epoch} src={} digest={digest} count={}",
             shard.0,
             me.index(),
@@ -1138,7 +1147,7 @@ impl ManagerNode {
             }
             let digest = transfer_digest(&ops);
             // The I9 target-side note: what was actually installed.
-            ctx.trace(format!(
+            ctx.trace_with(|| format!(
                 "audit=shard-install shard={} epoch={epoch} src={} digest={digest} count={}",
                 shard.0,
                 from.index(),
@@ -1514,7 +1523,7 @@ impl ManagerNode {
         // Origin apply note: the oracle reconstructs the ACL's
         // last-writer-wins order from these (seq, origin) stamps, which
         // survives admin resends reordering against concurrent ops.
-        ctx.trace(format!(
+        ctx.trace_with(|| format!(
             "audit=apply kind={} app={} user={} seq={} origin={}",
             if op.is_revoke() { "revoke" } else { "add" },
             op.app().0,
@@ -1699,7 +1708,7 @@ impl ManagerNode {
             let verdict = QueryVerdict::Grant { te };
             self.stats.grants += 1;
             ctx.metric_incr("mgr.grants");
-            ctx.trace(format!(
+            ctx.trace_with(|| format!(
                 "audit=grant app={} user={} te={}",
                 app.0,
                 user.0,
@@ -1756,9 +1765,9 @@ impl ManagerNode {
             });
             if state.frozen && !was_frozen {
                 ctx.metric_incr("mgr.freeze_transitions");
-                ctx.trace(format!("audit=freeze app={}", app.0));
+                ctx.trace_with(|| format!("audit=freeze app={}", app.0));
             } else if !state.frozen && was_frozen {
-                ctx.trace(format!("audit=thaw app={}", app.0));
+                ctx.trace_with(|| format!("audit=thaw app={}", app.0));
             }
         }
         ctx.set_timer(self.heartbeat_period(), TAG_HEARTBEAT);
@@ -1924,7 +1933,7 @@ impl ManagerNode {
         self.sync_round = 0;
         if was_cold {
             ctx.metric_incr("mgr.recovered_via_sync");
-            ctx.trace(format!("audit=recovered mode=sync merged={merged}"));
+            ctx.trace_with(|| format!("audit=recovered mode=sync merged={merged}"));
         } else {
             ctx.metric_incr("mgr.delta_sync_complete");
         }

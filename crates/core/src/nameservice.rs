@@ -287,7 +287,7 @@ impl DirectoryReplica {
     }
 
     fn note_record(ctx: &mut Context<'_, ProtoMsg>, kind: &str, record: &NsRecord) {
-        ctx.trace(format!(
+        ctx.trace_with(|| format!(
             "audit={kind} app={} version={} mgrs={}",
             record.app.0,
             record.version,

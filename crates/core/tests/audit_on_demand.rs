@@ -1,0 +1,236 @@
+//! Audit text is built on demand: a driver that drops notes
+//! (`Context::with_notes(false)`, the live runtime without
+//! `capture_traces()`) must see exactly the effects a note-consuming
+//! driver sees, minus the `Effect::Trace` entries — and the text a
+//! consumer does get must not move by a byte.
+
+use std::fmt::Debug;
+
+use wanacl_core::manager::{ManagerApp, ManagerConfig};
+use wanacl_core::prelude::{
+    Acl, AclOp, AppHost, AppId, CountingApp, ExhaustionBehavior, HostNode, ManagerDirectory,
+    ManagerNode, OpId, Policy, ProtoMsg, QueryVerdict, ReqId, Right, UserId,
+};
+use wanacl_sim::clock::LocalTime;
+use wanacl_sim::node::{Context, Effect, Node, NodeId};
+use wanacl_sim::rng::SimRng;
+use wanacl_sim::time::SimDuration;
+
+const FAIL_CLOSED: AppId = AppId(0);
+const FAIL_OPEN: AppId = AppId(1);
+const HOST: usize = 3;
+const CLIENT: usize = 9;
+const ADMIN: usize = 8;
+
+/// One node driven by hand: every handler call appends `(step, effect)`
+/// to the log.
+struct Driven<N> {
+    node: N,
+    id: NodeId,
+    rng: SimRng,
+    next_timer: u64,
+    notes: bool,
+    log: Vec<(usize, Effect<ProtoMsg>)>,
+    steps: usize,
+}
+
+impl<N: Node<Msg = ProtoMsg>> Driven<N> {
+    fn new(node: N, id: usize, notes: bool) -> Self {
+        Driven {
+            node,
+            id: NodeId::from_index(id),
+            rng: SimRng::seed_from(7),
+            next_timer: 0,
+            notes,
+            log: Vec::new(),
+            steps: 0,
+        }
+    }
+
+    /// Runs one handler at local time `ms`; returns its effects' index
+    /// range in the log.
+    fn call(
+        &mut self,
+        ms: u64,
+        handler: impl FnOnce(&mut N, &mut Context<'_, ProtoMsg>),
+    ) -> std::ops::Range<usize> {
+        let mut effects = Vec::new();
+        let now = LocalTime::from_nanos(ms * 1_000_000);
+        let mut ctx = Context::new(self.id, now, &mut effects, &mut self.rng, &mut self.next_timer)
+            .with_notes(self.notes);
+        handler(&mut self.node, &mut ctx);
+        let start = self.log.len();
+        let step = self.steps;
+        self.steps += 1;
+        self.log.extend(effects.into_iter().map(|e| (step, e)));
+        start..self.log.len()
+    }
+
+    fn deliver(&mut self, ms: u64, from: usize, msg: ProtoMsg) -> std::ops::Range<usize> {
+        self.call(ms, |node, ctx| node.on_message(ctx, NodeId::from_index(from), msg))
+    }
+
+    fn notes(&self) -> Vec<&str> {
+        self.log
+            .iter()
+            .filter_map(|(_, e)| match e {
+                Effect::Trace { text } => Some(text.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The log without its notes, rendered for comparison (`Effect` is
+    /// `Debug`, not `PartialEq`).
+    fn without_notes(&self) -> Vec<String> {
+        self.log
+            .iter()
+            .filter(|(_, e)| !matches!(e, Effect::Trace { .. }))
+            .map(|(step, e)| format!("{step}: {e:?}"))
+            .collect()
+    }
+}
+
+fn invoke(app: AppId, user: u64, req: u64) -> ProtoMsg {
+    ProtoMsg::Invoke { app, user: UserId(user), req: ReqId(req), payload: "q".into(), signature: None }
+}
+
+/// The query id and timer tag the host's last step produced.
+fn query_of(host: &Driven<HostNode>, step: std::ops::Range<usize>) -> (ReqId, u64) {
+    let mut found = (None, None);
+    for (_, effect) in &host.log[step] {
+        match effect {
+            Effect::Send { msg: ProtoMsg::Query { req, .. }, .. } => found.0 = Some(*req),
+            Effect::SetTimer { tag, .. } => found.1 = Some(*tag),
+            _ => {}
+        }
+    }
+    (found.0.expect("a query went out"), found.1.expect("its timer was armed"))
+}
+
+fn reply(req: ReqId, app: AppId, user: u64, verdict: QueryVerdict) -> ProtoMsg {
+    ProtoMsg::QueryReply { req, app, user: UserId(user), verdict, mac: None }
+}
+
+/// Cache miss → quorum grant, cache hit, deny, fail-open, revoke notice.
+fn host_script(notes: bool) -> Driven<HostNode> {
+    let managers: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
+    let policy = |exhaustion| {
+        Policy::builder(2)
+            .revocation_bound(SimDuration::from_secs(10))
+            .query_timeout(SimDuration::from_millis(100))
+            .max_attempts(1)
+            .exhaustion(exhaustion)
+            .build()
+    };
+    let app = |app, exhaustion| AppHost {
+        app,
+        policy: policy(exhaustion),
+        directory: ManagerDirectory::Static(managers.clone().into()),
+        application: Box::new(CountingApp::new()),
+    };
+    let node = HostNode::new(
+        vec![app(FAIL_CLOSED, ExhaustionBehavior::FailClosed), app(FAIL_OPEN, ExhaustionBehavior::FailOpen)],
+        None,
+    );
+    let mut host = Driven::new(node, HOST, notes);
+    host.call(0, |node, ctx| node.on_start(ctx));
+    let grant = QueryVerdict::Grant { te: SimDuration::from_secs(5) };
+
+    // Miss, then two grants make the check quorum.
+    let step = host.deliver(1, CLIENT, invoke(FAIL_CLOSED, 1, 1));
+    let (req, _) = query_of(&host, step);
+    host.deliver(2, 0, reply(req, FAIL_CLOSED, 1, grant));
+    host.deliver(3, 2, reply(req, FAIL_CLOSED, 1, grant));
+    // Hit.
+    host.deliver(4, CLIENT, invoke(FAIL_CLOSED, 1, 2));
+    // Miss, one deny vetoes.
+    let step = host.deliver(5, CLIENT, invoke(FAIL_CLOSED, 2, 3));
+    let (req, _) = query_of(&host, step);
+    host.deliver(6, 1, reply(req, FAIL_CLOSED, 2, QueryVerdict::Deny));
+    // Miss, nobody answers, the only attempt times out: fail open.
+    let step = host.deliver(7, CLIENT, invoke(FAIL_OPEN, 3, 4));
+    let (_, tag) = query_of(&host, step);
+    host.call(107, |node, ctx| node.on_timer(ctx, tag));
+    // A revoke notice flushes the lease; the next invoke misses again.
+    host.deliver(108, 0, ProtoMsg::RevokeNotice { app: FAIL_CLOSED, user: UserId(1), mac: None });
+    host.deliver(109, CLIENT, invoke(FAIL_CLOSED, 1, 5));
+    host
+}
+
+/// A query granted, then a revoke applied and made stable.
+fn manager_script(notes: bool) -> Driven<ManagerNode> {
+    let mut acl = Acl::new();
+    acl.add(UserId(1), Right::Use);
+    let node = ManagerNode::new(ManagerConfig {
+        peers: vec![NodeId::from_index(1), NodeId::from_index(2)],
+        apps: vec![ManagerApp {
+            app: FAIL_CLOSED,
+            policy: Policy::builder(2).revocation_bound(SimDuration::from_secs(10)).build(),
+            initial_acl: acl,
+        }],
+        ..ManagerConfig::default()
+    });
+    let mut manager = Driven::new(node, 0, notes);
+    manager.call(0, |node, ctx| node.on_start(ctx));
+    manager.deliver(
+        1,
+        HOST,
+        ProtoMsg::Query { app: FAIL_CLOSED, user: UserId(1), req: ReqId(40) },
+    );
+    let op = AclOp::Revoke { app: FAIL_CLOSED, user: UserId(1), right: Right::Use };
+    let step = manager
+        .deliver(2, ADMIN, ProtoMsg::Admin { op, req: ReqId(1), issuer: UserId(0), signature: None });
+    let id: OpId = manager.log[step]
+        .iter()
+        .find_map(|(_, e)| match e {
+            Effect::Send { msg: ProtoMsg::Update { id, .. }, .. } => Some(*id),
+            _ => None,
+        })
+        .expect("the revoke is disseminated");
+    manager.deliver(3, 1, ProtoMsg::UpdateAck { id });
+    manager.deliver(4, 2, ProtoMsg::UpdateAck { id });
+    manager
+}
+
+fn assert_notes_cost_nothing_else<N: Node<Msg = ProtoMsg> + Debug>(
+    on: &Driven<N>,
+    off: &Driven<N>,
+) {
+    assert!(off.notes().is_empty(), "a driver that drops notes is sent none");
+    assert_eq!(on.without_notes(), off.without_notes());
+    assert_eq!(format!("{:?}", on.node), format!("{:?}", off.node), "same state either way");
+}
+
+#[test]
+fn host_effects_are_the_same_with_notes_off_minus_the_notes() {
+    let (on, off) = (host_script(true), host_script(false));
+    assert_notes_cost_nothing_else(&on, &off);
+    // Pinned from 816563d, where every note was formatted eagerly.
+    assert_eq!(
+        on.notes(),
+        [
+            "audit=cache-store app=0 user=1 started=1000000 limit=5001000000 te=5000000000",
+            "audit=allow app=0 user=1 mode=quorum confirms=2 c=2 mgrs=0;2 started=1000000 \
+             limit=5001000000",
+            "audit=allow app=0 user=1 mode=cache now=4000000 limit=5001000000",
+            "audit=deny app=0 user=2",
+            "audit=allow app=1 user=3 mode=failopen",
+        ]
+    );
+}
+
+#[test]
+fn manager_effects_are_the_same_with_notes_off_minus_the_notes() {
+    let (on, off) = (manager_script(true), manager_script(false));
+    assert_notes_cost_nothing_else(&on, &off);
+    // Pinned from 816563d.
+    assert_eq!(
+        on.notes(),
+        [
+            "audit=grant app=0 user=1 te=9900000000",
+            "audit=apply kind=revoke app=0 user=1 seq=1 origin=0",
+            "audit=revoke-stable app=0 user=1 seq=1 origin=0",
+        ]
+    );
+}

@@ -2,11 +2,13 @@
 
 use crossbeam::channel::{Sender, TrySendError};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use wanacl_sim::node::NodeId;
 use wanacl_sim::obs::MetricsSink;
+
+use crate::runtime::{CellPush, NodeCell};
 
 /// An inbox item delivered through a raw channel mailbox (the
 /// [`Router::register`] path used by router/chaos tests and external
@@ -51,12 +53,13 @@ pub trait Transport<M: Send + Sync + 'static>: Send + Sync {
     }
 
     /// Routes an ordered per-peer batch of already-shared messages —
-    /// the worker pool's coalesced flush. The default forwards one
-    /// message at a time so fault-injecting decorators keep their
+    /// the worker pool's coalesced flush — leaving `msgs` empty with
+    /// its capacity for the caller's next step. The default forwards
+    /// one message at a time so fault-injecting decorators keep their
     /// per-message drop/dup/delay semantics; [`Router`] overrides it to
     /// lock and wake the destination mailbox once for the whole batch.
-    fn send_batch(&self, from: NodeId, to: NodeId, msgs: Vec<Arc<M>>) {
-        for msg in msgs {
+    fn send_batch(&self, from: NodeId, to: NodeId, msgs: &mut Vec<Arc<M>>) {
+        for msg in msgs.drain(..) {
             self.send_shared(from, to, msg);
         }
     }
@@ -67,16 +70,6 @@ pub trait Transport<M: Send + Sync + 'static>: Send + Sync {
 pub trait LinkPolicy<M>: Send + Sync {
     /// Whether the message may be delivered.
     fn allow(&self, from: NodeId, to: NodeId, msg: &M) -> bool;
-}
-
-/// Deliver everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeliverAll;
-
-impl<M> LinkPolicy<M> for DeliverAll {
-    fn allow(&self, _from: NodeId, _to: NodeId, _msg: &M) -> bool {
-        true
-    }
 }
 
 /// A dynamic partition switch: when engaged, messages between the two
@@ -163,28 +156,29 @@ impl<M> LinkPolicy<M> for LossyPolicy {
 /// in the attached metrics sink), exactly like a NIC ring overrun. Only
 /// data-plane messages can overflow — lifecycle envelopes bypass the
 /// bound on the channel's control lane.
+///
+/// The worker pool's cells are a table frozen when the runtime starts
+/// (restart revives a cell in place, so a node id's mailbox never
+/// changes), and the link policy is consulted only once one has been
+/// installed: a message between pooled nodes takes no router lock.
+/// Channel taps ([`Router::register`]) may come and go at any time and
+/// sit behind a lock, with ids following the cells'.
 pub struct Router<M> {
-    inboxes: RwLock<Vec<Mailbox<M>>>,
-    policy: RwLock<Arc<dyn LinkPolicy<M>>>,
+    cells: OnceLock<Box<[Arc<NodeCell<M>>]>>,
+    taps: RwLock<Vec<Sender<Envelope<M>>>>,
+    policy: RwLock<Option<Arc<dyn LinkPolicy<M>>>>,
+    /// Whether `policy` holds one; never cleared.
+    has_policy: AtomicBool,
     metrics: RwLock<Option<MetricsSink>>,
     sent: AtomicU64,
     dropped: AtomicU64,
     overflowed: AtomicU64,
 }
 
-/// Where one node's data traffic lands.
-pub(crate) enum Mailbox<M> {
-    /// A raw channel inbox (tests, decorator probes), delivered as
-    /// [`Envelope`]s via `try_send`.
-    Channel(Sender<Envelope<M>>),
-    /// A pooled node's inbox cell; a push wakes the owning worker.
-    Pool(Arc<crate::runtime::NodeCell<M>>),
-}
-
 impl<M> std::fmt::Debug for Router<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("nodes", &self.inboxes.read().len())
+            .field("nodes", &(self.pool_cells().len() + self.taps.read().len()))
             .field("sent", &self.sent.load(Ordering::Relaxed))
             .field("dropped", &self.dropped.load(Ordering::Relaxed))
             .field("overflowed", &self.overflowed.load(Ordering::Relaxed))
@@ -192,12 +186,20 @@ impl<M> std::fmt::Debug for Router<M> {
     }
 }
 
+impl<M> Router<M> {
+    fn pool_cells(&self) -> &[Arc<NodeCell<M>>] {
+        self.cells.get().map_or(&[], |cells| cells)
+    }
+}
+
 impl<M: Send + Sync + 'static> Router<M> {
     /// Creates an empty router delivering everything.
     pub fn new() -> Arc<Self> {
         Arc::new(Router {
-            inboxes: RwLock::new(Vec::new()),
-            policy: RwLock::new(Arc::new(DeliverAll)),
+            cells: OnceLock::new(),
+            taps: RwLock::new(Vec::new()),
+            policy: RwLock::new(None),
+            has_policy: AtomicBool::new(false),
             metrics: RwLock::new(None),
             sent: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -207,7 +209,19 @@ impl<M: Send + Sync + 'static> Router<M> {
 
     /// Installs a link policy.
     pub fn set_policy(&self, policy: Arc<dyn LinkPolicy<M>>) {
-        *self.policy.write() = policy;
+        *self.policy.write() = Some(policy);
+        // Release pairs with the Acquire in `policy`: a sender that
+        // sees the flag takes the lock and finds the policy.
+        self.has_policy.store(true, Ordering::Release);
+    }
+
+    /// The installed policy, if any — one atomic load when there is none.
+    fn policy(&self) -> Option<Arc<dyn LinkPolicy<M>>> {
+        if self.has_policy.load(Ordering::Acquire) {
+            self.policy.read().clone()
+        } else {
+            None
+        }
     }
 
     /// Attaches a sink for the router's own counters
@@ -219,21 +233,20 @@ impl<M: Send + Sync + 'static> Router<M> {
     /// Registers a channel-backed mailbox and returns the id it will
     /// receive under. Deliveries arrive as [`Envelope`]s via `try_send`
     /// (a full or closed channel is a silent network drop). The worker
-    /// pool registers cells instead; this entry point serves test
-    /// drivers and external observers that tap the traffic directly.
+    /// pool's cells are frozen at start instead; this entry point
+    /// serves test drivers and external observers that tap the traffic
+    /// directly.
     pub fn register(&self, sender: Sender<Envelope<M>>) -> NodeId {
-        let mut inboxes = self.inboxes.write();
-        inboxes.push(Mailbox::Channel(sender));
-        NodeId::from_index(inboxes.len() - 1)
+        let mut taps = self.taps.write();
+        taps.push(sender);
+        NodeId::from_index(self.pool_cells().len() + taps.len() - 1)
     }
 
-    /// Registers a worker-pool inbox cell. Restart reuses the same cell
-    /// (revived in place), so a node id's mailbox never changes after
-    /// registration.
-    pub(crate) fn register_cell(&self, cell: Arc<crate::runtime::NodeCell<M>>) -> NodeId {
-        let mut inboxes = self.inboxes.write();
-        inboxes.push(Mailbox::Pool(cell));
-        NodeId::from_index(inboxes.len() - 1)
+    /// Installs the worker pool's inbox cells as ids `0..cells.len()`,
+    /// once, before any tap is registered.
+    pub(crate) fn freeze_cells(&self, cells: Vec<Arc<NodeCell<M>>>) {
+        assert!(self.taps.read().is_empty(), "cells take the first ids");
+        assert!(self.cells.set(cells.into()).is_ok(), "cells are frozen once");
     }
 
     /// Routes one message; silently drops on policy denial, a full
@@ -245,13 +258,48 @@ impl<M: Send + Sync + 'static> Router<M> {
     /// Routes one already-shared message (see [`Router::broadcast`]).
     pub fn send_shared(&self, from: NodeId, to: NodeId, msg: Arc<M>) {
         self.sent.fetch_add(1, Ordering::Relaxed);
-        if !self.policy.read().allow(from, to, &msg) {
+        if self.policy().is_some_and(|policy| !policy.allow(from, to, &msg)) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let inboxes = self.inboxes.read();
-        match inboxes.get(to.index()) {
-            Some(Mailbox::Channel(sender)) => match sender.try_send(Envelope::Msg { from, msg }) {
+        let cells = self.pool_cells();
+        match cells.get(to.index()) {
+            Some(cell) => {
+                if cell.push_data(from, msg) == CellPush::Full {
+                    self.count_overflow(1);
+                }
+            }
+            None => self.send_to_tap(to.index() - cells.len(), from, std::iter::once(msg)),
+        }
+    }
+
+    /// Routes an ordered per-peer batch. Policy still sees every
+    /// message (so partitions and loss behave exactly as for singles),
+    /// but a pool mailbox is locked — and its worker woken — once for
+    /// the whole batch instead of once per message.
+    pub fn send_batch(&self, from: NodeId, to: NodeId, mut msgs: Vec<Arc<M>>) {
+        self.route_batch(from, to, &mut msgs);
+    }
+
+    fn route_batch(&self, from: NodeId, to: NodeId, msgs: &mut Vec<Arc<M>>) {
+        let offered = msgs.len();
+        self.sent.fetch_add(offered as u64, Ordering::Relaxed);
+        if let Some(policy) = self.policy() {
+            msgs.retain(|msg| policy.allow(from, to, msg));
+            self.dropped.fetch_add((offered - msgs.len()) as u64, Ordering::Relaxed);
+        }
+        let cells = self.pool_cells();
+        match cells.get(to.index()) {
+            Some(cell) => self.count_overflow(cell.push_data_batch(from, msgs)),
+            None => self.send_to_tap(to.index() - cells.len(), from, msgs.drain(..)),
+        }
+    }
+
+    fn send_to_tap(&self, tap: usize, from: NodeId, msgs: impl Iterator<Item = Arc<M>>) {
+        let taps = self.taps.read();
+        let Some(sender) = taps.get(tap) else { return };
+        for msg in msgs {
+            match sender.try_send(Envelope::Msg { from, msg }) {
                 Ok(()) => {}
                 // Drop-newest overflow: the receiver is wedged or badly
                 // behind; shedding here keeps senders from blocking and
@@ -260,51 +308,7 @@ impl<M: Send + Sync + 'static> Router<M> {
                 // A dead inbox is a down node: the network just loses
                 // the message.
                 Err(TrySendError::Disconnected(_)) => {}
-            },
-            Some(Mailbox::Pool(cell)) => match cell.push_data(from, msg) {
-                crate::runtime::CellPush::Delivered | crate::runtime::CellPush::Dead => {}
-                crate::runtime::CellPush::Full => self.count_overflow(1),
-            },
-            None => {}
-        }
-    }
-
-    /// Routes an ordered per-peer batch. Policy still sees every
-    /// message (so partitions and loss behave exactly as for singles),
-    /// but a pool mailbox is locked — and its worker woken — once for
-    /// the whole batch instead of once per message.
-    pub fn send_batch(&self, from: NodeId, to: NodeId, msgs: Vec<Arc<M>>) {
-        self.sent.fetch_add(msgs.len() as u64, Ordering::Relaxed);
-        let mut survivors = Vec::with_capacity(msgs.len());
-        {
-            let policy = self.policy.read();
-            for msg in msgs {
-                if policy.allow(from, to, &msg) {
-                    survivors.push(msg);
-                } else {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                }
             }
-        }
-        if survivors.is_empty() {
-            return;
-        }
-        let inboxes = self.inboxes.read();
-        match inboxes.get(to.index()) {
-            Some(Mailbox::Pool(cell)) => {
-                let overflowed = cell.push_data_batch(from, survivors);
-                self.count_overflow(overflowed);
-            }
-            Some(Mailbox::Channel(sender)) => {
-                for msg in survivors {
-                    match sender.try_send(Envelope::Msg { from, msg }) {
-                        Ok(()) => {}
-                        Err(TrySendError::Full(_)) => self.count_overflow(1),
-                        Err(TrySendError::Disconnected(_)) => {}
-                    }
-                }
-            }
-            None => {}
         }
     }
 
@@ -354,8 +358,8 @@ impl<M: Send + Sync + 'static> Transport<M> for Router<M> {
         Router::broadcast(self, from, targets, msg);
     }
 
-    fn send_batch(&self, from: NodeId, to: NodeId, msgs: Vec<Arc<M>>) {
-        Router::send_batch(self, from, to, msgs);
+    fn send_batch(&self, from: NodeId, to: NodeId, msgs: &mut Vec<Arc<M>>) {
+        self.route_batch(from, to, msgs);
     }
 }
 
@@ -486,20 +490,21 @@ mod tests {
 
     #[test]
     fn pool_mailbox_sheds_newest_wakes_once_and_dies_silently() {
-        use crate::runtime::NodeCell;
         let router: Arc<Router<u32>> = Router::new();
         let sink = MetricsSink::new();
         router.set_metrics(sink.clone());
         let (wake_tx, wake_rx) = unbounded();
         let cell = NodeCell::new(0, 2, wake_tx);
-        let id = router.register_cell(cell.clone());
+        router.freeze_cells(vec![cell.clone()]);
+        let id = NodeId::from_index(0);
         for i in 0..5 {
             router.send(NodeId::ENV, id, i);
         }
         assert_eq!(router.overflowed(), 3);
         assert_eq!(sink.counter("rt.inbox_overflow"), 3);
         assert_eq!(wake_rx.try_iter().count(), 1, "one wake per scheduling flip");
-        let (ctl, data, more) = cell.drain(16);
+        let (mut ctl, mut data) = (Vec::new(), Vec::new());
+        let more = cell.drain(16, &mut ctl, &mut data);
         assert!(ctl.is_empty());
         let got: Vec<u32> = data.iter().map(|(_, m)| **m).collect();
         assert_eq!(got, vec![0, 1], "drop-newest kept the oldest two");
@@ -508,33 +513,61 @@ mod tests {
         cell.clear_dead();
         router.send(NodeId::ENV, id, 9);
         assert_eq!(router.overflowed(), 3);
-        assert_eq!(cell.drain(16).1.len(), 0);
+        data.clear();
+        cell.drain(16, &mut ctl, &mut data);
+        assert!(data.is_empty());
     }
 
     #[test]
     fn batch_to_pool_mailbox_delivers_in_order_with_one_wake() {
-        use crate::runtime::NodeCell;
         let router: Arc<Router<u32>> = Router::new();
         let (wake_tx, wake_rx) = unbounded();
         let cell = NodeCell::new(0, 3, wake_tx);
-        let id = router.register_cell(cell.clone());
+        router.freeze_cells(vec![cell.clone()]);
+        let id = NodeId::from_index(0);
         let msgs: Vec<Arc<u32>> = (0..5).map(Arc::new).collect();
         router.send_batch(NodeId::ENV, id, msgs);
         assert_eq!(router.stats(), (5, 2));
         assert_eq!(router.overflowed(), 2, "capacity 3 sheds the newest 2");
         assert_eq!(wake_rx.try_iter().count(), 1, "the whole batch costs one wake");
-        let (_, data, _) = cell.drain(16);
+        let (mut ctl, mut data) = (Vec::new(), Vec::new());
+        cell.drain(16, &mut ctl, &mut data);
         let got: Vec<u32> = data.iter().map(|(_, m)| **m).collect();
         assert_eq!(got, vec![0, 1, 2]);
     }
 
     #[test]
+    fn taps_registered_after_the_freeze_take_the_ids_behind_the_cells() {
+        let router: Arc<Router<u32>> = Router::new();
+        let (wake_tx, _wake_rx) = unbounded();
+        let cell = NodeCell::new(0, 8, wake_tx);
+        router.freeze_cells(vec![cell.clone()]);
+        let (tx, rx) = unbounded();
+        let tap = router.register(tx);
+        assert_eq!(tap, NodeId::from_index(1));
+        router.send(NodeId::ENV, tap, 5);
+        router.send_batch(NodeId::ENV, tap, vec![Arc::new(6), Arc::new(7)]);
+        router.send(NodeId::ENV, NodeId::from_index(0), 8);
+        let tapped: Vec<u32> = rx
+            .try_iter()
+            .map(|e| {
+                let Envelope::Msg { msg, .. } = e;
+                *msg
+            })
+            .collect();
+        assert_eq!(tapped, vec![5, 6, 7]);
+        let (mut ctl, mut data) = (Vec::new(), Vec::new());
+        cell.drain(16, &mut ctl, &mut data);
+        assert_eq!(data.len(), 1, "the cell still gets its own traffic");
+    }
+
+    #[test]
     fn batch_applies_policy_per_message() {
-        use crate::runtime::NodeCell;
         let router: Arc<Router<u32>> = Router::new();
         let (wake_tx, _wake_rx) = unbounded();
         let cell = NodeCell::new(0, 2000, wake_tx);
-        let id = router.register_cell(cell.clone());
+        router.freeze_cells(vec![cell]);
+        let id = NodeId::from_index(0);
         router.set_policy(LossyPolicy::new(0.5));
         let msgs: Vec<Arc<u32>> = (0..1000).map(Arc::new).collect();
         router.send_batch(NodeId::ENV, id, msgs);

@@ -217,10 +217,6 @@ pub(crate) enum CellPush {
     Dead,
 }
 
-/// What [`NodeCell::drain`] hands the worker: all queued control, a
-/// bounded batch of data envelopes, and whether data remains queued.
-pub(crate) type Drained<M> = (Vec<ControlMsg<M>>, Vec<(NodeId, Arc<M>)>, bool);
-
 struct CellState<M> {
     control: VecDeque<ControlMsg<M>>,
     data: VecDeque<(NodeId, Arc<M>)>,
@@ -273,21 +269,22 @@ impl<M> NodeCell<M> {
         CellPush::Delivered
     }
 
-    /// Pushes an ordered batch under one lock and at most one wake;
-    /// returns how many messages were shed on a full queue. A dead cell
-    /// swallows the whole batch silently (overflow count 0).
-    pub(crate) fn push_data_batch(&self, from: NodeId, msgs: Vec<Arc<M>>) -> u64 {
+    /// Pushes an ordered batch under one lock and at most one wake,
+    /// emptying `msgs`; returns how many messages were shed on a full
+    /// queue. A dead cell swallows the whole batch silently (overflow
+    /// count 0).
+    pub(crate) fn push_data_batch(&self, from: NodeId, msgs: &mut Vec<Arc<M>>) -> u64 {
         let total = msgs.len();
         let (wake, overflowed) = {
             let mut s = self.state.lock();
             if !s.alive {
+                msgs.clear();
                 return 0;
             }
             let room = self.capacity.saturating_sub(s.data.len());
             let take = room.min(total);
-            for msg in msgs.into_iter().take(take) {
-                s.data.push_back((from, msg));
-            }
+            s.data.extend(msgs.drain(..take).map(|msg| (from, msg)));
+            msgs.clear();
             let wake = take > 0 && !std::mem::replace(&mut s.scheduled, true);
             (wake, (total - take) as u64)
         };
@@ -326,19 +323,25 @@ impl<M> NodeCell<M> {
         s.control.clear();
     }
 
-    /// Takes all queued control plus up to `max_data` data envelopes.
-    /// The returned flag says whether data remains (the worker requeues
-    /// itself); when nothing remains the cell becomes schedulable again.
-    pub(crate) fn drain(&self, max_data: usize) -> Drained<M> {
+    /// Moves all queued control plus up to `max_data` data envelopes
+    /// into the worker's buffers. Returns whether data remains (the
+    /// worker requeues itself); when nothing remains the cell becomes
+    /// schedulable again.
+    pub(crate) fn drain(
+        &self,
+        max_data: usize,
+        ctls: &mut Vec<ControlMsg<M>>,
+        data: &mut Vec<(NodeId, Arc<M>)>,
+    ) -> bool {
         let mut s = self.state.lock();
-        let ctls: Vec<ControlMsg<M>> = s.control.drain(..).collect();
+        ctls.extend(s.control.drain(..));
         let take = s.data.len().min(max_data);
-        let data: Vec<(NodeId, Arc<M>)> = s.data.drain(..take).collect();
+        data.extend(s.data.drain(..take));
         let more = !s.data.is_empty();
         if !more {
             s.scheduled = false;
         }
-        (ctls, data, more)
+        more
     }
 }
 
@@ -388,10 +391,11 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
         }
     }
 
-    /// The deployment-wide metrics sink. All workers record the
-    /// `ctx.metric_incr`/`ctx.metric_observe` effects here — the same
-    /// named counters and latency histograms the simulator's `World`
-    /// collects. Clone the handle to keep reading after `start`.
+    /// The deployment-wide metrics sink. Every worker records the
+    /// `ctx.metric_incr`/`ctx.metric_observe` effects of its nodes into
+    /// a shard of it — the same named counters and latency histograms
+    /// the simulator's `World` collects. Clone the handle to keep
+    /// reading after `start`.
     pub fn metrics(&self) -> &MetricsSink {
         &self.metrics
     }
@@ -422,8 +426,10 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
     }
 
     /// Enables trace capture and returns the shared buffer. Without
-    /// this, `Effect::Trace` stays dropped (tracing costs a mutex hit
-    /// per note, so it is opt-in).
+    /// this, nodes are told nobody consumes their notes
+    /// ([`Context::with_notes`]) and build no audit text at all
+    /// (tracing costs a formatted string and a mutex hit per note, so
+    /// it is opt-in).
     pub fn capture_traces(&mut self) -> TraceBuffer {
         let buffer = self.trace.get_or_insert_with(TraceBuffer::new);
         buffer.clone()
@@ -500,15 +506,12 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
             wake_rxs.push(rx);
         }
 
-        // Register all cells first so ids are stable before any worker
-        // runs; node `i` belongs to worker `i % nworkers`.
-        let mut cells: Vec<Arc<NodeCell<M>>> = Vec::with_capacity(nnodes);
-        for i in 0..nnodes {
-            let cell =
-                NodeCell::new(i as u32, self.inbox_capacity, wake_txs[i % nworkers].clone());
-            router.register_cell(cell.clone());
-            cells.push(cell);
-        }
+        // Freeze the routing table before any worker runs; node `i`
+        // belongs to worker `i % nworkers`.
+        let cells: Vec<Arc<NodeCell<M>>> = (0..nnodes)
+            .map(|i| NodeCell::new(i as u32, self.inbox_capacity, wake_txs[i % nworkers].clone()))
+            .collect();
+        router.freeze_cells(cells.clone());
 
         let mut names = Vec::with_capacity(nnodes);
         let mut factories = Vec::with_capacity(nnodes);
@@ -528,13 +531,10 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
                 cells: cells.clone(),
                 slots: (0..nnodes).map(|_| WorkerSlot::Empty).collect(),
                 epochs: vec![0; nnodes],
-                wheel: TimerWheel::new(epoch),
                 transport: transport.clone(),
-                metrics: self.metrics.clone(),
-                trace: self.trace.clone(),
-                epoch_instant: epoch,
-                outbox: Vec::new(),
-                counters: Vec::new(),
+                sinks: Sinks::new(epoch, self.metrics.shard(), self.trace.clone()),
+                ctls: Vec::new(),
+                data: Vec::new(),
             };
             match std::thread::Builder::new()
                 .name(format!("rt-worker-{w}"))
@@ -625,20 +625,50 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "node handler panicked (non-string payload)".into())
 }
 
+/// Where a handler's effects land. Owned by one worker and reused
+/// across steps, the way `World::with_node_ctx` reuses its effects
+/// scratch: once the buffers have grown, a step allocates nothing here.
+struct Sinks<M> {
+    /// What the handler's [`Context`] collects into; empty between
+    /// handlers.
+    effects: Vec<Effect<M>>,
+    /// The step's outbound sends grouped by peer, shipped by `flush`.
+    outbox: Vec<(NodeId, Vec<Arc<M>>)>,
+    /// Shipped peer batches, kept for their capacity.
+    spare_batches: Vec<Vec<Arc<M>>>,
+    /// The step's aggregated counter bumps.
+    counters: Vec<(&'static str, u64)>,
+    wheel: TimerWheel,
+    /// This worker's shard of the deployment's sink: no other worker
+    /// records into it.
+    metrics: MetricsSink,
+    trace: Option<TraceBuffer>,
+    epoch_instant: Instant,
+}
+
+impl<M> Sinks<M> {
+    fn new(epoch: Instant, metrics: MetricsSink, trace: Option<TraceBuffer>) -> Self {
+        Sinks {
+            effects: Vec::new(),
+            outbox: Vec::new(),
+            spare_batches: Vec::new(),
+            counters: Vec::new(),
+            wheel: TimerWheel::new(epoch),
+            metrics,
+            trace,
+            epoch_instant: epoch,
+        }
+    }
+}
+
 /// Runs one handler invocation under `catch_unwind` and folds its
 /// effects into the step's outbox/counters/wheel. Returns the panic
 /// message if the handler blew up.
-#[allow(clippy::too_many_arguments)]
 fn invoke<M, F>(
     wn: &mut WorkerNode<M>,
     idx: u32,
     tepoch: u32,
-    outbox: &mut Vec<(NodeId, Vec<Arc<M>>)>,
-    counters: &mut Vec<(&'static str, u64)>,
-    wheel: &mut TimerWheel,
-    metrics: &MetricsSink,
-    trace: Option<&TraceBuffer>,
-    epoch_instant: Instant,
+    sinks: &mut Sinks<M>,
     call: F,
 ) -> Result<(), String>
 where
@@ -646,32 +676,39 @@ where
     F: FnOnce(&mut dyn RtNode<M>, &mut Context<'_, M>),
 {
     let id = NodeId::from_index(idx as usize);
-    let mut effects: Vec<Effect<M>> = Vec::new();
     let local = LocalTime::from_nanos(wn.started.elapsed().as_nanos() as u64);
+    // Audit text is built only for a consumer: without a capture
+    // buffer the node is told not to produce it.
+    let notes = sinks.trace.is_some();
     {
         let node = &mut wn.node;
         let rng = &mut wn.rng;
         let next_timer = &mut wn.next_timer;
-        let fx = &mut effects;
+        let fx = &mut sinks.effects;
         if let Err(payload) = catch_unwind(AssertUnwindSafe(move || {
-            let mut ctx = Context::new(id, local, fx, rng, next_timer);
+            let mut ctx = Context::new(id, local, fx, rng, next_timer).with_notes(notes);
             call(&mut **node, &mut ctx);
         })) {
+            sinks.effects.clear();
             return Err(panic_message(payload));
         }
     }
-    for effect in effects {
+    for effect in sinks.effects.drain(..) {
         match effect {
             // Sends coalesce per peer and flush once per step.
             Effect::Send { to, msg } => {
                 let msg = Arc::new(msg);
-                match outbox.iter_mut().find(|(peer, _)| *peer == to) {
+                match sinks.outbox.iter_mut().find(|(peer, _)| *peer == to) {
                     Some((_, batch)) => batch.push(msg),
-                    None => outbox.push((to, vec![msg])),
+                    None => {
+                        let mut batch = sinks.spare_batches.pop().unwrap_or_default();
+                        batch.push(msg);
+                        sinks.outbox.push((to, batch));
+                    }
                 }
             }
             Effect::SetTimer { id: timer_id, local_delay, tag } => {
-                wheel.insert(TimerEntry {
+                sinks.wheel.insert(TimerEntry {
                     due: Instant::now() + Duration::from_nanos(local_delay.as_nanos()),
                     node: idx,
                     epoch: tepoch,
@@ -684,16 +721,18 @@ where
             }
             // Counter bumps batch per step; one sink lock per distinct
             // name instead of one per effect.
-            Effect::MetricIncr { name } => match counters.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, delta)) => *delta += 1,
-                None => counters.push((name, 1)),
-            },
-            Effect::MetricObserve { name, value } => metrics.observe(name, value),
-            // With capture enabled, traces (audit notes) feed the live
-            // oracle; otherwise they stay a sim-side convenience.
+            Effect::MetricIncr { name } => {
+                match sinks.counters.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, delta)) => *delta += 1,
+                    None => sinks.counters.push((name, 1)),
+                }
+            }
+            Effect::MetricObserve { name, value } => sinks.metrics.observe(name, value),
+            // Traces (audit notes) feed the live oracle; a node emits
+            // them only when told a capture buffer is listening.
             Effect::Trace { text } => {
-                if let Some(buffer) = trace {
-                    let at = SimTime::from_nanos(epoch_instant.elapsed().as_nanos() as u64);
+                if let Some(buffer) = &sinks.trace {
+                    let at = SimTime::from_nanos(sinks.epoch_instant.elapsed().as_nanos() as u64);
                     buffer.push(LiveTraceEntry { at, node: id, text });
                 }
             }
@@ -709,21 +748,18 @@ struct Worker<M> {
     cells: Vec<Arc<NodeCell<M>>>,
     slots: Vec<WorkerSlot<M>>,
     epochs: Vec<u32>,
-    wheel: TimerWheel,
     transport: Arc<dyn Transport<M>>,
-    metrics: MetricsSink,
-    trace: Option<TraceBuffer>,
-    epoch_instant: Instant,
-    /// Reusable per-step scratch: outbound sends grouped by peer.
-    outbox: Vec<(NodeId, Vec<Arc<M>>)>,
-    /// Reusable per-step scratch: aggregated counter bumps.
-    counters: Vec<(&'static str, u64)>,
+    sinks: Sinks<M>,
+    /// Reusable buffers a step drains its cell's two lanes into.
+    ctls: Vec<ControlMsg<M>>,
+    data: Vec<(NodeId, Arc<M>)>,
 }
 
 impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
     fn run(mut self, initial: WorkerNodes<M>) {
         for (idx, node) in initial {
-            self.boot(idx, node);
+            self.slots[idx as usize] = self.make_node(idx, node);
+            self.flush(idx);
         }
         let mut run_queue: VecDeque<u32> = VecDeque::new();
         loop {
@@ -739,7 +775,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
             }
             // Fire everything due, by absolute deadline.
             let now = Instant::now();
-            while let Some(entry) = self.wheel.pop_due(now) {
+            while let Some(entry) = self.sinks.wheel.pop_due(now) {
                 self.fire(entry);
             }
             // One bounded batch for one node, then re-check wakes and
@@ -751,7 +787,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
                 continue;
             }
             // Idle: park until the next timer deadline or a wake.
-            let waited = match self.wheel.next_deadline() {
+            let waited = match self.sinks.wheel.next_deadline() {
                 Some(deadline) => self.wake_rx.recv_deadline(deadline),
                 None => self.wake_rx.recv(),
             };
@@ -764,39 +800,12 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         }
     }
 
-    /// Installs the initial instance of a node and runs `on_start`.
-    fn boot(&mut self, idx: u32, node: Box<dyn RtNode<M>>) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut counters = std::mem::take(&mut self.counters);
-        let slot = self.make_node(idx, node, &mut outbox, &mut counters);
-        self.slots[idx as usize] = slot;
-        self.flush(idx, &mut outbox, &mut counters);
-        self.outbox = outbox;
-        self.counters = counters;
-    }
-
     /// Builds a [`WorkerNode`] and runs its `on_start` under the
     /// current timer epoch.
-    fn make_node(
-        &mut self,
-        idx: u32,
-        node: Box<dyn RtNode<M>>,
-        outbox: &mut Vec<(NodeId, Vec<Arc<M>>)>,
-        counters: &mut Vec<(&'static str, u64)>,
-    ) -> WorkerSlot<M> {
+    fn make_node(&mut self, idx: u32, node: Box<dyn RtNode<M>>) -> WorkerSlot<M> {
         let mut wn = WorkerNode::new(node, self.seed, idx);
-        match invoke(
-            &mut wn,
-            idx,
-            self.epochs[idx as usize],
-            outbox,
-            counters,
-            &mut self.wheel,
-            &self.metrics,
-            self.trace.as_ref(),
-            self.epoch_instant,
-            |node, ctx| node.on_start(ctx),
-        ) {
+        let tepoch = self.epochs[idx as usize];
+        match invoke(&mut wn, idx, tepoch, &mut self.sinks, |node, ctx| node.on_start(ctx)) {
             Ok(()) => WorkerSlot::Live(wn),
             Err(msg) => self.poison(idx as usize, msg),
         }
@@ -820,25 +829,16 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
             return;
         }
         let mut slot = std::mem::replace(&mut self.slots[i], WorkerSlot::Empty);
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut counters = std::mem::take(&mut self.counters);
         let mut poisoned = None;
         if let WorkerSlot::Live(wn) = &mut slot {
             if wn.up && !wn.cancelled.remove(&entry.id) {
                 let drift = Instant::now().saturating_duration_since(entry.due);
-                self.metrics.observe("rt.timer_drift_ns", drift.as_nanos() as f64);
-                if let Err(msg) = invoke(
-                    wn,
-                    entry.node,
-                    entry.epoch,
-                    &mut outbox,
-                    &mut counters,
-                    &mut self.wheel,
-                    &self.metrics,
-                    self.trace.as_ref(),
-                    self.epoch_instant,
-                    |node, ctx| node.on_timer(ctx, entry.tag),
-                ) {
+                self.sinks.metrics.observe("rt.timer_drift_ns", drift.as_nanos() as f64);
+                if let Err(msg) =
+                    invoke(wn, entry.node, entry.epoch, &mut self.sinks, |node, ctx| {
+                        node.on_timer(ctx, entry.tag)
+                    })
+                {
                     poisoned = Some(msg);
                 }
             }
@@ -847,9 +847,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
             slot = self.poison(i, msg);
         }
         self.slots[i] = slot;
-        self.flush(entry.node, &mut outbox, &mut counters);
-        self.outbox = outbox;
-        self.counters = counters;
+        self.flush(entry.node);
     }
 
     /// Drains one node's cell and steps it: control first (lifecycle
@@ -858,18 +856,18 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
     /// remains queued (the caller requeues the node).
     fn step(&mut self, idx: u32) -> bool {
         let i = idx as usize;
-        let (ctls, data, more) = self.cells[i].drain(MAX_STEP_BATCH);
-        if ctls.is_empty() && data.is_empty() {
+        let more = self.cells[i].drain(MAX_STEP_BATCH, &mut self.ctls, &mut self.data);
+        if self.ctls.is_empty() && self.data.is_empty() {
             return more;
         }
+        let mut ctls = std::mem::take(&mut self.ctls);
+        let mut data = std::mem::take(&mut self.data);
         let mut slot = std::mem::replace(&mut self.slots[i], WorkerSlot::Empty);
-        let mut outbox = std::mem::take(&mut self.outbox);
-        let mut counters = std::mem::take(&mut self.counters);
         // Set when Stop/Kill consumed the node: remaining queued work is
         // void and the slot has already been settled.
         let mut halted = false;
 
-        for ctl in ctls {
+        for ctl in ctls.drain(..) {
             if halted {
                 break;
             }
@@ -898,18 +896,11 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
                     if let WorkerSlot::Live(wn) = &mut slot {
                         if !wn.up {
                             wn.up = true;
-                            if let Err(msg) = invoke(
-                                wn,
-                                idx,
-                                self.epochs[i],
-                                &mut outbox,
-                                &mut counters,
-                                &mut self.wheel,
-                                &self.metrics,
-                                self.trace.as_ref(),
-                                self.epoch_instant,
-                                |node, ctx| node.on_recover(ctx),
-                            ) {
+                            if let Err(msg) =
+                                invoke(wn, idx, self.epochs[i], &mut self.sinks, |node, ctx| {
+                                    node.on_recover(ctx)
+                                })
+                            {
                                 poisoned = Some(msg);
                             }
                         }
@@ -951,7 +942,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
                     // local clock and RNG restart, `on_start` replays
                     // durable state.
                     self.epochs[i] = self.epochs[i].wrapping_add(1);
-                    slot = self.make_node(idx, node, &mut outbox, &mut counters);
+                    slot = self.make_node(idx, node);
                 }
             }
         }
@@ -960,24 +951,17 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
             let mut poisoned = None;
             if let WorkerSlot::Live(wn) = &mut slot {
                 if wn.up {
-                    self.metrics.observe("rt.batch_size", data.len() as f64);
-                    for (from, msg) in data {
+                    self.sinks.metrics.observe("rt.batch_size", data.len() as f64);
+                    for (from, msg) in data.drain(..) {
                         // Point-to-point sends hold the only reference,
                         // so this unwraps without copying; broadcast
                         // recipients clone.
                         let msg = Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
-                        if let Err(msg) = invoke(
-                            wn,
-                            idx,
-                            self.epochs[i],
-                            &mut outbox,
-                            &mut counters,
-                            &mut self.wheel,
-                            &self.metrics,
-                            self.trace.as_ref(),
-                            self.epoch_instant,
-                            |node, ctx| node.on_message(ctx, from, msg),
-                        ) {
+                        if let Err(msg) =
+                            invoke(wn, idx, self.epochs[i], &mut self.sinks, |node, ctx| {
+                                node.on_message(ctx, from, msg)
+                            })
+                        {
                             poisoned = Some(msg);
                             break;
                         }
@@ -990,39 +974,38 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
                 slot = self.poison(i, msg);
             }
         }
+        // Whatever a halt, a panic or a down node left behind is void.
+        data.clear();
+        self.ctls = ctls;
+        self.data = data;
 
         self.slots[i] = slot;
-        self.flush(idx, &mut outbox, &mut counters);
-        self.outbox = outbox;
-        self.counters = counters;
+        self.flush(idx);
         more && !halted
     }
 
     /// Ships the step's coalesced sends (one `send_batch` per peer) and
     /// aggregated counter bumps.
-    fn flush(
-        &mut self,
-        from_idx: u32,
-        outbox: &mut Vec<(NodeId, Vec<Arc<M>>)>,
-        counters: &mut Vec<(&'static str, u64)>,
-    ) {
+    fn flush(&mut self, from_idx: u32) {
         let from = NodeId::from_index(from_idx as usize);
+        let sinks = &mut self.sinks;
         let mut batched = 0u64;
-        for (to, msgs) in outbox.drain(..) {
+        for (to, mut msgs) in sinks.outbox.drain(..) {
             if self.coalesce && msgs.len() > 1 {
                 batched += 1;
-                self.transport.send_batch(from, to, msgs);
+                self.transport.send_batch(from, to, &mut msgs);
             } else {
-                for msg in msgs {
+                for msg in msgs.drain(..) {
                     self.transport.send_shared(from, to, msg);
                 }
             }
+            sinks.spare_batches.push(msgs);
         }
         if batched > 0 {
-            counters.push(("rt.peer_batches", batched));
+            sinks.metrics.add("rt.peer_batches", batched);
         }
-        for (name, delta) in counters.drain(..) {
-            self.metrics.add(name, delta);
+        for (name, delta) in sinks.counters.drain(..) {
+            sinks.metrics.add(name, delta);
         }
     }
 }
@@ -1530,6 +1513,136 @@ mod tests {
         let nodes = rt.shutdown_nodes();
         let counter = nodes[sink.index()].as_any().downcast_ref::<Counter>().expect("sink");
         assert_eq!(counter.seen, 32, "coalescing must not lose or reorder messages");
+    }
+
+    /// A partitioned host's retry storm must not leave timer ids behind.
+    /// Drives a `Worker` by hand (its `step`/`fire`, no thread), so the
+    /// cancelled set can be read and the clock skipped: `fire_due` pops
+    /// the wheel as of a far-future instant.
+    #[test]
+    fn timed_out_attempts_leave_no_cancelled_timer_ids_behind() {
+        use crate::router::Envelope;
+        use wanacl_core::prelude::{
+            AppHost, AppId, CountingApp, HostNode, InvokeOutcome, ManagerDirectory, Policy,
+            ProtoMsg, QueryVerdict, ReqId, UserId,
+        };
+        use wanacl_sim::time::SimDuration;
+
+        const ATTEMPTS: u32 = 3;
+        const STORM: u64 = 20;
+        let app = AppId(0);
+        let host_id = NodeId::from_index(0);
+        // Ids 1 and 2 are channel taps: the one manager and the client.
+        let (manager, client) = (NodeId::from_index(1), NodeId::from_index(2));
+        let host = HostNode::new(
+            vec![AppHost {
+                app,
+                policy: Policy::builder(1)
+                    .revocation_bound(SimDuration::from_secs(10))
+                    .query_timeout(SimDuration::from_millis(100))
+                    .max_attempts(ATTEMPTS)
+                    .build(),
+                directory: ManagerDirectory::Static(vec![manager].into()),
+                application: Box::new(CountingApp::new()),
+            }],
+            None,
+        );
+
+        let router: Arc<Router<ProtoMsg>> = Router::new();
+        let (wake_tx, wake_rx) = unbounded();
+        let cell = NodeCell::new(0, DEFAULT_INBOX_CAPACITY, wake_tx);
+        router.freeze_cells(vec![cell.clone()]);
+        let (manager_tx, manager_rx) = unbounded();
+        let (client_tx, client_rx) = unbounded();
+        assert_eq!(router.register(manager_tx), manager);
+        assert_eq!(router.register(client_tx), client);
+        let epoch = Instant::now();
+        let mut worker = Worker {
+            seed: 23,
+            coalesce: true,
+            wake_rx,
+            cells: vec![cell],
+            slots: vec![WorkerSlot::Empty],
+            epochs: vec![0],
+            transport: router.clone(),
+            sinks: Sinks::new(epoch, MetricsSink::new(), None),
+            ctls: Vec::new(),
+            data: Vec::new(),
+        };
+        worker.slots[0] = worker.make_node(0, Box::new(host));
+        worker.flush(0);
+
+        fn cancelled(worker: &Worker<ProtoMsg>) -> usize {
+            match &worker.slots[0] {
+                WorkerSlot::Live(wn) => wn.cancelled.len(),
+                _ => panic!("host is live"),
+            }
+        }
+        // Fires every timer armed so far (not the ones the firings arm).
+        fn fire_due(worker: &mut Worker<ProtoMsg>) {
+            let horizon = Instant::now() + Duration::from_secs(3600);
+            let mut due = Vec::new();
+            while let Some(entry) = worker.sinks.wheel.pop_due(horizon) {
+                due.push(entry);
+            }
+            for entry in due {
+                worker.fire(entry);
+            }
+        }
+        let invoke_from_client = |worker: &mut Worker<ProtoMsg>, n: u64| {
+            let msg = ProtoMsg::Invoke {
+                app,
+                user: UserId(n),
+                req: ReqId(n),
+                payload: "".into(),
+                signature: None,
+            };
+            router.send(client, host_id, msg);
+            while worker.step(0) {}
+        };
+        let outcomes = |n: usize| -> Vec<InvokeOutcome> {
+            let got: Vec<InvokeOutcome> = client_rx
+                .try_iter()
+                .map(|Envelope::Msg { msg, .. }| match &*msg {
+                    ProtoMsg::InvokeReply { outcome, .. } => outcome.clone(),
+                    other => panic!("client got {other:?}"),
+                })
+                .collect();
+            assert_eq!(got.len(), n);
+            got
+        };
+
+        // Partitioned: the manager tap swallows every query, so each
+        // attempt of each check runs into its query timer.
+        for n in 0..STORM {
+            invoke_from_client(&mut worker, n);
+        }
+        for _ in 0..ATTEMPTS {
+            fire_due(&mut worker);
+        }
+        assert!(outcomes(STORM as usize).iter().all(|o| *o == InvokeOutcome::Unavailable));
+        assert_eq!(manager_rx.try_iter().count() as u64, STORM * u64::from(ATTEMPTS));
+        assert_eq!(cancelled(&worker), 0, "a timer that fired is not cancelled afterwards");
+
+        // Healed: the manager answers, so the host cancels a query timer
+        // that is still in the wheel. That id is forgotten when the
+        // entry matures — the set drains to empty.
+        invoke_from_client(&mut worker, STORM);
+        let Envelope::Msg { msg: query, .. } = manager_rx.try_recv().expect("query");
+        let ProtoMsg::Query { req, user, .. } = *query else { panic!("manager got {query:?}") };
+        let grant = ProtoMsg::QueryReply {
+            req,
+            app,
+            user,
+            verdict: QueryVerdict::Grant { te: SimDuration::from_secs(5) },
+            mac: None,
+        };
+        router.send(manager, host_id, grant);
+        while worker.step(0) {}
+        assert!(matches!(outcomes(1)[0], InvokeOutcome::Allowed { .. }));
+        assert_eq!(cancelled(&worker), 1, "the live timer's id waits for its wheel entry");
+        fire_due(&mut worker);
+        assert_eq!(cancelled(&worker), 0);
     }
 
     #[test]

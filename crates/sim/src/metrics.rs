@@ -23,7 +23,14 @@ impl Metrics {
 
     /// Adds `delta` to the named counter, creating it at zero if absent.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        // Look up before allocating: the key exists on all but the
+        // first call per name.
+        match self.counters.get_mut(name) {
+            Some(value) => *value += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Increments the named counter by one.
@@ -38,7 +45,10 @@ impl Metrics {
 
     /// Records one sample into the named histogram.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms.entry(name.to_owned()).or_default().record(value);
+        match self.histograms.get_mut(name) {
+            Some(hist) => hist.record(value),
+            None => self.histograms.entry(name.to_owned()).or_default().record(value),
+        }
     }
 
     /// The named histogram, if any samples were recorded.

@@ -92,6 +92,9 @@ pub struct Context<'a, M> {
     pub(crate) effects: &'a mut Vec<Effect<M>>,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) next_timer: &'a mut u64,
+    /// Whether the driver consumes [`Effect::Trace`]; see
+    /// [`Context::with_notes`].
+    pub(crate) notes: bool,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -99,7 +102,9 @@ impl<'a, M> Context<'a, M> {
     ///
     /// Drivers (the simulated world, the threaded runtime) call this; node
     /// code only ever receives a ready-made context. `next_timer` is the
-    /// driver's monotonically increasing timer-id counter.
+    /// driver's monotonically increasing timer-id counter. Trace notes
+    /// are on; a driver that drops them says so with
+    /// [`Context::with_notes`].
     pub fn new(
         id: NodeId,
         local_now: LocalTime,
@@ -107,7 +112,18 @@ impl<'a, M> Context<'a, M> {
         rng: &'a mut SimRng,
         next_timer: &'a mut u64,
     ) -> Self {
-        Context { id, local_now, effects, rng, next_timer }
+        Context { id, local_now, effects, rng, next_timer, notes: true }
+    }
+
+    /// Tells the node whether this driver consumes trace notes. With
+    /// notes off, [`Context::trace`] and [`Context::trace_with`] emit
+    /// nothing and the note's text is never built — the rule
+    /// `World::wants_message_events` applies to `Sent`/`Delivered`
+    /// descriptions. The simulator always leaves notes on, so its event
+    /// indices, traces and digests do not depend on who is listening.
+    pub fn with_notes(mut self, on: bool) -> Self {
+        self.notes = on;
+        self
     }
 
     /// This node's id.
@@ -165,9 +181,18 @@ impl<'a, M> Context<'a, M> {
         self.rng
     }
 
-    /// Appends a line to the world trace (no-op when tracing is disabled).
+    /// Appends a line to the world trace (no-op when the driver drops
+    /// notes).
     pub fn trace(&mut self, text: impl Into<String>) {
-        self.effects.push(Effect::Trace { text: text.into() });
+        self.trace_with(|| text.into());
+    }
+
+    /// [`Context::trace`] for a note that costs something to build:
+    /// `text` runs only when the driver consumes notes.
+    pub fn trace_with(&mut self, text: impl FnOnce() -> String) {
+        if self.notes {
+            self.effects.push(Effect::Trace { text: text() });
+        }
     }
 
     /// Increments a run-level counter by one.
@@ -241,6 +266,7 @@ mod tests {
             effects: &mut effects,
             rng: &mut rng,
             next_timer: &mut next_timer,
+            notes: true,
         };
         ctx.send(NodeId(1), 10);
         let t = ctx.set_timer(SimDuration::from_secs(1), 42);
@@ -255,6 +281,31 @@ mod tests {
     }
 
     #[test]
+    fn notes_off_emits_no_trace_and_builds_no_text() {
+        let mut effects: Vec<Effect<u32>> = Vec::new();
+        let mut rng = SimRng::seed_from(1);
+        let mut next_timer = 0;
+        let mut ctx = Context::new(NodeId(0), LocalTime::ZERO, &mut effects, &mut rng, &mut next_timer)
+            .with_notes(false);
+        ctx.trace("audit=dropped");
+        ctx.trace_with(|| unreachable!("text must not be built for a driver that drops it"));
+        ctx.send(NodeId(1), 10);
+        assert!(matches!(effects[..], [Effect::Send { to: NodeId(1), msg: 10 }]));
+
+        let mut ctx = Context::new(NodeId(0), LocalTime::ZERO, &mut effects, &mut rng, &mut next_timer);
+        ctx.trace("a");
+        ctx.trace_with(|| "b".to_owned());
+        let notes: Vec<&str> = effects
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Trace { text } => Some(text.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(notes, ["a", "b"], "Context::new defaults to notes on");
+    }
+
+    #[test]
     fn timer_ids_are_unique() {
         let mut effects: Vec<Effect<u32>> = Vec::new();
         let mut rng = SimRng::seed_from(1);
@@ -265,6 +316,7 @@ mod tests {
             effects: &mut effects,
             rng: &mut rng,
             next_timer: &mut next_timer,
+            notes: true,
         };
         let a = ctx.set_timer(SimDuration::from_secs(1), 0);
         let b = ctx.set_timer(SimDuration::from_secs(1), 0);

@@ -6,8 +6,8 @@
 //! [`crate::node::Context::metric_incr`] /
 //! [`crate::node::Context::metric_observe`]. Under simulation the
 //! [`crate::world::World`] folds those effects into its run-level
-//! [`Metrics`]; under `wanacl-rt` every node thread folds them into one
-//! shared [`MetricsSink`]. Either way the result is the same bag of
+//! [`Metrics`]; under `wanacl-rt` every worker folds them into its own
+//! shard of one [`MetricsSink`]. Either way the result is the same bag of
 //! names (the registry lives in DESIGN.md §11), exportable as:
 //!
 //! * [`prometheus_text`] — a Prometheus text-format snapshot, and
@@ -17,62 +17,94 @@
 //! Both exporters are pure functions of a [`Metrics`] value and never
 //! mutate it, so exporting a snapshot cannot perturb later comparisons.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::metrics::Metrics;
 
-/// A cheap, cloneable, thread-safe handle onto one [`Metrics`] bag.
+/// A cheap, cloneable, thread-safe handle onto one sharded [`Metrics`]
+/// bag.
 ///
-/// Cloning shares the underlying bag; recording takes a short mutex
-/// hold. This is the live-runtime counterpart of the simulator's
-/// world-owned metrics: every node thread gets a clone and the driver
-/// forwards `MetricIncr`/`MetricObserve` effects into it.
-#[derive(Debug, Clone, Default)]
+/// Recording takes a short hold of this handle's own shard; reading
+/// ([`MetricsSink::counter`], [`MetricsSink::snapshot`]) and
+/// [`MetricsSink::reset`] cover every shard, so all handles see the
+/// same totals. Cloning shares the shard; [`MetricsSink::shard`] opens
+/// a new one. This is the live-runtime counterpart of the simulator's
+/// world-owned metrics: each worker of the pool records the
+/// `MetricIncr`/`MetricObserve` effects of its nodes into a shard of
+/// its own, so recorders never contend with each other.
+#[derive(Debug, Clone)]
 pub struct MetricsSink {
-    inner: Arc<Mutex<Metrics>>,
+    /// The shard this handle records into.
+    own: Arc<Mutex<Metrics>>,
+    /// Every shard of the sink, `own` included, in creation order.
+    shards: Arc<Mutex<Vec<Arc<Mutex<Metrics>>>>>,
+}
+
+// A panic while holding a lock poisons it; the metrics data itself is
+// still coherent (every mutation is atomic under the lock), so keep
+// recording rather than losing the run's numbers.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+impl Default for MetricsSink {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MetricsSink {
     /// Creates a sink around an empty metrics bag.
     pub fn new() -> Self {
-        Self::default()
+        let own = Arc::new(Mutex::new(Metrics::new()));
+        MetricsSink { shards: Arc::new(Mutex::new(vec![own.clone()])), own }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Metrics> {
-        // A panic while holding the lock poisons it; the metrics data
-        // itself is still coherent (every mutation is atomic under the
-        // lock), so keep recording rather than losing the run's numbers.
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    /// A handle onto the same sink that records into a fresh shard of
+    /// its own: give one to each recording thread.
+    pub fn shard(&self) -> MetricsSink {
+        let own = Arc::new(Mutex::new(Metrics::new()));
+        lock(&self.shards).push(own.clone());
+        MetricsSink { own, shards: self.shards.clone() }
     }
 
     /// Adds `delta` to the named counter.
     pub fn add(&self, name: &str, delta: u64) {
-        self.lock().add(name, delta);
+        lock(&self.own).add(name, delta);
     }
 
     /// Increments the named counter by one.
     pub fn incr(&self, name: &str) {
-        self.lock().incr(name);
+        lock(&self.own).incr(name);
     }
 
     /// Records one sample into the named histogram.
     pub fn observe(&self, name: &str, value: f64) {
-        self.lock().observe(name, value);
+        lock(&self.own).observe(name, value);
     }
 
-    /// Current value of a counter (zero if never touched).
+    /// Current value of a counter over all shards (zero if never
+    /// touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock().counter(name)
+        lock(&self.shards).iter().map(|shard| lock(shard).counter(name)).sum()
     }
 
-    /// A point-in-time copy of the whole bag.
+    /// A point-in-time copy of the whole bag: counters summed and
+    /// histogram samples concatenated in shard creation order.
     pub fn snapshot(&self) -> Metrics {
-        self.lock().clone()
+        let shards = lock(&self.shards);
+        let mut merged = lock(&shards[0]).clone();
+        for shard in &shards[1..] {
+            merged.merge(&lock(shard));
+        }
+        merged
     }
 
-    /// Clears all counters and histograms.
+    /// Clears all counters and histograms in every shard.
     pub fn reset(&self) {
-        self.lock().reset();
+        for shard in lock(&self.shards).iter() {
+            lock(shard).reset();
+        }
     }
 }
 
@@ -193,6 +225,59 @@ mod tests {
         sink.incr("x");
         other.incr("x");
         assert_eq!(sink.counter("x"), 2);
+    }
+
+    #[test]
+    fn shards_sum_exactly_and_read_the_same_through_every_handle() {
+        let sink = MetricsSink::new();
+        let (a, b) = (sink.shard(), sink.shard());
+        std::thread::scope(|scope| {
+            for shard in [&a, &b] {
+                scope.spawn(move || {
+                    for _ in 0..100_000 {
+                        shard.incr("shared");
+                    }
+                });
+            }
+        });
+        for handle in [&sink, &a, &b, &a.clone()] {
+            assert_eq!(handle.counter("shared"), 200_000);
+            assert_eq!(handle.snapshot().counter("shared"), 200_000);
+        }
+        b.reset();
+        for handle in [&sink, &a, &b] {
+            assert_eq!(handle.counter("shared"), 0, "reset through any handle clears all");
+            assert_eq!(handle.snapshot(), Metrics::new());
+        }
+    }
+
+    #[test]
+    fn sharded_and_single_handle_recordings_snapshot_alike() {
+        let single = MetricsSink::new();
+        let sharded = MetricsSink::new();
+        let shards = [sharded.shard(), sharded.shard(), sharded.clone()];
+        for i in 0..3_000u32 {
+            // An order-scrambled sample stream, dealt round-robin.
+            let value = f64::from(i.wrapping_mul(2_654_435_761) % 10_007) / 7.0;
+            let name = if i % 5 == 0 { "lat.b" } else { "lat.a" };
+            single.observe(name, value);
+            single.add("count", u64::from(i % 3));
+            let shard = &shards[i as usize % shards.len()];
+            shard.observe(name, value);
+            shard.add("count", u64::from(i % 3));
+        }
+        let (one, many) = (single.snapshot(), sharded.snapshot());
+        assert_eq!(one.counters().collect::<Vec<_>>(), many.counters().collect::<Vec<_>>());
+        let order_free = |m: &Metrics| -> Vec<(String, usize, [f64; 5])> {
+            m.histograms()
+                .map(|(name, h)| {
+                    let s = h.summary().expect("samples");
+                    (name.to_owned(), s.count, [s.min, s.max, s.p50, s.p90, s.p99])
+                })
+                .collect()
+        };
+        assert_eq!(order_free(&one), order_free(&many));
+        assert_eq!(one, many, "equal as sample multisets too");
     }
 
     #[test]

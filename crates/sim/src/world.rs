@@ -499,6 +499,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 effects: &mut effects,
                 rng: &mut self.node_rngs[idx],
                 next_timer: &mut self.next_timer,
+                // Always on, whoever listens: event indices, traces and
+                // digests must not depend on the observers installed.
+                notes: true,
             };
             call(self.nodes[idx].as_mut(), &mut ctx);
         }

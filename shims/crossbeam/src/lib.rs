@@ -22,13 +22,18 @@ pub mod channel {
     //! Multi-producer single-consumer channels (crossbeam-channel subset).
 
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct Inner<T> {
         queue: VecDeque<T>,
         senders: usize,
         receiver_alive: bool,
+        /// Receivers parked on `available` right now. A sender that finds
+        /// it zero skips the condvar notify (a `futex_wake` syscall): a
+        /// receiver that is not parked checks the queue under this same
+        /// mutex before it parks, so it cannot miss the value.
+        waiting: usize,
         /// Queue capacity enforced by [`Sender::try_send`]; `None` for
         /// unbounded channels.
         capacity: Option<usize>,
@@ -37,6 +42,37 @@ pub mod channel {
     struct Shared<T> {
         inner: Mutex<Inner<T>>,
         available: Condvar,
+    }
+
+    impl<T> Shared<T> {
+        /// Queues `value` and wakes the receiver only if it is parked.
+        fn enqueue(&self, mut inner: MutexGuard<'_, Inner<T>>, value: T) {
+            inner.queue.push_back(value);
+            let parked = inner.waiting > 0;
+            drop(inner);
+            if parked {
+                self.available.notify_one();
+            }
+        }
+
+        /// Parks on `available` until notified or `timeout` elapses,
+        /// counted in `waiting` for exactly as long as the mutex is
+        /// released.
+        fn park<'a>(
+            &self,
+            mut inner: MutexGuard<'a, Inner<T>>,
+            timeout: Option<Duration>,
+        ) -> MutexGuard<'a, Inner<T>> {
+            inner.waiting += 1;
+            let mut inner = match timeout {
+                Some(t) => {
+                    self.available.wait_timeout(inner, t).unwrap_or_else(|e| e.into_inner()).0
+                }
+                None => self.available.wait(inner).unwrap_or_else(|e| e.into_inner()),
+            };
+            inner.waiting -= 1;
+            inner
+        }
     }
 
     /// The sending half; cloneable and shareable across threads.
@@ -86,6 +122,7 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receiver_alive: true,
+                waiting: 0,
                 capacity,
             }),
             available: Condvar::new(),
@@ -111,29 +148,25 @@ pub mod channel {
         /// Enqueues `value` regardless of capacity; fails only if the
         /// receiver was dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             if !inner.receiver_alive {
                 return Err(SendError(value));
             }
-            inner.queue.push_back(value);
-            drop(inner);
-            self.shared.available.notify_one();
+            self.shared.enqueue(inner, value);
             Ok(())
         }
 
         /// Enqueues `value` unless the bounded queue is full or the
         /// receiver was dropped; never blocks.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             if !inner.receiver_alive {
                 return Err(TrySendError::Disconnected(value));
             }
             if inner.capacity.is_some_and(|cap| inner.queue.len() >= cap) {
                 return Err(TrySendError::Full(value));
             }
-            inner.queue.push_back(value);
-            drop(inner);
-            self.shared.available.notify_one();
+            self.shared.enqueue(inner, value);
             Ok(())
         }
     }
@@ -199,12 +232,7 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _timeout_result) = self
-                    .shared
-                    .available
-                    .wait_timeout(inner, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                inner = guard;
+                inner = self.shared.park(inner, Some(deadline - now));
             }
         }
 
@@ -218,17 +246,24 @@ pub mod channel {
                 if inner.senders == 0 {
                     return Err(RecvTimeoutError::Disconnected);
                 }
-                inner = self
-                    .shared
-                    .available
-                    .wait(inner)
-                    .unwrap_or_else(|e| e.into_inner());
+                inner = self.shared.park(inner, None);
             }
         }
 
         /// A non-blocking draining iterator over currently queued messages.
         pub fn try_iter(&self) -> TryIter<'_, T> {
             TryIter { receiver: self }
+        }
+    }
+
+    #[cfg(test)]
+    impl<T> Receiver<T> {
+        /// Spins until a receiver thread is parked on the condvar, so a
+        /// test can force the send-to-a-sleeper interleaving.
+        pub(crate) fn wait_until_parked(&self) {
+            while self.shared.inner.lock().unwrap_or_else(|e| e.into_inner()).waiting == 0 {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -344,5 +379,97 @@ mod tests {
         assert_eq!(tx.try_send(5), Ok(()));
         drop(rx);
         assert_eq!(tx.try_send(6), Err(TrySendError::Disconnected(6)));
+    }
+
+    /// Runs `body` on a thread of its own and fails the test if it has
+    /// not finished within ten seconds — a lost wakeup shows up as a
+    /// hang, not as a wrong value.
+    fn within_ten_seconds(body: impl FnOnce() + Send + 'static) {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            body();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("channel test hung: a wakeup was lost");
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn conditional_notify_loses_no_token_under_a_producer_storm() {
+        const PRODUCERS: u64 = 4;
+        const TOKENS: u64 = 100_000;
+        within_ten_seconds(|| {
+            let (tx, rx) = unbounded::<u64>();
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..TOKENS {
+                            tx.send(p * TOKENS + i).unwrap();
+                            // Let the consumer run dry and park now and then.
+                            if i % 1_024 == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            // The worker loop's three ways of taking a token, in rotation.
+            let (mut received, mut sum, mut turn) = (0u64, 0u64, 0u32);
+            while received < PRODUCERS * TOKENS {
+                turn = turn.wrapping_add(1);
+                let got = match turn % 3 {
+                    0 => rx.try_recv().ok(),
+                    1 => rx.recv().ok(),
+                    _ => rx.recv_timeout(Duration::from_micros(50)).ok(),
+                };
+                if let Some(v) = got {
+                    received += 1;
+                    sum += v;
+                }
+            }
+            let n = PRODUCERS * TOKENS;
+            assert_eq!(sum, n * (n - 1) / 2, "every token exactly once");
+            for p in producers {
+                p.join().unwrap();
+            }
+            assert_eq!(rx.recv(), Err(RecvTimeoutError::Disconnected));
+        });
+    }
+
+    #[test]
+    fn last_sender_drop_wakes_a_parked_recv_with_disconnected() {
+        within_ten_seconds(|| {
+            let (tx, rx) = unbounded::<u32>();
+            std::thread::scope(|scope| {
+                let blocked = scope.spawn(|| rx.recv());
+                rx.wait_until_parked();
+                drop(tx);
+                assert_eq!(blocked.join().unwrap(), Err(RecvTimeoutError::Disconnected));
+            });
+        });
+    }
+
+    #[test]
+    fn sends_to_a_parked_receiver_wake_it() {
+        within_ten_seconds(|| {
+            let (tx, rx) = bounded::<u32>(1);
+            let rx = &rx;
+            std::thread::scope(|scope| {
+                let blocked = scope.spawn(|| rx.recv());
+                rx.wait_until_parked();
+                assert_eq!(tx.try_send(7), Ok(()));
+                assert_eq!(blocked.join().unwrap(), Ok(7));
+
+                let far = std::time::Instant::now() + Duration::from_secs(60);
+                let blocked = scope.spawn(move || rx.recv_deadline(far));
+                rx.wait_until_parked();
+                tx.send(8).unwrap();
+                assert_eq!(blocked.join().unwrap(), Ok(8));
+            });
+        });
     }
 }
