@@ -38,7 +38,6 @@ use wanacl_sim::metrics::{HistogramSummary, Metrics};
 use wanacl_sim::net::partition::EpochIid;
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::{Context, Node, NodeId};
-use wanacl_sim::queue::Scheduler;
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::{SimDuration, SimTime};
 use wanacl_sim::workload::{arrivals, LoadCurve, RegionalTopology, ZipfPopularity};
@@ -253,9 +252,6 @@ pub struct ScaleConfig {
     pub jitter: f64,
     /// World seed.
     pub seed: u64,
-    /// Event-queue implementation (calendar by default; the naive heap
-    /// doubles as a cross-check that results are scheduler-independent).
-    pub scheduler: Scheduler,
 }
 
 impl Default for ScaleConfig {
@@ -276,7 +272,6 @@ impl Default for ScaleConfig {
             timeout: SimDuration::from_secs(1),
             jitter: 0.1,
             seed: 1,
-            scheduler: Scheduler::Calendar,
         }
     }
 }
@@ -373,7 +368,7 @@ pub fn run_empirical(cfg: &ScaleConfig) -> EmpiricalOutcome {
     assert!(cfg.check_quorum >= 1 && cfg.check_quorum <= cfg.managers);
     let m = cfg.managers;
 
-    let mut world: World<ProbeMsg> = World::with_scheduler(cfg.seed, cfg.scheduler);
+    let mut world: World<ProbeMsg> = World::new(cfg.seed);
     let net = WanNet::builder()
         .delay_model(Box::new(RegionalTopology::planet().jitter(cfg.jitter)))
         .partitions(Box::new(EpochIid::new(cfg.pi, cfg.epoch, cfg.seed ^ 0x5ca1e)))
@@ -525,14 +520,6 @@ mod tests {
         assert_eq!(a.reach, b.reach);
         assert_eq!(a.acks, b.acks);
         assert_eq!(a.msgs_per_check, b.msgs_per_check);
-    }
-
-    #[test]
-    fn scheduler_independent() {
-        let cal = run_empirical(&small_cfg());
-        let heap = run_empirical(&ScaleConfig { scheduler: Scheduler::NaiveHeap, ..small_cfg() });
-        assert_eq!(cal.reach, heap.reach, "calendar queue must not change outcomes");
-        assert_eq!(cal.acks, heap.acks);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::hint::black_box;
 use wanacl_analysis::empirical::{run_empirical, ScaleConfig};
 use wanacl_core::campaign::{run_campaigns_parallel, CampaignConfig};
 use wanacl_core::prelude::*;
-use wanacl_sim::queue::Scheduler;
 use wanacl_sim::time::SimDuration;
 
 fn full_profile() -> bool {
@@ -99,40 +98,29 @@ fn bench_campaign_sweep(c: &mut Criterion) {
 
 /// The planet-scale probe world: 10,000 hosts and 10 managers checking
 /// across the regional WAN under EpochIid partitions — the workload the
-/// calendar queue and SoA node arena exist for. The naive-heap control
-/// runs the *same* world on the `BinaryHeap` scheduler; its label is in
-/// the results file so a run can prove the indexed queue still pays for
-/// itself (`bench_guard --require-faster`).
-fn scale_cfg(full: bool, scheduler: Scheduler) -> ScaleConfig {
+/// calendar queue and SoA node arena exist for.
+fn scale_cfg(full: bool) -> ScaleConfig {
     ScaleConfig {
         horizon: SimDuration::from_secs(if full { 600 } else { 60 }),
         checks_per_host: if full { 5.0 } else { 0.5 },
         revoke_ops: if full { 2_000 } else { 200 },
-        scheduler,
         ..ScaleConfig::default()
     }
 }
 
 fn bench_world_10k(c: &mut Criterion) {
     let full = full_profile();
-    let d = run_empirical(&scale_cfg(full, Scheduler::Calendar));
+    let d = run_empirical(&scale_cfg(full));
     println!(
         "sim_throughput/world_10k[{}]: {} checks, {} messages per run",
         if full { "full" } else { "quick" },
         d.checks,
         d.metrics.counter("net.sent")
     );
-    let (label, control) = if full {
-        ("world_10k_full", "world_10k_full_heap_control")
-    } else {
-        ("world_10k", "world_10k_heap_control")
-    };
+    let label = if full { "world_10k_full" } else { "world_10k" };
     let mut group = c.benchmark_group("sim_throughput");
     group.bench_function(label, |b| {
-        b.iter(|| black_box(run_empirical(&scale_cfg(full, Scheduler::Calendar)).checks));
-    });
-    group.bench_function(control, |b| {
-        b.iter(|| black_box(run_empirical(&scale_cfg(full, Scheduler::NaiveHeap)).checks));
+        b.iter(|| black_box(run_empirical(&scale_cfg(full)).checks));
     });
     group.finish();
 }

@@ -5,7 +5,7 @@
 //!
 //! ```console
 //! $ bench_guard <baseline.json> <current.json> [--threshold 0.25]
-//!       [--threshold-for LABEL=FRACTION ...] [--require-faster FAST=SLOW ...]
+//!       [--threshold-for LABEL=FRACTION ...]
 //! ```
 //!
 //! Labels present in only one file are reported but never fatal, so
@@ -15,11 +15,7 @@
 //!
 //! `--threshold-for` overrides the default threshold for one label — a
 //! large-world benchmark with few iterations needs a looser bound than
-//! the microbenchmarks without weakening their gates. `--require-faster`
-//! asserts an ordering *within the current file*: the `FAST` label's
-//! mean must be strictly below `SLOW`'s (e.g. the indexed event queue
-//! must beat its naive-heap control), exiting 1 when it is not and 2
-//! when either label is missing.
+//! the microbenchmarks without weakening their gates.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -29,7 +25,6 @@ fn main() -> ExitCode {
     let mut paths = Vec::new();
     let mut threshold = 0.25f64;
     let mut per_label: BTreeMap<String, f64> = BTreeMap::new();
-    let mut orderings: Vec<(String, String)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--threshold" {
@@ -45,14 +40,6 @@ fn main() -> ExitCode {
                 .and_then(|(l, f)| Some((l.to_owned(), f.parse::<f64>().ok()?)))
                 .unwrap_or_else(|| usage("--threshold-for needs LABEL=FRACTION"));
             per_label.insert(label, frac);
-            i += 2;
-        } else if args[i] == "--require-faster" {
-            let (fast, slow) = args
-                .get(i + 1)
-                .and_then(|v| v.split_once('='))
-                .map(|(a, b)| (a.to_owned(), b.to_owned()))
-                .unwrap_or_else(|| usage("--require-faster needs FAST=SLOW"));
-            orderings.push((fast, slow));
             i += 2;
         } else {
             paths.push(args[i].clone());
@@ -105,26 +92,8 @@ fn main() -> ExitCode {
         eprintln!("bench_guard: no overlapping labels between the two files");
         return ExitCode::from(2);
     }
-    let mut order_failures = Vec::new();
-    for (fast, slow) in &orderings {
-        let (Some(f), Some(s)) = (current.get(fast), current.get(slow)) else {
-            eprintln!("bench_guard: --require-faster label missing from current file: {fast}={slow}");
-            return ExitCode::from(2);
-        };
-        println!("{fast:<55} {f:>12.1} vs {s:>12.1} (must be faster)");
-        if f >= s {
-            order_failures.push((fast, slow, *f, *s));
-        }
-    }
-    if regressions.is_empty() && order_failures.is_empty() {
-        println!(
-            "bench_guard: OK — {compared} benchmark(s) within threshold{}",
-            if orderings.is_empty() {
-                String::new()
-            } else {
-                format!(", {} ordering(s) hold", orderings.len())
-            }
-        );
+    if regressions.is_empty() {
+        println!("bench_guard: OK — {compared} benchmark(s) within threshold");
         return ExitCode::SUCCESS;
     }
     for (label, delta, limit) in &regressions {
@@ -133,9 +102,6 @@ fn main() -> ExitCode {
             delta * 100.0,
             limit * 100.0
         );
-    }
-    for (fast, slow, f, s) in &order_failures {
-        eprintln!("bench_guard: ORDERING {fast} ({f:.1} ns) is not faster than {slow} ({s:.1} ns)");
     }
     ExitCode::FAILURE
 }
@@ -155,8 +121,7 @@ fn relative_delta(base_ns: f64, cur_ns: f64) -> Option<f64> {
 fn usage(msg: &str) -> ! {
     eprintln!(
         "bench_guard: {msg}\nusage: bench_guard <baseline.json> <current.json> \
-         [--threshold FRACTION] [--threshold-for LABEL=FRACTION ...] \
-         [--require-faster FAST=SLOW ...]"
+         [--threshold FRACTION] [--threshold-for LABEL=FRACTION ...]"
     );
     std::process::exit(2);
 }

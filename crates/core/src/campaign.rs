@@ -92,13 +92,10 @@ pub struct CampaignConfig {
     pub horizon: SimDuration,
     /// Fault density (1.0 ≈ one fault per 5 s of horizon).
     pub intensity: f64,
-    /// Route host→manager discovery through a name service (and expose
-    /// it to nemesis outages).
-    pub use_name_service: bool,
-    /// Run a replicated, signed directory with this many replicas
-    /// instead of the single name service (0 = off; takes precedence
-    /// over `use_name_service`). Hosts then install manager sets only
-    /// from verified quorum reads.
+    /// Route host→manager discovery through a replicated, signed
+    /// directory with this many replicas (0 = off, static manager
+    /// lists; 1 = the paper's single name service). Hosts then install
+    /// manager sets only from verified quorum reads.
     pub ns_replicas: usize,
     /// Verified replies a directory quorum read needs (0 = majority of
     /// `ns_replicas`).
@@ -158,7 +155,6 @@ impl Default for CampaignConfig {
             policy: Self::default_policy(),
             horizon: SimDuration::from_secs(10),
             intensity: 1.0,
-            use_name_service: false,
             ns_replicas: 0,
             ns_read_quorum: 0,
             ns_faults: false,
@@ -272,10 +268,9 @@ fn effective_managers(config: &CampaignConfig) -> usize {
 }
 
 /// The deterministic node layout a campaign deployment will get, known
-/// before the world is built (managers first, then directory replicas
-/// or the optional name service, then hosts — asserted against the real
-/// deployment). In sharded mode `shard_managers[s]` lists the two
-/// genesis owners of global shard `s`.
+/// before the world is built (managers first, then directory replicas,
+/// then hosts — asserted against the real deployment). In sharded mode
+/// `shard_managers[s]` lists the two genesis owners of global shard `s`.
 pub fn campaign_targets(config: &CampaignConfig) -> NemesisTargets {
     let mgr_count = effective_managers(config);
     let managers: Vec<NodeId> = (0..mgr_count).map(NodeId::from_index).collect();
@@ -286,19 +281,11 @@ pub fn campaign_targets(config: &CampaignConfig) -> NemesisTargets {
     } else {
         Vec::new()
     };
-    let replicated = config.ns_replicas > 0;
-    let ns_replicas: Vec<NodeId> = if replicated {
-        (mgr_count..mgr_count + config.ns_replicas).map(NodeId::from_index).collect()
-    } else {
-        Vec::new()
-    };
-    let name_service =
-        (config.use_name_service && !replicated).then(|| NodeId::from_index(mgr_count));
-    let host_base =
-        mgr_count + config.ns_replicas + usize::from(config.use_name_service && !replicated);
+    let host_base = mgr_count + config.ns_replicas;
+    let ns_replicas: Vec<NodeId> = (mgr_count..host_base).map(NodeId::from_index).collect();
     let hosts: Vec<NodeId> =
         (host_base..host_base + config.hosts).map(NodeId::from_index).collect();
-    NemesisTargets { managers, hosts, name_service, ns_replicas, shard_managers }
+    NemesisTargets { managers, hosts, ns_replicas, shard_managers }
 }
 
 /// Samples the nemesis plan the given config's seed implies. With
@@ -368,8 +355,8 @@ fn admin_script(config: &CampaignConfig) -> Vec<AdminAction> {
 
 /// The deployment a campaign runs, on either executor: every user
 /// granted and issuing a Poisson workload, the scripted admin churn,
-/// drifting clocks, and the flat, name-service, replicated-directory or
-/// sharded layout the config asks for. Its roster's node ids equal
+/// drifting clocks, and the flat, replicated-directory or sharded
+/// layout the config asks for. Its roster's node ids equal
 /// [`campaign_targets`].
 ///
 /// # Panics
@@ -403,8 +390,6 @@ pub fn campaign_scenario(config: &CampaignConfig) -> Scenario {
             config.ns_read_quorum,
             CAMPAIGN_NS_TTL,
         );
-    } else if config.use_name_service {
-        scenario = scenario.with_name_service(CAMPAIGN_NS_TTL);
     }
     scenario
 }
@@ -972,19 +957,6 @@ mod tests {
         assert!(a.oracle_stats.ns_publishes > 0, "no replica ever published a record");
     }
 
-    #[test]
-    fn replicated_directory_takes_precedence_over_name_service() {
-        let config = CampaignConfig {
-            ns_replicas: 3,
-            use_name_service: true,
-            ..quick_config(3)
-        };
-        let targets = campaign_targets(&config);
-        assert_eq!(targets.name_service, None);
-        assert_eq!(targets.ns_replicas.len(), 3);
-        assert_eq!(targets.hosts[0], NodeId::from_index(config.managers + 3));
-    }
-
     fn sharded_config(seed: u64) -> CampaignConfig {
         CampaignConfig {
             tenants: 2,
@@ -1063,7 +1035,9 @@ mod tests {
     /// sampler uses and against history: for each deployment shape the
     /// roster's ids are `campaign_targets`', and the world installed
     /// from it reproduces, note for note, the run the hand-assembled
-    /// deployment of the parent commit (1f081cb) produced.
+    /// deployment of the parent commit (1f081cb) produced (the
+    /// one-replica shape is pinned at 21bf6af, where it took over from
+    /// the legacy name service).
     #[test]
     fn roster_ids_match_campaign_targets_and_runs_reproduce_pinned_digests() {
         type Shape = (&'static str, fn(u64) -> CampaignConfig, u64, [u64; 5]);
@@ -1072,9 +1046,9 @@ mod tests {
                 0xe53297824ff91b31, 0x28bef6f8bf23f43e, 0xd702adf1e0998229,
                 0x77da7619670d10d5, 0x3a9da89d0335bef6,
             ]),
-            ("name-service", |s| CampaignConfig { use_name_service: true, ..quick_config(s) }, 1, [
-                0xe64622a527c1afeb, 0x0c4c627bc1cec003, 0xd246d5d5b16b71fb,
-                0x723ff1f0f89a814b, 0x578d425fa0ffb5ec,
+            ("one-replica-directory", |s| CampaignConfig { ns_replicas: 1, ..quick_config(s) }, 1, [
+                0x42ac880ca8c56c2a, 0x7a83e0ff1681aa9f, 0xa1b4a846803bef96,
+                0xe72c167e5d0404e8, 0xea6f3a39732140f8,
             ]),
             (
                 "replicated-directory",
@@ -1098,8 +1072,6 @@ mod tests {
                 assert_eq!(roster.layout.managers, targets.managers, "{shape} seed {seed}");
                 assert_eq!(roster.layout.ns_replicas, targets.ns_replicas, "{shape} seed {seed}");
                 assert_eq!(roster.layout.hosts, targets.hosts, "{shape} seed {seed}");
-                let name_service = roster.entries.iter().position(|e| e.name == "nameservice");
-                assert_eq!(name_service.map(NodeId::from_index), targets.name_service, "{shape}");
                 for (s, owners) in targets.shard_managers.iter().enumerate() {
                     assert_eq!(&roster.layout.shard_owners(ShardId(s as u32)), owners, "{shape}");
                 }
@@ -1107,17 +1079,5 @@ mod tests {
                 assert_eq!(digest, pinned, "{shape} seed {seed}: {digest:#018x}");
             }
         }
-    }
-
-    #[test]
-    fn name_service_layout_matches_deployment() {
-        let config = CampaignConfig {
-            use_name_service: true,
-            horizon: SimDuration::from_secs(3),
-            ..quick_config(3)
-        };
-        // build_deployment asserts the arithmetic layout internally.
-        let report = run_campaign(&config);
-        assert!(report.oracle_stats.allows > 0 || report.user_stats.sent > 0);
     }
 }

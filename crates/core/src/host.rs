@@ -75,12 +75,8 @@ pub enum ManagerDirectory {
     /// Shared (`Arc<[NodeId]>`) so a 10k-host deployment holds one
     /// manager list, not 10k copies of it.
     Static(Arc<[NodeId]>),
-    /// A trusted name service queried with TTL-based refresh.
-    NameService {
-        /// The name-service node.
-        ns: NodeId,
-    },
-    /// A replicated directory read with a quorum: the host fans an
+    /// The §3.2 name service, queried with TTL-based refresh: a
+    /// replicated directory read with a quorum. The host fans an
     /// `NsQuery` to every replica, waits for `read_quorum` verified
     /// [`ProtoMsg::NsRecordReply`] answers, and installs the freshest
     /// version among them. No single replica is trusted.
@@ -160,7 +156,7 @@ struct PendingInvoke {
 }
 
 /// One verified directory reply: `(version, managers, shards, ttl)`.
-type NsReplyEntry = (u64, Vec<NodeId>, Option<Vec<ShardEntry>>, SimDuration);
+type VerifiedReply = (u64, Vec<NodeId>, Option<Vec<ShardEntry>>, SimDuration);
 
 struct AppState {
     policy: Policy,
@@ -183,7 +179,7 @@ struct AppState {
     /// Verified replies collected during the current quorum read:
     /// replica → (version, managers, shards, ttl). Only meaningful for
     /// [`ManagerDirectory::Replicated`].
-    ns_replies: BTreeMap<NodeId, NsReplyEntry>,
+    ns_replies: BTreeMap<NodeId, VerifiedReply>,
     /// When the current quorum read started (for the latency histogram).
     ns_round_started: LocalTime,
     /// Whether a quorum read is in flight (armed but not yet installed).
@@ -248,7 +244,6 @@ impl HostNode {
         for spec in apps {
             let managers = match &spec.directory {
                 ManagerDirectory::Static(m) => m.to_vec(),
-                ManagerDirectory::NameService { .. } => Vec::new(),
                 ManagerDirectory::Replicated { replicas, read_quorum } => {
                     assert!(
                         *read_quorum >= 1 && *read_quorum <= replicas.len(),
@@ -410,21 +405,9 @@ impl HostNode {
             let state = self.apps.get_mut(&app).expect("just listed");
             let sweep = state.policy.cache_sweep_interval();
             ctx.set_timer(sweep, TAG_SWEEP | u64::from(app.0));
-            match &state.directory {
-                ManagerDirectory::NameService { ns } => {
-                    let ns = *ns;
-                    ctx.metric_incr("host.ns_refresh_rounds");
-                    ctx.send(ns, ProtoMsg::NsQuery { app });
-                    state.ns_round = 0;
-                    let retry = state.policy.ns_retry_backoff().delay(state.ns_round, ctx.rng());
-                    state.ns_round = state.ns_round.saturating_add(1);
-                    state.ns_timer = Some(ctx.set_timer(retry, TAG_NS | u64::from(app.0)));
-                }
-                ManagerDirectory::Replicated { .. } => {
-                    state.ns_round = 0;
-                    self.start_ns_round(ctx, app);
-                }
-                ManagerDirectory::Static(_) => {}
+            if matches!(state.directory, ManagerDirectory::Replicated { .. }) {
+                state.ns_round = 0;
+                self.start_ns_round(ctx, app);
             }
         }
     }
@@ -998,8 +981,7 @@ impl HostNode {
     /// Grants the invocation. `detail` is appended to the audit note as
     /// extra `key=value` tokens recording *why* the host said yes
     /// (cache hit, fresh quorum, fail-open) — the invariant oracle
-    /// reads these; `parse_note` ignores them. It runs only when the
-    /// driver consumes notes.
+    /// reads these. It runs only when the driver consumes notes.
     fn allow(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
@@ -1292,34 +1274,6 @@ impl Node for HostNode {
                     }
                 }
             }
-            ProtoMsg::NsReply { app, managers, ttl } => {
-                if let Some(state) = self.apps.get_mut(&app) {
-                    // Only the configured (trusted, §3.2) name service
-                    // may change the manager view; a forged NsReply
-                    // would otherwise redirect checks to an attacker.
-                    let trusted = matches!(
-                        state.directory,
-                        ManagerDirectory::NameService { ns } if ns == from
-                    );
-                    if !trusted {
-                        ctx.metric_incr("host.ns_reply_untrusted");
-                        return;
-                    }
-                    if let Some(t) = state.ns_timer.take() {
-                        ctx.cancel_timer(t);
-                    }
-                    state.ns_round = 0;
-                    state.managers = managers;
-                    // A flat directory answer replaces any shard map.
-                    state.shards = None;
-                    // Re-query shortly before the TTL runs out, jittered
-                    // so hosts whose TTLs expire together don't storm the
-                    // name service with synchronized re-queries.
-                    let refresh = jittered_refresh(ttl, ctx.rng());
-                    state.ns_timer =
-                        Some(ctx.set_timer(refresh, TAG_NS | u64::from(app.0)));
-                }
-            }
             ProtoMsg::NsRecordReply { app, version, managers, shards, ttl, signature } => {
                 self.on_ns_record_reply(ctx, from, app, version, managers, shards.map(|b| *b), ttl, signature);
             }
@@ -1345,28 +1299,7 @@ impl Node for HostNode {
                     ctx.set_timer(interval, TAG_SWEEP | payload);
                 }
             }
-            TAG_NS => {
-                let app = AppId(payload as u32);
-                match self.apps.get_mut(&app).map(|s| &s.directory) {
-                    Some(ManagerDirectory::NameService { ns }) => {
-                        let ns = *ns;
-                        let state = self.apps.get_mut(&app).expect("just matched");
-                        ctx.metric_incr("host.ns_refresh_rounds");
-                        ctx.send(ns, ProtoMsg::NsQuery { app });
-                        // Each fruitless round widens the re-query gap
-                        // (capped), so a dead name service is probed
-                        // gently instead of hammered at full cadence.
-                        let retry =
-                            state.policy.ns_retry_backoff().delay(state.ns_round, ctx.rng());
-                        state.ns_round = state.ns_round.saturating_add(1);
-                        state.ns_timer = Some(ctx.set_timer(retry, TAG_NS | payload));
-                    }
-                    Some(ManagerDirectory::Replicated { .. }) => {
-                        self.on_ns_round_timer(ctx, app);
-                    }
-                    _ => {}
-                }
-            }
+            TAG_NS => self.on_ns_round_timer(ctx, AppId(payload as u32)),
             TAG_NSEXP => {
                 self.on_ns_expiry_timer(ctx, AppId(payload as u32));
             }
@@ -1385,10 +1318,8 @@ impl Node for HostNode {
             state.record_version = 0;
             state.record_expires = None;
             state.ns_expiry_timer = None;
-            match state.directory {
-                ManagerDirectory::NameService { .. }
-                | ManagerDirectory::Replicated { .. } => state.managers.clear(),
-                ManagerDirectory::Static(_) => {}
+            if matches!(state.directory, ManagerDirectory::Replicated { .. }) {
+                state.managers.clear();
             }
         }
         self.pending.clear();
@@ -1771,18 +1702,23 @@ mod tests {
             .max_attempts(3)
     }
 
+    /// A host whose one-replica directory has not answered yet.
+    fn undiscovered_host(policy: Policy) -> HostNode {
+        host_with_directory(
+            ManagerDirectory::Replicated { replicas: vec![NodeId::from_index(5)], read_quorum: 1 },
+            policy,
+        )
+    }
+
     #[test]
     fn empty_manager_view_fails_closed_immediately() {
-        // Regression: with a name-service directory and no NsReply yet,
-        // the manager view is empty. The invoke used to sit through
+        // Regression: with a directory and no record installed yet, the
+        // manager view is empty. The invoke used to sit through
         // R query timeouts with nobody to query (and the Sequential
         // fan-out arm risked a mod-by-zero on the empty view); it must
         // resolve immediately per the exhaustion policy instead.
-        let ns = NodeId::from_index(5);
-        let mut host = host_with_directory(
-            ManagerDirectory::NameService { ns },
-            base_policy().fanout(QueryFanout::Sequential).build(),
-        );
+        let mut host =
+            undiscovered_host(base_policy().fanout(QueryFanout::Sequential).build());
         let mut h = Harness::new(9);
         let effects = h.deliver(&mut host, 7, invoke(1));
         assert!(sends(&effects).iter().any(|(to, m)| {
@@ -1800,11 +1736,8 @@ mod tests {
 
     #[test]
     fn empty_manager_view_honours_fail_open_policy() {
-        let ns = NodeId::from_index(5);
-        let mut host = host_with_directory(
-            ManagerDirectory::NameService { ns },
-            base_policy().exhaustion(ExhaustionBehavior::FailOpen).build(),
-        );
+        let mut host =
+            undiscovered_host(base_policy().exhaustion(ExhaustionBehavior::FailOpen).build());
         let mut h = Harness::new(9);
         let effects = h.deliver(&mut host, 7, invoke(1));
         assert!(sends(&effects).iter().any(|(_, m)| matches!(
@@ -1817,31 +1750,20 @@ mod tests {
     }
 
     #[test]
-    fn ns_outage_emptying_the_view_fails_attempts_not_the_host() {
-        // Drive the outage through the protocol: a trusted NsReply
-        // carrying an empty manager set (the NS lost its registrations)
-        // replaces the view, then an invoke arrives.
-        let ns = 5usize;
-        let mut host = host_with_directory(
-            ManagerDirectory::NameService { ns: NodeId::from_index(ns) },
-            base_policy().build(),
-        );
+    fn directory_outage_emptying_the_view_fails_attempts_not_the_host() {
+        // Drive the outage through the protocol: a signed record
+        // carrying an empty manager set (the directory lost its
+        // registrations) replaces the view, then an invoke arrives.
+        let (mut host, kp, writer) = replicated_host(1);
         let mut h = Harness::new(9);
-        h.deliver(
-            &mut host,
-            ns,
-            ProtoMsg::NsReply {
-                app: AppId(0),
-                managers: vec![NodeId::from_index(0)],
-                ttl: SimDuration::from_secs(60),
-            },
-        );
+        start_host(&mut h, &mut host);
+        let record = |version, managers| {
+            record_reply(&NsRecord::signed(AppId(0), version, managers, writer, &kp.secret))
+        };
+        h.deliver(&mut host, 0, record(1, vec![NodeId::from_index(4)]));
         assert_eq!(host.manager_view(AppId(0)).len(), 1);
-        h.deliver(
-            &mut host,
-            ns,
-            ProtoMsg::NsReply { app: AppId(0), managers: Vec::new(), ttl: SimDuration::from_secs(60) },
-        );
+        fire_timer(&mut h, &mut host, TAG_NS);
+        h.deliver(&mut host, 0, record(2, Vec::new()));
         assert!(host.manager_view(AppId(0)).is_empty());
         let effects = h.deliver(&mut host, 7, invoke(1));
         assert!(sends(&effects).iter().any(|(_, m)| matches!(
@@ -1849,15 +1771,8 @@ mod tests {
             ProtoMsg::InvokeReply { outcome: InvokeOutcome::Unavailable, .. }
         )));
         // The host survives to serve a later invoke once the view heals.
-        h.deliver(
-            &mut host,
-            ns,
-            ProtoMsg::NsReply {
-                app: AppId(0),
-                managers: vec![NodeId::from_index(0)],
-                ttl: SimDuration::from_secs(60),
-            },
-        );
+        fire_timer(&mut h, &mut host, TAG_NS);
+        h.deliver(&mut host, 0, record(3, vec![NodeId::from_index(4)]));
         let effects = h.deliver(&mut host, 7, invoke(1));
         assert!(sends(&effects)
             .iter()

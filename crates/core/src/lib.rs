@@ -22,7 +22,7 @@
 //! * [`breaker`] — per-peer circuit breaker for the live check path
 //! * [`host`] — the application-host node (Figures 2–4 + check quorum)
 //! * [`manager`] — the manager node (quorum dissemination, freeze, recovery)
-//! * [`nameservice`] — the trusted directory of §3.2
+//! * [`nameservice`] — the directory of §3.2, replicated and signed
 //! * [`client`] — user and admin workload agents
 //! * [`wrapper`] — the Figure 1 application wrapper
 //! * [`scenario`] — one-stop deployment assembly
@@ -53,7 +53,6 @@
 
 pub use wanacl_auth as auth;
 
-pub mod audit;
 pub mod breaker;
 pub mod cache;
 pub mod campaign;
@@ -72,7 +71,6 @@ pub mod wrapper;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::audit::{AuditEvent, AuditLog, Violation};
     pub use crate::breaker::{BreakerConfig, FailureOutcome, PeerBreaker};
     pub use crate::cache::{AclCache, CacheDecision};
     pub use crate::campaign::{
@@ -92,7 +90,7 @@ pub mod prelude {
         AclOp, AdminStatus, InvokeOutcome, NsRecord, OpId, ProtoMsg, QueryVerdict, RejectReason,
         ReqId, ShardEntry,
     };
-    pub use crate::nameservice::{DirectoryReplica, NameServiceNode};
+    pub use crate::nameservice::DirectoryReplica;
     pub use crate::oracle::{InvariantKind, InvariantOracle, OracleStats, OracleViolation};
     pub use crate::policy::{ExhaustionBehavior, FreezePolicy, Policy, QueryFanout};
     pub use crate::scenario::{Deployment, Scenario};

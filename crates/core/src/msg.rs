@@ -354,27 +354,18 @@ pub enum ProtoMsg {
         /// requester for its next delta round.
         stamps: Vec<(NodeId, u64)>,
     },
-    // ---- host <-> name service ----
-    /// Who manages `app`? (§3.2's trusted name service.)
+    // ---- host <-> directory replica ----
+    /// Who manages `app`? (§3.2's name service.)
     NsQuery {
         /// The application looked up.
         app: AppId,
     },
-    /// Name-service answer with a time-to-live after which the host must
-    /// re-query (the paper's "scheme similar to the time-based expiration
-    /// of cached information").
-    NsReply {
-        /// The application looked up.
-        app: AppId,
-        /// Current manager set.
-        managers: Vec<NodeId>,
-        /// How long the host may rely on it (host local clock).
-        ttl: SimDuration,
-    },
-    // ---- host <-> directory replica ----
     /// A directory replica's answer to an `NsQuery`: a versioned,
-    /// writer-signed manager-set record. Hosts collect these from a read
-    /// quorum and install the freshest version whose signature verifies.
+    /// writer-signed manager-set record with a time-to-live after which
+    /// the host must re-query (the paper's "scheme similar to the
+    /// time-based expiration of cached information"). Hosts collect
+    /// these from a read quorum and install the freshest version whose
+    /// signature verifies.
     NsRecordReply {
         /// The application looked up.
         app: AppId,

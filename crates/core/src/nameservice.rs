@@ -1,4 +1,4 @@
-//! The trusted name service of §3.2 — stub and replicated forms.
+//! The name service of §3.2, as a replicated, signed directory.
 //!
 //! "This assumption [a fixed, known manager set] can easily be eliminated
 //! by using a trusted name service that provides each host with the set
@@ -6,16 +6,16 @@
 //! similar to the time-based expiration of cached information can be used
 //! to trigger a new query to the name service."
 //!
-//! [`NameServiceNode`] is the original single trusted directory.
-//! [`DirectoryReplica`] removes that single trusted point: N replicas
-//! hold versioned, writer-signed manager-set records, converge through
-//! anti-entropy sync backed by the WAL/snapshot [`Storage`] machinery,
-//! and serve [`ProtoMsg::NsRecordReply`] answers that hosts cross-check
-//! against a read quorum (freshest verified version wins). A replica is
-//! *not* trusted: hosts verify every record signature, and replica state
-//! accepted from peers is re-verified before it is stored, so one
-//! compromised replica can neither forge a manager set nor poison its
-//! peers.
+//! The paper's single trusted directory is the one-replica case of
+//! [`DirectoryReplica`]; with more, no single point is trusted: N
+//! replicas hold versioned, writer-signed manager-set records, converge
+//! through anti-entropy sync backed by the WAL/snapshot [`Storage`]
+//! machinery, and serve [`ProtoMsg::NsRecordReply`] answers that hosts
+//! cross-check against a read quorum (freshest verified version wins).
+//! A replica is *not* trusted: hosts verify every record signature, and
+//! replica state accepted from peers is re-verified before it is
+//! stored, so one compromised replica can neither forge a manager set
+//! nor poison its peers.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -58,94 +58,6 @@ pub const UNKNOWN_APP_TTL_CAP: SimDuration = SimDuration::from_secs(30);
 
 fn capped_negative_ttl(negative_ttl: SimDuration) -> SimDuration {
     if negative_ttl > UNKNOWN_APP_TTL_CAP { UNKNOWN_APP_TTL_CAP } else { negative_ttl }
-}
-
-/// A trusted directory mapping applications to their manager sets.
-#[derive(Debug, Default)]
-pub struct NameServiceNode {
-    entries: BTreeMap<AppId, Vec<NodeId>>,
-    ttl: SimDuration,
-    negative_ttl: SimDuration,
-    lookups: u64,
-}
-
-impl NameServiceNode {
-    /// Creates a name service whose answers carry the given TTL.
-    /// Negative answers (no record for the app) carry a quarter of it,
-    /// so a host that queries before registration does not cache "no
-    /// managers" for the full TTL.
-    pub fn new(ttl: SimDuration) -> Self {
-        NameServiceNode {
-            entries: BTreeMap::new(),
-            ttl,
-            negative_ttl: ttl.mul_f64(0.25),
-            lookups: 0,
-        }
-    }
-
-    /// Overrides the TTL attached to negative (empty) answers.
-    pub fn set_negative_ttl(&mut self, ttl: SimDuration) {
-        self.negative_ttl = ttl;
-    }
-
-    /// Registers (or replaces) the manager set for an application.
-    pub fn register(&mut self, app: AppId, managers: Vec<NodeId>) {
-        self.entries.insert(app, managers);
-    }
-
-    /// The current manager set for an application.
-    pub fn managers(&self, app: AppId) -> &[NodeId] {
-        self.entries.get(&app).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// How many lookups have been served.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
-    }
-}
-
-impl Node for NameServiceNode {
-    type Msg = ProtoMsg;
-
-    fn on_message(&mut self, ctx: &mut Context<'_, ProtoMsg>, from: NodeId, msg: ProtoMsg) {
-        match msg {
-            ProtoMsg::NsQuery { app } => {
-                self.lookups += 1;
-                ctx.metric_incr("ns.lookups");
-                let entry = self.entries.get(&app).cloned();
-                if entry.is_none() {
-                    // Unknown app (never registered) is distinct from a
-                    // registered-but-empty set, and its TTL is capped so
-                    // the answer cannot pin "no managers" for long.
-                    ctx.metric_incr("ns.unknown_app");
-                }
-                let managers = entry.unwrap_or_default();
-                let ttl = if managers.is_empty() {
-                    ctx.metric_incr("ns.negative_reply");
-                    capped_negative_ttl(self.negative_ttl)
-                } else {
-                    self.ttl
-                };
-                ctx.send(from, ProtoMsg::NsReply { app, managers, ttl });
-            }
-            // Environment injection: replace a manager set at runtime by
-            // sending the service an NsReply (harness-only path).
-            ProtoMsg::NsReply { app, managers, .. } if from == NodeId::ENV => {
-                self.register(app, managers);
-            }
-            _ => {
-                ctx.metric_incr("ns.unexpected_msg");
-            }
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Timer tag of the periodic anti-entropy round.
@@ -768,51 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn register_and_lookup() {
-        let mut ns = NameServiceNode::new(SimDuration::from_secs(60));
-        let managers = vec![NodeId::from_index(1), NodeId::from_index(2)];
-        ns.register(AppId(1), managers.clone());
-        assert_eq!(ns.managers(AppId(1)), managers.as_slice());
-        assert_eq!(ns.managers(AppId(2)), &[]);
-    }
-
-    #[test]
-    fn replace_manager_set() {
-        let mut ns = NameServiceNode::new(SimDuration::from_secs(60));
-        ns.register(AppId(1), vec![NodeId::from_index(1)]);
-        ns.register(AppId(1), vec![NodeId::from_index(9)]);
-        assert_eq!(ns.managers(AppId(1)), &[NodeId::from_index(9)]);
-    }
-
-    #[test]
-    fn negative_reply_gets_capped_ttl_and_metric() {
-        let mut ns = NameServiceNode::new(SimDuration::from_secs(60));
-        ns.register(AppId(1), vec![NodeId::from_index(1)]);
-        let mut h = Harness::new();
-        let host = NodeId::from_index(7);
-
-        // Unknown app: empty set, quarter TTL, negative-reply metric.
-        let effects = h.deliver(&mut ns, host, ProtoMsg::NsQuery { app: AppId(9) });
-        assert!(metric_incrs(&effects).contains(&"ns.negative_reply"));
-        match &sends(&effects)[..] {
-            [(to, ProtoMsg::NsReply { managers, ttl, .. })] => {
-                assert_eq!(*to, host);
-                assert!(managers.is_empty());
-                assert_eq!(*ttl, SimDuration::from_secs(15));
-            }
-            other => panic!("unexpected effects: {other:?}"),
-        }
-
-        // Known app: full TTL, no negative metric.
-        let effects = h.deliver(&mut ns, host, ProtoMsg::NsQuery { app: AppId(1) });
-        assert!(!metric_incrs(&effects).contains(&"ns.negative_reply"));
-        match &sends(&effects)[..] {
-            [(_, ProtoMsg::NsReply { ttl, .. })] => assert_eq!(*ttl, SimDuration::from_secs(60)),
-            other => panic!("unexpected effects: {other:?}"),
-        }
-    }
-
-    #[test]
     fn replica_serves_signed_record_and_negative_answer() {
         let (registry, kp, writer) = writer_setup();
         let mut rep = replica(&registry, writer, vec![]);
@@ -847,6 +714,14 @@ mod tests {
             other => panic!("unexpected effects: {other:?}"),
         }
         assert_eq!(rep.lookups(), 2);
+
+        // A misconfigured negative TTL cannot pin "no managers" for long.
+        rep.set_negative_ttl(SimDuration::from_secs(120));
+        let effects = h.deliver(&mut rep, host, ProtoMsg::NsQuery { app: AppId(5) });
+        assert!(matches!(
+            &sends(&effects)[..],
+            [(_, ProtoMsg::NsRecordReply { ttl, .. })] if *ttl == UNKNOWN_APP_TTL_CAP
+        ));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::client::{AdminAction, AdminAgent, AdminAgentConfig, AdminRoute, UserA
 use crate::host::{AppHost, HostNode, ManagerDirectory};
 use crate::manager::{ManagerApp, ManagerConfig, ManagerNode, ManagerShard};
 use crate::msg::{AclOp, NsRecord, ProtoMsg, ReqId, ShardEntry};
-use crate::nameservice::{DirectoryReplica, NameServiceNode};
+use crate::nameservice::DirectoryReplica;
 use crate::policy::Policy;
 use crate::types::{Acl, AppId, Right, ShardId, UserId};
 use crate::wrapper::{Application, CountingApp};
@@ -46,7 +46,6 @@ pub struct Scenario {
     users: usize,
     initial_rights: Vec<(UserId, Right)>,
     authenticate: bool,
-    use_name_service: bool,
     ns_replicas: usize,
     ns_read_quorum: usize,
     ns_ttl: SimDuration,
@@ -87,7 +86,6 @@ impl Scenario {
             users: 1,
             initial_rights: Vec::new(),
             authenticate: false,
-            use_name_service: false,
             ns_replicas: 0,
             ns_read_quorum: 0,
             ns_ttl: SimDuration::from_secs(300),
@@ -171,19 +169,12 @@ impl Scenario {
         self
     }
 
-    /// Discovers managers through a name service instead of static
-    /// configuration.
-    pub fn with_name_service(mut self, ttl: SimDuration) -> Self {
-        self.use_name_service = true;
-        self.ns_ttl = ttl;
-        self
-    }
-
-    /// Discovers managers through a replicated, signed directory:
+    /// Discovers managers through the §3.2 name service instead of
+    /// static configuration — a replicated, signed directory:
     /// `replicas` [`DirectoryReplica`] nodes hold versioned records
     /// signed by [`NS_WRITER`], and every host issues quorum reads of
-    /// `read_quorum` verified replies (pass 0 for a majority). Takes
-    /// precedence over [`Scenario::with_name_service`].
+    /// `read_quorum` verified replies (pass 0 for a majority). One
+    /// replica with quorum 1 is the paper's single name service.
     pub fn with_replicated_directory(
         mut self,
         replicas: usize,
@@ -458,30 +449,17 @@ impl Scenario {
             }
         }
 
-        // Optional legacy name service (superseded by the replicated
-        // directory when both are requested).
-        let name_service = if self.use_name_service && self.ns_replicas == 0 {
-            let mut ns = NameServiceNode::new(self.ns_ttl);
-            ns.register(self.app, manager_ids.clone());
-            Some(add("nameservice".into(), ClockSpec::Perfect, RosterNode::NameService(ns)))
-        } else {
-            None
-        };
-
         // Hosts. The static manager list is shared once across every
         // host/app instead of cloned per host (O(hosts) at 10k+ hosts).
         let shared_managers: Arc<[NodeId]> = manager_ids.clone().into();
         let mut host_ids = Vec::with_capacity(self.hosts);
         for i in 0..self.hosts {
-            let directory = if !ns_replica_ids.is_empty() {
+            let directory = if ns_replica_ids.is_empty() {
+                ManagerDirectory::Static(shared_managers.clone())
+            } else {
                 ManagerDirectory::Replicated {
                     replicas: ns_replica_ids.clone(),
                     read_quorum: self.ns_read_quorum,
-                }
-            } else {
-                match name_service {
-                    Some(ns) => ManagerDirectory::NameService { ns },
-                    None => ManagerDirectory::Static(shared_managers.clone()),
                 }
             };
             let mut host = HostNode::new(
@@ -607,8 +585,6 @@ pub enum RosterNode {
     Manager(ManagerSpec),
     /// A replica of the signed directory.
     Directory(DirectoryReplica),
-    /// The legacy single name service.
-    NameService(NameServiceNode),
     /// An application host.
     Host(HostNode),
     /// A user agent.
@@ -653,7 +629,6 @@ impl Roster {
             let node: Box<dyn Node<Msg = ProtoMsg>> = match entry.node {
                 RosterNode::Manager(spec) => Box::new(spec.build()),
                 RosterNode::Directory(node) => Box::new(node),
-                RosterNode::NameService(node) => Box::new(node),
                 RosterNode::Host(node) => Box::new(node),
                 RosterNode::User(node) => Box::new(node),
                 RosterNode::Admin(node) => Box::new(node),

@@ -510,7 +510,7 @@ fn name_service_discovery_works() {
         .users(1)
         .policy(fast_policy(2))
         .all_users_granted()
-        .with_name_service(SimDuration::from_secs(60))
+        .with_replicated_directory(1, 1, SimDuration::from_secs(60))
         .build();
     d.run_for(SimDuration::from_secs(1));
     assert_eq!(d.host(0).manager_view(d.app).len(), 3, "host must learn managers from NS");
@@ -898,20 +898,15 @@ fn manager_set_change_via_name_service() {
         .users(1)
         .policy(fast_policy(1))
         .all_users_granted()
-        .with_name_service(ttl)
+        .with_replicated_directory(1, 1, ttl)
         .build();
     d.run_for(SimDuration::from_secs(1));
     assert_eq!(d.host(0).manager_view(d.app).len(), 3);
 
-    // The deployment shrinks to managers {1, 2}: update the directory.
-    let ns = NodeId::from_index(3); // managers 0..3, NS at index 3
+    // The deployment shrinks to managers {1, 2}: the writer signs and
+    // publishes version 2 of the record.
     let new_set = vec![d.managers[1], d.managers[2]];
-    let now = d.world.now();
-    d.world.inject(
-        now,
-        ns,
-        ProtoMsg::NsReply { app: d.app, managers: new_set.clone(), ttl },
-    );
+    d.republish_managers(0, 2, new_set.clone());
     // After the TTL-driven refresh the host holds the new set.
     d.run_for(SimDuration::from_secs(12));
     assert_eq!(d.host(0).manager_view(d.app), new_set.as_slice());
@@ -920,6 +915,51 @@ fn manager_set_change_via_name_service() {
     d.invoke_from(0);
     d.run_for(SimDuration::from_secs(2));
     assert_eq!(d.user_agent(0).stats().allowed, 1);
+}
+
+/// The single name service down: a host keeps its last-known-good
+/// manager set until the record's TTL runs out, then the view empties
+/// and checks resolve per the exhaustion policy.
+#[test]
+fn crashed_sole_replica_leaves_last_known_good_until_ttl_then_fails_per_policy() {
+    for exhaustion in [ExhaustionBehavior::FailClosed, ExhaustionBehavior::FailOpen] {
+        let policy = Policy::builder(1)
+            .revocation_bound(SimDuration::from_secs(30))
+            .query_timeout(SimDuration::from_millis(200))
+            .max_attempts(2)
+            .exhaustion(exhaustion)
+            .build();
+        let mut d = Scenario::builder(26)
+            .managers(3)
+            .hosts(1)
+            .users(2)
+            .policy(policy)
+            .all_users_granted()
+            .with_replicated_directory(1, 1, SimDuration::from_secs(10))
+            .build();
+        let replica = d.ns_replicas[0];
+        d.world.schedule_crash(SimTime::from_secs(1), replica);
+
+        // Inside the TTL the refresh round times out, and the installed
+        // record keeps serving cold checks.
+        d.run_until(SimTime::from_secs(9));
+        assert_eq!(d.host(0).manager_view(d.app).len(), 3);
+        assert!(d.world.metrics().counter("ns.degraded_rounds") >= 1);
+        d.invoke_from(0);
+        d.run_until(SimTime::from_secs(11));
+        assert_eq!(d.user_agent(0).stats().allowed, 1);
+
+        // Past the TTL the view is gone; a cold check cannot query.
+        assert!(d.host(0).manager_view(d.app).is_empty());
+        assert_eq!(d.world.metrics().counter("ns.record_expired"), 1);
+        d.invoke_from(1);
+        d.run_until(SimTime::from_secs(13));
+        let (user, host) = (d.user_agent(1).stats(), d.host(0).stats());
+        match exhaustion {
+            ExhaustionBehavior::FailClosed => assert_eq!((user.unavailable, host.unavailable), (1, 1)),
+            ExhaustionBehavior::FailOpen => assert_eq!((user.allowed, host.fail_open_allows), (1, 1)),
+        }
+    }
 }
 
 /// Proactive refresh: an actively used lease is renewed before expiry,

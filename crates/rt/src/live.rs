@@ -91,7 +91,6 @@ pub fn install_roster(
                 )
             }
             RosterNode::Directory(node) => builder.add_node(entry.name, Box::new(node)),
-            RosterNode::NameService(node) => builder.add_node(entry.name, Box::new(node)),
             RosterNode::Host(node) => builder.add_node(entry.name, Box::new(node)),
             RosterNode::User(node) => builder.add_node(entry.name, Box::new(node)),
             RosterNode::Admin(node) => builder.add_node(entry.name, Box::new(node)),

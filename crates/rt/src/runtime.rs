@@ -365,7 +365,6 @@ pub struct RuntimeBuilder<M> {
     metrics: MetricsSink,
     inbox_capacity: usize,
     workers: Option<usize>,
-    coalesce: bool,
     trace: Option<TraceBuffer>,
     wrap: Option<TransportWrap<M>>,
 }
@@ -385,7 +384,6 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
             metrics: MetricsSink::new(),
             inbox_capacity: DEFAULT_INBOX_CAPACITY,
             workers: None,
-            coalesce: true,
             trace: None,
             wrap: None,
         }
@@ -412,16 +410,6 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
     /// parallelism, clamped to the node count). Clamped to at least 1.
     pub fn workers(&mut self, n: usize) -> &mut Self {
         self.workers = Some(n.max(1));
-        self
-    }
-
-    /// Enables or disables per-peer send coalescing (default on). With
-    /// it off, every outbound message takes its own
-    /// `Transport::send_shared` call — the A/B switch the batched-vs-
-    /// unbatched equivalence tests flip; protocol outcomes must not
-    /// depend on it.
-    pub fn coalesce_sends(&mut self, on: bool) -> &mut Self {
-        self.coalesce = on;
         self
     }
 
@@ -526,7 +514,6 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
         for (w, (wake_rx, nodes)) in wake_rxs.into_iter().zip(initial).enumerate() {
             let worker = Worker {
                 seed: self.seed,
-                coalesce: self.coalesce,
                 wake_rx,
                 cells: cells.clone(),
                 slots: (0..nnodes).map(|_| WorkerSlot::Empty).collect(),
@@ -743,7 +730,6 @@ where
 
 struct Worker<M> {
     seed: u64,
-    coalesce: bool,
     wake_rx: Receiver<u32>,
     cells: Vec<Arc<NodeCell<M>>>,
     slots: Vec<WorkerSlot<M>>,
@@ -991,7 +977,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         let sinks = &mut self.sinks;
         let mut batched = 0u64;
         for (to, mut msgs) in sinks.outbox.drain(..) {
-            if self.coalesce && msgs.len() > 1 {
+            if msgs.len() > 1 {
                 batched += 1;
                 self.transport.send_batch(from, to, &mut msgs);
             } else {
@@ -1559,7 +1545,6 @@ mod tests {
         let epoch = Instant::now();
         let mut worker = Worker {
             seed: 23,
-            coalesce: true,
             wake_rx,
             cells: vec![cell],
             slots: vec![WorkerSlot::Empty],

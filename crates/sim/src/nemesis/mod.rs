@@ -134,15 +134,6 @@ pub enum Fault {
         /// Downtime before the scheduled recovery.
         down_for: SimDuration,
     },
-    /// Name-service outage: the directory node is down for the whole
-    /// window, so hosts relying on discovery cannot refresh their
-    /// manager view.
-    NsOutage {
-        /// The name-service node.
-        ns: NodeId,
-        /// When it is down.
-        window: Window,
-    },
     /// Degraded stable storage on one node: WAL sync barriers fail
     /// transiently and crashes tear the tail record with the given
     /// probabilities. The campaign driver applies this to the node's
@@ -252,7 +243,6 @@ impl std::fmt::Display for Fault {
             Fault::Crash { node, at, down_for } => {
                 write!(f, "crash {node} at {at} for {down_for}")
             }
-            Fault::NsOutage { ns, window } => write!(f, "ns-outage {ns} {window}"),
             Fault::DiskFault { node, sync_fail_prob, torn_tail_prob } => {
                 write!(f, "disk-fault {node} sync-fail={sync_fail_prob:.2} torn={torn_tail_prob:.2}")
             }
@@ -285,7 +275,6 @@ impl Fault {
         !matches!(
             self,
             Fault::Crash { .. }
-                | Fault::NsOutage { .. }
                 | Fault::DiskFault { .. }
                 | Fault::ClusterRestart { .. }
                 | Fault::StaleReplica { .. }
@@ -337,8 +326,6 @@ pub struct NemesisTargets {
     pub managers: Vec<NodeId>,
     /// Application host nodes (crashes, partitions).
     pub hosts: Vec<NodeId>,
-    /// The name-service node, if the deployment uses discovery.
-    pub name_service: Option<NodeId>,
     /// Replicated-directory nodes, if the deployment runs the quorum
     /// name service. Only [`NemesisPlan::sample_with_directory`] (and
     /// the scripted builder) attacks these.
@@ -414,7 +401,7 @@ impl NemesisPlan {
     /// Draws a weighted random campaign. `intensity` scales the number
     /// of faults (1.0 ≈ one fault per 5 seconds of horizon); the mix
     /// leans toward partitions and drop bursts, the failures the paper
-    /// calls frequent, with rarer crash storms and directory outages.
+    /// calls frequent, with rarer crash storms.
     ///
     /// # Panics
     ///
@@ -522,9 +509,6 @@ impl NemesisPlan {
         table.push((2, 6)); // manager crash
         if !targets.hosts.is_empty() {
             table.push((1, 7)); // host crash
-        }
-        if targets.name_service.is_some() {
-            table.push((1, 8)); // name-service outage
         }
         if storage_faults && !targets.managers.is_empty() {
             table.push((2, 9)); // manager disk fault
@@ -648,10 +632,6 @@ impl NemesisPlan {
                     down_for: SimDuration::from_nanos(down_ns),
                 }
             }
-            8 => Fault::NsOutage {
-                ns: targets.name_service.expect("guarded by the weight table"),
-                window: Self::sample_window(horizon, rng),
-            },
             9 => Fault::DiskFault {
                 node: *rng.choose(&targets.managers),
                 sync_fail_prob: rng.uniform(0.05, 0.4),
@@ -765,15 +745,14 @@ impl NemesisPlan {
     }
 
     /// The plan's lifecycle faults as `(node, down, up)` outages, in
-    /// plan order: crashes, name-service outages, and every member of a
-    /// correlated cluster restart. Each executor turns these into its
-    /// own crash/recover calls.
+    /// plan order: crashes and every member of a correlated cluster
+    /// restart. Each executor turns these into its own crash/recover
+    /// calls.
     pub fn outages(&self) -> Vec<(NodeId, SimTime, SimTime)> {
         let mut out = Vec::new();
         for fault in &self.faults {
             match fault {
                 Fault::Crash { node, at, down_for } => out.push((*node, *at, *at + *down_for)),
-                Fault::NsOutage { ns, window } => out.push((*ns, window.start, window.end)),
                 Fault::ClusterRestart { nodes, at, down_for } => {
                     out.extend(nodes.iter().map(|node| (*node, *at, *at + *down_for)));
                 }
@@ -957,12 +936,6 @@ impl NemesisPlanBuilder {
         self
     }
 
-    /// Adds a name-service outage.
-    pub fn ns_outage(mut self, ns: NodeId, start: SimTime, end: SimTime) -> Self {
-        self.plan.faults.push(Fault::NsOutage { ns, window: Window::new(start, end) });
-        self
-    }
-
     /// Adds a storage degradation on one node's WAL.
     pub fn disk_fault(mut self, node: NodeId, sync_fail_prob: f64, torn_tail_prob: f64) -> Self {
         assert!((0.0..=1.0).contains(&sync_fail_prob), "sync-fail probability must be in [0,1]");
@@ -1037,7 +1010,6 @@ mod tests {
         NemesisTargets {
             managers: vec![n(0), n(1), n(2)],
             hosts: vec![n(3), n(4)],
-            name_service: Some(n(5)),
             ns_replicas: Vec::new(),
             shard_managers: Vec::new(),
         }
@@ -1100,10 +1072,6 @@ mod tests {
                 Fault::Crash { at, down_for, .. } => {
                     assert!(*at < horizon);
                     assert!(*down_for > SimDuration::ZERO);
-                }
-                Fault::NsOutage { ns, window } => {
-                    assert_eq!(*ns, n(5));
-                    assert!(window.end <= horizon);
                 }
                 Fault::DiskFault { .. } | Fault::ClusterRestart { .. } => {
                     panic!("plain sample() must never draw storage faults")

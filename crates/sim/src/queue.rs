@@ -18,8 +18,8 @@
 //! strict `(time, seq)` order — buckets partition the timeline, so the first
 //! occupied bucket always holds the globally minimal event, and within a
 //! bucket the per-bucket heap restores the total order. The naive heap is
-//! kept as [`Scheduler::NaiveHeap`] both as a control for benchmarking and
-//! as the oracle for the determinism property test.
+//! kept as [`Scheduler::NaiveHeap`], the parity reference the calendar
+//! queue's tests compare against; no product surface selects it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,8 +38,8 @@ pub enum Scheduler {
     /// near-future traffic that dominates large worlds.
     #[default]
     Calendar,
-    /// A single global `BinaryHeap`, as the pre-refactor world used.
-    /// Kept as the benchmark control and the parity-test oracle.
+    /// A single global `BinaryHeap`: the parity reference for the
+    /// calendar queue's ordering tests, not a product option.
     NaiveHeap,
 }
 

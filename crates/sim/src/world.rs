@@ -188,8 +188,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Creates an empty world using an explicit event [`Scheduler`].
     ///
-    /// Both schedulers produce identical event orderings; the naive heap
-    /// exists as a benchmarking control and parity-test oracle.
+    /// Both schedulers produce identical event orderings; the naive
+    /// heap ([`Scheduler::NaiveHeap`]) exists only as the reference the
+    /// parity tests run the calendar queue against.
     pub fn with_scheduler(seed: u64, scheduler: Scheduler) -> Self {
         let mut root_rng = SimRng::seed_from(seed);
         let net_rng = root_rng.fork("net");

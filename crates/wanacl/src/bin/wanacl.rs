@@ -24,7 +24,6 @@
 
 use std::collections::BTreeMap;
 
-use wanacl::core::audit::AuditLog;
 use wanacl::core::campaign::{
     rollup_metrics, run_campaigns_parallel, sample_plan, shrink_plan, CampaignConfig, InjectedBug,
 };
@@ -53,7 +52,7 @@ fn main() {
                  \x20 tradeoff  sweep the check quorum and print PA/PS (model + measured)\n\
                  \x20           flags: --managers N --pi P --trials N\n\
                  \x20 tables    print the paper's Table 1 and Table 2 (analytic)\n\
-                 \x20 audit     run a revocation scenario and verify the trace offline\n\
+                 \x20 audit     run a revocation scenario under the invariant oracle\n\
                  \x20           flags: --seed S\n\
                  \x20 nemesis   run fault-injection campaigns with the invariant oracle\n\
                  \x20           flags: --seed S --campaigns N --horizon-secs T\n\
@@ -61,10 +60,10 @@ fn main() {
                  \x20                  --jobs N             worker threads for the campaign\n\
                  \x20                                       sweep (0 = one per core; results\n\
                  \x20                                       are identical at any job count)\n\
-                 \x20                  --name-service true\n\
-                 \x20                  --ns-replicas N      replace the name service with N\n\
+                 \x20                  --ns-replicas N      discover managers through N\n\
                  \x20                                       directory replicas (signed records,\n\
-                 \x20                                       host quorum reads, anti-entropy)\n\
+                 \x20                                       host quorum reads, anti-entropy;\n\
+                 \x20                                       1 = the paper's name service)\n\
                  \x20                  --ns-read-quorum Q   verified replies a read needs\n\
                  \x20                                       (default: majority of replicas)\n\
                  \x20                  --ns-faults true     add directory faults (stale\n\
@@ -123,7 +122,6 @@ fn main() {
                  \x20                  --diurnal A --zipf-users N --zipf-s S\n\
                  \x20                  --flash-at SECS --flash-secs D --flash-mult X\n\
                  \x20                  --revoke-ops N --timeout-ms MS --seed S\n\
-                 \x20                  --scheduler calendar|heap (bench control)\n\
                  \x20                  --metrics-out PATH   write the scale.* metrics\n\
                  \x20                                       snapshot as JSONL"
             );
@@ -290,11 +288,6 @@ fn scale(mut flags: Flags) {
     let revoke_ops: u64 = flags.get("revoke-ops", 2_000);
     let timeout_ms: u64 = flags.get("timeout-ms", 1_000);
     let seed: u64 = flags.get("seed", 1);
-    let scheduler = match flags.text("scheduler").as_deref() {
-        None | Some("calendar") => Scheduler::Calendar,
-        Some("heap") => Scheduler::NaiveHeap,
-        Some(other) => usage_error(&format!("unknown scheduler: {other} (expected calendar|heap)")),
-    };
     let flash_secs: u64 = flags.get("flash-secs", 60);
     let flash_mult: f64 = flags.get("flash-mult", 3.0);
     let flash = flags.opt::<u64>("flash-at").map(|start_secs| FlashSpec {
@@ -321,12 +314,11 @@ fn scale(mut flags: Flags) {
         timeout: SimDuration::from_millis(timeout_ms),
         jitter: 0.1,
         seed,
-        scheduler,
     };
 
     println!(
         "planet-scale probe: {hosts} hosts, M={managers} C={check_quorum} Pi={pi} \
-         epoch={epoch_secs}s horizon={horizon_secs}s seed={seed} ({scheduler:?} queue)"
+         epoch={epoch_secs}s horizon={horizon_secs}s seed={seed}"
     );
     println!(
         "workload: Zipf(s={zipf_s}) over {zipf_users} users, diurnal amplitude {diurnal}{}",
@@ -411,9 +403,8 @@ fn bug_name(bug: Option<InjectedBug>) -> &'static str {
 /// Reads the campaign both executors run from the command line:
 /// `nemesis` simulates it, `chaos` (`live`) soaks it on threads. The
 /// live soak fixes what the simulator leaves to flags — three directory
-/// replicas and shard faults whenever `--tenants` is set, no name
-/// service, no disk or directory faults — and calls its horizon
-/// `--seconds`.
+/// replicas and shard faults whenever `--tenants` is set, no disk or
+/// directory faults — and calls its horizon `--seconds`.
 fn campaign_config(flags: &mut Flags, live: bool) -> CampaignConfig {
     let seed: u64 = flags.get("seed", 1);
     let horizon_secs: u64 =
@@ -451,7 +442,6 @@ fn campaign_config(flags: &mut Flags, live: bool) -> CampaignConfig {
         CampaignConfig { ns_replicas: 3 * usize::from(sharded), shard_faults: sharded, ..common }
     } else {
         CampaignConfig {
-            use_name_service: flags.get("name-service", false),
             ns_replicas: flags.get("ns-replicas", 0),
             ns_read_quorum: flags.get("ns-read-quorum", 0),
             ns_faults: flags.get("ns-faults", false),
@@ -849,6 +839,8 @@ fn audit(mut flags: Flags) {
         .query_timeout(SimDuration::from_millis(300))
         .max_attempts(2)
         .build();
+    // Half a second of slack covers a reply already in flight.
+    let oracle = InvariantOracle::new(&policy, SimDuration::from_millis(500));
     let mut d = Scenario::builder(seed)
         .managers(3)
         .hosts(2)
@@ -857,18 +849,17 @@ fn audit(mut flags: Flags) {
         .all_users_granted()
         .workload(SimDuration::from_secs(2))
         .build();
-    d.world.enable_trace();
+    let oracle = d.world.add_observer(Box::new(oracle));
     d.run_for(SimDuration::from_secs(30));
     d.revoke(UserId(1), Right::Use);
     d.run_for(SimDuration::from_secs(90));
 
-    let log = AuditLog::from_trace(d.world.trace());
-    println!("audit: {} allows, {} stable revokes recorded", log.allow_count(), log.revoke_count());
-    match log.verify_bounded_revocation(te, SimDuration::from_millis(500)) {
-        Ok(()) => println!("bounded-revocation invariant HOLDS (Te = {te})"),
-        Err(v) => {
-            println!("VIOLATION: {v}");
-            std::process::exit(1);
-        }
+    let oracle = d.world.observer_as::<InvariantOracle>(oracle);
+    let stats = oracle.stats();
+    println!("audit: {} allows, {} stable revokes recorded", stats.allows, stats.revokes);
+    if let Some(v) = oracle.violations().first() {
+        println!("VIOLATION: {v}");
+        std::process::exit(1);
     }
+    println!("bounded-revocation invariant HOLDS (Te = {te})");
 }

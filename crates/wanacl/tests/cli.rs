@@ -46,6 +46,9 @@ fn unknown_flags_exit_2_naming_the_flag() {
         (&["nemesis", "--seconds", "8"][..], "--seconds"),
         (&["tables", "--pi", "0.1"][..], "--pi"),
         (&["audit", "--sed", "7"][..], "--sed"),
+        // Retired with the implementations they selected.
+        (&["nemesis", "--name-service", "true"][..], "--name-service"),
+        (&["scale", "--scheduler", "heap"][..], "--scheduler"),
     ] {
         let out = wanacl(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));

@@ -156,9 +156,10 @@ fn chaos_runs_are_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// The freeze strategy and the name service work together end to end.
+/// The freeze strategy and the name service (a one-replica directory)
+/// work together end to end.
 #[test]
-fn freeze_with_name_service() {
+fn freeze_with_a_directory() {
     let policy = Policy::builder(1)
         .revocation_bound(SimDuration::from_secs(40))
         .clock_rate_bound(0.5)
@@ -175,7 +176,7 @@ fn freeze_with_name_service() {
         .users(1)
         .policy(policy)
         .all_users_granted()
-        .with_name_service(SimDuration::from_secs(120))
+        .with_replicated_directory(1, 1, SimDuration::from_secs(120))
         .build();
     d.run_for(SimDuration::from_secs(2));
     d.invoke_from(0);

@@ -62,10 +62,13 @@ fn forge(h: &Hostile) -> ProtoMsg {
             id: OpId { origin: NodeId::from_index((h.b % 4) as usize), seq: h.a },
         },
         10 => ProtoMsg::SyncRequest { stamps: vec![(NodeId::from_index((h.a % 4) as usize), h.b)], slots: vec![] },
-        _ => ProtoMsg::NsReply {
+        _ => ProtoMsg::NsRecordReply {
             app,
+            version: h.a % 4,
             managers: vec![NodeId::from_index((h.a % 8) as usize)],
+            shards: None,
             ttl: SimDuration::from_secs(h.b % 100 + 1),
+            signature: None,
         },
     }
 }

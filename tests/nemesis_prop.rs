@@ -1,10 +1,10 @@
 //! Nemesis campaigns as a property: for *any* randomly sampled
 //! adversarial schedule — message loss, duplication, delay spikes,
 //! symmetric/asymmetric/flapping partitions, crash–recovery storms,
-//! name-service outages, drifting clocks — the protocol never allows a
-//! request for a right whose revocation stabilized more than `Te`
-//! earlier, and every other oracle invariant (quorum intersection,
-//! cache expiry, freeze safety) holds too.
+//! name-service (one-replica directory) faults, drifting clocks — the
+//! protocol never allows a request for a right whose revocation
+//! stabilized more than `Te` earlier, and every other oracle invariant
+//! (quorum intersection, cache expiry, freeze safety) holds too.
 //!
 //! The companion tests prove the harness has teeth: a deliberately
 //! planted bug (one host's cache stops expiring) *is* caught, and the
@@ -17,11 +17,15 @@ use wanacl::core::campaign::{
 };
 use wanacl::prelude::*;
 
-fn config(seed: u64, use_name_service: bool, intensity: f64) -> CampaignConfig {
+/// `ns_replicas` is 0 (static manager lists) or 1 (the paper's single
+/// name service, exposed to the directory faults: crashes of the sole
+/// replica, forged answers).
+fn config(seed: u64, ns_replicas: usize, intensity: f64) -> CampaignConfig {
     CampaignConfig {
         seed,
         horizon: SimDuration::from_secs(6),
-        use_name_service,
+        ns_replicas,
+        ns_faults: ns_replicas > 0,
         intensity,
         ..CampaignConfig::default()
     }
@@ -36,10 +40,10 @@ proptest! {
     #[test]
     fn random_campaigns_never_violate_invariants(
         seed in any::<u64>(),
-        use_name_service in any::<bool>(),
+        ns_replicas in 0usize..=1,
         intensity in 0.5f64..2.0,
     ) {
-        let report = run_campaign(&config(seed, use_name_service, intensity));
+        let report = run_campaign(&config(seed, ns_replicas, intensity));
         prop_assert!(report.is_clean(), "counterexample:\n{}", report.render());
     }
 }
@@ -51,7 +55,7 @@ proptest! {
 #[test]
 fn hundred_seed_sweep_is_clean() {
     let configs: Vec<CampaignConfig> =
-        (0..100u64).map(|seed| config(seed, seed % 3 == 0, 1.0)).collect();
+        (0..100u64).map(|seed| config(seed, usize::from(seed % 3 == 0), 1.0)).collect();
     let reports = run_campaigns_parallel(&configs, 0);
     let mut evidence = 0u64;
     for (config, report) in configs.iter().zip(&reports) {
@@ -68,7 +72,7 @@ fn hundred_seed_sweep_is_clean() {
 #[test]
 fn parallel_sweep_is_bit_identical_to_sequential() {
     let configs: Vec<CampaignConfig> =
-        (0..32u64).map(|seed| config(seed, seed % 3 == 0, 1.0)).collect();
+        (0..32u64).map(|seed| config(seed, usize::from(seed % 3 == 0), 1.0)).collect();
     let sequential: Vec<_> = configs.iter().map(run_campaign).collect();
     for jobs in [2, 4, 0] {
         let parallel = run_campaigns_parallel(&configs, jobs);
@@ -99,7 +103,7 @@ fn injected_bug_is_caught_under_parallel_executor() {
     let configs: Vec<CampaignConfig> = (0..30u64)
         .map(|seed| CampaignConfig {
             inject_bug: Some(InjectedBug::IgnoreCacheExpiry { host_index: 0 }),
-            ..config(seed, false, 1.0)
+            ..config(seed, 0, 1.0)
         })
         .collect();
     let reports = run_campaigns_parallel(&configs, 0);
@@ -123,7 +127,7 @@ fn injected_bug_is_caught_with_shrunk_counterexample() {
     for seed in 0..30u64 {
         let cfg = CampaignConfig {
             inject_bug: Some(InjectedBug::IgnoreCacheExpiry { host_index: 0 }),
-            ..config(seed, false, 1.0)
+            ..config(seed, 0, 1.0)
         };
         let report = run_campaign(&cfg);
         if !report.is_clean() {

@@ -79,7 +79,7 @@ fn authenticated_and_refreshing_variants() {
             s = s.authenticate();
         }
         if ns {
-            s = s.with_name_service(SimDuration::from_secs(120));
+            s = s.with_replicated_directory(1, 1, SimDuration::from_secs(120));
         }
         cycle(s.build());
     }
