@@ -126,6 +126,7 @@ pub fn verify(key: &[u8], message: &[u8], tag: &Tag) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::tests::{bodies, digest_with};
     use proptest::prelude::*;
 
     /// RFC 4231 §4 test cases 1–4, 6 and 7 (case 5 truncates the tag):
@@ -185,19 +186,29 @@ mod tests {
     /// RFC 2104 written out directly, sharing nothing with [`HmacKey`]
     /// but the hash: `H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m))`.
     fn reference_hmac(key: &[u8], message: &[u8]) -> Tag {
-        let mut block = if key.len() > 64 { Digest::of(key).0.to_vec() } else { key.to_vec() };
+        reference_hmac_over(Digest::of, key, message)
+    }
+
+    /// [`reference_hmac`] with `H` handed in.
+    fn reference_hmac_over(hash: impl Fn(&[u8]) -> Digest, key: &[u8], message: &[u8]) -> Tag {
+        let mut block = if key.len() > 64 { hash(key).0.to_vec() } else { key.to_vec() };
         block.resize(64, 0);
         let mut inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).collect();
         inner.extend_from_slice(message);
         let mut outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).collect();
-        outer.extend_from_slice(&Digest::of(&inner).0);
-        Tag(Digest::of(&outer).0)
+        outer.extend_from_slice(&hash(&inner).0);
+        Tag(hash(&outer).0)
     }
 
     #[test]
     fn reference_matches_the_rfc_vectors() {
         for (key, data, want) in rfc4231() {
             assert_eq!(reference_hmac(&key, &data).to_hex(), want);
+            // And over each compression body on its own.
+            for (name, body) in bodies() {
+                let tag = reference_hmac_over(|bytes| digest_with(body, bytes), &key, &data);
+                assert_eq!(tag.to_hex(), want, "{name} body");
+            }
         }
     }
 

@@ -711,7 +711,7 @@ impl HostNode {
         let all_held_open = view.is_empty() && had_candidates;
         // Choose which managers to ask this attempt.
         let targets: Vec<NodeId> = match state.policy.fanout() {
-            QueryFanout::All => view.clone(),
+            QueryFanout::All => view,
             QueryFanout::Subset => {
                 let c = state.policy.check_quorum().min(view.len());
                 let mut pool = view.clone();

@@ -673,7 +673,8 @@ pub fn ns_record_signing_bytes_sharded(
 
 /// Canonical bytes signed for an admin operation.
 pub fn admin_signing_bytes(issuer: UserId, op: &AclOp) -> Vec<u8> {
-    let mut out = Vec::new();
+    // Issuer, then the op's kind, app, user and right.
+    let mut out = Vec::with_capacity(8 + 1 + 4 + 8 + 1);
     issuer.auth_encode(&mut out);
     op.auth_encode(&mut out);
     out
@@ -681,7 +682,8 @@ pub fn admin_signing_bytes(issuer: UserId, op: &AclOp) -> Vec<u8> {
 
 /// Canonical bytes signed for an invoke request.
 pub fn invoke_signing_bytes(user: UserId, app: AppId, req: ReqId, payload: &str) -> Vec<u8> {
-    let mut out = Vec::new();
+    // User, app, request id, then the payload behind its length.
+    let mut out = Vec::with_capacity(8 + 4 + 8 + 8 + payload.len());
     user.auth_encode(&mut out);
     app.auth_encode(&mut out);
     req.0.auth_encode(&mut out);
@@ -732,6 +734,10 @@ mod tests {
         assert_ne!(inv, invoke_signing_bytes(UserId(1), AppId(2), ReqId(1), "x"));
         assert_ne!(inv, invoke_signing_bytes(UserId(1), AppId(1), ReqId(2), "x"));
         assert_ne!(inv, invoke_signing_bytes(UserId(1), AppId(1), ReqId(1), "y"));
+
+        // The lengths both builders reserve up front.
+        assert_eq!(base.len(), 8 + 1 + 4 + 8 + 1);
+        assert_eq!(inv.len(), 8 + 4 + 8 + 8 + "x".len());
     }
 
     #[test]
