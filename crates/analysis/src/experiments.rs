@@ -362,6 +362,75 @@ pub fn measure_overhead(c: usize, te: SimDuration, seed: u64) -> OverheadMeasure
     }
 }
 
+/// E11's steady workload: one granted user invoking every 500 ms for a
+/// minute (120 invokes) against `M = 5` managers over a 20 ms WAN, under
+/// check quorum `c`, revocation bound `te` and the given fan-out.
+/// Returns `(allowed, control messages)`, a control message being a
+/// query sent or a grant or denial returned.
+pub fn ablation_workload(c: usize, te: SimDuration, fanout: QueryFanout, seed: u64) -> (u64, u64) {
+    let net = WanNet::builder().constant_delay(SimDuration::from_millis(20)).build();
+    let mut d = Scenario::builder(seed)
+        .managers(5)
+        .hosts(1)
+        .users(1)
+        .policy(Policy::builder(c).revocation_bound(te).fanout(fanout).build())
+        .all_users_granted()
+        .net(Box::new(net))
+        .build();
+    let mut t = SimTime::from_secs(1);
+    while t < SimTime::from_secs(60) {
+        d.world.inject(
+            t,
+            d.users[0].1,
+            ProtoMsg::Invoke {
+                app: d.app,
+                user: UserId(1),
+                req: ReqId(0),
+                payload: "tick".into(),
+                signature: None,
+            },
+        );
+        t += SimDuration::from_millis(500);
+    }
+    d.run_until(SimTime::from_secs(65));
+    let m = d.world.metrics();
+    let control =
+        m.counter("host.queries_sent") + m.counter("mgr.grants") + m.counter("mgr.denies");
+    (d.aggregate_user_stats().allowed, control)
+}
+
+/// E11's retry-cadence run: one revoke into `M = 5`, `C = 3` managers
+/// that re-send unacknowledged updates every `retry`, over a 20 ms WAN
+/// losing 20 % of messages. Returns the mean seconds from issue to
+/// update quorum over seeds 1–20 and how many of them got there within
+/// 30 s. The time is the issuing manager's own `mgr.time_to_quorum_s`,
+/// not the admin agent's `stable_latency`: the one `Stable` reply can
+/// itself be lost, and the agent then reads "never" for a quorum the
+/// manager reached in 40 ms.
+pub fn retry_cadence(retry: SimDuration) -> (f64, usize) {
+    let reached: Vec<f64> = (1..=20)
+        .filter_map(|seed| {
+            let tuning = ManagerConfig { retry_interval: retry, ..ManagerConfig::default() };
+            let net =
+                WanNet::builder().constant_delay(SimDuration::from_millis(20)).loss(0.2).build();
+            let mut d = Scenario::builder(seed)
+                .managers(5)
+                .hosts(1)
+                .users(1)
+                .policy(Policy::builder(3).build())
+                .all_users_granted()
+                .manager_tuning(tuning)
+                .net(Box::new(net))
+                .build();
+            d.run_for(SimDuration::from_secs(1));
+            d.revoke(UserId(1), Right::Use);
+            d.run_for(SimDuration::from_secs(30));
+            d.world.metrics().histogram("mgr.time_to_quorum_s")?.mean()
+        })
+        .collect();
+    (reached.iter().sum::<f64>() / reached.len() as f64, reached.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,6 +485,24 @@ mod tests {
         // Freeze still serves from live cache entries early in the
         // window, but must be substantially lower overall.
         assert!(cmp.freeze_allowed < 0.5, "freeze blocks new checks: {cmp:?}");
+    }
+
+    #[test]
+    fn ablations_print_what_e11_quotes() {
+        let (cold, warm) = (SimDuration::from_millis(1), SimDuration::from_secs(30));
+        assert_eq!(ablation_workload(2, warm, QueryFanout::All, 1).1, 20);
+        assert_eq!(ablation_workload(2, cold, QueryFanout::All, 1).1, 1_180);
+        for (fanout, control) in
+            [(QueryFanout::All, 1_180), (QueryFanout::Subset, 236), (QueryFanout::Sequential, 236)]
+        {
+            assert_eq!(ablation_workload(1, cold, fanout, 3), (118, control), "{fanout:?}");
+        }
+        let means = [100, 500, 2_000].map(|retry_ms| {
+            let (mean, reached) = retry_cadence(SimDuration::from_millis(retry_ms));
+            assert!(mean.is_finite() && reached >= 15, "{retry_ms} ms: {mean} s, {reached}/20");
+            mean
+        });
+        assert!(means[2] >= means[0], "a slower cadence cannot reach quorum sooner: {means:?}");
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!
 //! Regenerator binaries (see the DESIGN.md experiment index): 
 //! `repro_table1`, `repro_table2`, `repro_fig5`, `repro_overhead`,
-//! `repro_freeze`, `repro_hetero`, `repro_baselines`, `repro_all`.
+//! `repro_freeze`, `repro_hetero`, `repro_baselines`, `repro_scale`,
+//! `repro_ablations`, `repro_all`.
 //!
 //! ## Example
 //!

@@ -37,23 +37,6 @@ pub enum WorkloadShape {
         /// Mean inter-arrival time.
         mean: SimDuration,
     },
-    /// Fixed-period arrivals (useful for deterministic experiments).
-    Periodic {
-        /// The period.
-        period: SimDuration,
-    },
-    /// On/off bursts: idle for ~`off_mean`, then a burst lasting
-    /// ~`on_mean` with requests every ~`rate_mean` (all exponential).
-    /// Models the flash-crowd traffic the paper's "massively
-    /// replicated" services see.
-    Bursty {
-        /// Mean burst duration.
-        on_mean: SimDuration,
-        /// Mean idle gap between bursts.
-        off_mean: SimDuration,
-        /// Mean inter-arrival time inside a burst.
-        rate_mean: SimDuration,
-    },
 }
 
 /// Configuration of a [`UserAgent`].
@@ -130,8 +113,6 @@ pub struct UserAgent {
     stats: UserStats,
     last_outcome: Option<InvokeOutcome>,
     auto_sent: u64,
-    /// For bursty workloads: local time the current burst ends.
-    burst_until: Option<LocalTime>,
 }
 
 impl UserAgent {
@@ -144,7 +125,6 @@ impl UserAgent {
             stats: UserStats::default(),
             last_outcome: None,
             auto_sent: 0,
-            burst_until: None,
         }
     }
 
@@ -192,34 +172,13 @@ impl UserAgent {
     }
 
     fn schedule_arrival(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        let Some(shape) = self.config.workload else { return };
+        let Some(WorkloadShape::Poisson { mean }) = self.config.workload else { return };
         if let Some(max) = self.config.max_requests {
             if self.auto_sent >= max {
                 return;
             }
         }
-        let wait = match shape {
-            WorkloadShape::Poisson { mean } => {
-                SimDuration::from_secs_f64(ctx.rng().exponential(mean.as_secs_f64()))
-            }
-            WorkloadShape::Periodic { period } => period,
-            WorkloadShape::Bursty { on_mean, off_mean, rate_mean } => {
-                let now = ctx.local_now();
-                let in_burst = self.burst_until.map(|until| now < until).unwrap_or(false);
-                if in_burst {
-                    SimDuration::from_secs_f64(ctx.rng().exponential(rate_mean.as_secs_f64()))
-                } else {
-                    // Rest, then open a new burst; its first request
-                    // arrives when the gap ends.
-                    let gap =
-                        SimDuration::from_secs_f64(ctx.rng().exponential(off_mean.as_secs_f64()));
-                    let burst_len =
-                        SimDuration::from_secs_f64(ctx.rng().exponential(on_mean.as_secs_f64()));
-                    self.burst_until = Some(now.plus(gap + burst_len));
-                    gap
-                }
-            }
-        };
+        let wait = SimDuration::from_secs_f64(ctx.rng().exponential(mean.as_secs_f64()));
         ctx.set_timer(wait, TAG_ARRIVAL);
     }
 }

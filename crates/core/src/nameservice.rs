@@ -130,12 +130,6 @@ impl DirectoryReplica {
         self.negative_ttl = ttl;
     }
 
-    /// Overrides the anti-entropy period (default: TTL / 4).
-    pub fn set_sync_interval(&mut self, interval: SimDuration) {
-        assert!(interval > SimDuration::ZERO, "sync interval must be positive");
-        self.sync_interval = interval;
-    }
-
     /// Attaches stable storage: accepted records are WAL-appended and
     /// fsynced before they are served, snapshots truncate the log, and
     /// crash recovery replays both.

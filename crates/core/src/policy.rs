@@ -71,8 +71,6 @@ pub struct Policy {
     cache_sweep_interval: SimDuration,
     fanout: QueryFanout,
     refresh_margin: Option<SimDuration>,
-    ns_retry_cap: SimDuration,
-    ns_retry_jitter: f64,
     deadline_budget: Option<SimDuration>,
     breaker: Option<BreakerConfig>,
 }
@@ -162,17 +160,6 @@ impl Policy {
         self.refresh_margin
     }
 
-    /// Cap on the name-service re-query delay (see
-    /// [`Policy::ns_retry_backoff`]).
-    pub fn ns_retry_cap(&self) -> SimDuration {
-        self.ns_retry_cap
-    }
-
-    /// Jitter fraction applied to name-service retries.
-    pub fn ns_retry_jitter(&self) -> f64 {
-        self.ns_retry_jitter
-    }
-
     /// End-to-end deadline budget for a single access check, measured
     /// on the host's local clock from the moment the user request
     /// arrives. When the budget runs out mid-retry the host stops
@@ -192,13 +179,12 @@ impl Policy {
 
     /// The backoff schedule a host uses when its name-service lookup
     /// goes unanswered: starts at `2 · query_timeout` (the historical
-    /// fixed retry period) and doubles per fruitless round up to
-    /// [`Policy::ns_retry_cap`], with deterministic ±jitter so hosts
-    /// that lost the name service together do not re-query in lockstep.
+    /// fixed retry period) and doubles per fruitless round up to 15 s,
+    /// with deterministic ±10 % jitter so hosts that lost the name
+    /// service together do not re-query in lockstep.
     pub fn ns_retry_backoff(&self) -> wanacl_sim::backoff::Backoff {
         let base = self.query_timeout + self.query_timeout;
-        wanacl_sim::backoff::Backoff::new(base, self.ns_retry_cap.max(base))
-            .jitter(self.ns_retry_jitter)
+        wanacl_sim::backoff::Backoff::new(base, SimDuration::from_secs(15).max(base)).jitter(0.1)
     }
 }
 
@@ -249,8 +235,6 @@ impl PolicyBuilder {
                 cache_sweep_interval: SimDuration::from_secs(30),
                 fanout: QueryFanout::All,
                 refresh_margin: None,
-                ns_retry_cap: SimDuration::from_secs(15),
-                ns_retry_jitter: 0.1,
                 deadline_budget: None,
                 breaker: None,
             },
@@ -329,28 +313,6 @@ impl PolicyBuilder {
     pub fn refresh_margin(mut self, margin: SimDuration) -> Self {
         assert!(margin > SimDuration::ZERO, "refresh margin must be positive");
         self.policy.refresh_margin = Some(margin);
-        self
-    }
-
-    /// Sets the cap on the name-service retry backoff.
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn ns_retry_cap(mut self, cap: SimDuration) -> Self {
-        assert!(cap > SimDuration::ZERO, "ns retry cap must be positive");
-        self.policy.ns_retry_cap = cap;
-        self
-    }
-
-    /// Sets the jitter fraction for name-service retries.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= j < 1`.
-    pub fn ns_retry_jitter(mut self, j: f64) -> Self {
-        assert!((0.0..1.0).contains(&j), "ns retry jitter must be in [0, 1), got {j}");
-        self.policy.ns_retry_jitter = j;
         self
     }
 

@@ -213,12 +213,6 @@ impl Scenario {
         self
     }
 
-    /// Installs an arbitrary workload shape on every user agent.
-    pub fn workload_shape(mut self, shape: crate::client::WorkloadShape) -> Self {
-        self.workload = Some(shape);
-        self
-    }
-
     /// Sets the user-side request timeout.
     pub fn request_timeout(mut self, t: SimDuration) -> Self {
         self.request_timeout = t;

@@ -23,6 +23,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use wanacl::core::campaign::{
     rollup_metrics, run_campaigns_parallel, sample_plan, shrink_plan, CampaignConfig, InjectedBug,
@@ -137,11 +138,12 @@ fn usage_error(msg: &str) -> ! {
 }
 
 /// `<command> --key value ...`, parsed without external crates. A
-/// subcommand takes each flag it understands out with [`Flags::get`] or
-/// [`Flags::text`] and then calls [`Flags::done`], so the set of flags a
-/// subcommand accepts is exactly the set it reads: anything left over
-/// is an unknown flag, and a value that does not parse is an error —
-/// neither silently falls back to a default.
+/// subcommand takes each flag it understands out with [`Flags::get`],
+/// [`Flags::get_in`] or [`Flags::text`] and then calls [`Flags::done`],
+/// so the set of flags a subcommand accepts is exactly the set it reads:
+/// anything left over is an unknown flag, and a value that does not
+/// parse or lies outside what the library accepts is an error — neither
+/// silently falls back to a default nor reaches a library `assert!`.
 struct Flags {
     command: String,
     values: BTreeMap<String, String>,
@@ -179,6 +181,19 @@ impl Flags {
         self.opt(key).unwrap_or(default)
     }
 
+    /// [`Flags::get`], rejecting a value outside `range`.
+    fn get_in<T, R>(&mut self, key: &str, default: T, range: R) -> T
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+        R: std::ops::RangeBounds<T> + std::fmt::Debug,
+    {
+        let value = self.get(key, default);
+        if !range.contains(&value) {
+            usage_error(&format!("--{key} must be in {range:?}, got {value}"));
+        }
+        value
+    }
+
     /// Rejects every flag the subcommand did not take.
     fn done(self) {
         if let Some(key) = self.values.keys().next() {
@@ -188,13 +203,13 @@ impl Flags {
 }
 
 fn demo(mut flags: Flags) {
-    let managers: usize = flags.get("managers", 5);
-    let hosts: usize = flags.get("hosts", 3);
+    let managers: usize = flags.get_in("managers", 5, 1..);
+    let hosts: usize = flags.get_in("hosts", 3, 1..);
     let users: usize = flags.get("users", 4);
-    let c: usize = flags.get("check-quorum", (managers / 2).max(1));
-    let te: u64 = flags.get("te", 60);
+    let c: usize = flags.get_in("check-quorum", (managers / 2).max(1), 1..=managers);
+    let te: u64 = flags.get_in("te", 60, 1..);
     let minutes: u64 = flags.get("minutes", 10);
-    let pi: f64 = flags.get("pi", 0.1);
+    let pi: f64 = flags.get_in("pi", 0.1, 0.0..=1.0);
     let seed: u64 = flags.get("seed", 1);
     flags.done();
 
@@ -241,8 +256,8 @@ fn demo(mut flags: Flags) {
 
 fn tradeoff(mut flags: Flags) {
     let managers: usize = flags.get("managers", 10);
-    let pi: f64 = flags.get("pi", 0.2);
-    let trials: u64 = flags.get("trials", 150);
+    let pi: f64 = flags.get_in("pi", 0.2, 0.0..=1.0);
+    let trials: u64 = flags.get_in("trials", 150, 1..);
     flags.done();
     println!("M={managers} Pi={pi} trials={trials}\n");
     println!("  C | PA model  PA measured | PS model  PS measured");
@@ -276,20 +291,20 @@ fn scale(mut flags: Flags) {
     use wanacl::analysis::empirical::{run_empirical, FlashSpec, ScaleConfig};
 
     let hosts: usize = flags.get("hosts", 10_000);
-    let managers: usize = flags.get("managers", 10);
-    let check_quorum: usize = flags.get("check-quorum", (managers / 2).max(1));
-    let pi: f64 = flags.get("pi", 0.1);
-    let epoch_secs: u64 = flags.get("epoch-secs", 10);
-    let horizon_secs: u64 = flags.get("horizon-secs", 600);
-    let checks_per_host: f64 = flags.get("checks-per-host", 5.0);
-    let diurnal: f64 = flags.get("diurnal", 0.5);
-    let zipf_users: usize = flags.get("zipf-users", hosts.max(1));
-    let zipf_s: f64 = flags.get("zipf-s", 1.1);
+    let managers: usize = flags.get_in("managers", 10, 2..);
+    let check_quorum: usize = flags.get_in("check-quorum", (managers / 2).max(1), 1..=managers);
+    let pi: f64 = flags.get_in("pi", 0.1, 0.0..=1.0);
+    let epoch_secs: u64 = flags.get_in("epoch-secs", 10, 1..);
+    let horizon_secs: u64 = flags.get_in("horizon-secs", 600, 1..);
+    let checks_per_host: f64 = flags.get_in("checks-per-host", 5.0, 0.0..f64::INFINITY);
+    let diurnal: f64 = flags.get_in("diurnal", 0.5, 0.0..=1.0);
+    let zipf_users: usize = flags.get_in("zipf-users", hosts.max(1), 1..);
+    let zipf_s: f64 = flags.get_in("zipf-s", 1.1, 0.0..f64::INFINITY);
     let revoke_ops: u64 = flags.get("revoke-ops", 2_000);
     let timeout_ms: u64 = flags.get("timeout-ms", 1_000);
     let seed: u64 = flags.get("seed", 1);
     let flash_secs: u64 = flags.get("flash-secs", 60);
-    let flash_mult: f64 = flags.get("flash-mult", 3.0);
+    let flash_mult: f64 = flags.get_in("flash-mult", 3.0, 0.0..f64::INFINITY);
     let flash = flags.opt::<u64>("flash-at").map(|start_secs| FlashSpec {
         start: SimTime::ZERO + SimDuration::from_secs(start_secs),
         duration: SimDuration::from_secs(flash_secs),
@@ -408,13 +423,14 @@ fn bug_name(bug: Option<InjectedBug>) -> &'static str {
 fn campaign_config(flags: &mut Flags, live: bool) -> CampaignConfig {
     let seed: u64 = flags.get("seed", 1);
     let horizon_secs: u64 =
-        if live { flags.get("seconds", 8) } else { flags.get("horizon-secs", 10) };
-    let managers: usize = flags.get("managers", 3);
-    let hosts: usize = flags.get("hosts", 2);
+        if live { flags.get_in("seconds", 8, 1..) } else { flags.get_in("horizon-secs", 10, 1..) };
+    let managers: usize = flags.get_in("managers", 3, 1..);
+    let hosts: usize = flags.get_in("hosts", 2, 1..);
     let tenants: usize = flags.get("tenants", 0);
-    let users: usize = flags.get("users", if live && tenants > 0 { 4 } else { 2 });
-    let shards_per_tenant: usize = flags.get("shards-per-tenant", if live { 2 } else { 1 });
-    let intensity: f64 = flags.get("intensity", 1.0);
+    let users: usize = flags.get_in("users", if live && tenants > 0 { 4 } else { 2 }, 1..);
+    let shards_per_tenant: usize =
+        flags.get_in("shards-per-tenant", if live { 2 } else { 1 }, 1..=256);
+    let intensity: f64 = flags.get_in("intensity", 1.0, (Bound::Excluded(0.0), Bound::Unbounded));
     let inject_bug = match flags.text("inject-bug").as_deref() {
         None | Some("none") => None,
         Some(name) => match BUGS.iter().find(|(n, _)| *n == name) {
@@ -441,9 +457,10 @@ fn campaign_config(flags: &mut Flags, live: bool) -> CampaignConfig {
     let config = if live {
         CampaignConfig { ns_replicas: 3 * usize::from(sharded), shard_faults: sharded, ..common }
     } else {
+        let ns_replicas: usize = flags.get("ns-replicas", 0);
         CampaignConfig {
-            ns_replicas: flags.get("ns-replicas", 0),
-            ns_read_quorum: flags.get("ns-read-quorum", 0),
+            ns_replicas,
+            ns_read_quorum: flags.get_in("ns-read-quorum", 0, 0..=ns_replicas),
             ns_faults: flags.get("ns-faults", false),
             disk_faults: flags.get("disk-faults", false),
             shard_faults: flags.get("shard-faults", false),
@@ -461,12 +478,6 @@ fn campaign_config(flags: &mut Flags, live: bool) -> CampaignConfig {
     }
     if config.shard_faults && !sharded {
         usage_error("--shard-faults true needs --tenants N (the sharded plane)");
-    }
-    if sharded && !(1..=256).contains(&shards_per_tenant) {
-        usage_error("--shards-per-tenant must be in 1..=256");
-    }
-    if managers == 0 || hosts == 0 || users == 0 || horizon_secs == 0 || intensity <= 0.0 {
-        usage_error("need at least one manager, host, user and second, and a positive intensity");
     }
     config
 }
@@ -601,11 +612,8 @@ fn chaos(mut flags: Flags) {
     let report_out = flags.text("report-out");
     let mut config = campaign_config(&mut flags, true);
     let manager_set = if config.tenants > 0 { 2 } else { config.managers };
-    let c: usize = flags.get("check-quorum", 2.min(manager_set));
+    let c: usize = flags.get_in("check-quorum", 2.min(manager_set), 1..=manager_set);
     flags.done();
-    if !(1..=manager_set).contains(&c) {
-        usage_error(&format!("--check-quorum must be in 1..={manager_set}"));
-    }
     let drop_wal = match config.inject_bug {
         None => false,
         Some(InjectedBug::DropWal { .. }) => true,
@@ -769,15 +777,15 @@ fn soak_report_jsonl(
 /// snapshot — the same registry (DESIGN.md §11) the simulator campaigns
 /// and the live rt runtime emit — as Prometheus text or JSONL.
 fn obs(mut flags: Flags) {
-    let managers: usize = flags.get("managers", 3);
-    let hosts: usize = flags.get("hosts", 2);
+    let managers: usize = flags.get_in("managers", 3, 1..);
+    let hosts: usize = flags.get_in("hosts", 2, 1..);
     let users: usize = flags.get("users", 3);
-    let c: usize = flags.get("check-quorum", (managers / 2).max(1));
+    let c: usize = flags.get_in("check-quorum", (managers / 2).max(1), 1..=managers);
     let minutes: u64 = flags.get("minutes", 2);
-    let pi: f64 = flags.get("pi", 0.1);
+    let pi: f64 = flags.get_in("pi", 0.1, 0.0..=1.0);
     let seed: u64 = flags.get("seed", 1);
     let ns_replicas: usize = flags.get("ns-replicas", 0);
-    let ns_read_quorum: usize = flags.get("ns-read-quorum", 0);
+    let ns_read_quorum: usize = flags.get_in("ns-read-quorum", 0, 0..=ns_replicas);
     let format = flags.text("format").unwrap_or_else(|| "prometheus".to_owned());
     let out = flags.text("out");
     flags.done();

@@ -1,6 +1,7 @@
 //! The `wanacl` binary's flag handling: a flag the subcommand does not
-//! read, or a value that does not parse, is a usage error (exit 2) that
-//! names the flag — never a silent fall-back to a default.
+//! read, or a value that does not parse or is out of range, is a usage
+//! error (exit 2) that names the flag — never a silent fall-back to a
+//! default, never a library panic.
 
 use std::process::{Command, Output};
 
@@ -23,11 +24,37 @@ fn unparsable_values_exit_2_naming_the_flag() {
         (&["nemesis", "--disk-faults", "yes"][..], "--disk-faults"),
         (&["demo", "--minutes", "-3"][..], "--minutes"),
         (&["scale", "--pi"][..], "--pi"),
+        // Parsable but outside what the library accepts: each of these
+        // used to reach an `assert!` (exit 101) or run to nonsense.
+        (&["nemesis", "--ns-replicas", "3", "--ns-read-quorum", "7"][..], "--ns-read-quorum"),
+        (&["obs", "--ns-replicas", "3", "--ns-read-quorum", "9"][..], "--ns-read-quorum"),
+        (&["demo", "--managers", "0"][..], "--managers"),
+        (&["obs", "--managers", "0"][..], "--managers"),
+        (&["demo", "--hosts", "0"][..], "--hosts"),
+        (&["demo", "--check-quorum", "0"][..], "--check-quorum"),
+        (&["demo", "--managers", "3", "--check-quorum", "9"][..], "--check-quorum"),
+        (&["demo", "--te", "0"][..], "--te"),
+        (&["demo", "--pi", "1.5"][..], "--pi"),
+        (&["scale", "--pi", "1.5"][..], "--pi"),
+        (&["scale", "--epoch-secs", "0"][..], "--epoch-secs"),
+        (&["scale", "--managers", "0"][..], "--managers"),
+        (&["scale", "--managers", "3", "--check-quorum", "9"][..], "--check-quorum"),
+        (&["scale", "--zipf-users", "0"][..], "--zipf-users"),
+        (&["scale", "--zipf-s", "-1"][..], "--zipf-s"),
+        (&["scale", "--horizon-secs", "0"][..], "--horizon-secs"),
+        (&["scale", "--checks-per-host", "-1"][..], "--checks-per-host"),
+        (&["scale", "--diurnal", "2"][..], "--diurnal"),
+        (&["scale", "--flash-at", "5", "--flash-mult", "-1"][..], "--flash-mult"),
+        (&["tradeoff", "--pi", "2"][..], "--pi"),
+        (&["tradeoff", "--trials", "0"][..], "--trials"),
+        (&["nemesis", "--intensity", "nan"][..], "--intensity"),
+        (&["nemesis", "--users", "0"][..], "--users"),
+        (&["chaos", "--check-quorum", "4"][..], "--check-quorum"),
     ] {
         let out = wanacl(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
         assert!(
-            stderr(&out).contains(flag),
+            stderr(&out).contains(flag) && !stderr(&out).contains("panicked"),
             "{args:?} must name {flag}: {}",
             stderr(&out)
         );
