@@ -95,6 +95,6 @@ pub mod prelude {
     pub use crate::policy::{ExhaustionBehavior, FreezePolicy, Policy, QueryFanout};
     pub use crate::scenario::{Deployment, Scenario};
     pub use crate::storelog::SnapshotState;
-    pub use crate::types::{user_bucket, Acl, AppId, Right, RightsSet, ShardId, TenantId, UserId};
+    pub use crate::types::{user_bucket, Acl, AppId, Right, RightsSet, ShardId, UserId};
     pub use crate::wrapper::{Application, CountingApp, EchoApp, StockQuoteApp};
 }

@@ -498,6 +498,14 @@ impl<'a> Cursor<'a> {
         Some(slice)
     }
 
+    /// Reads an element count, rejecting one the remaining bytes could
+    /// not hold at `min_each` bytes per element: the count comes from
+    /// disk and sizes an allocation.
+    fn count(&mut self, min_each: usize) -> Option<usize> {
+        let count = u32::from_be_bytes(self.take(4)?.try_into().ok()?) as usize;
+        (count <= (self.bytes.len() - self.at) / min_each).then_some(count)
+    }
+
     fn done(&self) -> bool {
         self.at == self.bytes.len()
     }
@@ -507,7 +515,7 @@ fn decode_record(bytes: &[u8]) -> Option<NsRecord> {
     let mut cur = Cursor { bytes, at: 0 };
     let app = AppId(u32::from_be_bytes(cur.take(4)?.try_into().ok()?));
     let version = u64::from_be_bytes(cur.take(8)?.try_into().ok()?);
-    let count = u32::from_be_bytes(cur.take(4)?.try_into().ok()?) as usize;
+    let count = cur.count(8)?;
     let mut managers = Vec::with_capacity(count);
     for _ in 0..count {
         let raw = u64::from_be_bytes(cur.take(8)?.try_into().ok()?);
@@ -517,7 +525,8 @@ fn decode_record(bytes: &[u8]) -> Option<NsRecord> {
     let shards = if cur.done() {
         None
     } else {
-        let scount = u32::from_be_bytes(cur.take(4)?.try_into().ok()?) as usize;
+        // An entry is at least shard + lo + hi + mcount.
+        let scount = cur.count(4 + 1 + 1 + 4)?;
         if scount == 0 {
             return None; // the section is omitted when empty
         }
@@ -526,7 +535,7 @@ fn decode_record(bytes: &[u8]) -> Option<NsRecord> {
             let shard = crate::types::ShardId(u32::from_be_bytes(cur.take(4)?.try_into().ok()?));
             let lo = cur.take(1)?[0];
             let hi = cur.take(1)?[0];
-            let mcount = u32::from_be_bytes(cur.take(4)?.try_into().ok()?) as usize;
+            let mcount = cur.count(8)?;
             let mut mgrs = Vec::with_capacity(mcount);
             for _ in 0..mcount {
                 let raw = u64::from_be_bytes(cur.take(8)?.try_into().ok()?);
@@ -881,6 +890,25 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert_eq!(decode_record(&padded), None, "trailing garbage");
+
+        // A count sizes an allocation, so one the bytes behind it cannot
+        // hold is refused first (allocating 4 billion elements aborts,
+        // which no `catch_unwind` contains): in 16 bytes, app | version
+        // | count; then behind a whole flat record, a shard-entry count;
+        // then one entry's (shard 0, buckets 0..=255) manager count.
+        let huge = u32::MAX.to_be_bytes();
+        let managers = [&1u32.to_be_bytes()[..], &1u64.to_be_bytes(), &huge].concat();
+        assert_eq!(decode_record(&managers), None, "oversized manager count");
+        let entries = [&bytes[..], &huge, &[0; 10]].concat();
+        assert_eq!(decode_record(&entries), None, "oversized shard-entry count");
+        let entry = [&bytes[..], &1u32.to_be_bytes(), &[0; 4], &[0, 255], &huge, &[0; 8]].concat();
+        assert_eq!(decode_record(&entry), None, "oversized shard manager count");
+        // The bounds admit the smallest entry the encoder writes.
+        let mut sharded = r.clone();
+        let shard = crate::types::ShardId(0);
+        let smallest = crate::msg::ShardEntry { shard, lo: 0, hi: 255, managers: vec![] };
+        sharded.shards = Some(vec![smallest]);
+        assert_eq!(decode_record(&encode_record(&sharded)), Some(sharded));
 
         let empty = record(&kp, writer, 8, vec![]);
         let snapshot = encode_snapshot([r.clone(), empty.clone()].iter());

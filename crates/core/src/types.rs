@@ -59,18 +59,6 @@ impl std::fmt::Display for ShardId {
     }
 }
 
-/// Identifies a tenant in a multi-tenant deployment. The scenario
-/// builder maps tenant `t` to application [`AppId`]`(t)`, so tenancy and
-/// application identity coincide by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TenantId(pub u32);
-
-impl std::fmt::Display for TenantId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "tenant{}", self.0)
-    }
-}
-
 /// Hashes a user into the 256-slot bucket space shards partition.
 ///
 /// FNV-1a over the big-endian user id, folded to the low byte. The
@@ -348,6 +336,5 @@ mod tests {
     #[test]
     fn shard_and_tenant_display() {
         assert_eq!(ShardId(2).to_string(), "shard2");
-        assert_eq!(TenantId(1).to_string(), "tenant1");
     }
 }

@@ -39,7 +39,7 @@ struct DelayedDelivery<M> {
     seq: u64,
     from: NodeId,
     to: NodeId,
-    msg: Arc<M>,
+    msg: M,
 }
 
 impl<M> PartialEq for DelayedDelivery<M> {
@@ -124,7 +124,7 @@ impl<M: Send + Sync + 'static> ChaosRouter<M> {
                     let now = Instant::now();
                     while heap.peek().is_some_and(|d| d.due <= now) {
                         let d = heap.pop().expect("peeked");
-                        pump_router.send_shared(d.from, d.to, d.msg);
+                        pump_router.send(d.from, d.to, d.msg);
                     }
                     if disconnected && heap.is_empty() {
                         return;
@@ -176,9 +176,9 @@ impl<M: Send + Sync + 'static> ChaosRouter<M> {
         }
     }
 
-    fn deliver(&self, from: NodeId, to: NodeId, msg: Arc<M>, extra: SimDuration) {
+    fn deliver(&self, from: NodeId, to: NodeId, msg: M, extra: SimDuration) {
         if extra == SimDuration::ZERO {
-            self.inner.send_shared(from, to, msg);
+            self.inner.send(from, to, msg);
             return;
         }
         self.incr(&self.delayed, "rt.chaos_delayed");
@@ -196,11 +196,11 @@ impl<M: Send + Sync + 'static> ChaosRouter<M> {
     }
 }
 
-impl<M: Send + Sync + 'static> Transport<M> for ChaosRouter<M> {
-    fn send_shared(&self, from: NodeId, to: NodeId, msg: Arc<M>) {
+impl<M: Send + Sync + Clone + 'static> Transport<M> for ChaosRouter<M> {
+    fn send(&self, from: NodeId, to: NodeId, msg: M) {
         // Environment/control traffic is exempt from injection.
         if from == NodeId::ENV {
-            self.inner.send_shared(from, to, msg);
+            self.inner.send(from, to, msg);
             return;
         }
         let now = self.now();
@@ -247,13 +247,13 @@ impl<M: Send + Sync + 'static> Transport<M> for ChaosRouter<M> {
             return;
         }
         // 3. The inner router's own link policy applies per delivery
-        // inside `deliver` (send_shared), like the sim's base verdict.
+        // inside `deliver` (`Router::send`), like the sim's base verdict.
         if duplicate {
             self.incr(&self.duplicated, "rt.chaos_duplicated");
             // Trailing copy: same fate machinery, shifted by up to the
             // injected extra plus a millisecond of reordering jitter.
             let trail = extra + SimDuration::from_millis(1);
-            self.deliver(from, to, Arc::clone(&msg), trail);
+            self.deliver(from, to, msg.clone(), trail);
         }
         self.deliver(from, to, msg, extra);
     }
@@ -293,7 +293,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(250));
         chaos.send(n(9), id, 2);
         assert!(
-            matches!(rx.recv_timeout(Duration::from_secs(1)), Ok(Envelope::Msg { msg, .. }) if *msg == 2),
+            matches!(rx.recv_timeout(Duration::from_secs(1)), Ok(Envelope::Msg { msg, .. }) if msg == 2),
             "healed window must deliver"
         );
     }
@@ -329,7 +329,7 @@ mod tests {
         while got < 2 {
             match rx.recv_timeout(Duration::from_secs(2)) {
                 Ok(Envelope::Msg { msg, .. }) => {
-                    assert_eq!(*msg, 9);
+                    assert_eq!(msg, 9);
                     got += 1;
                 }
                 other => panic!("expected duplicate deliveries, got {other:?}"),

@@ -10,9 +10,9 @@
 //!
 //! Each worker multiplexes its share of nodes: inbound envelopes land
 //! in per-node inbox cells (bounded data lane, unbounded control lane),
-//! each wake drains-then-steps one node, outbound sends coalesce into
-//! one per-peer batch through the in-process [`router`] (with optional
-//! loss/partition policy), and timers fire from a per-worker
+//! each wake drains-then-steps one node, every outbound send is moved
+//! onto its destination's mailbox by the in-process [`router`] (with
+//! optional loss/partition policy), and timers fire from a per-worker
 //! [`mod@wheel`] by absolute deadline. [`live`] installs a
 //! `wanacl-core` deployment roster on the pool and soaks it under a
 //! nemesis plan.

@@ -18,14 +18,12 @@ use crate::runtime::{CellPush, NodeCell};
 /// data path.
 #[derive(Debug)]
 pub enum Envelope<M> {
-    /// A routed protocol message. The payload is `Arc`-shared so a
-    /// broadcast clones a pointer per recipient instead of the message;
-    /// receivers that hold the only reference unwrap it without copying.
+    /// A routed protocol message, moved to its one recipient.
     Msg {
         /// The sender.
         from: NodeId,
-        /// The payload (shared; see [`Router::broadcast`]).
-        msg: Arc<M>,
+        /// The payload.
+        msg: M,
     },
 }
 
@@ -36,33 +34,8 @@ pub enum Envelope<M> {
 /// Data-plane only — lifecycle envelopes never travel through a
 /// `Transport`, so fault injection can never eat a `Stop` or `Kill`.
 pub trait Transport<M: Send + Sync + 'static>: Send + Sync {
-    /// Routes one already-`Arc`-shared message.
-    fn send_shared(&self, from: NodeId, to: NodeId, msg: Arc<M>);
-
     /// Routes one message.
-    fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        self.send_shared(from, to, Arc::new(msg));
-    }
-
-    /// Fans one message out to every target, sharing the allocation.
-    fn broadcast(&self, from: NodeId, targets: &[NodeId], msg: M) {
-        let msg = Arc::new(msg);
-        for &to in targets {
-            self.send_shared(from, to, Arc::clone(&msg));
-        }
-    }
-
-    /// Routes an ordered per-peer batch of already-shared messages —
-    /// the worker pool's coalesced flush — leaving `msgs` empty with
-    /// its capacity for the caller's next step. The default forwards
-    /// one message at a time so fault-injecting decorators keep their
-    /// per-message drop/dup/delay semantics; [`Router`] overrides it to
-    /// lock and wake the destination mailbox once for the whole batch.
-    fn send_batch(&self, from: NodeId, to: NodeId, msgs: &mut Vec<Arc<M>>) {
-        for msg in msgs.drain(..) {
-            self.send_shared(from, to, msg);
-        }
-    }
+    fn send(&self, from: NodeId, to: NodeId, msg: M);
 }
 
 /// Per-link delivery policy (loss and symmetric partitions), evaluated at
@@ -252,11 +225,6 @@ impl<M: Send + Sync + 'static> Router<M> {
     /// Routes one message; silently drops on policy denial, a full
     /// inbox, or a closed inbox (matching the unreliable-network model).
     pub fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        self.send_shared(from, to, Arc::new(msg));
-    }
-
-    /// Routes one already-shared message (see [`Router::broadcast`]).
-    pub fn send_shared(&self, from: NodeId, to: NodeId, msg: Arc<M>) {
         self.sent.fetch_add(1, Ordering::Relaxed);
         if self.policy().is_some_and(|policy| !policy.allow(from, to, &msg)) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -266,71 +234,46 @@ impl<M: Send + Sync + 'static> Router<M> {
         match cells.get(to.index()) {
             Some(cell) => {
                 if cell.push_data(from, msg) == CellPush::Full {
-                    self.count_overflow(1);
+                    self.count_overflow();
                 }
             }
-            None => self.send_to_tap(to.index() - cells.len(), from, std::iter::once(msg)),
+            None => self.send_to_tap(to.index() - cells.len(), from, msg),
         }
     }
 
-    /// Routes an ordered per-peer batch. Policy still sees every
-    /// message (so partitions and loss behave exactly as for singles),
-    /// but a pool mailbox is locked — and its worker woken — once for
-    /// the whole batch instead of once per message.
-    pub fn send_batch(&self, from: NodeId, to: NodeId, mut msgs: Vec<Arc<M>>) {
-        self.route_batch(from, to, &mut msgs);
-    }
-
-    fn route_batch(&self, from: NodeId, to: NodeId, msgs: &mut Vec<Arc<M>>) {
-        let offered = msgs.len();
-        self.sent.fetch_add(offered as u64, Ordering::Relaxed);
-        if let Some(policy) = self.policy() {
-            msgs.retain(|msg| policy.allow(from, to, msg));
-            self.dropped.fetch_add((offered - msgs.len()) as u64, Ordering::Relaxed);
-        }
-        let cells = self.pool_cells();
-        match cells.get(to.index()) {
-            Some(cell) => self.count_overflow(cell.push_data_batch(from, msgs)),
-            None => self.send_to_tap(to.index() - cells.len(), from, msgs.drain(..)),
+    /// Sends `msgs` to one peer in order, one [`Router::send`] each.
+    /// Not a product path: it exists because `wanbench`'s
+    /// `router.send_batch_ns_per_msg` probe calls it with this
+    /// signature, and goes when ROADMAP item 5(e) retires that metric.
+    pub fn send_batch(&self, from: NodeId, to: NodeId, msgs: Vec<Arc<M>>)
+    where
+        M: Clone,
+    {
+        for msg in msgs {
+            self.send(from, to, Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone()));
         }
     }
 
-    fn send_to_tap(&self, tap: usize, from: NodeId, msgs: impl Iterator<Item = Arc<M>>) {
+    fn send_to_tap(&self, tap: usize, from: NodeId, msg: M) {
         let taps = self.taps.read();
         let Some(sender) = taps.get(tap) else { return };
-        for msg in msgs {
-            match sender.try_send(Envelope::Msg { from, msg }) {
-                Ok(()) => {}
-                // Drop-newest overflow: the receiver is wedged or badly
-                // behind; shedding here keeps senders from blocking and
-                // makes backpressure observable.
-                Err(TrySendError::Full(_)) => self.count_overflow(1),
-                // A dead inbox is a down node: the network just loses
-                // the message.
-                Err(TrySendError::Disconnected(_)) => {}
-            }
+        match sender.try_send(Envelope::Msg { from, msg }) {
+            Ok(()) => {}
+            // Drop-newest overflow: the receiver is wedged or badly
+            // behind; shedding here keeps senders from blocking and
+            // makes backpressure observable.
+            Err(TrySendError::Full(_)) => self.count_overflow(),
+            // A dead inbox is a down node: the network just loses the
+            // message.
+            Err(TrySendError::Disconnected(_)) => {}
         }
     }
 
-    fn count_overflow(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.dropped.fetch_add(n, Ordering::Relaxed);
-        self.overflowed.fetch_add(n, Ordering::Relaxed);
+    fn count_overflow(&self) {
+        self.dropped.fetch_add(1, Ordering::Relaxed);
+        self.overflowed.fetch_add(1, Ordering::Relaxed);
         if let Some(metrics) = self.metrics.read().as_ref() {
-            metrics.add("rt.inbox_overflow", n);
-        }
-    }
-
-    /// Fans one message out to every target, allocating the payload
-    /// once and sharing it by `Arc` — the zero-copy path for
-    /// retransmit-to-all-peers traffic. Per-link policy still applies
-    /// to each target independently.
-    pub fn broadcast(&self, from: NodeId, targets: &[NodeId], msg: M) {
-        let msg = Arc::new(msg);
-        for &to in targets {
-            self.send_shared(from, to, Arc::clone(&msg));
+            metrics.incr("rt.inbox_overflow");
         }
     }
 
@@ -346,20 +289,8 @@ impl<M: Send + Sync + 'static> Router<M> {
 }
 
 impl<M: Send + Sync + 'static> Transport<M> for Router<M> {
-    fn send_shared(&self, from: NodeId, to: NodeId, msg: Arc<M>) {
-        Router::send_shared(self, from, to, msg);
-    }
-
     fn send(&self, from: NodeId, to: NodeId, msg: M) {
         Router::send(self, from, to, msg);
-    }
-
-    fn broadcast(&self, from: NodeId, targets: &[NodeId], msg: M) {
-        Router::broadcast(self, from, targets, msg);
-    }
-
-    fn send_batch(&self, from: NodeId, to: NodeId, msgs: &mut Vec<Arc<M>>) {
-        self.route_batch(from, to, msgs);
     }
 }
 
@@ -375,36 +306,7 @@ mod tests {
         let id = router.register(tx);
         router.send(NodeId::ENV, id, 42);
         let Envelope::Msg { msg, .. } = rx.try_recv().expect("delivered");
-        assert_eq!(*msg, 42);
-    }
-
-    #[test]
-    fn broadcast_shares_one_allocation_across_targets() {
-        let router: Arc<Router<u32>> = Router::new();
-        let (tx_a, rx_a) = unbounded();
-        let (tx_b, rx_b) = unbounded();
-        let a = router.register(tx_a);
-        let b = router.register(tx_b);
-        router.broadcast(NodeId::ENV, &[a, b], 7);
-        let Envelope::Msg { msg: msg_a, .. } = rx_a.try_recv().expect("a delivered");
-        let Envelope::Msg { msg: msg_b, .. } = rx_b.try_recv().expect("b delivered");
-        assert_eq!((*msg_a, *msg_b), (7, 7));
-        assert!(Arc::ptr_eq(&msg_a, &msg_b), "both recipients share the same buffer");
-    }
-
-    #[test]
-    fn broadcast_applies_policy_per_target() {
-        let router: Arc<Router<u32>> = Router::new();
-        let (tx_a, _rx_a) = unbounded();
-        let (tx_b, rx_b) = unbounded();
-        let a = router.register(tx_a);
-        let b = router.register(tx_b);
-        let switch = PartitionSwitch::new(vec![NodeId::ENV], vec![a]);
-        router.set_policy(switch.clone());
-        switch.set(true);
-        router.broadcast(NodeId::ENV, &[a, b], 9);
-        assert_eq!(router.stats(), (2, 1));
-        assert!(rx_b.try_recv().is_ok());
+        assert_eq!(msg, 42);
     }
 
     #[test]
@@ -471,7 +373,7 @@ mod tests {
             .try_iter()
             .map(|e| {
                 let Envelope::Msg { msg, .. } = e;
-                *msg
+                msg
             })
             .collect();
         assert_eq!(got, vec![0, 1]);
@@ -506,7 +408,7 @@ mod tests {
         let (mut ctl, mut data) = (Vec::new(), Vec::new());
         let more = cell.drain(16, &mut ctl, &mut data);
         assert!(ctl.is_empty());
-        let got: Vec<u32> = data.iter().map(|(_, m)| **m).collect();
+        let got: Vec<u32> = data.iter().map(|(_, m)| *m).collect();
         assert_eq!(got, vec![0, 1], "drop-newest kept the oldest two");
         assert!(!more);
         // A dead cell swallows traffic silently, like a down host.
@@ -516,24 +418,6 @@ mod tests {
         data.clear();
         cell.drain(16, &mut ctl, &mut data);
         assert!(data.is_empty());
-    }
-
-    #[test]
-    fn batch_to_pool_mailbox_delivers_in_order_with_one_wake() {
-        let router: Arc<Router<u32>> = Router::new();
-        let (wake_tx, wake_rx) = unbounded();
-        let cell = NodeCell::new(0, 3, wake_tx);
-        router.freeze_cells(vec![cell.clone()]);
-        let id = NodeId::from_index(0);
-        let msgs: Vec<Arc<u32>> = (0..5).map(Arc::new).collect();
-        router.send_batch(NodeId::ENV, id, msgs);
-        assert_eq!(router.stats(), (5, 2));
-        assert_eq!(router.overflowed(), 2, "capacity 3 sheds the newest 2");
-        assert_eq!(wake_rx.try_iter().count(), 1, "the whole batch costs one wake");
-        let (mut ctl, mut data) = (Vec::new(), Vec::new());
-        cell.drain(16, &mut ctl, &mut data);
-        let got: Vec<u32> = data.iter().map(|(_, m)| **m).collect();
-        assert_eq!(got, vec![0, 1, 2]);
     }
 
     #[test]
@@ -552,7 +436,7 @@ mod tests {
             .try_iter()
             .map(|e| {
                 let Envelope::Msg { msg, .. } = e;
-                *msg
+                msg
             })
             .collect();
         assert_eq!(tapped, vec![5, 6, 7]);

@@ -9,10 +9,10 @@
 //! the already-scheduled wake for free.
 //!
 //! Workers drain-the-inbox-then-step: each wake processes control
-//! first, then up to a fixed batch of data envelopes, and flushes all
-//! resulting sends coalesced per peer — one mailbox lock and one worker
-//! wake per destination per step (`Transport::send_batch`), reusing the
-//! `Arc`-envelope zero-copy path. Timers live in one sharded
+//! first, then up to a fixed batch of data envelopes. A message is
+//! moved, never shared: each send a handler emits goes to the transport
+//! as its effect is applied, one mailbox push per message. Timers live
+//! in one sharded
 //! [`TimerWheel`](crate::wheel) per worker and fire by absolute
 //! deadline; the gap between a timer's deadline and its firing is
 //! recorded in the `rt.timer_drift_ns` histogram.
@@ -52,8 +52,7 @@ use crate::wheel::{TimerEntry, TimerWheel};
 const DEFAULT_INBOX_CAPACITY: usize = 4096;
 
 /// Data envelopes one node may consume per wake before yielding the
-/// worker — bounds per-step latency for its siblings while keeping the
-/// drain-then-flush coalescing window wide.
+/// worker — bounds per-step latency for its siblings.
 const MAX_STEP_BATCH: usize = 64;
 
 /// Wake-channel sentinel telling a worker to exit. Never collides with
@@ -219,7 +218,7 @@ pub(crate) enum CellPush {
 
 struct CellState<M> {
     control: VecDeque<ControlMsg<M>>,
-    data: VecDeque<(NodeId, Arc<M>)>,
+    data: VecDeque<(NodeId, M)>,
     /// True while a wake token for this cell is outstanding (in the
     /// worker's channel or local run queue). Pushes to a scheduled cell
     /// ride the existing wake for free.
@@ -251,7 +250,7 @@ impl<M> NodeCell<M> {
         })
     }
 
-    pub(crate) fn push_data(&self, from: NodeId, msg: Arc<M>) -> CellPush {
+    pub(crate) fn push_data(&self, from: NodeId, msg: M) -> CellPush {
         let wake = {
             let mut s = self.state.lock();
             if !s.alive {
@@ -267,31 +266,6 @@ impl<M> NodeCell<M> {
             let _ = self.wake.send(self.index);
         }
         CellPush::Delivered
-    }
-
-    /// Pushes an ordered batch under one lock and at most one wake,
-    /// emptying `msgs`; returns how many messages were shed on a full
-    /// queue. A dead cell swallows the whole batch silently (overflow
-    /// count 0).
-    pub(crate) fn push_data_batch(&self, from: NodeId, msgs: &mut Vec<Arc<M>>) -> u64 {
-        let total = msgs.len();
-        let (wake, overflowed) = {
-            let mut s = self.state.lock();
-            if !s.alive {
-                msgs.clear();
-                return 0;
-            }
-            let room = self.capacity.saturating_sub(s.data.len());
-            let take = room.min(total);
-            s.data.extend(msgs.drain(..take).map(|msg| (from, msg)));
-            msgs.clear();
-            let wake = take > 0 && !std::mem::replace(&mut s.scheduled, true);
-            (wake, (total - take) as u64)
-        };
-        if wake {
-            let _ = self.wake.send(self.index);
-        }
-        overflowed
     }
 
     /// Control always enqueues — the lane is unbounded and ignores
@@ -331,7 +305,7 @@ impl<M> NodeCell<M> {
         &self,
         max_data: usize,
         ctls: &mut Vec<ControlMsg<M>>,
-        data: &mut Vec<(NodeId, Arc<M>)>,
+        data: &mut Vec<(NodeId, M)>,
     ) -> bool {
         let mut s = self.state.lock();
         ctls.extend(s.control.drain(..));
@@ -518,8 +492,12 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
                 cells: cells.clone(),
                 slots: (0..nnodes).map(|_| WorkerSlot::Empty).collect(),
                 epochs: vec![0; nnodes],
-                transport: transport.clone(),
-                sinks: Sinks::new(epoch, self.metrics.shard(), self.trace.clone()),
+                sinks: Sinks::new(
+                    epoch,
+                    transport.clone(),
+                    self.metrics.shard(),
+                    self.trace.clone(),
+                ),
                 ctls: Vec::new(),
                 data: Vec::new(),
             };
@@ -619,10 +597,8 @@ struct Sinks<M> {
     /// What the handler's [`Context`] collects into; empty between
     /// handlers.
     effects: Vec<Effect<M>>,
-    /// The step's outbound sends grouped by peer, shipped by `flush`.
-    outbox: Vec<(NodeId, Vec<Arc<M>>)>,
-    /// Shipped peer batches, kept for their capacity.
-    spare_batches: Vec<Vec<Arc<M>>>,
+    /// Takes every send as its effect is applied.
+    transport: Arc<dyn Transport<M>>,
     /// The step's aggregated counter bumps.
     counters: Vec<(&'static str, u64)>,
     wheel: TimerWheel,
@@ -634,11 +610,15 @@ struct Sinks<M> {
 }
 
 impl<M> Sinks<M> {
-    fn new(epoch: Instant, metrics: MetricsSink, trace: Option<TraceBuffer>) -> Self {
+    fn new(
+        epoch: Instant,
+        transport: Arc<dyn Transport<M>>,
+        metrics: MetricsSink,
+        trace: Option<TraceBuffer>,
+    ) -> Self {
         Sinks {
             effects: Vec::new(),
-            outbox: Vec::new(),
-            spare_batches: Vec::new(),
+            transport,
             counters: Vec::new(),
             wheel: TimerWheel::new(epoch),
             metrics,
@@ -648,9 +628,10 @@ impl<M> Sinks<M> {
     }
 }
 
-/// Runs one handler invocation under `catch_unwind` and folds its
-/// effects into the step's outbox/counters/wheel. Returns the panic
-/// message if the handler blew up.
+/// Runs one handler invocation under `catch_unwind`, hands its sends
+/// to the transport and folds the rest of its effects into the step's
+/// counters and the wheel. Returns the panic message if the handler
+/// blew up.
 fn invoke<M, F>(
     wn: &mut WorkerNode<M>,
     idx: u32,
@@ -682,18 +663,7 @@ where
     }
     for effect in sinks.effects.drain(..) {
         match effect {
-            // Sends coalesce per peer and flush once per step.
-            Effect::Send { to, msg } => {
-                let msg = Arc::new(msg);
-                match sinks.outbox.iter_mut().find(|(peer, _)| *peer == to) {
-                    Some((_, batch)) => batch.push(msg),
-                    None => {
-                        let mut batch = sinks.spare_batches.pop().unwrap_or_default();
-                        batch.push(msg);
-                        sinks.outbox.push((to, batch));
-                    }
-                }
-            }
+            Effect::Send { to, msg } => sinks.transport.send(id, to, msg),
             Effect::SetTimer { id: timer_id, local_delay, tag } => {
                 sinks.wheel.insert(TimerEntry {
                     due: Instant::now() + Duration::from_nanos(local_delay.as_nanos()),
@@ -734,18 +704,17 @@ struct Worker<M> {
     cells: Vec<Arc<NodeCell<M>>>,
     slots: Vec<WorkerSlot<M>>,
     epochs: Vec<u32>,
-    transport: Arc<dyn Transport<M>>,
     sinks: Sinks<M>,
     /// Reusable buffers a step drains its cell's two lanes into.
     ctls: Vec<ControlMsg<M>>,
-    data: Vec<(NodeId, Arc<M>)>,
+    data: Vec<(NodeId, M)>,
 }
 
 impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
     fn run(mut self, initial: WorkerNodes<M>) {
         for (idx, node) in initial {
             self.slots[idx as usize] = self.make_node(idx, node);
-            self.flush(idx);
+            self.flush();
         }
         let mut run_queue: VecDeque<u32> = VecDeque::new();
         loop {
@@ -833,12 +802,12 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
             slot = self.poison(i, msg);
         }
         self.slots[i] = slot;
-        self.flush(entry.node);
+        self.flush();
     }
 
     /// Drains one node's cell and steps it: control first (lifecycle
     /// can never be shed), then up to [`MAX_STEP_BATCH`] data
-    /// envelopes, then one coalesced flush. Returns whether data
+    /// envelopes, then the step's counter bumps. Returns whether data
     /// remains queued (the caller requeues the node).
     fn step(&mut self, idx: u32) -> bool {
         let i = idx as usize;
@@ -939,10 +908,6 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
                 if wn.up {
                     self.sinks.metrics.observe("rt.batch_size", data.len() as f64);
                     for (from, msg) in data.drain(..) {
-                        // Point-to-point sends hold the only reference,
-                        // so this unwraps without copying; broadcast
-                        // recipients clone.
-                        let msg = Arc::try_unwrap(msg).unwrap_or_else(|shared| (*shared).clone());
                         if let Err(msg) =
                             invoke(wn, idx, self.epochs[i], &mut self.sinks, |node, ctx| {
                                 node.on_message(ctx, from, msg)
@@ -966,30 +931,13 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         self.data = data;
 
         self.slots[i] = slot;
-        self.flush(idx);
+        self.flush();
         more && !halted
     }
 
-    /// Ships the step's coalesced sends (one `send_batch` per peer) and
-    /// aggregated counter bumps.
-    fn flush(&mut self, from_idx: u32) {
-        let from = NodeId::from_index(from_idx as usize);
+    /// Records the step's aggregated counter bumps.
+    fn flush(&mut self) {
         let sinks = &mut self.sinks;
-        let mut batched = 0u64;
-        for (to, mut msgs) in sinks.outbox.drain(..) {
-            if msgs.len() > 1 {
-                batched += 1;
-                self.transport.send_batch(from, to, &mut msgs);
-            } else {
-                for msg in msgs.drain(..) {
-                    self.transport.send_shared(from, to, msg);
-                }
-            }
-            sinks.spare_batches.push(msgs);
-        }
-        if batched > 0 {
-            sinks.metrics.add("rt.peer_batches", batched);
-        }
         for (name, delta) in sinks.counters.drain(..) {
             sinks.metrics.add(name, delta);
         }
@@ -1193,6 +1141,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
 mod tests {
     use super::*;
     use std::any::Any;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[derive(Debug, Default)]
     struct Counter {
@@ -1456,8 +1405,7 @@ mod tests {
         assert!(drift.max < 100_000_000.0, "drift {:?}ns", drift.max);
     }
 
-    /// On one trigger message, sprays `n` messages at one peer — the
-    /// coalescing path must batch them into a single flush.
+    /// On one trigger message, sprays `0..n` at one peer.
     #[derive(Debug)]
     struct Sprayer {
         target: NodeId,
@@ -1481,24 +1429,54 @@ mod tests {
         }
     }
 
+    /// Hands everything it hears to the test, in arrival order.
+    #[derive(Debug)]
+    struct Forwarder(Sender<u64>);
+
+    impl Node for Forwarder {
+        type Msg = u64;
+        fn on_message(&mut self, _ctx: &mut Context<'_, u64>, _from: NodeId, msg: u64) {
+            let _ = self.0.send(msg);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Counts the sends nodes hand it on their way to the router.
+    struct CountingTransport {
+        inner: Arc<Router<u64>>,
+        sends: Arc<AtomicU64>,
+    }
+
+    impl Transport<u64> for CountingTransport {
+        fn send(&self, from: NodeId, to: NodeId, msg: u64) {
+            self.sends.fetch_add(1, Ordering::SeqCst);
+            self.inner.send(from, to, msg);
+        }
+    }
+
     #[test]
-    fn per_peer_sends_coalesce_into_one_batch() {
+    fn every_send_passes_the_transport_once_and_arrives_in_emission_order() {
         let mut b: RuntimeBuilder<u64> = RuntimeBuilder::new(17);
-        let sink_id_placeholder = NodeId::from_index(1);
-        let sprayer = b.add_node("sprayer", Box::new(Sprayer { target: sink_id_placeholder, n: 32 }));
-        let sink = b.add_node("sink", Box::new(Counter::default()));
-        assert_eq!(sink, sink_id_placeholder);
+        let sends = Arc::new(AtomicU64::new(0));
+        let counted = sends.clone();
+        b.wrap_transport(move |inner| Arc::new(CountingTransport { inner, sends: counted }));
+        let sink = NodeId::from_index(1);
+        let sprayer = b.add_node("sprayer", Box::new(Sprayer { target: sink, n: 32 }));
+        let (heard_tx, heard_rx) = unbounded();
+        assert_eq!(b.add_node("sink", Box::new(Forwarder(heard_tx))), sink);
         let rt = b.start();
         rt.send_from_env(sprayer, 0);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while rt.metrics().counter("rt.peer_batches") < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(rt.metrics().counter("rt.peer_batches") >= 1, "spray must coalesce");
-        let nodes = rt.shutdown_nodes();
-        let counter = nodes[sink.index()].as_any().downcast_ref::<Counter>().expect("sink");
-        assert_eq!(counter.seen, 32, "coalescing must not lose or reorder messages");
+        let wait = Duration::from_secs(5);
+        let heard: Vec<u64> = (0..32).map_while(|_| heard_rx.recv_timeout(wait).ok()).collect();
+        rt.shutdown();
+        assert_eq!(heard, (0..32).collect::<Vec<u64>>(), "emission order is arrival order");
+        // The env trigger goes to the base router, past the decorator.
+        assert_eq!(sends.load(Ordering::SeqCst), 32, "a decorator sees every node send singly");
     }
 
     /// A partitioned host's retry storm must not leave timer ids behind.
@@ -1549,13 +1527,12 @@ mod tests {
             cells: vec![cell],
             slots: vec![WorkerSlot::Empty],
             epochs: vec![0],
-            transport: router.clone(),
-            sinks: Sinks::new(epoch, MetricsSink::new(), None),
+            sinks: Sinks::new(epoch, router.clone(), MetricsSink::new(), None),
             ctls: Vec::new(),
             data: Vec::new(),
         };
         worker.slots[0] = worker.make_node(0, Box::new(host));
-        worker.flush(0);
+        worker.flush();
 
         fn cancelled(worker: &Worker<ProtoMsg>) -> usize {
             match &worker.slots[0] {
@@ -1588,8 +1565,8 @@ mod tests {
         let outcomes = |n: usize| -> Vec<InvokeOutcome> {
             let got: Vec<InvokeOutcome> = client_rx
                 .try_iter()
-                .map(|Envelope::Msg { msg, .. }| match &*msg {
-                    ProtoMsg::InvokeReply { outcome, .. } => outcome.clone(),
+                .map(|Envelope::Msg { msg, .. }| match msg {
+                    ProtoMsg::InvokeReply { outcome, .. } => outcome,
                     other => panic!("client got {other:?}"),
                 })
                 .collect();
@@ -1614,7 +1591,7 @@ mod tests {
         // entry matures — the set drains to empty.
         invoke_from_client(&mut worker, STORM);
         let Envelope::Msg { msg: query, .. } = manager_rx.try_recv().expect("query");
-        let ProtoMsg::Query { req, user, .. } = *query else { panic!("manager got {query:?}") };
+        let ProtoMsg::Query { req, user, .. } = query else { panic!("manager got {query:?}") };
         let grant = ProtoMsg::QueryReply {
             req,
             app,

@@ -1,6 +1,7 @@
-//! Batching semantics of the worker-pool runtime: coalesced per-peer
-//! flushes must be invisible to the protocol, and a thousand-host flash
-//! crowd must drain through the fixed pool without shedding anything.
+//! Batching semantics of the worker-pool runtime: draining an inbox a
+//! batch at a time must be invisible to the protocol, and a
+//! thousand-host flash crowd must drain through the fixed pool without
+//! shedding anything.
 
 use std::any::Any;
 use std::time::{Duration, Instant};
@@ -10,7 +11,7 @@ use wanacl_rt::{install_roster, live_manager_tuning, live_policy, RuntimeBuilder
 use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::time::SimDuration;
 
-/// Per-peer coalescing is a transport optimisation and must be
+/// Drain-then-step batching is a scheduling choice and must be
 /// invisible to the protocol: a seeded admin + invoke workload on a
 /// 3-manager quorum cluster settles into the expected per-manager ACL
 /// state and user verdicts, and the oracle is clean over the captured

@@ -9,7 +9,8 @@
 //! * **frequent temporary partitions** — scripted cuts, congestion bursts
 //!   (Gilbert–Elliott), and the i.i.d. pairwise-inaccessibility model of
 //!   the paper's §4.1 analysis ([`net::partition`]),
-//! * **host crashes and recoveries** from MTTF/MTTR processes ([`fault`]),
+//! * **host crashes and recoveries**, scripted or sampled by the nemesis
+//!   ([`nemesis`], [`world::World::schedule_crash`]),
 //! * **unsynchronized, rate-bounded local clocks** — the foundation of the
 //!   paper's time-bound revocation guarantee ([`clock`]),
 //! * full **determinism**: every run is a pure function of its seed, so
@@ -50,7 +51,6 @@
 
 pub mod backoff;
 pub mod clock;
-pub mod fault;
 pub mod metrics;
 pub mod nemesis;
 pub mod net;
@@ -68,7 +68,6 @@ pub mod world;
 pub mod prelude {
     pub use crate::backoff::Backoff;
     pub use crate::clock::{ClockSpec, DriftClock, LocalTime};
-    pub use crate::fault::CrashPlan;
     pub use crate::metrics::{Histogram, HistogramSummary, Metrics};
     pub use crate::nemesis::{Fault, NemesisNet, NemesisPlan, NemesisTargets};
     pub use crate::net::{NetModel, PerfectNet, Verdict, WanNet};

@@ -79,40 +79,6 @@ impl DelayModel for ExponentialDelay {
     }
 }
 
-/// A per-pair delay matrix with a default for unlisted pairs, for
-/// heterogeneous topologies (§4.1's "realistic systems" discussion).
-#[derive(Debug, Clone)]
-pub struct MatrixDelay {
-    default: SimDuration,
-    overrides: std::collections::HashMap<(NodeId, NodeId), SimDuration>,
-}
-
-impl MatrixDelay {
-    /// Creates a matrix where every pair uses `default` until overridden.
-    pub fn new(default: SimDuration) -> Self {
-        MatrixDelay { default, overrides: std::collections::HashMap::new() }
-    }
-
-    /// Sets the delay for the ordered pair `(from, to)`.
-    pub fn set(&mut self, from: NodeId, to: NodeId, delay: SimDuration) -> &mut Self {
-        self.overrides.insert((from, to), delay);
-        self
-    }
-
-    /// Sets the delay in both directions.
-    pub fn set_symmetric(&mut self, a: NodeId, b: NodeId, delay: SimDuration) -> &mut Self {
-        self.overrides.insert((a, b), delay);
-        self.overrides.insert((b, a), delay);
-        self
-    }
-}
-
-impl DelayModel for MatrixDelay {
-    fn sample(&mut self, from: NodeId, to: NodeId, _rng: &mut SimRng) -> SimDuration {
-        self.overrides.get(&(from, to)).copied().unwrap_or(self.default)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +138,5 @@ mod tests {
         let total: f64 = (0..k).map(|_| m.sample(n(0), n(1), &mut rng).as_secs_f64()).sum();
         let mean_ms = total / k as f64 * 1e3;
         assert!((47.0..53.0).contains(&mean_ms), "mean={mean_ms}ms");
-    }
-
-    #[test]
-    fn matrix_overrides_and_defaults() {
-        let mut m = MatrixDelay::new(SimDuration::from_millis(50));
-        m.set_symmetric(n(0), n(1), SimDuration::from_millis(5));
-        m.set(n(0), n(2), SimDuration::from_millis(200));
-        let mut rng = SimRng::seed_from(6);
-        assert_eq!(m.sample(n(0), n(1), &mut rng), SimDuration::from_millis(5));
-        assert_eq!(m.sample(n(1), n(0), &mut rng), SimDuration::from_millis(5));
-        assert_eq!(m.sample(n(0), n(2), &mut rng), SimDuration::from_millis(200));
-        assert_eq!(m.sample(n(2), n(0), &mut rng), SimDuration::from_millis(50));
     }
 }

@@ -339,79 +339,6 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Heterogeneous i.i.d. model (§4.1's extension): a per-pair `Pi` matrix
-/// with a default for unlisted pairs, re-drawn each epoch like [`EpochIid`].
-#[derive(Debug, Clone)]
-pub struct HeteroIid {
-    default_pi: f64,
-    pi: HashMap<(NodeId, NodeId), f64>,
-    epoch: SimDuration,
-    seed: u64,
-}
-
-impl HeteroIid {
-    /// Creates the overlay with a default pairwise probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `default_pi` is outside `[0, 1]` or `epoch` is zero.
-    pub fn new(default_pi: f64, epoch: SimDuration, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&default_pi), "pi must be in [0,1]");
-        assert!(epoch > SimDuration::ZERO, "epoch must be positive");
-        HeteroIid { default_pi, pi: HashMap::new(), epoch, seed }
-    }
-
-    /// Sets the inaccessibility probability for an unordered pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pi` is outside `[0, 1]`.
-    pub fn set_pair(&mut self, a: NodeId, b: NodeId, pi: f64) -> &mut Self {
-        assert!((0.0..=1.0).contains(&pi), "pi must be in [0,1]");
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.pi.insert(key, pi);
-        self
-    }
-
-    /// The probability used for the unordered pair `(a, b)`.
-    pub fn pair_pi(&self, a: NodeId, b: NodeId) -> f64 {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.pi.get(&key).copied().unwrap_or(self.default_pi)
-    }
-}
-
-impl PartitionOracle for HeteroIid {
-    fn connected(&mut self, from: NodeId, to: NodeId, now: SimTime, _rng: &mut SimRng) -> bool {
-        let pi = self.pair_pi(from, to);
-        let probe = EpochIid { pi, epoch: self.epoch, seed: self.seed, exempt: Vec::new() };
-        !probe.pair_down(from, to, now)
-    }
-}
-
-/// Conjunction of several overlays: connected only if every layer agrees.
-pub struct Composite {
-    layers: Vec<Box<dyn PartitionOracle>>,
-}
-
-impl Composite {
-    /// Creates a conjunction of overlays.
-    pub fn new(layers: Vec<Box<dyn PartitionOracle>>) -> Self {
-        Composite { layers }
-    }
-}
-
-impl std::fmt::Debug for Composite {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Composite").field("layers", &self.layers.len()).finish()
-    }
-}
-
-impl PartitionOracle for Composite {
-    fn connected(&mut self, from: NodeId, to: NodeId, now: SimTime, rng: &mut SimRng) -> bool {
-        self.layers.iter_mut().all(|l| l.connected(from, to, now, rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,17 +462,6 @@ mod tests {
     }
 
     #[test]
-    fn hetero_uses_per_pair_probabilities() {
-        let mut h = HeteroIid::new(0.0, SimDuration::from_secs(1), 7);
-        h.set_pair(n(0), n(1), 1.0);
-        assert_eq!(h.pair_pi(n(1), n(0)), 1.0);
-        assert_eq!(h.pair_pi(n(0), n(2)), 0.0);
-        let mut rng = SimRng::seed_from(0);
-        assert!(!h.connected(n(0), n(1), SimTime::ZERO, &mut rng));
-        assert!(h.connected(n(0), n(2), SimTime::ZERO, &mut rng));
-    }
-
-    #[test]
     fn duty_cycle_only_affects_mobile_nodes() {
         let mut dc = DutyCycle::new(
             vec![n(0)],
@@ -602,19 +518,5 @@ mod tests {
             let via_2 = dc.connected(n(2), n(0), t, &mut rng);
             assert_eq!(via_1, via_2, "detachment must be consistent across peers");
         }
-    }
-
-    #[test]
-    fn composite_requires_all_layers() {
-        let cut = ScheduledPartitions::cut_between(
-            vec![n(0)],
-            vec![n(1)],
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-        );
-        let mut comp = Composite::new(vec![Box::new(AlwaysConnected), Box::new(cut)]);
-        let mut rng = SimRng::seed_from(0);
-        assert!(!comp.connected(n(0), n(1), SimTime::from_millis(500), &mut rng));
-        assert!(comp.connected(n(0), n(1), SimTime::from_secs(5), &mut rng));
     }
 }

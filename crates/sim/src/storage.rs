@@ -196,11 +196,6 @@ impl SimStorage {
         self.drop_state_on_recover = drop;
     }
 
-    /// Number of records currently held (durable + buffered).
-    pub fn wal_len(&self) -> usize {
-        self.durable.len() + self.buffered.len()
-    }
-
     /// Number of appended-but-unsynced records.
     pub fn unflushed_len(&self) -> usize {
         self.buffered.len()

@@ -252,19 +252,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             .unwrap_or_else(|| panic!("observer {} is not a {}", id.0, std::any::type_name::<T>()))
     }
 
-    /// Mutable access to a registered observer downcast to its concrete
-    /// type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is foreign or the observer is not a `T`.
-    pub fn observer_as_mut<T: 'static>(&mut self, id: ObserverId) -> &mut T {
-        self.observers[id.0]
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("observer {} is not a {}", id.0, std::any::type_name::<T>()))
-    }
-
     /// Whether per-message events (Sent/Delivered) need to be built at
     /// all: only when something will consume them.
     fn wants_message_events(&self) -> bool {
@@ -368,11 +355,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// Run-level metrics.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Mutable run-level metrics (for harness-side bookkeeping).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// The event trace (empty unless [`World::enable_trace`] was called).
