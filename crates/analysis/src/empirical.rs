@@ -34,7 +34,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use wanacl_sim::clock::ClockSpec;
-use wanacl_sim::metrics::{HistogramSummary, Metrics};
+use wanacl_sim::metrics::{HistogramSummary, MetricId as M, Metrics};
 use wanacl_sim::net::partition::EpochIid;
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::{Context, Node, NodeId};
@@ -109,7 +109,7 @@ impl Node for HostProbe {
                 }
                 self.pending.insert(req, PendingCheck { replies: 0, started, quorum_at: None });
                 ctx.set_timer(self.timeout, req);
-                ctx.metric_incr("scale.check_sent");
+                ctx.metric_incr(M::SCALE_CHECK_SENT);
             }
             ProbeMsg::CheckReply { req } => {
                 let _ = from;
@@ -129,15 +129,15 @@ impl Node for HostProbe {
         if let Some(p) = self.pending.remove(&tag) {
             let r = (p.replies as usize).min(self.reach.len() - 1);
             self.reach[r] += 1;
-            ctx.metric_observe("scale.check_reach", r as f64);
+            ctx.metric_observe(M::SCALE_CHECK_REACH, r as f64);
             if let Some(q) = p.quorum_at {
-                ctx.metric_incr("scale.check_ok");
+                ctx.metric_incr(M::SCALE_CHECK_OK);
                 ctx.metric_observe(
-                    "scale.check_quorum_latency_s",
+                    M::SCALE_CHECK_QUORUM_LATENCY_S,
                     q.since(p.started).as_secs_f64(),
                 );
             } else {
-                ctx.metric_incr("scale.check_unavail");
+                ctx.metric_incr(M::SCALE_CHECK_UNAVAIL);
             }
         }
     }
@@ -176,7 +176,7 @@ impl Node for ManagerProbe {
         match msg {
             ProbeMsg::Check { req } => {
                 ctx.send(from, ProbeMsg::CheckReply { req });
-                ctx.metric_incr("scale.mgr_served");
+                ctx.metric_incr(M::SCALE_MGR_SERVED);
             }
             ProbeMsg::DoRevoke { op } => {
                 for &p in &self.peers {
@@ -184,7 +184,7 @@ impl Node for ManagerProbe {
                 }
                 self.pending.insert(op, 0);
                 ctx.set_timer(self.timeout, op);
-                ctx.metric_incr("scale.revoke_sent");
+                ctx.metric_incr(M::SCALE_REVOKE_SENT);
             }
             ProbeMsg::Revoke { op } => {
                 ctx.send(from, ProbeMsg::RevokeAck { op });
@@ -202,7 +202,7 @@ impl Node for ManagerProbe {
         if let Some(a) = self.pending.remove(&tag) {
             let a = (a as usize).min(self.acks.len() - 1);
             self.acks[a] += 1;
-            ctx.metric_observe("scale.revoke_acks", a as f64);
+            ctx.metric_observe(M::SCALE_REVOKE_ACKS, a as f64);
         }
     }
 }

@@ -6,6 +6,7 @@ use wanacl_core::msg::AclOp;
 use wanacl_core::prelude::{Policy, Scenario};
 use wanacl_core::types::{Acl, AppId, Right, UserId};
 use wanacl_sim::clock::ClockSpec;
+use wanacl_sim::metrics::Metrics;
 use wanacl_sim::net::partition::GilbertElliott;
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::{Context, Node, NodeId};
@@ -107,6 +108,11 @@ pub struct StrategyReport {
 /// Runs one strategy under the shared workload. A single revoke of user
 /// 1 is issued at `horizon/2`; the congestion model runs throughout.
 pub fn run_strategy(strategy: Strategy, cfg: &ComparisonConfig) -> StrategyReport {
+    run_strategy_metered(strategy, cfg).0
+}
+
+/// [`run_strategy`] with the world's metric bag the report was read from.
+pub fn run_strategy_metered(strategy: Strategy, cfg: &ComparisonConfig) -> (StrategyReport, Metrics) {
     match strategy {
         Strategy::CoreProtocol => run_core(cfg),
         _ => run_baseline(strategy, cfg),
@@ -120,7 +126,7 @@ fn congested_net(cfg: &ComparisonConfig) -> WanNet {
         .build()
 }
 
-fn run_core(cfg: &ComparisonConfig) -> StrategyReport {
+fn run_core(cfg: &ComparisonConfig) -> (StrategyReport, Metrics) {
     let policy = Policy::builder((cfg.managers / 2).max(1))
         .revocation_bound(SimDuration::from_secs(60))
         .query_timeout(SimDuration::from_millis(500))
@@ -151,7 +157,7 @@ fn run_core(cfg: &ComparisonConfig) -> StrategyReport {
         + m.counter("mgr.revoke_notices")
         + m.counter("mgr.revoke_notices_resent");
     let stats = d.aggregate_user_stats();
-    StrategyReport {
+    let report = StrategyReport {
         strategy: Strategy::CoreProtocol,
         total_messages: m.counter("net.sent"),
         checks,
@@ -159,7 +165,8 @@ fn run_core(cfg: &ComparisonConfig) -> StrategyReport {
         update_messages: update,
         stale_allows: revoked_user_allowed_core(&d).saturating_sub(sent_before),
         allowed_fraction: stats.allowed as f64 / stats.sent.max(1) as f64,
-    }
+    };
+    (report, m.clone())
 }
 
 fn revoked_user_allowed_core(d: &wanacl_core::scenario::Deployment) -> u64 {
@@ -213,7 +220,7 @@ impl Node for BaselineUser {
     }
 }
 
-fn run_baseline(strategy: Strategy, cfg: &ComparisonConfig) -> StrategyReport {
+fn run_baseline(strategy: Strategy, cfg: &ComparisonConfig) -> (StrategyReport, Metrics) {
     let mut world: World<BaselineMsg> = World::new(cfg.seed);
     world.set_net(Box::new(congested_net(cfg)));
 
@@ -354,7 +361,7 @@ fn run_baseline(strategy: Strategy, cfg: &ComparisonConfig) -> StrategyReport {
     }
     let user1 = world.node_as::<BaselineUser>(user_nodes[0]);
 
-    StrategyReport {
+    let report = StrategyReport {
         strategy,
         total_messages: m.counter("net.sent"),
         checks,
@@ -362,7 +369,8 @@ fn run_baseline(strategy: Strategy, cfg: &ComparisonConfig) -> StrategyReport {
         update_messages: update,
         stale_allows: user1.allowed.saturating_sub(user1_allowed_before),
         allowed_fraction: allowed as f64 / sent.max(1) as f64,
-    }
+    };
+    (report, m.clone())
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use wanacl_core::msg::AclOp;
 use wanacl_core::types::UserId;
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, Node, NodeId, TimerId};
 use wanacl_sim::time::SimDuration;
 
@@ -124,7 +125,7 @@ impl Node for EventualManager {
                 self.merge(entries, ctx.local_now());
             }
             BaselineMsg::CheckQuery { user, req } => {
-                ctx.metric_incr("base.ec.check_replies");
+                ctx.metric_incr(M::BASE_EC_CHECK_REPLIES);
                 ctx.send(from, BaselineMsg::CheckReply { req, allowed: self.grants(user) });
             }
             _ => {}
@@ -136,7 +137,7 @@ impl Node for EventualManager {
         // round (classic rumor-mongering cadence, deterministic per seed).
         if !self.peers.is_empty() {
             let peer = *ctx.rng().choose(&self.peers);
-            ctx.metric_incr("base.ec.gossip_msgs");
+            ctx.metric_incr(M::BASE_EC_GOSSIP_MSGS);
             let entries = self.snapshot();
             ctx.send(peer, BaselineMsg::Gossip { entries });
         }
@@ -199,12 +200,12 @@ impl Node for EventualHost {
     fn on_message(&mut self, ctx: &mut Context<'_, BaselineMsg>, from: NodeId, msg: BaselineMsg) {
         match msg {
             BaselineMsg::Invoke { user, req } => {
-                ctx.metric_incr("base.ec.checks");
+                ctx.metric_incr(M::BASE_EC_CHECKS);
                 self.next_req += 1;
                 let check_req = self.next_req;
                 let mgr = self.managers[self.next % self.managers.len()];
                 self.next += 1;
-                ctx.metric_incr("base.ec.check_queries");
+                ctx.metric_incr(M::BASE_EC_CHECK_QUERIES);
                 ctx.send(mgr, BaselineMsg::CheckQuery { user, req: check_req });
                 let timer = ctx.set_timer(self.timeout, TAG_TIMEOUT | check_req);
                 self.pending.insert(check_req, PendingCheck { requester: from, user_req: req, timer });

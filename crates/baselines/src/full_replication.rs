@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use wanacl_core::msg::{AclOp, OpId};
 use wanacl_core::types::Acl;
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::time::SimDuration;
 
@@ -58,10 +59,10 @@ impl Node for FullReplManager {
                     AclOp::Add { user, right, .. } => self.acl.add(user, right),
                     AclOp::Revoke { user, right, .. } => self.acl.revoke(user, right),
                 }
-                ctx.metric_incr("base.full.updates");
+                ctx.metric_incr(M::BASE_FULL_UPDATES);
                 let targets: BTreeSet<NodeId> = self.hosts.iter().copied().collect();
                 for host in &targets {
-                    ctx.metric_incr("base.full.push_msgs");
+                    ctx.metric_incr(M::BASE_FULL_PUSH_MSGS);
                     ctx.send(*host, BaselineMsg::AclPush { id, op });
                 }
                 if !targets.is_empty() {
@@ -86,7 +87,7 @@ impl Node for FullReplManager {
     fn on_timer(&mut self, ctx: &mut Context<'_, BaselineMsg>, _tag: u64) {
         for (id, (op, targets)) in &self.pending {
             for host in targets {
-                ctx.metric_incr("base.full.push_msgs");
+                ctx.metric_incr(M::BASE_FULL_PUSH_MSGS);
                 ctx.send(*host, BaselineMsg::AclPush { id: *id, op: *op });
             }
         }
@@ -143,7 +144,7 @@ impl Node for FullReplHost {
     fn on_message(&mut self, ctx: &mut Context<'_, BaselineMsg>, from: NodeId, msg: BaselineMsg) {
         match msg {
             BaselineMsg::Invoke { user, req } => {
-                ctx.metric_incr("base.full.checks");
+                ctx.metric_incr(M::BASE_FULL_CHECKS);
                 let allowed = self.acl.has(user, wanacl_core::types::Right::Use);
                 if allowed {
                     self.allowed += 1;

@@ -29,7 +29,9 @@ pub mod msg;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::compare::{run_strategy, ComparisonConfig, Strategy, StrategyReport};
+    pub use crate::compare::{
+        run_strategy, run_strategy_metered, ComparisonConfig, Strategy, StrategyReport,
+    };
     pub use crate::eventual::{EventualHost, EventualManager};
     pub use crate::full_replication::{FullReplHost, FullReplManager};
     pub use crate::local_only::{LocalOnlyHost, LocalOnlyManager};

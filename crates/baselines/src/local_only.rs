@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 
 use wanacl_core::msg::AclOp;
 use wanacl_core::types::{Acl, Right, UserId};
+use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, Node, NodeId, TimerId};
 use wanacl_sim::time::SimDuration;
 
@@ -46,7 +47,7 @@ impl Node for LocalOnlyManager {
                 AclOp::Revoke { user, right, .. } => self.acl.revoke(user, right),
             },
             BaselineMsg::LocateQuery { user, req } => {
-                ctx.metric_incr("base.local.locate_replies");
+                ctx.metric_incr(M::BASE_LOCAL_LOCATE_REPLIES);
                 ctx.send(
                     from,
                     BaselineMsg::LocateReply { req, has_right: self.acl.has(user, Right::Use) },
@@ -121,11 +122,11 @@ impl Node for LocalOnlyHost {
     fn on_message(&mut self, ctx: &mut Context<'_, BaselineMsg>, from: NodeId, msg: BaselineMsg) {
         match msg {
             BaselineMsg::Invoke { user, req } => {
-                ctx.metric_incr("base.local.checks");
+                ctx.metric_incr(M::BASE_LOCAL_CHECKS);
                 self.next_req += 1;
                 let check_req = self.next_req;
                 for m in &self.managers {
-                    ctx.metric_incr("base.local.locate_queries");
+                    ctx.metric_incr(M::BASE_LOCAL_LOCATE_QUERIES);
                     ctx.send(*m, BaselineMsg::LocateQuery { user, req: check_req });
                 }
                 let timer = ctx.set_timer(self.timeout, TAG_TIMEOUT | check_req);

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use wanacl_auth::rsa::{self, SecretKey};
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, Node, NodeId, TimerId};
 use wanacl_sim::time::SimDuration;
 
@@ -156,7 +157,7 @@ impl UserAgent {
             rsa::sign(key, &bytes)
         });
         self.stats.sent += 1;
-        ctx.metric_incr("user.sent");
+        ctx.metric_incr(M::USER_SENT);
         ctx.send(
             host,
             ProtoMsg::Invoke {
@@ -203,25 +204,25 @@ impl Node for UserAgent {
                 match &outcome {
                     InvokeOutcome::Allowed { .. } => {
                         self.stats.allowed += 1;
-                        ctx.metric_incr("user.allowed");
+                        ctx.metric_incr(M::USER_ALLOWED);
                     }
                     InvokeOutcome::Denied => {
                         self.stats.denied += 1;
-                        ctx.metric_incr("user.denied");
+                        ctx.metric_incr(M::USER_DENIED);
                     }
                     InvokeOutcome::Unavailable => {
                         self.stats.unavailable += 1;
-                        ctx.metric_incr("user.unavailable");
+                        ctx.metric_incr(M::USER_UNAVAILABLE);
                     }
                     InvokeOutcome::BadSignature => {
                         self.stats.bad_signature += 1;
-                        ctx.metric_incr("user.bad_signature");
+                        ctx.metric_incr(M::USER_BAD_SIGNATURE);
                     }
                 }
                 self.last_outcome = Some(outcome);
             }
             _ => {
-                ctx.metric_incr("user.unexpected_msg");
+                ctx.metric_incr(M::USER_UNEXPECTED_MSG);
             }
         }
     }
@@ -237,7 +238,7 @@ impl Node for UserAgent {
                 let req = ReqId(tag & TAG_PAYLOAD_MASK);
                 if self.outstanding.remove(&req).is_some() {
                     self.stats.timeouts += 1;
-                    ctx.metric_incr("user.timeout");
+                    ctx.metric_incr(M::USER_TIMEOUT);
                 }
             }
             _ => {}
@@ -399,7 +400,7 @@ impl AdminAgent {
     fn submit(&mut self, ctx: &mut Context<'_, ProtoMsg>, op: AclOp) {
         if self.config.serial && self.has_in_flight() {
             self.backlog.push_back(op);
-            ctx.metric_incr("admin.op_queued");
+            ctx.metric_incr(M::ADMIN_OP_QUEUED);
         } else {
             self.issue(ctx, op);
         }
@@ -449,7 +450,7 @@ impl AdminAgent {
         let signature = self.config.secret.as_ref().map(|key| {
             rsa::sign(key, &admin_signing_bytes(self.config.issuer, &rec.op))
         });
-        ctx.metric_incr("admin.op_sent");
+        ctx.metric_incr(M::ADMIN_OP_SENT);
         ctx.send(
             target,
             ProtoMsg::Admin {
@@ -496,19 +497,19 @@ impl Node for AdminAgent {
                                 .map(|s| ctx.local_now().since(s))
                                 .unwrap_or(SimDuration::ZERO);
                             rec.stable_after = Some(elapsed);
-                            ctx.metric_observe("admin.time_to_stable_s", elapsed.as_secs_f64());
+                            ctx.metric_observe(M::ADMIN_TIME_TO_STABLE_S, elapsed.as_secs_f64());
                         }
                         self.drain_backlog(ctx);
                     }
                     AdminStatus::Rejected { reason } => {
                         rec.progress = OpProgress::Rejected(reason);
-                        ctx.metric_incr("admin.rejected");
+                        ctx.metric_incr(M::ADMIN_REJECTED);
                         self.drain_backlog(ctx);
                     }
                 }
             }
             _ => {
-                ctx.metric_incr("admin.unexpected_msg");
+                ctx.metric_incr(M::ADMIN_UNEXPECTED_MSG);
             }
         }
     }
@@ -531,7 +532,7 @@ impl Node for AdminAgent {
                     .map(|(i, _)| i)
                     .collect();
                 for idx in unconfirmed {
-                    ctx.metric_incr("admin.op_resent");
+                    ctx.metric_incr(M::ADMIN_OP_RESENT);
                     self.send_op(ctx, idx);
                 }
                 ctx.set_timer(self.config.resend_interval, TAG_RESEND);

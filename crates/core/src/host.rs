@@ -22,6 +22,7 @@ use std::sync::Arc;
 use wanacl_auth::rsa;
 use wanacl_auth::signed::{KeyRegistry, PrincipalId};
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, Node, NodeId, TimerId};
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::{SimDuration, SimTime};
@@ -38,17 +39,17 @@ use crate::policy::{ExhaustionBehavior, Policy, QueryFanout};
 use crate::types::{user_bucket, AppId, UserId};
 use crate::wrapper::Application;
 
-/// Static per-shard check-counter names ([`Context::metric_incr`] takes
-/// `&'static str`); shards past the table share one overflow row.
-static SHARD_CHECK_METRICS: [&str; 8] = [
-    "shard.0.checks",
-    "shard.1.checks",
-    "shard.2.checks",
-    "shard.3.checks",
-    "shard.4.checks",
-    "shard.5.checks",
-    "shard.6.checks",
-    "shard.7.checks",
+/// `shard.N.checks`, indexed by [`crate::types::ShardId::metric`].
+const SHARD_CHECK_METRICS: [M; 9] = [
+    M::SHARD_0_CHECKS,
+    M::SHARD_1_CHECKS,
+    M::SHARD_2_CHECKS,
+    M::SHARD_3_CHECKS,
+    M::SHARD_4_CHECKS,
+    M::SHARD_5_CHECKS,
+    M::SHARD_6_CHECKS,
+    M::SHARD_7_CHECKS,
+    M::SHARD_OTHER_CHECKS,
 ];
 
 /// Timer-tag namespaces (top byte selects the kind).
@@ -432,7 +433,7 @@ impl HostNode {
                 replicas.iter().filter(|r| b.admits(**r, bnow)).copied().collect();
             if admitted.len() >= read_quorum && admitted.len() < replicas.len() {
                 for _ in admitted.len()..replicas.len() {
-                    ctx.metric_incr("rt.breaker_skipped");
+                    ctx.metric_incr(M::RT_BREAKER_SKIPPED);
                 }
                 replicas = admitted;
             }
@@ -440,7 +441,7 @@ impl HostNode {
         if let Some(t) = state.ns_timer.take() {
             ctx.cancel_timer(t);
         }
-        ctx.metric_incr("ns.read_rounds");
+        ctx.metric_incr(M::NS_READ_ROUNDS);
         state.ns_replies.clear();
         state.ns_round_started = ctx.local_now();
         state.ns_inflight = true;
@@ -470,13 +471,13 @@ impl HostNode {
     ) {
         let Some(state) = self.apps.get_mut(&app) else { return };
         let ManagerDirectory::Replicated { replicas, read_quorum } = &state.directory else {
-            ctx.metric_incr("host.ns_reply_untrusted");
+            ctx.metric_incr(M::HOST_NS_REPLY_UNTRUSTED);
             return;
         };
         // Only configured replicas may vote; anyone else guessing at the
         // protocol (§2.1 failure model) is ignored.
         if !replicas.contains(&from) {
-            ctx.metric_incr("host.ns_reply_untrusted");
+            ctx.metric_incr(M::HOST_NS_REPLY_UNTRUSTED);
             return;
         }
         let quorum = *read_quorum;
@@ -484,13 +485,13 @@ impl HostNode {
         // is up: the breaker tracks silence, not record validity.
         if let Some(b) = state.breaker.as_mut() {
             if b.record_success(from) {
-                ctx.metric_incr("rt.breaker_close");
+                ctx.metric_incr(M::RT_BREAKER_CLOSE);
                 ctx.trace_with(|| format!("audit=breaker-close peer={}", from.index()));
             }
         }
         if !state.ns_inflight {
             // A straggler from an already-settled round.
-            ctx.metric_incr("host.late_reply");
+            ctx.metric_incr(M::HOST_LATE_REPLY);
             return;
         }
         // Negative answers (version 0) are unsigned by construction;
@@ -510,12 +511,12 @@ impl HostNode {
                 // No trust anchor configured: accept, but leave a trace
                 // that this deployment runs without record integrity.
                 (None, _) => {
-                    ctx.metric_incr("host.ns_unverified");
+                    ctx.metric_incr(M::HOST_NS_UNVERIFIED);
                     true
                 }
             };
             if !verified {
-                ctx.metric_incr("host.ns_reject_bad_sig");
+                ctx.metric_incr(M::HOST_NS_REJECT_BAD_SIG);
                 return;
             }
         }
@@ -549,19 +550,19 @@ impl HostNode {
             ctx.cancel_timer(t);
         }
         ctx.metric_observe(
-            "ns.lookup_latency_s",
+            M::NS_LOOKUP_LATENCY_S,
             ctx.local_now().since(state.ns_round_started).as_secs_f64(),
         );
         if version < state.record_version {
             // The quorum's freshest answer is older than what we hold —
             // e.g. every reachable replica is stale. Never roll the view
             // back: keep the installed record on its original TTL.
-            ctx.metric_incr("ns.stale_quorum");
+            ctx.metric_incr(M::NS_STALE_QUORUM);
         } else if state.ns_pinned && state.record_version > 0 && version > state.record_version {
             // Stale-shard-map fault: deliberately keep routing on the
             // old map. The oracle must stay clean — safety can never
             // depend on hosts refreshing promptly.
-            ctx.metric_incr("host.ns_pinned");
+            ctx.metric_incr(M::HOST_NS_PINNED);
         } else {
             state.managers = managers;
             state.shards = shards;
@@ -571,7 +572,7 @@ impl HostNode {
                 ctx.cancel_timer(t);
             }
             state.ns_expiry_timer = Some(ctx.set_timer(ttl, TAG_NSEXP | u64::from(app.0)));
-            ctx.metric_incr("ns.installs");
+            ctx.metric_incr(M::NS_INSTALLS);
             ctx.trace_with(|| format!(
                 "audit=ns-install app={} version={} mode=quorum acks={} quorum={} mgrs={} ttl={}",
                 app.0,
@@ -598,7 +599,7 @@ impl HostNode {
         let Some(state) = self.apps.get_mut(&app) else { return };
         state.ns_timer = None;
         if state.ns_inflight {
-            ctx.metric_incr("ns.read_timeout");
+            ctx.metric_incr(M::NS_READ_TIMEOUT);
             // Replicas queried this round that never answered are
             // charged a breaker failure.
             let silent: Vec<NodeId> = state
@@ -611,7 +612,7 @@ impl HostNode {
                 let bnow = SimTime::from_nanos(ctx.local_now().as_nanos());
                 for peer in silent {
                     if b.record_failure(peer, bnow) == FailureOutcome::Opened {
-                        ctx.metric_incr("rt.breaker_open");
+                        ctx.metric_incr(M::RT_BREAKER_OPEN);
                         ctx.trace_with(|| format!("audit=breaker-open peer={}", peer.index()));
                     }
                 }
@@ -623,7 +624,7 @@ impl HostNode {
             if live && state.record_version > 0 {
                 // Graceful degradation: the quorum is unreachable but the
                 // last-known-good record has TTL left — keep serving it.
-                ctx.metric_incr("ns.degraded_rounds");
+                ctx.metric_incr(M::NS_DEGRADED_ROUNDS);
                 ctx.trace_with(|| format!(
                     "audit=ns-degraded app={} version={}",
                     app.0, state.record_version,
@@ -643,7 +644,7 @@ impl HostNode {
         if ctx.local_now() < expires {
             return; // superseded by a fresher install; its timer is armed
         }
-        ctx.metric_incr("ns.record_expired");
+        ctx.metric_incr(M::NS_RECORD_EXPIRED);
         ctx.trace_with(|| format!(
             "audit=ns-expire app={} version={}",
             app.0, state.record_version,
@@ -684,11 +685,7 @@ impl HostNode {
                 let bucket = user_bucket(p.user);
                 match entries.iter().find(|e| e.covers(bucket)) {
                     Some(entry) => {
-                        let label = SHARD_CHECK_METRICS
-                            .get(entry.shard.0 as usize)
-                            .copied()
-                            .unwrap_or("shard.other.checks");
-                        ctx.metric_incr(label);
+                        ctx.metric_incr(entry.shard.metric(&SHARD_CHECK_METRICS));
                         entry.managers.clone()
                     }
                     // A map that does not cover the user fails closed
@@ -703,7 +700,7 @@ impl HostNode {
             view.retain(|m| {
                 let admitted = b.admits(*m, bnow);
                 if !admitted {
-                    ctx.metric_incr("rt.breaker_skipped");
+                    ctx.metric_incr(M::RT_BREAKER_SKIPPED);
                 }
                 admitted
             });
@@ -731,7 +728,7 @@ impl HostNode {
         };
         let msg = ProtoMsg::Query { app: p.app, user: p.user, req: query_req };
         if p.attempt > 1 {
-            ctx.metric_incr("host.attempt_retry");
+            ctx.metric_incr(M::HOST_ATTEMPT_RETRY);
         }
         let timeout = state.policy.query_timeout();
         let exhaustion = state.policy.exhaustion();
@@ -743,9 +740,9 @@ impl HostNode {
             // only delay the inevitable, so resolve now per the Figure 4
             // exhaustion policy. Every breaker being open degrades the
             // same way: the managers are unreachable in practice.
-            ctx.metric_incr("host.empty_manager_view");
+            ctx.metric_incr(M::HOST_EMPTY_MANAGER_VIEW);
             if all_held_open {
-                ctx.metric_incr("rt.breaker_all_open");
+                ctx.metric_incr(M::RT_BREAKER_ALL_OPEN);
             }
             match exhaustion {
                 ExhaustionBehavior::FailOpen => self.finish(ctx, pending_id, FinishKind::FailOpen),
@@ -757,7 +754,7 @@ impl HostNode {
         }
         self.stats.queries_sent += targets.len() as u64;
         for t in &targets {
-            ctx.metric_incr("host.queries_sent");
+            ctx.metric_incr(M::HOST_QUERIES_SENT);
             ctx.send(*t, msg.clone());
         }
         let p = self.pending.get_mut(&pending_id).expect("still pending");
@@ -782,14 +779,14 @@ impl HostNode {
             return;
         }
         let elapsed = ctx.local_now().since(p.first_started);
-        ctx.metric_observe("host.check_latency_s", elapsed.as_secs_f64());
+        ctx.metric_observe(M::HOST_CHECK_LATENCY_S, elapsed.as_secs_f64());
         // The same latency, split by how the check resolved, so the
         // manager round-trip path and the exhaustion paths can be
         // compared directly (the paper's §5 overhead breakdown).
         let split = match outcome_kind {
-            FinishKind::Grant | FinishKind::Deny => "host.latency.quorum_s",
-            FinishKind::FailOpen => "host.latency.failopen_s",
-            FinishKind::Unavailable => "host.latency.unavailable_s",
+            FinishKind::Grant | FinishKind::Deny => M::HOST_LATENCY_QUORUM_S,
+            FinishKind::FailOpen => M::HOST_LATENCY_FAILOPEN_S,
+            FinishKind::Unavailable => M::HOST_LATENCY_UNAVAILABLE_S,
         };
         ctx.metric_observe(split, elapsed.as_secs_f64());
         let outcome = match outcome_kind {
@@ -847,18 +844,18 @@ impl HostNode {
             FinishKind::FailOpen => {
                 // Figure 4: allow, but nothing is cached — no te is known.
                 self.stats.fail_open_allows += 1;
-                ctx.metric_incr("host.fail_open");
+                ctx.metric_incr(M::HOST_FAIL_OPEN);
                 self.allow(ctx, p.app, p.user, &p.payload, || "mode=failopen".to_owned())
             }
             FinishKind::Deny => {
                 self.stats.denied += 1;
-                ctx.metric_incr("host.denied");
+                ctx.metric_incr(M::HOST_DENIED);
                 ctx.trace_with(|| format!("audit=deny app={} user={}", p.app.0, p.user.0));
                 InvokeOutcome::Denied
             }
             FinishKind::Unavailable => {
                 self.stats.unavailable += 1;
-                ctx.metric_incr("host.unavailable");
+                ctx.metric_incr(M::HOST_UNAVAILABLE);
                 InvokeOutcome::Unavailable
             }
         };
@@ -892,7 +889,7 @@ impl HostNode {
                         // stop being refreshed.
                         state.cache.insert(p.user, limit);
                     }
-                    ctx.metric_incr("host.refresh_renewed");
+                    ctx.metric_incr(M::HOST_REFRESH_RENEWED);
                     self.arm_refresh(ctx, p.app, p.user, limit);
                 }
             }
@@ -902,12 +899,12 @@ impl HostNode {
                 if let Some(state) = self.apps.get_mut(&p.app) {
                     state.cache.remove(p.user);
                 }
-                ctx.metric_incr("host.refresh_denied");
+                ctx.metric_incr(M::HOST_REFRESH_DENIED);
             }
             FinishKind::FailOpen | FinishKind::Unavailable => {
                 // No quorum reachable: the lease lapses on its own
                 // schedule, exactly as without refresh.
-                ctx.metric_incr("host.refresh_failed");
+                ctx.metric_incr(M::HOST_REFRESH_FAILED);
             }
         }
     }
@@ -950,10 +947,10 @@ impl HostNode {
             .map(|used| now.since(used) < te)
             .unwrap_or(false);
         if !active {
-            ctx.metric_incr("host.refresh_skipped_idle");
+            ctx.metric_incr(M::HOST_REFRESH_SKIPPED_IDLE);
             return;
         }
-        ctx.metric_incr("host.refresh_started");
+        ctx.metric_incr(M::HOST_REFRESH_STARTED);
         let pending_id = self.next_pending;
         self.next_pending += 1;
         self.pending.insert(
@@ -991,7 +988,7 @@ impl HostNode {
         detail: impl FnOnce() -> String,
     ) -> InvokeOutcome {
         self.stats.allowed += 1;
-        ctx.metric_incr("host.allowed");
+        ctx.metric_incr(M::HOST_ALLOWED);
         ctx.trace_with(|| format!("audit=allow app={} user={} {}", app.0, user.0, detail()));
         let response = match self.apps.get_mut(&app) {
             Some(state) => state.application.handle(user, payload),
@@ -1012,7 +1009,7 @@ impl HostNode {
         signature: Option<rsa::Signature>,
     ) {
         self.stats.invokes += 1;
-        ctx.metric_incr("host.invokes");
+        ctx.metric_incr(M::HOST_INVOKES);
         // Authentication (§2.1): the message must really come from `user`.
         if let Some(registry) = &self.registry {
             let ok = match signature {
@@ -1027,7 +1024,7 @@ impl HostNode {
             };
             if !ok {
                 self.stats.auth_rejects += 1;
-                ctx.metric_incr("host.auth_reject");
+                ctx.metric_incr(M::HOST_AUTH_REJECT);
                 ctx.send(
                     from,
                     ProtoMsg::InvokeReply { req, outcome: InvokeOutcome::BadSignature },
@@ -1036,7 +1033,7 @@ impl HostNode {
             }
         }
         let Some(state) = self.apps.get_mut(&app) else {
-            ctx.metric_incr("host.unknown_app");
+            ctx.metric_incr(M::HOST_UNKNOWN_APP);
             ctx.send(from, ProtoMsg::InvokeReply { req, outcome: InvokeOutcome::Denied });
             return;
         };
@@ -1044,12 +1041,12 @@ impl HostNode {
         match state.cache.lookup(user, ctx.local_now()) {
             CacheDecision::Fresh(limit) => {
                 self.stats.cache_hits += 1;
-                ctx.metric_incr("host.cache_hit");
+                ctx.metric_incr(M::HOST_CACHE_HIT);
                 // A cache hit resolves inside this event: no manager
                 // round trip, so its check latency is zero by
                 // construction. Recording it keeps the latency split
                 // histograms directly comparable.
-                ctx.metric_observe("host.latency.cache_s", 0.0);
+                ctx.metric_observe(M::HOST_LATENCY_CACHE_S, 0.0);
                 let now = ctx.local_now();
                 let outcome = self.allow(ctx, app, user, &payload, || {
                     format!("mode=cache now={} limit={}", now.as_nanos(), limit.as_nanos())
@@ -1058,7 +1055,7 @@ impl HostNode {
             }
             CacheDecision::Expired | CacheDecision::Missing => {
                 self.stats.cache_misses += 1;
-                ctx.metric_incr("host.cache_miss");
+                ctx.metric_incr(M::HOST_CACHE_MISS);
                 let pending_id = self.next_pending;
                 self.next_pending += 1;
                 self.pending.insert(
@@ -1095,7 +1092,7 @@ impl HostNode {
         // Figure 3: responses arriving after the attempt's timer are
         // ignored — the query_index only maps the *current* attempt.
         let Some(&pending_id) = self.query_index.get(&req) else {
-            ctx.metric_incr("host.late_reply");
+            ctx.metric_incr(M::HOST_LATE_REPLY);
             return;
         };
         let Some(app) = self.pending.get(&pending_id).map(|p| p.app) else { return };
@@ -1105,14 +1102,14 @@ impl HostNode {
         let from_manager =
             self.apps.get(&app).map(|s| s.managers.contains(&from)).unwrap_or(false);
         if !from_manager {
-            ctx.metric_incr("host.reply_from_non_manager");
+            ctx.metric_incr(M::HOST_REPLY_FROM_NON_MANAGER);
             return;
         }
         // Any reply — grant, deny, or recovering — proves the peer is
         // alive; the breaker tracks *silence*, not verdicts.
         if let Some(b) = self.apps.get_mut(&app).and_then(|s| s.breaker.as_mut()) {
             if b.record_success(from) {
-                ctx.metric_incr("rt.breaker_close");
+                ctx.metric_incr(M::RT_BREAKER_CLOSE);
                 ctx.trace_with(|| format!("audit=breaker-close peer={}", from.index()));
             }
         }
@@ -1140,7 +1137,7 @@ impl HostNode {
                 // able to answer cannot form the check quorum, give up on
                 // this attempt right away instead of waiting out the
                 // query timer.
-                ctx.metric_incr("host.manager_unavailable");
+                ctx.metric_incr(M::HOST_MANAGER_UNAVAILABLE);
                 p.unavailable.insert(from);
                 let reachable =
                     p.targets.iter().filter(|t| !p.unavailable.contains(t)).count();
@@ -1178,7 +1175,7 @@ impl HostNode {
                 let bnow = SimTime::from_nanos(ctx.local_now().as_nanos());
                 for peer in silent {
                     if b.record_failure(peer, bnow) == FailureOutcome::Opened {
-                        ctx.metric_incr("rt.breaker_open");
+                        ctx.metric_incr(M::RT_BREAKER_OPEN);
                         ctx.trace_with(|| format!("audit=breaker-open peer={}", peer.index()));
                     }
                 }
@@ -1203,7 +1200,7 @@ impl HostNode {
             .map(|budget| ctx.local_now().since(p.first_started) >= budget)
             .unwrap_or(false);
         if deadline_hit {
-            ctx.metric_incr("rt.deadline_exceeded");
+            ctx.metric_incr(M::RT_DEADLINE_EXCEEDED);
             ctx.trace_with(|| format!(
                 "audit=deadline app={} user={} attempt={}",
                 p.app.0, p.user.0, p.attempt,
@@ -1251,7 +1248,7 @@ impl Node for HostNode {
                             .verify_query_reply(req, app, user, &verdict, &tag)
                     });
                     if !ok {
-                        ctx.metric_incr("host.bad_channel_mac");
+                        ctx.metric_incr(M::HOST_BAD_CHANNEL_MAC);
                         return;
                     }
                 }
@@ -1263,14 +1260,14 @@ impl Node for HostNode {
                         channel.pair(ctx.id(), from).verify_revoke_notice(app, user, &tag)
                     });
                     if !ok {
-                        ctx.metric_incr("host.bad_channel_mac");
+                        ctx.metric_incr(M::HOST_BAD_CHANNEL_MAC);
                         return;
                     }
                 }
                 if let Some(state) = self.apps.get_mut(&app) {
                     if state.cache.remove(user) {
                         self.stats.revoke_flushes += 1;
-                        ctx.metric_incr("host.revoke_flush");
+                        ctx.metric_incr(M::HOST_REVOKE_FLUSH);
                     }
                 }
             }
@@ -1278,7 +1275,7 @@ impl Node for HostNode {
                 self.on_ns_record_reply(ctx, from, app, version, managers, shards.map(|b| *b), ttl, signature);
             }
             _ => {
-                ctx.metric_incr("host.unexpected_msg");
+                ctx.metric_incr(M::HOST_UNEXPECTED_MSG);
             }
         }
     }
@@ -1293,7 +1290,7 @@ impl Node for HostNode {
                 if let Some(state) = self.apps.get_mut(&app) {
                     let swept = state.cache.sweep(ctx.local_now());
                     if swept > 0 {
-                        ctx.metric_incr("host.cache_swept");
+                        ctx.metric_incr(M::HOST_CACHE_SWEPT);
                     }
                     let interval = state.policy.cache_sweep_interval();
                     ctx.set_timer(interval, TAG_SWEEP | payload);
@@ -1677,7 +1674,7 @@ mod tests {
         effects
             .iter()
             .filter_map(|e| match e {
-                Effect::MetricIncr { name } => Some(*name),
+                Effect::MetricIncr { name } => Some(name.def().name),
                 _ => None,
             })
             .collect()
@@ -1826,7 +1823,7 @@ mod tests {
         let observes: Vec<&str> = effects
             .iter()
             .filter_map(|e| match e {
-                Effect::MetricObserve { name, .. } => Some(*name),
+                Effect::MetricObserve { name, .. } => Some(name.def().name),
                 _ => None,
             })
             .collect();
@@ -1836,7 +1833,7 @@ mod tests {
         let effects = h.at(2_000).deliver(&mut host, 7, invoke(1));
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::MetricObserve { name: "host.latency.cache_s", .. }
+            Effect::MetricObserve { name: M::HOST_LATENCY_CACHE_S, .. }
         )));
     }
 
@@ -1952,7 +1949,7 @@ mod tests {
         assert!(
             e2.iter().any(|e| matches!(
                 e,
-                Effect::MetricObserve { name: "ns.lookup_latency_s", .. }
+                Effect::MetricObserve { name: M::NS_LOOKUP_LATENCY_S, .. }
             )),
             "install must record the lookup latency"
         );
@@ -2128,7 +2125,7 @@ mod tests {
     fn bad_macs(effects: &[Effect<ProtoMsg>]) -> usize {
         effects
             .iter()
-            .filter(|e| matches!(e, Effect::MetricIncr { name: "host.bad_channel_mac" }))
+            .filter(|e| matches!(e, Effect::MetricIncr { name: M::HOST_BAD_CHANNEL_MAC }))
             .count()
     }
 

@@ -29,6 +29,7 @@ use wanacl_auth::rsa;
 use wanacl_auth::signed::KeyRegistry;
 use wanacl_sim::backoff::Backoff;
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::storage::{Recovered, Storage, StorageStats};
 use wanacl_sim::time::SimDuration;
@@ -58,32 +59,29 @@ const TAG_GSWEEP: u64 = 3 << TAG_KIND_SHIFT;
 const TAG_SYNC: u64 = 4 << TAG_KIND_SHIFT;
 const TAG_HANDOFF: u64 = 5 << TAG_KIND_SHIFT;
 
-/// Static per-shard metric labels ([`Context::metric_incr`] takes
-/// `&'static str`); shard ids past the table share one overflow row.
-const SHARD_QUERY_METRICS: [&str; 8] = [
-    "shard.0.queries",
-    "shard.1.queries",
-    "shard.2.queries",
-    "shard.3.queries",
-    "shard.4.queries",
-    "shard.5.queries",
-    "shard.6.queries",
-    "shard.7.queries",
+/// `shard.N.queries` and `shard.N.updates`, indexed by [`ShardId::metric`].
+const SHARD_QUERY_METRICS: [M; 9] = [
+    M::SHARD_0_QUERIES,
+    M::SHARD_1_QUERIES,
+    M::SHARD_2_QUERIES,
+    M::SHARD_3_QUERIES,
+    M::SHARD_4_QUERIES,
+    M::SHARD_5_QUERIES,
+    M::SHARD_6_QUERIES,
+    M::SHARD_7_QUERIES,
+    M::SHARD_OTHER_QUERIES,
 ];
-const SHARD_UPDATE_METRICS: [&str; 8] = [
-    "shard.0.updates",
-    "shard.1.updates",
-    "shard.2.updates",
-    "shard.3.updates",
-    "shard.4.updates",
-    "shard.5.updates",
-    "shard.6.updates",
-    "shard.7.updates",
+const SHARD_UPDATE_METRICS: [M; 9] = [
+    M::SHARD_0_UPDATES,
+    M::SHARD_1_UPDATES,
+    M::SHARD_2_UPDATES,
+    M::SHARD_3_UPDATES,
+    M::SHARD_4_UPDATES,
+    M::SHARD_5_UPDATES,
+    M::SHARD_6_UPDATES,
+    M::SHARD_7_UPDATES,
+    M::SHARD_OTHER_UPDATES,
 ];
-
-fn shard_metric(table: &'static [&'static str; 8], overflow: &'static str, shard: ShardId) -> &'static str {
-    table.get(shard.0 as usize).copied().unwrap_or(overflow)
-}
 
 /// Order-sensitive FNV-1a digest over the WAL encodings of a transfer's
 /// ops. Source and target both compute it; the oracle's rebalance-safety
@@ -653,11 +651,11 @@ impl ManagerNode {
         let record = encode_record(id, &op);
         if let Some(storage) = self.storage.as_mut() {
             if storage.append(&record).is_err() {
-                ctx.metric_incr("mgr.wal_append_failed");
+                ctx.metric_incr(M::MGR_WAL_APPEND_FAILED);
             }
         }
         self.stats.wal_appends += 1;
-        ctx.metric_incr("mgr.wal_appends");
+        ctx.metric_incr(M::MGR_WAL_APPENDS);
         self.wal_since_snapshot += 1;
         self.unlogged.insert(id, UnloggedOp { op, ack_to });
         self.flush_wal(ctx);
@@ -673,7 +671,7 @@ impl ManagerNode {
         }
         let Some(storage) = self.storage.as_mut() else { return };
         if storage.sync().is_err() {
-            ctx.metric_incr("mgr.wal_sync_failed");
+            ctx.metric_incr(M::MGR_WAL_SYNC_FAILED);
             return;
         }
         let committed: Vec<(OpId, UnloggedOp)> =
@@ -736,9 +734,9 @@ impl ManagerNode {
         if !pending.stable && pending.applied_count >= update_quorum {
             pending.stable = true;
             self.stats.quorum_reached += 1;
-            ctx.metric_incr("mgr.quorum_reached");
+            ctx.metric_incr(M::MGR_QUORUM_REACHED);
             let elapsed = ctx.local_now().since(pending.started);
-            ctx.metric_observe("mgr.time_to_quorum_s", elapsed.as_secs_f64());
+            ctx.metric_observe(M::MGR_TIME_TO_QUORUM_S, elapsed.as_secs_f64());
             let kind = if pending.op.is_revoke() { "revoke-stable" } else { "grant-stable" };
             ctx.trace_with(|| format!(
                 "audit={kind} app={} user={} seq={} origin={}",
@@ -769,7 +767,7 @@ impl ManagerNode {
         if storage.write_snapshot(&snapshot).is_ok() {
             self.wal_since_snapshot = 0;
             self.stats.snapshot_writes += 1;
-            ctx.metric_incr("mgr.snapshot_writes");
+            ctx.metric_incr(M::MGR_SNAPSHOT_WRITES);
         }
     }
 
@@ -841,7 +839,7 @@ impl ManagerNode {
         self.lamport = self.lamport.max(floor) + LAMPORT_RECOVERY_MARGIN;
         self.wal_since_snapshot = recovered.records.len() as u64;
         self.stats.recovered_from_disk += 1;
-        ctx.metric_incr("mgr.recovered_from_disk");
+        ctx.metric_incr(M::MGR_RECOVERED_FROM_DISK);
         ctx.trace_with(|| {
             use std::fmt::Write as _;
             let mut note = format!(
@@ -982,15 +980,15 @@ impl ManagerNode {
             .map(|s| s.append(&encode_release(shard, epoch)).is_ok())
             .unwrap_or(true);
         if !append_ok {
-            ctx.metric_incr("mgr.wal_append_failed");
+            ctx.metric_incr(M::MGR_WAL_APPEND_FAILED);
             return false;
         }
         self.stats.wal_appends += 1;
-        ctx.metric_incr("mgr.wal_appends");
+        ctx.metric_incr(M::MGR_WAL_APPENDS);
         self.wal_since_snapshot += 1;
         let sync_ok = self.storage.as_mut().map(|s| s.sync().is_ok()).unwrap_or(true);
         if !sync_ok {
-            ctx.metric_incr("mgr.wal_sync_failed");
+            ctx.metric_incr(M::MGR_WAL_SYNC_FAILED);
             return false;
         }
         // The barrier also made any ops waiting on it durable.
@@ -1013,12 +1011,12 @@ impl ManagerNode {
         publish_to: Vec<NodeId>,
     ) {
         if from != NodeId::ENV && !self.config.peers.contains(&from) {
-            ctx.metric_incr("mgr.msg_from_non_peer");
+            ctx.metric_incr(M::MGR_MSG_FROM_NON_PEER);
             return;
         }
         if let Some(trust) = &self.config.ns_trust {
             if !record.verify(trust, crate::scenario::NS_WRITER) {
-                ctx.metric_incr("mgr.handoff_bad_record");
+                ctx.metric_incr(M::MGR_HANDOFF_BAD_RECORD);
                 return;
             }
         }
@@ -1032,7 +1030,7 @@ impl ManagerNode {
                 .and_then(|es| es.iter().find(|e| e.shard == shard))
                 .cloned()
             else {
-                ctx.metric_incr("mgr.handoff_bad_record");
+                ctx.metric_incr(M::MGR_HANDOFF_BAD_RECORD);
                 return;
             };
             if self.shards.get(&shard).is_some_and(|st| st.epoch >= epoch)
@@ -1051,7 +1049,7 @@ impl ManagerNode {
                     phase: ShardPhase::Preparing { received: BTreeSet::new() },
                 },
             );
-            ctx.metric_incr("mgr.handoff_target_started");
+            ctx.metric_incr(M::MGR_HANDOFF_TARGET_STARTED);
             self.arm_handoff(ctx);
             return;
         }
@@ -1082,7 +1080,7 @@ impl ManagerNode {
             me.index(),
             ops.len()
         ));
-        ctx.metric_incr("mgr.handoff_source_started");
+        ctx.metric_incr(M::MGR_HANDOFF_SOURCE_STARTED);
         for t in &targets {
             ctx.send(
                 *t,
@@ -1153,7 +1151,7 @@ impl ManagerNode {
                 from.index(),
                 ops.len()
             ));
-            ctx.metric_incr("mgr.shard_installs");
+            ctx.metric_incr(M::MGR_SHARD_INSTALLS);
             for (id, op) in ops {
                 if !self.applied.contains(&id) {
                     self.record_applied(id);
@@ -1207,7 +1205,7 @@ impl ManagerNode {
         }
         self.released.insert(shard, epoch);
         self.stats.shards_released += 1;
-        ctx.metric_incr("mgr.shard_released");
+        ctx.metric_incr(M::MGR_SHARD_RELEASED);
         // Pending updates for the shard can never complete here; their
         // effects ride inside the transfer payload.
         self.cancel_pending_for_shard(shard);
@@ -1287,7 +1285,7 @@ impl ManagerNode {
         }
         if c.awaiting_activate.is_empty() {
             self.coord.remove(&shard);
-            ctx.metric_incr("mgr.handoff_complete");
+            ctx.metric_incr(M::MGR_HANDOFF_COMPLETE);
             return;
         }
         let epoch = c.epoch;
@@ -1321,7 +1319,7 @@ impl ManagerNode {
             ShardPhase::Preparing { .. } => {
                 st.phase = ShardPhase::Active;
                 self.stats.shards_acquired += 1;
-                ctx.metric_incr("mgr.shard_acquired");
+                ctx.metric_incr(M::MGR_SHARD_ACQUIRED);
                 ctx.send(from, ProtoMsg::ShardActivateAck { shard, epoch });
             }
             ShardPhase::Active => ctx.send(from, ProtoMsg::ShardActivateAck { shard, epoch }),
@@ -1350,7 +1348,7 @@ impl ManagerNode {
         };
         if done {
             self.coord.remove(&shard);
-            ctx.metric_incr("mgr.handoff_complete");
+            ctx.metric_incr(M::MGR_HANDOFF_COMPLETE);
         }
     }
 
@@ -1379,7 +1377,7 @@ impl ManagerNode {
                         ctx.send(*p, kickoff.clone());
                     }
                     for t in &hs.unacked_transfer {
-                        ctx.metric_incr("mgr.shard_transfer_resent");
+                        ctx.metric_incr(M::MGR_SHARD_TRANSFER_RESENT);
                         ctx.send(
                             *t,
                             ProtoMsg::ShardTransfer {
@@ -1428,7 +1426,7 @@ impl ManagerNode {
             return;
         }
         for host in targets.keys() {
-            ctx.metric_incr("mgr.revoke_notices");
+            ctx.metric_incr(M::MGR_REVOKE_NOTICES);
             let mac =
                 self.channel.as_mut().map(|c| c.pair(ctx.id(), *host).tag_revoke_notice(app, user));
             ctx.send(*host, ProtoMsg::RevokeNotice { app, user, mac });
@@ -1447,7 +1445,7 @@ impl ManagerNode {
         signature: Option<rsa::Signature>,
     ) {
         let reject = |ctx: &mut Context<'_, ProtoMsg>, reason: RejectReason| {
-            ctx.metric_incr("mgr.admin_rejected");
+            ctx.metric_incr(M::MGR_ADMIN_REJECTED);
             ctx.send(
                 from,
                 ProtoMsg::AdminReply { req, status: AdminStatus::Rejected { reason } },
@@ -1460,16 +1458,12 @@ impl ManagerNode {
         if !self.shards.is_empty() {
             match self.shard_route(op.app(), op.user()) {
                 ShardRoute::Active(sid) => {
-                    ctx.metric_incr(shard_metric(
-                        &SHARD_UPDATE_METRICS,
-                        "shard.other.updates",
-                        sid,
-                    ));
+                    ctx.metric_incr(sid.metric(&SHARD_UPDATE_METRICS));
                 }
                 ShardRoute::Moved { forward_to: Some(owner) } => {
                     // Relay to the new owner; its reply matches the
                     // agent's request id, so it answers `from` directly.
-                    ctx.metric_incr("mgr.admin_forwarded");
+                    ctx.metric_incr(M::MGR_ADMIN_FORWARDED);
                     ctx.send(
                         owner,
                         ProtoMsg::AdminForward { origin: from, op, req, issuer, signature },
@@ -1481,11 +1475,11 @@ impl ManagerNode {
                 | ShardRoute::Preparing => {
                     // Rejection is terminal at the agent; dropping lets
                     // its resend land once the new map is in effect.
-                    ctx.metric_incr("mgr.admin_frozen_shard");
+                    ctx.metric_incr(M::MGR_ADMIN_FROZEN_SHARD);
                     return;
                 }
                 ShardRoute::None => {
-                    ctx.metric_incr("mgr.unknown_shard");
+                    ctx.metric_incr(M::MGR_UNKNOWN_SHARD);
                     reject(ctx, RejectReason::UnknownShard);
                     return;
                 }
@@ -1515,7 +1509,7 @@ impl ManagerNode {
 
         // Apply locally and start dissemination.
         self.stats.ops_originated += 1;
-        ctx.metric_incr("mgr.ops_originated");
+        ctx.metric_incr(M::MGR_OPS_ORIGINATED);
         self.lamport += 1;
         let id = OpId { origin: ctx.id(), seq: self.lamport };
         self.apply_op(&op, id);
@@ -1551,7 +1545,7 @@ impl ManagerNode {
             },
         );
         for peer in &fan_peers {
-            ctx.metric_incr("mgr.updates_sent");
+            ctx.metric_incr(M::MGR_UPDATES_SENT);
             ctx.send(*peer, ProtoMsg::Update { id, op });
         }
         self.log_op(ctx, id, op, None);
@@ -1570,7 +1564,7 @@ impl ManagerNode {
         if self.config.peers.contains(&from) {
             true
         } else {
-            ctx.metric_incr("mgr.msg_from_non_peer");
+            ctx.metric_incr(M::MGR_MSG_FROM_NON_PEER);
             false
         }
     }
@@ -1583,14 +1577,14 @@ impl ManagerNode {
         if self.recovering {
             // Do not apply or ack while our own state is stale; the
             // origin's persistent retransmission will retry after sync.
-            ctx.metric_incr("mgr.update_deferred_recovering");
+            ctx.metric_incr(M::MGR_UPDATE_DEFERRED_RECOVERING);
             return;
         }
         if !self.applied.contains(&id) {
             self.record_applied(id);
             self.apply_op(&op, id);
             self.stats.peer_updates_applied += 1;
-            ctx.metric_incr("mgr.peer_updates_applied");
+            ctx.metric_incr(M::MGR_PEER_UPDATES_APPLIED);
             if op.is_revoke() {
                 self.forward_revocation(ctx, op.app(), op.user());
             }
@@ -1630,12 +1624,12 @@ impl ManagerNode {
         req: ReqId,
     ) {
         self.stats.queries += 1;
-        ctx.metric_incr("mgr.queries");
+        ctx.metric_incr(M::MGR_QUERIES);
         if self.recovering {
             // §3.4: do not answer from stale state — but tell the host,
             // so it can retry another manager instead of timing out.
             self.stats.recovering_drops += 1;
-            ctx.metric_incr("mgr.recovering_drops");
+            ctx.metric_incr(M::MGR_RECOVERING_DROPS);
             self.send_query_reply(
                 ctx,
                 from,
@@ -1649,14 +1643,10 @@ impl ManagerNode {
         if !self.shards.is_empty() {
             match self.shard_route(app, user) {
                 ShardRoute::Active(sid) | ShardRoute::Frozen(sid) => {
-                    ctx.metric_incr(shard_metric(
-                        &SHARD_QUERY_METRICS,
-                        "shard.other.queries",
-                        sid,
-                    ));
+                    ctx.metric_incr(sid.metric(&SHARD_QUERY_METRICS));
                 }
                 ShardRoute::Moved { .. } => {
-                    ctx.metric_incr("mgr.shard_moved");
+                    ctx.metric_incr(M::MGR_SHARD_MOVED);
                     self.send_query_reply(
                         ctx,
                         from,
@@ -1679,7 +1669,7 @@ impl ManagerNode {
                     return;
                 }
                 ShardRoute::None => {
-                    ctx.metric_incr("mgr.unknown_shard");
+                    ctx.metric_incr(M::MGR_UNKNOWN_SHARD);
                     self.send_query_reply(
                         ctx,
                         from,
@@ -1700,14 +1690,14 @@ impl ManagerNode {
             // §3.3: "no responses are sent to application hosts until all
             // managers are accessible again".
             self.stats.frozen_drops += 1;
-            ctx.metric_incr("mgr.frozen_drops");
+            ctx.metric_incr(M::MGR_FROZEN_DROPS);
             return;
         }
         if state.acl.has(user, Right::Use) {
             let te = state.policy.expiry_budget();
             let verdict = QueryVerdict::Grant { te };
             self.stats.grants += 1;
-            ctx.metric_incr("mgr.grants");
+            ctx.metric_incr(M::MGR_GRANTS);
             ctx.trace_with(|| format!(
                 "audit=grant app={} user={} te={}",
                 app.0,
@@ -1724,7 +1714,7 @@ impl ManagerNode {
             self.send_query_reply(ctx, from, req, app, user, verdict);
         } else {
             self.stats.denies += 1;
-            ctx.metric_incr("mgr.denies");
+            ctx.metric_incr(M::MGR_DENIES);
             self.send_query_reply(ctx, from, req, app, user, QueryVerdict::Deny);
         }
     }
@@ -1764,7 +1754,7 @@ impl ManagerNode {
                 }
             });
             if state.frozen && !was_frozen {
-                ctx.metric_incr("mgr.freeze_transitions");
+                ctx.metric_incr(M::MGR_FREEZE_TRANSITIONS);
                 ctx.trace_with(|| format!("audit=freeze app={}", app.0));
             } else if !state.frozen && was_frozen {
                 ctx.trace_with(|| format!("audit=thaw app={}", app.0));
@@ -1781,7 +1771,7 @@ impl ManagerNode {
         let mut resent = 0u64;
         for (id, pending) in &self.pending {
             for peer in &pending.unacked {
-                ctx.metric_incr("mgr.updates_resent");
+                ctx.metric_incr(M::MGR_UPDATES_RESENT);
                 ctx.send(*peer, ProtoMsg::Update { id: *id, op: pending.op });
                 resent += 1;
             }
@@ -1792,7 +1782,7 @@ impl ManagerNode {
         for pr in &mut self.pending_revokes {
             pr.targets.retain(|_, deadline| now < *deadline);
             for host in pr.targets.keys() {
-                ctx.metric_incr("mgr.revoke_notices_resent");
+                ctx.metric_incr(M::MGR_REVOKE_NOTICES_RESENT);
                 let mac = self
                     .channel
                     .as_mut()
@@ -1852,7 +1842,7 @@ impl ManagerNode {
             return;
         }
         self.stats.syncs_served += 1;
-        ctx.metric_incr("mgr.syncs_served");
+        ctx.metric_incr(M::MGR_SYNCS_SERVED);
         let their_stamps: BTreeMap<NodeId, u64> = stamps.into_iter().collect();
         let their_slots: BTreeMap<(AppId, UserId, Right), OpId> = slots
             .into_iter()
@@ -1870,7 +1860,7 @@ impl ManagerNode {
                 // durably held (gaps after an origin crash). Count the
                 // resends the stamps alone would have skipped.
                 if their_stamps.get(&id.origin).is_some_and(|&s| s >= id.seq) {
-                    ctx.metric_incr("mgr.sync_gap_resends");
+                    ctx.metric_incr(M::MGR_SYNC_GAP_RESENDS);
                 }
                 ops.push((id, op));
             }
@@ -1926,16 +1916,16 @@ impl ManagerNode {
             .iter()
             .any(|(n, s)| self.origin_stamps.get(n).is_none_or(|mine| mine < s));
         if behind {
-            ctx.metric_incr("mgr.sync_stamps_behind");
+            ctx.metric_incr(M::MGR_SYNC_STAMPS_BEHIND);
         }
         self.recovering = false;
         self.delta_syncing = false;
         self.sync_round = 0;
         if was_cold {
-            ctx.metric_incr("mgr.recovered_via_sync");
+            ctx.metric_incr(M::MGR_RECOVERED_VIA_SYNC);
             ctx.trace_with(|| format!("audit=recovered mode=sync merged={merged}"));
         } else {
-            ctx.metric_incr("mgr.delta_sync_complete");
+            ctx.metric_incr(M::MGR_DELTA_SYNC_COMPLETE);
         }
     }
 }
@@ -2024,7 +2014,7 @@ impl Node for ManagerNode {
                 }
             }
             _ => {
-                ctx.metric_incr("mgr.unexpected_msg");
+                ctx.metric_incr(M::MGR_UNEXPECTED_MSG);
             }
         }
     }

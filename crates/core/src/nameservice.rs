@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use wanacl_auth::signed::{KeyRegistry, PrincipalId};
+use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::nemesis::Window;
 use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::storage::{Storage, StorageStats};
@@ -216,16 +217,16 @@ impl DirectoryReplica {
         kind: &'static str,
     ) -> bool {
         if !record.verify(&self.registry, self.writer) {
-            ctx.metric_incr("ns.publish_rejected");
+            ctx.metric_incr(M::NS_PUBLISH_REJECTED);
             return false;
         }
         if record.version <= self.version_of(record.app) {
-            ctx.metric_incr("ns.publish_stale");
+            ctx.metric_incr(M::NS_PUBLISH_STALE);
             return false;
         }
         self.persist(record);
         Self::note_record(ctx, kind, record);
-        ctx.metric_incr("ns.records_accepted");
+        ctx.metric_incr(M::NS_RECORDS_ACCEPTED);
         self.records.insert(record.app, record.clone());
         true
     }
@@ -308,13 +309,13 @@ impl Node for DirectoryReplica {
         match msg {
             ProtoMsg::NsQuery { app } => {
                 self.lookups += 1;
-                ctx.metric_incr("ns.lookups");
+                ctx.metric_incr(M::NS_LOOKUPS);
                 match self.records.get(&app) {
                     Some(record) if self.malicious_now(ctx) => {
                         // Forged answer: bumped version, altered manager
                         // set, and a signature that does not cover the
                         // forged content. A verifying host rejects this.
-                        ctx.metric_incr("ns.forged_reply");
+                        ctx.metric_incr(M::NS_FORGED_REPLY);
                         let forged: Vec<NodeId> = if record.managers.len() > 1 {
                             record.managers[1..].to_vec()
                         } else {
@@ -346,8 +347,8 @@ impl Node for DirectoryReplica {
                         );
                     }
                     None => {
-                        ctx.metric_incr("ns.unknown_app");
-                        ctx.metric_incr("ns.negative_reply");
+                        ctx.metric_incr(M::NS_UNKNOWN_APP);
+                        ctx.metric_incr(M::NS_NEGATIVE_REPLY);
                         ctx.send(
                             from,
                             ProtoMsg::NsRecordReply {
@@ -373,7 +374,7 @@ impl Node for DirectoryReplica {
             }
             ProtoMsg::NsSyncRequest { versions } => {
                 if self.suppress_sync {
-                    ctx.metric_incr("ns.sync_suppressed");
+                    ctx.metric_incr(M::NS_SYNC_SUPPRESSED);
                     return;
                 }
                 let newer: Vec<NsRecord> = self
@@ -395,7 +396,7 @@ impl Node for DirectoryReplica {
             }
             ProtoMsg::NsSyncResponse { records } => {
                 if self.suppress_sync {
-                    ctx.metric_incr("ns.sync_suppressed");
+                    ctx.metric_incr(M::NS_SYNC_SUPPRESSED);
                     return;
                 }
                 for record in &records {
@@ -403,7 +404,7 @@ impl Node for DirectoryReplica {
                 }
             }
             _ => {
-                ctx.metric_incr("ns.unexpected_msg");
+                ctx.metric_incr(M::NS_UNEXPECTED_MSG);
             }
         }
     }
@@ -415,7 +416,7 @@ impl Node for DirectoryReplica {
         if !self.suppress_sync && !self.peers.is_empty() {
             let peer = self.peers[self.sync_cursor % self.peers.len()];
             self.sync_cursor = self.sync_cursor.wrapping_add(1);
-            ctx.metric_incr("ns.sync_rounds");
+            ctx.metric_incr(M::NS_SYNC_ROUNDS);
             ctx.send(peer, ProtoMsg::NsSyncRequest { versions: self.held_versions() });
         }
         self.arm_sync(ctx);
@@ -432,7 +433,7 @@ impl Node for DirectoryReplica {
     fn on_recover(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         self.recover_from_disk();
         if self.storage.is_some() && !self.records.is_empty() {
-            ctx.metric_incr("ns.recovered_from_disk");
+            ctx.metric_incr(M::NS_RECOVERED_FROM_DISK);
         }
         self.announce_and_arm(ctx);
     }
@@ -660,7 +661,7 @@ mod tests {
         effects
             .iter()
             .filter_map(|e| match e {
-                Effect::MetricIncr { name } => Some(*name),
+                Effect::MetricIncr { name } => Some(name.def().name),
                 _ => None,
             })
             .collect()

@@ -167,6 +167,27 @@ pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
     out
 }
 
+/// Reads a big-endian `u32` element count and splits off the `each`-byte
+/// elements it announces. A count the remaining bytes cannot hold is
+/// rejected here, before it sizes an allocation: it comes from disk.
+fn take_elements<'a>(rest: &mut &'a [u8], each: usize) -> Option<std::slice::ChunksExact<'a, u8>> {
+    let (count, tail) = rest.split_first_chunk::<4>()?;
+    let count = u32::from_be_bytes(*count) as usize;
+    if count > tail.len() / each {
+        return None;
+    }
+    let (elements, tail) = tail.split_at(count * each);
+    *rest = tail;
+    Some(elements.chunks_exact(each))
+}
+
+/// A 12-byte element: an applied op id or a released shard with its epoch.
+fn u32_then_u64(element: &[u8]) -> (u32, u64) {
+    let (head, tail) = element.split_at(4);
+    let head = u32::from_be_bytes(head.try_into().expect("4 of 12 bytes"));
+    (head, u64::from_be_bytes(tail.try_into().expect("8 of 12 bytes")))
+}
+
 /// Decodes a snapshot; `None` on any structural mismatch.
 pub fn decode_snapshot(bytes: &[u8]) -> Option<SnapshotState> {
     let rest = bytes.strip_prefix(&SNAPSHOT_MAGIC[..])?;
@@ -174,57 +195,27 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<SnapshotState> {
     if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_SHARDED {
         return None;
     }
-    if rest.len() < 12 {
-        return None;
-    }
-    let lamport = u64::from_be_bytes(rest[..8].try_into().ok()?);
-    let applied_len = u32::from_be_bytes(rest[8..12].try_into().ok()?) as usize;
-    let mut rest = &rest[12..];
-    let mut applied = Vec::with_capacity(applied_len.min(1 << 20));
-    for _ in 0..applied_len {
-        if rest.len() < 12 {
-            return None;
-        }
-        let origin = u32::from_be_bytes(rest[..4].try_into().ok()?);
-        let seq = u64::from_be_bytes(rest[4..12].try_into().ok()?);
-        applied.push(OpId { origin: NodeId::from_index(origin as usize), seq });
-        rest = &rest[12..];
-    }
-    if rest.len() < 4 {
-        return None;
-    }
-    let lww_len = u32::from_be_bytes(rest[..4].try_into().ok()?) as usize;
-    rest = &rest[4..];
-    let mut lww = Vec::with_capacity(lww_len.min(1 << 20));
-    for _ in 0..lww_len {
-        if rest.len() < RECORD_LEN {
-            return None;
-        }
-        let (id, op) = decode_record(&rest[..RECORD_LEN])?;
-        lww.push((op.app(), op.user(), op.right(), id, op));
-        rest = &rest[RECORD_LEN..];
-    }
+    let (lamport, mut rest) = rest.split_first_chunk::<8>()?;
+    let lamport = u64::from_be_bytes(*lamport);
+    let applied = take_elements(&mut rest, 12)?
+        .map(|e| {
+            let (origin, seq) = u32_then_u64(e);
+            OpId { origin: NodeId::from_index(origin as usize), seq }
+        })
+        .collect();
+    let lww = take_elements(&mut rest, RECORD_LEN)?
+        .map(|e| decode_record(e).map(|(id, op)| (op.app(), op.user(), op.right(), id, op)))
+        .collect::<Option<_>>()?;
     let mut released = Vec::new();
     if version == SNAPSHOT_VERSION_SHARDED {
-        if rest.len() < 4 {
-            return None;
-        }
-        let released_len = u32::from_be_bytes(rest[..4].try_into().ok()?) as usize;
-        if released_len == 0 {
+        released.extend(take_elements(&mut rest, 12)?.map(|e| {
+            let (shard, epoch) = u32_then_u64(e);
+            (ShardId(shard), epoch)
+        }));
+        if released.is_empty() {
             // Version 2 exists only to carry a nonempty set; an empty
             // one belongs in version 1.
             return None;
-        }
-        rest = &rest[4..];
-        released.reserve(released_len.min(1 << 20));
-        for _ in 0..released_len {
-            if rest.len() < 12 {
-                return None;
-            }
-            let shard = ShardId(u32::from_be_bytes(rest[..4].try_into().ok()?));
-            let epoch = u64::from_be_bytes(rest[4..12].try_into().ok()?);
-            released.push((shard, epoch));
-            rest = &rest[12..];
         }
     }
     if !rest.is_empty() {
@@ -343,5 +334,35 @@ mod tests {
         let mut trailing = bytes;
         trailing.push(0);
         assert_eq!(decode_snapshot(&trailing), None, "trailing bytes");
+    }
+
+    /// Each count is checked against the bytes behind it before it sizes
+    /// anything: these inputs of 17, 21 and 25 bytes each announce 2³²−1
+    /// elements.
+    #[test]
+    fn snapshot_rejects_a_count_the_remaining_bytes_cannot_hold() {
+        let huge = u32::MAX.to_be_bytes();
+        let mut applied = encode_snapshot(&SnapshotState::default());
+        applied.truncate(13);
+        applied.extend_from_slice(&huge);
+        assert_eq!(applied.len(), 17);
+        assert_eq!(decode_snapshot(&applied), None, "applied_len");
+
+        let mut lww = encode_snapshot(&SnapshotState::default());
+        lww.truncate(17);
+        lww.extend_from_slice(&huge);
+        assert_eq!(lww.len(), 21);
+        assert_eq!(decode_snapshot(&lww), None, "lww_len");
+
+        let mut released = encode_snapshot(&SnapshotState::default());
+        released[4] = 2;
+        released.extend_from_slice(&huge);
+        assert_eq!(released.len(), 25);
+        assert_eq!(decode_snapshot(&released), None, "released_len");
+        // One element short of what the count says is rejected the same way.
+        let one = SnapshotState { released: vec![(ShardId(1), 1)], ..Default::default() };
+        let mut short = encode_snapshot(&one);
+        short[24] = 2;
+        assert_eq!(decode_snapshot(&short), None, "released_len 2 over 12 bytes");
     }
 }

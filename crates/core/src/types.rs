@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 
 use wanacl_auth::signed::AuthEncode;
+use wanacl_sim::metrics::MetricId;
 
 /// Identifies a distributed application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -52,6 +53,14 @@ impl From<UserId> for wanacl_auth::signed::PrincipalId {
 /// manager can own shards of several tenants without ambiguity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ShardId(pub u32);
+
+impl ShardId {
+    /// This shard's row of a per-shard metric family: ids 0–7 have a
+    /// handle each, larger ones share the table's last (`shard.other.*`).
+    pub(crate) fn metric(self, family: &[MetricId; 9]) -> MetricId {
+        family[(self.0 as usize).min(8)]
+    }
+}
 
 impl std::fmt::Display for ShardId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

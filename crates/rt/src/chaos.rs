@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 
 use wanacl_sim::nemesis::Fault;
+use wanacl_sim::metrics::MetricId;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::obs::MetricsSink;
 use wanacl_sim::rng::SimRng;
@@ -169,7 +170,7 @@ impl<M: Send + Sync + 'static> ChaosRouter<M> {
         )
     }
 
-    fn incr(&self, counter: &AtomicU64, name: &'static str) {
+    fn incr(&self, counter: &AtomicU64, name: MetricId) {
         counter.fetch_add(1, Ordering::Relaxed);
         if let Some(metrics) = &self.metrics {
             metrics.incr(name);
@@ -181,7 +182,7 @@ impl<M: Send + Sync + 'static> ChaosRouter<M> {
             self.inner.send(from, to, msg);
             return;
         }
-        self.incr(&self.delayed, "rt.chaos_delayed");
+        self.incr(&self.delayed, MetricId::RT_CHAOS_DELAYED);
         let delivery = DelayedDelivery {
             due: Instant::now() + Duration::from_nanos(extra.as_nanos()),
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
@@ -206,7 +207,7 @@ impl<M: Send + Sync + Clone + 'static> Transport<M> for ChaosRouter<M> {
         let now = self.now();
         // 1. Partitions: certain loss.
         if self.faults.iter().any(|f| f.severs(from, to, now)) {
-            self.incr(&self.dropped, "rt.chaos_dropped");
+            self.incr(&self.dropped, MetricId::RT_CHAOS_DROPPED);
             return;
         }
         // 2..5 need the decision stream.
@@ -243,13 +244,13 @@ impl<M: Send + Sync + Clone + 'static> Transport<M> for ChaosRouter<M> {
             (drop, duplicate, extra)
         };
         if drop {
-            self.incr(&self.dropped, "rt.chaos_dropped");
+            self.incr(&self.dropped, MetricId::RT_CHAOS_DROPPED);
             return;
         }
         // 3. The inner router's own link policy applies per delivery
         // inside `deliver` (`Router::send`), like the sim's base verdict.
         if duplicate {
-            self.incr(&self.duplicated, "rt.chaos_duplicated");
+            self.incr(&self.duplicated, MetricId::RT_CHAOS_DUPLICATED);
             // Trailing copy: same fate machinery, shifted by up to the
             // injected extra plus a millisecond of reordering jitter.
             let trail = extra + SimDuration::from_millis(1);

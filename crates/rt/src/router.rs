@@ -5,6 +5,7 @@ use parking_lot::RwLock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use wanacl_sim::metrics::MetricId;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::obs::MetricsSink;
 
@@ -273,7 +274,7 @@ impl<M: Send + Sync + 'static> Router<M> {
         self.dropped.fetch_add(1, Ordering::Relaxed);
         self.overflowed.fetch_add(1, Ordering::Relaxed);
         if let Some(metrics) = self.metrics.read().as_ref() {
-            metrics.incr("rt.inbox_overflow");
+            metrics.incr(MetricId::RT_INBOX_OVERFLOW);
         }
     }
 

@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::metrics::MetricId;
 use wanacl_sim::node::{Context, Effect, Node, NodeId};
 use wanacl_sim::obs::MetricsSink;
 use wanacl_sim::rng::SimRng;
@@ -599,8 +600,6 @@ struct Sinks<M> {
     effects: Vec<Effect<M>>,
     /// Takes every send as its effect is applied.
     transport: Arc<dyn Transport<M>>,
-    /// The step's aggregated counter bumps.
-    counters: Vec<(&'static str, u64)>,
     wheel: TimerWheel,
     /// This worker's shard of the deployment's sink: no other worker
     /// records into it.
@@ -619,7 +618,6 @@ impl<M> Sinks<M> {
         Sinks {
             effects: Vec::new(),
             transport,
-            counters: Vec::new(),
             wheel: TimerWheel::new(epoch),
             metrics,
             trace,
@@ -629,9 +627,9 @@ impl<M> Sinks<M> {
 }
 
 /// Runs one handler invocation under `catch_unwind`, hands its sends
-/// to the transport and folds the rest of its effects into the step's
-/// counters and the wheel. Returns the panic message if the handler
-/// blew up.
+/// to the transport and folds the rest of its effects into the wheel
+/// and the worker's metrics shard. Returns the panic message if the
+/// handler blew up.
 fn invoke<M, F>(
     wn: &mut WorkerNode<M>,
     idx: u32,
@@ -676,14 +674,7 @@ where
             Effect::CancelTimer { id: timer_id } => {
                 wn.cancelled.insert(timer_id.into_raw());
             }
-            // Counter bumps batch per step; one sink lock per distinct
-            // name instead of one per effect.
-            Effect::MetricIncr { name } => {
-                match sinks.counters.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, delta)) => *delta += 1,
-                    None => sinks.counters.push((name, 1)),
-                }
-            }
+            Effect::MetricIncr { name } => sinks.metrics.incr(name),
             Effect::MetricObserve { name, value } => sinks.metrics.observe(name, value),
             // Traces (audit notes) feed the live oracle; a node emits
             // them only when told a capture buffer is listening.
@@ -714,7 +705,6 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
     fn run(mut self, initial: WorkerNodes<M>) {
         for (idx, node) in initial {
             self.slots[idx as usize] = self.make_node(idx, node);
-            self.flush();
         }
         let mut run_queue: VecDeque<u32> = VecDeque::new();
         loop {
@@ -788,7 +778,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         if let WorkerSlot::Live(wn) = &mut slot {
             if wn.up && !wn.cancelled.remove(&entry.id) {
                 let drift = Instant::now().saturating_duration_since(entry.due);
-                self.sinks.metrics.observe("rt.timer_drift_ns", drift.as_nanos() as f64);
+                self.sinks.metrics.observe(MetricId::RT_TIMER_DRIFT_NS, drift.as_nanos() as f64);
                 if let Err(msg) =
                     invoke(wn, entry.node, entry.epoch, &mut self.sinks, |node, ctx| {
                         node.on_timer(ctx, entry.tag)
@@ -802,13 +792,12 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
             slot = self.poison(i, msg);
         }
         self.slots[i] = slot;
-        self.flush();
     }
 
     /// Drains one node's cell and steps it: control first (lifecycle
     /// can never be shed), then up to [`MAX_STEP_BATCH`] data
-    /// envelopes, then the step's counter bumps. Returns whether data
-    /// remains queued (the caller requeues the node).
+    /// envelopes. Returns whether data remains queued (the caller
+    /// requeues the node).
     fn step(&mut self, idx: u32) -> bool {
         let i = idx as usize;
         let more = self.cells[i].drain(MAX_STEP_BATCH, &mut self.ctls, &mut self.data);
@@ -906,7 +895,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
             let mut poisoned = None;
             if let WorkerSlot::Live(wn) = &mut slot {
                 if wn.up {
-                    self.sinks.metrics.observe("rt.batch_size", data.len() as f64);
+                    self.sinks.metrics.observe(MetricId::RT_BATCH_SIZE, data.len() as f64);
                     for (from, msg) in data.drain(..) {
                         if let Err(msg) =
                             invoke(wn, idx, self.epochs[i], &mut self.sinks, |node, ctx| {
@@ -931,16 +920,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         self.data = data;
 
         self.slots[i] = slot;
-        self.flush();
         more && !halted
-    }
-
-    /// Records the step's aggregated counter bumps.
-    fn flush(&mut self) {
-        let sinks = &mut self.sinks;
-        for (name, delta) in sinks.counters.drain(..) {
-            sinks.metrics.add(name, delta);
-        }
     }
 }
 
@@ -1053,7 +1033,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
         self.cells[index].push_control(ControlMsg::Kill(reply_tx));
         match reply_rx.recv() {
             Ok(Ok((exit, stale))) => {
-                self.metrics.incr("rt.node_killed");
+                self.metrics.incr(MetricId::RT_NODE_KILLED);
                 self.slots[index] = RtSlot::Finished(Ok((exit, stale)));
                 Ok(exit)
             }
@@ -1086,7 +1066,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
         self.cells[index].revive();
         self.cells[index].push_control(ControlMsg::Install(fresh));
         self.slots[index] = RtSlot::Running;
-        self.metrics.incr("rt.node_restarted");
+        self.metrics.incr(MetricId::RT_NODE_RESTARTED);
         Ok(())
     }
 
@@ -1221,8 +1201,8 @@ mod tests {
     impl Node for Emitter {
         type Msg = u64;
         fn on_message(&mut self, ctx: &mut Context<'_, u64>, _from: NodeId, msg: u64) {
-            ctx.metric_incr("test.msgs");
-            ctx.metric_observe("test.value", msg as f64);
+            ctx.metric_incr(MetricId::HOST_INVOKES);
+            ctx.metric_observe(MetricId::HOST_CHECK_LATENCY_S, msg as f64);
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -1241,13 +1221,13 @@ mod tests {
         rt.send_from_env(a, 10);
         rt.send_from_env(c, 30);
         let deadline = Instant::now() + Duration::from_secs(5);
-        while rt.metrics().counter("test.msgs") < 2 && Instant::now() < deadline {
+        while rt.metrics().counter("host.invokes") < 2 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
         let snap = rt.metrics().snapshot();
         rt.shutdown();
-        assert_eq!(snap.counter("test.msgs"), 2);
-        let summary = snap.histogram("test.value").and_then(|h| h.summary()).expect("samples");
+        assert_eq!(snap.counter("host.invokes"), 2);
+        let summary = snap.histogram("host.check_latency_s").and_then(|h| h.summary()).expect("samples");
         assert_eq!(summary.count, 2);
         assert_eq!(summary.sum, 40.0);
     }
@@ -1532,7 +1512,6 @@ mod tests {
             data: Vec::new(),
         };
         worker.slots[0] = worker.make_node(0, Box::new(host));
-        worker.flush();
 
         fn cancelled(worker: &Worker<ProtoMsg>) -> usize {
             match &worker.slots[0] {

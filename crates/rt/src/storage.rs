@@ -23,6 +23,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
 
+use wanacl_sim::metrics::MetricId;
 use wanacl_sim::obs::MetricsSink;
 use wanacl_sim::storage::{Recovered, Storage, StorageError, StorageStats};
 
@@ -199,8 +200,8 @@ impl Storage for FileStorage {
             wal.sync_all()
         })();
         if let Some(metrics) = &self.metrics {
-            metrics.incr("storage.wal_fsync");
-            metrics.observe("storage.wal_fsync_s", fsync_start.elapsed().as_secs_f64());
+            metrics.incr(MetricId::STORAGE_WAL_FSYNC);
+            metrics.observe(MetricId::STORAGE_WAL_FSYNC_S, fsync_start.elapsed().as_secs_f64());
         }
         match result {
             Ok(()) => {
@@ -211,7 +212,7 @@ impl Storage for FileStorage {
             Err(_) => {
                 self.stats.sync_failures += 1;
                 if let Some(metrics) = &self.metrics {
-                    metrics.incr("storage.wal_fsync_failed");
+                    metrics.incr(MetricId::STORAGE_WAL_FSYNC_FAILED);
                 }
                 Err(StorageError::SyncFailed)
             }

@@ -8,6 +8,7 @@ use std::time::{Duration, Instant};
 
 use wanacl_core::prelude::*;
 use wanacl_rt::{install_roster, live_manager_tuning, live_policy, RuntimeBuilder};
+use wanacl_sim::metrics::MetricId;
 use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::time::SimDuration;
 
@@ -93,6 +94,8 @@ fn batched_soak_reaches_the_expected_verdicts_and_acl_state() {
 /// A flood-test node: counts everything it hears, forwards a slice of
 /// the environment's burst to a fixed peer (so the crowd generates
 /// cross-traffic too), and records whether its control lane stayed live.
+/// It counts under the simulator's `net.delivered` / `node.recoveries`
+/// rows, which the live runtime itself never records.
 #[derive(Debug)]
 struct FloodNode {
     peer: Option<NodeId>,
@@ -104,7 +107,7 @@ impl Node for FloodNode {
     type Msg = u64;
     fn on_message(&mut self, ctx: &mut Context<'_, u64>, from: NodeId, msg: u64) {
         self.seen += 1;
-        ctx.metric_incr("flood.seen");
+        ctx.metric_incr(MetricId::NET_DELIVERED);
         if from == NodeId::ENV && msg.is_multiple_of(16) {
             if let Some(peer) = self.peer {
                 ctx.send(peer, msg + 1);
@@ -113,7 +116,7 @@ impl Node for FloodNode {
     }
     fn on_recover(&mut self, ctx: &mut Context<'_, u64>) {
         self.recovered = true;
-        ctx.metric_incr("flood.recovered");
+        ctx.metric_incr(MetricId::NODE_RECOVERIES);
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -161,13 +164,13 @@ fn thousand_host_flash_crowd_drains_without_overflow() {
     let forwards_per_host = BURST.div_ceil(16);
     let expected = HOSTS as u64 * (BURST + forwards_per_host);
     let deadline = Instant::now() + Duration::from_secs(60);
-    while rt.metrics().counter("flood.seen") < expected && Instant::now() < deadline {
+    while rt.metrics().counter("net.delivered") < expected && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    assert_eq!(rt.metrics().counter("flood.seen"), expected, "the pool must drain every envelope");
+    assert_eq!(rt.metrics().counter("net.delivered"), expected, "the pool must drain every envelope");
     assert_eq!(rt.metrics().counter("rt.inbox_overflow"), 0, "flash crowd must not shed");
-    assert_eq!(rt.metrics().counter("flood.recovered"), 1, "control must cut through the flood");
+    assert_eq!(rt.metrics().counter("node.recoveries"), 1, "control must cut through the flood");
 
     let nodes = rt.shutdown_nodes();
     assert_eq!(nodes.len(), HOSTS + 1);

@@ -10,6 +10,7 @@
 use std::any::Any;
 
 use crate::clock::LocalTime;
+use crate::metrics::MetricId;
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 
@@ -76,9 +77,9 @@ pub enum Effect<M> {
     /// Emit a trace note.
     Trace { text: String },
     /// Increment a run-level counter.
-    MetricIncr { name: &'static str },
+    MetricIncr { name: MetricId },
     /// Record a run-level histogram sample.
-    MetricObserve { name: &'static str, value: f64 },
+    MetricObserve { name: MetricId, value: f64 },
 }
 
 /// The environment a node sees while handling one event.
@@ -196,12 +197,12 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Increments a run-level counter by one.
-    pub fn metric_incr(&mut self, name: &'static str) {
+    pub fn metric_incr(&mut self, name: MetricId) {
         self.effects.push(Effect::MetricIncr { name });
     }
 
     /// Records a sample into a run-level histogram.
-    pub fn metric_observe(&mut self, name: &'static str, value: f64) {
+    pub fn metric_observe(&mut self, name: MetricId, value: f64) {
         self.effects.push(Effect::MetricObserve { name, value });
     }
 }

@@ -2,13 +2,14 @@
 //! text exporters, used identically by the deterministic simulator and
 //! the live threaded runtime.
 //!
-//! Protocol nodes emit named counters and latency samples through
+//! Protocol nodes emit counters and latency samples through
 //! [`crate::node::Context::metric_incr`] /
-//! [`crate::node::Context::metric_observe`]. Under simulation the
-//! [`crate::world::World`] folds those effects into its run-level
-//! [`Metrics`]; under `wanacl-rt` every worker folds them into its own
-//! shard of one [`MetricsSink`]. Either way the result is the same bag of
-//! names (the registry lives in DESIGN.md §11), exportable as:
+//! [`crate::node::Context::metric_observe`], by [`crate::metrics::MetricId`]
+//! handle. Under simulation the [`crate::world::World`] folds those
+//! effects into its run-level [`Metrics`]; under `wanacl-rt` every worker
+//! folds them into its own shard of one [`MetricsSink`]. Either way the
+//! result is the same bag of names ([`crate::metrics::REGISTRY`], printed
+//! in DESIGN.md §11), exportable as:
 //!
 //! * [`prometheus_text`] — a Prometheus text-format snapshot, and
 //! * [`metrics_jsonl`] — one self-describing JSON object per metric,
@@ -19,7 +20,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::metrics::Metrics;
+use crate::metrics::{MetricKey, Metrics};
 
 /// A cheap, cloneable, thread-safe handle onto one sharded [`Metrics`]
 /// bag.
@@ -68,29 +69,29 @@ impl MetricsSink {
         MetricsSink { own, shards: self.shards.clone() }
     }
 
-    /// Adds `delta` to the named counter.
-    pub fn add(&self, name: &str, delta: u64) {
-        lock(&self.own).add(name, delta);
+    /// Adds `delta` to a counter.
+    pub fn add(&self, key: impl MetricKey, delta: u64) {
+        lock(&self.own).add(key, delta);
     }
 
-    /// Increments the named counter by one.
-    pub fn incr(&self, name: &str) {
-        lock(&self.own).incr(name);
+    /// Increments a counter by one.
+    pub fn incr(&self, key: impl MetricKey) {
+        lock(&self.own).incr(key);
     }
 
-    /// Records one sample into the named histogram.
-    pub fn observe(&self, name: &str, value: f64) {
-        lock(&self.own).observe(name, value);
+    /// Records one sample into a histogram.
+    pub fn observe(&self, key: impl MetricKey, value: f64) {
+        lock(&self.own).observe(key, value);
     }
 
     /// Current value of a counter over all shards (zero if never
     /// touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        lock(&self.shards).iter().map(|shard| lock(shard).counter(name)).sum()
+    pub fn counter(&self, key: impl MetricKey) -> u64 {
+        lock(&self.shards).iter().map(|shard| lock(shard).counter(key)).sum()
     }
 
-    /// A point-in-time copy of the whole bag: counters summed and
-    /// histogram samples concatenated in shard creation order.
+    /// A point-in-time copy of the whole bag: the shards' slots added
+    /// up in shard creation order.
     pub fn snapshot(&self) -> Metrics {
         let shards = lock(&self.shards);
         let mut merged = lock(&shards[0]).clone();
@@ -122,10 +123,9 @@ fn prom_name(name: &str) -> String {
 /// Renders a snapshot in the Prometheus text exposition format.
 ///
 /// Counters become `counter` samples; histograms are rendered as
-/// summaries (`{quantile="..."}` samples plus `_sum` and `_count`),
-/// which matches how exact-sample histograms are conventionally
-/// exposed. Output is sorted by metric name and deterministic for a
-/// given snapshot.
+/// summaries (`{quantile="..."}` samples plus `_sum` and `_count`).
+/// Output is sorted by metric name and deterministic for a given
+/// snapshot.
 pub fn prometheus_text(metrics: &Metrics) -> String {
     let mut out = String::new();
     for (name, value) in metrics.counters() {
@@ -200,6 +200,7 @@ pub fn metrics_jsonl(metrics: &Metrics, scope: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricId;
 
     #[test]
     fn sink_records_and_snapshots() {
@@ -268,16 +269,15 @@ mod tests {
         }
         let (one, many) = (single.snapshot(), sharded.snapshot());
         assert_eq!(one.counters().collect::<Vec<_>>(), many.counters().collect::<Vec<_>>());
-        let order_free = |m: &Metrics| -> Vec<(String, usize, [f64; 5])> {
-            m.histograms()
-                .map(|(name, h)| {
-                    let s = h.summary().expect("samples");
-                    (name.to_owned(), s.count, [s.min, s.max, s.p50, s.p90, s.p99])
-                })
-                .collect()
-        };
-        assert_eq!(order_free(&one), order_free(&many));
-        assert_eq!(one, many, "equal as sample multisets too");
+        // Merging adds bucket counts, so every order statistic agrees
+        // exactly; `sum` is a float added up in another order.
+        for ((name, a), (_, b)) in one.histograms().zip(many.histograms()) {
+            let (a, b) = (a.summary().expect("samples"), b.summary().expect("samples"));
+            assert!((a.sum - b.sum).abs() <= a.sum * 1e-12, "{name}: {} vs {}", a.sum, b.sum);
+            let (sum, mean) = (a.sum, a.mean);
+            assert_eq!(a, crate::metrics::HistogramSummary { sum, mean, ..b }, "{name}");
+        }
+        assert_eq!(one.histograms().count(), 2);
     }
 
     #[test]
@@ -332,6 +332,25 @@ mod tests {
         assert_eq!(a.lines().count(), 2);
         assert!(a.contains("\"kind\":\"counter\",\"name\":\"host.cache_hit\",\"value\":3"));
         assert!(a.contains("\"kind\":\"histogram\",\"name\":\"host.check_latency_s\",\"count\":1"));
+    }
+
+    #[test]
+    fn an_export_holds_a_metric_iff_it_was_recorded() {
+        let mut m = Metrics::new();
+        assert_eq!(prometheus_text(&m) + &metrics_jsonl(&m, "s"), "", "registered is not recorded");
+        // A zero delta records; reading does not.
+        m.add(MetricId::HOST_DENIED, 0);
+        m.add("adhoc", 0);
+        assert_eq!(m.counter("host.allowed") + m.counter(MetricId::NET_SENT) + m.counter("other"), 0);
+        assert!(m.histogram("host.check_latency_s").is_none());
+        assert_eq!(
+            prometheus_text(&m),
+            "# TYPE wanacl_adhoc counter\nwanacl_adhoc 0\n\
+             # TYPE wanacl_host_denied counter\nwanacl_host_denied 0\n"
+        );
+        assert_eq!(metrics_jsonl(&m, "s").lines().count(), 2);
+        m.reset();
+        assert_eq!(prometheus_text(&m) + &metrics_jsonl(&m, "s"), "");
     }
 
     #[test]

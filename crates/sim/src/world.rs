@@ -17,7 +17,7 @@
 //! monotonically-assigned timer ids rather than a hash set.
 
 use crate::clock::{ClockSpec, DriftClock, LocalTime};
-use crate::metrics::Metrics;
+use crate::metrics::{MetricId, Metrics};
 use crate::net::{DropReason, NetModel, PerfectNet, Verdict};
 use crate::node::{Context, Effect, Node, NodeId};
 use crate::queue::{EventQueue, Scheduler};
@@ -510,7 +510,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     return;
                 }
                 if !self.meta[to.index()].up {
-                    self.metrics.incr("net.drop.destination_down");
+                    self.metrics.incr(MetricId::NET_DROP_DESTINATION_DOWN);
                     self.emit(TraceEvent::Dropped {
                         from,
                         to,
@@ -518,7 +518,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     });
                     return;
                 }
-                self.metrics.incr("net.delivered");
+                self.metrics.incr(MetricId::NET_DELIVERED);
                 if self.wants_message_events() {
                     self.emit(TraceEvent::Delivered { from, to, desc: format!("{msg:?}") });
                 }
@@ -543,7 +543,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 meta.up = false;
                 meta.incarnation += 1;
                 self.nodes[node.index()].on_crash();
-                self.metrics.incr("node.crashes");
+                self.metrics.incr(MetricId::NODE_CRASHES);
                 self.emit(TraceEvent::Crashed { node });
             }
             EventKind::Recover { node } => {
@@ -551,7 +551,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                     return;
                 }
                 self.meta[node.index()].up = true;
-                self.metrics.incr("node.recoveries");
+                self.metrics.incr(MetricId::NODE_RECOVERIES);
                 self.emit(TraceEvent::Recovered { node });
                 self.with_node_ctx(node, |n, ctx| n.on_recover(ctx));
             }
@@ -562,7 +562,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
-                    self.metrics.incr("net.sent");
+                    self.metrics.incr(MetricId::NET_SENT);
                     if self.wants_message_events() {
                         self.emit(TraceEvent::Sent { from: origin, to, desc: format!("{msg:?}") });
                     }
@@ -576,7 +576,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                             self.push(self.now + delay, EventKind::Deliver { from: origin, to, msg });
                         }
                         Verdict::Duplicate(first, second) => {
-                            self.metrics.incr("net.duplicated");
+                            self.metrics.incr(MetricId::NET_DUPLICATED);
                             self.push(
                                 self.now + first,
                                 EventKind::Deliver { from: origin, to, msg: msg.clone() },
@@ -585,9 +585,9 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                         }
                         Verdict::Drop(reason) => {
                             let name = match reason {
-                                DropReason::Partitioned => "net.drop.partitioned",
-                                DropReason::Loss => "net.drop.loss",
-                                DropReason::DestinationDown => "net.drop.destination_down",
+                                DropReason::Partitioned => MetricId::NET_DROP_PARTITIONED,
+                                DropReason::Loss => MetricId::NET_DROP_LOSS,
+                                DropReason::DestinationDown => MetricId::NET_DROP_DESTINATION_DOWN,
                             };
                             self.metrics.incr(name);
                             self.emit(TraceEvent::Dropped { from: origin, to, reason });
