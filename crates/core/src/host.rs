@@ -27,6 +27,7 @@ use wanacl_sim::node::{Context, Node, NodeId, TimerId};
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::{SimDuration, SimTime};
 
+use crate::audit::{AllowPath, AuditEvent};
 use crate::breaker::{FailureOutcome, PeerBreaker};
 use crate::cache::{AclCache, CacheDecision};
 use crate::channel::ChannelEnd;
@@ -34,7 +35,6 @@ use crate::msg::{
     invoke_signing_bytes, ns_record_signing_bytes_sharded, InvokeOutcome, ProtoMsg, QueryVerdict,
     ReqId, ShardEntry,
 };
-use crate::nameservice::fmt_mgrs;
 use crate::policy::{ExhaustionBehavior, Policy, QueryFanout};
 use crate::types::{user_bucket, AppId, UserId};
 use crate::wrapper::Application;
@@ -486,7 +486,7 @@ impl HostNode {
         if let Some(b) = state.breaker.as_mut() {
             if b.record_success(from) {
                 ctx.metric_incr(M::RT_BREAKER_CLOSE);
-                ctx.trace_with(|| format!("audit=breaker-close peer={}", from.index()));
+                ctx.trace_record(|| AuditEvent::BreakerClose { peer: from });
             }
         }
         if !state.ns_inflight {
@@ -573,15 +573,14 @@ impl HostNode {
             }
             state.ns_expiry_timer = Some(ctx.set_timer(ttl, TAG_NSEXP | u64::from(app.0)));
             ctx.metric_incr(M::NS_INSTALLS);
-            ctx.trace_with(|| format!(
-                "audit=ns-install app={} version={} mode=quorum acks={} quorum={} mgrs={} ttl={}",
-                app.0,
+            ctx.trace_record(|| AuditEvent::NsInstall {
+                app,
                 version,
                 acks,
                 quorum,
-                fmt_mgrs(&state.managers),
-                ttl.as_nanos(),
-            ));
+                managers: state.managers.iter().copied().collect(),
+                ttl,
+            });
         }
         // Re-query shortly before the TTL runs out, jittered so hosts
         // sharing a TTL don't re-query in lockstep.
@@ -613,7 +612,7 @@ impl HostNode {
                 for peer in silent {
                     if b.record_failure(peer, bnow) == FailureOutcome::Opened {
                         ctx.metric_incr(M::RT_BREAKER_OPEN);
-                        ctx.trace_with(|| format!("audit=breaker-open peer={}", peer.index()));
+                        ctx.trace_record(|| AuditEvent::BreakerOpen { peer });
                     }
                 }
             }
@@ -625,10 +624,7 @@ impl HostNode {
                 // Graceful degradation: the quorum is unreachable but the
                 // last-known-good record has TTL left — keep serving it.
                 ctx.metric_incr(M::NS_DEGRADED_ROUNDS);
-                ctx.trace_with(|| format!(
-                    "audit=ns-degraded app={} version={}",
-                    app.0, state.record_version,
-                ));
+                ctx.trace_record(|| AuditEvent::NsDegraded { app, version: state.record_version });
             }
         }
         self.start_ns_round(ctx, app);
@@ -645,10 +641,7 @@ impl HostNode {
             return; // superseded by a fresher install; its timer is armed
         }
         ctx.metric_incr(M::NS_RECORD_EXPIRED);
-        ctx.trace_with(|| format!(
-            "audit=ns-expire app={} version={}",
-            app.0, state.record_version,
-        ));
+        ctx.trace_record(|| AuditEvent::NsExpire { app, version: state.record_version });
         state.record_expires = None;
         state.managers.clear();
     }
@@ -806,14 +799,13 @@ impl HostNode {
                 let limit =
                     (min_te > SimDuration::ZERO).then(|| p.attempt_started.plus(min_te));
                 if let Some(limit) = limit {
-                    ctx.trace_with(|| format!(
-                        "audit=cache-store app={} user={} started={} limit={} te={}",
-                        p.app.0,
-                        p.user.0,
-                        p.attempt_started.as_nanos(),
-                        limit.as_nanos(),
-                        min_te.as_nanos(),
-                    ));
+                    ctx.trace_record(|| AuditEvent::CacheStore {
+                        app: p.app,
+                        user: p.user,
+                        started: p.attempt_started,
+                        limit,
+                        te: min_te,
+                    });
                     if let Some(state) = self.apps.get_mut(&p.app) {
                         state.cache.insert(p.user, limit);
                         // The grant that creates the entry is a use.
@@ -821,36 +813,24 @@ impl HostNode {
                     }
                     self.arm_refresh(ctx, p.app, p.user, limit);
                 }
-                self.allow(ctx, p.app, p.user, &p.payload, || {
-                    // Streamed into one buffer: this runs once per
-                    // granted check, so no per-manager Strings or join
-                    // vector.
-                    use std::fmt::Write as _;
-                    let mut detail =
-                        format!("mode=quorum confirms={} c={} mgrs=", p.grants.len(), check_quorum);
-                    for (i, n) in p.grants.keys().enumerate() {
-                        if i > 0 {
-                            detail.push(';');
-                        }
-                        let _ = write!(detail, "{}", n.index());
-                    }
-                    let _ = write!(detail, " started={}", p.attempt_started.as_nanos());
-                    if let Some(limit) = limit {
-                        let _ = write!(detail, " limit={}", limit.as_nanos());
-                    }
-                    detail
+                self.allow(ctx, p.app, p.user, &p.payload, || AllowPath::Quorum {
+                    confirms: p.grants.len(),
+                    c: check_quorum,
+                    managers: p.grants.keys().copied().collect(),
+                    started: p.attempt_started,
+                    limit,
                 })
             }
             FinishKind::FailOpen => {
                 // Figure 4: allow, but nothing is cached — no te is known.
                 self.stats.fail_open_allows += 1;
                 ctx.metric_incr(M::HOST_FAIL_OPEN);
-                self.allow(ctx, p.app, p.user, &p.payload, || "mode=failopen".to_owned())
+                self.allow(ctx, p.app, p.user, &p.payload, || AllowPath::FailOpen)
             }
             FinishKind::Deny => {
                 self.stats.denied += 1;
                 ctx.metric_incr(M::HOST_DENIED);
-                ctx.trace_with(|| format!("audit=deny app={} user={}", p.app.0, p.user.0));
+                ctx.trace_record(|| AuditEvent::Deny { app: p.app, user: p.user });
                 InvokeOutcome::Denied
             }
             FinishKind::Unavailable => {
@@ -875,14 +855,13 @@ impl HostNode {
                     p.grants.values().copied().min().unwrap_or(SimDuration::ZERO);
                 if min_te > SimDuration::ZERO {
                     let limit = p.attempt_started.plus(min_te);
-                    ctx.trace_with(|| format!(
-                        "audit=cache-store app={} user={} started={} limit={} te={}",
-                        p.app.0,
-                        p.user.0,
-                        p.attempt_started.as_nanos(),
-                        limit.as_nanos(),
-                        min_te.as_nanos(),
-                    ));
+                    ctx.trace_record(|| AuditEvent::CacheStore {
+                        app: p.app,
+                        user: p.user,
+                        started: p.attempt_started,
+                        limit,
+                        te: min_te,
+                    });
                     if let Some(state) = self.apps.get_mut(&p.app) {
                         // Renew without touching last_used: only real
                         // requests count as activity, so idle leases
@@ -975,21 +954,20 @@ impl HostNode {
         self.start_attempt(ctx, pending_id);
     }
 
-    /// Grants the invocation. `detail` is appended to the audit note as
-    /// extra `key=value` tokens recording *why* the host said yes
-    /// (cache hit, fresh quorum, fail-open) — the invariant oracle
-    /// reads these. It runs only when the driver consumes notes.
+    /// Grants the invocation. `path` records *why* the host said yes
+    /// (cache hit, fresh quorum, fail-open) for the invariant oracle;
+    /// it runs only when the driver consumes notes.
     fn allow(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
         app: AppId,
         user: UserId,
         payload: &str,
-        detail: impl FnOnce() -> String,
+        path: impl FnOnce() -> AllowPath,
     ) -> InvokeOutcome {
         self.stats.allowed += 1;
         ctx.metric_incr(M::HOST_ALLOWED);
-        ctx.trace_with(|| format!("audit=allow app={} user={} {}", app.0, user.0, detail()));
+        ctx.trace_record(|| AuditEvent::Allow { app, user, path: path() });
         let response = match self.apps.get_mut(&app) {
             Some(state) => state.application.handle(user, payload),
             None => String::new(),
@@ -1048,9 +1026,8 @@ impl HostNode {
                 // histograms directly comparable.
                 ctx.metric_observe(M::HOST_LATENCY_CACHE_S, 0.0);
                 let now = ctx.local_now();
-                let outcome = self.allow(ctx, app, user, &payload, || {
-                    format!("mode=cache now={} limit={}", now.as_nanos(), limit.as_nanos())
-                });
+                let outcome =
+                    self.allow(ctx, app, user, &payload, || AllowPath::Cache { now, limit });
                 ctx.send(from, ProtoMsg::InvokeReply { req, outcome });
             }
             CacheDecision::Expired | CacheDecision::Missing => {
@@ -1110,7 +1087,7 @@ impl HostNode {
         if let Some(b) = self.apps.get_mut(&app).and_then(|s| s.breaker.as_mut()) {
             if b.record_success(from) {
                 ctx.metric_incr(M::RT_BREAKER_CLOSE);
-                ctx.trace_with(|| format!("audit=breaker-close peer={}", from.index()));
+                ctx.trace_record(|| AuditEvent::BreakerClose { peer: from });
             }
         }
         let Some(p) = self.pending.get_mut(&pending_id) else { return };
@@ -1176,7 +1153,7 @@ impl HostNode {
                 for peer in silent {
                     if b.record_failure(peer, bnow) == FailureOutcome::Opened {
                         ctx.metric_incr(M::RT_BREAKER_OPEN);
-                        ctx.trace_with(|| format!("audit=breaker-open peer={}", peer.index()));
+                        ctx.trace_record(|| AuditEvent::BreakerOpen { peer });
                     }
                 }
             }
@@ -1201,10 +1178,11 @@ impl HostNode {
             .unwrap_or(false);
         if deadline_hit {
             ctx.metric_incr(M::RT_DEADLINE_EXCEEDED);
-            ctx.trace_with(|| format!(
-                "audit=deadline app={} user={} attempt={}",
-                p.app.0, p.user.0, p.attempt,
-            ));
+            ctx.trace_record(|| AuditEvent::Deadline {
+                app: p.app,
+                user: p.user,
+                attempt: p.attempt,
+            });
         }
         let exhausted = deadline_hit || p.attempt >= state.policy.max_attempts();
         if exhausted {
@@ -1907,11 +1885,11 @@ mod tests {
         effects
     }
 
-    fn traces(effects: &[Effect<ProtoMsg>]) -> Vec<&str> {
+    fn traces(effects: &[Effect<ProtoMsg>]) -> Vec<&AuditEvent> {
         effects
             .iter()
             .filter_map(|e| match e {
-                Effect::Trace { text } => Some(text.as_str()),
+                Effect::Trace { text } => text.record(),
                 _ => None,
             })
             .collect()
@@ -1953,12 +1931,11 @@ mod tests {
             )),
             "install must record the lookup latency"
         );
-        let note = traces(&e2)
-            .into_iter()
-            .find(|t| t.starts_with("audit=ns-install"))
-            .expect("install note");
-        assert!(note.contains("version=2"), "{note}");
-        assert!(note.contains("mgrs=4;5"), "{note}");
+        let installed = traces(&e2).into_iter().find_map(|t| match t {
+            AuditEvent::NsInstall { version, managers, .. } => Some((*version, managers.to_string())),
+            _ => None,
+        });
+        assert_eq!(installed, Some((2, "4;5".to_owned())));
         // A straggler from the settled round is ignored.
         let e3 = h.at(3_000).deliver(&mut host, 2, record_reply(&v1));
         assert!(metric_incrs(&e3).contains(&"host.late_reply"));
@@ -2046,13 +2023,13 @@ mod tests {
         let e2 = h.at(TTL.as_nanos() * 9 / 10).fire(&mut host, tag);
         assert!(metric_incrs(&e2).contains(&"ns.read_timeout"));
         assert!(metric_incrs(&e2).contains(&"ns.degraded_rounds"));
-        assert!(traces(&e2).iter().any(|t| t.starts_with("audit=ns-degraded")));
+        assert!(traces(&e2).iter().any(|t| matches!(t, AuditEvent::NsDegraded { .. })));
         assert_eq!(host.manager_view(AppId(0)), &[NodeId::from_index(4)]);
         // The TTL lapses without a refresh: the view empties (fail-closed
         // through the empty-manager-view path).
         let e3 = h.at(TTL.as_nanos() + 1).fire(&mut host, TAG_NSEXP);
         assert!(metric_incrs(&e3).contains(&"ns.record_expired"));
-        assert!(traces(&e3).iter().any(|t| t.starts_with("audit=ns-expire")));
+        assert!(traces(&e3).iter().any(|t| matches!(t, AuditEvent::NsExpire { .. })));
         assert!(host.manager_view(AppId(0)).is_empty());
         // A later quorum read heals the view.
         h.deliver(&mut host, 0, record_reply(&v1));

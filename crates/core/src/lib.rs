@@ -53,6 +53,7 @@
 
 pub use wanacl_auth as auth;
 
+pub mod audit;
 pub mod breaker;
 pub mod cache;
 pub mod campaign;
@@ -71,6 +72,7 @@ pub mod wrapper;
 
 /// Convenient glob-import surface.
 pub mod prelude {
+    pub use crate::audit::{AllowPath, AuditEvent, NodeList, NsHeld, Recovery, ShardOps};
     pub use crate::breaker::{BreakerConfig, FailureOutcome, PeerBreaker};
     pub use crate::cache::{AclCache, CacheDecision};
     pub use crate::campaign::{

@@ -34,6 +34,7 @@ use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::storage::{Recovered, Storage, StorageStats};
 use wanacl_sim::time::SimDuration;
 
+use crate::audit::{AuditEvent, Recovery, ShardOps};
 use crate::channel::ChannelEnd;
 use crate::msg::{
     admin_signing_bytes, AclOp, AdminStatus, NsRecord, OpId, ProtoMsg, QueryVerdict, RejectReason,
@@ -695,15 +696,13 @@ impl ManagerNode {
             // Everything acked from here on must survive any crash; the
             // oracle's durability invariant checks recoveries against
             // these notes.
-            ctx.trace_with(|| format!(
-                "audit=durable app={} user={} right={} kind={} seq={} origin={}",
-                op.app().0,
-                op.user().0,
-                op.right(),
-                if op.is_revoke() { "revoke" } else { "add" },
-                id.seq,
-                id.origin.index(),
-            ));
+            ctx.trace_record(|| AuditEvent::Durable {
+                app: op.app(),
+                user: op.user(),
+                right: op.right(),
+                revoke: op.is_revoke(),
+                id,
+            });
         }
         match ack_to {
             Some(peer) => ctx.send(peer, ProtoMsg::UpdateAck { id }),
@@ -737,14 +736,14 @@ impl ManagerNode {
             ctx.metric_incr(M::MGR_QUORUM_REACHED);
             let elapsed = ctx.local_now().since(pending.started);
             ctx.metric_observe(M::MGR_TIME_TO_QUORUM_S, elapsed.as_secs_f64());
-            let kind = if pending.op.is_revoke() { "revoke-stable" } else { "grant-stable" };
-            ctx.trace_with(|| format!(
-                "audit={kind} app={} user={} seq={} origin={}",
-                pending.op.app().0,
-                pending.op.user().0,
-                id.seq,
-                id.origin.index(),
-            ));
+            let (app, user) = (pending.op.app(), pending.op.user());
+            ctx.trace_record(|| {
+                if pending.op.is_revoke() {
+                    AuditEvent::RevokeStable { app, user, id }
+                } else {
+                    AuditEvent::GrantStable { app, user, id }
+                }
+            });
             if let Some((issuer, req)) = pending.issuer {
                 ctx.send(issuer, ProtoMsg::AdminReply { req, status: AdminStatus::Stable });
             }
@@ -793,7 +792,11 @@ impl ManagerNode {
         for spec in &self.config.apps {
             if let Some(state) = self.apps.get_mut(&spec.app) {
                 state.acl = spec.initial_acl.clone();
-                state.frozen = false;
+                // The restart forgets the freeze; the event stream (all
+                // the live oracle sees of a crash) has to say so.
+                if std::mem::take(&mut state.frozen) {
+                    ctx.trace_record(|| AuditEvent::Thaw { app: spec.app });
+                }
             }
         }
         self.applied.clear();
@@ -840,27 +843,16 @@ impl ManagerNode {
         self.wal_since_snapshot = recovered.records.len() as u64;
         self.stats.recovered_from_disk += 1;
         ctx.metric_incr(M::MGR_RECOVERED_FROM_DISK);
-        ctx.trace_with(|| {
-            use std::fmt::Write as _;
-            let mut note = format!(
-                "audit=recovered mode=disk replayed={replayed} torn={} slots=",
-                recovered.torn_records,
-            );
-            for (i, (&(app, user, right), &(id, _))) in self.lww.iter().enumerate() {
-                if i > 0 {
-                    note.push(',');
-                }
-                let _ = write!(
-                    note,
-                    "{}:{}:{}:{}:{}",
-                    app.0,
-                    user.0,
-                    right,
-                    id.seq,
-                    id.origin.index()
-                );
-            }
-            note
+        ctx.trace_record(|| {
+            AuditEvent::Recovered(Recovery::Disk {
+                replayed,
+                torn: recovered.torn_records,
+                slots: self
+                    .lww
+                    .iter()
+                    .map(|(&(app, user, right), &(id, _))| (app, user, right, id))
+                    .collect(),
+            })
         });
     }
 
@@ -1074,12 +1066,9 @@ impl ManagerNode {
         let digest = transfer_digest(&ops);
         // The I9 source-side note: what this source claims to have
         // handed over. The target's install note must match it.
-        ctx.trace_with(|| format!(
-            "audit=shard-handoff shard={} epoch={epoch} src={} digest={digest} count={}",
-            shard.0,
-            me.index(),
-            ops.len()
-        ));
+        ctx.trace_record(|| {
+            AuditEvent::ShardHandoff(ShardOps { shard, epoch, src: me, digest, count: ops.len() })
+        });
         ctx.metric_incr(M::MGR_HANDOFF_SOURCE_STARTED);
         for t in &targets {
             ctx.send(
@@ -1145,12 +1134,9 @@ impl ManagerNode {
             }
             let digest = transfer_digest(&ops);
             // The I9 target-side note: what was actually installed.
-            ctx.trace_with(|| format!(
-                "audit=shard-install shard={} epoch={epoch} src={} digest={digest} count={}",
-                shard.0,
-                from.index(),
-                ops.len()
-            ));
+            ctx.trace_record(|| {
+                AuditEvent::ShardInstall(ShardOps { shard, epoch, src: from, digest, count: ops.len() })
+            });
             ctx.metric_incr(M::MGR_SHARD_INSTALLS);
             for (id, op) in ops {
                 if !self.applied.contains(&id) {
@@ -1517,14 +1503,12 @@ impl ManagerNode {
         // Origin apply note: the oracle reconstructs the ACL's
         // last-writer-wins order from these (seq, origin) stamps, which
         // survives admin resends reordering against concurrent ops.
-        ctx.trace_with(|| format!(
-            "audit=apply kind={} app={} user={} seq={} origin={}",
-            if op.is_revoke() { "revoke" } else { "add" },
-            op.app().0,
-            op.user().0,
-            id.seq,
-            id.origin.index(),
-        ));
+        ctx.trace_record(|| AuditEvent::Apply {
+            revoke: op.is_revoke(),
+            app: op.app(),
+            user: op.user(),
+            id,
+        });
         ctx.send(from, ProtoMsg::AdminReply { req, status: AdminStatus::Applied });
 
         // The origin counts toward the quorum only once its own copy is
@@ -1698,12 +1682,7 @@ impl ManagerNode {
             let verdict = QueryVerdict::Grant { te };
             self.stats.grants += 1;
             ctx.metric_incr(M::MGR_GRANTS);
-            ctx.trace_with(|| format!(
-                "audit=grant app={} user={} te={}",
-                app.0,
-                user.0,
-                te.as_nanos()
-            ));
+            ctx.trace_record(|| AuditEvent::Grant { app, user, te });
             // Remember which host caches this right, and until when the
             // entry can matter. The manager measures the bound on its own
             // clock; Te is an upper bound on the entry's real lifetime
@@ -1755,9 +1734,9 @@ impl ManagerNode {
             });
             if state.frozen && !was_frozen {
                 ctx.metric_incr(M::MGR_FREEZE_TRANSITIONS);
-                ctx.trace_with(|| format!("audit=freeze app={}", app.0));
+                ctx.trace_record(|| AuditEvent::Freeze { app: *app });
             } else if !state.frozen && was_frozen {
-                ctx.trace_with(|| format!("audit=thaw app={}", app.0));
+                ctx.trace_record(|| AuditEvent::Thaw { app: *app });
             }
         }
         ctx.set_timer(self.heartbeat_period(), TAG_HEARTBEAT);
@@ -1923,7 +1902,7 @@ impl ManagerNode {
         self.sync_round = 0;
         if was_cold {
             ctx.metric_incr(M::MGR_RECOVERED_VIA_SYNC);
-            ctx.trace_with(|| format!("audit=recovered mode=sync merged={merged}"));
+            ctx.trace_record(|| AuditEvent::Recovered(Recovery::Sync { merged }));
         } else {
             ctx.metric_incr(M::MGR_DELTA_SYNC_COMPLETE);
         }
@@ -2644,14 +2623,22 @@ mod tests {
         }
     }
 
-    fn traces(effects: &[Effect<ProtoMsg>]) -> Vec<&str> {
+    fn traces(effects: &[Effect<ProtoMsg>]) -> Vec<&AuditEvent> {
         effects
             .iter()
             .filter_map(|e| match e {
-                Effect::Trace { text } => Some(text.as_str()),
+                Effect::Trace { text } => text.record(),
                 _ => None,
             })
             .collect()
+    }
+
+    /// The `(digest, count)` of the step's shard-install event.
+    fn installed(effects: &[Effect<ProtoMsg>]) -> Option<(u64, usize)> {
+        traces(effects).into_iter().find_map(|t| match t {
+            AuditEvent::ShardInstall(ops) => Some((ops.digest, ops.count)),
+            _ => None,
+        })
     }
 
     #[test]
@@ -2695,7 +2682,7 @@ mod tests {
         assert_eq!((transfer.1, transfer.2), (ShardId(0), 2));
         assert_eq!(transfer.3.len(), 1, "the admin op rides the transfer");
         assert_eq!(transfer.4, transfer_digest(&transfer.3));
-        assert!(traces(&effects).iter().any(|t| t.contains("audit=shard-handoff")));
+        assert!(traces(&effects).iter().any(|t| matches!(t, AuditEvent::ShardHandoff(_))));
         assert!(!mgr.shard_released(ShardId(0)), "release waits for the transfer ack");
         // Frozen shards drop further admin ops silently (the agent's
         // resend lands after the new map installs).
@@ -2768,11 +2755,7 @@ mod tests {
         );
         // Installed: the I9 note matches the source's digest, the ack
         // goes back, and the transferred op landed in the ACL.
-        let note = traces(&effects)
-            .into_iter()
-            .find(|t| t.contains("audit=shard-install"))
-            .expect("install audit note");
-        assert!(note.contains(&format!("digest={} count=1", transfer_digest(&ops))));
+        assert_eq!(installed(&effects), Some((transfer_digest(&ops), 1)));
         assert!(sends(&effects).iter().any(|(to, m)| *to == NodeId::from_index(0)
             && matches!(m, ProtoMsg::ShardTransferAck { shard: ShardId(0), epoch: 2 })));
         assert!(mgr.acl_has(AppId(0), UserId(5), Right::Use));
@@ -2822,14 +2805,10 @@ mod tests {
                 digest: transfer_digest(&ops),
             },
         );
-        let note = traces(&effects)
-            .into_iter()
-            .find(|t| t.contains("audit=shard-install"))
-            .expect("install audit note");
         // The bug ate the revoke: count drops to 0 and the digest is the
         // empty-transfer digest, not the source's — exactly what the
         // oracle's I9 comparison flags.
-        assert!(note.contains(&format!("digest={} count=0", transfer_digest(&[]))));
+        assert_eq!(installed(&effects), Some((transfer_digest(&[]), 0)));
         assert_ne!(transfer_digest(&[]), transfer_digest(&ops));
     }
 }

@@ -28,29 +28,9 @@ use wanacl_sim::node::{Context, Node, NodeId};
 use wanacl_sim::storage::{Storage, StorageStats};
 use wanacl_sim::time::{SimDuration, SimTime};
 
+use crate::audit::{AuditEvent, NsHeld};
 use crate::msg::{NsRecord, ProtoMsg};
 use crate::types::AppId;
-
-/// Canonical audit rendering of a manager set: `;`-joined node indexes,
-/// `-` when empty. Replica publish notes and host install notes must
-/// agree on this byte-for-byte — the integrity invariant (I7) compares
-/// them as strings.
-pub(crate) fn fmt_mgrs(managers: &[NodeId]) -> String {
-    use std::fmt::Write as _;
-    if managers.is_empty() {
-        return "-".to_string();
-    }
-    // Streamed into one buffer: this renders on audit paths, so no
-    // intermediate per-manager Strings or join vector.
-    let mut out = String::with_capacity(managers.len() * 4);
-    for (i, m) in managers.iter().enumerate() {
-        if i > 0 {
-            out.push(';');
-        }
-        let _ = write!(out, "{}", m.index());
-    }
-    out
-}
 
 /// Upper bound on the TTL carried by a "no such app" answer: even a
 /// misconfigured negative TTL must not pin "no managers" in host caches
@@ -193,17 +173,23 @@ impl DirectoryReplica {
         }
     }
 
-    fn note_record(ctx: &mut Context<'_, ProtoMsg>, kind: &str, record: &NsRecord) {
-        ctx.trace_with(|| format!(
-            "audit={kind} app={} version={} mgrs={}",
-            record.app.0,
-            record.version,
-            fmt_mgrs(&record.managers)
-        ));
+    /// Emits `via` (`AuditEvent::NsPublish` or `NsApply`) for `record`.
+    fn note_record(
+        ctx: &mut Context<'_, ProtoMsg>,
+        via: fn(NsHeld) -> AuditEvent,
+        record: &NsRecord,
+    ) {
+        ctx.trace_record(|| {
+            via(NsHeld {
+                app: record.app,
+                version: record.version,
+                managers: record.managers.iter().copied().collect(),
+            })
+        });
     }
 
     /// Verifies and stores a record if it is strictly newer than what is
-    /// held; persists it and emits the audit note `kind` on acceptance.
+    /// held; persists it and emits the audit event `via` on acceptance.
     ///
     /// Takes the record by reference: verification and the
     /// newer-than-held check run on the borrowed payload, so rejected,
@@ -214,7 +200,7 @@ impl DirectoryReplica {
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
         record: &NsRecord,
-        kind: &'static str,
+        via: fn(NsHeld) -> AuditEvent,
     ) -> bool {
         if !record.verify(&self.registry, self.writer) {
             ctx.metric_incr(M::NS_PUBLISH_REJECTED);
@@ -225,7 +211,7 @@ impl DirectoryReplica {
             return false;
         }
         self.persist(record);
-        Self::note_record(ctx, kind, record);
+        Self::note_record(ctx, via, record);
         ctx.metric_incr(M::NS_RECORDS_ACCEPTED);
         self.records.insert(record.app, record.clone());
         true
@@ -270,7 +256,7 @@ impl DirectoryReplica {
     fn announce_and_arm(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         let records: Vec<NsRecord> = self.records.values().cloned().collect();
         for record in &records {
-            Self::note_record(ctx, "ns-publish", record);
+            Self::note_record(ctx, AuditEvent::NsPublish, record);
         }
         self.arm_sync(ctx);
     }
@@ -364,7 +350,7 @@ impl Node for DirectoryReplica {
                 }
             }
             ProtoMsg::NsPublish { record } => {
-                let accepted = self.accept(ctx, &record, "ns-publish");
+                let accepted = self.accept(ctx, &record, AuditEvent::NsPublish);
                 if accepted && !self.suppress_sync {
                     // Eager push: peers converge ahead of the next
                     // anti-entropy round (they re-verify on receipt).
@@ -400,7 +386,7 @@ impl Node for DirectoryReplica {
                     return;
                 }
                 for record in &records {
-                    self.accept(ctx, record, "ns-apply");
+                    self.accept(ctx, record, AuditEvent::NsApply);
                 }
             }
             _ => {
@@ -507,6 +493,13 @@ impl<'a> Cursor<'a> {
         (count <= (self.bytes.len() - self.at) / min_each).then_some(count)
     }
 
+    /// Reads a node id, stored in eight bytes: one that does not fit a
+    /// `NodeId` was never written by `encode_record`.
+    fn node(&mut self) -> Option<NodeId> {
+        let raw = u64::from_be_bytes(self.take(8)?.try_into().ok()?);
+        Some(NodeId::from_index(u32::try_from(raw).ok()? as usize))
+    }
+
     fn done(&self) -> bool {
         self.at == self.bytes.len()
     }
@@ -519,8 +512,7 @@ fn decode_record(bytes: &[u8]) -> Option<NsRecord> {
     let count = cur.count(8)?;
     let mut managers = Vec::with_capacity(count);
     for _ in 0..count {
-        let raw = u64::from_be_bytes(cur.take(8)?.try_into().ok()?);
-        managers.push(NodeId::from_index(raw as usize));
+        managers.push(cur.node()?);
     }
     let signature = wanacl_auth::rsa::Signature(u64::from_be_bytes(cur.take(8)?.try_into().ok()?));
     let shards = if cur.done() {
@@ -539,8 +531,7 @@ fn decode_record(bytes: &[u8]) -> Option<NsRecord> {
             let mcount = cur.count(8)?;
             let mut mgrs = Vec::with_capacity(mcount);
             for _ in 0..mcount {
-                let raw = u64::from_be_bytes(cur.take(8)?.try_into().ok()?);
-                mgrs.push(NodeId::from_index(raw as usize));
+                mgrs.push(cur.node()?);
             }
             entries.push(crate::msg::ShardEntry { shard, lo, hi, managers: mgrs });
         }
@@ -568,7 +559,7 @@ fn decode_snapshot(bytes: &[u8]) -> Vec<NsRecord> {
     while at + 4 <= bytes.len() {
         let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
         at += 4;
-        let Some(body) = bytes.get(at..at + len) else { break };
+        let Some(body) = bytes[at..].get(..len) else { break };
         at += len;
         if let Some(record) = decode_record(body) {
             out.push(record);
@@ -580,6 +571,8 @@ fn decode_snapshot(bytes: &[u8]) -> Vec<NsRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storelog::tests::mangled;
+    use proptest::prelude::*;
 
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -866,7 +859,8 @@ mod tests {
         let effects = h.start(&mut rep);
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Trace { text } if text.starts_with("audit=ns-publish")
+            Effect::Trace { text }
+                if matches!(text.record(), Some(AuditEvent::NsPublish(_)))
         )));
         let v2 = record(&kp, writer, 2, vec![NodeId::from_index(4)]);
         let _ = h.deliver(&mut rep, NodeId::ENV, ProtoMsg::NsPublish { record: Box::new(v2) });
@@ -914,5 +908,65 @@ mod tests {
         let empty = record(&kp, writer, 8, vec![]);
         let snapshot = encode_snapshot([r.clone(), empty.clone()].iter());
         assert_eq!(decode_snapshot(&snapshot), vec![r, empty]);
+    }
+
+    fn node_ids() -> impl Strategy<Value = Vec<NodeId>> {
+        prop::collection::vec(0usize..1000, 0..5)
+            .prop_map(|ids| ids.into_iter().map(NodeId::from_index).collect())
+    }
+
+    fn record_strategy() -> impl Strategy<Value = NsRecord> {
+        let entry = (any::<u32>(), any::<u8>(), any::<u8>(), node_ids()).prop_map(
+            |(shard, lo, hi, managers)| crate::msg::ShardEntry {
+                shard: crate::types::ShardId(shard),
+                lo,
+                hi,
+                managers,
+            },
+        );
+        (any::<u32>(), any::<u64>(), node_ids(), any::<u64>(), prop::collection::vec(entry, 0..4))
+            .prop_map(|(app, version, managers, signature, shards)| NsRecord {
+                app: AppId(app),
+                version,
+                managers,
+                // The shard section is omitted when empty.
+                shards: (!shards.is_empty()).then_some(shards),
+                signature: wanacl_auth::rsa::Signature(signature),
+            })
+    }
+
+    // The decoder fuzz harness: reject, or mean exactly these bytes. Its
+    // fixed seeds are the three oversized counts pinned in
+    // `record_codec_round_trips_and_rejects_torn_bytes` (the 16-byte
+    // record that used to abort the process among them).
+    proptest! {
+        #[test]
+        fn record_decoder_rejects_or_round_trips_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            if let Some(record) = decode_record(&bytes) {
+                prop_assert_eq!(encode_record(&record), bytes.clone());
+            }
+            // A snapshot skips what it cannot read; each record it does
+            // return took at least a length prefix and a flat record.
+            prop_assert!(decode_snapshot(&bytes).len() <= bytes.len() / (4 + 24));
+        }
+
+        #[test]
+        fn record_decoder_rejects_or_round_trips_damaged_encodings(
+            records in prop::collection::vec(record_strategy(), 1..4),
+            (how, at, bit) in (any::<u8>(), any::<usize>(), any::<u8>()),
+        ) {
+            let bytes = encode_record(&records[0]);
+            prop_assert_eq!(decode_record(&bytes), Some(records[0].clone()));
+            let damaged = mangled(&bytes, how, at, bit);
+            if let Some(record) = decode_record(&damaged) {
+                prop_assert_eq!(encode_record(&record), damaged);
+            }
+            let snapshot = encode_snapshot(records.iter());
+            prop_assert_eq!(decode_snapshot(&snapshot), records.clone());
+            let damaged = mangled(&snapshot, how, at, bit);
+            prop_assert!(decode_snapshot(&damaged).len() <= records.len());
+        }
     }
 }

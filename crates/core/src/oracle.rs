@@ -1,8 +1,8 @@
 //! The always-on safety-invariant oracle.
 //!
 //! An [`InvariantOracle`] is a passive [`Observer`] attached to a
-//! [`World`](wanacl_sim::world::World): it watches the structured
-//! `audit=` notes that hosts and managers emit *as the simulation
+//! [`World`](wanacl_sim::world::World): it watches the
+//! [`AuditEvent`]s that hosts and managers emit *as the simulation
 //! runs*, and re-checks the paper's safety claims independently of the
 //! protocol code under test. It works with the trace buffer disabled,
 //! and every violation carries the **event index** of the offending
@@ -40,14 +40,17 @@
 //!   the FNV digest.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
-use wanacl_sim::node::NodeId;
+use wanacl_sim::node::{NodeId, Note};
 use wanacl_sim::time::{SimDuration, SimTime};
 use wanacl_sim::trace::TraceEvent;
 use wanacl_sim::world::Observer;
 
+use crate::audit::{AllowPath, AuditEvent, NodeList, NsHeld, Recovery, ShardOps};
+use crate::msg::OpId;
 use crate::policy::Policy;
-use crate::types::{user_bucket, AppId, UserId};
+use crate::types::{user_bucket, AppId, Right, ShardId, UserId};
 
 /// Which safety invariant a violation broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,11 +159,15 @@ pub struct OracleStats {
     pub shard_handoffs: u64,
     /// Target-side shard install notes checked (I9).
     pub shard_installs: u64,
+    /// Notes that carried no [`AuditEvent`] — free text, folded into the
+    /// digest and read by no invariant. A deployment of this crate's
+    /// nodes emits none.
+    pub untyped_notes: u64,
 }
 
 /// One manager's durably-noted slots: `(app, user, right)` → newest
-/// `(seq, origin)` stamp fsynced before an ack.
-type DurableSlots = BTreeMap<(AppId, UserId, String), (u64, u64)>;
+/// op fsynced before an ack.
+type DurableSlots = BTreeMap<(AppId, UserId, Right), OpId>;
 
 /// In-flight allowance added to the I6 freshness deadline: the
 /// longest a directory reply generated *before* a newer version's
@@ -207,54 +214,73 @@ pub struct InvariantOracle {
     slack: SimDuration,
     /// Newest applied `Add` op per (app, user), in the managers'
     /// `(seq, origin)` last-writer-wins order.
-    last_add: BTreeMap<(AppId, UserId), (u64, u64)>,
+    last_add: BTreeMap<(AppId, UserId), OpId>,
     /// Stable revoke ops per (app, user), each with its earliest
     /// stabilization time. A user counts as revoked only while some
     /// stable revoke is LWW-newer than every applied add — admin
     /// resends can legitimately re-grant *after* a revoke stabilizes,
     /// and stable-event arrival order does not reflect apply order.
-    stable_revokes: BTreeMap<(AppId, UserId), BTreeMap<(u64, u64), SimTime>>,
+    stable_revokes: BTreeMap<(AppId, UserId), BTreeMap<OpId, SimTime>>,
     /// Managers currently frozen per app.
     frozen: BTreeSet<(NodeId, AppId)>,
-    /// Per manager: slot → newest `(seq, origin)` stamp it marked
-    /// durable. The lower bound any later disk recovery must reach.
+    /// Per manager: slot → newest op it marked durable. The lower bound
+    /// any later disk recovery must reach.
     durable: BTreeMap<NodeId, DurableSlots>,
     /// Replicated-directory shape; `None` disables the I6/I7 checks.
     directory: Option<DirectoryConfig>,
     /// Distinct replicas seen holding each (app, version) — from
-    /// `ns-publish` / `ns-apply` notes.
+    /// `NsPublish` / `NsApply` events.
     ns_replica_records: BTreeMap<(AppId, u64), BTreeSet<NodeId>>,
     /// Highest write-quorum-acknowledged version per app, with the
     /// earliest time it reached the write quorum.
     ns_acked: BTreeMap<AppId, (u64, SimTime)>,
-    /// Every (app, version, manager-set) a legitimate replica held —
-    /// the I7 whitelist a host install must match.
-    ns_published: BTreeSet<(AppId, u64, String)>,
+    /// Every manager set a legitimate replica held per (app, version)
+    /// — the I7 whitelist a host install must match.
+    ns_published: BTreeMap<(AppId, u64), Vec<NodeList>>,
     /// Registered shard maps (I8): per app, per published version, the
     /// entries as `(shard, lo, hi, owner node indexes)`.
     shard_maps: BTreeMap<AppId, BTreeMap<u64, Vec<ShardMapRow>>>,
-    /// Source-side handoff claims (I9): `(shard, epoch, source index)`
-    /// → `(digest, op count)`.
-    handoff_digests: BTreeMap<(u32, u64, usize), (u64, u64)>,
+    /// Source-side handoff claims (I9): `(shard, epoch, source)` →
+    /// `(digest, op count)`.
+    handoff_digests: BTreeMap<(ShardId, u64, NodeId), (u64, usize)>,
     violations: Vec<OracleViolation>,
     stats: OracleStats,
-    digest: u64,
+    digest: Fnv1a,
 }
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds one audit note into a running FNV-1a digest. The digest is a
-/// cheap, order-sensitive fingerprint of the full audit stream — two
-/// runs of the same seed must produce the same digest, which is how the
-/// parallel campaign executor proves bit-for-bit determinism.
-fn fnv1a_note(mut hash: u64, node: NodeId, text: &str) -> u64 {
-    for byte in node.index().to_le_bytes().into_iter().chain(text.bytes()).chain([0xff]) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// A running FNV-1a digest that notes are printed into.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn fold(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
     }
-    hash
+
+    /// Folds one note: the node's index as eight little-endian bytes,
+    /// the note's line, `0xff`. The digest is a cheap, order-sensitive
+    /// fingerprint of the full audit stream — two runs of the same seed
+    /// must produce the same digest, which is how the parallel campaign
+    /// executor proves bit-for-bit determinism.
+    fn note(&mut self, node: NodeId, note: &Note) {
+        self.fold(&(node.index() as u64).to_le_bytes());
+        let _ = write!(self, "{note}");
+        self.fold(&[0xff]);
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.fold(s.as_bytes());
+        Ok(())
+    }
 }
 
 impl InvariantOracle {
@@ -280,12 +306,12 @@ impl InvariantOracle {
             directory: None,
             ns_replica_records: BTreeMap::new(),
             ns_acked: BTreeMap::new(),
-            ns_published: BTreeSet::new(),
+            ns_published: BTreeMap::new(),
             shard_maps: BTreeMap::new(),
             handoff_digests: BTreeMap::new(),
             violations: Vec::new(),
             stats: OracleStats::default(),
-            digest: FNV_OFFSET,
+            digest: Fnv1a(FNV_OFFSET),
         };
         if let Some(freeze) = policy.freeze() {
             if freeze.ti + policy.expiry_budget() > policy.revocation_bound() {
@@ -368,7 +394,7 @@ impl InvariantOracle {
     /// far. Equal digests mean the two runs emitted byte-identical
     /// audit streams in the same order.
     pub fn audit_digest(&self) -> u64 {
-        self.digest
+        self.digest.0
     }
 
     fn fail(
@@ -396,7 +422,7 @@ impl InvariantOracle {
     }
 
     /// Records an applied add op: it overrides every LWW-older revoke.
-    fn note_add(&mut self, app: AppId, user: UserId, op: (u64, u64)) {
+    fn note_add(&mut self, app: AppId, user: UserId, op: OpId) {
         let slot = self.last_add.entry((app, user)).or_insert(op);
         if op > *slot {
             *slot = op;
@@ -407,11 +433,17 @@ impl InvariantOracle {
         }
     }
 
-    fn on_allow(&mut self, at: SimTime, index: u64, node: NodeId, kv: &Kv<'_>) {
-        let (Some(app), Some(user)) = (kv.app(), kv.user()) else { return };
+    fn on_allow(
+        &mut self,
+        at: SimTime,
+        index: u64,
+        node: NodeId,
+        app: AppId,
+        user: UserId,
+        path: &AllowPath,
+    ) {
         self.stats.allows += 1;
-        let mode = kv.get("mode").unwrap_or("");
-        if mode == "failopen" {
+        if let AllowPath::FailOpen = path {
             self.stats.fail_open_allows += 1;
         } else if let Some(revoked_at) = self.revoked_since(app, user) {
             // I1: the paper's headline guarantee — at most Te of
@@ -420,6 +452,7 @@ impl InvariantOracle {
             if at > deadline {
                 let over =
                     SimDuration::from_nanos(at.as_nanos().saturating_sub(revoked_at.as_nanos()));
+                let mode = if let AllowPath::Cache { .. } = path { "cache" } else { "quorum" };
                 self.fail(
                     at,
                     index,
@@ -432,24 +465,21 @@ impl InvariantOracle {
                 );
             }
         }
-        match mode {
-            "quorum" => {
+        match path {
+            AllowPath::Quorum { confirms, managers, .. } => {
                 self.stats.quorum_allows += 1;
-                let confirms: usize =
-                    kv.get("confirms").and_then(|v| v.parse().ok()).unwrap_or(0);
-                let distinct: BTreeSet<&str> = kv
-                    .get("mgrs")
-                    .map(|v| v.split(';').filter(|s| !s.is_empty()).collect())
-                    .unwrap_or_default();
-                if confirms < self.check_quorum || distinct.len() < self.check_quorum {
+                let managers = managers.as_slice();
+                let first_seen =
+                    |(i, m): &(usize, &NodeId)| !managers[..*i].contains(m);
+                let distinct = managers.iter().enumerate().filter(first_seen).count();
+                if *confirms < self.check_quorum || distinct < self.check_quorum {
                     self.fail(
                         at,
                         index,
                         node,
                         InvariantKind::QuorumIntersection,
                         format!(
-                            "allow for {user} on {app} backed by {} distinct managers ({confirms} confirms), need C = {}",
-                            distinct.len(),
+                            "allow for {user} on {app} backed by {distinct} distinct managers ({confirms} confirms), need C = {}",
                             self.check_quorum
                         ),
                     );
@@ -457,84 +487,70 @@ impl InvariantOracle {
                 // I8: in a sharded tenant, only managers owning the
                 // user's bucket (in some registered map version) may
                 // confirm the check.
+                let Some(versions) = self.shard_maps.get(&app) else { return };
+                self.stats.shard_allows += 1;
                 let bucket = user_bucket(user);
-                let allowed: Option<BTreeSet<usize>> = self.shard_maps.get(&app).map(|versions| {
-                    versions
-                        .values()
-                        .flat_map(|rows| rows.iter())
-                        .filter(|(_, lo, hi, _)| *lo <= bucket && bucket <= *hi)
-                        .flat_map(|(_, _, _, owners)| owners.iter().copied())
-                        .collect()
-                });
-                if let Some(allowed) = allowed {
-                    self.stats.shard_allows += 1;
-                    let foreign: Vec<&str> = distinct
-                        .iter()
-                        .copied()
-                        .filter(|m| {
-                            m.parse::<usize>().map(|i| !allowed.contains(&i)).unwrap_or(true)
-                        })
-                        .collect();
-                    if !foreign.is_empty() {
-                        self.fail(
-                            at,
-                            index,
-                            node,
-                            InvariantKind::TenantIsolation,
-                            format!(
-                                "allow for {user} (bucket {bucket}) on {app} confirmed by managers [{}] outside the user's shard in every registered map version",
-                                foreign.join(";")
-                            ),
-                        );
-                    }
+                let owns = |m: &NodeId| {
+                    versions.values().flatten().any(|(_, lo, hi, owners)| {
+                        *lo <= bucket && bucket <= *hi && owners.contains(&m.index())
+                    })
+                };
+                let foreign: Vec<String> = managers
+                    .iter()
+                    .enumerate()
+                    .filter(first_seen)
+                    .filter(|(_, m)| !owns(m))
+                    .map(|(_, m)| m.index().to_string())
+                    .collect();
+                if !foreign.is_empty() {
+                    self.fail(
+                        at,
+                        index,
+                        node,
+                        InvariantKind::TenantIsolation,
+                        format!(
+                            "allow for {user} (bucket {bucket}) on {app} confirmed by managers [{}] outside the user's shard in every registered map version",
+                            foreign.join(";")
+                        ),
+                    );
                 }
             }
-            "cache" => {
+            AllowPath::Cache { now, limit } => {
                 self.stats.cache_allows += 1;
-                let now = kv.nanos("now");
-                let limit = kv.nanos("limit");
-                if let (Some(now), Some(limit)) = (now, limit) {
-                    if now >= limit {
-                        self.fail(
-                            at,
-                            index,
-                            node,
-                            InvariantKind::CacheExpiry,
-                            format!(
-                                "cache hit for {user} on {app} at local {now} ns, entry limit {limit} ns already passed"
-                            ),
-                        );
-                    }
+                if now >= limit {
+                    self.fail(
+                        at,
+                        index,
+                        node,
+                        InvariantKind::CacheExpiry,
+                        format!(
+                            "cache hit for {user} on {app} at local {} ns, entry limit {} ns already passed",
+                            now.as_nanos(),
+                            limit.as_nanos()
+                        ),
+                    );
                 }
             }
-            _ => {}
+            AllowPath::FailOpen => {}
         }
     }
 
-    fn on_cache_store(&mut self, at: SimTime, index: u64, node: NodeId, kv: &Kv<'_>) {
-        self.stats.cache_stores += 1;
-        let (Some(started), Some(limit)) = (kv.nanos("started"), kv.nanos("limit")) else {
-            return;
-        };
-        // I3: a host must never store a lease longer than te = b·Te.
-        let life = SimDuration::from_nanos(limit.saturating_sub(started));
+    /// I3 for a lease or a grant: `life` must not exceed te = b·Te.
+    fn check_budget(
+        &mut self,
+        at: SimTime,
+        index: u64,
+        node: NodeId,
+        life: SimDuration,
+        detail: impl FnOnce(SimDuration, SimDuration) -> String,
+    ) {
         if life > self.te_budget {
-            self.fail(
-                at,
-                index,
-                node,
-                InvariantKind::CacheExpiry,
-                format!(
-                    "stored lease lives {life} from its anchor, over the te budget {}",
-                    self.te_budget
-                ),
-            );
+            self.fail(at, index, node, InvariantKind::CacheExpiry, detail(life, self.te_budget));
         }
     }
 
-    fn on_grant(&mut self, at: SimTime, index: u64, node: NodeId, kv: &Kv<'_>) {
+    fn on_grant(&mut self, at: SimTime, index: u64, node: NodeId, app: AppId, te: SimDuration) {
         self.stats.grants += 1;
-        let Some(app) = kv.app() else { return };
         // I4: "no responses are sent to application hosts until all
         // managers are accessible again" (§3.3).
         if self.frozen.contains(&(node, app)) {
@@ -546,78 +562,43 @@ impl InvariantOracle {
                 format!("manager granted on {app} while frozen"),
             );
         }
-        if let Some(te) = kv.nanos("te") {
-            if SimDuration::from_nanos(te) > self.te_budget {
-                self.fail(
-                    at,
-                    index,
-                    node,
-                    InvariantKind::CacheExpiry,
-                    format!(
-                        "manager granted te {} over the budget {}",
-                        SimDuration::from_nanos(te),
-                        self.te_budget
-                    ),
-                );
-            }
-        }
+        self.check_budget(at, index, node, te, |te, budget| {
+            format!("manager granted te {te} over the budget {budget}")
+        });
     }
 
-    /// Records a durability promise: the manager fsynced this op before
-    /// acking it, so it must survive every future disk recovery.
-    fn on_durable(&mut self, node: NodeId, kv: &Kv<'_>) {
-        let (Some(app), Some(user), Some(right)) = (kv.app(), kv.user(), kv.get("right"))
-        else {
-            return;
-        };
-        self.stats.durable_ops += 1;
-        let stamp = kv.op_id();
-        let slot = self
-            .durable
-            .entry(node)
-            .or_default()
-            .entry((app, user, right.to_string()))
-            .or_insert(stamp);
-        if stamp > *slot {
-            *slot = stamp;
-        }
-    }
-
-    /// I5: checks a recovery note against the node's durable promises.
-    /// The `slots=` list carries `app:user:right:seq:origin` items.
-    fn on_recovered(&mut self, at: SimTime, index: u64, node: NodeId, kv: &Kv<'_>) {
-        if kv.get("mode") != Some("disk") {
-            return; // sync-mode recovery promised nothing durable
-        }
+    /// I5: checks a disk recovery's slots against the node's durable
+    /// promises.
+    fn on_disk_recovery(
+        &mut self,
+        at: SimTime,
+        index: u64,
+        node: NodeId,
+        slots: &[(AppId, UserId, Right, OpId)],
+    ) {
         self.stats.disk_recoveries += 1;
         let Some(noted) = self.durable.get(&node) else { return };
-        let mut recovered: BTreeMap<(AppId, UserId, String), (u64, u64)> = BTreeMap::new();
-        for item in kv.get("slots").unwrap_or("").split(',').filter(|s| !s.is_empty()) {
-            let parts: Vec<&str> = item.split(':').collect();
-            if parts.len() != 5 {
-                continue;
-            }
-            let (Ok(app), Ok(user), Ok(seq), Ok(origin)) = (
-                parts[0].parse::<u32>(),
-                parts[1].parse::<u64>(),
-                parts[3].parse::<u64>(),
-                parts[4].parse::<u64>(),
-            ) else {
-                continue;
-            };
-            recovered.insert((AppId(app), UserId(user), parts[2].to_string()), (seq, origin));
-        }
+        let recovered: DurableSlots =
+            slots.iter().map(|&(app, user, right, id)| ((app, user, right), id)).collect();
         let mut lost = Vec::new();
-        for ((app, user, right), &stamp) in noted {
-            match recovered.get(&(*app, *user, right.clone())) {
+        for (slot @ (app, user, right), &stamp) in noted {
+            match recovered.get(slot) {
                 Some(&got) if got >= stamp => {}
                 Some(&got) => lost.push(format!(
                     "{}:{}:{right} rolled back to seq {} origin {} (durable seq {} origin {})",
-                    app.0, user.0, got.0, got.1, stamp.0, stamp.1
+                    app.0,
+                    user.0,
+                    got.seq,
+                    got.origin.index(),
+                    stamp.seq,
+                    stamp.origin.index()
                 )),
                 None => lost.push(format!(
                     "{}:{}:{right} missing (durable up to seq {} origin {})",
-                    app.0, user.0, stamp.0, stamp.1
+                    app.0,
+                    user.0,
+                    stamp.seq,
+                    stamp.origin.index()
                 )),
             }
         }
@@ -635,15 +616,14 @@ impl InvariantOracle {
     /// A replica published or anti-entropy-applied a record: whitelist
     /// the (app, version, manager-set) for I7 and track which replicas
     /// hold the version for the I6 write-quorum ack rule.
-    fn on_ns_record_held(&mut self, at: SimTime, node: NodeId, kv: &Kv<'_>) {
+    fn on_ns_record_held(&mut self, at: SimTime, node: NodeId, held: &NsHeld) {
         let Some(config) = self.directory else { return };
-        let (Some(app), Some(version), Some(mgrs)) =
-            (kv.app(), kv.nanos("version"), kv.get("mgrs"))
-        else {
-            return;
-        };
+        let (app, version) = (held.app, held.version);
         self.stats.ns_publishes += 1;
-        self.ns_published.insert((app, version, mgrs.to_string()));
+        let sets = self.ns_published.entry((app, version)).or_default();
+        if !sets.contains(&held.managers) {
+            sets.push(held.managers.clone());
+        }
         let holders = self.ns_replica_records.entry((app, version)).or_default();
         let first_crossing = holders.insert(node) && holders.len() == config.write_quorum();
         if first_crossing {
@@ -658,29 +638,37 @@ impl InvariantOracle {
         }
     }
 
-    /// I6/I7: a host installed a directory record (`ns-install`) or is
-    /// riding one through a degraded quorum round (`ns-degraded`).
-    fn on_ns_acted(&mut self, at: SimTime, index: u64, node: NodeId, kv: &Kv<'_>, installed: bool) {
+    /// I6/I7: a host installed a directory record with manager set
+    /// `installed` (`NsInstall`), or is riding one through a degraded
+    /// quorum round (`NsDegraded`, `None`).
+    fn on_ns_acted(
+        &mut self,
+        at: SimTime,
+        index: u64,
+        node: NodeId,
+        app: AppId,
+        version: u64,
+        installed: Option<&NodeList>,
+    ) {
         let Some(config) = self.directory else { return };
-        let (Some(app), Some(version)) = (kv.app(), kv.nanos("version")) else { return };
-        if installed {
+        if let Some(managers) = installed {
             self.stats.ns_installs += 1;
             // I7: the installed manager set must be one a legitimate
             // writer published (version 0 = the negative answer, which
             // installs the empty view and claims nothing).
-            if version > 0 {
-                let mgrs = kv.get("mgrs").unwrap_or("").to_string();
-                if !self.ns_published.contains(&(app, version, mgrs.clone())) {
-                    self.fail(
-                        at,
-                        index,
-                        node,
-                        InvariantKind::DirectoryIntegrity,
-                        format!(
-                            "host installed {app} version {version} mgrs={mgrs} that no legitimate writer published"
-                        ),
-                    );
-                }
+            let published = || {
+                self.ns_published.get(&(app, version)).is_some_and(|sets| sets.contains(managers))
+            };
+            if version > 0 && !published() {
+                self.fail(
+                    at,
+                    index,
+                    node,
+                    InvariantKind::DirectoryIntegrity,
+                    format!(
+                        "host installed {app} version {version} mgrs={managers} that no legitimate writer published"
+                    ),
+                );
             }
         }
         // I6: once a fresher version is write-quorum-acknowledged, a
@@ -708,41 +696,19 @@ impl InvariantOracle {
         }
     }
 
-    /// I9 source side: remember what the source claims it handed off.
-    fn on_shard_handoff(&mut self, kv: &Kv<'_>) {
-        let (Some(shard), Some(epoch), Some(src), Some(digest), Some(count)) = (
-            kv.nanos("shard"),
-            kv.nanos("epoch"),
-            kv.nanos("src"),
-            kv.nanos("digest"),
-            kv.nanos("count"),
-        ) else {
-            return;
-        };
-        self.stats.shard_handoffs += 1;
-        self.handoff_digests.insert((shard as u32, epoch, src as usize), (digest, count));
-    }
-
     /// I9 target side: the install must byte-match its source's claim.
-    fn on_shard_install(&mut self, at: SimTime, index: u64, node: NodeId, kv: &Kv<'_>) {
-        let (Some(shard), Some(epoch), Some(src), Some(digest), Some(count)) = (
-            kv.nanos("shard"),
-            kv.nanos("epoch"),
-            kv.nanos("src"),
-            kv.nanos("digest"),
-            kv.nanos("count"),
-        ) else {
-            return;
-        };
+    fn on_shard_install(&mut self, at: SimTime, index: u64, node: NodeId, ops: &ShardOps) {
         self.stats.shard_installs += 1;
-        match self.handoff_digests.get(&(shard as u32, epoch, src as usize)) {
+        let &ShardOps { shard, epoch, src, digest, count } = ops;
+        let (shard_no, src_no) = (shard.0, src.index());
+        match self.handoff_digests.get(&(shard, epoch, src)) {
             None => self.fail(
                 at,
                 index,
                 node,
                 InvariantKind::RebalanceSafety,
                 format!(
-                    "shard {shard} epoch {epoch} installed from manager {src} which never noted a handoff"
+                    "shard {shard_no} epoch {epoch} installed from manager {src_no} which never noted a handoff"
                 ),
             ),
             Some(&(want_digest, want_count)) if want_digest != digest || want_count != count => {
@@ -752,7 +718,7 @@ impl InvariantOracle {
                     node,
                     InvariantKind::RebalanceSafety,
                     format!(
-                        "shard {shard} epoch {epoch} install from manager {src} diverged: got digest {digest} count {count}, source handed off digest {want_digest} count {want_count}"
+                        "shard {shard_no} epoch {epoch} install from manager {src_no} diverged: got digest {digest} count {count}, source handed off digest {want_digest} count {want_count}"
                     ),
                 )
             }
@@ -760,57 +726,73 @@ impl InvariantOracle {
         }
     }
 
-    fn on_note(&mut self, at: SimTime, index: u64, node: NodeId, text: &str) {
-        let kv = Kv::parse(text);
-        match kv.get("audit") {
-            Some("allow") => self.on_allow(at, index, node, &kv),
-            Some("cache-store") => self.on_cache_store(at, index, node, &kv),
-            Some("grant") => self.on_grant(at, index, node, &kv),
-            Some("apply") => {
-                if let (Some(app), Some(user)) = (kv.app(), kv.user()) {
-                    if kv.get("kind") == Some("add") {
-                        self.note_add(app, user, kv.op_id());
-                    }
-                }
+    fn on_audit(&mut self, at: SimTime, index: u64, node: NodeId, event: &AuditEvent) {
+        match event {
+            AuditEvent::Allow { app, user, path } => {
+                self.on_allow(at, index, node, *app, *user, path)
             }
-            Some("revoke-stable") => {
-                if let (Some(app), Some(user)) = (kv.app(), kv.user()) {
-                    self.stats.revokes += 1;
-                    // Keep the earliest stabilization per op: that is
-                    // when the paper's Te clock starts for it.
-                    self.stable_revokes
-                        .entry((app, user))
-                        .or_default()
-                        .entry(kv.op_id())
-                        .or_insert(at);
-                }
+            AuditEvent::CacheStore { started, limit, .. } => {
+                self.stats.cache_stores += 1;
+                // I3: a host must never store a lease longer than te.
+                self.check_budget(at, index, node, limit.since(*started), |life, budget| {
+                    format!("stored lease lives {life} from its anchor, over the te budget {budget}")
+                });
             }
-            Some("grant-stable") => {
-                if let (Some(app), Some(user)) = (kv.app(), kv.user()) {
-                    // Stability implies the add was applied at its
-                    // origin; redundant with the apply note, kept for
-                    // robustness against truncated traces.
-                    self.note_add(app, user, kv.op_id());
-                }
+            AuditEvent::Grant { app, te, .. } => self.on_grant(at, index, node, *app, *te),
+            AuditEvent::Apply { revoke: false, app, user, id }
+            // Stability implies the add was applied at its origin;
+            // redundant with the apply note, kept for robustness
+            // against truncated traces.
+            | AuditEvent::GrantStable { app, user, id } => self.note_add(*app, *user, *id),
+            AuditEvent::RevokeStable { app, user, id } => {
+                self.stats.revokes += 1;
+                // Keep the earliest stabilization per op: that is when
+                // the paper's Te clock starts for it.
+                self.stable_revokes.entry((*app, *user)).or_default().entry(*id).or_insert(at);
             }
-            Some("durable") => self.on_durable(node, &kv),
-            Some("recovered") => self.on_recovered(at, index, node, &kv),
-            Some("shard-handoff") => self.on_shard_handoff(&kv),
-            Some("shard-install") => self.on_shard_install(at, index, node, &kv),
-            Some("ns-publish") | Some("ns-apply") => self.on_ns_record_held(at, node, &kv),
-            Some("ns-install") => self.on_ns_acted(at, index, node, &kv, true),
-            Some("ns-degraded") => self.on_ns_acted(at, index, node, &kv, false),
-            Some("freeze") => {
-                if let Some(app) = kv.app() {
-                    self.frozen.insert((node, app));
-                }
+            // A durability promise: the manager fsynced this op before
+            // acking it, so it must survive every future disk recovery.
+            AuditEvent::Durable { app, user, right, id, .. } => {
+                self.stats.durable_ops += 1;
+                let slots = self.durable.entry(node).or_default();
+                let slot = slots.entry((*app, *user, *right)).or_insert(*id);
+                *slot = (*slot).max(*id);
             }
-            Some("thaw") => {
-                if let Some(app) = kv.app() {
-                    self.frozen.remove(&(node, app));
-                }
+            AuditEvent::Recovered(Recovery::Disk { slots, .. }) => {
+                self.on_disk_recovery(at, index, node, slots)
             }
-            _ => {}
+            // I9 source side: remember what the source claims it
+            // handed off.
+            AuditEvent::ShardHandoff(ops) => {
+                self.stats.shard_handoffs += 1;
+                self.handoff_digests
+                    .insert((ops.shard, ops.epoch, ops.src), (ops.digest, ops.count));
+            }
+            AuditEvent::ShardInstall(ops) => self.on_shard_install(at, index, node, ops),
+            AuditEvent::NsPublish(held) | AuditEvent::NsApply(held) => {
+                self.on_ns_record_held(at, node, held)
+            }
+            AuditEvent::NsInstall { app, version, managers, .. } => {
+                self.on_ns_acted(at, index, node, *app, *version, Some(managers))
+            }
+            AuditEvent::NsDegraded { app, version } => {
+                self.on_ns_acted(at, index, node, *app, *version, None)
+            }
+            AuditEvent::Freeze { app } => {
+                self.frozen.insert((node, *app));
+            }
+            AuditEvent::Thaw { app } => {
+                self.frozen.remove(&(node, *app));
+            }
+            // Evidence for a reader of the trace; no invariant reads them.
+            AuditEvent::Apply { revoke: true, .. }
+            // A sync-mode recovery promised nothing durable.
+            | AuditEvent::Recovered(Recovery::Sync { .. })
+            | AuditEvent::Deny { .. }
+            | AuditEvent::NsExpire { .. }
+            | AuditEvent::BreakerOpen { .. }
+            | AuditEvent::BreakerClose { .. }
+            | AuditEvent::Deadline { .. } => {}
         }
     }
 }
@@ -818,8 +800,11 @@ impl InvariantOracle {
 impl Observer for InvariantOracle {
     fn on_event(&mut self, at: SimTime, index: u64, event: &TraceEvent) {
         if let TraceEvent::Note { node, text } = event {
-            self.digest = fnv1a_note(self.digest, *node, text);
-            self.on_note(at, index, *node, text);
+            self.digest.note(*node, text);
+            match text.record::<AuditEvent>() {
+                Some(event) => self.on_audit(at, index, *node, event),
+                None => self.stats.untyped_notes += 1,
+            }
         }
     }
 
@@ -838,48 +823,11 @@ impl Observer for InvariantOracle {
     }
 }
 
-/// Lightweight `key=value` token view over one audit note.
-struct Kv<'a> {
-    pairs: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Kv<'a> {
-    fn parse(text: &'a str) -> Kv<'a> {
-        let pairs = text
-            .split_whitespace()
-            .filter_map(|tok| tok.split_once('='))
-            .collect();
-        Kv { pairs }
-    }
-
-    fn get(&self, key: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
-    fn nanos(&self, key: &str) -> Option<u64> {
-        self.get(key)?.parse().ok()
-    }
-
-    fn app(&self) -> Option<AppId> {
-        Some(AppId(self.get("app")?.parse().ok()?))
-    }
-
-    fn user(&self) -> Option<UserId> {
-        Some(UserId(self.get("user")?.parse().ok()?))
-    }
-
-    /// The `(seq, origin)` LWW stamp of an op note. Notes missing the
-    /// stamp sort newest, which keeps a bare `revoke-stable` armed —
-    /// the conservative reading.
-    fn op_id(&self) -> (u64, u64) {
-        (self.nanos("seq").unwrap_or(u64::MAX), self.nanos("origin").unwrap_or(u64::MAX))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::FreezePolicy;
+    use wanacl_sim::clock::LocalTime;
 
     fn policy() -> Policy {
         Policy::builder(2)
@@ -888,46 +836,139 @@ mod tests {
             .build()
     }
 
-    fn note(o: &mut InvariantOracle, at_s: u64, index: u64, node: usize, text: &str) {
+    fn note(o: &mut InvariantOracle, at_s: u64, index: u64, node: usize, event: AuditEvent) {
         o.on_event(
             SimTime::from_secs(at_s),
             index,
-            &TraceEvent::Note { node: NodeId::from_index(node), text: text.into() },
+            &TraceEvent::Note { node: n(node), text: Note::of(event) },
         );
+    }
+
+    fn n(index: usize) -> NodeId {
+        NodeId::from_index(index)
+    }
+
+    fn op(seq: u64, origin: usize) -> OpId {
+        OpId { origin: n(origin), seq }
+    }
+
+    fn nodes(indexes: &[usize]) -> NodeList {
+        indexes.iter().map(|&i| n(i)).collect()
+    }
+
+    fn local(nanos: u64) -> LocalTime {
+        LocalTime::from_nanos(nanos)
+    }
+
+    fn revoke_stable(app: u32, user: u64, seq: u64, origin: usize) -> AuditEvent {
+        AuditEvent::RevokeStable { app: AppId(app), user: UserId(user), id: op(seq, origin) }
+    }
+
+    fn apply_add(app: u32, user: u64, seq: u64, origin: usize) -> AuditEvent {
+        AuditEvent::Apply { revoke: false, app: AppId(app), user: UserId(user), id: op(seq, origin) }
+    }
+
+    fn allow(app: u32, user: u64, path: AllowPath) -> AuditEvent {
+        AuditEvent::Allow { app: AppId(app), user: UserId(user), path }
+    }
+
+    fn cache_allow(app: u32, user: u64, now: u64, limit: u64) -> AuditEvent {
+        allow(app, user, AllowPath::Cache { now: local(now), limit: local(limit) })
+    }
+
+    /// A quorum allow under the test policy's C = 2.
+    fn quorum_allow(app: u32, user: u64, confirms: usize, managers: &[usize]) -> AuditEvent {
+        let path = AllowPath::Quorum {
+            confirms,
+            c: 2,
+            managers: nodes(managers),
+            started: local(0),
+            limit: Some(local(9)),
+        };
+        allow(app, user, path)
+    }
+
+    /// A lease stored at local 0 that runs for `life`.
+    fn cache_store(life: SimDuration) -> AuditEvent {
+        AuditEvent::CacheStore {
+            app: AppId(0),
+            user: UserId(1),
+            started: local(0),
+            limit: local(0).plus(life),
+            te: life,
+        }
+    }
+
+    fn grant(app: u32, user: u64, te_nanos: u64) -> AuditEvent {
+        AuditEvent::Grant { app: AppId(app), user: UserId(user), te: SimDuration::from_nanos(te_nanos) }
+    }
+
+    fn durable(app: u32, user: u64, revoke: bool, seq: u64, origin: usize) -> AuditEvent {
+        let (app, user) = (AppId(app), UserId(user));
+        AuditEvent::Durable { app, user, right: Right::Use, revoke, id: op(seq, origin) }
+    }
+
+    /// A disk recovery holding `(app, user, seq, origin)` `use` slots.
+    fn disk_recovery(replayed: u64, torn: u64, slots: &[(u32, u64, u64, usize)]) -> AuditEvent {
+        let slots = slots
+            .iter()
+            .map(|&(app, user, seq, origin)| (AppId(app), UserId(user), Right::Use, op(seq, origin)))
+            .collect();
+        AuditEvent::Recovered(Recovery::Disk { replayed, torn, slots })
+    }
+
+    fn held(app: u32, version: u64, managers: &[usize]) -> NsHeld {
+        NsHeld { app: AppId(app), version, managers: nodes(managers) }
+    }
+
+    /// A two-of-two quorum install.
+    fn ns_install(app: u32, version: u64, managers: &[usize], ttl_nanos: u64) -> AuditEvent {
+        AuditEvent::NsInstall {
+            app: AppId(app),
+            version,
+            acks: 2,
+            quorum: 2,
+            managers: nodes(managers),
+            ttl: SimDuration::from_nanos(ttl_nanos),
+        }
+    }
+
+    fn shard_ops(shard: u32, epoch: u64, src: usize, digest: u64, count: usize) -> ShardOps {
+        ShardOps { shard: ShardId(shard), epoch, src: n(src), digest, count }
     }
 
     #[test]
     fn allow_within_te_is_clean() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 5, 1, 0, "audit=revoke-stable app=0 user=1 seq=3 origin=0");
-        note(&mut o, 14, 2, 3, "audit=allow app=0 user=1 mode=cache now=1 limit=2");
+        note(&mut o, 5, 1, 0, revoke_stable(0, 1, 3, 0));
+        note(&mut o, 14, 2, 3, cache_allow(0, 1, 1, 2));
         // Other users and other apps are never affected by the revoke.
-        note(&mut o, 100, 3, 3, "audit=allow app=0 user=2 mode=cache now=1 limit=2");
-        note(&mut o, 100, 4, 3, "audit=allow app=1 user=1 mode=cache now=1 limit=2");
+        note(&mut o, 100, 3, 3, cache_allow(0, 2, 1, 2));
+        note(&mut o, 100, 4, 3, cache_allow(1, 1, 1, 2));
         assert!(o.is_clean(), "{:?}", o.violations());
     }
 
     #[test]
     fn allow_past_te_is_a_violation() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 5, 1, 0, "audit=revoke-stable app=0 user=1 seq=3 origin=0");
-        note(&mut o, 16, 7, 3, "audit=allow app=0 user=1 mode=cache now=1 limit=2");
+        note(&mut o, 5, 1, 0, revoke_stable(0, 1, 3, 0));
+        note(&mut o, 16, 7, 3, cache_allow(0, 1, 1, 2));
         assert_eq!(o.violations().len(), 1);
         let v = &o.violations()[0];
         assert_eq!(v.kind, InvariantKind::BoundedRevocation);
         assert_eq!(v.event_index, 7);
         // Slack tolerates a reply that was already in flight.
         let mut o = InvariantOracle::new(&policy(), SimDuration::from_secs(2));
-        note(&mut o, 5, 1, 0, "audit=revoke-stable app=0 user=1 seq=3 origin=0");
-        note(&mut o, 16, 7, 3, "audit=allow app=0 user=1 mode=cache now=1 limit=2");
+        note(&mut o, 5, 1, 0, revoke_stable(0, 1, 3, 0));
+        note(&mut o, 16, 7, 3, cache_allow(0, 1, 1, 2));
         assert!(o.is_clean(), "{:?}", o.violations());
     }
 
     #[test]
     fn fail_open_allows_are_exempt_from_bounded_revocation() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 5, 1, 0, "audit=revoke-stable app=0 user=1 seq=3 origin=0");
-        note(&mut o, 50, 2, 3, "audit=allow app=0 user=1 mode=failopen");
+        note(&mut o, 5, 1, 0, revoke_stable(0, 1, 3, 0));
+        note(&mut o, 50, 2, 3, allow(0, 1, AllowPath::FailOpen));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.stats().fail_open_allows, 1);
     }
@@ -935,9 +976,9 @@ mod tests {
     #[test]
     fn regrant_clears_the_revocation() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 5, 1, 0, "audit=revoke-stable app=0 user=1 seq=3 origin=0");
-        note(&mut o, 20, 2, 0, "audit=apply kind=add app=0 user=1 seq=4 origin=0");
-        note(&mut o, 30, 3, 3, "audit=allow app=0 user=1 mode=cache now=1 limit=2");
+        note(&mut o, 5, 1, 0, revoke_stable(0, 1, 3, 0));
+        note(&mut o, 20, 2, 0, apply_add(0, 1, 4, 0));
+        note(&mut o, 30, 3, 3, cache_allow(0, 1, 1, 2));
         assert!(o.is_clean(), "{:?}", o.violations());
     }
 
@@ -948,13 +989,13 @@ mod tests {
         // arrives *later* than the add's apply — stable-event order is
         // not apply order.
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 5, 1, 0, "audit=apply kind=add app=0 user=1 seq=4 origin=0");
-        note(&mut o, 6, 2, 0, "audit=revoke-stable app=0 user=1 seq=3 origin=0");
-        note(&mut o, 40, 3, 3, "audit=allow app=0 user=1 mode=cache now=1 limit=2");
+        note(&mut o, 5, 1, 0, apply_add(0, 1, 4, 0));
+        note(&mut o, 6, 2, 0, revoke_stable(0, 1, 3, 0));
+        note(&mut o, 40, 3, 3, cache_allow(0, 1, 1, 2));
         assert!(o.is_clean(), "{:?}", o.violations());
         // A revoke that is LWW-newer than the add does arm the bound.
-        note(&mut o, 41, 4, 0, "audit=revoke-stable app=0 user=1 seq=5 origin=0");
-        note(&mut o, 60, 5, 3, "audit=allow app=0 user=1 mode=cache now=1 limit=2");
+        note(&mut o, 41, 4, 0, revoke_stable(0, 1, 5, 0));
+        note(&mut o, 60, 5, 3, cache_allow(0, 1, 1, 2));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::BoundedRevocation);
     }
@@ -962,9 +1003,9 @@ mod tests {
     #[test]
     fn quorum_allow_needs_c_distinct_managers() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 1, 3, "audit=allow app=0 user=1 mode=quorum confirms=2 c=2 mgrs=0;1 started=0 limit=9");
+        note(&mut o, 1, 1, 3, quorum_allow(0, 1, 2, &[0, 1]));
         assert!(o.is_clean());
-        note(&mut o, 2, 2, 3, "audit=allow app=0 user=1 mode=quorum confirms=1 c=2 mgrs=0 started=0 limit=9");
+        note(&mut o, 2, 2, 3, quorum_allow(0, 1, 1, &[0]));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::QuorumIntersection);
     }
@@ -972,7 +1013,7 @@ mod tests {
     #[test]
     fn cache_hit_past_limit_is_a_violation() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 4, 3, "audit=allow app=0 user=1 mode=cache now=200 limit=100");
+        note(&mut o, 1, 4, 3, cache_allow(0, 1, 200, 100));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::CacheExpiry);
     }
@@ -981,23 +1022,9 @@ mod tests {
     fn cache_store_over_budget_is_a_violation() {
         let p = policy(); // te = 0.9 * 10s = 9s
         let mut o = InvariantOracle::new(&p, SimDuration::ZERO);
-        let nine_s = SimDuration::from_secs(9).as_nanos();
-        note(
-            &mut o,
-            1,
-            1,
-            3,
-            &format!("audit=cache-store app=0 user=1 started=0 limit={nine_s} te={nine_s}"),
-        );
+        note(&mut o, 1, 1, 3, cache_store(SimDuration::from_secs(9)));
         assert!(o.is_clean(), "{:?}", o.violations());
-        let ten_s = SimDuration::from_secs(10).as_nanos();
-        note(
-            &mut o,
-            2,
-            2,
-            3,
-            &format!("audit=cache-store app=0 user=1 started=0 limit={ten_s} te={ten_s}"),
-        );
+        note(&mut o, 2, 2, 3, cache_store(SimDuration::from_secs(10)));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::CacheExpiry);
     }
@@ -1013,32 +1040,32 @@ mod tests {
             })
             .build();
         let mut o = InvariantOracle::new(&p, SimDuration::ZERO);
-        note(&mut o, 1, 1, 0, "audit=freeze app=0");
-        note(&mut o, 2, 2, 0, "audit=grant app=0 user=1 te=1000");
+        note(&mut o, 1, 1, 0, AuditEvent::Freeze { app: AppId(0) });
+        note(&mut o, 2, 2, 0, grant(0, 1, 1000));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::FreezeSafety);
         // Another manager granting is fine.
-        note(&mut o, 2, 3, 1, "audit=grant app=0 user=1 te=1000");
+        note(&mut o, 2, 3, 1, grant(0, 1, 1000));
         assert_eq!(o.violations().len(), 1);
         // After thaw the same manager may grant again.
-        note(&mut o, 3, 4, 0, "audit=thaw app=0");
-        note(&mut o, 4, 5, 0, "audit=grant app=0 user=1 te=1000");
+        note(&mut o, 3, 4, 0, AuditEvent::Thaw { app: AppId(0) });
+        note(&mut o, 4, 5, 0, grant(0, 1, 1000));
         assert_eq!(o.violations().len(), 1);
     }
 
     #[test]
     fn disk_recovery_must_preserve_durable_ops() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 1, 0, "audit=durable app=0 user=1 right=use kind=add seq=3 origin=0");
-        note(&mut o, 2, 2, 0, "audit=recovered mode=disk replayed=1 torn=0 slots=0:1:use:3:0");
+        note(&mut o, 1, 1, 0, durable(0, 1, false, 3, 0));
+        note(&mut o, 2, 2, 0, disk_recovery(1, 0, &[(0, 1, 3, 0)]));
         assert!(o.is_clean(), "{:?}", o.violations());
         // A newer recovered winner for the slot also satisfies the bound.
-        note(&mut o, 3, 3, 0, "audit=recovered mode=disk replayed=2 torn=0 slots=0:1:use:5:1");
+        note(&mut o, 3, 3, 0, disk_recovery(2, 0, &[(0, 1, 5, 1)]));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.stats().durable_ops, 1);
         assert_eq!(o.stats().disk_recoveries, 2);
         // An empty recovery (the planted drop-the-WAL bug) is caught.
-        note(&mut o, 4, 9, 0, "audit=recovered mode=disk replayed=0 torn=1 slots=");
+        note(&mut o, 4, 9, 0, disk_recovery(0, 1, &[]));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::Durability);
         assert_eq!(o.violations()[0].event_index, 9);
@@ -1047,8 +1074,8 @@ mod tests {
     #[test]
     fn stale_recovered_slot_is_a_durability_violation() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 1, 0, "audit=durable app=0 user=1 right=use kind=revoke seq=6 origin=2");
-        note(&mut o, 2, 2, 0, "audit=recovered mode=disk replayed=1 torn=0 slots=0:1:use:4:1");
+        note(&mut o, 1, 1, 0, durable(0, 1, true, 6, 2));
+        note(&mut o, 2, 2, 0, disk_recovery(1, 0, &[(0, 1, 4, 1)]));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::Durability);
     }
@@ -1056,26 +1083,26 @@ mod tests {
     #[test]
     fn sync_mode_recovery_is_exempt_from_durability() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 1, 0, "audit=durable app=0 user=1 right=use kind=add seq=3 origin=0");
-        note(&mut o, 2, 2, 0, "audit=recovered mode=sync merged=0");
+        note(&mut o, 1, 1, 0, durable(0, 1, false, 3, 0));
+        note(&mut o, 2, 2, 0, AuditEvent::Recovered(Recovery::Sync { merged: 0 }));
         assert!(o.is_clean(), "{:?}", o.violations());
         // Another manager's disk recovery is not constrained by node 0's
         // durable notes.
-        note(&mut o, 3, 3, 1, "audit=recovered mode=disk replayed=0 torn=0 slots=");
+        note(&mut o, 3, 3, 1, disk_recovery(0, 0, &[]));
         assert!(o.is_clean(), "{:?}", o.violations());
     }
 
     #[test]
     fn audit_digest_is_order_and_content_sensitive() {
-        let mk = |notes: &[(usize, &str)]| {
+        let mk = |notes: &[(usize, AuditEvent)]| {
             let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-            for (i, (node, text)) in notes.iter().enumerate() {
-                note(&mut o, i as u64, i as u64, *node, text);
+            for (i, (node, event)) in notes.iter().enumerate() {
+                note(&mut o, i as u64, i as u64, *node, event.clone());
             }
             o.audit_digest()
         };
-        let a = [(0, "audit=grant app=0 user=1 te=1"), (1, "audit=freeze app=0")];
-        let b = [(1, "audit=freeze app=0"), (0, "audit=grant app=0 user=1 te=1")];
+        let a = [(0, grant(0, 1, 1)), (1, AuditEvent::Freeze { app: AppId(0) })];
+        let b = [(1, AuditEvent::Freeze { app: AppId(0) }), (0, grant(0, 1, 1))];
         assert_eq!(mk(&a), mk(&a), "same stream, same digest");
         assert_ne!(mk(&a), mk(&b), "order matters");
         assert_ne!(mk(&a[..1]), mk(&a), "content matters");
@@ -1091,7 +1118,7 @@ mod tests {
     #[test]
     fn directory_checks_are_off_until_configured() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 1, 6, "audit=ns-install app=0 version=5 mode=quorum acks=2 quorum=2 mgrs=0;1 ttl=9000000000");
+        note(&mut o, 1, 1, 6, ns_install(0, 5, &[0, 1], 9000000000));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.stats().ns_installs, 0);
     }
@@ -1099,9 +1126,9 @@ mod tests {
     #[test]
     fn install_of_published_record_is_clean() {
         let mut o = directory_oracle();
-        note(&mut o, 1, 1, 3, "audit=ns-publish app=0 version=1 mgrs=0;1");
-        note(&mut o, 1, 2, 4, "audit=ns-apply app=0 version=1 mgrs=0;1");
-        note(&mut o, 2, 3, 6, "audit=ns-install app=0 version=1 mode=quorum acks=2 quorum=2 mgrs=0;1 ttl=9000000000");
+        note(&mut o, 1, 1, 3, AuditEvent::NsPublish(held(0, 1, &[0, 1])));
+        note(&mut o, 1, 2, 4, AuditEvent::NsApply(held(0, 1, &[0, 1])));
+        note(&mut o, 2, 3, 6, ns_install(0, 1, &[0, 1], 9000000000));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.stats().ns_publishes, 2);
         assert_eq!(o.stats().ns_installs, 1);
@@ -1111,48 +1138,48 @@ mod tests {
     #[test]
     fn forged_install_violates_directory_integrity() {
         let mut o = directory_oracle();
-        note(&mut o, 1, 1, 3, "audit=ns-publish app=0 version=1 mgrs=0;1");
+        note(&mut o, 1, 1, 3, AuditEvent::NsPublish(held(0, 1, &[0, 1])));
         // The version was never published with this manager set.
-        note(&mut o, 2, 5, 6, "audit=ns-install app=0 version=2 mode=quorum acks=2 quorum=2 mgrs=9 ttl=9000000000");
+        note(&mut o, 2, 5, 6, ns_install(0, 2, &[9], 9000000000));
         assert_eq!(o.violations().len(), 1);
         let v = &o.violations()[0];
         assert_eq!(v.kind, InvariantKind::DirectoryIntegrity);
         assert_eq!(v.event_index, 5);
         // A tampered manager set under a *published* version is equally
         // a violation: the whitelist binds version AND set.
-        note(&mut o, 3, 6, 6, "audit=ns-install app=0 version=1 mode=quorum acks=2 quorum=2 mgrs=9 ttl=9000000000");
+        note(&mut o, 3, 6, 6, ns_install(0, 1, &[9], 9000000000));
         assert_eq!(o.violations().len(), 2);
     }
 
     #[test]
     fn negative_install_claims_nothing() {
         let mut o = directory_oracle();
-        note(&mut o, 1, 1, 6, "audit=ns-install app=0 version=0 mode=quorum acks=2 quorum=2 mgrs=- ttl=2000000000");
+        note(&mut o, 1, 1, 6, ns_install(0, 0, &[], 2000000000));
         assert!(o.is_clean(), "{:?}", o.violations());
     }
 
     #[test]
     fn stale_record_within_ttl_is_graceful_degradation_not_a_violation() {
         let mut o = directory_oracle();
-        note(&mut o, 1, 1, 3, "audit=ns-publish app=0 version=1 mgrs=0");
-        note(&mut o, 1, 2, 4, "audit=ns-apply app=0 version=1 mgrs=0");
+        note(&mut o, 1, 1, 3, AuditEvent::NsPublish(held(0, 1, &[0])));
+        note(&mut o, 1, 2, 4, AuditEvent::NsApply(held(0, 1, &[0])));
         // v2 reaches the write quorum at t = 10 s.
-        note(&mut o, 10, 3, 3, "audit=ns-publish app=0 version=2 mgrs=0;1");
-        note(&mut o, 10, 4, 4, "audit=ns-apply app=0 version=2 mgrs=0;1");
+        note(&mut o, 10, 3, 3, AuditEvent::NsPublish(held(0, 2, &[0, 1])));
+        note(&mut o, 10, 4, 4, AuditEvent::NsApply(held(0, 2, &[0, 1])));
         // A host still riding v1 at t = 19 s is inside the 13 s bound.
-        note(&mut o, 19, 5, 6, "audit=ns-degraded app=0 version=1");
+        note(&mut o, 19, 5, 6, AuditEvent::NsDegraded { app: AppId(0), version: 1 });
         assert!(o.is_clean(), "{:?}", o.violations());
     }
 
     #[test]
     fn stale_record_past_ttl_after_ack_violates_freshness() {
         let mut o = directory_oracle();
-        note(&mut o, 1, 1, 3, "audit=ns-publish app=0 version=1 mgrs=0");
-        note(&mut o, 10, 2, 3, "audit=ns-publish app=0 version=2 mgrs=0;1");
-        note(&mut o, 10, 3, 4, "audit=ns-apply app=0 version=2 mgrs=0;1");
+        note(&mut o, 1, 1, 3, AuditEvent::NsPublish(held(0, 1, &[0])));
+        note(&mut o, 10, 2, 3, AuditEvent::NsPublish(held(0, 2, &[0, 1])));
+        note(&mut o, 10, 3, 4, AuditEvent::NsApply(held(0, 2, &[0, 1])));
         // 14 s after the v2 ack > 13 s (ttl/ρ + in-flight slack): the
         // host must have expired v1 by now.
-        note(&mut o, 24, 7, 6, "audit=ns-degraded app=0 version=1");
+        note(&mut o, 24, 7, 6, AuditEvent::NsDegraded { app: AppId(0), version: 1 });
         assert_eq!(o.violations().len(), 1);
         let v = &o.violations()[0];
         assert_eq!(v.kind, InvariantKind::DirectoryFreshness);
@@ -1162,12 +1189,12 @@ mod tests {
     #[test]
     fn one_replica_holding_a_version_does_not_arm_the_ack_clock() {
         let mut o = directory_oracle();
-        note(&mut o, 1, 1, 3, "audit=ns-publish app=0 version=1 mgrs=0");
-        note(&mut o, 1, 2, 4, "audit=ns-apply app=0 version=1 mgrs=0");
+        note(&mut o, 1, 1, 3, AuditEvent::NsPublish(held(0, 1, &[0])));
+        note(&mut o, 1, 2, 4, AuditEvent::NsApply(held(0, 1, &[0])));
         // v2 sits on a single replica: below W = 2, no ack — a host
         // serving v1 forever is legal (the write never committed).
-        note(&mut o, 5, 3, 3, "audit=ns-publish app=0 version=2 mgrs=0;1");
-        note(&mut o, 500, 4, 6, "audit=ns-install app=0 version=1 mode=quorum acks=2 quorum=2 mgrs=0 ttl=9000000000");
+        note(&mut o, 5, 3, 3, AuditEvent::NsPublish(held(0, 2, &[0, 1])));
+        note(&mut o, 500, 4, 6, ns_install(0, 1, &[0], 9000000000));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.stats().ns_acked_versions, 1, "only v1 ever acked");
     }
@@ -1191,28 +1218,16 @@ mod tests {
         );
         // user 1's bucket decides which owner pair is legal.
         let b = user_bucket(UserId(1));
-        let (own, foreign) = if b <= 127 { ("0;1", "2;3") } else { ("2;3", "0;1") };
-        note(
-            &mut o,
-            1,
-            1,
-            9,
-            &format!("audit=allow app=0 user=1 mode=quorum confirms=2 c=2 mgrs={own}"),
-        );
+        let (own, foreign) = if b <= 127 { ([0, 1], [2, 3]) } else { ([2, 3], [0, 1]) };
+        note(&mut o, 1, 1, 9, quorum_allow(0, 1, 2, &own));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.stats().shard_allows, 1);
         // An unsharded app stays unchecked.
-        note(&mut o, 2, 2, 9, "audit=allow app=7 user=1 mode=quorum confirms=2 c=2 mgrs=5;6");
+        note(&mut o, 2, 2, 9, quorum_allow(7, 1, 2, &[5, 6]));
         assert_eq!(o.stats().shard_allows, 1);
         assert!(o.is_clean());
         // The other shard's owners confirming this user is contamination.
-        note(
-            &mut o,
-            3,
-            3,
-            9,
-            &format!("audit=allow app=0 user=1 mode=quorum confirms=2 c=2 mgrs={foreign}"),
-        );
+        note(&mut o, 3, 3, 9, quorum_allow(0, 1, 2, &foreign));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::TenantIsolation);
     }
@@ -1227,10 +1242,10 @@ mod tests {
         o.expect_shard_map(AppId(0), 1, &[shard_entry(0, 0, 255, &[0, 1])]);
         o.expect_shard_map(AppId(0), 2, &[shard_entry(0, 0, 255, &[2, 3])]);
         let _ = b;
-        note(&mut o, 1, 1, 9, "audit=allow app=0 user=1 mode=quorum confirms=2 c=2 mgrs=0;1");
-        note(&mut o, 2, 2, 9, "audit=allow app=0 user=1 mode=quorum confirms=2 c=2 mgrs=2;3");
+        note(&mut o, 1, 1, 9, quorum_allow(0, 1, 2, &[0, 1]));
+        note(&mut o, 2, 2, 9, quorum_allow(0, 1, 2, &[2, 3]));
         assert!(o.is_clean(), "{:?}", o.violations());
-        note(&mut o, 3, 3, 9, "audit=allow app=0 user=1 mode=quorum confirms=2 c=2 mgrs=4;5");
+        note(&mut o, 3, 3, 9, quorum_allow(0, 1, 2, &[4, 5]));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::TenantIsolation);
     }
@@ -1238,8 +1253,8 @@ mod tests {
     #[test]
     fn matching_handoff_and_install_digests_are_clean() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 1, 0, "audit=shard-handoff shard=0 epoch=2 src=0 digest=777 count=3");
-        note(&mut o, 2, 2, 4, "audit=shard-install shard=0 epoch=2 src=0 digest=777 count=3");
+        note(&mut o, 1, 1, 0, AuditEvent::ShardHandoff(shard_ops(0, 2, 0, 777, 3)));
+        note(&mut o, 2, 2, 4, AuditEvent::ShardInstall(shard_ops(0, 2, 0, 777, 3)));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.stats().shard_handoffs, 1);
         assert_eq!(o.stats().shard_installs, 1);
@@ -1248,9 +1263,9 @@ mod tests {
     #[test]
     fn diverged_install_digest_is_a_rebalance_violation() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 1, 0, "audit=shard-handoff shard=0 epoch=2 src=0 digest=777 count=3");
+        note(&mut o, 1, 1, 0, AuditEvent::ShardHandoff(shard_ops(0, 2, 0, 777, 3)));
         // The lost-tail bug: one op short, different digest.
-        note(&mut o, 2, 5, 4, "audit=shard-install shard=0 epoch=2 src=0 digest=123 count=2");
+        note(&mut o, 2, 5, 4, AuditEvent::ShardInstall(shard_ops(0, 2, 0, 123, 2)));
         assert_eq!(o.violations().len(), 1);
         let v = &o.violations()[0];
         assert_eq!(v.kind, InvariantKind::RebalanceSafety);
@@ -1260,12 +1275,12 @@ mod tests {
     #[test]
     fn install_without_a_handoff_is_a_rebalance_violation() {
         let mut o = InvariantOracle::new(&policy(), SimDuration::ZERO);
-        note(&mut o, 1, 1, 4, "audit=shard-install shard=0 epoch=2 src=0 digest=777 count=3");
+        note(&mut o, 1, 1, 4, AuditEvent::ShardInstall(shard_ops(0, 2, 0, 777, 3)));
         assert_eq!(o.violations().len(), 1);
         assert_eq!(o.violations()[0].kind, InvariantKind::RebalanceSafety);
         // Same epoch from a *different* source is tracked independently.
-        note(&mut o, 2, 2, 0, "audit=shard-handoff shard=0 epoch=2 src=1 digest=9 count=1");
-        note(&mut o, 3, 3, 4, "audit=shard-install shard=0 epoch=2 src=1 digest=9 count=1");
+        note(&mut o, 2, 2, 0, AuditEvent::ShardHandoff(shard_ops(0, 2, 1, 9, 1)));
+        note(&mut o, 3, 3, 4, AuditEvent::ShardInstall(shard_ops(0, 2, 1, 9, 1)));
         assert_eq!(o.violations().len(), 1);
     }
 

@@ -225,8 +225,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<SnapshotState> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn id(origin: usize, seq: u64) -> OpId {
         OpId { origin: NodeId::from_index(origin), seq }
@@ -364,5 +366,101 @@ mod tests {
         let mut short = encode_snapshot(&one);
         short[24] = 2;
         assert_eq!(decode_snapshot(&short), None, "released_len 2 over 12 bytes");
+    }
+
+    /// `valid` damaged the ways a disk damages it: cut short at `at`,
+    /// one bit flipped there, or four bytes there overwritten with a
+    /// count no input can hold.
+    pub(crate) fn mangled(valid: &[u8], how: u8, at: usize, bit: u8) -> Vec<u8> {
+        let mut bytes = valid.to_vec();
+        let at = at % bytes.len().max(1);
+        match how % 3 {
+            0 => bytes.truncate(at),
+            1 => bytes.iter_mut().skip(at).take(1).for_each(|b| *b ^= 1 << (bit % 8)),
+            _ => bytes.iter_mut().skip(at).take(4).for_each(|b| *b = 0xff),
+        }
+        bytes
+    }
+
+    /// Reject, or mean exactly these bytes: whatever a decoder accepts
+    /// must encode back to its input (a release marker's eleven padding
+    /// bytes excepted, which `decode_wal_record` does not read).
+    fn check_decoders(bytes: &[u8]) -> Result<(), TestCaseError> {
+        if let Some((id, op)) = decode_record(bytes) {
+            prop_assert_eq!(encode_record(id, &op), bytes);
+        }
+        match decode_wal_record(bytes) {
+            Some(WalRecord::Op(id, op)) => prop_assert_eq!(encode_record(id, &op), bytes),
+            Some(WalRecord::ShardRelease { shard, epoch }) => {
+                prop_assert_eq!(&encode_release(shard, epoch)[..13], &bytes[..13])
+            }
+            None => {}
+        }
+        if let Some(state) = decode_snapshot(bytes) {
+            prop_assert_eq!(encode_snapshot(&state), bytes);
+        }
+        Ok(())
+    }
+
+    fn op_strategy() -> impl Strategy<Value = (OpId, AclOp)> {
+        (any::<bool>(), any::<u32>(), any::<u64>(), any::<bool>(), 0usize..1000, any::<u64>()).prop_map(
+            |(revoke, app, user, manage, origin, seq)| {
+                let (app, user) = (AppId(app), UserId(user));
+                let right = if manage { Right::Manage } else { Right::Use };
+                let op = match revoke {
+                    true => AclOp::Revoke { app, user, right },
+                    false => AclOp::Add { app, user, right },
+                };
+                (id(origin, seq), op)
+            },
+        )
+    }
+
+    fn snapshot_strategy() -> impl Strategy<Value = SnapshotState> {
+        (
+            any::<u64>(),
+            prop::collection::vec((0usize..1000, any::<u64>()), 0..5),
+            prop::collection::vec(op_strategy(), 0..5),
+            prop::collection::vec((any::<u32>(), any::<u64>()), 0..3),
+        )
+            .prop_map(|(lamport, applied, lww, released)| SnapshotState {
+                lamport,
+                applied: applied.into_iter().map(|(origin, seq)| id(origin, seq)).collect(),
+                lww: lww
+                    .into_iter()
+                    .map(|(id, op)| (op.app(), op.user(), op.right(), id, op))
+                    .collect(),
+                released: released.into_iter().map(|(s, e)| (ShardId(s), e)).collect(),
+            })
+    }
+
+    // The decoder fuzz harness. Its fixed seeds are the count tests above
+    // (`snapshot_rejects_a_count_the_remaining_bytes_cannot_hold`: 17, 21
+    // and 25 bytes that each announce 2³²−1 elements).
+    proptest! {
+        #[test]
+        fn decoders_reject_or_round_trip_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..80),
+            version in 0u8..4,
+        ) {
+            check_decoders(&bytes)?;
+            // Past the magic and the version byte, where garbage reaches
+            // the count arithmetic.
+            check_decoders(&[&SNAPSHOT_MAGIC[..], &[version], &bytes].concat())?;
+        }
+
+        #[test]
+        fn decoders_reject_or_round_trip_damaged_encodings(
+            state in snapshot_strategy(),
+            (id, op) in op_strategy(),
+            release in (any::<u32>(), any::<u64>()),
+            (how, at, bit) in (any::<u8>(), any::<usize>(), any::<u8>()),
+        ) {
+            let snapshot = encode_snapshot(&state);
+            prop_assert_eq!(decode_snapshot(&snapshot), Some(state));
+            check_decoders(&mangled(&snapshot, how, at, bit))?;
+            check_decoders(&mangled(&encode_record(id, &op), how, at, bit))?;
+            check_decoders(&mangled(&encode_release(ShardId(release.0), release.1), how, at, bit))?;
+        }
     }
 }

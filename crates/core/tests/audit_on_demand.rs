@@ -1,8 +1,8 @@
-//! Audit text is built on demand: a driver that drops notes
+//! Audit events are built on demand: a driver that drops notes
 //! (`Context::with_notes(false)`, the live runtime without
 //! `capture_traces()`) must see exactly the effects a note-consuming
-//! driver sees, minus the `Effect::Trace` entries — and the text a
-//! consumer does get must not move by a byte.
+//! driver sees, minus the `Effect::Trace` entries — and the line a
+//! consumer's event prints must not move by a byte.
 
 use std::fmt::Debug;
 
@@ -70,11 +70,11 @@ impl<N: Node<Msg = ProtoMsg>> Driven<N> {
         self.call(ms, |node, ctx| node.on_message(ctx, NodeId::from_index(from), msg))
     }
 
-    fn notes(&self) -> Vec<&str> {
+    fn notes(&self) -> Vec<String> {
         self.log
             .iter()
             .filter_map(|(_, e)| match e {
-                Effect::Trace { text } => Some(text.as_str()),
+                Effect::Trace { text } => Some(text.to_string()),
                 _ => None,
             })
             .collect()

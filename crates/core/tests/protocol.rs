@@ -6,6 +6,7 @@ use wanacl_sim::clock::ClockSpec;
 use wanacl_sim::net::partition::ScheduledPartitions;
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::NodeId;
+use wanacl_sim::storage::SimStorage;
 use wanacl_sim::time::{SimDuration, SimTime};
 
 fn n(i: usize) -> NodeId {
@@ -435,6 +436,57 @@ fn freeze_strategy_stops_grants_during_manager_partition() {
     d.invoke_from(0);
     d.run_until(SimTime::from_secs(48));
     assert_eq!(d.user_agent(0).stats().allowed, 2);
+}
+
+/// A manager that restarts from disk while frozen comes back thawed,
+/// and says so: recovery clears the flag, so the event stream must carry
+/// the `Thaw` — otherwise the oracle keeps the manager frozen for good
+/// and fails I4 on every later grant.
+#[test]
+fn disk_recovery_of_a_frozen_manager_reports_the_thaw() {
+    let policy = Policy::builder(1)
+        .revocation_bound(SimDuration::from_secs(40))
+        .clock_rate_bound(0.5)
+        .freeze(FreezePolicy {
+            ti: SimDuration::from_secs(8),
+            heartbeat_interval: SimDuration::from_secs(1),
+        })
+        .build();
+    let mut d = Scenario::builder(31)
+        .managers(2)
+        .hosts(1)
+        .users(1)
+        .policy(policy.clone())
+        .all_users_granted()
+        .build();
+    for i in 0..2 {
+        d.manager_mut(i).set_storage(Box::new(SimStorage::new(7 + i as u64)));
+    }
+    let oracle =
+        d.world.add_observer(Box::new(InvariantOracle::new(&policy, SimDuration::ZERO)));
+    let (m0, m1) = (d.managers[0], d.managers[1]);
+
+    d.run_until(SimTime::from_secs(2));
+    d.invoke_from(0);
+    // Manager 1 goes silent; past Ti manager 0 freezes.
+    d.world.schedule_crash(SimTime::from_secs(5), m1);
+    d.run_until(SimTime::from_secs(19));
+    assert!(d.manager(0).is_frozen(d.app), "the survivor must freeze");
+    // Manager 0 restarts from its disk while frozen.
+    d.world.schedule_crash(SimTime::from_secs(20), m0);
+    d.world.schedule_recover(SimTime::from_secs(21), m0);
+    d.world.schedule_recover(SimTime::from_secs(21), m1);
+    for round in 1..=6 {
+        d.run_until(SimTime::from_secs(50 * round));
+        d.invoke_from(0);
+    }
+    d.run_for(SimDuration::from_secs(5));
+
+    assert!(!d.manager(0).is_frozen(d.app));
+    assert_eq!(d.user_agent(0).stats().allowed, 7, "every check after the restart is granted");
+    let oracle = d.world.observer_as::<InvariantOracle>(oracle);
+    assert!(oracle.stats().grants > 0 && oracle.stats().disk_recoveries > 0);
+    assert!(oracle.is_clean(), "{:?}", oracle.violations());
 }
 
 /// §3.4: a crashed manager refuses queries until it has synchronized

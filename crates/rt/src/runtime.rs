@@ -37,7 +37,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use wanacl_sim::clock::LocalTime;
 use wanacl_sim::metrics::MetricId;
-use wanacl_sim::node::{Context, Effect, Node, NodeId};
+use wanacl_sim::node::{Context, Effect, Node, NodeId, Note};
 use wanacl_sim::obs::MetricsSink;
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::SimTime;
@@ -132,8 +132,9 @@ pub struct LiveTraceEntry {
     pub at: SimTime,
     /// The emitting node.
     pub node: NodeId,
-    /// The trace text (e.g. `audit=...` notes).
-    pub text: String,
+    /// The note as the node built it: a typed record (the protocol
+    /// nodes' `AuditEvent`s) or free text.
+    pub text: Note,
 }
 
 /// A shared, thread-safe buffer of live trace events.
@@ -1356,7 +1357,7 @@ mod tests {
         let entries = buffer.drain_sorted();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].node, a);
-        assert_eq!(entries[0].text, "audit=test msg=42");
+        assert_eq!(entries[0].text, Note::from("audit=test msg=42"));
         assert!(buffer.is_empty(), "drain takes everything");
     }
 

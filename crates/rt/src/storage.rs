@@ -301,6 +301,7 @@ impl Storage for FileStorage {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A fresh scratch directory per test (no tempfile dependency).
@@ -483,5 +484,38 @@ mod tests {
         assert!(rec.records.is_empty());
         assert_eq!(rec.torn_records, 0);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    // The frame reader's fuzz harness: whatever the file holds, recovery
+    // keeps exactly a prefix of whole, checksummed frames and says
+    // whether anything followed it.
+    proptest! {
+        #[test]
+        fn frame_reader_keeps_a_valid_prefix_of_any_bytes(
+            records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..5),
+            junk in prop::collection::vec(any::<u8>(), 0..24),
+            (how, at, bit) in (0u8..4, any::<usize>(), 0u8..8),
+        ) {
+            let mut image: Vec<u8> = records.iter().flat_map(|r| frame(r)).collect();
+            prop_assert_eq!(parse_wal(&image), (records.clone(), image.len(), 0));
+            // Damage it: cut short, flip a bit, claim a 4 GiB payload, or
+            // append garbage.
+            let at = at % image.len().max(1);
+            match how {
+                0 => image.truncate(at),
+                1 => image.iter_mut().skip(at).take(1).for_each(|b| *b ^= 1 << bit),
+                2 => image.iter_mut().skip(at).take(4).for_each(|b| *b = 0xff),
+                _ => image.extend_from_slice(&junk),
+            }
+            let (kept, offset, torn) = parse_wal(&image);
+            prop_assert!(offset <= image.len());
+            prop_assert_eq!(torn, u64::from(offset < image.len()));
+            let reframed: Vec<u8> = kept.iter().flat_map(|r| frame(r)).collect();
+            prop_assert_eq!(&reframed[..], &image[..offset]);
+            // Arbitrary bytes from the first one on.
+            let (kept, offset, _) = parse_wal(&junk);
+            let reframed: Vec<u8> = kept.iter().flat_map(|r| frame(r)).collect();
+            prop_assert_eq!(&reframed[..], &junk[..offset]);
+        }
     }
 }

@@ -408,6 +408,7 @@ fn live_sharded_roster_rebalances_and_survives_manager_zero_kill() {
     let stats = report.oracle.stats();
     assert!(stats.shard_handoffs >= 1 && stats.shard_installs >= 1, "{stats:?}");
     assert!(stats.shard_allows >= 1 && stats.revokes >= 1, "no evidence: {stats:?}");
+    assert_eq!(stats.untyped_notes, 0, "a live node sent the oracle text in place of an event");
     assert!(report.user_stats.allowed >= 1, "{:?}", report.user_stats);
     for step in ["handoff kickoff", "kill n0", "restart n0", "crash n0", "recover n0"] {
         assert!(

@@ -8,6 +8,7 @@
 //! clock rate.
 
 use std::any::Any;
+use std::fmt;
 
 use crate::clock::LocalTime;
 use crate::metrics::MetricId;
@@ -60,6 +61,113 @@ impl TimerId {
     }
 }
 
+/// A typed trace record: a value that prints its own line. Implemented
+/// for every `Display + Debug + Clone + Send + Sync + 'static` type.
+pub trait Record: fmt::Display + fmt::Debug + Any + Send + Sync {
+    /// Clones into a fresh box (what makes [`Note`] `Clone`).
+    fn clone_box(&self) -> Box<dyn Record>;
+}
+
+impl<T: fmt::Display + fmt::Debug + Clone + Any + Send + Sync> Record for T {
+    fn clone_box(&self) -> Box<dyn Record> {
+        Box::new(self.clone())
+    }
+}
+
+/// What a node hands to [`Context::trace`]: free text, or a typed
+/// [`Record`] that is rendered only by whoever exports the trace.
+///
+/// The record is type-erased because [`Node`] names only its message
+/// type; a consumer that knows the concrete type reads it back with
+/// [`Note::record`]. Two notes are equal when they print the same line.
+#[derive(Debug)]
+pub enum Note {
+    /// A line the node formatted itself.
+    Text(String),
+    /// A typed record, printed through its `Display`.
+    Record(Box<dyn Record>),
+}
+
+/// Counts the bytes written through it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+impl Note {
+    /// Wraps a typed record.
+    pub fn of(record: impl Record) -> Note {
+        Note::Record(Box::new(record))
+    }
+
+    /// The record, if this note carries one of type `T`.
+    pub fn record<T: Record>(&self) -> Option<&T> {
+        match self {
+            Note::Text(_) => None,
+            Note::Record(r) => {
+                let any: &dyn Any = &**r;
+                any.downcast_ref()
+            }
+        }
+    }
+
+    /// Bytes in the rendered line, counted without building it.
+    pub fn len(&self) -> usize {
+        use fmt::Write as _;
+        let mut count = ByteCount(0);
+        let _ = write!(count, "{self}");
+        count.0
+    }
+
+    /// Whether the rendered line is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl fmt::Display for Note {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Note::Text(text) => f.write_str(text),
+            Note::Record(record) => record.fmt(f),
+        }
+    }
+}
+
+impl Clone for Note {
+    fn clone(&self) -> Note {
+        match self {
+            Note::Text(text) => Note::Text(text.clone()),
+            Note::Record(record) => Note::Record((**record).clone_box()),
+        }
+    }
+}
+
+impl PartialEq for Note {
+    fn eq(&self, other: &Note) -> bool {
+        match (self, other) {
+            (Note::Text(a), Note::Text(b)) => a == b,
+            _ => self.to_string() == other.to_string(),
+        }
+    }
+}
+
+impl From<String> for Note {
+    fn from(text: String) -> Note {
+        Note::Text(text)
+    }
+}
+
+impl From<&str> for Note {
+    fn from(text: &str) -> Note {
+        Note::Text(text.to_owned())
+    }
+}
+
 /// Side effects a node requests while handling an event.
 ///
 /// Collected by the [`Context`] and executed by the driver (the simulated
@@ -75,7 +183,7 @@ pub enum Effect<M> {
     /// Disarm a pending timer.
     CancelTimer { id: TimerId },
     /// Emit a trace note.
-    Trace { text: String },
+    Trace { text: Note },
     /// Increment a run-level counter.
     MetricIncr { name: MetricId },
     /// Record a run-level histogram sample.
@@ -117,8 +225,8 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Tells the node whether this driver consumes trace notes. With
-    /// notes off, [`Context::trace`] and [`Context::trace_with`] emit
-    /// nothing and the note's text is never built — the rule
+    /// notes off, [`Context::trace`] and [`Context::trace_record`] emit
+    /// nothing and the note is never built — the rule
     /// `World::wants_message_events` applies to `Sent`/`Delivered`
     /// descriptions. The simulator always leaves notes on, so its event
     /// indices, traces and digests do not depend on who is listening.
@@ -182,17 +290,19 @@ impl<'a, M> Context<'a, M> {
         self.rng
     }
 
-    /// Appends a line to the world trace (no-op when the driver drops
+    /// Appends a note to the world trace (no-op when the driver drops
     /// notes).
-    pub fn trace(&mut self, text: impl Into<String>) {
-        self.trace_with(|| text.into());
+    pub fn trace(&mut self, text: impl Into<Note>) {
+        if self.notes {
+            self.effects.push(Effect::Trace { text: text.into() });
+        }
     }
 
-    /// [`Context::trace`] for a note that costs something to build:
-    /// `text` runs only when the driver consumes notes.
-    pub fn trace_with(&mut self, text: impl FnOnce() -> String) {
+    /// [`Context::trace`] for a typed [`Record`]: `build` runs only when
+    /// the driver consumes notes.
+    pub fn trace_record<R: Record>(&mut self, build: impl FnOnce() -> R) {
         if self.notes {
-            self.effects.push(Effect::Trace { text: text() });
+            self.effects.push(Effect::Trace { text: Note::of(build()) });
         }
     }
 
@@ -289,21 +399,36 @@ mod tests {
         let mut ctx = Context::new(NodeId(0), LocalTime::ZERO, &mut effects, &mut rng, &mut next_timer)
             .with_notes(false);
         ctx.trace("audit=dropped");
-        ctx.trace_with(|| unreachable!("text must not be built for a driver that drops it"));
+        ctx.trace_record(|| -> u32 { unreachable!("no record is built for a driver that drops it") });
         ctx.send(NodeId(1), 10);
         assert!(matches!(effects[..], [Effect::Send { to: NodeId(1), msg: 10 }]));
 
         let mut ctx = Context::new(NodeId(0), LocalTime::ZERO, &mut effects, &mut rng, &mut next_timer);
         ctx.trace("a");
-        ctx.trace_with(|| "b".to_owned());
-        let notes: Vec<&str> = effects
+        ctx.trace_record(|| 7u32);
+        let notes: Vec<&Note> = effects
             .iter()
             .filter_map(|e| match e {
-                Effect::Trace { text } => Some(text.as_str()),
+                Effect::Trace { text } => Some(text),
                 _ => None,
             })
             .collect();
-        assert_eq!(notes, ["a", "b"], "Context::new defaults to notes on");
+        assert_eq!(notes, [&Note::from("a"), &Note::from("7")], "Context::new defaults to notes on");
+    }
+
+    #[test]
+    fn a_record_note_prints_its_line_and_gives_the_record_back() {
+        let note = Note::of(1234u32);
+        assert_eq!(note.to_string(), "1234");
+        assert_eq!(note.len(), 4, "the rendered line's bytes");
+        assert_eq!(note.record::<u32>(), Some(&1234));
+        assert_eq!(note.record::<u64>(), None, "another type");
+        assert_eq!(note.clone(), note);
+        assert_eq!(note, Note::from("1234"), "equal means prints the same line");
+        assert_ne!(note, Note::from("1235"));
+        let text = Note::from(String::from("héllo"));
+        assert_eq!((text.len(), text.is_empty()), (6, false));
+        assert_eq!(text.record::<String>(), None, "free text carries no record");
     }
 
     #[test]

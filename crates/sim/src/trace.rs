@@ -5,7 +5,7 @@
 //! (same seed ⇒ identical trace) as well as a debugging aid.
 
 use crate::net::DropReason;
-use crate::node::NodeId;
+use crate::node::{NodeId, Note};
 use crate::time::SimTime;
 
 /// One recorded world event.
@@ -24,8 +24,9 @@ pub enum TraceEvent {
     Crashed { node: NodeId },
     /// A node recovered.
     Recovered { node: NodeId },
-    /// Free-form text emitted by a node via `Context::trace`.
-    Note { node: NodeId, text: String },
+    /// A note emitted by a node via `Context::trace` or
+    /// `Context::trace_record`.
+    Note { node: NodeId, text: Note },
 }
 
 /// A trace entry: when plus what.

@@ -933,7 +933,7 @@ mod tests {
                 self.last_index = Some(index);
                 match event {
                     TraceEvent::Delivered { .. } => self.delivered += 1,
-                    TraceEvent::Note { text, .. } => self.notes.push(text.clone()),
+                    TraceEvent::Note { text, .. } => self.notes.push(text.to_string()),
                     TraceEvent::Crashed { .. } => self.crashes += 1,
                     _ => {}
                 }

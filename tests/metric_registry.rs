@@ -108,6 +108,12 @@ fn what_deployments_record_and_what_the_registry_declares_are_the_same_set() {
     let campaign = |config: CampaignConfig, label: &str, seen: &mut BTreeSet<&'static str>| {
         let report = run_campaign(&config);
         assert!(report.violations.is_empty(), "{label} seed {}: {:?}", config.seed, report.violations);
+        // No site was left on text: every note the oracle saw was an
+        // `AuditEvent` (an `audit=` line sent as free text would be
+        // hashed and otherwise ignored).
+        let stats = report.oracle_stats;
+        assert!(stats.allows > 0 && stats.grants > 0, "{label} seed {}: {stats:?}", config.seed);
+        assert_eq!(stats.untyped_notes, 0, "{label} seed {}", config.seed);
         recorded(&report.metrics, label, seen);
     };
     let short = |seed| CampaignConfig { seed, horizon: SimDuration::from_secs(8), ..Default::default() };
