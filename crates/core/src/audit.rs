@@ -193,12 +193,6 @@ pub enum AuditEvent {
     ShardHandoff(ShardOps),
     /// A target manager's account of what it installed.
     ShardInstall(ShardOps),
-    /// A host's circuit breaker stopped querying `peer`.
-    BreakerOpen { peer: NodeId },
-    /// A host's circuit breaker readmitted `peer`.
-    BreakerClose { peer: NodeId },
-    /// A check ran out of its overall deadline on `attempt`.
-    Deadline { app: AppId, user: UserId, attempt: u32 },
 }
 
 fn op_kind(revoke: bool) -> &'static str {
@@ -319,13 +313,6 @@ impl fmt::Display for AuditEvent {
                     ops.digest,
                     ops.count,
                 )
-            }
-            AuditEvent::BreakerOpen { peer } => write!(f, "audit=breaker-open peer={}", peer.index()),
-            AuditEvent::BreakerClose { peer } => {
-                write!(f, "audit=breaker-close peer={}", peer.index())
-            }
-            AuditEvent::Deadline { app, user, attempt } => {
-                write!(f, "audit=deadline app={} user={} attempt={attempt}", app.0, user.0)
             }
         }
     }

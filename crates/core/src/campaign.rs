@@ -52,7 +52,7 @@ pub enum InjectedBug {
         manager_index: usize,
     },
     /// One host skips record-signature verification on directory quorum
-    /// reads (see [`HostNode::inject_ns_trust_unsigned`]): a malicious
+    /// reads (see [`crate::host::HostNode::inject_ns_trust_unsigned`]): a malicious
     /// replica's forged or rolled-back record installs as if legitimate,
     /// which the oracle's directory-integrity invariant must catch.
     NsTrustUnsigned {

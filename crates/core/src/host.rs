@@ -25,10 +25,9 @@ use wanacl_sim::clock::LocalTime;
 use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, Node, NodeId, TimerId};
 use wanacl_sim::rng::SimRng;
-use wanacl_sim::time::{SimDuration, SimTime};
+use wanacl_sim::time::SimDuration;
 
 use crate::audit::{AllowPath, AuditEvent};
-use crate::breaker::{FailureOutcome, PeerBreaker};
 use crate::cache::{AclCache, CacheDecision};
 use crate::channel::ChannelEnd;
 use crate::msg::{
@@ -191,13 +190,6 @@ struct AppState {
     record_expires: Option<LocalTime>,
     /// The TTL-expiry timer for the installed record.
     ns_expiry_timer: Option<TimerId>,
-    /// The replicas actually queried by the in-flight quorum read (may
-    /// be a subset when the breaker is holding some replicas open).
-    ns_targets: Vec<NodeId>,
-    /// Per-peer circuit breaker over managers *and* directory replicas
-    /// (their [`NodeId`]s are disjoint). `None` unless the policy opts
-    /// in via [`Policy::breaker`].
-    breaker: Option<PeerBreaker<NodeId>>,
 }
 
 impl std::fmt::Debug for AppState {
@@ -253,7 +245,6 @@ impl HostNode {
                     Vec::new()
                 }
             };
-            let breaker = spec.policy.breaker().map(PeerBreaker::new);
             map.insert(
                 spec.app,
                 AppState {
@@ -272,8 +263,6 @@ impl HostNode {
                     record_version: 0,
                     record_expires: None,
                     ns_expiry_timer: None,
-                    ns_targets: Vec::new(),
-                    breaker,
                 },
             );
         }
@@ -418,26 +407,9 @@ impl HostNode {
     /// arms the capped-backoff retry timer for the round.
     fn start_ns_round(&mut self, ctx: &mut Context<'_, ProtoMsg>, app: AppId) {
         let Some(state) = self.apps.get_mut(&app) else { return };
-        let ManagerDirectory::Replicated { replicas, read_quorum } = &state.directory else {
+        let ManagerDirectory::Replicated { replicas, .. } = &state.directory else {
             return;
         };
-        let read_quorum = *read_quorum;
-        let mut replicas = replicas.clone();
-        // Breaker-aware replica selection: skip replicas held Open —
-        // *unless* that would leave fewer admitted replicas than the
-        // read quorum needs, in which case query everyone (a probe of
-        // a dead replica costs less than a round that cannot succeed).
-        if let Some(b) = state.breaker.as_mut() {
-            let bnow = SimTime::from_nanos(ctx.local_now().as_nanos());
-            let admitted: Vec<NodeId> =
-                replicas.iter().filter(|r| b.admits(**r, bnow)).copied().collect();
-            if admitted.len() >= read_quorum && admitted.len() < replicas.len() {
-                for _ in admitted.len()..replicas.len() {
-                    ctx.metric_incr(M::RT_BREAKER_SKIPPED);
-                }
-                replicas = admitted;
-            }
-        }
         if let Some(t) = state.ns_timer.take() {
             ctx.cancel_timer(t);
         }
@@ -445,8 +417,7 @@ impl HostNode {
         state.ns_replies.clear();
         state.ns_round_started = ctx.local_now();
         state.ns_inflight = true;
-        state.ns_targets = replicas.clone();
-        for r in &replicas {
+        for r in replicas {
             ctx.send(*r, ProtoMsg::NsQuery { app });
         }
         let retry = state.policy.ns_retry_backoff().delay(state.ns_round, ctx.rng());
@@ -481,14 +452,6 @@ impl HostNode {
             return;
         }
         let quorum = *read_quorum;
-        // Even a straggler or an unverifiable reply proves the replica
-        // is up: the breaker tracks silence, not record validity.
-        if let Some(b) = state.breaker.as_mut() {
-            if b.record_success(from) {
-                ctx.metric_incr(M::RT_BREAKER_CLOSE);
-                ctx.trace_record(|| AuditEvent::BreakerClose { peer: from });
-            }
-        }
         if !state.ns_inflight {
             // A straggler from an already-settled round.
             ctx.metric_incr(M::HOST_LATE_REPLY);
@@ -599,23 +562,6 @@ impl HostNode {
         state.ns_timer = None;
         if state.ns_inflight {
             ctx.metric_incr(M::NS_READ_TIMEOUT);
-            // Replicas queried this round that never answered are
-            // charged a breaker failure.
-            let silent: Vec<NodeId> = state
-                .ns_targets
-                .iter()
-                .filter(|r| !state.ns_replies.contains_key(r))
-                .copied()
-                .collect();
-            if let Some(b) = state.breaker.as_mut() {
-                let bnow = SimTime::from_nanos(ctx.local_now().as_nanos());
-                for peer in silent {
-                    if b.record_failure(peer, bnow) == FailureOutcome::Opened {
-                        ctx.metric_incr(M::RT_BREAKER_OPEN);
-                        ctx.trace_record(|| AuditEvent::BreakerOpen { peer });
-                    }
-                }
-            }
             let live = state
                 .record_expires
                 .map(|e| ctx.local_now() < e)
@@ -663,17 +609,11 @@ impl HostNode {
         p.attempt_started = ctx.local_now();
         self.query_index.insert(query_req, pending_id);
 
-        // Circuit breaker: managers currently held Open are dropped from
-        // the candidate view *before* fan-out selection, so retries
-        // route around recently-silent peers instead of re-timing-out
-        // on them. This never loosens safety — the quorum rules below
-        // still apply to whatever subset remains.
-        let bnow = SimTime::from_nanos(ctx.local_now().as_nanos());
         // Shard routing: with a shard map installed, only the covering
         // entry's managers are candidates — the check fans out (and its
         // quorum forms) over that set alone, so per-check traffic stays
         // independent of how many shards or tenants exist elsewhere.
-        let mut view = match state.shards.as_deref() {
+        let view = match state.shards.as_deref() {
             Some(entries) => {
                 let bucket = user_bucket(p.user);
                 match entries.iter().find(|e| e.covers(bucket)) {
@@ -688,17 +628,6 @@ impl HostNode {
             }
             None => state.managers.clone(),
         };
-        let had_candidates = !view.is_empty();
-        if let Some(b) = state.breaker.as_mut() {
-            view.retain(|m| {
-                let admitted = b.admits(*m, bnow);
-                if !admitted {
-                    ctx.metric_incr(M::RT_BREAKER_SKIPPED);
-                }
-                admitted
-            });
-        }
-        let all_held_open = view.is_empty() && had_candidates;
         // Choose which managers to ask this attempt.
         let targets: Vec<NodeId> = match state.policy.fanout() {
             QueryFanout::All => view,
@@ -731,12 +660,8 @@ impl HostNode {
             // never produce a quorum, and retrying in the same event
             // cannot change the view. Waiting out R query timeouts would
             // only delay the inevitable, so resolve now per the Figure 4
-            // exhaustion policy. Every breaker being open degrades the
-            // same way: the managers are unreachable in practice.
+            // exhaustion policy.
             ctx.metric_incr(M::HOST_EMPTY_MANAGER_VIEW);
-            if all_held_open {
-                ctx.metric_incr(M::RT_BREAKER_ALL_OPEN);
-            }
             match exhaustion {
                 ExhaustionBehavior::FailOpen => self.finish(ctx, pending_id, FinishKind::FailOpen),
                 ExhaustionBehavior::FailClosed => {
@@ -1082,14 +1007,6 @@ impl HostNode {
             ctx.metric_incr(M::HOST_REPLY_FROM_NON_MANAGER);
             return;
         }
-        // Any reply — grant, deny, or recovering — proves the peer is
-        // alive; the breaker tracks *silence*, not verdicts.
-        if let Some(b) = self.apps.get_mut(&app).and_then(|s| s.breaker.as_mut()) {
-            if b.record_success(from) {
-                ctx.metric_incr(M::RT_BREAKER_CLOSE);
-                ctx.trace_record(|| AuditEvent::BreakerClose { peer: from });
-            }
-        }
         let Some(p) = self.pending.get_mut(&pending_id) else { return };
         match verdict {
             QueryVerdict::Deny => {
@@ -1131,32 +1048,12 @@ impl HostNode {
     }
 
     fn on_query_timeout(&mut self, ctx: &mut Context<'_, ProtoMsg>, pending_id: u64) {
-        // The attempt's timer ran out: every queried manager that never
-        // answered is charged a breaker failure. (The early abort via
-        // `Unavailable` replies does not charge anyone — those peers
-        // were never given their full timeout.)
         if let Some(p) = self.pending.get_mut(&pending_id) {
             // The timer that brought us here is spent: forget its id, or
             // the next attempt (or `finish`) would cancel it again and a
             // wall-clock driver would keep the id until a wheel entry
             // that has already matured matures.
             p.timer = None;
-            let silent: Vec<NodeId> = p
-                .targets
-                .iter()
-                .filter(|t| !p.grants.contains_key(t) && !p.unavailable.contains(t))
-                .copied()
-                .collect();
-            let app = p.app;
-            if let Some(b) = self.apps.get_mut(&app).and_then(|s| s.breaker.as_mut()) {
-                let bnow = SimTime::from_nanos(ctx.local_now().as_nanos());
-                for peer in silent {
-                    if b.record_failure(peer, bnow) == FailureOutcome::Opened {
-                        ctx.metric_incr(M::RT_BREAKER_OPEN);
-                        ctx.trace_record(|| AuditEvent::BreakerOpen { peer });
-                    }
-                }
-            }
         }
         self.attempt_failed(ctx, pending_id);
     }
@@ -1167,25 +1064,7 @@ impl HostNode {
     fn attempt_failed(&mut self, ctx: &mut Context<'_, ProtoMsg>, pending_id: u64) {
         let Some(p) = self.pending.get(&pending_id) else { return };
         let Some(state) = self.apps.get(&p.app) else { return };
-        // Deadline budget: when the wall-clock budget for the *whole*
-        // check is spent, stop immediately — burning the remaining
-        // attempts only delays the Figure 4 resolution the user is
-        // already guaranteed to get.
-        let deadline_hit = state
-            .policy
-            .deadline_budget()
-            .map(|budget| ctx.local_now().since(p.first_started) >= budget)
-            .unwrap_or(false);
-        if deadline_hit {
-            ctx.metric_incr(M::RT_DEADLINE_EXCEEDED);
-            ctx.trace_record(|| AuditEvent::Deadline {
-                app: p.app,
-                user: p.user,
-                attempt: p.attempt,
-            });
-        }
-        let exhausted = deadline_hit || p.attempt >= state.policy.max_attempts();
-        if exhausted {
+        if p.attempt >= state.policy.max_attempts() {
             match state.policy.exhaustion() {
                 ExhaustionBehavior::FailOpen => self.finish(ctx, pending_id, FinishKind::FailOpen),
                 ExhaustionBehavior::FailClosed => {

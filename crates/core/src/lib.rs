@@ -19,7 +19,6 @@
 //! * [`policy`] — the per-application knobs `C`, `Te`, `b`, `R`, `Ti`
 //! * [`msg`] — the wire protocol
 //! * [`cache`] — the host-side `ACL_cache` with expiry (Figures 2–3)
-//! * [`breaker`] — per-peer circuit breaker for the live check path
 //! * [`host`] — the application-host node (Figures 2–4 + check quorum)
 //! * [`manager`] — the manager node (quorum dissemination, freeze, recovery)
 //! * [`nameservice`] — the directory of §3.2, replicated and signed
@@ -54,7 +53,6 @@
 pub use wanacl_auth as auth;
 
 pub mod audit;
-pub mod breaker;
 pub mod cache;
 pub mod campaign;
 pub mod channel;
@@ -73,7 +71,6 @@ pub mod wrapper;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::audit::{AllowPath, AuditEvent, NodeList, NsHeld, Recovery, ShardOps};
-    pub use crate::breaker::{BreakerConfig, FailureOutcome, PeerBreaker};
     pub use crate::cache::{AclCache, CacheDecision};
     pub use crate::campaign::{
         campaign_targets, rollup_metrics, run_campaign, run_campaigns_parallel, run_plans_parallel,

@@ -161,10 +161,6 @@ pub struct ManagerConfig {
     /// it; long partitions degrade to this cadence instead of hammering
     /// unreachable peers at the base rate.
     pub retry_cap: SimDuration,
-    /// Symmetric jitter fraction in `[0, 1)` applied to every retry
-    /// delay (drawn from the node's seeded RNG, so runs stay
-    /// deterministic). Decorrelates retry storms after a partition heals.
-    pub retry_jitter: f64,
     /// Heartbeat period between managers (freeze detection; should be
     /// well below any app's `Ti`).
     pub heartbeat_interval: SimDuration,
@@ -187,7 +183,6 @@ impl Default for ManagerConfig {
             enforce_manage_right: false,
             retry_interval: SimDuration::from_millis(500),
             retry_cap: SimDuration::from_secs(10),
-            retry_jitter: 0.1,
             heartbeat_interval: SimDuration::from_secs(1),
             grant_sweep_interval: SimDuration::from_secs(30),
             snapshot_every: 64,
@@ -196,10 +191,12 @@ impl Default for ManagerConfig {
 }
 
 impl ManagerConfig {
-    /// The retransmission backoff schedule derived from the config.
+    /// The retransmission backoff schedule derived from the config,
+    /// with ±10 % jitter on every delay (drawn from the node's seeded
+    /// RNG, so runs stay deterministic) to decorrelate retry storms
+    /// after a partition heals.
     pub fn retry_backoff(&self) -> Backoff {
-        Backoff::new(self.retry_interval, self.retry_cap.max(self.retry_interval))
-            .jitter(self.retry_jitter)
+        Backoff::new(self.retry_interval, self.retry_cap.max(self.retry_interval)).jitter(0.1)
     }
 }
 

@@ -789,10 +789,7 @@ impl InvariantOracle {
             // A sync-mode recovery promised nothing durable.
             | AuditEvent::Recovered(Recovery::Sync { .. })
             | AuditEvent::Deny { .. }
-            | AuditEvent::NsExpire { .. }
-            | AuditEvent::BreakerOpen { .. }
-            | AuditEvent::BreakerClose { .. }
-            | AuditEvent::Deadline { .. } => {}
+            | AuditEvent::NsExpire { .. } => {}
         }
     }
 }

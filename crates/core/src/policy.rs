@@ -16,7 +16,6 @@
 //! Plus the alternative **freeze strategy** of §3.3 (inaccessibility
 //! period `Ti`).
 
-use crate::breaker::BreakerConfig;
 use wanacl_sim::time::SimDuration;
 
 /// What a host does when `R` check attempts have all failed.
@@ -71,8 +70,6 @@ pub struct Policy {
     cache_sweep_interval: SimDuration,
     fanout: QueryFanout,
     refresh_margin: Option<SimDuration>,
-    deadline_budget: Option<SimDuration>,
-    breaker: Option<BreakerConfig>,
 }
 
 impl Policy {
@@ -160,23 +157,6 @@ impl Policy {
         self.refresh_margin
     }
 
-    /// End-to-end deadline budget for a single access check, measured
-    /// on the host's local clock from the moment the user request
-    /// arrives. When the budget runs out mid-retry the host stops
-    /// immediately and resolves per [`Policy::exhaustion`] instead of
-    /// burning the remaining attempts. `None` (the default) disables
-    /// the deadline and keeps the classic `R × timeout` behaviour.
-    pub fn deadline_budget(&self) -> Option<SimDuration> {
-        self.deadline_budget
-    }
-
-    /// Per-peer circuit-breaker knobs for the live check path, or
-    /// `None` (the default) to query every manager in the view
-    /// regardless of its recent behaviour.
-    pub fn breaker(&self) -> Option<BreakerConfig> {
-        self.breaker
-    }
-
     /// The backoff schedule a host uses when its name-service lookup
     /// goes unanswered: starts at `2 · query_timeout` (the historical
     /// fixed retry period) and doubles per fruitless round up to 15 s,
@@ -235,8 +215,6 @@ impl PolicyBuilder {
                 cache_sweep_interval: SimDuration::from_secs(30),
                 fanout: QueryFanout::All,
                 refresh_margin: None,
-                deadline_budget: None,
-                breaker: None,
             },
         }
     }
@@ -316,32 +294,6 @@ impl PolicyBuilder {
         self
     }
 
-    /// Sets an end-to-end deadline budget for each access check
-    /// (default: none). Validated against the per-attempt timeout at
-    /// [`PolicyBuilder::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if zero.
-    pub fn deadline_budget(mut self, budget: SimDuration) -> Self {
-        assert!(budget > SimDuration::ZERO, "deadline budget must be positive");
-        self.policy.deadline_budget = Some(budget);
-        self
-    }
-
-    /// Enables the per-peer circuit breaker on the check path
-    /// (default: off).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config is invalid (see
-    /// [`BreakerConfig::validate`]).
-    pub fn breaker(mut self, config: BreakerConfig) -> Self {
-        config.validate();
-        self.policy.breaker = Some(config);
-        self
-    }
-
     /// Sets the host cache sweep interval.
     ///
     /// # Panics
@@ -362,12 +314,6 @@ impl PolicyBuilder {
     /// Te"), or if [`QueryFanout::Sequential`] is combined with a check
     /// quorum above 1.
     pub fn build(self) -> Policy {
-        if let Some(budget) = self.policy.deadline_budget {
-            assert!(
-                budget >= self.policy.query_timeout,
-                "deadline budget must cover at least one query timeout"
-            );
-        }
         if self.policy.fanout == QueryFanout::Sequential {
             assert_eq!(
                 self.policy.check_quorum, 1,
@@ -540,33 +486,6 @@ mod tests {
             .build();
         assert_eq!(p.refresh_margin(), Some(SimDuration::from_secs(5)));
         assert_eq!(Policy::default().refresh_margin(), None);
-    }
-
-    #[test]
-    fn deadline_and_breaker_default_off() {
-        let p = Policy::default();
-        assert_eq!(p.deadline_budget(), None);
-        assert_eq!(p.breaker(), None);
-    }
-
-    #[test]
-    fn deadline_and_breaker_knobs_apply() {
-        let p = Policy::builder(2)
-            .query_timeout(SimDuration::from_millis(100))
-            .deadline_budget(SimDuration::from_secs(1))
-            .breaker(BreakerConfig::default())
-            .build();
-        assert_eq!(p.deadline_budget(), Some(SimDuration::from_secs(1)));
-        assert_eq!(p.breaker(), Some(BreakerConfig::default()));
-    }
-
-    #[test]
-    #[should_panic(expected = "cover at least one query timeout")]
-    fn deadline_below_one_timeout_rejected() {
-        let _ = Policy::builder(1)
-            .query_timeout(SimDuration::from_millis(500))
-            .deadline_budget(SimDuration::from_millis(100))
-            .build();
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub mod storage;
 pub mod wheel;
 
 pub use chaos::ChaosRouter;
-pub use live::{
-    install_roster, live_manager_tuning, live_policy, run_live_campaign, soak_policy, LiveReport,
-};
+pub use live::{install_roster, live_manager_tuning, live_policy, run_live_campaign, LiveReport};
 pub use router::{LinkPolicy, Transport};
 pub use runtime::{
     LiveTraceEntry, NodeExit, NodeFactory, NodeResult, Runtime, RuntimeBuilder, RuntimeError,

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wanacl_core::breaker::BreakerConfig;
 use wanacl_core::campaign::{arm_campaign, campaign_scenario, CampaignConfig, InjectedBug};
 use wanacl_core::client::{UserAgent, UserStats};
 use wanacl_core::manager::ManagerConfig;
@@ -38,16 +37,6 @@ pub fn live_policy(check_quorum: usize) -> PolicyBuilder {
         .query_timeout(SimDuration::from_millis(100))
         .max_attempts(2)
         .cache_sweep_interval(SimDuration::from_millis(500))
-}
-
-/// The chaos-hardened variant of [`live_policy`] that soaks run with
-/// their belt on: a deadline budget and a per-peer circuit breaker on
-/// top of the usual quorum policy.
-pub fn soak_policy(check_quorum: usize) -> Policy {
-    live_policy(check_quorum)
-        .deadline_budget(SimDuration::from_secs(1))
-        .breaker(BreakerConfig::default())
-        .build()
 }
 
 /// Manager timers fast enough for second-scale live runs (pass to
@@ -173,9 +162,10 @@ pub fn run_live_campaign(
         RUNS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&wal_dir);
+    std::fs::create_dir_all(&wal_dir)
+        .map_err(|source| RuntimeError::WalDir { path: wal_dir.clone(), source })?;
 
     let mut builder: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(config.seed);
-    builder.inbox_capacity(1024);
     if workers > 0 {
         builder.workers(workers);
     }

@@ -14,9 +14,8 @@ use crate::runtime::{CellPush, NodeCell};
 /// An inbox item delivered through a raw channel mailbox (the
 /// [`Router::register`] path used by router/chaos tests and external
 /// taps). Pool-backed nodes instead receive `(from, msg)` pairs through
-/// their worker's [`crate::runtime::NodeCell`]; lifecycle commands
-/// travel on the runtime's control lane and never appear on either
-/// data path.
+/// their worker's `NodeCell`; lifecycle commands travel on the runtime's
+/// control lane and never appear on either data path.
 #[derive(Debug)]
 pub enum Envelope<M> {
     /// A routed protocol message, moved to its one recipient.
@@ -124,7 +123,7 @@ impl<M> LinkPolicy<M> for LossyPolicy {
 
 /// Routes messages to node inboxes, applying the link policy.
 ///
-/// Inboxes are bounded (see [`crate::RuntimeBuilder::inbox_capacity`]);
+/// Inboxes are bounded (4,096 data messages on the worker pool);
 /// the overflow policy is drop-newest: a message that finds the
 /// destination queue full is discarded and counted (`rt.inbox_overflow`
 /// in the attached metrics sink), exactly like a NIC ring overrun. Only

@@ -47,10 +47,11 @@ use wanacl_sim::world::Observer;
 use crate::router::{Router, Transport};
 use crate::wheel::{TimerEntry, TimerWheel};
 
-/// Default bound on every node's data queue. Large enough that a
-/// healthy node never sees it; small enough that a wedged node sheds
-/// load instead of growing a queue without limit.
-const DEFAULT_INBOX_CAPACITY: usize = 4096;
+/// Bound on every node's data queue. Large enough that a healthy node
+/// never sees it; small enough that a wedged node sheds load instead of
+/// growing a queue without limit. Overflow is drop-newest and counted
+/// as `rt.inbox_overflow`; the control lane is exempt.
+const INBOX_CAPACITY: usize = 4096;
 
 /// Data envelopes one node may consume per wake before yielding the
 /// worker — bounds per-step latency for its siblings.
@@ -103,6 +104,14 @@ pub enum RuntimeError {
         /// The underlying OS error.
         source: std::io::Error,
     },
+    /// A live campaign could not create the directory its managers'
+    /// WALs go in; no node was started.
+    WalDir {
+        /// The directory that could not be created.
+        path: std::path::PathBuf,
+        /// The underlying OS error.
+        source: std::io::Error,
+    },
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -111,6 +120,9 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::WorkerSpawn { worker, source } => {
                 write!(f, "failed to spawn runtime worker {worker}: {source}")
             }
+            RuntimeError::WalDir { path, source } => {
+                write!(f, "cannot create WAL directory {}: {source}", path.display())
+            }
         }
     }
 }
@@ -118,7 +130,9 @@ impl std::fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RuntimeError::WorkerSpawn { source, .. } => Some(source),
+            RuntimeError::WorkerSpawn { source, .. } | RuntimeError::WalDir { source, .. } => {
+                Some(source)
+            }
         }
     }
 }
@@ -339,7 +353,6 @@ pub struct RuntimeBuilder<M> {
     nodes: Vec<NodeSpec<M>>,
     seed: u64,
     metrics: MetricsSink,
-    inbox_capacity: usize,
     workers: Option<usize>,
     trace: Option<TraceBuffer>,
     wrap: Option<TransportWrap<M>>,
@@ -358,7 +371,6 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
             nodes: Vec::new(),
             seed,
             metrics: MetricsSink::new(),
-            inbox_capacity: DEFAULT_INBOX_CAPACITY,
             workers: None,
             trace: None,
             wrap: None,
@@ -372,14 +384,6 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
     /// reading after `start`.
     pub fn metrics(&self) -> &MetricsSink {
         &self.metrics
-    }
-
-    /// Bounds every node's data queue at `capacity` messages (default
-    /// 4096). Overflow is drop-newest and counted as
-    /// `rt.inbox_overflow`; the control lane is exempt.
-    pub fn inbox_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.inbox_capacity = capacity.max(1);
-        self
     }
 
     /// Fixes the worker-pool size (default: the machine's available
@@ -473,7 +477,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
         // Freeze the routing table before any worker runs; node `i`
         // belongs to worker `i % nworkers`.
         let cells: Vec<Arc<NodeCell<M>>> = (0..nnodes)
-            .map(|i| NodeCell::new(i as u32, self.inbox_capacity, wake_txs[i % nworkers].clone()))
+            .map(|i| NodeCell::new(i as u32, INBOX_CAPACITY, wake_txs[i % nworkers].clone()))
             .collect();
         router.freeze_cells(cells.clone());
 
@@ -1495,7 +1499,7 @@ mod tests {
 
         let router: Arc<Router<ProtoMsg>> = Router::new();
         let (wake_tx, wake_rx) = unbounded();
-        let cell = NodeCell::new(0, DEFAULT_INBOX_CAPACITY, wake_tx);
+        let cell = NodeCell::new(0, INBOX_CAPACITY, wake_tx);
         router.freeze_cells(vec![cell.clone()]);
         let (manager_tx, manager_rx) = unbounded();
         let (client_tx, client_rx) = unbounded();

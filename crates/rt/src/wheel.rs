@@ -3,10 +3,10 @@
 //! Each worker owns one wheel shard holding the pending timers of every
 //! logical node assigned to that worker, replacing the per-node
 //! `BinaryHeap` + `recv_timeout` loop of the thread-per-node runtime.
-//! The wheel is a ring of [`SLOTS`] buckets, [`TICK`] wide each
+//! The wheel is a ring of `SLOTS` buckets, `TICK` wide each
 //! (~1 s of total span); timers further out sit in an overflow heap and
 //! migrate into the ring as the cursor advances. An occupancy bitmask
-//! makes [`TimerWheel::next_deadline`] a couple of word scans, so the
+//! makes `TimerWheel::next_deadline` a couple of word scans, so the
 //! worker can park on `recv_deadline` against the exact next due
 //! `Instant` — timers fire by absolute deadline, never by a recomputed
 //! relative wait (the drift bug of the old loop).

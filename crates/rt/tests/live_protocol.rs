@@ -8,8 +8,8 @@ use wanacl_core::prelude::*;
 use wanacl_core::scenario::Layout;
 use wanacl_rt::router::PartitionSwitch;
 use wanacl_rt::{
-    install_roster, live_manager_tuning, live_policy, run_live_campaign, soak_policy, FileStorage,
-    Runtime, RuntimeBuilder,
+    install_roster, live_manager_tuning, live_policy, run_live_campaign, FileStorage, Runtime,
+    RuntimeBuilder,
 };
 use wanacl_sim::nemesis::NemesisPlan;
 use wanacl_sim::node::NodeId;
@@ -397,7 +397,7 @@ fn live_sharded_roster_rebalances_and_survives_manager_zero_kill() {
         shards_per_tenant: 2,
         ns_replicas: 3,
         horizon: SimDuration::from_secs(4),
-        policy: soak_policy(2),
+        policy: live_policy(2).build(),
         ..CampaignConfig::default()
     };
     let plan = NemesisPlan::builder(SimTime::ZERO + config.horizon)

@@ -161,14 +161,9 @@ registry! {
     NS_UNEXPECTED_MSG = "ns.unexpected_msg", Counter, "queries", "`DirectoryReplica` rejected input";
     NS_UNKNOWN_APP = "ns.unknown_app", Counter, "queries", "`DirectoryReplica` negative lookup of an unregistered app, capped negative TTL (§14)";
     RT_BATCH_SIZE = "rt.batch_size", Histogram, "envelopes", "worker pool: data envelopes consumed per node step (§16; rt only)";
-    RT_BREAKER_ALL_OPEN = "rt.breaker_all_open", Counter, "skips", "`HostNode` attempt with every manager's breaker open (§13)";
-    RT_BREAKER_CLOSE = "rt.breaker_close", Counter, "transitions", "`HostNode` per-peer circuit breaker closing (§13)";
-    RT_BREAKER_OPEN = "rt.breaker_open", Counter, "transitions", "`HostNode` per-peer circuit breaker opening (§13)";
-    RT_BREAKER_SKIPPED = "rt.breaker_skipped", Counter, "skips", "`HostNode` peer skipped behind an open breaker (§13)";
     RT_CHAOS_DELAYED = "rt.chaos_delayed", Counter, "messages", "`ChaosRouter` injected delay on the live transport (§13)";
     RT_CHAOS_DROPPED = "rt.chaos_dropped", Counter, "messages", "`ChaosRouter` injected drop on the live transport (§13)";
     RT_CHAOS_DUPLICATED = "rt.chaos_duplicated", Counter, "messages", "`ChaosRouter` injected duplicate on the live transport (§13)";
-    RT_DEADLINE_EXCEEDED = "rt.deadline_exceeded", Counter, "checks", "`HostNode` wall-clock deadline budget expiry (§13)";
     RT_INBOX_OVERFLOW = "rt.inbox_overflow", Counter, "messages", "`Router` / `NodeCell` bounded-inbox drop-newest on the data lane (§13, §16)";
     RT_NODE_KILLED = "rt.node_killed", Counter, "events", "`Runtime::kill` process death (§13)";
     RT_NODE_RESTARTED = "rt.node_restarted", Counter, "events", "`Runtime::restart` process restart (§13)";

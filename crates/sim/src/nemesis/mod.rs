@@ -13,7 +13,7 @@
 //! * plans either come from the builder (scripted scenarios) or from
 //!   [`NemesisPlan::sample`], which draws a weighted random campaign
 //!   from a [`SimRng`] — the same seed always yields the same plan;
-//! * network faults layer *on top of* any base [`NetModel`] via
+//! * network faults layer *on top of* any base [`crate::net::NetModel`] via
 //!   [`NemesisNet`], and lifecycle faults install into a
 //!   [`crate::world::World`] as ordinary crash/recover events, so the
 //!   protocol under test cannot tell a nemesis run from a hostile WAN.

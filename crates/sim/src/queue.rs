@@ -7,7 +7,7 @@
 //! (tens of thousands of hosts, millions of in-flight events) the heap's
 //! pointer-chasing comparisons become the profile's hottest frames.
 //!
-//! [`EventQueue`] replaces it with a **bucketed calendar queue**: near-future
+//! `EventQueue` replaces it with a **bucketed calendar queue**: near-future
 //! events are spread across fixed-width time buckets (each a small heap),
 //! far-future events overflow into a fallback heap and are redistributed
 //! when the scanning window catches up. Pops scan a bitmask of occupied

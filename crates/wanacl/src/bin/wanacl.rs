@@ -29,7 +29,7 @@ use wanacl::core::campaign::{
     rollup_metrics, run_campaigns_parallel, sample_plan, shrink_plan, CampaignConfig, InjectedBug,
 };
 use wanacl::prelude::*;
-use wanacl::rt::{run_live_campaign, soak_policy, LiveReport};
+use wanacl::rt::{live_policy, run_live_campaign, LiveReport};
 use wanacl::sim::obs::{metrics_jsonl, prometheus_text};
 
 fn main() {
@@ -625,7 +625,7 @@ fn chaos(mut flags: Flags) {
     if drop_wal && control {
         usage_error("--inject-bug drop-wal contradicts --control true");
     }
-    config.policy = soak_policy(c);
+    config.policy = live_policy(c).build();
 
     // Plan parity with the simulator: same CampaignConfig, same seed
     // derivation, same sampler — `wanacl nemesis --seed S` and `wanacl
@@ -676,14 +676,9 @@ fn chaos(mut flags: Flags) {
         users.sent, users.allowed, users.denied, users.unavailable, users.timeouts
     );
     let counter = |name: &str| report.metrics.counter(name);
-    println!(
-        "hardening: breaker open={} close={} skipped={} all-open={} deadline-exceeded={}",
-        counter("rt.breaker_open"),
-        counter("rt.breaker_close"),
-        counter("rt.breaker_skipped"),
-        counter("rt.breaker_all_open"),
-        counter("rt.deadline_exceeded"),
-    );
+    let checks: Vec<String> =
+        check_fields(&report.metrics).iter().map(|(key, value)| format!("{key}={value}")).collect();
+    println!("checks: {}", checks.join(" "));
     if !control {
         println!(
             "chaos transport: dropped={} duplicated={} delayed={} inbox overflow={}",
@@ -709,9 +704,30 @@ fn chaos(mut flags: Flags) {
     println!("chaos soak clean: no invariant violations, no node failures");
 }
 
+/// How the soak's cold checks went, from metrics the hosts already
+/// record: `host.check_latency_s` (count, then p50 / p99 / max in
+/// milliseconds), how many resolved by quorum and how many gave up
+/// `Unavailable`, and the queries and retries that took.
+fn check_fields(metrics: &Metrics) -> Vec<(&'static str, String)> {
+    let latency = metrics.histogram("host.check_latency_s").and_then(|h| h.summary());
+    let ms = |seconds: Option<f64>| format!("{:.3}", seconds.unwrap_or(0.0) * 1e3);
+    let samples = |name: &str| metrics.histogram(name).map_or(0, |h| h.count()).to_string();
+    vec![
+        ("count", latency.map_or(0, |s| s.count).to_string()),
+        ("p50_ms", ms(latency.map(|s| s.p50))),
+        ("p99_ms", ms(latency.map(|s| s.p99))),
+        ("max_ms", ms(latency.map(|s| s.max))),
+        ("quorum", samples("host.latency.quorum_s")),
+        ("unavailable", samples("host.latency.unavailable_s")),
+        ("queries_sent", metrics.counter("host.queries_sent").to_string()),
+        ("attempt_retry", metrics.counter("host.attempt_retry").to_string()),
+    ]
+}
+
 /// The JSONL soak report: one meta line, one line per injected fault
 /// and lifecycle step (`plan` is `None` on control runs), the oracle
-/// roll-up, every violation and node failure, and the outcome verdict.
+/// roll-up, every violation and node failure, the check-path summary
+/// and the outcome verdict.
 fn soak_report_jsonl(
     config: &CampaignConfig,
     check_quorum: usize,
@@ -759,6 +775,11 @@ fn soak_report_jsonl(
     for failure in &report.failures {
         out.push_str(&json_line("panic", "detail", failure));
     }
+    let checks: Vec<String> = check_fields(&report.metrics)
+        .iter()
+        .map(|(key, value)| format!("\"{key}\":{value}"))
+        .collect();
+    out.push_str(&format!("{{\"kind\":\"checks\",{}}}\n", checks.join(",")));
     let users = report.user_stats;
     out.push_str(&format!(
         "{{\"kind\":\"outcome\",\"clean\":{},\"sent\":{},\"allowed\":{},\"denied\":{},\

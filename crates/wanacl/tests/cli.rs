@@ -91,6 +91,25 @@ fn unknown_flags_exit_2_naming_the_flag() {
     }
 }
 
+/// The soak's WAL root comes from the environment (`TMPDIR`); one that
+/// cannot be created is reported like any other start-up failure, not
+/// a panic from inside a manager factory.
+#[test]
+fn chaos_exits_2_naming_a_wal_directory_it_cannot_create() {
+    let out = Command::new(env!("CARGO_BIN_EXE_wanacl"))
+        .args(["chaos", "--seed", "1", "--seconds", "2"])
+        .env("TMPDIR", "/proc/nonexistent")
+        .output()
+        .expect("spawn wanacl");
+    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+    assert!(
+        stderr(&out).contains("/proc/nonexistent/wanacl-live-")
+            && !stderr(&out).contains("panicked"),
+        "{}",
+        stderr(&out)
+    );
+}
+
 #[test]
 fn well_formed_invocations_still_run() {
     let out = wanacl(&["nemesis", "--seed", "1", "--horizon-secs", "3"]);

@@ -12,19 +12,13 @@ use wanacl::sim::metrics::{Kind, MetricId, Metrics, REGISTRY};
 use wanacl::sim::time::SimDuration;
 
 /// Rows only the live executor records: the worker pool, its router,
-/// `FileStorage`, `ChaosRouter`, and the two host options only
-/// `rt::live::soak_policy` sets (circuit breaker, deadline budget).
-/// `crates/rt`'s own tests and `wanacl chaos` exercise them.
+/// `FileStorage` and `ChaosRouter`. `crates/rt`'s own tests and
+/// `wanacl chaos` exercise them.
 const LIVE_ONLY: &[&str] = &[
     "rt.batch_size",
-    "rt.breaker_all_open",
-    "rt.breaker_close",
-    "rt.breaker_open",
-    "rt.breaker_skipped",
     "rt.chaos_delayed",
     "rt.chaos_dropped",
     "rt.chaos_duplicated",
-    "rt.deadline_exceeded",
     "rt.inbox_overflow",
     "rt.node_killed",
     "rt.node_restarted",
