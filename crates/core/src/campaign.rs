@@ -109,9 +109,9 @@ pub struct CampaignConfig {
     /// correlated crash-restarts of manager groups up to the whole
     /// cluster ([`wanacl_sim::nemesis::Fault::ClusterRestart`]).
     pub disk_faults: bool,
-    /// Number of tenants (0 = the flat single-app deployment). When
-    /// positive the deployment switches to the sharded multi-tenant
-    /// plane: each tenant is its own application, its user keyspace
+    /// Number of tenants (0 = one app whose whole keyspace is one shard
+    /// over all `managers`). When positive each tenant is its own
+    /// application, its user keyspace
     /// splits into [`CampaignConfig::shards_per_tenant`] bucket-range
     /// shards, every shard is served by its own two-manager set, and
     /// `managers` is ignored (the layout is `2 × tenants ×
@@ -399,7 +399,7 @@ pub fn campaign_scenario(config: &CampaignConfig) -> Scenario {
 pub struct CampaignArming {
     /// Environment messages to deliver at campaign times, in the order
     /// to schedule them: the signed `ShardHandoff` kickoffs of every
-    /// rebalance, or a flat directory's mid-horizon republish.
+    /// rebalance, or a one-shard deployment's mid-horizon republish.
     pub injections: Vec<(SimTime, NodeId, ProtoMsg)>,
     /// The oracle, armed with the directory shape and every shard-map
     /// version the run can legitimately route by.
@@ -410,9 +410,10 @@ pub struct CampaignArming {
 /// pins the hosts a stale-shard-map fault names, turns the plan's
 /// rebalances into kickoffs (ring-next targets, skipping moves an
 /// earlier move made non-disjoint) while advancing `roster.layout`'s
-/// shard maps, publishes a fresher flat directory record to ONE replica
-/// mid-horizon (anti-entropy must spread it — the path stale-replica
-/// and split-brain faults attack), and builds the oracle. `slack` is
+/// shard maps, republishes a tenantless deployment's one-entry map to ONE
+/// replica mid-horizon (anti-entropy must spread it — the path
+/// stale-replica and split-brain faults attack), and builds the oracle,
+/// every deployment's shard maps registered with it. `slack` is
 /// the oracle's timing tolerance: zero under the simulator, wall-clock
 /// jitter on live threads.
 pub fn arm_campaign(
@@ -426,13 +427,10 @@ pub fn arm_campaign(
         oracle.set_directory(config.ns_replicas, effective_read_quorum(config), CAMPAIGN_NS_TTL);
     }
     let mut injections = Vec::new();
-    if config.tenants == 0 {
-        if config.ns_replicas > 0 {
-            let at = SimTime::ZERO + config.horizon.mul_f64(0.4);
-            let (replica, msg) = roster.layout.republish(0, 2, roster.layout.managers.clone());
-            injections.push((at, replica, msg));
-        }
-        return CampaignArming { injections, oracle };
+    if config.tenants == 0 && config.ns_replicas > 0 {
+        let at = SimTime::ZERO + config.horizon.mul_f64(0.4);
+        let (replica, msg) = roster.layout.republish(0, 2, roster.layout.managers.clone());
+        injections.push((at, replica, msg));
     }
 
     // Every shard-map version the run publishes is one the oracle's
@@ -440,7 +438,7 @@ pub fn arm_campaign(
     for (app, (version, entries)) in &roster.layout.shard_maps {
         oracle.expect_shard_map(*app, *version, entries);
     }
-    let total_shards = (config.tenants * config.shards_per_tenant) as u32;
+    let total_shards: u32 = roster.layout.shard_maps.values().map(|(_, es)| es.len() as u32).sum();
     let mut moves: Vec<(u32, SimTime)> = plan.shard_rebalances();
     if let Some(InjectedBug::LostHandoff { manager_index }) = config.inject_bug {
         // Force one rebalance whose targets include the bugged

@@ -267,7 +267,7 @@ fn reject_reason_byte(reason: crate::msg::RejectReason) -> u8 {
         NotAuthorized => 0,
         BadSignature => 1,
         Recovering => 2,
-        UnknownApp => 3,
+        // 3 was `UnknownApp`, retired: an unserved app is an unknown shard.
         UnknownShard => 4,
         ShardMoved => 5,
     }
@@ -305,8 +305,7 @@ mod tests {
             None => Some(NotAuthorized),
             Some(NotAuthorized) => Some(BadSignature),
             Some(BadSignature) => Some(Recovering),
-            Some(Recovering) => Some(UnknownApp),
-            Some(UnknownApp) => Some(UnknownShard),
+            Some(Recovering) => Some(UnknownShard),
             Some(UnknownShard) => Some(ShardMoved),
             Some(ShardMoved) => None,
         }

@@ -316,10 +316,10 @@ pub struct AdminAgentConfig {
     pub issuer: UserId,
     /// Secret key for signing operations (`None` sends unsigned).
     pub secret: Option<SecretKey>,
-    /// The manager node the agent talks to.
+    /// Where an operation no route covers goes.
     pub manager: NodeId,
-    /// Sharded deployments: route each operation to the manager owning
-    /// the subject's bucket. Empty = always talk to `manager`.
+    /// Each operation goes to the manager of the route covering its
+    /// `(app, subject bucket)`.
     pub routes: Vec<AdminRoute>,
     /// Scripted operations.
     pub script: Vec<AdminAction>,
@@ -432,8 +432,8 @@ impl AdminAgent {
         idx
     }
 
-    /// Target manager for an operation: the covering route row in a
-    /// sharded deployment, the fixed manager otherwise.
+    /// Target manager for an operation: the covering route row's, or
+    /// the fallback when no row covers it.
     fn route(&self, op: &AclOp) -> NodeId {
         let bucket = user_bucket(op.user());
         self.config

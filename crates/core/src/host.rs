@@ -31,8 +31,8 @@ use crate::audit::{AllowPath, AuditEvent};
 use crate::cache::{AclCache, CacheDecision};
 use crate::channel::ChannelEnd;
 use crate::msg::{
-    invoke_signing_bytes, ns_record_signing_bytes_sharded, InvokeOutcome, ProtoMsg, QueryVerdict,
-    ReqId, ShardEntry,
+    invoke_signing_bytes, managers_of, InvokeOutcome, NsRecord, ProtoMsg, QueryVerdict, ReqId,
+    ShardEntry,
 };
 use crate::policy::{ExhaustionBehavior, Policy, QueryFanout};
 use crate::types::{user_bucket, AppId, UserId};
@@ -70,10 +70,9 @@ fn jittered_refresh(ttl: SimDuration, rng: &mut SimRng) -> SimDuration {
 /// Where a host learns the manager set for an application (§3.2).
 #[derive(Debug, Clone)]
 pub enum ManagerDirectory {
-    /// A fixed set, "known to all the hosts in Hosts(A)".
-    ///
-    /// Shared (`Arc<[NodeId]>`) so a 10k-host deployment holds one
-    /// manager list, not 10k copies of it.
+    /// A fixed set, "known to all the hosts in Hosts(A)": the host
+    /// installs it as the app's one [`ShardEntry::whole_keyspace`]
+    /// entry.
     Static(Arc<[NodeId]>),
     /// The §3.2 name service, queried with TTL-based refresh: a
     /// replicated directory read with a quorum. The host fans an
@@ -155,30 +154,29 @@ struct PendingInvoke {
     background: bool,
 }
 
-/// One verified directory reply: `(version, managers, shards, ttl)`.
-type VerifiedReply = (u64, Vec<NodeId>, Option<Vec<ShardEntry>>, SimDuration);
+/// One verified directory reply: `(version, shards, ttl)`, version 0
+/// and no shards for a negative answer.
+type VerifiedReply = (u64, Vec<ShardEntry>, SimDuration);
 
 struct AppState {
     policy: Policy,
     directory: ManagerDirectory,
-    managers: Vec<NodeId>,
     cache: AclCache,
     application: Box<dyn Application>,
     ns_timer: Option<TimerId>,
     /// Consecutive unanswered name-service queries; indexes the
     /// [`Policy::ns_retry_backoff`] schedule and resets on a reply.
     ns_round: u32,
-    /// The installed shard map, when the directory record carries one:
-    /// checks for a user route to the covering entry's manager set
-    /// instead of the flat view.
-    shards: Option<Vec<ShardEntry>>,
+    /// The shard map checks route on: a user's check goes to the
+    /// covering entry's managers. Empty — no record, or its TTL lapsed —
+    /// fails every check closed.
+    shards: Vec<ShardEntry>,
     /// Fault injection: the *stale shard map* fault. While set, fresher
     /// directory records are not installed — the host keeps routing on
     /// whatever map it already holds.
     ns_pinned: bool,
-    /// Verified replies collected during the current quorum read:
-    /// replica → (version, managers, shards, ttl). Only meaningful for
-    /// [`ManagerDirectory::Replicated`].
+    /// Verified replies collected during the current quorum read. Only
+    /// meaningful for [`ManagerDirectory::Replicated`].
     ns_replies: BTreeMap<NodeId, VerifiedReply>,
     /// When the current quorum read started (for the latency histogram).
     ns_round_started: LocalTime,
@@ -195,7 +193,7 @@ struct AppState {
 impl std::fmt::Debug for AppState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppState")
-            .field("managers", &self.managers)
+            .field("shards", &self.shards)
             .field("cached", &self.cache.len())
             .finish_non_exhaustive()
     }
@@ -235,8 +233,8 @@ impl HostNode {
     pub fn new(apps: Vec<AppHost>, registry: Option<Arc<KeyRegistry>>) -> Self {
         let mut map = BTreeMap::new();
         for spec in apps {
-            let managers = match &spec.directory {
-                ManagerDirectory::Static(m) => m.to_vec(),
+            let shards = match &spec.directory {
+                ManagerDirectory::Static(m) => vec![ShardEntry::whole_keyspace(spec.app, m.to_vec())],
                 ManagerDirectory::Replicated { replicas, read_quorum } => {
                     assert!(
                         *read_quorum >= 1 && *read_quorum <= replicas.len(),
@@ -250,12 +248,11 @@ impl HostNode {
                 AppState {
                     policy: spec.policy,
                     directory: spec.directory,
-                    managers,
                     cache: AclCache::new(),
                     application: spec.application,
                     ns_timer: None,
                     ns_round: 0,
-                    shards: None,
+                    shards,
                     ns_pinned: false,
                     ns_replies: BTreeMap::new(),
                     ns_round_started: LocalTime::ZERO,
@@ -318,10 +315,10 @@ impl HostNode {
         self.stats
     }
 
-    /// The current manager view for an application (empty when a
-    /// name-service lookup has not answered yet).
-    pub fn manager_view(&self, app: AppId) -> &[NodeId] {
-        self.apps.get(&app).map(|a| a.managers.as_slice()).unwrap_or(&[])
+    /// Every manager the installed shard map names, in first-appearance
+    /// order (empty while no directory record is live).
+    pub fn manager_view(&self, app: AppId) -> Vec<NodeId> {
+        managers_of(self.shard_map(app))
     }
 
     /// Live cache-entry count for an application.
@@ -352,17 +349,17 @@ impl HostNode {
 
     /// Fault injection: the *stale shard map* fault. The host stops
     /// installing fresher directory records for `app` and keeps routing
-    /// checks on whatever map (and manager view) it currently holds,
-    /// until the record's TTL lapses and the view fails closed.
+    /// checks on whatever map it currently holds, until the record's
+    /// TTL lapses and the view fails closed.
     pub fn set_pin_ns_version(&mut self, app: AppId) {
         if let Some(state) = self.apps.get_mut(&app) {
             state.ns_pinned = true;
         }
     }
 
-    /// The installed shard map for an application, if any.
-    pub fn shard_map(&self, app: AppId) -> Option<&[ShardEntry]> {
-        self.apps.get(&app).and_then(|a| a.shards.as_deref())
+    /// The shard map checks for an application route on.
+    pub fn shard_map(&self, app: AppId) -> &[ShardEntry] {
+        self.apps.get(&app).map_or(&[], |a| a.shards.as_slice())
     }
 
     /// Access to a wrapped application for inspection, or `None` when
@@ -428,17 +425,13 @@ impl HostNode {
     /// One replica answered a quorum read. Verifies the record
     /// signature, collects the reply, and — once `read_quorum` verified
     /// answers are in — installs the freshest version among them.
-    #[allow(clippy::too_many_arguments)]
     fn on_ns_record_reply(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
         from: NodeId,
         app: AppId,
-        version: u64,
-        managers: Vec<NodeId>,
-        shards: Option<Vec<ShardEntry>>,
         ttl: SimDuration,
-        signature: Option<rsa::Signature>,
+        record: Option<Box<NsRecord>>,
     ) {
         let Some(state) = self.apps.get_mut(&app) else { return };
         let ManagerDirectory::Replicated { replicas, read_quorum } = &state.directory else {
@@ -457,34 +450,33 @@ impl HostNode {
             ctx.metric_incr(M::HOST_LATE_REPLY);
             return;
         }
-        // Negative answers (version 0) are unsigned by construction;
-        // positive records must verify against the trust anchor.
-        if version > 0 && !self.ns_trust_unsigned {
-            let verified = match (&self.ns_trust, &signature) {
-                (Some((registry, writer)), Some(sig)) => {
-                    let bytes = ns_record_signing_bytes_sharded(
-                        app,
-                        version,
-                        &managers,
-                        shards.as_deref(),
-                    );
-                    wanacl_auth::signed::verify_bytes(registry, *writer, &bytes, sig)
+        // Negative answers carry no record; a record must verify against
+        // the trust anchor, and describe the app asked about.
+        let reply = match record {
+            None => (0, Vec::new(), ttl),
+            Some(record) => {
+                let verified = self.ns_trust_unsigned
+                    || match &self.ns_trust {
+                        Some((registry, writer)) => {
+                            record.app == app && record.verify(registry, *writer)
+                        }
+                        // No trust anchor configured: accept, but leave a
+                        // trace that this deployment runs without record
+                        // integrity.
+                        None => {
+                            ctx.metric_incr(M::HOST_NS_UNVERIFIED);
+                            true
+                        }
+                    };
+                if !verified {
+                    ctx.metric_incr(M::HOST_NS_REJECT_BAD_SIG);
+                    return;
                 }
-                (Some(_), None) => false,
-                // No trust anchor configured: accept, but leave a trace
-                // that this deployment runs without record integrity.
-                (None, _) => {
-                    ctx.metric_incr(M::HOST_NS_UNVERIFIED);
-                    true
-                }
-            };
-            if !verified {
-                ctx.metric_incr(M::HOST_NS_REJECT_BAD_SIG);
-                return;
+                (record.version, record.shards, ttl)
             }
-        }
+        };
         let state = self.apps.get_mut(&app).expect("checked above");
-        state.ns_replies.insert(from, (version, managers, shards, ttl));
+        state.ns_replies.insert(from, reply);
         if state.ns_replies.len() >= quorum {
             self.install_ns_record(ctx, app, quorum);
         }
@@ -499,13 +491,12 @@ impl HostNode {
         let Some(best) = state
             .ns_replies
             .iter()
-            .max_by_key(|(_, (v, _, _, _))| *v)
+            .max_by_key(|(_, (v, _, _))| *v)
             .map(|(&from, _)| from)
         else {
             return;
         };
-        let (version, managers, shards, ttl) =
-            state.ns_replies.remove(&best).expect("chosen above");
+        let (version, shards, ttl) = state.ns_replies.remove(&best).expect("chosen above");
         state.ns_replies.clear();
         state.ns_inflight = false;
         state.ns_round = 0;
@@ -527,7 +518,6 @@ impl HostNode {
             // depend on hosts refreshing promptly.
             ctx.metric_incr(M::HOST_NS_PINNED);
         } else {
-            state.managers = managers;
             state.shards = shards;
             state.record_version = version;
             state.record_expires = Some(ctx.local_now().plus(ttl));
@@ -541,7 +531,7 @@ impl HostNode {
                 version,
                 acks,
                 quorum,
-                managers: state.managers.iter().copied().collect(),
+                managers: managers_of(&state.shards).into_iter().collect(),
                 ttl,
             });
         }
@@ -577,7 +567,7 @@ impl HostNode {
     }
 
     /// The installed record's TTL ran out without a successful refresh:
-    /// the view reverts to empty (fail-closed through the
+    /// the shard map reverts to empty (fail-closed through the
     /// empty-manager-view path) until a quorum read lands again.
     fn on_ns_expiry_timer(&mut self, ctx: &mut Context<'_, ProtoMsg>, app: AppId) {
         let Some(state) = self.apps.get_mut(&app) else { return };
@@ -589,7 +579,7 @@ impl HostNode {
         ctx.metric_incr(M::NS_RECORD_EXPIRED);
         ctx.trace_record(|| AuditEvent::NsExpire { app, version: state.record_version });
         state.record_expires = None;
-        state.managers.clear();
+        state.shards.clear();
     }
 
     /// Starts (or restarts) one check attempt for a pending invoke.
@@ -609,24 +599,19 @@ impl HostNode {
         p.attempt_started = ctx.local_now();
         self.query_index.insert(query_req, pending_id);
 
-        // Shard routing: with a shard map installed, only the covering
-        // entry's managers are candidates — the check fans out (and its
-        // quorum forms) over that set alone, so per-check traffic stays
-        // independent of how many shards or tenants exist elsewhere.
-        let view = match state.shards.as_deref() {
-            Some(entries) => {
-                let bucket = user_bucket(p.user);
-                match entries.iter().find(|e| e.covers(bucket)) {
-                    Some(entry) => {
-                        ctx.metric_incr(entry.shard.metric(&SHARD_CHECK_METRICS));
-                        entry.managers.clone()
-                    }
-                    // A map that does not cover the user fails closed
-                    // through the empty-view path below.
-                    None => Vec::new(),
-                }
+        // Shard routing: only the covering entry's managers are
+        // candidates — the check fans out (and its quorum forms) over
+        // that set alone, so per-check traffic stays independent of how
+        // many shards or tenants exist elsewhere.
+        let bucket = user_bucket(p.user);
+        let view = match state.shards.iter().find(|e| e.covers(bucket)) {
+            Some(entry) => {
+                ctx.metric_incr(entry.shard.metric(&SHARD_CHECK_METRICS));
+                entry.managers.clone()
             }
-            None => state.managers.clone(),
+            // No live record, or one that does not cover the user: fail
+            // closed through the empty-view path below.
+            None => Vec::new(),
         };
         // Choose which managers to ask this attempt.
         let targets: Vec<NodeId> = match state.policy.fanout() {
@@ -1001,8 +986,7 @@ impl HostNode {
         // Only nodes in the current manager view may vote: a reply from
         // anywhere else (a compromised host guessing request ids, per
         // the §2.1 failure model) must not count toward the quorum.
-        let from_manager =
-            self.apps.get(&app).map(|s| s.managers.contains(&from)).unwrap_or(false);
+        let from_manager = self.shard_map(app).iter().any(|e| e.managers.contains(&from));
         if !from_manager {
             ctx.metric_incr(M::HOST_REPLY_FROM_NON_MANAGER);
             return;
@@ -1128,8 +1112,8 @@ impl Node for HostNode {
                     }
                 }
             }
-            ProtoMsg::NsRecordReply { app, version, managers, shards, ttl, signature } => {
-                self.on_ns_record_reply(ctx, from, app, version, managers, shards.map(|b| *b), ttl, signature);
+            ProtoMsg::NsRecordReply { app, ttl, record } => {
+                self.on_ns_record_reply(ctx, from, app, ttl, record);
             }
             _ => {
                 ctx.metric_incr(M::HOST_UNEXPECTED_MSG);
@@ -1173,7 +1157,7 @@ impl Node for HostNode {
             state.record_expires = None;
             state.ns_expiry_timer = None;
             if matches!(state.directory, ManagerDirectory::Replicated { .. }) {
-                state.managers.clear();
+                state.shards.clear();
             }
         }
         self.pending.clear();
@@ -1612,7 +1596,7 @@ mod tests {
         let mut h = Harness::new(9);
         start_host(&mut h, &mut host);
         let record = |version, managers| {
-            record_reply(&NsRecord::signed(AppId(0), version, managers, writer, &kp.secret))
+            record_reply(&whole(version, managers, &kp, writer))
         };
         h.deliver(&mut host, 0, record(1, vec![NodeId::from_index(4)]));
         assert_eq!(host.manager_view(AppId(0)).len(), 1);
@@ -1708,7 +1692,7 @@ mod tests {
 
     // ---- replicated-directory quorum reads ----
 
-    use crate::msg::NsRecord;
+    use crate::types::ShardId;
     use rand::SeedableRng;
     use wanacl_auth::rsa::KeyPair;
 
@@ -1733,15 +1717,14 @@ mod tests {
         (host, kp, writer)
     }
 
+    /// App 0's one-entry record: `managers` serve the whole keyspace.
+    fn whole(version: u64, managers: Vec<NodeId>, kp: &KeyPair, writer: PrincipalId) -> NsRecord {
+        let shards = vec![ShardEntry::whole_keyspace(AppId(0), managers)];
+        NsRecord::signed(AppId(0), version, shards, writer, &kp.secret)
+    }
+
     fn record_reply(record: &NsRecord) -> ProtoMsg {
-        ProtoMsg::NsRecordReply {
-            app: record.app,
-            version: record.version,
-            managers: record.managers.clone(),
-            shards: None,
-            ttl: TTL,
-            signature: Some(record.signature),
-        }
+        ProtoMsg::NsRecordReply { app: record.app, ttl: TTL, record: Some(Box::new(record.clone())) }
     }
 
     fn start_host(h: &mut Harness, host: &mut HostNode) -> Vec<Effect<ProtoMsg>> {
@@ -1786,14 +1769,8 @@ mod tests {
             .map(|(to, _)| to)
             .collect();
         assert_eq!(queried.len(), 3);
-        let v1 = NsRecord::signed(AppId(0), 1, vec![NodeId::from_index(4)], writer, &kp.secret);
-        let v2 = NsRecord::signed(
-            AppId(0),
-            2,
-            vec![NodeId::from_index(4), NodeId::from_index(5)],
-            writer,
-            &kp.secret,
-        );
+        let v1 = whole(1, vec![NodeId::from_index(4)], &kp, writer);
+        let v2 = whole(2, vec![NodeId::from_index(4), NodeId::from_index(5)], &kp, writer);
         // One verified reply is below quorum: nothing installs.
         let e1 = h.at(1_000).deliver(&mut host, 0, record_reply(&v1));
         assert!(host.manager_view(AppId(0)).is_empty());
@@ -1826,28 +1803,15 @@ mod tests {
         let (mut host, kp, writer) = replicated_host(2);
         let mut h = Harness::new(9);
         start_host(&mut h, &mut host);
-        let genuine = NsRecord::signed(AppId(0), 1, vec![NodeId::from_index(4)], writer, &kp.secret);
+        let genuine = whole(1, vec![NodeId::from_index(4)], &kp, writer);
         // A malicious replica bumps the version but cannot re-sign.
-        let forged = ProtoMsg::NsRecordReply {
-            app: AppId(0),
-            version: 2,
-            managers: vec![NodeId::from_index(6)],
-            shards: None,
-            ttl: TTL,
-            signature: Some(genuine.signature),
-        };
-        let e1 = h.deliver(&mut host, 0, forged);
+        let forged = NsRecord { version: 2, ..whole(1, vec![NodeId::from_index(6)], &kp, writer) };
+        let e1 = h.deliver(&mut host, 0, record_reply(&forged));
         assert!(metric_incrs(&e1).contains(&"host.ns_reject_bad_sig"));
-        // An unsigned positive record is equally worthless.
-        let unsigned = ProtoMsg::NsRecordReply {
-            app: AppId(0),
-            version: 2,
-            managers: vec![NodeId::from_index(6)],
-            shards: None,
-            ttl: TTL,
-            signature: None,
-        };
-        let e2 = h.deliver(&mut host, 1, unsigned);
+        // A genuine record of another app is equally worthless.
+        let other = NsRecord::signed(AppId(1), 2, forged.shards.clone(), writer, &kp.secret);
+        let misfiled = ProtoMsg::NsRecordReply { app: AppId(0), ttl: TTL, record: Some(Box::new(other)) };
+        let e2 = h.deliver(&mut host, 1, misfiled);
         assert!(metric_incrs(&e2).contains(&"host.ns_reject_bad_sig"));
         assert!(host.manager_view(AppId(0)).is_empty());
         // Two genuine replies still reach the quorum afterwards.
@@ -1868,15 +1832,13 @@ mod tests {
         host.inject_ns_trust_unsigned();
         let mut h = Harness::new(9);
         start_host(&mut h, &mut host);
-        let genuine = NsRecord::signed(AppId(0), 1, vec![NodeId::from_index(4)], writer, &kp.secret);
-        let forged = ProtoMsg::NsRecordReply {
-            app: AppId(0),
+        let genuine = whole(1, vec![NodeId::from_index(4)], &kp, writer);
+        let forged = NsRecord {
             version: 7,
-            managers: vec![NodeId::from_index(6)],
-            shards: None,
-            ttl: TTL,
-            signature: Some(genuine.signature),
+            signature: genuine.signature,
+            ..whole(1, vec![NodeId::from_index(6)], &kp, writer)
         };
+        let forged = record_reply(&forged);
         h.deliver(&mut host, 0, record_reply(&genuine));
         h.deliver(&mut host, 1, forged);
         assert_eq!(host.directory_version(AppId(0)), 7);
@@ -1888,7 +1850,7 @@ mod tests {
         let (mut host, kp, writer) = replicated_host(2);
         let mut h = Harness::new(9);
         start_host(&mut h, &mut host);
-        let v1 = NsRecord::signed(AppId(0), 1, vec![NodeId::from_index(4)], writer, &kp.secret);
+        let v1 = whole(1, vec![NodeId::from_index(4)], &kp, writer);
         h.deliver(&mut host, 0, record_reply(&v1));
         h.deliver(&mut host, 1, record_reply(&v1));
         assert_eq!(host.directory_version(AppId(0)), 1);
@@ -1921,8 +1883,8 @@ mod tests {
         let (mut host, kp, writer) = replicated_host(2);
         let mut h = Harness::new(9);
         start_host(&mut h, &mut host);
-        let v1 = NsRecord::signed(AppId(0), 1, vec![NodeId::from_index(4)], writer, &kp.secret);
-        let v2 = NsRecord::signed(AppId(0), 2, vec![NodeId::from_index(5)], writer, &kp.secret);
+        let v1 = whole(1, vec![NodeId::from_index(4)], &kp, writer);
+        let v2 = whole(2, vec![NodeId::from_index(5)], &kp, writer);
         h.deliver(&mut host, 0, record_reply(&v2));
         h.deliver(&mut host, 1, record_reply(&v2));
         assert_eq!(host.directory_version(AppId(0)), 2);
@@ -1940,14 +1902,8 @@ mod tests {
         let (mut host, _kp, _writer) = replicated_host(2);
         let mut h = Harness::new(9);
         start_host(&mut h, &mut host);
-        let negative = ProtoMsg::NsRecordReply {
-            app: AppId(0),
-            version: 0,
-            managers: Vec::new(),
-            shards: None,
-            ttl: SimDuration::from_secs(15),
-            signature: None,
-        };
+        let negative =
+            ProtoMsg::NsRecordReply { app: AppId(0), ttl: SimDuration::from_secs(15), record: None };
         h.deliver(&mut host, 0, negative.clone());
         let e = h.deliver(&mut host, 1, negative);
         assert!(metric_incrs(&e).contains(&"ns.installs"));
@@ -1960,7 +1916,7 @@ mod tests {
         let (mut host, kp, writer) = replicated_host(2);
         let mut h = Harness::new(9);
         start_host(&mut h, &mut host);
-        let v1 = NsRecord::signed(AppId(0), 1, vec![NodeId::from_index(4)], writer, &kp.secret);
+        let v1 = whole(1, vec![NodeId::from_index(4)], &kp, writer);
         h.deliver(&mut host, 0, record_reply(&v1));
         h.deliver(&mut host, 1, record_reply(&v1));
         assert_eq!(host.directory_version(AppId(0)), 1);
@@ -1976,6 +1932,51 @@ mod tests {
             effects
         };
         assert!(sends(&effects).iter().any(|(_, m)| matches!(m, ProtoMsg::NsQuery { .. })));
+    }
+
+    /// A host routes checks only on a live record: once the record's TTL
+    /// lapses, or the host crashes, a check queries nobody and fails
+    /// closed — whether the record was one whole-keyspace entry or a
+    /// two-shard map (user 1 hashes to bucket 18, shard 0's).
+    #[test]
+    fn a_host_without_a_live_record_fails_closed_flat_or_sharded() {
+        let n = NodeId::from_index;
+        let entry = |shard, lo, hi, managers| ShardEntry { shard: ShardId(shard), lo, hi, managers };
+        let shapes = [
+            ("flat", vec![ShardEntry::whole_keyspace(AppId(0), vec![n(4), n(5)])]),
+            ("sharded", vec![entry(0, 0, 127, vec![n(4), n(5)]), entry(1, 128, 255, vec![n(6), n(7)])]),
+        ];
+        let queried = |effects: &[Effect<ProtoMsg>]| -> Vec<NodeId> {
+            sends(effects)
+                .into_iter()
+                .filter(|(_, m)| matches!(m, ProtoMsg::Query { .. }))
+                .map(|(to, _)| to)
+                .collect()
+        };
+        for (shape, shards) in shapes {
+            for lapse in ["ttl", "crash"] {
+                let (mut host, kp, writer) = replicated_host(2);
+                let mut h = Harness::new(9);
+                start_host(&mut h, &mut host);
+                let record = NsRecord::signed(AppId(0), 1, shards.clone(), writer, &kp.secret);
+                h.deliver(&mut host, 0, record_reply(&record));
+                h.deliver(&mut host, 1, record_reply(&record));
+                assert_eq!(queried(&h.deliver(&mut host, 7, invoke(1))), [n(4), n(5)], "{shape}");
+                if lapse == "ttl" {
+                    h.at(TTL.as_nanos() + 1).fire(&mut host, TAG_NSEXP);
+                } else {
+                    host.on_crash();
+                }
+                let effects = h.deliver(&mut host, 7, invoke(1));
+                assert!(queried(&effects).is_empty(), "{shape} after {lapse}");
+                assert!(metric_incrs(&effects).contains(&"host.empty_manager_view"), "{shape} after {lapse}");
+                assert!(sends(&effects).iter().any(|(_, m)| matches!(
+                    m,
+                    ProtoMsg::InvokeReply { outcome: InvokeOutcome::Unavailable, .. }
+                )));
+                assert!(host.manager_view(AppId(0)).is_empty(), "{shape} after {lapse}");
+            }
+        }
     }
 
     fn bad_macs(effects: &[Effect<ProtoMsg>]) -> usize {

@@ -38,7 +38,7 @@ use crate::audit::{AuditEvent, Recovery, ShardOps};
 use crate::channel::ChannelEnd;
 use crate::msg::{
     admin_signing_bytes, AclOp, AdminStatus, NsRecord, OpId, ProtoMsg, QueryVerdict, RejectReason,
-    ReqId,
+    ReqId, ShardEntry,
 };
 use crate::policy::Policy;
 use crate::storelog::{
@@ -138,13 +138,13 @@ pub struct ManagerConfig {
     pub peers: Vec<NodeId>,
     /// Applications this manager serves.
     pub apps: Vec<ManagerApp>,
-    /// Shards this manager initially owns. Empty = the legacy flat mode
-    /// (every manager holds every app's whole ACL); nonempty switches
-    /// query/admin routing to shard-scoped stores.
+    /// Shards this manager initially owns. Empty means one
+    /// [`ShardEntry::whole_keyspace`] shard per app in `apps`, co-owned
+    /// with every peer — the paper's one manager set per application.
     pub shards: Vec<ManagerShard>,
     /// Trust anchor for verifying the namespace writer's signature on
     /// shard-handoff records; `None` accepts handoffs unverified
-    /// (tests only — sharded scenarios always set it).
+    /// (unit tests; every `Scenario` sets it).
     pub ns_trust: Option<Arc<KeyRegistry>>,
     /// Key registry for verifying admin signatures (`None` disables
     /// message authentication).
@@ -315,7 +315,7 @@ impl ShardState {
 
 /// How an `(app, user)` slot routes through this manager's shard table.
 enum ShardRoute {
-    /// No shard table configured, or no shard covers the slot.
+    /// No shard here covers the slot.
     None,
     /// An active shard covers it: serve normally.
     Active(ShardId),
@@ -342,9 +342,8 @@ struct PendingUpdate {
     op: AclOp,
     unacked: BTreeSet<NodeId>,
     applied_count: usize,
-    /// Applied-copy count that makes the op stable. Computed at origin
-    /// time: `M − C + 1` over the flat deployment in legacy mode, over
-    /// the owning shard's manager set in sharded mode.
+    /// Applied-copy count that makes the op stable, computed at origin
+    /// time: `M − C + 1` over the owning shard's manager set.
     quorum: usize,
     stable: bool,
     /// Whether this manager's own copy is durable yet. The origin counts
@@ -424,7 +423,7 @@ pub struct ManagerNode {
     /// shares with each host written to so far. `None` sends replies
     /// and notices untagged.
     channel: Option<ChannelEnd>,
-    /// Shard-scoped stores; empty = legacy flat mode.
+    /// The shards this manager owns, is acquiring or has released.
     shards: BTreeMap<ShardId, ShardState>,
     /// Handoff coordination per shard (primary source only).
     coord: BTreeMap<ShardId, HandoffCoord>,
@@ -450,23 +449,7 @@ impl ManagerNode {
                 (a.app, ManagedApp { policy: a.policy.clone(), acl: a.initial_acl.clone(), frozen: false })
             })
             .collect();
-        let shards = config
-            .shards
-            .iter()
-            .map(|s| {
-                (
-                    s.shard,
-                    ShardState {
-                        app: s.app,
-                        lo: s.lo,
-                        hi: s.hi,
-                        peers: s.peers.clone(),
-                        epoch: 1,
-                        phase: ShardPhase::Active,
-                    },
-                )
-            })
-            .collect();
+        let shards = configured_shards(&config);
         ManagerNode {
             config,
             apps,
@@ -569,11 +552,6 @@ impl ManagerNode {
     /// Number of hosts currently recorded as caching `user`'s right.
     pub fn granted_hosts(&self, app: AppId, user: UserId) -> usize {
         self.grant_table.get(&(app, user)).map(|m| m.len()).unwrap_or(0)
-    }
-
-    /// Total managers in the deployment (`M`).
-    fn deployment_size(&self) -> usize {
-        self.config.peers.len() + 1
     }
 
     fn note_peer(&mut self, from: NodeId, now: LocalTime) {
@@ -866,24 +844,7 @@ impl ManagerNode {
     /// configured shard active, no coordination state. Durable release
     /// markers are re-applied on top by the caller.
     fn reset_shards_to_config(&mut self) {
-        self.shards = self
-            .config
-            .shards
-            .iter()
-            .map(|s| {
-                (
-                    s.shard,
-                    ShardState {
-                        app: s.app,
-                        lo: s.lo,
-                        hi: s.hi,
-                        peers: s.peers.clone(),
-                        epoch: 1,
-                        phase: ShardPhase::Active,
-                    },
-                )
-            })
-            .collect();
+        self.shards = configured_shards(&self.config);
         self.coord.clear();
         self.released.clear();
     }
@@ -918,33 +879,19 @@ impl ManagerNode {
         ShardRoute::None
     }
 
-    /// The update fan-out set and quorum for an op: the owning shard's
-    /// manager set in sharded mode (quorum traffic per operation is
-    /// independent of the deployment and of other tenants), the whole
-    /// deployment otherwise.
-    fn update_scope(&self, app: AppId, user: UserId) -> (Vec<NodeId>, usize) {
-        if !self.shards.is_empty() {
-            let bucket = user_bucket(user);
-            if let Some(st) = self.shards.values().find(|s| s.covers(app, bucket)) {
-                let deployment = st.peers.len() + 1;
-                let c = self
-                    .apps
-                    .get(&app)
-                    .map(|a| a.policy.check_quorum())
-                    .unwrap_or(1);
-                // `deployment - C + 1` without the panic: an undersized
-                // shard cannot satisfy any check quorum (hosts fail
-                // closed), so the exact value is moot — use all owners.
-                let quorum =
-                    if deployment >= c { deployment - c + 1 } else { deployment };
-                return (st.peers.clone(), quorum);
-            }
-        }
-        let deployment = self.deployment_size();
-        (
-            self.config.peers.clone(),
-            state_policy_update_quorum(&self.apps, app, deployment),
-        )
+    /// The update fan-out set and quorum for an op on `shard`: the
+    /// shard's co-owners and `M − C + 1` over its manager set, so quorum
+    /// traffic per operation is independent of the deployment and of
+    /// other tenants.
+    fn update_scope(&self, shard: ShardId, policy: &Policy) -> (Vec<NodeId>, usize) {
+        let peers = self.shards.get(&shard).map(|st| st.peers.clone()).unwrap_or_default();
+        let owners = peers.len() + 1;
+        let c = policy.check_quorum();
+        // `owners − C + 1` without the panic: an undersized shard cannot
+        // satisfy any check quorum (hosts fail closed), so the exact
+        // value is moot — use all owners.
+        let quorum = if owners >= c { owners - c + 1 } else { owners };
+        (peers, quorum)
     }
 
     /// Arms the handoff retransmission timer (fixed cadence, no RNG, so
@@ -1013,12 +960,7 @@ impl ManagerNode {
         if targets.contains(&me) {
             // Target role: note the incoming shard and wait for the
             // sources' transfers.
-            let Some(entry) = record
-                .shards
-                .as_deref()
-                .and_then(|es| es.iter().find(|e| e.shard == shard))
-                .cloned()
-            else {
+            let Some(entry) = record.shards.iter().find(|e| e.shard == shard).cloned() else {
                 ctx.metric_incr(M::MGR_HANDOFF_BAD_RECORD);
                 return;
             };
@@ -1438,40 +1380,29 @@ impl ManagerNode {
             reject(ctx, RejectReason::Recovering);
             return;
         }
-        if !self.shards.is_empty() {
-            match self.shard_route(op.app(), op.user()) {
-                ShardRoute::Active(sid) => {
-                    ctx.metric_incr(sid.metric(&SHARD_UPDATE_METRICS));
-                }
-                ShardRoute::Moved { forward_to: Some(owner) } => {
-                    // Relay to the new owner; its reply matches the
-                    // agent's request id, so it answers `from` directly.
-                    ctx.metric_incr(M::MGR_ADMIN_FORWARDED);
-                    ctx.send(
-                        owner,
-                        ProtoMsg::AdminForward { origin: from, op, req, issuer, signature },
-                    );
-                    return;
-                }
-                ShardRoute::Moved { forward_to: None }
-                | ShardRoute::Frozen(_)
-                | ShardRoute::Preparing => {
-                    // Rejection is terminal at the agent; dropping lets
-                    // its resend land once the new map is in effect.
-                    ctx.metric_incr(M::MGR_ADMIN_FROZEN_SHARD);
-                    return;
-                }
-                ShardRoute::None => {
-                    ctx.metric_incr(M::MGR_UNKNOWN_SHARD);
-                    reject(ctx, RejectReason::UnknownShard);
-                    return;
-                }
+        let served = match self.shard_route(op.app(), op.user()) {
+            ShardRoute::Active(sid) => self.apps.get(&op.app()).map(|state| (sid, state)),
+            ShardRoute::Moved { forward_to: Some(owner) } => {
+                // Relay to the new owner; its reply matches the agent's
+                // request id, so it answers `from` directly.
+                ctx.metric_incr(M::MGR_ADMIN_FORWARDED);
+                ctx.send(owner, ProtoMsg::AdminForward { origin: from, op, req, issuer, signature });
+                return;
             }
-        }
-        let Some(state) = self.apps.get(&op.app()) else {
-            reject(ctx, RejectReason::UnknownApp);
+            ShardRoute::Moved { forward_to: None } | ShardRoute::Frozen(_) | ShardRoute::Preparing => {
+                // Rejection is terminal at the agent; dropping lets its
+                // resend land once the new map is in effect.
+                ctx.metric_incr(M::MGR_ADMIN_FROZEN_SHARD);
+                return;
+            }
+            ShardRoute::None => None,
+        };
+        let Some((sid, state)) = served else {
+            ctx.metric_incr(M::MGR_UNKNOWN_SHARD);
+            reject(ctx, RejectReason::UnknownShard);
             return;
         };
+        ctx.metric_incr(sid.metric(&SHARD_UPDATE_METRICS));
         if let Some(registry) = &self.config.registry {
             let ok = match signature {
                 Some(sig) => match registry.public_key(issuer.into()) {
@@ -1489,6 +1420,7 @@ impl ManagerNode {
             reject(ctx, RejectReason::NotAuthorized);
             return;
         }
+        let (fan_peers, quorum) = self.update_scope(sid, &state.policy);
 
         // Apply locally and start dissemination.
         self.stats.ops_originated += 1;
@@ -1511,7 +1443,6 @@ impl ManagerNode {
         // The origin counts toward the quorum only once its own copy is
         // durable (`log_op` → `note_self_applied`); without storage that
         // happens before this call returns.
-        let (fan_peers, quorum) = self.update_scope(op.app(), op.user());
         self.pending.insert(
             id,
             PendingUpdate {
@@ -1621,52 +1552,28 @@ impl ManagerNode {
             );
             return;
         }
-        if !self.shards.is_empty() {
-            match self.shard_route(app, user) {
-                ShardRoute::Active(sid) | ShardRoute::Frozen(sid) => {
-                    ctx.metric_incr(sid.metric(&SHARD_QUERY_METRICS));
-                }
-                ShardRoute::Moved { .. } => {
-                    ctx.metric_incr(M::MGR_SHARD_MOVED);
-                    self.send_query_reply(
-                        ctx,
-                        from,
-                        req,
-                        app,
-                        user,
-                        QueryVerdict::Unavailable { reason: RejectReason::ShardMoved },
-                    );
-                    return;
-                }
-                ShardRoute::Preparing => {
-                    self.send_query_reply(
-                        ctx,
-                        from,
-                        req,
-                        app,
-                        user,
-                        QueryVerdict::Unavailable { reason: RejectReason::Recovering },
-                    );
-                    return;
-                }
-                ShardRoute::None => {
-                    ctx.metric_incr(M::MGR_UNKNOWN_SHARD);
-                    self.send_query_reply(
-                        ctx,
-                        from,
-                        req,
-                        app,
-                        user,
-                        QueryVerdict::Unavailable { reason: RejectReason::UnknownShard },
-                    );
-                    return;
-                }
+        let unavailable = |reason| QueryVerdict::Unavailable { reason };
+        let served = match self.shard_route(app, user) {
+            ShardRoute::Active(sid) | ShardRoute::Frozen(sid) => {
+                self.apps.get(&app).map(|state| (sid, state))
             }
-        }
-        let Some(state) = self.apps.get(&app) else {
-            self.send_query_reply(ctx, from, req, app, user, QueryVerdict::Deny);
-            return;
+            ShardRoute::Moved { .. } => {
+                ctx.metric_incr(M::MGR_SHARD_MOVED);
+                let verdict = unavailable(RejectReason::ShardMoved);
+                return self.send_query_reply(ctx, from, req, app, user, verdict);
+            }
+            ShardRoute::Preparing => {
+                let verdict = unavailable(RejectReason::Recovering);
+                return self.send_query_reply(ctx, from, req, app, user, verdict);
+            }
+            ShardRoute::None => None,
         };
+        let Some((sid, state)) = served else {
+            ctx.metric_incr(M::MGR_UNKNOWN_SHARD);
+            let verdict = unavailable(RejectReason::UnknownShard);
+            return self.send_query_reply(ctx, from, req, app, user, verdict);
+        };
+        ctx.metric_incr(sid.metric(&SHARD_QUERY_METRICS));
         if state.frozen {
             // §3.3: "no responses are sent to application hosts until all
             // managers are accessible again".
@@ -1906,15 +1813,22 @@ impl ManagerNode {
     }
 }
 
-/// The update quorum for `app` given the deployment size, falling back to
-/// a majority-free `1` when the app is unknown (cannot happen for ops
-/// that passed validation).
-fn state_policy_update_quorum(
-    apps: &BTreeMap<AppId, ManagedApp>,
-    app: AppId,
-    deployment: usize,
-) -> usize {
-    apps.get(&app).map(|s| s.policy.update_quorum(deployment)).unwrap_or(1)
+/// The shard table a configuration starts with: every configured shard
+/// active at epoch 1, or — with none configured — one whole-keyspace
+/// shard per served app, co-owned with every peer.
+fn configured_shards(config: &ManagerConfig) -> BTreeMap<ShardId, ShardState> {
+    let active = |app, lo, hi, peers| ShardState { app, lo, hi, peers, epoch: 1, phase: ShardPhase::Active };
+    match config.shards.as_slice() {
+        [] => config
+            .apps
+            .iter()
+            .map(|a| {
+                let e = ShardEntry::whole_keyspace(a.app, config.peers.clone());
+                (e.shard, active(a.app, e.lo, e.hi, e.managers))
+            })
+            .collect(),
+        shards => shards.iter().map(|s| (s.shard, active(s.app, s.lo, s.hi, s.peers.clone()))).collect(),
+    }
 }
 
 impl Node for ManagerNode {
@@ -2085,7 +1999,6 @@ impl Node for ManagerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::ShardEntry;
     use wanacl_sim::node::Effect;
     use wanacl_sim::rng::SimRng;
     use wanacl_sim::storage::{DiskFaultModel, SimStorage};
@@ -2183,6 +2096,58 @@ mod tests {
             ProtoMsg::QueryReply { verdict: QueryVerdict::Deny, .. }
         ));
         assert_eq!(mgr.granted_hosts(AppId(0), UserId(9)), 0);
+    }
+
+    /// The benchmark's shape — `ManagerConfig { peers, apps, .. }`, no
+    /// shard listed — is the one-shard plane: app 0's whole keyspace is
+    /// shard 0, co-owned with every peer.
+    #[test]
+    fn a_config_without_shards_serves_each_app_as_one_whole_keyspace_shard() {
+        let in_bucket = |b: u8| (0u64..).map(UserId).find(|&u| user_bucket(u) == b).expect("a user");
+        let (low, high) = (in_bucket(0), in_bucket(u8::MAX));
+        let mut acl = Acl::new();
+        acl.add(low, Right::Use);
+        acl.add(high, Right::Use);
+        let mut mgr = ManagerNode::new(ManagerConfig {
+            peers: vec![NodeId::from_index(1), NodeId::from_index(2)],
+            apps: vec![ManagerApp { app: AppId(0), policy: Policy::builder(2).build(), initial_acl: acl }],
+            ..ManagerConfig::default()
+        });
+        let mut h = Harness::new(0);
+        for (user, req) in [(low, 1), (high, 2)] {
+            let effects = h.deliver(&mut mgr, 7, ProtoMsg::Query { app: AppId(0), user, req: ReqId(req) });
+            let grant = QueryVerdict::Grant { te: Policy::builder(2).build().expiry_budget() };
+            assert!(matches!(sends(&effects)[0].1, ProtoMsg::QueryReply { verdict, .. } if *verdict == grant));
+            assert!(effects.iter().any(|e| matches!(e, Effect::MetricIncr { name: M::SHARD_0_QUERIES })));
+        }
+        // An admin op fans out to both peers, and M − C + 1 = 2 copies —
+        // this manager's and one ack — make it stable.
+        let revoke = AclOp::Revoke { app: AppId(0), user: low, right: Right::Use };
+        let admin = |op| ProtoMsg::Admin { op, req: ReqId(3), issuer: UserId(0), signature: None };
+        let effects = h.deliver(&mut mgr, 9, admin(revoke));
+        let updates: Vec<(NodeId, OpId)> = sends(&effects)
+            .into_iter()
+            .filter_map(|(to, m)| match m {
+                ProtoMsg::Update { id, .. } => Some((to, *id)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(updates.iter().map(|&(to, _)| to.index()).collect::<Vec<_>>(), [1, 2]);
+        let stable = |effects: &[Effect<ProtoMsg>]| {
+            sends(effects)
+                .iter()
+                .any(|(_, m)| matches!(m, ProtoMsg::AdminReply { status: AdminStatus::Stable, .. }))
+        };
+        assert!(!stable(&effects));
+        assert!(stable(&h.deliver(&mut mgr, 1, ProtoMsg::UpdateAck { id: updates[0].1 })));
+        // No shard here covers app 1: its query and its admin op are
+        // misrouted, and answered so.
+        let effects = h.deliver(&mut mgr, 7, ProtoMsg::Query { app: AppId(1), user: low, req: ReqId(4) });
+        let unknown = QueryVerdict::Unavailable { reason: RejectReason::UnknownShard };
+        assert!(matches!(sends(&effects)[0].1, ProtoMsg::QueryReply { verdict, .. } if *verdict == unknown));
+        let effects = h.deliver(&mut mgr, 9, admin(AclOp::Add { app: AppId(1), user: low, right: Right::Use }));
+        let rejected = AdminStatus::Rejected { reason: RejectReason::UnknownShard };
+        assert!(matches!(sends(&effects)[0].1, ProtoMsg::AdminReply { status, .. } if *status == rejected));
     }
 
     fn query(user: u64, req: u64) -> ProtoMsg {
@@ -2614,8 +2579,7 @@ mod tests {
         NsRecord {
             app: AppId(0),
             version: epoch,
-            managers: managers.clone(),
-            shards: Some(vec![ShardEntry { shard: ShardId(0), lo, hi, managers }]),
+            shards: vec![ShardEntry { shard: ShardId(0), lo, hi, managers }],
             signature: rsa::Signature(0),
         }
     }

@@ -201,11 +201,9 @@ pub enum RejectReason {
     BadSignature,
     /// The manager is recovering and has not yet synchronized state.
     Recovering,
-    /// The manager does not serve this application.
-    UnknownApp,
-    /// The manager serves the application but not the shard covering
-    /// this user's bucket (a misrouted request, e.g. from a stale shard
-    /// map). Retryable: another manager set owns the shard.
+    /// No shard this manager serves covers the request's `(app, user
+    /// bucket)` — an unserved app, or a misrouted request from a stale
+    /// shard map. Retryable: another manager set may own the shard.
     UnknownShard,
     /// The shard was handed off to another manager set; the sender
     /// should refresh its shard map and retry there.
@@ -218,7 +216,6 @@ impl std::fmt::Display for RejectReason {
             RejectReason::NotAuthorized => write!(f, "issuer lacks manage right"),
             RejectReason::BadSignature => write!(f, "bad signature"),
             RejectReason::Recovering => write!(f, "manager recovering"),
-            RejectReason::UnknownApp => write!(f, "unknown application"),
             RejectReason::UnknownShard => write!(f, "unknown shard"),
             RejectReason::ShardMoved => write!(f, "shard handed off"),
         }
@@ -361,7 +358,7 @@ pub enum ProtoMsg {
         app: AppId,
     },
     /// A directory replica's answer to an `NsQuery`: a versioned,
-    /// writer-signed manager-set record with a time-to-live after which
+    /// writer-signed shard-map record with a time-to-live after which
     /// the host must re-query (the paper's "scheme similar to the
     /// time-based expiration of cached information"). Hosts collect
     /// these from a read quorum and install the freshest version whose
@@ -369,22 +366,12 @@ pub enum ProtoMsg {
     NsRecordReply {
         /// The application looked up.
         app: AppId,
-        /// Record version (monotone per app; 0 = no record held — a
-        /// negative answer, served with a capped TTL and no signature).
-        version: u64,
-        /// The manager set the record names.
-        managers: Vec<NodeId>,
-        /// How long the host may rely on the record (host local clock).
+        /// How long the host may rely on the answer (host local clock).
         ttl: SimDuration,
-        /// The record's shard map, when the application's keyspace is
-        /// partitioned (`None` reproduces the flat single-manager-set
-        /// record byte for byte, so legacy signatures keep verifying).
-        /// Boxed so the sharded reply does not widen `ProtoMsg` for
-        /// every hot-path message.
-        shards: Option<Box<Vec<ShardEntry>>>,
-        /// Writer signature over [`ns_record_signing_bytes`]; `None` only
-        /// on negative (version-0) answers.
-        signature: Option<Signature>,
+        /// The record held, boxed to keep `size_of::<ProtoMsg>()` small;
+        /// `None` is the negative (version-0) answer, served with a
+        /// capped TTL.
+        record: Option<Box<NsRecord>>,
     },
     // ---- writer/env -> directory replica, replica -> replica ----
     /// A signed directory-record publish: the namespace writer installs
@@ -527,10 +514,28 @@ pub struct ShardEntry {
 }
 
 impl ShardEntry {
+    /// The one shard of an application served whole by `managers` —
+    /// the paper's deployment (§3.2), and every flat one here: shard id
+    /// `app`, buckets `0..=255`.
+    pub fn whole_keyspace(app: AppId, managers: Vec<NodeId>) -> ShardEntry {
+        ShardEntry { shard: ShardId(app.0), lo: 0, hi: u8::MAX, managers }
+    }
+
     /// Whether the entry's bucket range covers `bucket`.
     pub fn covers(&self, bucket: u8) -> bool {
         bucket >= self.lo && bucket <= self.hi
     }
+}
+
+/// Every manager the entries name, in first-appearance order.
+pub fn managers_of(entries: &[ShardEntry]) -> Vec<NodeId> {
+    let mut managers: Vec<NodeId> = Vec::new();
+    for &m in entries.iter().flat_map(|e| &e.managers) {
+        if !managers.contains(&m) {
+            managers.push(m);
+        }
+    }
+    managers
 }
 
 impl std::fmt::Display for ShardEntry {
@@ -548,8 +553,10 @@ impl std::fmt::Display for ShardEntry {
     }
 }
 
-/// A replicated directory record: which managers serve an application,
-/// stamped with a monotone version and signed by the namespace writer.
+/// A replicated directory record: the shard map of an application —
+/// which managers serve which bucket range of its keyspace — stamped
+/// with a monotone version and signed by the namespace writer. A flat
+/// deployment's record is one [`ShardEntry::whole_keyspace`] entry.
 /// TTLs are replica-side serving policy, not part of the record, so a
 /// record stays verifiable as it propagates between replicas.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -558,53 +565,29 @@ pub struct NsRecord {
     pub app: AppId,
     /// Monotone version stamp (higher wins everywhere).
     pub version: u64,
-    /// The manager set (for sharded records: the union of all shard
-    /// manager sets, so flat consumers keep a meaningful view).
-    pub managers: Vec<NodeId>,
-    /// The shard map, when the application's keyspace is partitioned.
-    /// `None` keeps the record — and its signing bytes — identical to
-    /// the flat records earlier deployments signed.
-    pub shards: Option<Vec<ShardEntry>>,
-    /// Writer signature over [`ns_record_signing_bytes`].
+    /// The shard map.
+    pub shards: Vec<ShardEntry>,
+    /// Writer signature over the record's canonical bytes.
     pub signature: Signature,
 }
 
 impl NsRecord {
-    /// Builds a flat (unsharded) record signed by `writer` over its
-    /// canonical bytes.
+    /// Builds a record signed by `writer` over its canonical bytes.
     pub fn signed(
-        app: AppId,
-        version: u64,
-        managers: Vec<NodeId>,
-        writer: wanacl_auth::signed::PrincipalId,
-        key: &wanacl_auth::rsa::SecretKey,
-    ) -> NsRecord {
-        let signature =
-            wanacl_auth::signed::sign_bytes(writer, &ns_record_signing_bytes(app, version, &managers), key);
-        NsRecord { app, version, managers, shards: None, signature }
-    }
-
-    /// Builds a sharded record: the flat manager set is derived as the
-    /// ordered union of the shard manager sets, and the signature binds
-    /// the full shard map.
-    pub fn signed_sharded(
         app: AppId,
         version: u64,
         shards: Vec<ShardEntry>,
         writer: wanacl_auth::signed::PrincipalId,
         key: &wanacl_auth::rsa::SecretKey,
     ) -> NsRecord {
-        let mut managers: Vec<NodeId> = Vec::new();
-        for entry in &shards {
-            for &m in &entry.managers {
-                if !managers.contains(&m) {
-                    managers.push(m);
-                }
-            }
-        }
-        let bytes = ns_record_signing_bytes_sharded(app, version, &managers, Some(&shards));
+        let bytes = ns_record_signing_bytes(app, version, &shards);
         let signature = wanacl_auth::signed::sign_bytes(writer, &bytes, key);
-        NsRecord { app, version, managers, shards: Some(shards), signature }
+        NsRecord { app, version, shards, signature }
+    }
+
+    /// Every manager the record names, in first-appearance order.
+    pub fn managers(&self) -> Vec<NodeId> {
+        managers_of(&self.shards)
     }
 
     /// Verifies the record against the writer's registered key.
@@ -613,59 +596,28 @@ impl NsRecord {
         registry: &wanacl_auth::signed::KeyRegistry,
         writer: wanacl_auth::signed::PrincipalId,
     ) -> bool {
-        wanacl_auth::signed::verify_bytes(
-            registry,
-            writer,
-            &ns_record_signing_bytes_sharded(
-                self.app,
-                self.version,
-                &self.managers,
-                self.shards.as_deref(),
-            ),
-            &self.signature,
-        )
+        let bytes = ns_record_signing_bytes(self.app, self.version, &self.shards);
+        wanacl_auth::signed::verify_bytes(registry, writer, &bytes, &self.signature)
     }
 }
 
-/// Canonical bytes signed for a flat directory record. The writer
-/// principal is bound by the detached-signature discipline
+/// Canonical bytes signed for a directory record. The writer principal
+/// is bound by the detached-signature discipline
 /// ([`wanacl_auth::signed::sign_bytes`] prepends the signer id), so the
-/// record body only needs to bind `(app, version, managers)`.
-pub fn ns_record_signing_bytes(app: AppId, version: u64, managers: &[NodeId]) -> Vec<u8> {
-    ns_record_signing_bytes_sharded(app, version, managers, None)
-}
-
-/// Canonical bytes signed for a directory record, shard map included.
-/// A `None`/empty map appends nothing, so flat records produced before
-/// sharding existed keep their exact signing bytes (and signatures).
-pub fn ns_record_signing_bytes_sharded(
-    app: AppId,
-    version: u64,
-    managers: &[NodeId],
-    shards: Option<&[ShardEntry]>,
-) -> Vec<u8> {
+/// body binds `(app, version)` and every entry's shard, bucket range and
+/// managers, each list behind its length.
+fn ns_record_signing_bytes(app: AppId, version: u64, shards: &[ShardEntry]) -> Vec<u8> {
     let mut out = Vec::new();
     app.auth_encode(&mut out);
     version.auth_encode(&mut out);
-    (managers.len() as u64).auth_encode(&mut out);
-    for m in managers {
-        (m.index() as u64).auth_encode(&mut out);
-    }
-    if let Some(entries) = shards {
-        if !entries.is_empty() {
-            // Domain-separation tag: a sharded record can never collide
-            // with a flat record followed by attacker-chosen bytes.
-            out.extend_from_slice(b"SHRD");
-            (entries.len() as u64).auth_encode(&mut out);
-            for entry in entries {
-                u64::from(entry.shard.0).auth_encode(&mut out);
-                out.push(entry.lo);
-                out.push(entry.hi);
-                (entry.managers.len() as u64).auth_encode(&mut out);
-                for m in &entry.managers {
-                    (m.index() as u64).auth_encode(&mut out);
-                }
-            }
+    (shards.len() as u64).auth_encode(&mut out);
+    for entry in shards {
+        u64::from(entry.shard.0).auth_encode(&mut out);
+        out.push(entry.lo);
+        out.push(entry.hi);
+        (entry.managers.len() as u64).auth_encode(&mut out);
+        for m in &entry.managers {
+            (m.index() as u64).auth_encode(&mut out);
         }
     }
     out
@@ -741,20 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn ns_record_signing_bytes_bind_all_fields() {
-        let mgrs = vec![NodeId::from_index(0), NodeId::from_index(1)];
-        let base = ns_record_signing_bytes(AppId(1), 3, &mgrs);
-        assert_ne!(base, ns_record_signing_bytes(AppId(2), 3, &mgrs));
-        assert_ne!(base, ns_record_signing_bytes(AppId(1), 4, &mgrs));
-        assert_ne!(base, ns_record_signing_bytes(AppId(1), 3, &[NodeId::from_index(0)]));
-        assert_ne!(
-            base,
-            ns_record_signing_bytes(AppId(1), 3, &[NodeId::from_index(1), NodeId::from_index(0)]),
-            "manager order is part of the record identity"
-        );
-    }
-
-    #[test]
     fn ids_display() {
         assert_eq!(ReqId(5).to_string(), "r5");
         let op = OpId { origin: NodeId::from_index(2), seq: 9 };
@@ -794,7 +732,6 @@ mod tests {
             RejectReason::NotAuthorized,
             RejectReason::BadSignature,
             RejectReason::Recovering,
-            RejectReason::UnknownApp,
             RejectReason::UnknownShard,
             RejectReason::ShardMoved,
         ] {
@@ -812,27 +749,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_signing_bytes_extend_flat_bytes() {
-        let mgrs = vec![NodeId::from_index(0), NodeId::from_index(1)];
-        let flat = ns_record_signing_bytes(AppId(1), 3, &mgrs);
-        // None and an empty map both reproduce the flat bytes exactly,
-        // so legacy signatures keep verifying.
-        assert_eq!(flat, ns_record_signing_bytes_sharded(AppId(1), 3, &mgrs, None));
-        assert_eq!(flat, ns_record_signing_bytes_sharded(AppId(1), 3, &mgrs, Some(&[])));
-        let sharded = ns_record_signing_bytes_sharded(
-            AppId(1),
-            3,
-            &mgrs,
-            Some(&[entry(0, 0, 127, &[0]), entry(1, 128, 255, &[1])]),
+    fn ns_record_signing_bytes_bind_all_fields() {
+        let bytes = |app, version, shards: &[ShardEntry]| ns_record_signing_bytes(AppId(app), version, shards);
+        let base = bytes(1, 3, &[entry(0, 0, 255, &[0, 1])]);
+        assert_ne!(base, bytes(2, 3, &[entry(0, 0, 255, &[0, 1])]));
+        assert_ne!(base, bytes(1, 4, &[entry(0, 0, 255, &[0, 1])]));
+        assert_ne!(base, bytes(1, 3, &[entry(1, 0, 255, &[0, 1])]));
+        assert_ne!(base, bytes(1, 3, &[entry(0, 1, 255, &[0, 1])]));
+        assert_ne!(base, bytes(1, 3, &[entry(0, 0, 254, &[0, 1])]));
+        assert_ne!(base, bytes(1, 3, &[entry(0, 0, 255, &[0])]));
+        assert_ne!(base, bytes(1, 3, &[entry(0, 0, 255, &[1, 0])]), "manager order is identity");
+        assert_ne!(base, bytes(1, 3, &[]));
+        // Lengths delimit: moving a manager across an entry boundary
+        // changes the bytes.
+        assert_ne!(
+            bytes(1, 3, &[entry(0, 0, 127, &[0, 1]), entry(1, 128, 255, &[2])]),
+            bytes(1, 3, &[entry(0, 0, 127, &[0]), entry(1, 128, 255, &[1, 2])]),
         );
-        assert_ne!(flat, sharded);
-        assert!(sharded.starts_with(&flat), "shard bytes are appended, not interleaved");
-        // Every shard field is bound.
-        let base = ns_record_signing_bytes_sharded(AppId(1), 3, &mgrs, Some(&[entry(0, 0, 255, &[0])]));
-        assert_ne!(base, ns_record_signing_bytes_sharded(AppId(1), 3, &mgrs, Some(&[entry(1, 0, 255, &[0])])));
-        assert_ne!(base, ns_record_signing_bytes_sharded(AppId(1), 3, &mgrs, Some(&[entry(0, 1, 255, &[0])])));
-        assert_ne!(base, ns_record_signing_bytes_sharded(AppId(1), 3, &mgrs, Some(&[entry(0, 0, 254, &[0])])));
-        assert_ne!(base, ns_record_signing_bytes_sharded(AppId(1), 3, &mgrs, Some(&[entry(0, 0, 255, &[1])])));
     }
 
     #[test]
@@ -842,7 +775,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let writer = wanacl_auth::signed::PrincipalId(42);
         let kp = registry.enroll(writer, &mut rng);
-        let rec = NsRecord::signed_sharded(
+        let rec = NsRecord::signed(
             AppId(0),
             1,
             vec![entry(0, 0, 127, &[2, 3]), entry(1, 128, 255, &[3, 4])],
@@ -850,12 +783,11 @@ mod tests {
             &kp.secret,
         );
         let union: Vec<NodeId> = [2, 3, 4].iter().map(|&i| NodeId::from_index(i)).collect();
-        assert_eq!(rec.managers, union);
+        assert_eq!(rec.managers(), union);
         assert!(rec.verify(&registry, writer));
-        // Stripping the shard map invalidates the signature: a
-        // downgrade to a flat record cannot reuse the sharded one.
+        // Dropping an entry invalidates the signature.
         let mut stripped = rec.clone();
-        stripped.shards = None;
+        stripped.shards.pop();
         assert!(!stripped.verify(&registry, writer));
     }
 
@@ -865,5 +797,8 @@ mod tests {
         assert!(e.covers(10) && e.covers(20) && e.covers(15));
         assert!(!e.covers(9) && !e.covers(21));
         assert_eq!(e.to_string(), "shard0[10..=20]->{0}");
+        let whole = ShardEntry::whole_keyspace(AppId(3), vec![NodeId::from_index(1)]);
+        assert!(whole.covers(0) && whole.covers(255));
+        assert_eq!(whole.to_string(), "shard3[0..=255]->{1}");
     }
 }

@@ -155,9 +155,9 @@ impl DirectoryReplica {
         self.records.get(&app).map(|r| r.version).unwrap_or(0)
     }
 
-    /// The manager set currently held for an app.
-    pub fn managers(&self, app: AppId) -> &[NodeId] {
-        self.records.get(&app).map(|r| r.managers.as_slice()).unwrap_or(&[])
+    /// The managers the record held for an app names.
+    pub fn managers(&self, app: AppId) -> Vec<NodeId> {
+        self.records.get(&app).map(NsRecord::managers).unwrap_or_default()
     }
 
     /// How many lookups have been served.
@@ -183,7 +183,7 @@ impl DirectoryReplica {
             via(NsHeld {
                 app: record.app,
                 version: record.version,
-                managers: record.managers.iter().copied().collect(),
+                managers: record.managers().into_iter().collect(),
             })
         });
     }
@@ -296,58 +296,28 @@ impl Node for DirectoryReplica {
             ProtoMsg::NsQuery { app } => {
                 self.lookups += 1;
                 ctx.metric_incr(M::NS_LOOKUPS);
-                match self.records.get(&app) {
+                let (record, ttl) = match self.records.get(&app) {
                     Some(record) if self.malicious_now(ctx) => {
-                        // Forged answer: bumped version, altered manager
-                        // set, and a signature that does not cover the
-                        // forged content. A verifying host rejects this.
+                        // Forged answer: bumped version, each entry's
+                        // first manager dropped, and a signature that
+                        // does not cover the forged content. A verifying
+                        // host rejects this.
                         ctx.metric_incr(M::NS_FORGED_REPLY);
-                        let forged: Vec<NodeId> = if record.managers.len() > 1 {
-                            record.managers[1..].to_vec()
-                        } else {
-                            record.managers.clone()
-                        };
-                        ctx.send(
-                            from,
-                            ProtoMsg::NsRecordReply {
-                                app,
-                                version: record.version + 1,
-                                managers: forged,
-                                shards: record.shards.clone().map(Box::new),
-                                ttl: self.ttl,
-                                signature: Some(record.signature),
-                            },
-                        );
+                        let mut forged = record.clone();
+                        forged.version += 1;
+                        for entry in forged.shards.iter_mut().filter(|e| e.managers.len() > 1) {
+                            entry.managers.remove(0);
+                        }
+                        (Some(Box::new(forged)), self.ttl)
                     }
-                    Some(record) => {
-                        ctx.send(
-                            from,
-                            ProtoMsg::NsRecordReply {
-                                app,
-                                version: record.version,
-                                managers: record.managers.clone(),
-                                shards: record.shards.clone().map(Box::new),
-                                ttl: self.ttl,
-                                signature: Some(record.signature),
-                            },
-                        );
-                    }
+                    Some(record) => (Some(Box::new(record.clone())), self.ttl),
                     None => {
                         ctx.metric_incr(M::NS_UNKNOWN_APP);
                         ctx.metric_incr(M::NS_NEGATIVE_REPLY);
-                        ctx.send(
-                            from,
-                            ProtoMsg::NsRecordReply {
-                                app,
-                                version: 0,
-                                managers: Vec::new(),
-                                shards: None,
-                                ttl: capped_negative_ttl(self.negative_ttl),
-                                signature: None,
-                            },
-                        );
+                        (None, capped_negative_ttl(self.negative_ttl))
                     }
-                }
+                };
+                ctx.send(from, ProtoMsg::NsRecordReply { app, ttl, record });
             }
             ProtoMsg::NsPublish { record } => {
                 let accepted = self.accept(ctx, &record, AuditEvent::NsPublish);
@@ -435,39 +405,28 @@ impl Node for DirectoryReplica {
 
 // ---- WAL / snapshot byte format ----
 //
-// record   := app:u32 | version:u64 | count:u32 | manager:u64 * count
-//             | signature:u64 [| shard-section]       (all big-endian)
-// shard-section := scount:u32
-//                  | (shard:u32 | lo:u8 | hi:u8
-//                     | mcount:u32 | manager:u64 * mcount) * scount
+// record   := app:u32 | version:u64 | signature:u64 | scount:u32
+//             | (shard:u32 | lo:u8 | hi:u8
+//                | mcount:u32 | manager:u64 * mcount) * scount
+//                                                     (all big-endian)
 // snapshot := (len:u32 | record) *
-//
-// Flat records (`shards == None` or empty) encode exactly the legacy
-// bytes, so directories written before sharding replay unchanged; the
-// shard section is appended only when entries exist, and a record with
-// no trailing bytes decodes as a flat record.
+
+/// Bytes of a record with no shard entries.
+const RECORD_HEAD_LEN: usize = 4 + 8 + 8 + 4;
 
 fn encode_record(record: &NsRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + 8 * record.managers.len());
+    let mut out = Vec::with_capacity(RECORD_HEAD_LEN + 18 * record.shards.len());
     out.extend_from_slice(&record.app.0.to_be_bytes());
     out.extend_from_slice(&record.version.to_be_bytes());
-    out.extend_from_slice(&(record.managers.len() as u32).to_be_bytes());
-    for m in &record.managers {
-        out.extend_from_slice(&(m.index() as u64).to_be_bytes());
-    }
     out.extend_from_slice(&record.signature.0.to_be_bytes());
-    if let Some(entries) = record.shards.as_deref() {
-        if !entries.is_empty() {
-            out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
-            for e in entries {
-                out.extend_from_slice(&e.shard.0.to_be_bytes());
-                out.push(e.lo);
-                out.push(e.hi);
-                out.extend_from_slice(&(e.managers.len() as u32).to_be_bytes());
-                for m in &e.managers {
-                    out.extend_from_slice(&(m.index() as u64).to_be_bytes());
-                }
-            }
+    out.extend_from_slice(&(record.shards.len() as u32).to_be_bytes());
+    for e in &record.shards {
+        out.extend_from_slice(&e.shard.0.to_be_bytes());
+        out.push(e.lo);
+        out.push(e.hi);
+        out.extend_from_slice(&(e.managers.len() as u32).to_be_bytes());
+        for m in &e.managers {
+            out.extend_from_slice(&(m.index() as u64).to_be_bytes());
         }
     }
     out
@@ -509,38 +468,25 @@ fn decode_record(bytes: &[u8]) -> Option<NsRecord> {
     let mut cur = Cursor { bytes, at: 0 };
     let app = AppId(u32::from_be_bytes(cur.take(4)?.try_into().ok()?));
     let version = u64::from_be_bytes(cur.take(8)?.try_into().ok()?);
-    let count = cur.count(8)?;
-    let mut managers = Vec::with_capacity(count);
-    for _ in 0..count {
-        managers.push(cur.node()?);
-    }
     let signature = wanacl_auth::rsa::Signature(u64::from_be_bytes(cur.take(8)?.try_into().ok()?));
-    let shards = if cur.done() {
-        None
-    } else {
-        // An entry is at least shard + lo + hi + mcount.
-        let scount = cur.count(4 + 1 + 1 + 4)?;
-        if scount == 0 {
-            return None; // the section is omitted when empty
+    // An entry is at least shard + lo + hi + mcount.
+    let scount = cur.count(4 + 1 + 1 + 4)?;
+    let mut shards = Vec::with_capacity(scount);
+    for _ in 0..scount {
+        let shard = crate::types::ShardId(u32::from_be_bytes(cur.take(4)?.try_into().ok()?));
+        let lo = cur.take(1)?[0];
+        let hi = cur.take(1)?[0];
+        let mcount = cur.count(8)?;
+        let mut managers = Vec::with_capacity(mcount);
+        for _ in 0..mcount {
+            managers.push(cur.node()?);
         }
-        let mut entries = Vec::with_capacity(scount);
-        for _ in 0..scount {
-            let shard = crate::types::ShardId(u32::from_be_bytes(cur.take(4)?.try_into().ok()?));
-            let lo = cur.take(1)?[0];
-            let hi = cur.take(1)?[0];
-            let mcount = cur.count(8)?;
-            let mut mgrs = Vec::with_capacity(mcount);
-            for _ in 0..mcount {
-                mgrs.push(cur.node()?);
-            }
-            entries.push(crate::msg::ShardEntry { shard, lo, hi, managers: mgrs });
-        }
-        Some(entries)
-    };
+        shards.push(crate::msg::ShardEntry { shard, lo, hi, managers });
+    }
     if !cur.done() {
         return None;
     }
-    Some(NsRecord { app, version, managers, shards, signature })
+    Some(NsRecord { app, version, shards, signature })
 }
 
 fn encode_snapshot<'a>(records: impl Iterator<Item = &'a NsRecord>) -> Vec<u8> {
@@ -571,6 +517,7 @@ fn decode_snapshot(bytes: &[u8]) -> Vec<NsRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::ShardEntry;
     use crate::storelog::tests::mangled;
     use proptest::prelude::*;
 
@@ -668,8 +615,10 @@ mod tests {
         (Arc::new(registry), kp, writer)
     }
 
+    /// App 0's one-entry record: `managers` serve the whole keyspace.
     fn record(kp: &KeyPair, writer: PrincipalId, version: u64, managers: Vec<NodeId>) -> NsRecord {
-        NsRecord::signed(AppId(0), version, managers, writer, &kp.secret)
+        let shards = vec![ShardEntry::whole_keyspace(AppId(0), managers)];
+        NsRecord::signed(AppId(0), version, shards, writer, &kp.secret)
     }
 
     fn replica(registry: &Arc<KeyRegistry>, writer: PrincipalId, peers: Vec<NodeId>) -> DirectoryReplica {
@@ -687,13 +636,11 @@ mod tests {
 
         let effects = h.deliver(&mut rep, host, ProtoMsg::NsQuery { app: AppId(0) });
         match &sends(&effects)[..] {
-            [(to, ProtoMsg::NsRecordReply { version, managers, signature, ttl, .. })] => {
+            [(to, ProtoMsg::NsRecordReply { ttl, record: Some(r), .. })] => {
                 assert_eq!(*to, host);
-                assert_eq!(*version, 1);
-                assert_eq!(managers, &mgrs);
+                assert_eq!(r.version, 1);
+                assert_eq!(r.managers(), mgrs);
                 assert_eq!(*ttl, TTL);
-                let sig = signature.expect("positive answers are signed");
-                let r = NsRecord { app: AppId(0), version: 1, managers: mgrs.clone(), shards: None, signature: sig };
                 assert!(r.verify(&registry, writer));
             }
             other => panic!("unexpected effects: {other:?}"),
@@ -702,10 +649,7 @@ mod tests {
         let effects = h.deliver(&mut rep, host, ProtoMsg::NsQuery { app: AppId(5) });
         assert!(metric_incrs(&effects).contains(&"ns.negative_reply"));
         match &sends(&effects)[..] {
-            [(_, ProtoMsg::NsRecordReply { version, managers, signature, ttl, .. })] => {
-                assert_eq!(*version, 0);
-                assert!(managers.is_empty());
-                assert!(signature.is_none());
+            [(_, ProtoMsg::NsRecordReply { ttl, record: None, .. })] => {
                 assert_eq!(*ttl, TTL.mul_f64(0.25), "negative answers get the capped TTL");
             }
             other => panic!("unexpected effects: {other:?}"),
@@ -742,7 +686,7 @@ mod tests {
 
         // Tampered v3 (signature does not cover the altered set) rejected.
         let mut v3 = record(&kp, writer, 3, vec![m(1)]);
-        v3.managers = vec![m(4)];
+        v3.shards[0].managers = vec![m(4)];
         let effects = h.deliver(&mut rep, NodeId::ENV, ProtoMsg::NsPublish { record: Box::new(v3) });
         assert!(metric_incrs(&effects).contains(&"ns.publish_rejected"));
         assert_eq!(rep.managers(AppId(0)), &[m(1)]);
@@ -750,7 +694,7 @@ mod tests {
         // Wrong-key v3 rejected too.
         let mut rng = StdRng::seed_from_u64(78);
         let mallory = KeyPair::generate(&mut rng);
-        let forged = NsRecord::signed(AppId(0), 3, vec![m(4)], writer, &mallory.secret);
+        let forged = record(&mallory, writer, 3, vec![m(4)]);
         let effects = h.deliver(&mut rep, NodeId::ENV, ProtoMsg::NsPublish { record: Box::new(forged) });
         assert!(metric_incrs(&effects).contains(&"ns.publish_rejected"));
         assert_eq!(rep.version_of(AppId(0)), 2);
@@ -823,16 +767,9 @@ mod tests {
         let effects = h.deliver(&mut rep, NodeId::from_index(9), ProtoMsg::NsQuery { app: AppId(0) });
         assert!(metric_incrs(&effects).contains(&"ns.forged_reply"));
         match &sends(&effects)[..] {
-            [(_, ProtoMsg::NsRecordReply { version, managers, signature, .. })] => {
-                assert_eq!(*version, 4, "forgery rolls the version forward");
-                assert_eq!(managers, &mgrs[1..], "forgery alters the manager set");
-                let r = NsRecord {
-                    app: AppId(0),
-                    version: *version,
-                    managers: managers.clone(),
-                    shards: None,
-                    signature: signature.unwrap(),
-                };
+            [(_, ProtoMsg::NsRecordReply { record: Some(r), .. })] => {
+                assert_eq!(r.version, 4, "forgery rolls the version forward");
+                assert_eq!(r.managers(), &mgrs[1..], "forgery alters the manager set");
                 assert!(!r.verify(&registry, writer), "forged record must not verify");
             }
             other => panic!("unexpected effects: {other:?}"),
@@ -842,7 +779,7 @@ mod tests {
         h.now = LocalTime::from_nanos(SimDuration::from_secs(20).as_nanos());
         let effects = h.deliver(&mut rep, NodeId::from_index(9), ProtoMsg::NsQuery { app: AppId(0) });
         match &sends(&effects)[..] {
-            [(_, ProtoMsg::NsRecordReply { version, .. })] => assert_eq!(*version, 3),
+            [(_, ProtoMsg::NsRecordReply { record: Some(r), .. })] => assert_eq!(r.version, 3),
             other => panic!("unexpected effects: {other:?}"),
         }
     }
@@ -888,26 +825,26 @@ mod tests {
 
         // A count sizes an allocation, so one the bytes behind it cannot
         // hold is refused first (allocating 4 billion elements aborts,
-        // which no `catch_unwind` contains): in 16 bytes, app | version
-        // | count; then behind a whole flat record, a shard-entry count;
-        // then one entry's (shard 0, buckets 0..=255) manager count.
+        // which no `catch_unwind` contains): in 34 bytes, app | version
+        // | signature | an entry count of 2³²−1 and one entry's worth of
+        // bytes; then one entry (shard 0, buckets 0..=255) whose manager
+        // count is 2³²−1 in front of one manager.
         let huge = u32::MAX.to_be_bytes();
-        let managers = [&1u32.to_be_bytes()[..], &1u64.to_be_bytes(), &huge].concat();
-        assert_eq!(decode_record(&managers), None, "oversized manager count");
-        let entries = [&bytes[..], &huge, &[0; 10]].concat();
+        let head = [&0u32.to_be_bytes()[..], &1u64.to_be_bytes(), &[0; 8]].concat();
+        let entries = [&head[..], &huge, &[0; 10]].concat();
         assert_eq!(decode_record(&entries), None, "oversized shard-entry count");
-        let entry = [&bytes[..], &1u32.to_be_bytes(), &[0; 4], &[0, 255], &huge, &[0; 8]].concat();
+        let entry = [&head[..], &1u32.to_be_bytes(), &[0; 4], &[0, 255], &huge, &[0; 8]].concat();
         assert_eq!(decode_record(&entry), None, "oversized shard manager count");
-        // The bounds admit the smallest entry the encoder writes.
-        let mut sharded = r.clone();
-        let shard = crate::types::ShardId(0);
-        let smallest = crate::msg::ShardEntry { shard, lo: 0, hi: 255, managers: vec![] };
-        sharded.shards = Some(vec![smallest]);
-        assert_eq!(decode_record(&encode_record(&sharded)), Some(sharded));
+        // The bounds admit the smallest entry the encoder writes, and a
+        // record with none.
+        let smallest = record(&kp, writer, 8, vec![]);
+        assert_eq!(decode_record(&encode_record(&smallest)), Some(smallest.clone()));
+        let empty = NsRecord { shards: Vec::new(), ..smallest.clone() };
+        assert_eq!(encode_record(&empty).len(), RECORD_HEAD_LEN);
+        assert_eq!(decode_record(&encode_record(&empty)), Some(empty.clone()));
 
-        let empty = record(&kp, writer, 8, vec![]);
-        let snapshot = encode_snapshot([r.clone(), empty.clone()].iter());
-        assert_eq!(decode_snapshot(&snapshot), vec![r, empty]);
+        let snapshot = encode_snapshot([r.clone(), smallest.clone(), empty.clone()].iter());
+        assert_eq!(decode_snapshot(&snapshot), vec![r, smallest, empty]);
     }
 
     fn node_ids() -> impl Strategy<Value = Vec<NodeId>> {
@@ -917,28 +854,26 @@ mod tests {
 
     fn record_strategy() -> impl Strategy<Value = NsRecord> {
         let entry = (any::<u32>(), any::<u8>(), any::<u8>(), node_ids()).prop_map(
-            |(shard, lo, hi, managers)| crate::msg::ShardEntry {
+            |(shard, lo, hi, managers)| ShardEntry {
                 shard: crate::types::ShardId(shard),
                 lo,
                 hi,
                 managers,
             },
         );
-        (any::<u32>(), any::<u64>(), node_ids(), any::<u64>(), prop::collection::vec(entry, 0..4))
-            .prop_map(|(app, version, managers, signature, shards)| NsRecord {
+        (any::<u32>(), any::<u64>(), any::<u64>(), prop::collection::vec(entry, 0..4)).prop_map(
+            |(app, version, signature, shards)| NsRecord {
                 app: AppId(app),
                 version,
-                managers,
-                // The shard section is omitted when empty.
-                shards: (!shards.is_empty()).then_some(shards),
+                shards,
                 signature: wanacl_auth::rsa::Signature(signature),
-            })
+            },
+        )
     }
 
     // The decoder fuzz harness: reject, or mean exactly these bytes. Its
-    // fixed seeds are the three oversized counts pinned in
-    // `record_codec_round_trips_and_rejects_torn_bytes` (the 16-byte
-    // record that used to abort the process among them).
+    // fixed seeds are the two oversized counts pinned in
+    // `record_codec_round_trips_and_rejects_torn_bytes`.
     proptest! {
         #[test]
         fn record_decoder_rejects_or_round_trips_arbitrary_bytes(
@@ -948,8 +883,8 @@ mod tests {
                 prop_assert_eq!(encode_record(&record), bytes.clone());
             }
             // A snapshot skips what it cannot read; each record it does
-            // return took at least a length prefix and a flat record.
-            prop_assert!(decode_snapshot(&bytes).len() <= bytes.len() / (4 + 24));
+            // return took at least a length prefix and a record head.
+            prop_assert!(decode_snapshot(&bytes).len() <= bytes.len() / (4 + RECORD_HEAD_LEN));
         }
 
         #[test]

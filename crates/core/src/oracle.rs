@@ -28,7 +28,7 @@
 //!   last-writer stamp — after any disk recovery by that manager.
 //!   Sync-mode recoveries are exempt: without storage nothing was ever
 //!   promised durable.
-//! * **Tenant isolation (I8)** — in a sharded deployment, every
+//! * **Tenant isolation (I8)** — every
 //!   quorum-backed allow must cite only managers that own the subject's
 //!   bucket in some registered version of the tenant's shard map. A
 //!   manager from another tenant (or another shard) confirming a check
@@ -484,9 +484,8 @@ impl InvariantOracle {
                         ),
                     );
                 }
-                // I8: in a sharded tenant, only managers owning the
-                // user's bucket (in some registered map version) may
-                // confirm the check.
+                // I8: only managers owning the user's bucket (in some
+                // registered map version) may confirm the check.
                 let Some(versions) = self.shard_maps.get(&app) else { return };
                 self.stats.shard_allows += 1;
                 let bucket = user_bucket(user);
@@ -1219,7 +1218,7 @@ mod tests {
         note(&mut o, 1, 1, 9, quorum_allow(0, 1, 2, &own));
         assert!(o.is_clean(), "{:?}", o.violations());
         assert_eq!(o.stats().shard_allows, 1);
-        // An unsharded app stays unchecked.
+        // An app with no registered map stays unchecked.
         note(&mut o, 2, 2, 9, quorum_allow(7, 1, 2, &[5, 6]));
         assert_eq!(o.stats().shard_allows, 1);
         assert!(o.is_clean());

@@ -106,8 +106,9 @@ impl Scenario {
     /// [`Scenario::shards_per_tenant`] bucket-range shards served by two
     /// managers each. Requires [`Scenario::with_replicated_directory`]
     /// (the signed shard map is a directory record). User `u` belongs to
-    /// tenant `(u - 1) % n`. `0` (the default) keeps the legacy
-    /// single-app, unsharded layout byte-identical.
+    /// tenant `(u - 1) % n`. `0` (the default) is the one-tenant,
+    /// one-shard case: [`Scenario::managers`] managers serve `AppId(0)`'s
+    /// whole keyspace.
     pub fn tenants(mut self, n: usize) -> Self {
         self.tenants = n;
         self
@@ -310,8 +311,8 @@ impl Scenario {
         // Sharded multi-tenant layout: tenant `t` is `AppId(t)`, its
         // keyspace splits into `shards_per_tenant` contiguous bucket
         // ranges, and global shard `s` is served by managers `2s` and
-        // `2s+1`. Legacy deployments leave `shard_entries` empty and hit
-        // exactly the single-app paths below.
+        // `2s+1`. Without tenants, every manager serves `self.app`'s
+        // whole keyspace. Past the owner sets, nothing below branches.
         let sharded = self.tenants > 0;
         let managers_total = if sharded {
             assert!(
@@ -340,31 +341,26 @@ impl Scenario {
             }
             acl
         };
-        let mut shard_entries: Vec<(AppId, ShardEntry)> = Vec::new();
-        if sharded {
-            let spt = self.shards_per_tenant;
-            for t in 0..self.tenants {
-                for j in 0..spt {
-                    let s = t * spt + j;
-                    shard_entries.push((
-                        AppId(t as u32),
-                        ShardEntry {
-                            shard: ShardId(s as u32),
-                            lo: (j * 256 / spt) as u8,
-                            hi: ((j + 1) * 256 / spt - 1) as u8,
-                            managers: vec![
-                                NodeId::from_index(2 * s),
-                                NodeId::from_index(2 * s + 1),
-                            ],
-                        },
-                    ));
-                }
-            }
-        }
-
         // Managers occupy ids 0..M (added first, so ids are known up
         // front for peer lists).
         let manager_ids: Vec<NodeId> = (0..managers_total).map(NodeId::from_index).collect();
+        let spt = self.shards_per_tenant;
+        let shard_entries: Vec<(AppId, ShardEntry)> = if sharded {
+            (0..self.tenants * spt)
+                .map(|s| {
+                    let (t, j) = (s / spt, s % spt);
+                    let entry = ShardEntry {
+                        shard: ShardId(s as u32),
+                        lo: (j * 256 / spt) as u8,
+                        hi: ((j + 1) * 256 / spt - 1) as u8,
+                        managers: vec![NodeId::from_index(2 * s), NodeId::from_index(2 * s + 1)],
+                    };
+                    (AppId(t as u32), entry)
+                })
+                .collect()
+        } else {
+            vec![(self.app, ShardEntry::whole_keyspace(self.app, manager_ids.clone()))]
+        };
         for (i, &id) in manager_ids.iter().enumerate() {
             let peers: Vec<NodeId> =
                 manager_ids.iter().copied().filter(|p| *p != id).collect();
@@ -395,11 +391,7 @@ impl Scenario {
                 registry: registry_opt.clone(),
                 enforce_manage_right: self.authenticate,
                 shards,
-                ns_trust: if sharded {
-                    Some(registry.clone())
-                } else {
-                    self.manager_config.ns_trust.clone()
-                },
+                ns_trust: Some(registry.clone()),
                 ..self.manager_config.clone()
             };
             let spec = ManagerSpec { config, channel: channel.clone() };
@@ -415,22 +407,19 @@ impl Scenario {
             ns_replica_ids =
                 (first..first + self.ns_replicas).map(NodeId::from_index).collect();
             let secret = ns_writer_secret.as_ref().expect("writer key exists when replicas do");
-            // One genesis record per app; sharded deployments publish the
-            // shard map inside the record (version 1 = handoff epoch 1).
-            let genesis: Vec<NsRecord> = if sharded {
-                apps.iter()
-                    .map(|&app| {
-                        let entries: Vec<ShardEntry> = shard_entries
-                            .iter()
-                            .filter(|(a, _)| *a == app)
-                            .map(|(_, e)| e.clone())
-                            .collect();
-                        NsRecord::signed_sharded(app, 1, entries, NS_WRITER, secret)
-                    })
-                    .collect()
-            } else {
-                vec![NsRecord::signed(self.app, 1, manager_ids.clone(), NS_WRITER, secret)]
-            };
+            // One genesis record per app: its shard map, version 1 =
+            // handoff epoch 1.
+            let genesis: Vec<NsRecord> = apps
+                .iter()
+                .map(|&app| {
+                    let entries: Vec<ShardEntry> = shard_entries
+                        .iter()
+                        .filter(|(a, _)| *a == app)
+                        .map(|(_, e)| e.clone())
+                        .collect();
+                    NsRecord::signed(app, 1, entries, NS_WRITER, secret)
+                })
+                .collect();
             for (i, &id) in ns_replica_ids.iter().enumerate() {
                 let peers: Vec<NodeId> =
                     ns_replica_ids.iter().copied().filter(|p| *p != id).collect();
@@ -653,7 +642,7 @@ pub struct Layout {
     /// The application under access control (the first tenant's app in
     /// sharded mode).
     pub app: AppId,
-    /// Tenant count (0 = legacy single-app deployment).
+    /// Tenant count (0 = the one-tenant, one-shard deployment).
     pub tenants: usize,
     /// Shards per tenant (meaningful only when `tenants > 0`).
     pub shards_per_tenant: usize,
@@ -673,13 +662,14 @@ pub struct Layout {
     /// The directory writer's secret key, for publishing new records
     /// mid-run (present iff replicas are).
     pub ns_writer_secret: Option<SecretKey>,
-    /// Per-app current shard map: `(record version, entries)`. Empty in
-    /// legacy deployments; updated by [`Layout::rebalance`].
+    /// Per-app current shard map: `(record version, entries)` — without
+    /// tenants, one whole-keyspace entry over every manager. Updated by
+    /// [`Layout::rebalance`].
     pub shard_maps: BTreeMap<AppId, (u64, Vec<ShardEntry>)>,
 }
 
 impl Layout {
-    /// Current owners of a shard (sharded deployments).
+    /// Current owners of a shard.
     pub fn shard_owners(&self, shard: ShardId) -> Vec<NodeId> {
         self.shard_maps
             .values()
@@ -689,10 +679,10 @@ impl Layout {
             .expect("unknown shard")
     }
 
-    /// A new signed manager-set record for the app, addressed to ONE
-    /// replica (index `replica_index`). Anti-entropy is responsible for
-    /// spreading it — which is exactly what stale-replica and
-    /// split-brain faults attack.
+    /// A new signed record for the app — `managers` serving its whole
+    /// keyspace — addressed to ONE replica (index `replica_index`).
+    /// Anti-entropy is responsible for spreading it — which is exactly
+    /// what stale-replica and split-brain faults attack.
     ///
     /// # Panics
     ///
@@ -705,7 +695,8 @@ impl Layout {
     ) -> (NodeId, ProtoMsg) {
         let secret =
             self.ns_writer_secret.as_ref().expect("deployment has no replicated directory");
-        let record = NsRecord::signed(self.app, version, managers, NS_WRITER, secret);
+        let shards = vec![ShardEntry::whole_keyspace(self.app, managers)];
+        let record = NsRecord::signed(self.app, version, shards, NS_WRITER, secret);
         (self.ns_replicas[replica_index], ProtoMsg::NsPublish { record: Box::new(record) })
     }
 
@@ -742,7 +733,7 @@ impl Layout {
         );
         *version += 1;
         entries[idx].managers = new_owners.clone();
-        let record = NsRecord::signed_sharded(app, *version, entries.clone(), NS_WRITER, secret);
+        let record = NsRecord::signed(app, *version, entries.clone(), NS_WRITER, secret);
         recipients.extend(&new_owners);
         let kickoff = ProtoMsg::ShardHandoff {
             shard,
@@ -903,5 +894,20 @@ impl Deployment {
     /// Convenience: run the world until an absolute time.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.world.run_until(deadline);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Without tenants the layout still holds a shard map: the app's one
+    /// whole-keyspace entry over every manager, at version 1.
+    #[test]
+    fn a_flat_roster_maps_the_whole_keyspace_to_every_manager() {
+        let layout = Scenario::builder(1).managers(3).roster().layout;
+        let every = (0..3).map(NodeId::from_index).collect();
+        let entry = ShardEntry::whole_keyspace(AppId(0), every);
+        assert_eq!(layout.shard_maps, BTreeMap::from([(AppId(0), (1, vec![entry]))]));
     }
 }

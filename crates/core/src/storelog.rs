@@ -17,11 +17,9 @@ use wanacl_sim::node::NodeId;
 use crate::msg::{AclOp, OpId};
 use crate::types::{AppId, Right, ShardId, UserId};
 
-/// Snapshot format version for flat (no released shards) state.
-const SNAPSHOT_VERSION: u8 = 1;
-/// Snapshot format version carrying a released-shard set. Only emitted
-/// when the set is nonempty, so legacy snapshots stay byte-identical.
-const SNAPSHOT_VERSION_SHARDED: u8 = 2;
+/// Snapshot format version: the one that carries the released-shard
+/// set (version 1 did not).
+const SNAPSHOT_VERSION: u8 = 2;
 /// Magic prefix distinguishing a snapshot from arbitrary bytes.
 const SNAPSHOT_MAGIC: &[u8; 4] = b"WSNP";
 
@@ -60,7 +58,8 @@ pub fn encode_record(id: OpId, op: &AclOp) -> Vec<u8> {
 /// shard during a handoff, so it must stay silent for it after a crash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecord {
-    /// An applied `(OpId, AclOp)` pair — the legacy record kinds 0/1.
+    /// An applied `(OpId, AclOp)` pair — record kinds 0 (add) and 1
+    /// (revoke).
     Op(OpId, AclOp),
     /// A shard-release marker — record kind 2.
     ShardRelease {
@@ -130,9 +129,7 @@ pub struct SnapshotState {
     /// Per-slot last writer with the winning op, in slot order.
     pub lww: Vec<(AppId, UserId, Right, OpId, AclOp)>,
     /// Shards this manager has durably released (with the handoff
-    /// epoch). Empty in every flat deployment; when empty the snapshot
-    /// is emitted in the legacy version-1 format, byte-identical to
-    /// pre-shard builds.
+    /// epoch); empty until a handoff moves one away.
     pub released: Vec<(ShardId, u64)>,
 }
 
@@ -144,7 +141,7 @@ pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
             + state.released.len() * 12,
     );
     out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.push(if state.released.is_empty() { SNAPSHOT_VERSION } else { SNAPSHOT_VERSION_SHARDED });
+    out.push(SNAPSHOT_VERSION);
     out.extend_from_slice(&state.lamport.to_be_bytes());
     out.extend_from_slice(&(state.applied.len() as u32).to_be_bytes());
     for id in &state.applied {
@@ -157,12 +154,10 @@ pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
         // the WAL record encoding doubles as the slot entry encoding.
         out.extend_from_slice(&encode_record(*id, op));
     }
-    if !state.released.is_empty() {
-        out.extend_from_slice(&(state.released.len() as u32).to_be_bytes());
-        for (shard, epoch) in &state.released {
-            out.extend_from_slice(&shard.0.to_be_bytes());
-            out.extend_from_slice(&epoch.to_be_bytes());
-        }
+    out.extend_from_slice(&(state.released.len() as u32).to_be_bytes());
+    for (shard, epoch) in &state.released {
+        out.extend_from_slice(&shard.0.to_be_bytes());
+        out.extend_from_slice(&epoch.to_be_bytes());
     }
     out
 }
@@ -191,10 +186,7 @@ fn u32_then_u64(element: &[u8]) -> (u32, u64) {
 /// Decodes a snapshot; `None` on any structural mismatch.
 pub fn decode_snapshot(bytes: &[u8]) -> Option<SnapshotState> {
     let rest = bytes.strip_prefix(&SNAPSHOT_MAGIC[..])?;
-    let (&version, rest) = rest.split_first()?;
-    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_SHARDED {
-        return None;
-    }
+    let rest = rest.strip_prefix(&[SNAPSHOT_VERSION])?;
     let (lamport, mut rest) = rest.split_first_chunk::<8>()?;
     let lamport = u64::from_be_bytes(*lamport);
     let applied = take_elements(&mut rest, 12)?
@@ -206,18 +198,12 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<SnapshotState> {
     let lww = take_elements(&mut rest, RECORD_LEN)?
         .map(|e| decode_record(e).map(|(id, op)| (op.app(), op.user(), op.right(), id, op)))
         .collect::<Option<_>>()?;
-    let mut released = Vec::new();
-    if version == SNAPSHOT_VERSION_SHARDED {
-        released.extend(take_elements(&mut rest, 12)?.map(|e| {
+    let released = take_elements(&mut rest, 12)?
+        .map(|e| {
             let (shard, epoch) = u32_then_u64(e);
             (ShardId(shard), epoch)
-        }));
-        if released.is_empty() {
-            // Version 2 exists only to carry a nonempty set; an empty
-            // one belongs in version 1.
-            return None;
-        }
-    }
+        })
+        .collect();
     if !rest.is_empty() {
         return None;
     }
@@ -275,7 +261,8 @@ pub(crate) mod tests {
             released: vec![],
         };
         let bytes = encode_snapshot(&state);
-        assert_eq!(bytes[4], 1, "no released shards stays version 1");
+        assert_eq!(bytes[4], SNAPSHOT_VERSION);
+        assert_eq!(&bytes[bytes.len() - 4..], &[0; 4], "an empty released set is a zero count");
         assert_eq!(decode_snapshot(&bytes), Some(state));
     }
 
@@ -306,15 +293,8 @@ pub(crate) mod tests {
             released: vec![(ShardId(0), 2), (ShardId(4), 7)],
         };
         let bytes = encode_snapshot(&state);
-        assert_eq!(bytes[4], 2, "released shards bump to version 2");
         assert_eq!(decode_snapshot(&bytes), Some(state.clone()));
         assert_eq!(decode_snapshot(&bytes[..bytes.len() - 1]), None, "truncated");
-        // A flat-era decoder would reject version 2 outright; our
-        // decoder rejects the degenerate empty-set version 2 too.
-        let mut empty_v2 = encode_snapshot(&SnapshotState::default());
-        empty_v2[4] = 2;
-        empty_v2.extend_from_slice(&0u32.to_be_bytes());
-        assert_eq!(decode_snapshot(&empty_v2), None);
     }
 
     #[test]
@@ -357,7 +337,7 @@ pub(crate) mod tests {
         assert_eq!(decode_snapshot(&lww), None, "lww_len");
 
         let mut released = encode_snapshot(&SnapshotState::default());
-        released[4] = 2;
+        released.truncate(21);
         released.extend_from_slice(&huge);
         assert_eq!(released.len(), 25);
         assert_eq!(decode_snapshot(&released), None, "released_len");

@@ -176,33 +176,33 @@ registry! {
     SCALE_MGR_SERVED = "scale.mgr_served", Counter, "messages", "`scale` probe manager: check answered (§15)";
     SCALE_REVOKE_ACKS = "scale.revoke_acks", Histogram, "acks", "`scale` probe admin: managers acknowledging per revoke (§15)";
     SCALE_REVOKE_SENT = "scale.revoke_sent", Counter, "ops", "`scale` probe admin: revoke begun (§15)";
-    SHARD_0_CHECKS = "shard.0.checks", Counter, "checks", "`HostNode` check routed to global shard 0 (§14)";
-    SHARD_0_QUERIES = "shard.0.queries", Counter, "messages", "`ManagerNode` query served for global shard 0 (§14)";
-    SHARD_0_UPDATES = "shard.0.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 0 (§14)";
-    SHARD_1_CHECKS = "shard.1.checks", Counter, "checks", "`HostNode` check routed to global shard 1 (§14)";
-    SHARD_1_QUERIES = "shard.1.queries", Counter, "messages", "`ManagerNode` query served for global shard 1 (§14)";
-    SHARD_1_UPDATES = "shard.1.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 1 (§14)";
-    SHARD_2_CHECKS = "shard.2.checks", Counter, "checks", "`HostNode` check routed to global shard 2 (§14)";
-    SHARD_2_QUERIES = "shard.2.queries", Counter, "messages", "`ManagerNode` query served for global shard 2 (§14)";
-    SHARD_2_UPDATES = "shard.2.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 2 (§14)";
-    SHARD_3_CHECKS = "shard.3.checks", Counter, "checks", "`HostNode` check routed to global shard 3 (§14)";
-    SHARD_3_QUERIES = "shard.3.queries", Counter, "messages", "`ManagerNode` query served for global shard 3 (§14)";
-    SHARD_3_UPDATES = "shard.3.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 3 (§14)";
-    SHARD_4_CHECKS = "shard.4.checks", Counter, "checks", "`HostNode` check routed to global shard 4 (§14)";
-    SHARD_4_QUERIES = "shard.4.queries", Counter, "messages", "`ManagerNode` query served for global shard 4 (§14)";
-    SHARD_4_UPDATES = "shard.4.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 4 (§14)";
-    SHARD_5_CHECKS = "shard.5.checks", Counter, "checks", "`HostNode` check routed to global shard 5 (§14)";
-    SHARD_5_QUERIES = "shard.5.queries", Counter, "messages", "`ManagerNode` query served for global shard 5 (§14)";
-    SHARD_5_UPDATES = "shard.5.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 5 (§14)";
-    SHARD_6_CHECKS = "shard.6.checks", Counter, "checks", "`HostNode` check routed to global shard 6 (§14)";
-    SHARD_6_QUERIES = "shard.6.queries", Counter, "messages", "`ManagerNode` query served for global shard 6 (§14)";
-    SHARD_6_UPDATES = "shard.6.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 6 (§14)";
-    SHARD_7_CHECKS = "shard.7.checks", Counter, "checks", "`HostNode` check routed to global shard 7 (§14)";
-    SHARD_7_QUERIES = "shard.7.queries", Counter, "messages", "`ManagerNode` query served for global shard 7 (§14)";
-    SHARD_7_UPDATES = "shard.7.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 7 (§14)";
-    SHARD_OTHER_CHECKS = "shard.other.checks", Counter, "checks", "`HostNode` check routed to a global shard id past 7 (§14)";
-    SHARD_OTHER_QUERIES = "shard.other.queries", Counter, "messages", "`ManagerNode` query served for a global shard id past 7 (§14)";
-    SHARD_OTHER_UPDATES = "shard.other.updates", Counter, "messages", "`ManagerNode` admin op accepted for a global shard id past 7 (§14)";
+    SHARD_0_CHECKS = "shard.0.checks", Counter, "checks", "`HostNode` check routed to global shard 0 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_0_QUERIES = "shard.0.queries", Counter, "messages", "`ManagerNode` query served for global shard 0 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_0_UPDATES = "shard.0.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 0 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_1_CHECKS = "shard.1.checks", Counter, "checks", "`HostNode` check routed to global shard 1 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_1_QUERIES = "shard.1.queries", Counter, "messages", "`ManagerNode` query served for global shard 1 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_1_UPDATES = "shard.1.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 1 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_2_CHECKS = "shard.2.checks", Counter, "checks", "`HostNode` check routed to global shard 2 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_2_QUERIES = "shard.2.queries", Counter, "messages", "`ManagerNode` query served for global shard 2 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_2_UPDATES = "shard.2.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 2 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_3_CHECKS = "shard.3.checks", Counter, "checks", "`HostNode` check routed to global shard 3 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_3_QUERIES = "shard.3.queries", Counter, "messages", "`ManagerNode` query served for global shard 3 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_3_UPDATES = "shard.3.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 3 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_4_CHECKS = "shard.4.checks", Counter, "checks", "`HostNode` check routed to global shard 4 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_4_QUERIES = "shard.4.queries", Counter, "messages", "`ManagerNode` query served for global shard 4 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_4_UPDATES = "shard.4.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 4 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_5_CHECKS = "shard.5.checks", Counter, "checks", "`HostNode` check routed to global shard 5 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_5_QUERIES = "shard.5.queries", Counter, "messages", "`ManagerNode` query served for global shard 5 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_5_UPDATES = "shard.5.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 5 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_6_CHECKS = "shard.6.checks", Counter, "checks", "`HostNode` check routed to global shard 6 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_6_QUERIES = "shard.6.queries", Counter, "messages", "`ManagerNode` query served for global shard 6 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_6_UPDATES = "shard.6.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 6 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_7_CHECKS = "shard.7.checks", Counter, "checks", "`HostNode` check routed to global shard 7 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_7_QUERIES = "shard.7.queries", Counter, "messages", "`ManagerNode` query served for global shard 7 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_7_UPDATES = "shard.7.updates", Counter, "messages", "`ManagerNode` admin op accepted for global shard 7 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_OTHER_CHECKS = "shard.other.checks", Counter, "checks", "`HostNode` check routed to a global shard id past 7 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_OTHER_QUERIES = "shard.other.queries", Counter, "messages", "`ManagerNode` query served for a global shard id past 7 (every deployment: an app served whole is the shard of its id, §14)";
+    SHARD_OTHER_UPDATES = "shard.other.updates", Counter, "messages", "`ManagerNode` admin op accepted for a global shard id past 7 (every deployment: an app served whole is the shard of its id, §14)";
     STORAGE_WAL_FSYNC = "storage.wal_fsync", Counter, "fsyncs", "`FileStorage` fsync done (rt only, via `with_metrics`)";
     STORAGE_WAL_FSYNC_FAILED = "storage.wal_fsync_failed", Counter, "fsyncs", "`FileStorage` fsync error (rt only)";
     STORAGE_WAL_FSYNC_S = "storage.wal_fsync_s", Histogram, "seconds", "`FileStorage` wall-clock fsync latency (rt only)";

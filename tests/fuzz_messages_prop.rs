@@ -64,11 +64,13 @@ fn forge(h: &Hostile) -> ProtoMsg {
         10 => ProtoMsg::SyncRequest { stamps: vec![(NodeId::from_index((h.a % 4) as usize), h.b)], slots: vec![] },
         _ => ProtoMsg::NsRecordReply {
             app,
-            version: h.a % 4,
-            managers: vec![NodeId::from_index((h.a % 8) as usize)],
-            shards: None,
             ttl: SimDuration::from_secs(h.b % 100 + 1),
-            signature: None,
+            record: Some(Box::new(NsRecord {
+                app,
+                version: h.a % 4,
+                shards: vec![ShardEntry::whole_keyspace(app, vec![NodeId::from_index((h.a % 8) as usize)])],
+                signature: wanacl::auth::rsa::Signature(h.b),
+            })),
         },
     }
 }
