@@ -1035,16 +1035,17 @@ mod tests {
     /// from it reproduces, note for note, the run the hand-assembled
     /// deployment of the parent commit (1f081cb) produced (the
     /// one-replica shape is pinned at 21bf6af, where it took over from
-    /// the legacy name service).
+    /// the legacy name service; the disk-fault and policy shapes at
+    /// 74ff3aa, before the manager and host were cut into sub-machines).
     #[test]
     fn roster_ids_match_campaign_targets_and_runs_reproduce_pinned_digests() {
-        type Shape = (&'static str, fn(u64) -> CampaignConfig, u64, [u64; 5]);
-        let shapes: [Shape; 4] = [
-            ("flat", quick_config, 1, [
+        type Shape = (&'static str, fn(u64) -> CampaignConfig, u64, &'static [u64]);
+        let shapes: [Shape; 6] = [
+            ("flat", quick_config, 1, &[
                 0xe53297824ff91b31, 0x28bef6f8bf23f43e, 0xd702adf1e0998229,
                 0x77da7619670d10d5, 0x3a9da89d0335bef6,
             ]),
-            ("one-replica-directory", |s| CampaignConfig { ns_replicas: 1, ..quick_config(s) }, 1, [
+            ("one-replica-directory", |s| CampaignConfig { ns_replicas: 1, ..quick_config(s) }, 1, &[
                 0x42ac880ca8c56c2a, 0x7a83e0ff1681aa9f, 0xa1b4a846803bef96,
                 0xe72c167e5d0404e8, 0xea6f3a39732140f8,
             ]),
@@ -1052,18 +1053,22 @@ mod tests {
                 "replicated-directory",
                 |s| CampaignConfig { ns_replicas: 3, ns_faults: true, ..quick_config(s) },
                 1,
-                [
+                &[
                     0xd9eff15451cbb629, 0xcba836399afa7e62, 0x25609c1eb32b2a33,
                     0xb39674a67642994c, 0xac03a8df6964dec1,
                 ],
             ),
-            ("sharded", sharded_config, 21, [
+            ("sharded", sharded_config, 21, &[
                 0xbc9e0e550a70807c, 0xb56212709cee1f84, 0xe6684938cf16a0b7,
                 0xe2a7df96d9bdd338, 0x9ae209080e3087e0,
             ]),
+            ("disk-faults", disk_config, 1, &[0xb5dea969e5e29ab8, 0x6210c5b899144c42, 0x6d367da7ec4a6d5f]),
+            ("freeze-refresh-subset-fail-open", policy_config, 1, &[
+                0xc01a0c181642a7ca, 0xc2b742659d8a8702, 0xb1f46eb8fb755e25,
+            ]),
         ];
         for (shape, config_for, first_seed, digests) in shapes {
-            for (seed, pinned) in (first_seed..).zip(digests) {
+            for (seed, &pinned) in (first_seed..).zip(digests) {
                 let config = config_for(seed);
                 let roster = campaign_scenario(&config).roster();
                 let targets = campaign_targets(&config);
@@ -1077,5 +1082,59 @@ mod tests {
                 assert_eq!(digest, pinned, "{shape} seed {seed}: {digest:#018x}");
             }
         }
+    }
+
+    /// A campaign whose policy turns on what the default one leaves off:
+    /// the §3.3 freeze (`Ti + te = 1 s + 1 s ≤ Te = 2 s`), proactive lease
+    /// refresh, the random `C`-subset fan-out and fail-open exhaustion.
+    fn policy_config(seed: u64) -> CampaignConfig {
+        let policy = Policy::builder(2)
+            .revocation_bound(SimDuration::from_secs(2))
+            .clock_rate_bound(0.5)
+            .query_timeout(SimDuration::from_millis(250))
+            .max_attempts(3)
+            .cache_sweep_interval(SimDuration::from_millis(500))
+            .freeze(crate::policy::FreezePolicy {
+                ti: SimDuration::from_secs(1),
+                heartbeat_interval: SimDuration::from_millis(200),
+            })
+            .refresh_margin(SimDuration::from_millis(300))
+            .fanout(crate::policy::QueryFanout::Subset)
+            .exhaustion(crate::policy::ExhaustionBehavior::FailOpen)
+            .build();
+        CampaignConfig { policy, intensity: 3.0, horizon: SimDuration::from_secs(8), ..quick_config(seed) }
+    }
+
+    fn disk_config(seed: u64) -> CampaignConfig {
+        CampaignConfig { disk_faults: true, intensity: 2.0, horizon: SimDuration::from_secs(8), ..quick_config(seed) }
+    }
+
+    /// Signatures on invokes and admin ops, HMAC tags on every reply and
+    /// revoke notice: an authenticated deployment under the oracle
+    /// reproduces, note for note, the run pinned at 74ff3aa.
+    #[test]
+    fn an_authenticated_deployment_reproduces_its_pinned_digest() {
+        let policy = CampaignConfig::default_policy();
+        let at = |secs, op| AdminAction { delay: SimDuration::from_secs(secs), op };
+        let (app, user, right) = (AppId(0), UserId(1), Right::Use);
+        let script = vec![at(2, AclOp::Revoke { app, user, right }), at(4, AclOp::Add { app, user, right })];
+        let mut d = Scenario::builder(5)
+            .managers(3)
+            .hosts(2)
+            .users(3)
+            .policy(policy.clone())
+            .all_users_granted()
+            .authenticate()
+            .workload(SimDuration::from_millis(300))
+            .admin_script(script)
+            .build();
+        let oracle = d.world.add_observer(Box::new(InvariantOracle::new(&policy, SimDuration::ZERO)));
+        d.run_for(SimDuration::from_secs(8));
+        assert!(d.world.metrics().counter("mgr.revoke_notices") > 0, "no revoke notice was tagged");
+        assert!(d.world.metrics().counter("host.revoke_flush") > 0, "no tagged notice verified");
+        let oracle = d.world.observer_as::<InvariantOracle>(oracle);
+        assert!(oracle.is_clean(), "{:?}", oracle.violations());
+        let digest = oracle.audit_digest();
+        assert_eq!(digest, 0xf2d58c14635d4599, "{digest:#018x}");
     }
 }
