@@ -57,6 +57,8 @@ pub mod cache;
 pub mod campaign;
 pub mod channel;
 pub mod client;
+#[cfg(test)]
+mod harness;
 pub mod host;
 pub mod manager;
 pub mod msg;

@@ -1,0 +1,241 @@
+//! Persistent update dissemination (§3.3) and revocation notices (§3.4):
+//! the updates this manager originated and who has acked them, the grant
+//! table of hosts caching each right, and the notices owed to them.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use wanacl_sim::backoff::Backoff;
+use wanacl_sim::clock::LocalTime;
+use wanacl_sim::metrics::MetricId as M;
+use wanacl_sim::node::{Context, NodeId};
+
+use crate::audit::AuditEvent;
+use crate::channel::ChannelEnd;
+use crate::msg::{AclOp, AdminStatus, OpId, ProtoMsg, ReqId};
+use crate::types::{user_bucket, AppId, UserId};
+
+use super::TAG_RETRY;
+
+#[derive(Debug)]
+struct PendingUpdate {
+    op: AclOp,
+    unacked: BTreeSet<NodeId>,
+    applied_count: usize,
+    /// Applied-copy count that makes the op stable, computed at origin
+    /// time: `M − C + 1` over the owning shard's manager set.
+    quorum: usize,
+    stable: bool,
+    /// Whether this manager's own copy is durable yet. The origin counts
+    /// itself toward the update quorum only once the op is WAL-synced
+    /// (without storage this is immediate).
+    self_durable: bool,
+    issuer: Option<(NodeId, ReqId)>,
+    started: LocalTime,
+}
+
+#[derive(Debug)]
+struct PendingRevoke {
+    app: AppId,
+    user: UserId,
+    /// Host → local deadline after which the cached right has expired on
+    /// its own and retransmission stops.
+    targets: BTreeMap<NodeId, LocalTime>,
+}
+
+#[derive(Debug, Default)]
+pub(super) struct Dissemination {
+    pending: BTreeMap<OpId, PendingUpdate>,
+    pending_revokes: Vec<PendingRevoke>,
+    grant_table: BTreeMap<(AppId, UserId), BTreeMap<NodeId, LocalTime>>,
+    /// Consecutive retry rounds that actually resent something; indexes
+    /// into the retry backoff schedule. Reset when a round finds nothing
+    /// to resend or fresh work arrives.
+    retry_round: u32,
+}
+
+/// A `RevokeNotice` for `host`, tagged under the key shared with it.
+fn notice(channel: &mut Option<ChannelEnd>, me: NodeId, host: NodeId, app: AppId, user: UserId) -> ProtoMsg {
+    let mac = channel.as_mut().map(|c| c.pair(me, host).tag_revoke_notice(app, user));
+    ProtoMsg::RevokeNotice { app, user, mac }
+}
+
+impl Dissemination {
+    pub(super) fn pending_updates(&self) -> usize {
+        self.pending.len()
+    }
+
+    pub(super) fn granted_hosts(&self, app: AppId, user: UserId) -> usize {
+        self.grant_table.get(&(app, user)).map_or(0, |m| m.len())
+    }
+
+    /// Remembers that `host` caches `user`'s right until `deadline`.
+    pub(super) fn note_grant(&mut self, app: AppId, user: UserId, host: NodeId, deadline: LocalTime) {
+        self.grant_table.entry((app, user)).or_default().insert(host, deadline);
+    }
+
+    /// Starts disseminating an op this manager originated to `peers`;
+    /// `quorum` applied copies make it stable.
+    pub(super) fn originate(
+        &mut self,
+        ctx: &mut Context<'_, ProtoMsg>,
+        (id, op): (OpId, AclOp),
+        peers: Vec<NodeId>,
+        quorum: usize,
+        issuer: (NodeId, ReqId),
+    ) {
+        self.pending.insert(
+            id,
+            PendingUpdate {
+                op,
+                unacked: peers.iter().copied().collect(),
+                applied_count: 0,
+                stable: false,
+                self_durable: false,
+                quorum,
+                issuer: Some(issuer),
+                started: ctx.local_now(),
+            },
+        );
+        for peer in peers {
+            ctx.metric_incr(M::MGR_UPDATES_SENT);
+            ctx.send(peer, ProtoMsg::Update { id, op });
+        }
+    }
+
+    /// This manager's own copy of `id` is durable: it counts toward the
+    /// quorum. Returns whether that made the op stable.
+    pub(super) fn self_durable(&mut self, ctx: &mut Context<'_, ProtoMsg>, id: OpId) -> bool {
+        let Some(pending) = self.pending.get_mut(&id) else { return false };
+        if pending.self_durable {
+            return false;
+        }
+        pending.self_durable = true;
+        pending.applied_count += 1;
+        self.settle(ctx, id)
+    }
+
+    /// `from` acked `id`. Returns whether that made the op stable.
+    pub(super) fn acked(&mut self, ctx: &mut Context<'_, ProtoMsg>, from: NodeId, id: OpId) -> bool {
+        let Some(pending) = self.pending.get_mut(&id) else { return false };
+        if !pending.unacked.remove(&from) {
+            return false; // duplicate ack
+        }
+        pending.applied_count += 1;
+        self.settle(ctx, id)
+    }
+
+    /// Re-evaluates stability after an applied count changed, reporting
+    /// `Stable` to the issuer at the quorum and retiring the record once
+    /// fully acked and locally durable.
+    fn settle(&mut self, ctx: &mut Context<'_, ProtoMsg>, id: OpId) -> bool {
+        let Some(pending) = self.pending.get_mut(&id) else { return false };
+        let stable_now = !pending.stable && pending.applied_count >= pending.quorum;
+        if stable_now {
+            pending.stable = true;
+            ctx.metric_incr(M::MGR_QUORUM_REACHED);
+            let elapsed = ctx.local_now().since(pending.started);
+            ctx.metric_observe(M::MGR_TIME_TO_QUORUM_S, elapsed.as_secs_f64());
+            let (app, user) = (pending.op.app(), pending.op.user());
+            ctx.trace_record(|| {
+                if pending.op.is_revoke() {
+                    AuditEvent::RevokeStable { app, user, id }
+                } else {
+                    AuditEvent::GrantStable { app, user, id }
+                }
+            });
+            if let Some((issuer, req)) = pending.issuer {
+                ctx.send(issuer, ProtoMsg::AdminReply { req, status: AdminStatus::Stable });
+            }
+        }
+        if pending.unacked.is_empty() && pending.self_durable {
+            self.pending.remove(&id);
+        }
+        stable_now
+    }
+
+    /// Starts forwarding a revocation to every host recorded as caching
+    /// the user's right, and keeps retransmitting until each cached entry
+    /// would have expired on its own.
+    pub(super) fn forward_revocation(
+        &mut self,
+        ctx: &mut Context<'_, ProtoMsg>,
+        channel: &mut Option<ChannelEnd>,
+        app: AppId,
+        user: UserId,
+    ) {
+        let Some(targets) = self.grant_table.remove(&(app, user)) else { return };
+        if targets.is_empty() {
+            return;
+        }
+        for &host in targets.keys() {
+            ctx.metric_incr(M::MGR_REVOKE_NOTICES);
+            ctx.send(host, notice(channel, ctx.id(), host, app, user));
+        }
+        self.pending_revokes.push(PendingRevoke { app, user, targets });
+        self.retry_round = 0;
+    }
+
+    /// Fresh work re-probes at the base cadence even if earlier rounds
+    /// had backed off.
+    pub(super) fn fresh_work(&mut self) {
+        self.retry_round = 0;
+    }
+
+    pub(super) fn arm_retry(&mut self, ctx: &mut Context<'_, ProtoMsg>, backoff: &Backoff) {
+        let delay = backoff.delay(self.retry_round, ctx.rng());
+        ctx.set_timer(delay, TAG_RETRY);
+    }
+
+    /// The retry tick: resends every unacked update, and every notice
+    /// until the cached right would have expired anyway (§3.4).
+    pub(super) fn retry(
+        &mut self,
+        ctx: &mut Context<'_, ProtoMsg>,
+        channel: &mut Option<ChannelEnd>,
+        backoff: &Backoff,
+    ) {
+        let mut resent = 0u64;
+        for (id, pending) in &self.pending {
+            for peer in &pending.unacked {
+                ctx.metric_incr(M::MGR_UPDATES_RESENT);
+                ctx.send(*peer, ProtoMsg::Update { id: *id, op: pending.op });
+                resent += 1;
+            }
+        }
+        let now = ctx.local_now();
+        for pr in &mut self.pending_revokes {
+            pr.targets.retain(|_, deadline| now < *deadline);
+            for &host in pr.targets.keys() {
+                ctx.metric_incr(M::MGR_REVOKE_NOTICES_RESENT);
+                ctx.send(host, notice(channel, ctx.id(), host, pr.app, pr.user));
+                resent += 1;
+            }
+        }
+        self.pending_revokes.retain(|pr| !pr.targets.is_empty());
+        // Graceful degradation: rounds that keep finding unacknowledged
+        // work (a partition, a dead peer) back off toward `retry_cap`;
+        // an idle round snaps the cadence back to the base interval.
+        self.retry_round = if resent == 0 { 0 } else { self.retry_round.saturating_add(1) };
+        self.arm_retry(ctx, backoff);
+    }
+
+    /// Drops grant-table entries whose cached right has expired.
+    pub(super) fn sweep_grants(&mut self, now: LocalTime) {
+        self.grant_table.retain(|_, hosts| {
+            hosts.retain(|_, deadline| now < *deadline);
+            !hosts.is_empty()
+        });
+    }
+
+    /// Drops pending updates whose slot lives in a released shard: they
+    /// can never complete here, and their effects ride inside the
+    /// transfer payload.
+    pub(super) fn cancel_in(&mut self, app: AppId, lo: u8, hi: u8) {
+        self.pending.retain(|_, p| !(p.op.app() == app && (lo..=hi).contains(&user_bucket(p.op.user()))));
+    }
+
+    /// A crash loses everything disseminating.
+    pub(super) fn clear(&mut self) {
+        *self = Dissemination::default();
+    }
+}

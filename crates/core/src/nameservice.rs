@@ -525,87 +525,12 @@ mod tests {
     use rand::SeedableRng;
 
     use wanacl_auth::rsa::KeyPair;
+    use crate::harness::{metric_incrs, sends, Harness};
     use wanacl_sim::clock::LocalTime;
     use wanacl_sim::node::Effect;
-    use wanacl_sim::rng::SimRng;
     use wanacl_sim::storage::SimStorage;
 
     const TTL: SimDuration = SimDuration::from_secs(60);
-
-    struct Harness {
-        rng: SimRng,
-        next_timer: u64,
-        now: LocalTime,
-        id: NodeId,
-    }
-
-    impl Harness {
-        fn new() -> Harness {
-            Harness {
-                rng: SimRng::seed_from(1),
-                next_timer: 0,
-                now: LocalTime::ZERO,
-                id: NodeId::from_index(0),
-            }
-        }
-
-        fn deliver<N: Node<Msg = ProtoMsg>>(
-            &mut self,
-            node: &mut N,
-            from: NodeId,
-            msg: ProtoMsg,
-        ) -> Vec<Effect<ProtoMsg>> {
-            let mut effects = Vec::new();
-            let mut ctx =
-                Context::new(self.id, self.now, &mut effects, &mut self.rng, &mut self.next_timer);
-            node.on_message(&mut ctx, from, msg);
-            effects
-        }
-
-        fn start<N: Node<Msg = ProtoMsg>>(&mut self, node: &mut N) -> Vec<Effect<ProtoMsg>> {
-            let mut effects = Vec::new();
-            let mut ctx =
-                Context::new(self.id, self.now, &mut effects, &mut self.rng, &mut self.next_timer);
-            node.on_start(&mut ctx);
-            effects
-        }
-
-        fn timer<N: Node<Msg = ProtoMsg>>(&mut self, node: &mut N, tag: u64) -> Vec<Effect<ProtoMsg>> {
-            let mut effects = Vec::new();
-            let mut ctx =
-                Context::new(self.id, self.now, &mut effects, &mut self.rng, &mut self.next_timer);
-            node.on_timer(&mut ctx, tag);
-            effects
-        }
-
-        fn recover<N: Node<Msg = ProtoMsg>>(&mut self, node: &mut N) -> Vec<Effect<ProtoMsg>> {
-            let mut effects = Vec::new();
-            let mut ctx =
-                Context::new(self.id, self.now, &mut effects, &mut self.rng, &mut self.next_timer);
-            node.on_recover(&mut ctx);
-            effects
-        }
-    }
-
-    fn sends(effects: &[Effect<ProtoMsg>]) -> Vec<(NodeId, ProtoMsg)> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send { to, msg } => Some((*to, msg.clone())),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn metric_incrs(effects: &[Effect<ProtoMsg>]) -> Vec<&'static str> {
-        effects
-            .iter()
-            .filter_map(|e| match e {
-                Effect::MetricIncr { name } => Some(name.def().name),
-                _ => None,
-            })
-            .collect()
-    }
 
     fn writer_setup() -> (Arc<KeyRegistry>, KeyPair, PrincipalId) {
         let mut rng = StdRng::seed_from_u64(77);
@@ -631,7 +556,7 @@ mod tests {
         let mut rep = replica(&registry, writer, vec![]);
         let mgrs = vec![NodeId::from_index(1), NodeId::from_index(2)];
         rep.preload(record(&kp, writer, 1, mgrs.clone()));
-        let mut h = Harness::new();
+        let mut h = Harness::new(0);
         let host = NodeId::from_index(9);
 
         let effects = h.deliver(&mut rep, host, ProtoMsg::NsQuery { app: AppId(0) });
@@ -669,7 +594,7 @@ mod tests {
     fn publish_rejects_forgery_and_rollback_accepts_newer() {
         let (registry, kp, writer) = writer_setup();
         let mut rep = replica(&registry, writer, vec![]);
-        let mut h = Harness::new();
+        let mut h = Harness::new(0);
         let m = |i| NodeId::from_index(i);
 
         // v2 accepted.
@@ -707,28 +632,28 @@ mod tests {
         let b_id = NodeId::from_index(1);
         let mut a = replica(&registry, writer, vec![b_id]);
         let mut b = replica(&registry, writer, vec![a_id]);
-        let mut h = Harness::new();
+        let mut h = Harness::new(0);
 
         // A holds v2; B holds nothing.
         a.preload(record(&kp, writer, 2, vec![NodeId::from_index(3)]));
 
         // B's sync round probes A ...
         let effects = h.timer(&mut b, TAG_SYNC);
-        let (to, probe) = sends(&effects).remove(0);
+        let (to, probe) = sends(&effects)[0];
         assert_eq!(to, a_id);
         // ... A answers with its newer record ...
-        let effects = h.deliver(&mut a, b_id, probe);
-        let (to, delta) = sends(&effects).remove(0);
+        let effects = h.deliver(&mut a, b_id, probe.clone());
+        let (to, delta) = sends(&effects)[0];
         assert_eq!(to, b_id);
         // ... and B verifies + installs it.
-        let effects = h.deliver(&mut b, a_id, delta);
+        let effects = h.deliver(&mut b, a_id, delta.clone());
         assert!(metric_incrs(&effects).contains(&"ns.records_accepted"));
         assert_eq!(b.version_of(AppId(0)), 2);
 
         // Converged: another probe draws no response.
         let effects = h.timer(&mut b, TAG_SYNC);
-        let (_, probe) = sends(&effects).remove(0);
-        let effects = h.deliver(&mut a, b_id, probe);
+        let (_, probe) = sends(&effects)[0];
+        let effects = h.deliver(&mut a, b_id, probe.clone());
         assert!(sends(&effects).is_empty(), "no delta when in sync");
     }
 
@@ -739,7 +664,7 @@ mod tests {
         let mut rep = replica(&registry, writer, vec![peer]);
         rep.preload(record(&kp, writer, 2, vec![NodeId::from_index(3)]));
         rep.set_suppress_sync(true);
-        let mut h = Harness::new();
+        let mut h = Harness::new(0);
 
         // No outgoing probe (the timer still re-arms).
         let effects = h.timer(&mut rep, TAG_SYNC);
@@ -762,7 +687,7 @@ mod tests {
         let mgrs = vec![NodeId::from_index(1), NodeId::from_index(2)];
         rep.preload(record(&kp, writer, 3, mgrs.clone()));
         rep.set_malicious(Window::new(SimTime::ZERO, SimTime::from_secs(10)));
-        let mut h = Harness::new();
+        let mut h = Harness::new(0);
 
         let effects = h.deliver(&mut rep, NodeId::from_index(9), ProtoMsg::NsQuery { app: AppId(0) });
         assert!(metric_incrs(&effects).contains(&"ns.forged_reply"));
@@ -790,7 +715,7 @@ mod tests {
         let mut rep = replica(&registry, writer, vec![]);
         rep.set_storage(Box::new(SimStorage::new(42)));
         rep.preload(record(&kp, writer, 1, vec![NodeId::from_index(1)]));
-        let mut h = Harness::new();
+        let mut h = Harness::new(0);
 
         // Start persists genesis; a publish lands in the WAL.
         let effects = h.start(&mut rep);

@@ -56,13 +56,15 @@ pub fn live_manager_tuning() -> ManagerConfig {
 /// manager is restartable: its factory rebuilds it from the roster's
 /// recipe and attaches whatever `open_storage(manager index)` returns —
 /// reopening the same directory there is what lets
-/// [`Runtime::restart`](crate::Runtime::restart) recover from the WAL.
-/// All other nodes are added as they are.
+/// [`Runtime::restart`](crate::Runtime::restart) recover from the WAL,
+/// and a directory that cannot be opened fails the restart. All other
+/// nodes are added as they are. Fails if a manager's storage cannot be
+/// opened in the first place.
 pub fn install_roster(
     builder: &mut RuntimeBuilder<ProtoMsg>,
     roster: Roster,
-    open_storage: impl Fn(usize) -> Option<FileStorage> + Send + Sync + 'static,
-) -> Layout {
+    open_storage: impl Fn(usize) -> std::io::Result<Option<FileStorage>> + Send + Sync + 'static,
+) -> Result<Layout, String> {
     let open_storage = Arc::new(open_storage);
     for (index, entry) in roster.entries.into_iter().enumerate() {
         match entry.node {
@@ -72,12 +74,14 @@ pub fn install_roster(
                     entry.name,
                     Arc::new(move || {
                         let mut node = spec.build();
-                        if let Some(storage) = open_storage(index) {
+                        let storage = open_storage(index)
+                            .map_err(|e| format!("cannot open the storage of manager {index}: {e}"))?;
+                        if let Some(storage) = storage {
                             node.set_storage(Box::new(storage));
                         }
-                        Box::new(node)
+                        Ok(Box::new(node))
                     }),
-                )
+                )?
             }
             RosterNode::Directory(node) => builder.add_node(entry.name, Box::new(node)),
             RosterNode::Host(node) => builder.add_node(entry.name, Box::new(node)),
@@ -85,7 +89,7 @@ pub fn install_roster(
             RosterNode::Admin(node) => builder.add_node(entry.name, Box::new(node)),
         };
     }
-    roster.layout
+    Ok(roster.layout)
 }
 
 /// Timing tolerance the live oracle grants: wall-clock jitter (thread
@@ -103,8 +107,8 @@ pub struct LiveReport {
     pub oracle: InvariantOracle,
     /// Number of trace events the oracle saw.
     pub trace_events: usize,
-    /// Nodes that panicked or wedged — a failed soak even when the
-    /// oracle is clean.
+    /// Nodes that panicked, wedged or could not be restarted — a failed
+    /// soak even when the oracle is clean.
     pub failures: Vec<String>,
     /// Aggregate user-visible outcomes.
     pub user_stats: UserStats,
@@ -178,13 +182,15 @@ pub fn run_live_campaign(
     let layout = install_roster(&mut builder, roster, {
         let (dir, sink) = (wal_dir.clone(), sink.clone());
         move |i| {
-            let mut storage = FileStorage::open(dir.join(format!("m{i}")))
-                .expect("live campaign WAL directory")
-                .with_metrics(sink.clone());
+            let mut storage = FileStorage::open(dir.join(format!("m{i}")))?.with_metrics(sink.clone());
             storage.set_drop_state_on_recover(drop_wal == Some(i));
-            Some(storage)
+            Ok(Some(storage))
         }
-    });
+    })
+    .map_err(|e| {
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        RuntimeError::WalDir { path: wal_dir.clone(), source: std::io::Error::other(e) }
+    })?;
     let net_faults = faults.net_faults();
     if !net_faults.is_empty() {
         let (seed, sink) = (config.seed, sink.clone());
@@ -221,7 +227,7 @@ pub fn run_live_campaign(
     }
     schedule.sort_by_key(|(at, _)| *at);
 
-    let mut lifecycle = Vec::new();
+    let (mut lifecycle, mut failures) = (Vec::new(), Vec::new());
     for (at, step) in schedule {
         std::thread::sleep(at.saturating_sub(epoch.elapsed()));
         let stamp = epoch.elapsed().as_secs_f64();
@@ -250,7 +256,10 @@ pub fn run_live_campaign(
             },
             Step::Restart(n) => match rt.restart(n) {
                 Ok(()) => format!("restart {n} at {stamp:.2}s"),
-                Err(e) => format!("restart {n} at {stamp:.2}s FAILED: {e}"),
+                Err(e) => {
+                    failures.push(format!("node {} failed to restart: {e}", n.index()));
+                    format!("restart {n} at {stamp:.2}s FAILED: {e}")
+                }
             },
         });
     }
@@ -266,7 +275,6 @@ pub fn run_live_campaign(
     let mut oracle = armed.oracle;
     let trace_events = traces.replay_into(&mut oracle);
 
-    let mut failures = Vec::new();
     for (i, result) in results.iter().enumerate() {
         match result {
             Ok((NodeExit::Stopped | NodeExit::Killed, _)) => {}

@@ -67,8 +67,9 @@ impl<M, T: Node<Msg = M> + Send> RtNode<M> for T {}
 
 /// Builds a fresh instance of a node for [`Runtime::restart`] — e.g. a
 /// `ManagerNode` reopening its `FileStorage` directory so `on_start`
-/// replays the WAL + snapshot, exactly what a respawned process does.
-pub type NodeFactory<M> = Arc<dyn Fn() -> Box<dyn RtNode<M>> + Send + Sync>;
+/// replays the WAL + snapshot, exactly what a respawned process does —
+/// or says why it cannot (the directory is gone).
+pub type NodeFactory<M> = Arc<dyn Fn() -> Result<Box<dyn RtNode<M>>, String> + Send + Sync>;
 
 /// How a node ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -426,15 +427,16 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
     /// Adds a restartable node: the factory builds the initial instance
     /// now and a fresh instance on every [`Runtime::restart`]. The
     /// factory must rebind any durable resources (storage directories)
-    /// so the respawned node recovers from them.
+    /// so the respawned node recovers from them. Returns the factory's
+    /// error if it cannot build the first instance.
     pub fn add_node_with_factory(
         &mut self,
         name: impl Into<String>,
         factory: NodeFactory<M>,
-    ) -> NodeId {
-        let node = factory();
+    ) -> Result<NodeId, String> {
+        let node = factory()?;
         self.nodes.push(NodeSpec { name: name.into(), node, factory: Some(factory) });
-        NodeId::from_index(self.nodes.len() - 1)
+        Ok(NodeId::from_index(self.nodes.len() - 1))
     }
 
     /// Spawns the worker pool and returns the running deployment.
@@ -1055,7 +1057,8 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
     /// under the same id, with its inbox cell revived in place. Durable
     /// state comes back through whatever the factory rebinds — for
     /// managers, the `FileStorage` WAL + snapshot recovery in
-    /// `on_start`.
+    /// `on_start`. A factory that fails leaves the node down and its
+    /// error is returned.
     pub fn restart(&mut self, node: NodeId) -> Result<(), String> {
         let index = node.index();
         if !matches!(self.slots.get(index), Some(RtSlot::Finished(_))) {
@@ -1064,7 +1067,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
         let Some(Some(factory)) = self.factories.get(index) else {
             return Err(format!("node {index} has no restart factory"));
         };
-        let fresh = factory();
+        let fresh = factory()?;
         // Revive before queueing the install so traffic arriving from
         // now on sits behind `on_start`, like packets reaching a
         // booting process.
@@ -1295,7 +1298,9 @@ mod tests {
     #[test]
     fn kill_then_restart_respawns_from_the_factory() {
         let mut b: RuntimeBuilder<u64> = RuntimeBuilder::new(9);
-        let a = b.add_node_with_factory("replayable", Arc::new(|| Box::new(Counter::default())));
+        let a = b
+            .add_node_with_factory("replayable", Arc::new(|| Ok(Box::new(Counter::default()))))
+            .expect("the first instance builds");
         let mut rt = b.start();
         rt.send_from_env(a, 1);
         std::thread::sleep(Duration::from_millis(50));
@@ -1316,6 +1321,35 @@ mod tests {
         let (exit, node) = outcomes[a.index()].as_ref().expect("restarted node");
         assert_eq!(*exit, NodeExit::Stopped);
         // The fresh instance saw only the post-restart message.
+        assert_eq!(node.as_any().downcast_ref::<Counter>().expect("counter").seen, 1);
+    }
+
+    /// A factory that cannot rebuild its node (its storage is gone) makes
+    /// `restart` fail with the factory's reason: the node stays down, no
+    /// worker panics, and the other nodes keep serving.
+    #[test]
+    fn a_failing_factory_fails_the_restart_not_the_runtime() {
+        use std::sync::atomic::AtomicUsize;
+        let mut b: RuntimeBuilder<u64> = RuntimeBuilder::new(9);
+        let calls = Arc::new(AtomicUsize::new(0));
+        let factory: NodeFactory<u64> = Arc::new(move || match calls.fetch_add(1, Ordering::Relaxed) {
+            0 => Ok(Box::new(Counter::default())),
+            _ => Err("storage directory is gone".to_owned()),
+        });
+        let a = b.add_node_with_factory("doomed", factory).expect("the first instance builds");
+        let other = b.add_node("other", Box::new(Counter::default()));
+        let mut rt = b.start();
+        rt.kill(a).expect("kill");
+        let err = rt.restart(a).expect_err("the factory fails");
+        assert!(err.contains("storage directory is gone"), "{err}");
+        assert_eq!(rt.metrics().counter("rt.node_restarted"), 0);
+        rt.send_from_env(other, 1);
+        std::thread::sleep(Duration::from_millis(50));
+        let outcomes = rt.shutdown();
+        let (exit, _) = outcomes[a.index()].as_ref().expect("no panic");
+        assert_eq!(*exit, NodeExit::Killed, "the node stays down");
+        let (exit, node) = outcomes[other.index()].as_ref().expect("no panic");
+        assert_eq!(*exit, NodeExit::Stopped);
         assert_eq!(node.as_any().downcast_ref::<Counter>().expect("counter").seen, 1);
     }
 

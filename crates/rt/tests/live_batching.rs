@@ -28,7 +28,7 @@ fn batched_soak_reaches_the_expected_verdicts_and_acl_state() {
         .all_users_granted()
         .manager_tuning(live_manager_tuning())
         .roster();
-    let layout = install_roster(&mut b, roster, |_| None);
+    let layout = install_roster(&mut b, roster, |_| Ok(None)).expect("no storage to open");
     let (manager_ids, user) = (layout.managers, layout.users[0].1);
     let rt = b.start();
     std::thread::sleep(Duration::from_millis(150));

@@ -29,7 +29,7 @@ fn live_scenario(seed: u64, m: usize, c: usize) -> Scenario {
 /// storage) and returns (runtime, host id, user-agent id, manager ids).
 fn build_live(m: usize, c: usize) -> (Runtime<ProtoMsg>, NodeId, NodeId, Vec<NodeId>) {
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(7);
-    let layout = install_roster(&mut b, live_scenario(7, m, c).roster(), |_| None);
+    let layout = install_roster(&mut b, live_scenario(7, m, c).roster(), |_| Ok(None)).expect("no storage to open");
     (b.start(), layout.hosts[0], layout.users[0].1, layout.managers)
 }
 
@@ -44,9 +44,9 @@ fn install_durable(
     let (base, sink) = (base.to_owned(), b.metrics().clone());
     let tuning = ManagerConfig { snapshot_every: 2, ..live_manager_tuning() };
     install_roster(b, scenario.manager_tuning(tuning).roster(), move |i| {
-        let storage = FileStorage::open(base.join(format!("m{i}"))).expect("storage dir");
-        Some(storage.with_metrics(sink.clone()))
+        Ok(Some(FileStorage::open(base.join(format!("m{i}")))?.with_metrics(sink.clone())))
     })
+    .expect("storage dir")
 }
 
 fn trigger_invoke(rt: &wanacl_rt::Runtime<ProtoMsg>, user: NodeId) {
@@ -228,7 +228,7 @@ fn live_replicated_directory_quorum_reads_and_converges() {
     let ttl = SimDuration::from_millis(800);
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(7);
     let roster = live_scenario(7, 2, 1).with_replicated_directory(3, 2, ttl).roster();
-    let layout = install_roster(&mut b, roster, |_| None);
+    let layout = install_roster(&mut b, roster, |_| Ok(None)).expect("no storage to open");
     let replica_ids = layout.ns_replicas.clone();
     let (host, user) = (layout.hosts[0], layout.users[0].1);
     let rt = b.start();

@@ -868,8 +868,7 @@ fn audit(mut flags: Flags) {
         .query_timeout(SimDuration::from_millis(300))
         .max_attempts(2)
         .build();
-    // Half a second of slack covers a reply already in flight.
-    let oracle = InvariantOracle::new(&policy, SimDuration::from_millis(500));
+    let oracle = InvariantOracle::new(&policy, SimDuration::ZERO);
     let mut d = Scenario::builder(seed)
         .managers(3)
         .hosts(2)

@@ -112,9 +112,15 @@ fn chaos_exits_2_naming_a_wal_directory_it_cannot_create() {
 
 #[test]
 fn well_formed_invocations_still_run() {
-    let out = wanacl(&["nemesis", "--seed", "1", "--horizon-secs", "3"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("seed 1: clean"));
+    for (args, says) in [
+        (&["nemesis", "--seed", "1", "--horizon-secs", "3"][..], "seed 1: clean"),
+        // A simulator run is checked against the exact bound: no slack.
+        (&["audit", "--seed", "3"][..], "bounded-revocation invariant HOLDS"),
+    ] {
+        let out = wanacl(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        assert!(String::from_utf8_lossy(&out.stdout).contains(says), "{args:?}");
+    }
 }
 
 /// The sharded soak goes through the same driver as the flat one, so a

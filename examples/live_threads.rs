@@ -21,7 +21,7 @@ fn main() {
         .application(|_| Box::new(EchoApp))
         .roster();
     let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(3);
-    let layout = install_roster(&mut b, roster, |_| None);
+    let layout = install_roster(&mut b, roster, |_| Ok(None)).expect("no storage to open");
     let (manager_ids, host, user) = (layout.managers, layout.hosts[0], layout.users[0].1);
 
     let rt = b.start();
