@@ -236,8 +236,8 @@ impl Checks {
 
     /// The attempt's timer fired: it is spent, so forget its id — or the
     /// next attempt (or the close) would cancel it again and a
-    /// wall-clock driver would keep the id until a wheel entry that has
-    /// already matured matures.
+    /// wall-clock driver would keep the id for good, waiting for a
+    /// queued timer that has already fired.
     pub(super) fn timed_out(&mut self, id: u64) {
         if let Some(p) = self.pending.get_mut(&id) {
             p.timer = None;

@@ -6,98 +6,68 @@
 //! time onto [`SimTime`] one second to one second, so a plan sampled for
 //! a sim campaign replays against real threads: a partition scripted for
 //! sim-seconds 10..20 severs live traffic during wall-seconds 10..20 of
-//! the deployment. Evaluation order mirrors the simulator's
-//! `NemesisNet`: partitions (certain loss) → injected random loss → the
-//! inner router's own link policy → duplication → delay spikes.
+//! the deployment. Each send asks the simulator's own
+//! [`nemesis::decide`] with a zero-delay base; the inner router's link
+//! policy then applies to each delivered copy.
 //!
 //! Lifecycle faults (crashes, disk faults) are not interpreted here —
 //! the chaos driver maps those onto [`crate::Runtime::kill`] /
 //! [`crate::Runtime::restart`] / [`crate::Runtime::crash`], just as the
 //! sim world installs them outside the net layer.
 //!
-//! Delayed deliveries ride a dedicated pump thread with a deadline heap;
-//! the decorated send never blocks the sending node.
+//! Delayed deliveries ride a dedicated pump thread holding a
+//! [`Calendar`]; the decorated send never blocks the sending node.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 
-use wanacl_sim::nemesis::Fault;
 use wanacl_sim::metrics::MetricId;
+use wanacl_sim::nemesis::{self, Fault};
+use wanacl_sim::net::{PerfectNet, Verdict};
 use wanacl_sim::node::NodeId;
 use wanacl_sim::obs::MetricsSink;
+use wanacl_sim::queue::Calendar;
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::router::{Router, Transport};
+use crate::runtime::since;
 
-/// A delivery the pump thread owes the inner router.
-struct DelayedDelivery<M> {
-    due: Instant,
-    seq: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: M,
-}
-
-impl<M> PartialEq for DelayedDelivery<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for DelayedDelivery<M> {}
-impl<M> Ord for DelayedDelivery<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: earliest deadline first out of the max-heap.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-impl<M> PartialOrd for DelayedDelivery<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// A delivery the pump owes the inner router, due at its queue time.
+type Delayed<M> = (SimTime, NodeId, NodeId, M);
 
 /// Seeded fault-injecting transport wrapping the base [`Router`].
 ///
 /// Install via [`crate::RuntimeBuilder::wrap_transport`]:
 ///
 /// ```ignore
-/// let faults = plan.net_faults().to_vec();
-/// builder.wrap_transport(move |router| ChaosRouter::new(router, faults, seed, None));
+/// let faults = plan.net_faults();
+/// builder.wrap_transport(move |router| Ok(ChaosRouter::new(router, faults, seed, sink)?));
 /// ```
 ///
 /// Environment traffic (`from == NodeId::ENV`) bypasses injection so the
 /// driving harness keeps a reliable control channel, matching the
-/// simulator where nemesis attacks only protocol links.
+/// simulator where nemesis attacks only protocol links. Every injected
+/// fault is counted in the sink: `rt.chaos_dropped`,
+/// `rt.chaos_duplicated` and `rt.chaos_delayed` (per delayed copy).
 pub struct ChaosRouter<M> {
     inner: Arc<Router<M>>,
     faults: Vec<Fault>,
     epoch: Instant,
     /// Seeded decision stream. A mutex serializes decisions across
-    /// sending threads; the drop/duplicate/delay draws stay a
-    /// deterministic function of *decision order*, which under threads
-    /// is itself racy — same caveat as the router's `LossyPolicy`.
+    /// sending threads; the draws stay a deterministic function of
+    /// *decision order*, which under threads is itself racy — same
+    /// caveat as the router's `LossyPolicy`.
     rng: Mutex<SimRng>,
-    delay_tx: Sender<DelayedDelivery<M>>,
-    seq: AtomicU64,
-    metrics: Option<MetricsSink>,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
+    delay_tx: Sender<Delayed<M>>,
+    metrics: MetricsSink,
 }
 
 impl<M> std::fmt::Debug for ChaosRouter<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChaosRouter")
-            .field("faults", &self.faults.len())
-            .field("dropped", &self.dropped.load(Ordering::Relaxed))
-            .field("duplicated", &self.duplicated.load(Ordering::Relaxed))
-            .field("delayed", &self.delayed.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("ChaosRouter").field("faults", &self.faults.len()).finish_non_exhaustive()
     }
 }
 
@@ -106,94 +76,56 @@ impl<M: Send + Sync + 'static> ChaosRouter<M> {
     /// faults in the list are filtered out, like `NemesisNet::new`).
     /// The fault-window clock starts now; construct immediately before
     /// `RuntimeBuilder::start` so windows line up with the deployment.
+    /// Fails if the OS refuses the delivery pump's thread.
     pub fn new(
         inner: Arc<Router<M>>,
         faults: Vec<Fault>,
         seed: u64,
-        metrics: Option<MetricsSink>,
-    ) -> Arc<Self> {
-        let (delay_tx, delay_rx) = unbounded::<DelayedDelivery<M>>();
+        metrics: MetricsSink,
+    ) -> std::io::Result<Arc<Self>> {
+        let (delay_tx, delay_rx) = unbounded::<Delayed<M>>();
         let pump_router = inner.clone();
-        // The pump owns delayed deliveries; it drains and exits once the
+        let epoch = Instant::now();
+        // The pump owns delayed deliveries; it exits once the
         // ChaosRouter (the only sender) is dropped.
-        std::thread::Builder::new()
-            .name("chaos-delay-pump".into())
-            .spawn(move || {
-                let mut heap: BinaryHeap<DelayedDelivery<M>> = BinaryHeap::new();
-                let mut disconnected = false;
-                loop {
-                    let now = Instant::now();
-                    while heap.peek().is_some_and(|d| d.due <= now) {
-                        let d = heap.pop().expect("peeked");
-                        pump_router.send(d.from, d.to, d.msg);
-                    }
-                    if disconnected && heap.is_empty() {
-                        return;
-                    }
-                    let wait = heap
-                        .peek()
-                        .map(|d| d.due.saturating_duration_since(Instant::now()))
-                        .unwrap_or(Duration::from_millis(50));
-                    match delay_rx.recv_timeout(wait) {
-                        Ok(delivery) => heap.push(delivery),
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => disconnected = true,
-                    }
+        std::thread::Builder::new().name("chaos-delay-pump".into()).spawn(move || {
+            let mut queue = Calendar::new();
+            loop {
+                let now = since(epoch);
+                while let Some((_, (from, to, msg))) = queue.pop_due(now) {
+                    pump_router.send(from, to, msg);
                 }
-            })
-            .expect("thread spawn");
-        Arc::new(ChaosRouter {
+                let deadline = queue
+                    .next_time()
+                    .and_then(|due| epoch.checked_add(Duration::from_nanos(due.as_nanos())));
+                match deadline.map_or_else(|| delay_rx.recv(), |d| delay_rx.recv_deadline(d)) {
+                    Ok((due, from, to, msg)) => queue.push(due, (from, to, msg)),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    // The deployment stopped: what is still queued is lost
+                    // in flight.
+                    Err(RecvTimeoutError::Disconnected) => return,
+                }
+            }
+        })?;
+        Ok(Arc::new(ChaosRouter {
             inner,
             faults: faults.into_iter().filter(|f| f.is_net()).collect(),
-            epoch: Instant::now(),
+            epoch,
             rng: Mutex::new(SimRng::seed_from(seed ^ 0x6c69_7665_6e65_7421)), // "livenet!"
             delay_tx,
-            seq: AtomicU64::new(0),
             metrics,
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
-        })
+        }))
     }
 
-    /// Elapsed wall time as the plan's clock.
-    fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
-    }
-
-    /// Messages (dropped, duplicated, delayed) by injection so far.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.dropped.load(Ordering::Relaxed),
-            self.duplicated.load(Ordering::Relaxed),
-            self.delayed.load(Ordering::Relaxed),
-        )
-    }
-
-    fn incr(&self, counter: &AtomicU64, name: MetricId) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        if let Some(metrics) = &self.metrics {
-            metrics.incr(name);
-        }
-    }
-
-    fn deliver(&self, from: NodeId, to: NodeId, msg: M, extra: SimDuration) {
+    /// Hands one copy to the inner router now, or to the pump to send
+    /// at `now + extra`.
+    fn deliver(&self, from: NodeId, to: NodeId, msg: M, now: SimTime, extra: SimDuration) {
         if extra == SimDuration::ZERO {
-            self.inner.send(from, to, msg);
-            return;
+            return self.inner.send(from, to, msg);
         }
-        self.incr(&self.delayed, MetricId::RT_CHAOS_DELAYED);
-        let delivery = DelayedDelivery {
-            due: Instant::now() + Duration::from_nanos(extra.as_nanos()),
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            from,
-            to,
-            msg,
-        };
-        if self.delay_tx.send(delivery).is_err() {
-            // Pump gone (teardown race): the message is just lost, like
-            // a packet in flight when the deployment stops.
-        }
+        self.metrics.incr(MetricId::RT_CHAOS_DELAYED);
+        // A send after the pump has gone (teardown) is lost in flight.
+        let _ = self.delay_tx.send((now + extra, from, to, msg));
     }
 }
 
@@ -204,59 +136,21 @@ impl<M: Send + Sync + Clone + 'static> Transport<M> for ChaosRouter<M> {
             self.inner.send(from, to, msg);
             return;
         }
-        let now = self.now();
-        // 1. Partitions: certain loss.
-        if self.faults.iter().any(|f| f.severs(from, to, now)) {
-            self.incr(&self.dropped, MetricId::RT_CHAOS_DROPPED);
-            return;
-        }
-        // 2..5 need the decision stream.
-        let (drop, duplicate, extra) = {
+        let now = since(self.epoch);
+        let verdict = {
             let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
-            let mut drop = false;
-            let mut duplicate = false;
-            let mut extra = SimDuration::ZERO;
-            for fault in &self.faults {
-                match fault {
-                    // 2. Injected random loss.
-                    Fault::Drop { window, prob } if window.contains(now) => {
-                        drop = drop || rng.chance(*prob);
-                    }
-                    // 4. Duplication of a surviving delivery.
-                    Fault::Duplicate { window, prob } if window.contains(now) => {
-                        duplicate = duplicate || rng.chance(*prob);
-                    }
-                    // 5. Delay spikes stretch the delivery.
-                    Fault::DelaySpike { window, extra_min, extra_max }
-                        if window.contains(now) =>
-                    {
-                        let span = extra_max.as_nanos().saturating_sub(extra_min.as_nanos());
-                        let add = if span == 0 {
-                            *extra_min
-                        } else {
-                            SimDuration::from_nanos(extra_min.as_nanos() + rng.range(0, span))
-                        };
-                        extra = extra + add;
-                    }
-                    _ => {}
-                }
-            }
-            (drop, duplicate, extra)
+            let mut base = PerfectNet::new(SimDuration::ZERO);
+            nemesis::decide(&self.faults, from, to, now, &mut rng, &mut base)
         };
-        if drop {
-            self.incr(&self.dropped, MetricId::RT_CHAOS_DROPPED);
-            return;
+        match verdict {
+            Verdict::Drop(_) => self.metrics.incr(MetricId::RT_CHAOS_DROPPED),
+            Verdict::Deliver(extra) => self.deliver(from, to, msg, now, extra),
+            Verdict::Duplicate(first, second) => {
+                self.metrics.incr(MetricId::RT_CHAOS_DUPLICATED);
+                self.deliver(from, to, msg.clone(), now, first);
+                self.deliver(from, to, msg, now, second);
+            }
         }
-        // 3. The inner router's own link policy applies per delivery
-        // inside `deliver` (`Router::send`), like the sim's base verdict.
-        if duplicate {
-            self.incr(&self.duplicated, MetricId::RT_CHAOS_DUPLICATED);
-            // Trailing copy: same fate machinery, shifted by up to the
-            // injected extra plus a millisecond of reordering jitter.
-            let trail = extra + SimDuration::from_millis(1);
-            self.deliver(from, to, msg.clone(), trail);
-        }
-        self.deliver(from, to, msg, extra);
     }
 }
 
@@ -264,6 +158,7 @@ impl<M: Send + Sync + Clone + 'static> Transport<M> for ChaosRouter<M> {
 mod tests {
     use super::*;
     use crate::router::Envelope;
+    use crossbeam::channel::Receiver;
     use wanacl_sim::nemesis::NemesisPlan;
 
     fn n(i: usize) -> NodeId {
@@ -272,12 +167,19 @@ mod tests {
 
     fn harness(
         faults: Vec<Fault>,
-    ) -> (Arc<ChaosRouter<u32>>, crossbeam::channel::Receiver<Envelope<u32>>, NodeId) {
+    ) -> (Arc<ChaosRouter<u32>>, Receiver<Envelope<u32>>, NodeId, MetricsSink) {
         let router: Arc<Router<u32>> = Router::new();
         let (tx, rx) = crossbeam::channel::bounded(1024);
         let id = router.register(tx);
-        let chaos = ChaosRouter::new(router, faults, 7, None);
-        (chaos, rx, id)
+        let sink = MetricsSink::new();
+        let chaos = ChaosRouter::new(router, faults, 7, sink.clone()).expect("pump thread");
+        (chaos, rx, id, sink)
+    }
+
+    /// (dropped, duplicated, delayed) as the sink counts them.
+    fn counts(sink: &MetricsSink) -> (u64, u64, u64) {
+        let c = |name| sink.counter(name);
+        (c("rt.chaos_dropped"), c("rt.chaos_duplicated"), c("rt.chaos_delayed"))
     }
 
     #[test]
@@ -286,11 +188,11 @@ mod tests {
         let plan = NemesisPlan::builder(SimTime::from_secs(60))
             .partition(vec![n(9)], vec![n(0)], SimTime::ZERO, SimTime::from_millis(200))
             .build();
-        let (chaos, rx, id) = harness(plan.net_faults().to_vec());
+        let (chaos, rx, id, sink) = harness(plan.net_faults());
         assert_eq!(id, n(0));
         chaos.send(n(9), id, 1);
         assert!(rx.try_recv().is_err(), "partition must sever");
-        assert_eq!(chaos.stats().0, 1);
+        assert_eq!(counts(&sink), (1, 0, 0));
         std::thread::sleep(Duration::from_millis(250));
         chaos.send(n(9), id, 2);
         assert!(
@@ -304,12 +206,12 @@ mod tests {
         let plan = NemesisPlan::builder(SimTime::from_secs(60))
             .drop_burst(SimTime::ZERO, SimTime::from_secs(60), 1.0)
             .build();
-        let (chaos, rx, id) = harness(plan.net_faults().to_vec());
+        let (chaos, rx, id, sink) = harness(plan.net_faults());
         chaos.send(NodeId::ENV, id, 5);
         assert!(rx.try_recv().is_ok(), "env sends must not be dropped");
         chaos.send(n(3), id, 6);
         assert!(rx.try_recv().is_err(), "certain loss drops protocol sends");
-        assert_eq!(chaos.stats().0, 1);
+        assert_eq!(counts(&sink), (1, 0, 0));
     }
 
     #[test]
@@ -323,16 +225,12 @@ mod tests {
                 SimDuration::from_millis(40),
             )
             .build();
-        let (chaos, rx, id) = harness(plan.net_faults().to_vec());
+        let (chaos, rx, id, sink) = harness(plan.net_faults());
         let sent_at = Instant::now();
         chaos.send(n(3), id, 9);
-        let mut got = 0;
-        while got < 2 {
+        for _ in 0..2 {
             match rx.recv_timeout(Duration::from_secs(2)) {
-                Ok(Envelope::Msg { msg, .. }) => {
-                    assert_eq!(msg, 9);
-                    got += 1;
-                }
+                Ok(Envelope::Msg { msg, .. }) => assert_eq!(msg, 9),
                 other => panic!("expected duplicate deliveries, got {other:?}"),
             }
         }
@@ -340,8 +238,25 @@ mod tests {
             sent_at.elapsed() >= Duration::from_millis(20),
             "the delay spike must defer delivery"
         );
-        let (dropped, duplicated, delayed) = chaos.stats();
-        assert_eq!((dropped, duplicated), (0, 1));
-        assert!(delayed >= 2, "both copies ride the pump: {delayed}");
+        assert_eq!(counts(&sink), (0, 1, 2), "each copy draws its own spike and rides the pump");
+    }
+
+    /// Outside any delay spike a duplicate's trailing copy follows the
+    /// first by `d·(1+U)` of a zero base delay: both arrive at once,
+    /// neither through the pump.
+    #[test]
+    fn a_duplicate_outside_any_spike_arrives_twice_at_once() {
+        let plan = NemesisPlan::builder(SimTime::from_secs(60))
+            .duplicate_burst(SimTime::ZERO, SimTime::from_secs(60), 1.0)
+            .build();
+        let (chaos, rx, id, sink) = harness(plan.net_faults());
+        chaos.send(n(3), id, 4);
+        for _ in 0..2 {
+            assert!(
+                matches!(rx.try_recv(), Ok(Envelope::Msg { msg: 4, .. })),
+                "both copies are delivered inside the send"
+            );
+        }
+        assert_eq!(counts(&sink), (0, 1, 0));
     }
 }

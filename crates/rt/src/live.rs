@@ -195,7 +195,7 @@ pub fn run_live_campaign(
     if !net_faults.is_empty() {
         let (seed, sink) = (config.seed, sink.clone());
         builder
-            .wrap_transport(move |router| ChaosRouter::new(router, net_faults, seed, Some(sink)));
+            .wrap_transport(move |router| Ok(ChaosRouter::new(router, net_faults, seed, sink)?));
     }
     let mut rt = builder.try_start().inspect_err(|_| {
         let _ = std::fs::remove_dir_all(&wal_dir);
@@ -287,11 +287,10 @@ pub fn run_live_campaign(
     let mut user_stats = UserStats::default();
     for (_, id) in &layout.users {
         if let Ok((_, node)) = &results[id.index()] {
-            let agent = node
-                .as_any()
-                .downcast_ref::<UserAgent>()
-                .expect("roster user agent");
-            user_stats += agent.stats();
+            match node.as_any().downcast_ref::<UserAgent>() {
+                Some(agent) => user_stats += agent.stats(),
+                None => failures.push(format!("node {} is not a user agent", id.index())),
+            }
         }
     }
     Ok(LiveReport {

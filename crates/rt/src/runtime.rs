@@ -11,11 +11,11 @@
 //! Workers drain-the-inbox-then-step: each wake processes control
 //! first, then up to a fixed batch of data envelopes. A message is
 //! moved, never shared: each send a handler emits goes to the transport
-//! as its effect is applied, one mailbox push per message. Timers live
-//! in one sharded
-//! [`TimerWheel`](crate::wheel) per worker and fire by absolute
-//! deadline; the gap between a timer's deadline and its firing is
-//! recorded in the `rt.timer_drift_ns` histogram.
+//! as its effect is applied, one mailbox push per message. Each worker
+//! keeps its timers in a [`Calendar`] — the simulator's event queue —
+//! keyed by nanoseconds since the runtime epoch, fires what is due and
+//! parks until the next deadline; the gap between a timer's deadline
+//! and its firing is recorded in the `rt.timer_drift_ns` histogram.
 //!
 //! Node panics are caught per handler invocation: a panicking node
 //! becomes a reportable [`NodeResult`] error and its worker keeps
@@ -39,13 +39,13 @@ use wanacl_sim::clock::LocalTime;
 use wanacl_sim::metrics::MetricId;
 use wanacl_sim::node::{Context, Effect, Node, NodeId, Note};
 use wanacl_sim::obs::MetricsSink;
+use wanacl_sim::queue::Calendar;
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::SimTime;
 use wanacl_sim::trace::TraceEvent;
 use wanacl_sim::world::Observer;
 
 use crate::router::{Router, Transport};
-use crate::wheel::{TimerEntry, TimerWheel};
 
 /// Bound on every node's data queue. Large enough that a healthy node
 /// never sees it; small enough that a wedged node sheds load instead of
@@ -105,6 +105,12 @@ pub enum RuntimeError {
         /// The underlying OS error.
         source: std::io::Error,
     },
+    /// The transport decorator could not start (the OS refused the
+    /// chaos transport's delivery thread); no node was started.
+    Transport {
+        /// The underlying OS error.
+        source: std::io::Error,
+    },
     /// A live campaign could not create the directory its managers'
     /// WALs go in; no node was started.
     WalDir {
@@ -121,6 +127,9 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::WorkerSpawn { worker, source } => {
                 write!(f, "failed to spawn runtime worker {worker}: {source}")
             }
+            RuntimeError::Transport { source } => {
+                write!(f, "failed to start the transport decorator: {source}")
+            }
             RuntimeError::WalDir { path, source } => {
                 write!(f, "cannot create WAL directory {}: {source}", path.display())
             }
@@ -131,9 +140,9 @@ impl std::fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RuntimeError::WorkerSpawn { source, .. } | RuntimeError::WalDir { source, .. } => {
-                Some(source)
-            }
+            RuntimeError::WorkerSpawn { source, .. }
+            | RuntimeError::Transport { source }
+            | RuntimeError::WalDir { source, .. } => Some(source),
         }
     }
 }
@@ -347,7 +356,8 @@ struct NodeSpec<M> {
 
 /// Decorates the base router into the transport nodes send through
 /// (see [`RuntimeBuilder::wrap_transport`]).
-type TransportWrap<M> = Box<dyn FnOnce(Arc<Router<M>>) -> Arc<dyn Transport<M>>>;
+type TransportWrap<M> =
+    Box<dyn FnOnce(Arc<Router<M>>) -> std::io::Result<Arc<dyn Transport<M>>>>;
 
 /// Builds a pooled deployment.
 pub struct RuntimeBuilder<M> {
@@ -406,12 +416,13 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
 
     /// Installs a transport decorator: `wrap` receives the base router
     /// at start and returns what nodes actually send through (e.g. a
-    /// [`crate::chaos::ChaosRouter`]). Environment injection via
-    /// [`Runtime::send_from_env`] keeps using the base router, so test
-    /// drivers bypass injected faults.
+    /// [`crate::chaos::ChaosRouter`]), or the OS error that stopped it,
+    /// which start returns as [`RuntimeError::Transport`]. Environment
+    /// injection via [`Runtime::send_from_env`] keeps using the base
+    /// router, so test drivers bypass injected faults.
     pub fn wrap_transport(
         &mut self,
-        wrap: impl FnOnce(Arc<Router<M>>) -> Arc<dyn Transport<M>> + 'static,
+        wrap: impl FnOnce(Arc<Router<M>>) -> std::io::Result<Arc<dyn Transport<M>>> + 'static,
     ) -> &mut Self {
         self.wrap = Some(Box::new(wrap));
         self
@@ -443,7 +454,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the OS refuses a worker thread; use
+    /// Panics if the OS refuses a thread; use
     /// [`RuntimeBuilder::try_start`] to handle that as an error.
     pub fn start(self) -> Runtime<M> {
         self.try_start().unwrap_or_else(|e| panic!("runtime start failed: {e}"))
@@ -456,7 +467,9 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
         let router: Arc<Router<M>> = Router::new();
         router.set_metrics(self.metrics.clone());
         let transport: Arc<dyn Transport<M>> = match self.wrap {
-            Some(wrap) => wrap(router.clone()),
+            Some(wrap) => {
+                wrap(router.clone()).map_err(|source| RuntimeError::Transport { source })?
+            }
             None => router.clone(),
         };
         let epoch = Instant::now();
@@ -598,6 +611,18 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "node handler panicked (non-string payload)".into())
 }
 
+/// One armed timer, queued at its deadline: the owning node's index,
+/// its timer epoch at arm time (a mismatch at fire time means the node
+/// crashed or restarted since), the timer id (for the cancelled set)
+/// and the tag passed back to `on_timer`.
+#[derive(Debug, Clone, Copy)]
+struct TimerEntry {
+    node: u32,
+    epoch: u32,
+    id: u64,
+    tag: u64,
+}
+
 /// Where a handler's effects land. Owned by one worker and reused
 /// across steps, the way `World::with_node_ctx` reuses its effects
 /// scratch: once the buffers have grown, a step allocates nothing here.
@@ -607,7 +632,10 @@ struct Sinks<M> {
     effects: Vec<Effect<M>>,
     /// Takes every send as its effect is applied.
     transport: Arc<dyn Transport<M>>,
-    wheel: TimerWheel,
+    /// This worker's armed timers, keyed by nanoseconds since
+    /// `epoch_instant`. Cancellation happens at fire time (stale epoch
+    /// or cancelled id), so arming never searches the queue.
+    timers: Calendar<TimerEntry>,
     /// This worker's shard of the deployment's sink: no other worker
     /// records into it.
     metrics: MetricsSink,
@@ -625,7 +653,7 @@ impl<M> Sinks<M> {
         Sinks {
             effects: Vec::new(),
             transport,
-            wheel: TimerWheel::new(epoch),
+            timers: Calendar::new(),
             metrics,
             trace,
             epoch_instant: epoch,
@@ -633,9 +661,15 @@ impl<M> Sinks<M> {
     }
 }
 
+/// Wall time since `epoch` as a [`SimTime`]: the clock of the timer
+/// queues, the trace buffer and the chaos transport's fault windows.
+pub(crate) fn since(epoch: Instant) -> SimTime {
+    SimTime::from_nanos(epoch.elapsed().as_nanos() as u64)
+}
+
 /// Runs one handler invocation under `catch_unwind`, hands its sends
-/// to the transport and folds the rest of its effects into the wheel
-/// and the worker's metrics shard. Returns the panic message if the
+/// to the transport and folds the rest of its effects into the timer
+/// queue and the worker's metrics shard. Returns the panic message if the
 /// handler blew up.
 fn invoke<M, F>(
     wn: &mut WorkerNode<M>,
@@ -670,13 +704,9 @@ where
         match effect {
             Effect::Send { to, msg } => sinks.transport.send(id, to, msg),
             Effect::SetTimer { id: timer_id, local_delay, tag } => {
-                sinks.wheel.insert(TimerEntry {
-                    due: Instant::now() + Duration::from_nanos(local_delay.as_nanos()),
-                    node: idx,
-                    epoch: tepoch,
-                    id: timer_id.into_raw(),
-                    tag,
-                });
+                let due = since(sinks.epoch_instant) + local_delay;
+                let entry = TimerEntry { node: idx, epoch: tepoch, id: timer_id.into_raw(), tag };
+                sinks.timers.push(due, entry);
             }
             Effect::CancelTimer { id: timer_id } => {
                 wn.cancelled.insert(timer_id.into_raw());
@@ -687,8 +717,7 @@ where
             // them only when told a capture buffer is listening.
             Effect::Trace { text } => {
                 if let Some(buffer) = &sinks.trace {
-                    let at = SimTime::from_nanos(sinks.epoch_instant.elapsed().as_nanos() as u64);
-                    buffer.push(LiveTraceEntry { at, node: id, text });
+                    buffer.push(LiveTraceEntry { at: since(sinks.epoch_instant), node: id, text });
                 }
             }
         }
@@ -726,9 +755,9 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
                 }
             }
             // Fire everything due, by absolute deadline.
-            let now = Instant::now();
-            while let Some(entry) = self.sinks.wheel.pop_due(now) {
-                self.fire(entry);
+            let now = since(self.sinks.epoch_instant);
+            while let Some((due, entry)) = self.sinks.timers.pop_due(now) {
+                self.fire(due, entry);
             }
             // One bounded batch for one node, then re-check wakes and
             // timers — round-robin fairness under floods.
@@ -739,11 +768,12 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
                 continue;
             }
             // Idle: park until the next timer deadline or a wake.
-            let waited = match self.sinks.wheel.next_deadline() {
-                Some(deadline) => self.wake_rx.recv_deadline(deadline),
-                None => self.wake_rx.recv(),
-            };
-            match waited {
+            let epoch = self.sinks.epoch_instant;
+            let deadline = self.sinks.timers.next_time().and_then(|due| {
+                epoch.checked_add(Duration::from_nanos(due.as_nanos()))
+            });
+            let wake = &self.wake_rx;
+            match deadline.map_or_else(|| wake.recv(), |d| wake.recv_deadline(d)) {
                 Ok(WAKE_SHUTDOWN) => return,
                 Ok(idx) => run_queue.push_back(idx),
                 Err(RecvTimeoutError::Timeout) => {}
@@ -773,9 +803,10 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         WorkerSlot::Poisoned(msg)
     }
 
-    /// Fires one matured timer entry, discarding it if its epoch is
-    /// stale (crash/kill/restart since arming) or it was cancelled.
-    fn fire(&mut self, entry: TimerEntry) {
+    /// Fires one timer that fell due at `due`, discarding it if its
+    /// epoch is stale (crash/kill/restart since arming) or it was
+    /// cancelled.
+    fn fire(&mut self, due: SimTime, entry: TimerEntry) {
         let i = entry.node as usize;
         if self.epochs[i] != entry.epoch {
             return;
@@ -784,7 +815,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         let mut poisoned = None;
         if let WorkerSlot::Live(wn) = &mut slot {
             if wn.up && !wn.cancelled.remove(&entry.id) {
-                let drift = Instant::now().saturating_duration_since(entry.due);
+                let drift = since(self.sinks.epoch_instant).saturating_since(due);
                 self.sinks.metrics.observe(MetricId::RT_TIMER_DRIFT_NS, drift.as_nanos() as f64);
                 if let Err(msg) =
                     invoke(wn, entry.node, entry.epoch, &mut self.sinks, |node, ctx| {
@@ -1100,10 +1131,9 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
             .enumerate()
             .map(|(i, (slot, rx))| match slot {
                 RtSlot::Finished(outcome) => outcome,
-                RtSlot::Running => match rx.expect("running slots queued a stop").recv() {
-                    Ok(outcome) => outcome,
-                    Err(_) => Err(format!("worker serving node {i} is gone")),
-                },
+                RtSlot::Running => rx
+                    .and_then(|rx| rx.recv().ok())
+                    .unwrap_or_else(|| Err(format!("worker serving node {i} is gone"))),
             })
             .collect()
         // `self.pool` drops here: the exit sentinel goes to each worker
@@ -1483,7 +1513,7 @@ mod tests {
         let mut b: RuntimeBuilder<u64> = RuntimeBuilder::new(17);
         let sends = Arc::new(AtomicU64::new(0));
         let counted = sends.clone();
-        b.wrap_transport(move |inner| Arc::new(CountingTransport { inner, sends: counted }));
+        b.wrap_transport(move |inner| Ok(Arc::new(CountingTransport { inner, sends: counted })));
         let sink = NodeId::from_index(1);
         let sprayer = b.add_node("sprayer", Box::new(Sprayer { target: sink, n: 32 }));
         let (heard_tx, heard_rx) = unbounded();
@@ -1501,7 +1531,7 @@ mod tests {
     /// A partitioned host's retry storm must not leave timer ids behind.
     /// Drives a `Worker` by hand (its `step`/`fire`, no thread), so the
     /// cancelled set can be read and the clock skipped: `fire_due` pops
-    /// the wheel as of a far-future instant.
+    /// the timer queue as of the end of time.
     #[test]
     fn timed_out_attempts_leave_no_cancelled_timer_ids_behind() {
         use crate::router::Envelope;
@@ -1560,13 +1590,12 @@ mod tests {
         }
         // Fires every timer armed so far (not the ones the firings arm).
         fn fire_due(worker: &mut Worker<ProtoMsg>) {
-            let horizon = Instant::now() + Duration::from_secs(3600);
             let mut due = Vec::new();
-            while let Some(entry) = worker.sinks.wheel.pop_due(horizon) {
-                due.push(entry);
+            while let Some(timer) = worker.sinks.timers.pop_due(SimTime::MAX) {
+                due.push(timer);
             }
-            for entry in due {
-                worker.fire(entry);
+            for (at, entry) in due {
+                worker.fire(at, entry);
             }
         }
         let invoke_from_client = |worker: &mut Worker<ProtoMsg>, n: u64| {
@@ -1605,7 +1634,7 @@ mod tests {
         assert_eq!(cancelled(&worker), 0, "a timer that fired is not cancelled afterwards");
 
         // Healed: the manager answers, so the host cancels a query timer
-        // that is still in the wheel. That id is forgotten when the
+        // that is still queued. That id is forgotten when the
         // entry matures — the set drains to empty.
         invoke_from_client(&mut worker, STORM);
         let Envelope::Msg { msg: query, .. } = manager_rx.try_recv().expect("query");
@@ -1620,7 +1649,7 @@ mod tests {
         router.send(manager, host_id, grant);
         while worker.step(0) {}
         assert!(matches!(outcomes(1)[0], InvokeOutcome::Allowed { .. }));
-        assert_eq!(cancelled(&worker), 1, "the live timer's id waits for its wheel entry");
+        assert_eq!(cancelled(&worker), 1, "the live timer's id waits for its queue entry");
         fire_due(&mut worker);
         assert_eq!(cancelled(&worker), 0);
     }

@@ -70,12 +70,12 @@ fn frame(record: &[u8]) -> Vec<u8> {
 /// corrupt frame. Returns the records, the byte offset of the valid
 /// prefix, and how many trailing garbage regions were discarded (0/1).
 fn parse_wal(bytes: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
+    let word = |at: usize| bytes.get(at..)?.first_chunk().copied().map(u32::from_le_bytes);
     let mut records = Vec::new();
     let mut offset = 0;
-    while bytes.len() - offset >= FRAME_HEADER {
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
+    while let (Some(len), Some(crc)) = (word(offset), word(offset + 4)) {
         let start = offset + FRAME_HEADER;
+        let len = len as usize;
         let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
             break; // truncated payload
         };

@@ -48,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod backoff;
 pub mod clock;

@@ -167,7 +167,7 @@ registry! {
     RT_INBOX_OVERFLOW = "rt.inbox_overflow", Counter, "messages", "`Router` / `NodeCell` bounded-inbox drop-newest on the data lane (§13, §16)";
     RT_NODE_KILLED = "rt.node_killed", Counter, "events", "`Runtime::kill` process death (§13)";
     RT_NODE_RESTARTED = "rt.node_restarted", Counter, "events", "`Runtime::restart` process restart (§13)";
-    RT_TIMER_DRIFT_NS = "rt.timer_drift_ns", Histogram, "nanoseconds", "timer wheel: firing lateness against the absolute deadline (§16; rt only)";
+    RT_TIMER_DRIFT_NS = "rt.timer_drift_ns", Histogram, "nanoseconds", "worker timer queue: firing lateness past the queued deadline (§16; rt only)";
     SCALE_CHECK_OK = "scale.check_ok", Counter, "checks", "`scale` probe host: check that reached its quorum (§15)";
     SCALE_CHECK_QUORUM_LATENCY_S = "scale.check_quorum_latency_s", Histogram, "seconds", "`scale` probe host: check send to quorum (§15)";
     SCALE_CHECK_REACH = "scale.check_reach", Histogram, "replies", "`scale` probe host: managers heard from per check (§15)";
@@ -528,13 +528,15 @@ impl Histogram {
         }
         let edges = (self.first..).map(bucket_floor);
         let mut seen = 0;
-        let (_, edge) = std::iter::once((&self.zeros, 0.0))
+        // Zeros and buckets add up to `count`, so the scan always stops
+        // at or before the top bucket; `max` bounds it regardless.
+        let edge = std::iter::once((&self.zeros, 0.0))
             .chain(self.buckets.iter().zip(edges))
             .find(|&(n, _)| {
                 seen += n;
                 seen >= rank
             })
-            .expect("zeros and buckets add up to count");
+            .map_or(max, |(_, edge)| edge);
         Some(edge.max(min))
     }
 

@@ -25,7 +25,7 @@
 
 mod net;
 
-pub use net::NemesisNet;
+pub use net::{decide, NemesisNet};
 
 use crate::node::NodeId;
 use crate::rng::SimRng;
@@ -284,12 +284,8 @@ impl Fault {
         )
     }
 
-    /// Whether a partition-style fault currently severs `from -> to`.
-    ///
-    /// Public so live executors (the `wanacl-rt` chaos transport) can
-    /// replay the same plan against wall-clock time: they map elapsed
-    /// real time onto [`SimTime`] and ask the identical question the
-    /// simulated net decorator asks.
+    /// Whether a partition-style fault currently severs `from -> to`:
+    /// the first question [`decide`] asks.
     pub fn severs(&self, from: NodeId, to: NodeId, now: SimTime) -> bool {
         match self {
             Fault::Partition { window, side_a, side_b }

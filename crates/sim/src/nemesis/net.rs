@@ -1,4 +1,5 @@
-//! Network-layer fault injection: a [`NetModel`] decorator.
+//! Network-layer fault injection: the one fault decision both executors
+//! make, and the [`NetModel`] decorator the simulator makes it through.
 
 use crate::net::{DropReason, NetModel, Verdict};
 use crate::node::NodeId;
@@ -7,11 +8,74 @@ use crate::time::{SimDuration, SimTime};
 
 use super::Fault;
 
+/// The network-fault decision for one message sent `from -> to` at
+/// `now`, made by both executors: [`NemesisNet`] asks it with its base
+/// model, the live chaos transport with a zero-delay one. The order is
+/// fixed, and so is every draw from `rng`:
+///
+/// 1. partitions: certain loss, no draw;
+/// 2. injected random loss: a draw per open `Drop` window until one hits;
+/// 3. the base model's own verdict;
+/// 4. duplication of a single surviving delivery: a draw per open
+///    `Duplicate` window until one hits, then one for the trailing copy,
+///    which follows the first by `d·(1+U)` of the base delay `d`;
+/// 5. delay spikes: a draw per open `DelaySpike` window for each
+///    delivered copy, the first copy first.
+pub fn decide(
+    faults: &[Fault],
+    from: NodeId,
+    to: NodeId,
+    now: SimTime,
+    rng: &mut SimRng,
+    base: &mut dyn NetModel,
+) -> Verdict {
+    if faults.iter().any(|f| f.severs(from, to, now)) {
+        return Verdict::Drop(DropReason::Partitioned);
+    }
+    for fault in faults {
+        if let Fault::Drop { window, prob } = fault {
+            if window.contains(now) && rng.chance(*prob) {
+                return Verdict::Drop(DropReason::Loss);
+            }
+        }
+    }
+    match base.transmit(from, to, now, rng) {
+        Verdict::Deliver(d) => {
+            let duplicated = faults.iter().any(|f| {
+                matches!(f, Fault::Duplicate { window, prob }
+                    if window.contains(now) && rng.chance(*prob))
+            });
+            if duplicated {
+                let trail = d.mul_f64(1.0 + rng.unit());
+                Verdict::Duplicate(d + spike(faults, now, rng), trail + spike(faults, now, rng))
+            } else {
+                Verdict::Deliver(d + spike(faults, now, rng))
+            }
+        }
+        Verdict::Duplicate(a, b) => {
+            Verdict::Duplicate(a + spike(faults, now, rng), b + spike(faults, now, rng))
+        }
+        drop => drop,
+    }
+}
+
+/// Extra delay from every delay-spike fault open at `now`.
+fn spike(faults: &[Fault], now: SimTime, rng: &mut SimRng) -> SimDuration {
+    let mut extra = SimDuration::ZERO;
+    for fault in faults {
+        if let Fault::DelaySpike { window, extra_min, extra_max } = fault {
+            if window.contains(now) {
+                let span = extra_max.as_nanos().saturating_sub(extra_min.as_nanos());
+                let add = if span == 0 { 0 } else { rng.range(0, span) };
+                extra = extra + SimDuration::from_nanos(extra_min.as_nanos() + add);
+            }
+        }
+    }
+    extra
+}
+
 /// Layers a [`NemesisPlan`](super::NemesisPlan)'s network faults on top
-/// of any base model. Evaluation order mirrors [`crate::net::WanNet`]:
-/// partitions first (certain loss), then injected random loss, then the
-/// base model's own verdict, and finally duplication and delay spikes
-/// rewriting the surviving delivery.
+/// of any base model, in [`decide`]'s order.
 ///
 /// # Examples
 ///
@@ -52,68 +116,11 @@ impl NemesisNet {
     pub fn new(base: Box<dyn NetModel>, faults: Vec<Fault>) -> NemesisNet {
         NemesisNet { base, faults: faults.into_iter().filter(|f| f.is_net()).collect() }
     }
-
-    /// Extra delay from any active delay-spike fault at `now`.
-    fn spike(&self, now: SimTime, rng: &mut SimRng) -> SimDuration {
-        let mut extra = SimDuration::ZERO;
-        for fault in &self.faults {
-            if let Fault::DelaySpike { window, extra_min, extra_max } = fault {
-                if window.contains(now) {
-                    let span = extra_max.as_nanos().saturating_sub(extra_min.as_nanos());
-                    let add = if span == 0 {
-                        *extra_min
-                    } else {
-                        SimDuration::from_nanos(extra_min.as_nanos() + rng.range(0, span))
-                    };
-                    extra = extra + add;
-                }
-            }
-        }
-        extra
-    }
 }
 
 impl NetModel for NemesisNet {
     fn transmit(&mut self, from: NodeId, to: NodeId, now: SimTime, rng: &mut SimRng) -> Verdict {
-        // 1. Partitions: certain loss, regardless of the base model.
-        if self.faults.iter().any(|f| f.severs(from, to, now)) {
-            return Verdict::Drop(DropReason::Partitioned);
-        }
-        // 2. Injected random loss.
-        for fault in &self.faults {
-            if let Fault::Drop { window, prob } = fault {
-                if window.contains(now) && rng.chance(*prob) {
-                    return Verdict::Drop(DropReason::Loss);
-                }
-            }
-        }
-        // 3. The base network's own verdict.
-        let verdict = self.base.transmit(from, to, now, rng);
-        // 4. Injected duplication: a surviving single delivery may fork.
-        let verdict = match verdict {
-            Verdict::Deliver(d) => {
-                let duplicated = self.faults.iter().any(|f| match f {
-                    Fault::Duplicate { window, prob } => window.contains(now) && rng.chance(*prob),
-                    _ => false,
-                });
-                if duplicated {
-                    // Second copy trails the first by up to one base delay.
-                    let trail = d.mul_f64(1.0 + rng.unit());
-                    Verdict::Duplicate(d, trail)
-                } else {
-                    Verdict::Deliver(d)
-                }
-            }
-            other => other,
-        };
-        // 5. Delay spikes stretch whatever still gets delivered.
-        match verdict {
-            Verdict::Deliver(d) => Verdict::Deliver(d + self.spike(now, rng)),
-            Verdict::Duplicate(a, b) => {
-                Verdict::Duplicate(a + self.spike(now, rng), b + self.spike(now, rng))
-            }
-            drop => drop,
-        }
+        decide(&self.faults, from, to, now, rng, self.base.as_mut())
     }
 }
 

@@ -1,4 +1,4 @@
-//! Indexed event scheduling for the simulated world.
+//! The time-ordered queue both executors run on.
 //!
 //! The simulator's hot loop is dominated by event-queue traffic: every
 //! message hop, timer, crash, and recovery passes through one priority
@@ -7,12 +7,15 @@
 //! (tens of thousands of hosts, millions of in-flight events) the heap's
 //! pointer-chasing comparisons become the profile's hottest frames.
 //!
-//! `EventQueue` replaces it with a **bucketed calendar queue**: near-future
+//! [`Calendar`] replaces it with a **bucketed calendar queue**: near-future
 //! events are spread across fixed-width time buckets (each a small heap),
 //! far-future events overflow into a fallback heap and are redistributed
 //! when the scanning window catches up. Pops scan a bitmask of occupied
 //! buckets, so the common case touches a heap of only the events that share
-//! a ~4 ms slice of simulated time.
+//! a ~4 ms slice of time. The same queue holds the simulated world's
+//! events, each live runtime worker's timers and the live chaos
+//! transport's delayed deliveries; the live users key it by nanoseconds
+//! since their epoch.
 //!
 //! **Ordering is bit-identical to the naive heap.** Both schedulers pop in
 //! strict `(time, seq)` order — buckets partition the timeline, so the first
@@ -22,7 +25,7 @@
 //! queue's tests compare against; no product surface selects it.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::SimTime;
 
@@ -49,7 +52,7 @@ const WIDTH_SHIFT: u32 = 22;
 const NBUCKETS: usize = 1024;
 /// Bitmask words covering `NBUCKETS` buckets.
 const WORDS: usize = NBUCKETS / 64;
-/// The window span in nanoseconds (~4.3 simulated seconds).
+/// The window span in nanoseconds (~4.3 seconds).
 const WINDOW_NS: u64 = (NBUCKETS as u64) << WIDTH_SHIFT;
 
 pub(crate) struct Entry<T> {
@@ -76,91 +79,118 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// The world's pending-event set, ordered by `(time, seq)`.
-pub(crate) enum EventQueue<T> {
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
-    Calendar(Box<Calendar<T>>),
+pub(crate) type MinHeap<T> = BinaryHeap<Reverse<Entry<T>>>;
+
+/// Pops the heap's minimum if it is due at or before `limit`.
+fn pop_if_due<T>(heap: &mut MinHeap<T>, limit: SimTime) -> Option<Entry<T>> {
+    let top = heap.peek_mut()?;
+    if top.0.at > limit {
+        return None;
+    }
+    Some(PeekMut::pop(top).0)
 }
 
-impl<T> std::fmt::Debug for EventQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EventQueue::Heap(h) => f.debug_struct("EventQueue::Heap").field("len", &h.len()).finish(),
-            EventQueue::Calendar(c) => {
-                f.debug_struct("EventQueue::Calendar").field("len", &c.len).finish()
-            }
-        }
-    }
+/// The world's pending-event set, ordered by `(time, seq)`.
+pub(crate) enum EventQueue<T> {
+    Heap { heap: MinHeap<T>, seq: u64 },
+    Calendar(Box<Calendar<T>>),
 }
 
 impl<T> EventQueue<T> {
     pub(crate) fn new(scheduler: Scheduler) -> Self {
         match scheduler {
-            Scheduler::NaiveHeap => EventQueue::Heap(BinaryHeap::new()),
-            Scheduler::Calendar => EventQueue::Calendar(Box::new(Calendar::new())),
+            Scheduler::NaiveHeap => EventQueue::Heap { heap: BinaryHeap::new(), seq: 0 },
+            Scheduler::Calendar => EventQueue::Calendar(Box::default()),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         match self {
-            EventQueue::Heap(h) => h.len(),
+            EventQueue::Heap { heap, .. } => heap.len(),
             EventQueue::Calendar(c) => c.len,
         }
     }
 
-    #[allow(dead_code)] // used by the parity tests
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub(crate) fn push(&mut self, at: SimTime, seq: u64, kind: T) {
-        let entry = Entry { at, seq, kind };
+    pub(crate) fn push(&mut self, at: SimTime, kind: T) {
         match self {
-            EventQueue::Heap(h) => h.push(Reverse(entry)),
-            EventQueue::Calendar(c) => c.push(entry),
+            EventQueue::Heap { heap, seq } => {
+                heap.push(Reverse(Entry { at, seq: *seq, kind }));
+                *seq += 1;
+            }
+            EventQueue::Calendar(c) => c.push(at, kind),
         }
     }
 
-    /// The timestamp of the next event, without removing it.
-    pub(crate) fn next_time(&mut self) -> Option<SimTime> {
+    #[cfg(test)]
+    fn next_time(&mut self) -> Option<SimTime> {
         match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(e)| e.at),
-            EventQueue::Calendar(c) => c.peek_at(),
+            EventQueue::Heap { heap, .. } => heap.peek().map(|Reverse(e)| e.at),
+            EventQueue::Calendar(c) => c.next_time(),
+        }
+    }
+
+    /// Removes and returns the next event if it is due at or before
+    /// `limit`.
+    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, T)> {
+        match self {
+            EventQueue::Heap { heap, .. } => pop_if_due(heap, limit).map(|e| (e.at, e.kind)),
+            EventQueue::Calendar(c) => c.pop_due(limit),
         }
     }
 
     /// Removes and returns the next event in `(time, seq)` order.
     pub(crate) fn pop(&mut self) -> Option<(SimTime, T)> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(e)| (e.at, e.kind)),
-            EventQueue::Calendar(c) => c.pop().map(|e| (e.at, e.kind)),
-        }
+        self.pop_due(SimTime::MAX)
     }
 }
 
-/// The calendar proper: a sliding window of `NBUCKETS` fixed-width time
-/// buckets starting at `base`, plus an overflow heap for events beyond the
-/// window and a rarely-used `front` heap for events scheduled before
-/// `base` (possible only right after a window rebase jumped forward).
-pub(crate) struct Calendar<T> {
+/// A time-ordered queue: a sliding window of 1024 buckets ~4.2 ms wide
+/// starting at `base`, an overflow heap for items beyond the window and
+/// a rarely-used `front` heap for items before `base` (possible right
+/// after a window rebase jumped forward). Items pop in `(time, push
+/// order)` order.
+///
+/// # Examples
+///
+/// ```
+/// use wanacl_sim::queue::Calendar;
+/// use wanacl_sim::time::SimTime;
+///
+/// let mut q = Calendar::new();
+/// q.push(SimTime::from_millis(20), "late");
+/// q.push(SimTime::from_millis(5), "early");
+/// assert_eq!(q.next_time(), Some(SimTime::from_millis(5)));
+/// assert_eq!(q.pop_due(SimTime::from_millis(10)), Some((SimTime::from_millis(5), "early")));
+/// assert_eq!(q.pop_due(SimTime::from_millis(10)), None, "not due yet");
+/// assert_eq!(q.pop(), Some((SimTime::from_millis(20), "late")));
+/// ```
+pub struct Calendar<T> {
     /// Window start in nanoseconds, aligned down to the bucket width.
     base: u64,
-    /// Bucket index to start pop scans from; only buckets at or after the
-    /// cursor can be occupied (events are never scheduled in the past).
+    /// Bucket index to start pop scans from; no bucket before it is
+    /// occupied.
     cursor: usize,
-    buckets: Vec<BinaryHeap<Reverse<Entry<T>>>>,
+    buckets: Vec<MinHeap<T>>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
-    /// Events at or beyond `base + WINDOW_NS`.
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
-    /// Events before `base`. Non-empty only between a forward rebase and
+    /// Items at or beyond `base + WINDOW_NS`.
+    overflow: MinHeap<T>,
+    /// Items before `base`. Non-empty only between a forward rebase and
     /// the next bucket pop; always drained first.
-    front: BinaryHeap<Reverse<Entry<T>>>,
+    front: MinHeap<T>,
     len: usize,
+    /// Push counter: the tie-break among items due at the same time.
+    seq: u64,
 }
 
-impl<T> Calendar<T> {
-    fn new() -> Self {
+impl<T> std::fmt::Debug for Calendar<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Calendar").field("len", &self.len).finish_non_exhaustive()
+    }
+}
+
+impl<T> Default for Calendar<T> {
+    fn default() -> Self {
         let mut buckets = Vec::with_capacity(NBUCKETS);
         buckets.resize_with(NBUCKETS, BinaryHeap::new);
         Calendar {
@@ -171,12 +201,24 @@ impl<T> Calendar<T> {
             overflow: BinaryHeap::new(),
             front: BinaryHeap::new(),
             len: 0,
+            seq: 0,
         }
     }
+}
 
-    fn push(&mut self, entry: Entry<T>) {
+impl<T> Calendar<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Queues `item` at time `at`; among items at the same time, the
+    /// earlier push pops first.
+    pub fn push(&mut self, at: SimTime, item: T) {
+        let entry = Entry { at, seq: self.seq, kind: item };
+        self.seq += 1;
         self.len += 1;
-        let t = entry.at.as_nanos();
+        let t = at.as_nanos();
         if t < self.base {
             self.front.push(Reverse(entry));
             return;
@@ -188,6 +230,9 @@ impl<T> Calendar<T> {
             let idx = off as usize;
             self.buckets[idx].push(Reverse(entry));
             self.occupied[idx >> 6] |= 1u64 << (idx & 63);
+            // A live queue's pushes are stamped on other threads and may
+            // precede the last pop: the scan moves back to them.
+            self.cursor = self.cursor.min(idx);
         }
     }
 
@@ -211,7 +256,7 @@ impl<T> Calendar<T> {
     }
 
     /// Slides the window forward so the overflow minimum lands in a
-    /// bucket, redistributing every overflow event that now fits.
+    /// bucket, redistributing every overflow item that now fits.
     /// Callers guarantee the buckets and `front` are empty.
     fn rebase(&mut self) {
         debug_assert!(self.front.is_empty());
@@ -222,17 +267,16 @@ impl<T> Calendar<T> {
         self.base = min >> WIDTH_SHIFT << WIDTH_SHIFT;
         self.cursor = 0;
         let end = self.base.saturating_add(WINDOW_NS);
-        while matches!(self.overflow.peek(), Some(Reverse(e)) if e.at.as_nanos() < end) {
-            let Reverse(entry) = self.overflow.pop().expect("peeked");
+        while let Some(entry) = pop_if_due(&mut self.overflow, SimTime::from_nanos(end - 1)) {
             let idx = ((entry.at.as_nanos() - self.base) >> WIDTH_SHIFT) as usize;
             self.buckets[idx].push(Reverse(entry));
             self.occupied[idx >> 6] |= 1u64 << (idx & 63);
         }
     }
 
-    /// Index of the bucket holding the next event, rebasing the window if
-    /// it has been exhausted. `None` when only `front` has events (or the
-    /// calendar is empty).
+    /// Index of the bucket holding the next item, rebasing the window if
+    /// it has been exhausted. `None` when only `front` has items (or the
+    /// queue is empty).
     fn next_bucket(&mut self) -> Option<usize> {
         if let Some(idx) = self.first_occupied(self.cursor) {
             return Some(idx);
@@ -244,8 +288,9 @@ impl<T> Calendar<T> {
         None
     }
 
-    fn peek_at(&mut self) -> Option<SimTime> {
-        // `front` events are strictly earlier than anything in a bucket
+    /// The time of the next item, without removing it.
+    pub fn next_time(&mut self) -> Option<SimTime> {
+        // `front` items are strictly earlier than anything in a bucket
         // or the overflow (all ≥ base), so they win unconditionally.
         if let Some(Reverse(e)) = self.front.peek() {
             return Some(e.at);
@@ -254,19 +299,27 @@ impl<T> Calendar<T> {
         self.buckets[idx].peek().map(|Reverse(e)| e.at)
     }
 
-    fn pop(&mut self) -> Option<Entry<T>> {
-        if let Some(Reverse(e)) = self.front.pop() {
-            self.len -= 1;
-            return Some(e);
-        }
-        let idx = self.next_bucket()?;
-        let Reverse(entry) = self.buckets[idx].pop().expect("occupied bit set");
-        if self.buckets[idx].is_empty() {
-            self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
-        }
-        self.cursor = idx;
+    /// Removes and returns the next item if it is due at or before
+    /// `limit`, in one scan.
+    pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, T)> {
+        let entry = if self.front.is_empty() {
+            let idx = self.next_bucket()?;
+            let entry = pop_if_due(&mut self.buckets[idx], limit)?;
+            if self.buckets[idx].is_empty() {
+                self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
+            }
+            self.cursor = idx;
+            entry
+        } else {
+            pop_if_due(&mut self.front, limit)?
+        };
         self.len -= 1;
-        Some(entry)
+        Some((entry.at, entry.kind))
+    }
+
+    /// Removes and returns the next item.
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        self.pop_due(SimTime::MAX)
     }
 }
 
@@ -301,8 +354,8 @@ mod tests {
         let mut cal = EventQueue::new(Scheduler::Calendar);
         let mut heap = EventQueue::new(Scheduler::NaiveHeap);
         for (seq, &t) in times.iter().enumerate() {
-            cal.push(SimTime::from_nanos(t), seq as u64, seq as u32);
-            heap.push(SimTime::from_nanos(t), seq as u64, seq as u32);
+            cal.push(SimTime::from_nanos(t), seq as u32);
+            heap.push(SimTime::from_nanos(t), seq as u32);
         }
         let mut expect: Vec<(u64, u32)> =
             times.iter().enumerate().map(|(s, &t)| (t, s as u32)).collect();
@@ -317,11 +370,11 @@ mod tests {
     fn push_before_base_after_rebase_stays_ordered() {
         let mut q = EventQueue::new(Scheduler::Calendar);
         // Far-future event forces a rebase on first peek.
-        q.push(SimTime::from_nanos(10 * WINDOW_NS), 0, 0u32);
+        q.push(SimTime::from_nanos(10 * WINDOW_NS), 0u32);
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(10 * WINDOW_NS)));
         // Now schedule something earlier than the rebased window.
-        q.push(SimTime::from_nanos(5), 1, 1);
-        q.push(SimTime::from_nanos(7), 2, 2);
+        q.push(SimTime::from_nanos(5), 1);
+        q.push(SimTime::from_nanos(7), 2);
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(5)));
         assert_eq!(drain(&mut q), vec![(5, 1), (7, 2), (10 * WINDOW_NS, 0)]);
     }
@@ -339,7 +392,7 @@ mod tests {
             let mut now = 0u64;
             let mut popped = Vec::new();
             for _ in 0..2_000 {
-                if rng.chance(0.6) || cal.is_empty() {
+                if rng.chance(0.6) || cal.len() == 0 {
                     // Push at now + a delay spanning near & far future,
                     // with plenty of exact collisions.
                     let delay = match rng.range(0, 4) {
@@ -349,8 +402,8 @@ mod tests {
                         _ => rng.range(0, 4 * WINDOW_NS),
                     };
                     let at = SimTime::from_nanos(now + delay);
-                    cal.push(at, seq, seq as u32);
-                    heap.push(at, seq, seq as u32);
+                    cal.push(at, seq as u32);
+                    heap.push(at, seq as u32);
                     seq += 1;
                 } else {
                     let a = cal.pop().expect("non-empty");
@@ -374,6 +427,63 @@ mod tests {
                     "out of order at seed {seed}"
                 );
             }
+        }
+    }
+
+    /// The live pattern: pushes are stamped on other threads and may
+    /// precede the last pop, pops take only what a clock says is due,
+    /// and an idle loop parks on `next_time`. The calendar must stay in
+    /// step with the naive heap throughout (due order across buckets and
+    /// overflow, `next_time` the earliest item), never hand out an item
+    /// past its limit, and drain every item.
+    #[test]
+    fn live_pattern_parity_with_heap() {
+        use crate::rng::SimRng;
+        let ms = SimTime::from_millis;
+        let mut q = Calendar::new();
+        q.push(ms(10), 0u32);
+        assert_eq!(q.pop(), Some((ms(10), 0)));
+        q.push(ms(1), 1);
+        q.push(ms(20), 2);
+        assert_eq!(q.pop(), Some((ms(1), 1)), "a push behind the last pop comes first");
+        assert_eq!(q.pop(), Some((ms(20), 2)));
+
+        for seed in 0..20u64 {
+            let mut rng = SimRng::seed_from(seed);
+            let mut cal = EventQueue::new(Scheduler::Calendar);
+            let mut heap = EventQueue::new(Scheduler::NaiveHeap);
+            let (mut pushed, mut popped, mut clock) = (0u32, 0u32, 0u64);
+            for _ in 0..6_000 {
+                match rng.range(0, 3) {
+                    0 => {
+                        let at = match rng.range(0, 3) {
+                            0 => clock.saturating_sub(rng.range(0, 50_000_000)),
+                            1 => clock + rng.range(0, 100_000_000),
+                            _ => clock + rng.range(0, 3 * WINDOW_NS),
+                        };
+                        cal.push(SimTime::from_nanos(at), pushed);
+                        heap.push(SimTime::from_nanos(at), pushed);
+                        pushed += 1;
+                    }
+                    1 => {
+                        clock += rng.range(0, 20_000_000);
+                        let limit = SimTime::from_nanos(clock);
+                        while let Some(item) = cal.pop_due(limit) {
+                            assert!(item.0 <= limit, "seed {seed}: popped past the limit");
+                            assert_eq!(Some(item), heap.pop_due(limit), "seed {seed}");
+                            popped += 1;
+                        }
+                        assert!(heap.next_time().is_none_or(|t| t > limit), "seed {seed}");
+                    }
+                    _ => assert_eq!(cal.next_time(), heap.next_time(), "seed {seed}"),
+                }
+            }
+            while let Some(item) = cal.pop() {
+                assert_eq!(Some(item), heap.pop(), "seed {seed}");
+                popped += 1;
+            }
+            assert!(heap.len() == 0 && pushed > 1_000);
+            assert_eq!(popped, pushed, "seed {seed}: every item drains");
         }
     }
 }

@@ -146,7 +146,6 @@ pub struct ObserverId(usize);
 pub struct World<M> {
     now: SimTime,
     queue: EventQueue<EventKind<M>>,
-    seq: u64,
     // Node arena, struct-of-arrays: parallel columns indexed by NodeId.
     names: Vec<String>,
     nodes: Vec<Box<dyn Node<Msg = M>>>,
@@ -197,7 +196,6 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         World {
             now: SimTime::ZERO,
             queue: EventQueue::new(scheduler),
-            seq: 0,
             names: Vec::new(),
             nodes: Vec::new(),
             clocks: Vec::new(),
@@ -397,17 +395,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// world's clock ends at `deadline` (or the last event, if later
     /// events do not exist).
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.ensure_started();
-        loop {
-            match self.queue.next_time() {
-                Some(at) if at <= deadline => {
-                    let (at, kind) = self.queue.pop().expect("peeked");
-                    self.now = at;
-                    self.dispatch(kind);
-                }
-                _ => break,
-            }
-        }
+        self.run_until_idle(deadline);
         if deadline > self.now && deadline != SimTime::MAX {
             self.now = deadline;
         }
@@ -425,31 +413,21 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// never goes idle, so the deadline is mandatory.
     pub fn run_until_idle(&mut self, deadline: SimTime) -> bool {
         self.ensure_started();
-        loop {
-            match self.queue.next_time() {
-                None => return true,
-                Some(at) if at > deadline => return false,
-                Some(_) => {
-                    let (at, kind) = self.queue.pop().expect("peeked");
-                    self.now = at;
-                    self.dispatch(kind);
-                }
-            }
+        while let Some((at, kind)) = self.queue.pop_due(deadline) {
+            self.now = at;
+            self.dispatch(kind);
         }
+        self.queue.len() == 0
     }
 
     /// Processes a single queued event. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        match self.queue.pop() {
-            Some((at, kind)) => {
-                self.now = at;
-                self.dispatch(kind);
-                true
-            }
-            None => false,
-        }
+        let Some((at, kind)) = self.queue.pop() else { return false };
+        self.now = at;
+        self.dispatch(kind);
+        true
     }
 
     fn ensure_started(&mut self) {
@@ -498,9 +476,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     }
 
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(at, seq, kind);
+        self.queue.push(at, kind);
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) {
