@@ -7,7 +7,8 @@
 //! inaccessibility model ([`EpochIid`]) and count what really happened.
 
 use wanacl_core::prelude::*;
-use wanacl_sim::net::partition::{EpochIid, ScheduledPartitions};
+use wanacl_sim::nemesis::NemesisPlan;
+use wanacl_sim::net::partition::EpochIid;
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::time::{SimDuration, SimTime};
@@ -248,16 +249,16 @@ pub fn freeze_vs_quorum(seed: u64) -> FreezeComparison {
         let policy = builder.build();
         // Managers 0,1; host 2; user 3; admin 4. Managers cut from each
         // other 20 s .. 120 s.
-        let cut = ScheduledPartitions::cut_between(
-            vec![NodeId::from_index(0)],
-            vec![NodeId::from_index(1)],
-            SimTime::from_secs(20),
-            SimTime::from_secs(120),
-        );
-        let net = WanNet::builder()
-            .constant_delay(SimDuration::from_millis(20))
-            .partitions(Box::new(cut))
-            .build();
+        let base = WanNet::builder().constant_delay(SimDuration::from_millis(20)).build();
+        let net = NemesisPlan::builder(SimTime::from_secs(120))
+            .partition(
+                vec![NodeId::from_index(0)],
+                vec![NodeId::from_index(1)],
+                SimTime::from_secs(20),
+                SimTime::from_secs(120),
+            )
+            .build()
+            .wrap_net(Box::new(base));
         let mut d = Scenario::builder(seed)
             .managers(2)
             .hosts(1)

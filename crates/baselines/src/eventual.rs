@@ -245,7 +245,7 @@ mod tests {
     use super::*;
     use wanacl_core::types::AppId;
     use wanacl_sim::clock::ClockSpec;
-    use wanacl_sim::net::partition::ScheduledPartitions;
+    use wanacl_sim::nemesis::NemesisPlan;
     use wanacl_sim::net::WanNet;
     use wanacl_sim::time::SimTime;
     use wanacl_sim::world::World;
@@ -309,19 +309,13 @@ mod tests {
         // Manager 1 partitioned away right after the revoke at manager 0:
         // it keeps granting for the whole partition, however long — the
         // weakness the paper's Te bound removes.
-        let cut = ScheduledPartitions::cut_between(
-            vec![NodeId::from_index(0)],
-            vec![NodeId::from_index(1)],
-            SimTime::from_millis(500),
-            SimTime::from_secs(10_000),
-        );
+        let (start, end) = (SimTime::from_millis(500), SimTime::from_secs(10_000));
+        let plan = NemesisPlan::builder(end)
+            .partition(vec![NodeId::from_index(0)], vec![NodeId::from_index(1)], start, end)
+            .build();
+        let base = WanNet::builder().constant_delay(SimDuration::from_millis(20)).build();
         let mut world: World<BaselineMsg> = World::new(3);
-        world.set_net(Box::new(
-            WanNet::builder()
-                .constant_delay(SimDuration::from_millis(20))
-                .partitions(Box::new(cut))
-                .build(),
-        ));
+        world.set_net(Box::new(plan.wrap_net(Box::new(base))));
         let (mgrs, host) = build(&mut world, 2);
         world.inject(
             SimTime::from_secs(1),

@@ -145,8 +145,11 @@ impl AclCache {
             return 0;
         }
         let mut dropped = 0;
-        while self.expiry.first().is_some_and(|&(limit, _)| limit <= now) {
-            let (_, user) = self.expiry.pop_first().expect("peeked non-empty");
+        while let Some(&(limit, user)) = self.expiry.first() {
+            if limit > now {
+                break;
+            }
+            self.expiry.pop_first();
             // Re-validate: the entry may have been extended past this
             // pair, removed, or re-created since.
             if self.entries.get(&user).is_some_and(|e| now >= e.limit) {

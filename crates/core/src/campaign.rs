@@ -10,11 +10,10 @@
 //! shrinkers minimize failing inputs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use wanacl_sim::clock::ClockSpec;
-use wanacl_sim::metrics::Metrics;
-use wanacl_sim::nemesis::{NemesisPlan, NemesisTargets};
+use wanacl_sim::metrics::{MetricId, Metrics};
+use wanacl_sim::nemesis::{FaultMix, NemesisPlan, NemesisTargets};
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::rng::SimRng;
@@ -28,7 +27,7 @@ use crate::msg::{AclOp, ProtoMsg};
 use crate::nameservice::DirectoryReplica;
 use crate::oracle::{InvariantOracle, OracleStats, OracleViolation};
 use crate::policy::Policy;
-use crate::scenario::{Deployment, Roster, Scenario};
+use crate::scenario::{Deployment, Layout, Roster, Scenario};
 use crate::types::{AppId, Right, ShardId, UserId};
 
 /// A deliberately planted protocol bug, for proving the oracle catches
@@ -180,14 +179,6 @@ pub struct CampaignReport {
     pub oracle_stats: OracleStats,
     /// Aggregate user-visible outcomes.
     pub user_stats: crate::client::UserStats,
-    /// WAL records fsynced across all managers (every ack is backed by
-    /// one of these).
-    pub wal_appends: u64,
-    /// Snapshots written across all managers.
-    pub snapshot_writes: u64,
-    /// Recoveries answered from local stable storage instead of a full
-    /// peer state transfer.
-    pub recovered_from_disk: u64,
     /// Order-sensitive FNV-1a fingerprint of every audit note the oracle
     /// saw (see [`InvariantOracle::audit_digest`]). Two runs of the same
     /// seed must agree on this — it is how the parallel executor proves
@@ -195,9 +186,10 @@ pub struct CampaignReport {
     pub audit_digest: u64,
     /// The world's full metric bag at the end of the run (every
     /// `ctx.metric_incr`/`metric_observe` the nodes emitted, plus the
-    /// world's own `net.*`/`node.*` accounting). Deterministic per seed,
-    /// so rollups merged in seed order are bit-identical regardless of
-    /// `--jobs`.
+    /// world's own `net.*`/`node.*` accounting), storage included:
+    /// `mgr.wal_appends`, `mgr.snapshot_writes`, `mgr.recovered_from_disk`.
+    /// Deterministic per seed, so rollups merged in seed order are
+    /// bit-identical regardless of `--jobs`.
     pub metrics: Metrics,
 }
 
@@ -220,9 +212,12 @@ impl CampaignReport {
                 self.oracle_stats.fail_open_allows,
                 self.oracle_stats.revokes,
             ));
+            let m = &self.metrics;
             out.push_str(&format!(
                 "  storage: {} WAL appends, {} snapshots, {} disk recoveries\n",
-                self.wal_appends, self.snapshot_writes, self.recovered_from_disk,
+                m.counter(MetricId::MGR_WAL_APPENDS),
+                m.counter(MetricId::MGR_SNAPSHOT_WRITES),
+                m.counter(MetricId::MGR_RECOVERED_FROM_DISK),
             ));
         } else {
             out.push_str(&format!(
@@ -288,37 +283,21 @@ pub fn campaign_targets(config: &CampaignConfig) -> NemesisTargets {
     NemesisTargets { managers, hosts, ns_replicas, shard_managers }
 }
 
-/// Samples the nemesis plan the given config's seed implies. With
-/// `disk_faults` enabled the fault mix also draws storage faults and
-/// correlated cluster restarts; with `ns_faults` (and replicas) it adds
-/// directory faults. Without either flag the plan is byte-identical to
-/// what earlier campaigns produced.
+/// Samples the nemesis plan the given config's seed implies: the
+/// storage, directory and shard fault families join the mix as
+/// `disk_faults`, `ns_faults` (with replicas) and `shard_faults` (with
+/// tenants) ask. Without any of them the plan is byte-identical to what
+/// earlier campaigns produced.
 pub fn sample_plan(config: &CampaignConfig) -> NemesisPlan {
     let targets = campaign_targets(config);
     let horizon = SimTime::ZERO + config.horizon;
     let mut rng = SimRng::seed_from(config.seed ^ 0x6e65_6d65);
-    if config.shard_faults && config.tenants > 0 {
-        NemesisPlan::sample_with_shards(
-            &targets,
-            horizon,
-            config.intensity,
-            &mut rng,
-            config.disk_faults,
-            config.ns_faults && config.ns_replicas > 0,
-        )
-    } else if config.ns_faults && config.ns_replicas > 0 {
-        NemesisPlan::sample_with_directory(
-            &targets,
-            horizon,
-            config.intensity,
-            &mut rng,
-            config.disk_faults,
-        )
-    } else if config.disk_faults {
-        NemesisPlan::sample_with_storage(&targets, horizon, config.intensity, &mut rng)
-    } else {
-        NemesisPlan::sample(&targets, horizon, config.intensity, &mut rng)
-    }
+    let mix = FaultMix {
+        storage: config.disk_faults,
+        directory: config.ns_faults && config.ns_replicas > 0,
+        shards: config.shard_faults && config.tenants > 0,
+    };
+    NemesisPlan::sample(&targets, horizon, config.intensity, &mut rng, mix)
 }
 
 /// Admin churn: every user gets its `use` right revoked and re-granted
@@ -427,17 +406,23 @@ pub fn arm_campaign(
         oracle.set_directory(config.ns_replicas, effective_read_quorum(config), CAMPAIGN_NS_TTL);
     }
     let mut injections = Vec::new();
-    if config.tenants == 0 && config.ns_replicas > 0 {
+    if config.tenants == 0 {
         let at = SimTime::ZERO + config.horizon.mul_f64(0.4);
-        let (replica, msg) = roster.layout.republish(0, 2, roster.layout.managers.clone());
-        injections.push((at, replica, msg));
+        // `None` without a replicated directory: nothing to republish.
+        let managers = roster.layout.managers.clone();
+        if let Some((replica, msg)) = roster.layout.republish(0, 2, managers) {
+            injections.push((at, replica, msg));
+        }
     }
 
     // Every shard-map version the run publishes is one the oracle's
     // tenant-isolation check (I8) accepts: genesis, then one per move.
-    for (app, (version, entries)) in &roster.layout.shard_maps {
-        oracle.expect_shard_map(*app, *version, entries);
-    }
+    let expect_maps = |oracle: &mut InvariantOracle, layout: &Layout| {
+        for (app, (version, entries)) in &layout.shard_maps {
+            oracle.expect_shard_map(*app, *version, entries);
+        }
+    };
+    expect_maps(&mut oracle, &roster.layout);
     let total_shards: u32 = roster.layout.shard_maps.values().map(|(_, es)| es.len() as u32).sum();
     let mut moves: Vec<(u32, SimTime)> = plan.shard_rebalances();
     if let Some(InjectedBug::LostHandoff { manager_index }) = config.inject_bug {
@@ -457,17 +442,13 @@ pub fn arm_campaign(
         if targets.iter().any(|t| sources.contains(t)) {
             continue;
         }
-        let (recipients, kickoff) = roster.layout.rebalance(shard, targets);
+        let Some((recipients, kickoff)) = roster.layout.rebalance(shard, targets) else {
+            continue;
+        };
         for node in recipients {
             injections.push((at, node, kickoff.clone()));
         }
-        let (app, (version, entries)) = roster
-            .layout
-            .shard_maps
-            .iter()
-            .find(|(_, (_, es))| es.iter().any(|e| e.shard == shard))
-            .expect("rebalanced shard keeps a map entry");
-        oracle.expect_shard_map(*app, *version, entries);
+        expect_maps(&mut oracle, &roster.layout);
     }
     let apps: Vec<AppId> = roster.layout.shard_maps.keys().copied().collect();
     for host in plan.stale_shard_map_hosts() {
@@ -476,20 +457,6 @@ pub fn arm_campaign(
         }
     }
     CampaignArming { injections, oracle }
-}
-
-/// The campaign-owned [`SimStorage`] of one manager (panics if the
-/// manager has no storage or a foreign storage type — campaigns attach
-/// `SimStorage` to every manager before faults or bugs touch it).
-fn sim_storage(deployment: &mut Deployment, mgr: NodeId) -> &mut SimStorage {
-    deployment
-        .world
-        .node_as_mut::<ManagerNode>(mgr)
-        .storage_mut()
-        .expect("campaign manager has storage attached")
-        .as_any_mut()
-        .downcast_mut::<SimStorage>()
-        .expect("campaign manager storage is SimStorage")
 }
 
 /// The simulator's half of a campaign: the faulty WAN, simulated disks,
@@ -516,18 +483,19 @@ fn build_deployment(
 
     // Every manager gets deterministic simulated stable storage: acks
     // become durable promises (fsync-before-ack), and crash recovery
-    // replays snapshot + WAL locally before the delta peer sync.
+    // replays snapshot + WAL locally before the delta peer sync. The
+    // disks the plan targets degrade, and a planted drop-WAL bug forgets
+    // its state on recovery.
+    let disk_faults = plan.disk_faults();
     for (i, &mgr) in deployment.managers.clone().iter().enumerate() {
         let disk_seed = config.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        deployment
-            .world
-            .node_as_mut::<ManagerNode>(mgr)
-            .set_storage(Box::new(SimStorage::new(disk_seed)));
-    }
-    // Degrade the disks the plan targets.
-    for (node, sync_fail_prob, torn_tail_prob) in plan.disk_faults() {
-        sim_storage(&mut deployment, node)
-            .set_fault_model(DiskFaultModel { sync_fail_prob, torn_tail_prob });
+        let mut storage = SimStorage::new(disk_seed);
+        for &(_, sync_fail_prob, torn_tail_prob) in disk_faults.iter().filter(|f| f.0 == mgr) {
+            storage.set_fault_model(DiskFaultModel { sync_fail_prob, torn_tail_prob });
+        }
+        let drop_wal = Some(InjectedBug::DropWal { manager_index: i });
+        storage.set_drop_state_on_recover(config.inject_bug == drop_wal);
+        deployment.world.node_as_mut::<ManagerNode>(mgr).set_storage(Box::new(storage));
     }
 
     // Directory replicas get their own stable storage (so crash-restart
@@ -553,10 +521,6 @@ fn build_deployment(
             let app = deployment.app;
             deployment.host_mut(host_index).inject_ignore_expiry(app);
         }
-        Some(InjectedBug::DropWal { manager_index }) => {
-            let mgr = deployment.managers[manager_index];
-            sim_storage(&mut deployment, mgr).set_drop_state_on_recover(true);
-        }
         Some(InjectedBug::NsTrustUnsigned { host_index }) => {
             deployment.host_mut(host_index).inject_ns_trust_unsigned();
         }
@@ -564,7 +528,7 @@ fn build_deployment(
             assert!(config.tenants > 0, "the lost-handoff bug needs a sharded deployment");
             deployment.manager_mut(manager_index).set_drop_handoff_tail(true);
         }
-        None => {}
+        Some(InjectedBug::DropWal { .. }) | None => {}
     }
 
     for (at, node, msg) in injections {
@@ -598,13 +562,6 @@ pub fn run_with_plan(config: &CampaignConfig, plan: &NemesisPlan) -> CampaignRep
         }
     }
     let user_stats = deployment.aggregate_user_stats();
-    let (mut wal_appends, mut snapshot_writes, mut recovered_from_disk) = (0, 0, 0);
-    for i in 0..deployment.managers.len() {
-        let stats = deployment.manager(i).stats();
-        wal_appends += stats.wal_appends;
-        snapshot_writes += stats.snapshot_writes;
-        recovered_from_disk += stats.recovered_from_disk;
-    }
     let metrics = deployment.world.metrics().clone();
     let oracle = deployment.world.observer_as::<InvariantOracle>(oracle_id);
     CampaignReport {
@@ -613,9 +570,6 @@ pub fn run_with_plan(config: &CampaignConfig, plan: &NemesisPlan) -> CampaignRep
         violations: oracle.violations().to_vec(),
         oracle_stats: oracle.stats(),
         user_stats,
-        wal_appends,
-        snapshot_writes,
-        recovered_from_disk,
         audit_digest: oracle.audit_digest(),
         metrics,
     }
@@ -666,8 +620,9 @@ pub fn run_plans_parallel(
 }
 
 /// Work-stealing fan-out over `0..count`: workers claim indices from a
-/// shared atomic counter and write results back into their input slots,
-/// so the output order never depends on thread scheduling.
+/// shared atomic counter and hand back `(index, report)` pairs, sorted
+/// into input order, so the output order never depends on thread
+/// scheduling.
 fn run_indexed_parallel<F>(count: usize, jobs: usize, run: F) -> Vec<CampaignReport>
 where
     F: Fn(usize) -> CampaignReport + Sync,
@@ -682,26 +637,28 @@ where
         return (0..count).map(run).collect();
     }
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<CampaignReport>>> =
-        Mutex::new((0..count).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let report = run(i);
-                results.lock().expect("result slots poisoned")[i] = Some(report);
-            });
-        }
+    let mut reports: Vec<(usize, CampaignReport)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut claimed = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= count {
+                            return claimed;
+                        }
+                        claimed.push((i, run(i)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-    results
-        .into_inner()
-        .expect("result slots poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every claimed index writes its slot"))
-        .collect()
+    reports.sort_by_key(|&(i, _)| i);
+    reports.into_iter().map(|(_, report)| report).collect()
 }
 
 /// Greedily shrinks a violating plan: repeatedly drop any fault whose
@@ -873,9 +830,11 @@ mod tests {
             .build();
         let report = run_with_plan(&config, &plan);
         assert!(report.is_clean(), "{}", report.render());
-        assert!(report.wal_appends > 0, "no op was ever made durable");
+        let wal_appends = report.metrics.counter(MetricId::MGR_WAL_APPENDS);
+        assert!(wal_appends > 0, "no op was ever made durable");
         assert_eq!(
-            report.recovered_from_disk, config.managers as u64,
+            report.metrics.counter(MetricId::MGR_RECOVERED_FROM_DISK),
+            config.managers as u64,
             "every manager must come back from its own disk"
         );
     }
@@ -930,7 +889,7 @@ mod tests {
             assert_eq!(a.plan, b.plan);
             assert_eq!(a.violations, b.violations);
             assert_eq!(a.oracle_stats, b.oracle_stats);
-            assert_eq!(a.wal_appends, b.wal_appends);
+            assert_eq!(a.metrics, b.metrics);
             assert!(a.is_clean(), "{}", a.render());
         }
     }

@@ -21,8 +21,6 @@
 //! router carries a step from one to another — a check that finishes
 //! stores a lease, a lease due for refresh opens a check.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 mod check;
 mod directory;
 mod lease;

@@ -49,6 +49,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub use wanacl_auth as auth;
 

@@ -27,8 +27,6 @@
 //! A sub-machine reports what happened; only the router carries a step
 //! from one sub-machine to another.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 mod dissemination;
 mod durability;
 mod handoff;

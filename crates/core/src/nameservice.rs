@@ -501,12 +501,12 @@ fn encode_snapshot<'a>(records: impl Iterator<Item = &'a NsRecord>) -> Vec<u8> {
 
 fn decode_snapshot(bytes: &[u8]) -> Vec<NsRecord> {
     let mut out = Vec::new();
-    let mut at = 0usize;
-    while at + 4 <= bytes.len() {
-        let len = u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
-        at += 4;
-        let Some(body) = bytes[at..].get(..len) else { break };
-        at += len;
+    let mut rest = bytes;
+    while let Some((len, tail)) = rest.split_first_chunk::<4>() {
+        let Some((body, tail)) = tail.split_at_checked(u32::from_be_bytes(*len) as usize) else {
+            break;
+        };
+        rest = tail;
         if let Some(record) = decode_record(body) {
             out.push(record);
         }

@@ -402,11 +402,11 @@ impl Scenario {
         // managers so campaign node layouts stay arithmetic. Each starts
         // from the same signed genesis record (version 1).
         let mut ns_replica_ids: Vec<NodeId> = Vec::new();
-        if self.ns_replicas > 0 {
+        // The writer key exists exactly when replicas do.
+        if let Some(secret) = &ns_writer_secret {
             let first = managers_total;
             ns_replica_ids =
                 (first..first + self.ns_replicas).map(NodeId::from_index).collect();
-            let secret = ns_writer_secret.as_ref().expect("writer key exists when replicas do");
             // One genesis record per app: its shard map, version 1 =
             // handoff epoch 1.
             let genesis: Vec<NsRecord> = apps
@@ -669,35 +669,32 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// Current owners of a shard.
+    /// Current owners of a shard (none for a shard no map lists).
     pub fn shard_owners(&self, shard: ShardId) -> Vec<NodeId> {
         self.shard_maps
             .values()
             .flat_map(|(_, entries)| entries.iter())
             .find(|e| e.shard == shard)
             .map(|e| e.managers.clone())
-            .expect("unknown shard")
+            .unwrap_or_default()
     }
 
     /// A new signed record for the app — `managers` serving its whole
-    /// keyspace — addressed to ONE replica (index `replica_index`).
-    /// Anti-entropy is responsible for spreading it — which is exactly
-    /// what stale-replica and split-brain faults attack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the deployment has no replicated directory.
+    /// keyspace — addressed to ONE replica (index `replica_index`), or
+    /// `None` if the deployment has no such replica. Anti-entropy is
+    /// responsible for spreading it — which is exactly what stale-replica
+    /// and split-brain faults attack.
     pub fn republish(
         &self,
         replica_index: usize,
         version: u64,
         managers: Vec<NodeId>,
-    ) -> (NodeId, ProtoMsg) {
-        let secret =
-            self.ns_writer_secret.as_ref().expect("deployment has no replicated directory");
+    ) -> Option<(NodeId, ProtoMsg)> {
+        let replica = *self.ns_replicas.get(replica_index)?;
+        let secret = self.ns_writer_secret.as_ref()?;
         let shards = vec![ShardEntry::whole_keyspace(self.app, managers)];
         let record = NsRecord::signed(self.app, version, shards, NS_WRITER, secret);
-        (self.ns_replicas[replica_index], ProtoMsg::NsPublish { record: Box::new(record) })
+        Some((replica, ProtoMsg::NsPublish { record: Box::new(record) }))
     }
 
     /// Starts an online rebalance of `shard` onto `new_owners`: bumps
@@ -705,27 +702,23 @@ impl Layout {
     /// returns the `ShardHandoff` kickoff with its recipients — every
     /// current owner (sources) and every new owner (targets). The
     /// sources freeze, snapshot-transfer, and durably release before any
-    /// target activates and republishes the map (DESIGN.md §14).
+    /// target activates and republishes the map (DESIGN.md §14). `None`
+    /// without a replicated directory or for an unknown shard.
     ///
     /// # Panics
     ///
-    /// Panics without a replicated directory, on an unknown shard, or if
-    /// `new_owners` overlaps the current owner set.
+    /// Panics if `new_owners` overlaps the current owner set.
     pub fn rebalance(
         &mut self,
         shard: ShardId,
         new_owners: Vec<NodeId>,
-    ) -> (Vec<NodeId>, ProtoMsg) {
-        let secret = self
-            .ns_writer_secret
-            .as_ref()
-            .expect("rebalance needs the replicated directory's writer key");
-        let (&app, (version, entries)) = self
-            .shard_maps
-            .iter_mut()
-            .find(|(_, (_, entries))| entries.iter().any(|e| e.shard == shard))
-            .expect("unknown shard");
-        let idx = entries.iter().position(|e| e.shard == shard).expect("entry exists");
+    ) -> Option<(Vec<NodeId>, ProtoMsg)> {
+        let secret = self.ns_writer_secret.as_ref()?;
+        let (app, version, entries, idx) =
+            self.shard_maps.iter_mut().find_map(|(&app, (version, entries))| {
+                let idx = entries.iter().position(|e| e.shard == shard)?;
+                Some((app, version, entries, idx))
+            })?;
         let mut recipients = entries[idx].managers.clone();
         assert!(
             recipients.iter().all(|m| !new_owners.contains(m)),
@@ -742,7 +735,7 @@ impl Layout {
             targets: new_owners,
             publish_to: self.ns_replicas.clone(),
         };
-        (recipients, kickoff)
+        Some((recipients, kickoff))
     }
 }
 
@@ -792,27 +785,21 @@ impl Deployment {
         self.world.inject(now, self.layout.admin, msg);
     }
 
-    /// Publishes [`Layout::republish`]'s record now.
+    /// Publishes [`Layout::republish`]'s record now; `false` (and
+    /// nothing sent) if the deployment has no such replica.
+    #[must_use]
     pub fn republish_managers(
         &mut self,
         replica_index: usize,
         version: u64,
         managers: Vec<NodeId>,
-    ) {
+    ) -> bool {
+        let Some((target, msg)) = self.layout.republish(replica_index, version, managers) else {
+            return false;
+        };
         let now = self.world.now();
-        self.republish_managers_at(now, replica_index, version, managers);
-    }
-
-    /// [`Deployment::republish_managers`] at a scheduled future instant.
-    pub fn republish_managers_at(
-        &mut self,
-        at: SimTime,
-        replica_index: usize,
-        version: u64,
-        managers: Vec<NodeId>,
-    ) {
-        let (target, msg) = self.layout.republish(replica_index, version, managers);
-        self.world.inject(at, target, msg);
+        self.world.inject(now, target, msg);
+        true
     }
 
     /// The directory replica node for index `i`.
@@ -820,12 +807,22 @@ impl Deployment {
         self.world.node_as::<DirectoryReplica>(self.ns_replicas[i])
     }
 
-    /// Schedules [`Layout::rebalance`]'s kickoff at `at`.
-    pub fn rebalance_shard_at(&mut self, at: SimTime, shard: ShardId, new_owners: Vec<NodeId>) {
-        let (recipients, kickoff) = self.layout.rebalance(shard, new_owners);
+    /// Schedules [`Layout::rebalance`]'s kickoff at `at`; `false` (and
+    /// nothing scheduled) without a directory or for an unknown shard.
+    #[must_use]
+    pub fn rebalance_shard_at(
+        &mut self,
+        at: SimTime,
+        shard: ShardId,
+        new_owners: Vec<NodeId>,
+    ) -> bool {
+        let Some((recipients, kickoff)) = self.layout.rebalance(shard, new_owners) else {
+            return false;
+        };
         for m in recipients {
             self.world.inject(at, m, kickoff.clone());
         }
+        true
     }
 
     /// Mutable access to manager `i` (fault hooks like the planted

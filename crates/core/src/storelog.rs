@@ -162,25 +162,23 @@ pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
     out
 }
 
-/// Reads a big-endian `u32` element count and splits off the `each`-byte
+/// Reads a big-endian `u32` element count and splits off the `N`-byte
 /// elements it announces. A count the remaining bytes cannot hold is
 /// rejected here, before it sizes an allocation: it comes from disk.
-fn take_elements<'a>(rest: &mut &'a [u8], each: usize) -> Option<std::slice::ChunksExact<'a, u8>> {
+fn take_elements<'a, const N: usize>(rest: &mut &'a [u8]) -> Option<&'a [[u8; N]]> {
     let (count, tail) = rest.split_first_chunk::<4>()?;
     let count = u32::from_be_bytes(*count) as usize;
-    if count > tail.len() / each {
+    if count > tail.len() / N {
         return None;
     }
-    let (elements, tail) = tail.split_at(count * each);
+    let (elements, tail) = tail.split_at(count * N);
     *rest = tail;
-    Some(elements.chunks_exact(each))
+    Some(elements.as_chunks::<N>().0)
 }
 
 /// A 12-byte element: an applied op id or a released shard with its epoch.
-fn u32_then_u64(element: &[u8]) -> (u32, u64) {
-    let (head, tail) = element.split_at(4);
-    let head = u32::from_be_bytes(head.try_into().expect("4 of 12 bytes"));
-    (head, u64::from_be_bytes(tail.try_into().expect("8 of 12 bytes")))
+fn u32_then_u64(&[a, b, c, d, ref tail @ ..]: &[u8; 12]) -> (u32, u64) {
+    (u32::from_be_bytes([a, b, c, d]), u64::from_be_bytes(*tail))
 }
 
 /// Decodes a snapshot; `None` on any structural mismatch.
@@ -189,16 +187,19 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<SnapshotState> {
     let rest = rest.strip_prefix(&[SNAPSHOT_VERSION])?;
     let (lamport, mut rest) = rest.split_first_chunk::<8>()?;
     let lamport = u64::from_be_bytes(*lamport);
-    let applied = take_elements(&mut rest, 12)?
+    let applied = take_elements::<12>(&mut rest)?
+        .iter()
         .map(|e| {
             let (origin, seq) = u32_then_u64(e);
             OpId { origin: NodeId::from_index(origin as usize), seq }
         })
         .collect();
-    let lww = take_elements(&mut rest, RECORD_LEN)?
+    let lww = take_elements::<RECORD_LEN>(&mut rest)?
+        .iter()
         .map(|e| decode_record(e).map(|(id, op)| (op.app(), op.user(), op.right(), id, op)))
         .collect::<Option<_>>()?;
-    let released = take_elements(&mut rest, 12)?
+    let released = take_elements::<12>(&mut rest)?
+        .iter()
         .map(|e| {
             let (shard, epoch) = u32_then_u64(e);
             (ShardId(shard), epoch)

@@ -3,7 +3,7 @@
 
 use wanacl_core::prelude::*;
 use wanacl_sim::clock::ClockSpec;
-use wanacl_sim::net::partition::ScheduledPartitions;
+use wanacl_sim::nemesis::{NemesisNet, NemesisPlan};
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::storage::SimStorage;
@@ -11,6 +11,20 @@ use wanacl_sim::time::{SimDuration, SimTime};
 
 fn n(i: usize) -> NodeId {
     NodeId::from_index(i)
+}
+
+/// A WAN of constant `delay_ms` links with `side_a` cut from `side_b`
+/// over `[start, end)`: a plan partition layered on the base model.
+fn cut_net(
+    delay_ms: u64,
+    side_a: Vec<NodeId>,
+    side_b: Vec<NodeId>,
+    start: SimTime,
+    end: SimTime,
+) -> NemesisNet {
+    let base = WanNet::builder().constant_delay(SimDuration::from_millis(delay_ms)).build();
+    let plan = NemesisPlan::builder(end).partition(side_a, side_b, start, end).build();
+    plan.wrap_net(Box::new(base))
 }
 
 fn fast_policy(c: usize) -> Policy {
@@ -136,16 +150,13 @@ fn revocation_is_time_bounded_under_partition() {
         .cache_sweep_interval(SimDuration::from_secs(2))
         .build();
     // Cut host <-> managers from t=5s onwards, far beyond the horizon.
-    let cut = ScheduledPartitions::cut_between(
+    let net = cut_net(
+        20,
         vec![n(0), n(1)],
         vec![n(2)],
         SimTime::from_secs(5),
         SimTime::from_secs(10_000),
     );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
     let mut d = Scenario::builder(5)
         .managers(2)
         .hosts(1)
@@ -203,16 +214,8 @@ fn expiry_respects_clock_drift() {
         .cache_sweep_interval(SimDuration::from_secs(100)) // no sweeping: lookups expire entries
         .build();
     // Host cut from managers right after the initial grant.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(0)],
-        vec![n(1)],
-        SimTime::from_secs(3),
-        SimTime::from_secs(10_000),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net =
+        cut_net(20, vec![n(0)], vec![n(1)], SimTime::from_secs(3), SimTime::from_secs(10_000));
     let mut d = Scenario::builder(6)
         .managers(1)
         .hosts(1)
@@ -248,16 +251,7 @@ fn expiry_respects_clock_drift() {
 fn check_quorum_blocks_when_too_few_managers_reachable() {
     // Managers 0,1,2; host 3. Cut managers 1,2 from the host: only one
     // manager reachable.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(1), n(2)],
-        vec![n(3)],
-        SimTime::ZERO,
-        SimTime::from_secs(10_000),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net = cut_net(20, vec![n(1), n(2)], vec![n(3)], SimTime::ZERO, SimTime::from_secs(10_000));
 
     // C = 2 cannot be met.
     let mut d = Scenario::builder(7)
@@ -275,16 +269,7 @@ fn check_quorum_blocks_when_too_few_managers_reachable() {
     assert_eq!(d.user_agent(0).stats().allowed, 0);
 
     // Same partition, C = 1: the one reachable manager suffices.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(1), n(2)],
-        vec![n(3)],
-        SimTime::ZERO,
-        SimTime::from_secs(10_000),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net = cut_net(20, vec![n(1), n(2)], vec![n(3)], SimTime::ZERO, SimTime::from_secs(10_000));
     let mut d = Scenario::builder(8)
         .managers(3)
         .hosts(1)
@@ -311,16 +296,7 @@ fn exhaustion_policy_fail_open_vs_closed() {
             .exhaustion(behavior)
             .build();
         // Host 1 permanently cut from the single manager 0.
-        let cut = ScheduledPartitions::cut_between(
-            vec![n(0)],
-            vec![n(1)],
-            SimTime::ZERO,
-            SimTime::from_secs(10_000),
-        );
-        let net = WanNet::builder()
-            .constant_delay(SimDuration::from_millis(10))
-            .partitions(Box::new(cut))
-            .build();
+        let net = cut_net(10, vec![n(0)], vec![n(1)], SimTime::ZERO, SimTime::from_secs(10_000));
         let mut d = Scenario::builder(seed)
             .managers(1)
             .hosts(1)
@@ -351,16 +327,7 @@ fn fail_open_does_not_cache() {
         .max_attempts(2)
         .exhaustion(ExhaustionBehavior::FailOpen)
         .build();
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(0)],
-        vec![n(1)],
-        SimTime::ZERO,
-        SimTime::from_secs(10_000),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(10))
-        .partitions(Box::new(cut))
-        .build();
+    let net = cut_net(10, vec![n(0)], vec![n(1)], SimTime::ZERO, SimTime::from_secs(10_000));
     let mut d = Scenario::builder(11)
         .managers(1)
         .hosts(1)
@@ -396,16 +363,7 @@ fn freeze_strategy_stops_grants_during_manager_partition() {
         .build();
     // Managers 0 and 1 cut from each other between t=5 and t=40. The
     // host (2) stays connected to both.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(0)],
-        vec![n(1)],
-        SimTime::from_secs(5),
-        SimTime::from_secs(40),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net = cut_net(20, vec![n(0)], vec![n(1)], SimTime::from_secs(5), SimTime::from_secs(40));
     let mut d = Scenario::builder(12)
         .managers(2)
         .hosts(1)
@@ -733,16 +691,8 @@ fn subset_fanout_limits_query_cost() {
 #[test]
 fn conflicting_concurrent_ops_converge() {
     // Managers 0,1,2 — manager 0 cut from 1,2 between 5 s and 15 s.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(0)],
-        vec![n(1), n(2)],
-        SimTime::from_secs(5),
-        SimTime::from_secs(15),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net =
+        cut_net(20, vec![n(0)], vec![n(1), n(2)], SimTime::from_secs(5), SimTime::from_secs(15));
     let mut d = Scenario::builder(21)
         .managers(3)
         .hosts(1)
@@ -802,16 +752,7 @@ fn sequential_fanout_rotates_past_dead_manager() {
         .build();
     // Managers 0,1; host 2. Manager 0 is cut from the host, so the first
     // attempt times out and the second (manager 1) succeeds.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(0)],
-        vec![n(2)],
-        SimTime::ZERO,
-        SimTime::from_secs(10_000),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net = cut_net(20, vec![n(0)], vec![n(2)], SimTime::ZERO, SimTime::from_secs(10_000));
     let mut d = Scenario::builder(22)
         .managers(2)
         .hosts(1)
@@ -958,7 +899,7 @@ fn manager_set_change_via_name_service() {
     // The deployment shrinks to managers {1, 2}: the writer signs and
     // publishes version 2 of the record.
     let new_set = vec![d.managers[1], d.managers[2]];
-    d.republish_managers(0, 2, new_set.clone());
+    assert!(d.republish_managers(0, 2, new_set.clone()));
     // After the TTL-driven refresh the host holds the new set.
     d.run_for(SimDuration::from_secs(12));
     assert_eq!(d.host(0).manager_view(d.app), new_set.as_slice());
@@ -1134,16 +1075,7 @@ fn proactive_refresh_lets_idle_leases_lapse() {
 fn serial_admin_blocks_until_stable() {
     // Managers 0,1 cut from each other 0s-10s: the first revoke cannot
     // reach its update quorum (uq = 2) until the heal.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(0)],
-        vec![n(1)],
-        SimTime::ZERO,
-        SimTime::from_secs(10),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net = cut_net(20, vec![n(0)], vec![n(1)], SimTime::ZERO, SimTime::from_secs(10));
     let mut d = Scenario::builder(28)
         .managers(2)
         .hosts(1)
@@ -1264,10 +1196,12 @@ fn forged_query_replies_are_rejected() {
 /// extend rather than corrupt the cache, and managers still converge.
 #[test]
 fn protocol_is_idempotent_under_duplication() {
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .duplication(0.5) // half of all messages are delivered twice
+    // Half of all messages are delivered twice.
+    let base = WanNet::builder().constant_delay(SimDuration::from_millis(20)).build();
+    let plan = NemesisPlan::builder(SimTime::from_secs(60))
+        .duplicate_burst(SimTime::ZERO, SimTime::from_secs(60), 0.5)
         .build();
+    let net = plan.wrap_net(Box::new(base));
     let mut d = Scenario::builder(30)
         .managers(3)
         .hosts(2)
@@ -1309,16 +1243,7 @@ fn protocol_is_idempotent_under_duplication() {
 #[test]
 fn manual_override_unsticks_a_partitioned_revocation() {
     // Managers 0 and 1 are cut from each other for a long time.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(0)],
-        vec![n(1)],
-        SimTime::from_secs(2),
-        SimTime::from_secs(100),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net = cut_net(20, vec![n(0)], vec![n(1)], SimTime::from_secs(2), SimTime::from_secs(100));
     let mut d = Scenario::builder(32)
         .managers(2)
         .hosts(1)
@@ -1403,16 +1328,7 @@ fn a_check_after_the_heal_is_decided_by_who_answers_now() {
         .build();
     // Layout: managers 0..1, host 2, user 3. Cut manager 1 <-> host from
     // 5 s to 15 s; the managers stay connected to each other.
-    let cut = ScheduledPartitions::cut_between(
-        vec![n(1)],
-        vec![n(2)],
-        SimTime::from_secs(5),
-        SimTime::from_secs(15),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(20))
-        .partitions(Box::new(cut))
-        .build();
+    let net = cut_net(20, vec![n(1)], vec![n(2)], SimTime::from_secs(5), SimTime::from_secs(15));
     let mut d = Scenario::builder(42)
         .managers(2)
         .hosts(1)

@@ -11,10 +11,10 @@
 //! Each worker multiplexes its share of nodes: inbound envelopes land
 //! in per-node inbox cells (bounded data lane, unbounded control lane),
 //! each wake drains-then-steps one node, every outbound send is moved
-//! onto its destination's mailbox by the in-process [`router`] (with
-//! optional loss/partition policy), and timers fire by absolute
-//! deadline from a per-worker copy of the simulator's time queue,
-//! [`wanacl_sim::queue::Calendar`]. [`live`] installs a
+//! onto its destination's mailbox by the in-process [`router`] (or
+//! first through [`chaos`]'s fault decision), and timers fire by
+//! absolute deadline from a per-worker copy of the simulator's time
+//! queue, [`wanacl_sim::queue::Calendar`]. [`live`] installs a
 //! `wanacl-core` deployment roster on the pool and soaks it under a
 //! nemesis plan.
 //!

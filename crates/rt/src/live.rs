@@ -25,7 +25,7 @@ use wanacl_sim::node::NodeId;
 use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::chaos::ChaosRouter;
-use crate::runtime::{NodeExit, RuntimeBuilder, RuntimeError};
+use crate::runtime::{RuntimeBuilder, RuntimeError};
 use crate::storage::FileStorage;
 
 /// The policy live deployments run: Te = 2 s on undrifting wall clocks,
@@ -107,8 +107,8 @@ pub struct LiveReport {
     pub oracle: InvariantOracle,
     /// Number of trace events the oracle saw.
     pub trace_events: usize,
-    /// Nodes that panicked, wedged or could not be restarted — a failed
-    /// soak even when the oracle is clean.
+    /// Nodes that panicked or could not be restarted — a failed soak
+    /// even when the oracle is clean.
     pub failures: Vec<String>,
     /// Aggregate user-visible outcomes.
     pub user_stats: UserStats,
@@ -276,12 +276,8 @@ pub fn run_live_campaign(
     let trace_events = traces.replay_into(&mut oracle);
 
     for (i, result) in results.iter().enumerate() {
-        match result {
-            Ok((NodeExit::Stopped | NodeExit::Killed, _)) => {}
-            Ok((NodeExit::Disconnected, _)) => {
-                failures.push(format!("node {i} inbox disconnected (wedged deployment)"));
-            }
-            Err(msg) => failures.push(format!("node {i} panicked: {msg}")),
+        if let Err(msg) = result {
+            failures.push(format!("node {i} panicked: {msg}"));
         }
     }
     let mut user_stats = UserStats::default();

@@ -32,55 +32,20 @@ pub enum Envelope<M> {
 /// that perturb delivery before handing off to the inner router.
 ///
 /// Data-plane only — lifecycle envelopes never travel through a
-/// `Transport`, so fault injection can never eat a `Stop` or `Kill`.
+/// `Transport`, so fault injection can never eat a `Halt`.
 pub trait Transport<M: Send + Sync + 'static>: Send + Sync {
     /// Routes one message.
     fn send(&self, from: NodeId, to: NodeId, msg: M);
 }
 
-/// Per-link delivery policy (loss and symmetric partitions), evaluated at
-/// send time like the simulator's network model.
+/// A per-message admission check the router makes at send time: the
+/// benchmark's loss hook ([`LossyPolicy`]). Injected network faults —
+/// partitions included — are not link policies: they are a
+/// [`NemesisPlan`](wanacl_sim::nemesis::NemesisPlan)'s, decided by the
+/// [`crate::chaos::ChaosRouter`] transport.
 pub trait LinkPolicy<M>: Send + Sync {
     /// Whether the message may be delivered.
     fn allow(&self, from: NodeId, to: NodeId, msg: &M) -> bool;
-}
-
-/// A dynamic partition switch: when engaged, messages between the two
-/// sides are dropped. Useful for live partition experiments.
-#[derive(Debug)]
-pub struct PartitionSwitch {
-    side_a: Vec<NodeId>,
-    side_b: Vec<NodeId>,
-    engaged: std::sync::atomic::AtomicBool,
-}
-
-impl PartitionSwitch {
-    /// Creates a disengaged switch between two node sets.
-    pub fn new(side_a: Vec<NodeId>, side_b: Vec<NodeId>) -> Arc<Self> {
-        Arc::new(PartitionSwitch {
-            side_a,
-            side_b,
-            engaged: std::sync::atomic::AtomicBool::new(false),
-        })
-    }
-
-    /// Engages or heals the partition.
-    pub fn set(&self, engaged: bool) {
-        self.engaged.store(engaged, Ordering::SeqCst);
-    }
-}
-
-impl<M> LinkPolicy<M> for PartitionSwitch {
-    fn allow(&self, from: NodeId, to: NodeId, _msg: &M) -> bool {
-        if !self.engaged.load(Ordering::SeqCst) {
-            return true;
-        }
-        let a_from = self.side_a.contains(&from);
-        let b_from = self.side_b.contains(&from);
-        let a_to = self.side_a.contains(&to);
-        let b_to = self.side_b.contains(&to);
-        !((a_from && b_to) || (b_from && a_to))
-    }
 }
 
 /// Pseudo-random message loss: drops a deterministic fraction of
@@ -307,26 +272,6 @@ mod tests {
         router.send(NodeId::ENV, id, 42);
         let Envelope::Msg { msg, .. } = rx.try_recv().expect("delivered");
         assert_eq!(msg, 42);
-    }
-
-    #[test]
-    fn partition_switch_blocks_and_heals() {
-        let router: Arc<Router<u32>> = Router::new();
-        let (tx_a, _rx_a) = unbounded();
-        let (tx_b, rx_b) = unbounded();
-        let a = router.register(tx_a);
-        let b = router.register(tx_b);
-        let switch = PartitionSwitch::new(vec![a], vec![b]);
-        router.set_policy(switch.clone());
-
-        switch.set(true);
-        router.send(a, b, 1);
-        assert!(rx_b.try_recv().is_err());
-        assert_eq!(router.stats().1, 1);
-
-        switch.set(false);
-        router.send(a, b, 2);
-        assert!(rx_b.try_recv().is_ok());
     }
 
     #[test]

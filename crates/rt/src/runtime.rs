@@ -79,11 +79,6 @@ pub enum NodeExit {
     /// Torn down by [`Runtime::kill`] (process-death model: no
     /// `on_crash` hook ran).
     Killed,
-    /// The runtime abandoned the node without a `Stop` — historically
-    /// the wedged-deployment signal. The worker pool can no longer
-    /// produce it (cells outlive their nodes), but chaos reports still
-    /// recognise it.
-    Disconnected,
 }
 
 /// Per-node outcome of [`Runtime::shutdown`]: how the node ended plus
@@ -222,10 +217,10 @@ pub(crate) enum ControlMsg<M> {
     Crash,
     /// Recover from a soft crash.
     Recover,
-    /// Clean stop; replies with the node object.
-    Stop(Sender<NodeResult<M>>),
-    /// Process-death teardown; replies with the node object.
-    Kill(Sender<NodeResult<M>>),
+    /// Takes the node off the pool — a clean stop or a process-death
+    /// kill, told apart only by the exit it reports — and replies with
+    /// the node object.
+    Halt(NodeExit, Sender<NodeResult<M>>),
     /// Install a fresh node instance under this id (restart path).
     Install(Box<dyn RtNode<M>>),
 }
@@ -295,7 +290,7 @@ impl<M> NodeCell<M> {
     }
 
     /// Control always enqueues — the lane is unbounded and ignores
-    /// `alive` so a queued `Stop` can still reach a poisoned node's
+    /// `alive` so a queued `Halt` can still reach a poisoned node's
     /// worker for its reply.
     fn push_control(&self, ctl: ControlMsg<M>) {
         let wake = {
@@ -845,7 +840,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         let mut ctls = std::mem::take(&mut self.ctls);
         let mut data = std::mem::take(&mut self.data);
         let mut slot = std::mem::replace(&mut self.slots[i], WorkerSlot::Empty);
-        // Set when Stop/Kill consumed the node: remaining queued work is
+        // Set when a Halt consumed the node: remaining queued work is
         // void and the slot has already been settled.
         let mut halted = false;
 
@@ -891,26 +886,13 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
                         slot = self.poison(i, msg);
                     }
                 }
-                ControlMsg::Stop(reply) | ControlMsg::Kill(reply)
-                    if matches!(slot, WorkerSlot::Empty) =>
-                {
+                ControlMsg::Halt(_, reply) if matches!(slot, WorkerSlot::Empty) => {
                     let _ = reply.send(Err(format!("node {idx} has no live instance")));
                     halted = true;
                 }
-                ControlMsg::Stop(reply) => {
+                ControlMsg::Halt(exit, reply) => {
                     let result = match std::mem::replace(&mut slot, WorkerSlot::Empty) {
-                        WorkerSlot::Live(wn) => Ok((NodeExit::Stopped, wn.node)),
-                        WorkerSlot::Poisoned(msg) => Err(msg),
-                        WorkerSlot::Empty => unreachable!("guarded above"),
-                    };
-                    self.cells[i].clear_dead();
-                    self.epochs[i] = self.epochs[i].wrapping_add(1);
-                    let _ = reply.send(result);
-                    halted = true;
-                }
-                ControlMsg::Kill(reply) => {
-                    let result = match std::mem::replace(&mut slot, WorkerSlot::Empty) {
-                        WorkerSlot::Live(wn) => Ok((NodeExit::Killed, wn.node)),
+                        WorkerSlot::Live(wn) => Ok((exit, wn.node)),
                         WorkerSlot::Poisoned(msg) => Err(msg),
                         WorkerSlot::Empty => unreachable!("guarded above"),
                     };
@@ -1068,7 +1050,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
             return Err(format!("node {index} ({}) is not running", self.names[index]));
         }
         let (reply_tx, reply_rx) = unbounded();
-        self.cells[index].push_control(ControlMsg::Kill(reply_tx));
+        self.cells[index].push_control(ControlMsg::Halt(NodeExit::Killed, reply_tx));
         match reply_rx.recv() {
             Ok(Ok((exit, stale))) => {
                 self.metrics.incr(MetricId::RT_NODE_KILLED);
@@ -1119,7 +1101,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
         for (i, slot) in self.slots.iter().enumerate() {
             if matches!(slot, RtSlot::Running) {
                 let (tx, rx) = unbounded();
-                self.cells[i].push_control(ControlMsg::Stop(tx));
+                self.cells[i].push_control(ControlMsg::Halt(NodeExit::Stopped, tx));
                 pending.push(Some(rx));
             } else {
                 pending.push(None);

@@ -6,10 +6,9 @@ use std::time::Duration;
 
 use wanacl_core::prelude::*;
 use wanacl_core::scenario::Layout;
-use wanacl_rt::router::PartitionSwitch;
 use wanacl_rt::{
-    install_roster, live_manager_tuning, live_policy, run_live_campaign, FileStorage, Runtime,
-    RuntimeBuilder,
+    install_roster, live_manager_tuning, live_policy, run_live_campaign, ChaosRouter, FileStorage,
+    Runtime, RuntimeBuilder,
 };
 use wanacl_sim::nemesis::NemesisPlan;
 use wanacl_sim::node::NodeId;
@@ -241,7 +240,7 @@ fn live_replicated_directory_quorum_reads_and_converges() {
 
     // Publish version 2 to ONE replica; anti-entropy spreads it and the
     // host's TTL refresh re-reads the quorum.
-    let (replica, v2) = layout.republish(0, 2, layout.managers.clone());
+    let (replica, v2) = layout.republish(0, 2, layout.managers.clone()).expect("three replicas");
     rt.send_from_env(replica, v2);
     std::thread::sleep(Duration::from_millis(1_200));
 
@@ -268,18 +267,26 @@ fn live_replicated_directory_quorum_reads_and_converges() {
     assert!(latency.count >= 1 && latency.min > 0.0, "live quorum reads take wall-clock time");
 }
 
+/// A plan's partition on live threads: the chaos transport cuts
+/// managers 1 and 2 away from the host for the first 700 ms of the
+/// runtime clock (C = 2 unreachable), then the window closes.
 #[test]
 fn live_partition_trips_check_quorum() {
-    let (rt, host_id, user_id, mgrs) = build_live(3, 2);
-    // Cut managers 1 and 2 away from the host: C = 2 unreachable.
-    let switch = PartitionSwitch::new(vec![mgrs[1], mgrs[2]], vec![host_id]);
-    rt.router().set_policy(switch.clone());
-    switch.set(true);
+    let mut b: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(7);
+    let roster = live_scenario(7, 3, 2).roster();
+    let layout = install_roster(&mut b, roster, |_| Ok(None)).expect("no storage to open");
+    let (host_id, user_id, mgrs) = (layout.hosts[0], layout.users[0].1, layout.managers);
+    let heal = SimTime::from_millis(700);
+    let plan = NemesisPlan::builder(heal)
+        .partition(vec![mgrs[1], mgrs[2]], vec![host_id], SimTime::ZERO, heal)
+        .build();
+    let sink = b.metrics().clone();
+    b.wrap_transport(move |router| Ok(ChaosRouter::new(router, plan.net_faults(), 7, sink)?));
+    let rt = b.start();
     std::thread::sleep(Duration::from_millis(100));
     trigger_invoke(&rt, user_id);
-    std::thread::sleep(Duration::from_millis(600)); // 2 attempts x 100 ms + slack
-    switch.set(false);
-    std::thread::sleep(Duration::from_millis(100));
+    std::thread::sleep(Duration::from_millis(700)); // 2 attempts x 100 ms, then past the heal
+    assert!(rt.metrics().counter("rt.chaos_dropped") > 0, "the partition dropped nothing");
     trigger_invoke(&rt, user_id);
     std::thread::sleep(Duration::from_millis(500));
     let nodes = rt.shutdown_nodes();

@@ -323,14 +323,34 @@ pub struct NemesisTargets {
     /// Application host nodes (crashes, partitions).
     pub hosts: Vec<NodeId>,
     /// Replicated-directory nodes, if the deployment runs the quorum
-    /// name service. Only [`NemesisPlan::sample_with_directory`] (and
-    /// the scripted builder) attacks these.
+    /// name service. Only a [`FaultMix::directory`] sample (and the
+    /// scripted builder) attacks these.
     pub ns_replicas: Vec<NodeId>,
     /// Per-shard manager sets of a sharded deployment, indexed by shard.
-    /// Only [`NemesisPlan::sample_with_shards`] (and the scripted
-    /// builder) draws shard faults, so plans for unsharded campaigns
-    /// stay byte-identical.
+    /// Only a [`FaultMix::shards`] sample (and the scripted builder)
+    /// draws shard faults.
     pub shard_managers: Vec<Vec<NodeId>>,
+}
+
+/// The optional fault families a sampled plan may draw on top of the
+/// network and crash faults every plan draws. The default draws none of
+/// them. A family adds weight to the kind table only when its targets
+/// exist, so a plan drawn with a family off (or without its targets) is
+/// byte-identical to one drawn before the family existed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultMix {
+    /// Storage faults: [`Fault::DiskFault`] on a manager's WAL and
+    /// [`Fault::ClusterRestart`] of a manager subset, up to all of them.
+    pub storage: bool,
+    /// Replicated-directory faults, when [`NemesisTargets::ns_replicas`]
+    /// is nonempty: [`Fault::StaleReplica`], [`Fault::DirectorySplit`],
+    /// [`Fault::MaliciousReplica`] and [`Fault::Crash`] of a replica.
+    pub directory: bool,
+    /// Shard-plane faults, when [`NemesisTargets::shard_managers`] has at
+    /// least two shards: [`Fault::ShardRebalance`] (an online handoff
+    /// racing whatever else the plan holds open) and
+    /// [`Fault::StaleShardMap`].
+    pub shards: bool,
 }
 
 impl NemesisTargets {
@@ -364,7 +384,7 @@ impl NemesisTargets {
 /// A sampled campaign is a pure function of its seed:
 ///
 /// ```
-/// use wanacl_sim::nemesis::{NemesisPlan, NemesisTargets};
+/// use wanacl_sim::nemesis::{FaultMix, NemesisPlan, NemesisTargets};
 /// use wanacl_sim::node::NodeId;
 /// use wanacl_sim::rng::SimRng;
 /// use wanacl_sim::time::SimTime;
@@ -375,8 +395,9 @@ impl NemesisTargets {
 ///     ..NemesisTargets::default()
 /// };
 /// let horizon = SimTime::from_secs(60);
-/// let a = NemesisPlan::sample(&targets, horizon, 1.0, &mut SimRng::seed_from(7));
-/// let b = NemesisPlan::sample(&targets, horizon, 1.0, &mut SimRng::seed_from(7));
+/// let mix = FaultMix::default();
+/// let a = NemesisPlan::sample(&targets, horizon, 1.0, &mut SimRng::seed_from(7), mix);
+/// let b = NemesisPlan::sample(&targets, horizon, 1.0, &mut SimRng::seed_from(7), mix);
 /// assert_eq!(a, b);
 /// assert!(!a.is_empty());
 /// ```
@@ -397,7 +418,8 @@ impl NemesisPlan {
     /// Draws a weighted random campaign. `intensity` scales the number
     /// of faults (1.0 ≈ one fault per 5 seconds of horizon); the mix
     /// leans toward partitions and drop bursts, the failures the paper
-    /// calls frequent, with rarer crash storms.
+    /// calls frequent, with rarer crash storms, plus whatever optional
+    /// families `mix` turns on.
     ///
     /// # Panics
     ///
@@ -408,83 +430,7 @@ impl NemesisPlan {
         horizon: SimTime,
         intensity: f64,
         rng: &mut SimRng,
-    ) -> NemesisPlan {
-        Self::sample_inner(targets, horizon, intensity, rng, false, false, false)
-    }
-
-    /// Like [`NemesisPlan::sample`], but the fault mix also includes
-    /// storage-level failures: [`Fault::DiskFault`] entries degrading a
-    /// manager's WAL, and [`Fault::ClusterRestart`] entries that
-    /// crash-restart a random manager subset — up to *all* managers at
-    /// once. A separate entry point (rather than a new kind inside
-    /// `sample`) so plans drawn for existing seeds stay byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`NemesisPlan::sample`].
-    pub fn sample_with_storage(
-        targets: &NemesisTargets,
-        horizon: SimTime,
-        intensity: f64,
-        rng: &mut SimRng,
-    ) -> NemesisPlan {
-        Self::sample_inner(targets, horizon, intensity, rng, true, false, false)
-    }
-
-    /// Like [`NemesisPlan::sample_with_storage`] (pass `storage_faults`
-    /// to keep or drop the disk/cluster-restart mix), but the table
-    /// also includes replicated-directory failures when
-    /// [`NemesisTargets::ns_replicas`] is nonempty:
-    /// [`Fault::StaleReplica`] (anti-entropy suppressed),
-    /// [`Fault::DirectorySplit`] (split-brain between replica sides),
-    /// [`Fault::MaliciousReplica`] (forged answers for a window), and
-    /// [`Fault::Crash`] entries over the replica pool. A separate entry
-    /// point so plans drawn for existing seeds stay byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`NemesisPlan::sample`].
-    pub fn sample_with_directory(
-        targets: &NemesisTargets,
-        horizon: SimTime,
-        intensity: f64,
-        rng: &mut SimRng,
-        storage_faults: bool,
-    ) -> NemesisPlan {
-        Self::sample_inner(targets, horizon, intensity, rng, storage_faults, true, false)
-    }
-
-    /// Like [`NemesisPlan::sample_with_directory`], but the table also
-    /// includes shard-plane failures when
-    /// [`NemesisTargets::shard_managers`] has at least two shards:
-    /// [`Fault::ShardRebalance`] (an online handoff racing whatever
-    /// other faults the plan has open — partitions mid-handoff, source
-    /// crashes mid-transfer) and [`Fault::StaleShardMap`] (one host
-    /// pinned to a pre-rebalance map). A separate entry point so plans
-    /// drawn for existing seeds stay byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`NemesisPlan::sample`].
-    pub fn sample_with_shards(
-        targets: &NemesisTargets,
-        horizon: SimTime,
-        intensity: f64,
-        rng: &mut SimRng,
-        storage_faults: bool,
-        directory_faults: bool,
-    ) -> NemesisPlan {
-        Self::sample_inner(targets, horizon, intensity, rng, storage_faults, directory_faults, true)
-    }
-
-    fn sample_inner(
-        targets: &NemesisTargets,
-        horizon: SimTime,
-        intensity: f64,
-        rng: &mut SimRng,
-        storage_faults: bool,
-        directory_faults: bool,
-        shard_faults: bool,
+        mix: FaultMix,
     ) -> NemesisPlan {
         assert!(horizon > SimTime::ZERO, "horizon must be positive");
         assert!(intensity > 0.0, "intensity must be positive");
@@ -506,11 +452,11 @@ impl NemesisPlan {
         if !targets.hosts.is_empty() {
             table.push((1, 7)); // host crash
         }
-        if storage_faults && !targets.managers.is_empty() {
+        if mix.storage && !targets.managers.is_empty() {
             table.push((2, 9)); // manager disk fault
             table.push((2, 10)); // correlated cluster restart
         }
-        if directory_faults && !targets.ns_replicas.is_empty() {
+        if mix.directory && !targets.ns_replicas.is_empty() {
             table.push((2, 11)); // stale replica
             if targets.ns_replicas.len() >= 2 {
                 table.push((2, 12)); // split-brain directory
@@ -518,7 +464,7 @@ impl NemesisPlan {
             table.push((1, 13)); // malicious partial master
             table.push((1, 14)); // replica crash/restart
         }
-        if shard_faults && targets.shard_managers.len() >= 2 {
+        if mix.shards && targets.shard_managers.len() >= 2 {
             table.push((3, 15)); // online shard rebalance
             if !targets.hosts.is_empty() {
                 table.push((1, 16)); // host pinned to a stale shard map
@@ -546,7 +492,9 @@ impl NemesisPlan {
         let horizon_ns = horizon.as_nanos();
         let start_ns = rng.range(0, (horizon_ns * 9 / 10).max(1));
         let mean = (horizon_ns / 8).max(1) as f64;
-        let len_ns = (rng.exponential(mean) as u64).clamp(100_000_000, horizon_ns - start_ns);
+        // At least 100 ms, unless less than that is left of the horizon.
+        let room = horizon_ns - start_ns;
+        let len_ns = (rng.exponential(mean) as u64).clamp(room.min(100_000_000), room);
         let start = SimTime::from_nanos(start_ns);
         let end = SimTime::from_nanos((start_ns + len_ns).min(horizon_ns).max(start_ns + 1));
         Window::new(start, end)
@@ -1022,6 +970,16 @@ mod tests {
         }
     }
 
+    const STORAGE: FaultMix = FaultMix { storage: true, directory: false, shards: false };
+    const DIRECTORY: FaultMix = FaultMix { storage: true, directory: true, shards: false };
+    const EVERYTHING: FaultMix = FaultMix { storage: true, directory: true, shards: true };
+
+    /// A 120 s plan at intensity 2.
+    fn draw(targets: &NemesisTargets, seed: u64, mix: FaultMix) -> NemesisPlan {
+        let mut rng = SimRng::seed_from(seed);
+        NemesisPlan::sample(targets, SimTime::from_secs(120), 2.0, &mut rng, mix)
+    }
+
     #[test]
     fn window_is_half_open() {
         let w = Window::new(SimTime::from_secs(1), SimTime::from_secs(2));
@@ -1040,10 +998,13 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_and_bounded() {
         let horizon = SimTime::from_secs(120);
-        let a = NemesisPlan::sample(&targets(), horizon, 1.0, &mut SimRng::seed_from(11));
-        let b = NemesisPlan::sample(&targets(), horizon, 1.0, &mut SimRng::seed_from(11));
-        assert_eq!(a, b);
-        let c = NemesisPlan::sample(&targets(), horizon, 1.0, &mut SimRng::seed_from(12));
+        let sample = |seed| {
+            let mut rng = SimRng::seed_from(seed);
+            NemesisPlan::sample(&targets(), horizon, 1.0, &mut rng, FaultMix::default())
+        };
+        let a = sample(11);
+        assert_eq!(a, sample(11));
+        let c = sample(12);
         assert_ne!(a, c, "different seeds should differ");
         for fault in &a.faults {
             match fault {
@@ -1086,15 +1047,10 @@ mod tests {
 
     #[test]
     fn storage_sampling_is_deterministic_and_keeps_plain_plans_stable() {
-        let horizon = SimTime::from_secs(120);
-        let plain = NemesisPlan::sample(&targets(), horizon, 2.0, &mut SimRng::seed_from(11));
-        let a =
-            NemesisPlan::sample_with_storage(&targets(), horizon, 2.0, &mut SimRng::seed_from(11));
-        let b =
-            NemesisPlan::sample_with_storage(&targets(), horizon, 2.0, &mut SimRng::seed_from(11));
-        assert_eq!(a, b);
-        // Plain sampling must be untouched by the new kinds, so existing
-        // fixed-seed campaigns replay the same plans.
+        let plain = draw(&targets(), 11, FaultMix::default());
+        assert_eq!(draw(&targets(), 11, STORAGE), draw(&targets(), 11, STORAGE));
+        // The default mix draws no storage kind, so fixed-seed
+        // campaigns without storage faults replay the same plans.
         assert!(plain
             .faults
             .iter()
@@ -1103,13 +1059,7 @@ mod tests {
         let mut saw_disk = false;
         let mut saw_restart = false;
         for seed in 0..40 {
-            let p = NemesisPlan::sample_with_storage(
-                &targets(),
-                horizon,
-                2.0,
-                &mut SimRng::seed_from(seed),
-            );
-            for f in &p.faults {
+            for f in &draw(&targets(), seed, STORAGE).faults {
                 match f {
                     Fault::DiskFault { node, sync_fail_prob, torn_tail_prob } => {
                         saw_disk = true;
@@ -1121,7 +1071,7 @@ mod tests {
                         saw_restart = true;
                         assert!(!nodes.is_empty());
                         assert!(nodes.iter().all(|x| targets().managers.contains(x)));
-                        assert!(*at < horizon);
+                        assert!(*at < SimTime::from_secs(120));
                         assert!(*down_for > SimDuration::ZERO);
                     }
                     _ => {}
@@ -1133,61 +1083,22 @@ mod tests {
 
     #[test]
     fn shard_sampling_is_deterministic_and_keeps_existing_plans_stable() {
-        let horizon = SimTime::from_secs(120);
-        // Every pre-existing entry point must be untouched by the shard
-        // kinds: with no shard targets the weight table is identical, so
+        // Without shard targets the shard family adds no weight, so
         // fixed-seed plans replay byte-for-byte.
-        let dir = NemesisPlan::sample_with_directory(
-            &directory_targets(),
-            horizon,
-            2.0,
-            &mut SimRng::seed_from(11),
-            true,
-        );
-        let dir_via_shards = NemesisPlan::sample_with_shards(
-            &directory_targets(),
-            horizon,
-            2.0,
-            &mut SimRng::seed_from(11),
-            true,
-            true,
-        );
+        let dir = draw(&directory_targets(), 11, DIRECTORY);
+        let dir_via_shards = draw(&directory_targets(), 11, EVERYTHING);
         assert_eq!(dir, dir_via_shards, "no shard targets => identical plans");
-        let a = NemesisPlan::sample_with_shards(
-            &shard_targets(),
-            horizon,
-            2.0,
-            &mut SimRng::seed_from(11),
-            true,
-            true,
-        );
-        let b = NemesisPlan::sample_with_shards(
-            &shard_targets(),
-            horizon,
-            2.0,
-            &mut SimRng::seed_from(11),
-            true,
-            true,
-        );
-        assert_eq!(a, b);
+        assert_eq!(draw(&shard_targets(), 11, EVERYTHING), draw(&shard_targets(), 11, EVERYTHING));
         // The shard mix actually produces both kinds at some seed, with
         // in-range parameters.
         let (mut saw_rebalance, mut saw_stale_map) = (false, false);
         for seed in 0..40 {
-            let p = NemesisPlan::sample_with_shards(
-                &shard_targets(),
-                horizon,
-                2.0,
-                &mut SimRng::seed_from(seed),
-                true,
-                true,
-            );
-            for f in &p.faults {
+            for f in &draw(&shard_targets(), seed, EVERYTHING).faults {
                 match f {
                     Fault::ShardRebalance { shard, at } => {
                         saw_rebalance = true;
                         assert!((*shard as usize) < shard_targets().shard_managers.len());
-                        assert!(*at < horizon);
+                        assert!(*at < SimTime::from_secs(120));
                     }
                     Fault::StaleShardMap { host } => {
                         saw_stale_map = true;
@@ -1218,63 +1129,26 @@ mod tests {
 
     #[test]
     fn directory_sampling_is_deterministic_and_keeps_other_plans_stable() {
-        let horizon = SimTime::from_secs(120);
-        // Directory faults are drawn only by the new entry point; the
-        // extra targets field alone must not perturb existing plans.
-        let plain_a = NemesisPlan::sample(&targets(), horizon, 2.0, &mut SimRng::seed_from(11));
-        let plain_b =
-            NemesisPlan::sample(&directory_targets(), horizon, 2.0, &mut SimRng::seed_from(11));
-        assert_eq!(plain_a, plain_b, "ns_replicas must not affect plain sampling");
-        let storage_a =
-            NemesisPlan::sample_with_storage(&targets(), horizon, 2.0, &mut SimRng::seed_from(11));
-        let storage_b = NemesisPlan::sample_with_storage(
-            &directory_targets(),
-            horizon,
-            2.0,
-            &mut SimRng::seed_from(11),
-        );
-        assert_eq!(storage_a, storage_b, "ns_replicas must not affect storage sampling");
-
-        let a = NemesisPlan::sample_with_directory(
-            &directory_targets(),
-            horizon,
-            2.0,
-            &mut SimRng::seed_from(11),
-            true,
-        );
-        let b = NemesisPlan::sample_with_directory(
-            &directory_targets(),
-            horizon,
-            2.0,
-            &mut SimRng::seed_from(11),
-            true,
-        );
-        assert_eq!(a, b);
-
-        // With no replicas, the directory entry point degrades to the
-        // storage mix exactly.
-        let no_replicas = NemesisPlan::sample_with_directory(
-            &targets(),
-            horizon,
-            2.0,
-            &mut SimRng::seed_from(11),
-            true,
-        );
-        assert_eq!(no_replicas, storage_a);
+        // The extra targets field alone must not perturb plans drawn
+        // without the directory family.
+        for mix in [FaultMix::default(), STORAGE] {
+            assert_eq!(draw(&targets(), 11, mix), draw(&directory_targets(), 11, mix), "{mix:?}");
+        }
+        let directory = draw(&directory_targets(), 11, DIRECTORY);
+        assert_eq!(directory, draw(&directory_targets(), 11, DIRECTORY));
+        // With no replicas, the directory family degrades to the storage
+        // mix exactly.
+        assert_eq!(draw(&targets(), 11, DIRECTORY), draw(&targets(), 11, STORAGE));
 
         // The directory mix actually produces every new kind at some
         // seed, each one well-formed and aimed at the replica pool.
         let replicas = directory_targets().ns_replicas;
         let (mut saw_stale, mut saw_split, mut saw_malicious, mut saw_replica_crash) =
             (false, false, false, false);
+        let horizon = SimTime::from_secs(120);
+        let directory_only = FaultMix { directory: true, ..FaultMix::default() };
         for seed in 0..40 {
-            let p = NemesisPlan::sample_with_directory(
-                &directory_targets(),
-                horizon,
-                2.0,
-                &mut SimRng::seed_from(seed),
-                false,
-            );
+            let p = draw(&directory_targets(), seed, directory_only);
             assert!(p
                 .faults
                 .iter()
@@ -1351,9 +1225,39 @@ mod tests {
     #[test]
     fn intensity_scales_fault_count() {
         let horizon = SimTime::from_secs(100);
-        let light = NemesisPlan::sample(&targets(), horizon, 0.2, &mut SimRng::seed_from(3));
-        let heavy = NemesisPlan::sample(&targets(), horizon, 3.0, &mut SimRng::seed_from(3));
+        let mix = FaultMix::default();
+        let light = NemesisPlan::sample(&targets(), horizon, 0.2, &mut SimRng::seed_from(3), mix);
+        let heavy = NemesisPlan::sample(&targets(), horizon, 3.0, &mut SimRng::seed_from(3), mix);
         assert!(heavy.len() > light.len(), "{} <= {}", heavy.len(), light.len());
+    }
+
+    /// A window starting in the last 100 ms of the horizon is shorter
+    /// than 100 ms: it ends at the horizon instead of inverting the
+    /// length clamp's range (which panicked).
+    #[test]
+    fn sub_second_horizons_sample_windows_inside_the_horizon() {
+        let horizon = SimTime::from_millis(500);
+        for mix in [FaultMix::default(), EVERYTHING] {
+            for seed in 0..200 {
+                let mut rng = SimRng::seed_from(seed);
+                let plan = NemesisPlan::sample(&shard_targets(), horizon, 1.0, &mut rng, mix);
+                for fault in &plan.faults {
+                    let window = match fault {
+                        Fault::Drop { window, .. }
+                        | Fault::Duplicate { window, .. }
+                        | Fault::DelaySpike { window, .. }
+                        | Fault::Partition { window, .. }
+                        | Fault::AsymmetricPartition { window, .. }
+                        | Fault::FlappingPartition { window, .. }
+                        | Fault::DirectorySplit { window, .. }
+                        | Fault::MaliciousReplica { window, .. } => window,
+                        _ => continue,
+                    };
+                    let inside = window.start < window.end && window.end <= horizon;
+                    assert!(inside, "seed {seed}: {fault}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1384,12 +1288,7 @@ mod tests {
 
     #[test]
     fn without_removes_exactly_one_fault() {
-        let plan = NemesisPlan::sample(
-            &targets(),
-            SimTime::from_secs(60),
-            2.0,
-            &mut SimRng::seed_from(4),
-        );
+        let plan = draw(&targets(), 4, FaultMix::default());
         assert!(plan.len() >= 2);
         let shrunk = plan.without(0);
         assert_eq!(shrunk.len(), plan.len() - 1);

@@ -128,7 +128,7 @@ impl NetModel for NemesisNet {
 mod tests {
     use super::super::NemesisPlan;
     use super::*;
-    use crate::net::PerfectNet;
+    use crate::net::{PerfectNet, WanNet};
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -136,6 +136,24 @@ mod tests {
 
     fn perfect() -> Box<dyn NetModel> {
         Box::new(PerfectNet::new(SimDuration::from_millis(10)))
+    }
+
+    /// A partition decides before anything that draws: with certain loss
+    /// both injected and in the base model, the verdict is `Partitioned`
+    /// and the RNG stream is untouched, so the draws after it line up
+    /// with a run that has no partition at all.
+    #[test]
+    fn partition_decides_first_and_draws_nothing() {
+        let plan = NemesisPlan::builder(SimTime::from_secs(60))
+            .partition(vec![n(0)], vec![n(1)], SimTime::ZERO, SimTime::from_secs(10))
+            .drop_burst(SimTime::ZERO, SimTime::from_secs(10), 1.0)
+            .build();
+        let mut base = WanNet::builder().loss(1.0).build();
+        let mut rng = SimRng::seed_from(5);
+        let now = SimTime::from_secs(5);
+        let verdict = decide(&plan.net_faults(), n(0), n(1), now, &mut rng, &mut base);
+        assert_eq!(verdict, Verdict::Drop(DropReason::Partitioned));
+        assert_eq!(rng.unit(), SimRng::seed_from(5).unit(), "the partition drew from the RNG");
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //!
 //! * per-link propagation delay ([`delay::DelayModel`]),
 //! * independent message loss,
-//! * connectivity overlays ([`partition::PartitionOracle`]): scheduled
-//!   partitions, congestion bursts (Gilbert–Elliott), and the i.i.d.
-//!   pairwise-inaccessibility model used by the paper's §4.1 analysis.
+//! * stochastic connectivity overlays ([`partition::PartitionOracle`]):
+//!   congestion bursts (Gilbert–Elliott), mobile duty cycles, and the
+//!   i.i.d. pairwise-inaccessibility model of the paper's §4.1 analysis.
 //!
-//! The composition is [`WanNet`]: `verdict = oracle ∘ loss ∘ delay`.
+//! The composition is [`WanNet`]: `verdict = oracle ∘ loss ∘ delay`, the
+//! WAN's steady state. Scripted and injected events — cuts, loss and
+//! duplication bursts, delay spikes — are [`crate::nemesis::Fault`]s,
+//! layered on top by [`crate::nemesis::NemesisNet`].
 
 pub mod delay;
 pub mod partition;
@@ -106,7 +109,6 @@ impl NetModel for PerfectNet {
 pub struct WanNet {
     delay: Box<dyn DelayModel>,
     loss_prob: f64,
-    duplicate_prob: f64,
     oracle: Box<dyn PartitionOracle>,
 }
 
@@ -131,12 +133,7 @@ impl NetModel for WanNet {
         if rng.chance(self.loss_prob) {
             return Verdict::Drop(DropReason::Loss);
         }
-        let first = self.delay.sample(from, to, rng);
-        if rng.chance(self.duplicate_prob) {
-            let second = self.delay.sample(from, to, rng);
-            return Verdict::Duplicate(first, second);
-        }
-        Verdict::Deliver(first)
+        Verdict::Deliver(self.delay.sample(from, to, rng))
     }
 }
 
@@ -157,7 +154,6 @@ impl NetModel for WanNet {
 pub struct WanNetBuilder {
     delay: Box<dyn DelayModel>,
     loss_prob: f64,
-    duplicate_prob: f64,
     oracle: Box<dyn PartitionOracle>,
 }
 
@@ -172,7 +168,6 @@ impl Default for WanNetBuilder {
         WanNetBuilder {
             delay: Box::new(delay::ConstantDelay::new(SimDuration::from_millis(50))),
             loss_prob: 0.0,
-            duplicate_prob: 0.0,
             oracle: Box::new(partition::AlwaysConnected),
         }
     }
@@ -219,17 +214,6 @@ impl WanNetBuilder {
         self
     }
 
-    /// Sets independent per-message duplication probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn duplication(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "duplication probability must be in [0,1], got {p}");
-        self.duplicate_prob = p;
-        self
-    }
-
     /// Installs a partition overlay.
     pub fn partitions(mut self, oracle: Box<dyn PartitionOracle>) -> Self {
         self.oracle = oracle;
@@ -238,19 +222,13 @@ impl WanNetBuilder {
 
     /// Finishes the build.
     pub fn build(self) -> WanNet {
-        WanNet {
-            delay: self.delay,
-            loss_prob: self.loss_prob,
-            duplicate_prob: self.duplicate_prob,
-            oracle: self.oracle,
-        }
+        WanNet { delay: self.delay, loss_prob: self.loss_prob, oracle: self.oracle }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::partition::ScheduledPartitions;
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -264,22 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn wan_partition_takes_priority_over_loss() {
-        let schedule = ScheduledPartitions::cut_between(
-            vec![n(0)],
-            vec![n(1)],
-            SimTime::ZERO,
-            SimTime::from_secs(10),
-        );
-        let mut net = WanNet::builder().loss(1.0).partitions(Box::new(schedule)).build();
-        let mut rng = SimRng::seed_from(0);
-        assert_eq!(
-            net.transmit(n(0), n(1), SimTime::from_secs(5), &mut rng),
-            Verdict::Drop(DropReason::Partitioned)
-        );
-    }
-
-    #[test]
     fn wan_uniform_delay_within_bounds() {
         let lo = SimDuration::from_millis(10);
         let hi = SimDuration::from_millis(20);
@@ -288,7 +250,7 @@ mod tests {
         for _ in 0..200 {
             match net.transmit(n(0), n(1), SimTime::ZERO, &mut rng) {
                 Verdict::Deliver(d) => assert!(d >= lo && d < hi, "delay {d} out of bounds"),
-                Verdict::Duplicate(..) => panic!("duplication is off by default"),
+                Verdict::Duplicate(..) => panic!("a WanNet never duplicates"),
                 Verdict::Drop(r) => panic!("unexpected drop: {r}"),
             }
         }
@@ -298,38 +260,6 @@ mod tests {
     #[should_panic(expected = "loss probability")]
     fn builder_rejects_bad_loss() {
         let _ = WanNet::builder().loss(1.5);
-    }
-
-    #[test]
-    fn duplication_yields_two_deliveries() {
-        let mut net = WanNet::builder()
-            .constant_delay(SimDuration::from_millis(10))
-            .duplication(1.0)
-            .build();
-        let mut rng = SimRng::seed_from(1);
-        match net.transmit(n(0), n(1), SimTime::ZERO, &mut rng) {
-            Verdict::Duplicate(a, b) => {
-                assert_eq!(a, SimDuration::from_millis(10));
-                assert_eq!(b, SimDuration::from_millis(10));
-            }
-            other => panic!("expected duplicate, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn duplication_rate_is_roughly_calibrated() {
-        let mut net = WanNet::builder().duplication(0.25).build();
-        let mut rng = SimRng::seed_from(2);
-        let dups = (0..10_000)
-            .filter(|_| matches!(net.transmit(n(0), n(1), SimTime::ZERO, &mut rng), Verdict::Duplicate(..)))
-            .count();
-        assert!((2_200..2_800).contains(&dups), "dups={dups}");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplication probability")]
-    fn builder_rejects_bad_duplication() {
-        let _ = WanNet::builder().duplication(-0.1);
     }
 
     #[test]

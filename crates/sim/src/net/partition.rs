@@ -1,16 +1,21 @@
 //! Connectivity overlays: who can reach whom, when.
 //!
 //! The paper's failure model (§2.1) treats temporary partitions — mostly
-//! congestion-induced — as the common case. Three oracles cover the
-//! experiments:
+//! congestion-induced — as the common case. These are the WAN's
+//! steady-state stochastic overlays:
 //!
-//! * [`ScheduledPartitions`] — explicit, scripted cuts for scenario tests,
 //! * [`GilbertElliott`] — per-pair congestion bursts with exponential
 //!   good/bad dwell times, the "temporary partitions caused by congestion"
 //!   of §2.1,
 //! * [`EpochIid`] — the §4.1 analytic model: each unordered pair is
 //!   independently inaccessible with probability `Pi`, re-drawn every
-//!   epoch. Used to validate `PA(C)`/`PS(C)` against protocol runs.
+//!   epoch. Used to validate `PA(C)`/`PS(C)` against protocol runs,
+//! * [`DutyCycle`] — mobile nodes that attach and detach (footnote 1).
+//!
+//! A scripted cut between two node sets is not an overlay: it is a
+//! [`crate::nemesis::Fault::Partition`] in a
+//! [`NemesisPlan`](crate::nemesis::NemesisPlan), layered on any base
+//! model by [`NemesisPlan::wrap_net`](crate::nemesis::NemesisPlan::wrap_net).
 
 use std::collections::HashMap;
 
@@ -34,102 +39,6 @@ pub struct AlwaysConnected;
 impl PartitionOracle for AlwaysConnected {
     fn connected(&mut self, _from: NodeId, _to: NodeId, _now: SimTime, _rng: &mut SimRng) -> bool {
         true
-    }
-}
-
-/// One scripted cut: while `start <= now < end`, nodes in `side_a` cannot
-/// exchange messages with nodes in `side_b` (in either direction).
-#[derive(Debug, Clone)]
-pub struct Cut {
-    side_a: Vec<NodeId>,
-    side_b: Vec<NodeId>,
-    start: SimTime,
-    end: SimTime,
-}
-
-impl Cut {
-    /// Creates a cut between two node sets over a time window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start >= end`.
-    pub fn new(side_a: Vec<NodeId>, side_b: Vec<NodeId>, start: SimTime, end: SimTime) -> Self {
-        assert!(start < end, "cut window must be non-empty");
-        Cut { side_a, side_b, start, end }
-    }
-
-    fn severs(&self, from: NodeId, to: NodeId, now: SimTime) -> bool {
-        if now < self.start || now >= self.end {
-            return false;
-        }
-        let a_from = self.side_a.contains(&from);
-        let b_from = self.side_b.contains(&from);
-        let a_to = self.side_a.contains(&to);
-        let b_to = self.side_b.contains(&to);
-        (a_from && b_to) || (b_from && a_to)
-    }
-}
-
-/// A scripted schedule of [`Cut`]s, for deterministic scenario tests.
-///
-/// # Examples
-///
-/// ```
-/// use wanacl_sim::net::partition::{PartitionOracle, ScheduledPartitions};
-/// use wanacl_sim::node::NodeId;
-/// use wanacl_sim::rng::SimRng;
-/// use wanacl_sim::time::SimTime;
-///
-/// let h = NodeId::from_index(0);
-/// let m = NodeId::from_index(1);
-/// let mut sched = ScheduledPartitions::cut_between(
-///     vec![h], vec![m], SimTime::from_secs(10), SimTime::from_secs(20));
-/// let mut rng = SimRng::seed_from(0);
-/// assert!(sched.connected(h, m, SimTime::from_secs(5), &mut rng));
-/// assert!(!sched.connected(h, m, SimTime::from_secs(15), &mut rng));
-/// assert!(sched.connected(h, m, SimTime::from_secs(25), &mut rng));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ScheduledPartitions {
-    cuts: Vec<Cut>,
-}
-
-impl ScheduledPartitions {
-    /// An empty schedule (always connected).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Convenience: a schedule with a single cut.
-    pub fn cut_between(
-        side_a: Vec<NodeId>,
-        side_b: Vec<NodeId>,
-        start: SimTime,
-        end: SimTime,
-    ) -> Self {
-        ScheduledPartitions { cuts: vec![Cut::new(side_a, side_b, start, end)] }
-    }
-
-    /// Adds a cut to the schedule.
-    pub fn add(&mut self, cut: Cut) -> &mut Self {
-        self.cuts.push(cut);
-        self
-    }
-
-    /// Number of cuts in the schedule.
-    pub fn len(&self) -> usize {
-        self.cuts.len()
-    }
-
-    /// Whether the schedule has no cuts.
-    pub fn is_empty(&self) -> bool {
-        self.cuts.is_empty()
-    }
-}
-
-impl PartitionOracle for ScheduledPartitions {
-    fn connected(&mut self, from: NodeId, to: NodeId, now: SimTime, _rng: &mut SimRng) -> bool {
-        !self.cuts.iter().any(|c| c.severs(from, to, now))
     }
 }
 
@@ -345,44 +254,6 @@ mod tests {
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
-    }
-
-    #[test]
-    fn scheduled_cut_is_symmetric_and_windowed() {
-        let mut s = ScheduledPartitions::cut_between(
-            vec![n(0), n(1)],
-            vec![n(2)],
-            SimTime::from_secs(1),
-            SimTime::from_secs(2),
-        );
-        let mut rng = SimRng::seed_from(0);
-        let mid = SimTime::from_millis(1_500);
-        assert!(!s.connected(n(0), n(2), mid, &mut rng));
-        assert!(!s.connected(n(2), n(1), mid, &mut rng));
-        // Same side stays connected.
-        assert!(s.connected(n(0), n(1), mid, &mut rng));
-        // Window edges: start inclusive, end exclusive.
-        assert!(!s.connected(n(0), n(2), SimTime::from_secs(1), &mut rng));
-        assert!(s.connected(n(0), n(2), SimTime::from_secs(2), &mut rng));
-    }
-
-    #[test]
-    fn scheduled_supports_multiple_cuts() {
-        let mut s = ScheduledPartitions::new();
-        s.add(Cut::new(vec![n(0)], vec![n(1)], SimTime::ZERO, SimTime::from_secs(1)));
-        s.add(Cut::new(vec![n(0)], vec![n(2)], SimTime::from_secs(2), SimTime::from_secs(3)));
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-        let mut rng = SimRng::seed_from(0);
-        assert!(!s.connected(n(0), n(1), SimTime::from_millis(500), &mut rng));
-        assert!(s.connected(n(0), n(2), SimTime::from_millis(500), &mut rng));
-        assert!(!s.connected(n(0), n(2), SimTime::from_millis(2_500), &mut rng));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn cut_rejects_empty_window() {
-        let _ = Cut::new(vec![n(0)], vec![n(1)], SimTime::from_secs(1), SimTime::from_secs(1));
     }
 
     #[test]

@@ -30,6 +30,7 @@ use wanacl::core::campaign::{
 };
 use wanacl::prelude::*;
 use wanacl::rt::{live_policy, run_live_campaign, LiveReport};
+use wanacl::sim::metrics::MetricId;
 use wanacl::sim::obs::{metrics_jsonl, prometheus_text};
 
 fn main() {
@@ -570,8 +571,8 @@ fn nemesis(mut flags: Flags) {
                 report.plan.len(),
                 report.oracle_stats.allows,
                 report.oracle_stats.revokes,
-                report.wal_appends,
-                report.recovered_from_disk,
+                report.metrics.counter(MetricId::MGR_WAL_APPENDS),
+                report.metrics.counter(MetricId::MGR_RECOVERED_FROM_DISK),
             );
             continue;
         }

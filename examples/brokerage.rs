@@ -12,8 +12,6 @@
 //! Run with: `cargo run --example brokerage`
 
 use wanacl::prelude::*;
-use wanacl::sim::net::partition::ScheduledPartitions;
-use wanacl::sim::net::WanNet;
 
 fn main() {
     let te = SimDuration::from_secs(15);
@@ -27,16 +25,16 @@ fn main() {
 
     // Node layout: managers 0,1,2; host 3; traders 4,5; admin 6.
     // The trading host is cut from all managers between 20 s and 120 s.
-    let cut = ScheduledPartitions::cut_between(
-        vec![NodeId::from_index(0), NodeId::from_index(1), NodeId::from_index(2)],
-        vec![NodeId::from_index(3)],
-        SimTime::from_secs(20),
-        SimTime::from_secs(120),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(25))
-        .partitions(Box::new(cut))
-        .build();
+    let base = WanNet::builder().constant_delay(SimDuration::from_millis(25)).build();
+    let net = NemesisPlan::builder(SimTime::from_secs(120))
+        .partition(
+            vec![NodeId::from_index(0), NodeId::from_index(1), NodeId::from_index(2)],
+            vec![NodeId::from_index(3)],
+            SimTime::from_secs(20),
+            SimTime::from_secs(120),
+        )
+        .build()
+        .wrap_net(Box::new(base));
 
     let mut d = Scenario::builder(13)
         .managers(3)

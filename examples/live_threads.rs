@@ -1,14 +1,14 @@
 //! The same protocol objects the simulator runs, live on OS threads:
-//! three managers, one host, one user, with a partition toggled at
-//! runtime. Wall-clock time, real channels, no simulation.
+//! three managers, one host, one user, and a nemesis plan whose
+//! partition window opens and heals on the runtime clock. Wall-clock
+//! time, real channels, no simulation.
 //!
 //! Run with: `cargo run --example live_threads`
 
 use std::time::Duration;
 
 use wanacl::prelude::*;
-use wanacl::rt::router::PartitionSwitch;
-use wanacl::rt::{install_roster, live_manager_tuning, live_policy, RuntimeBuilder};
+use wanacl::rt::{install_roster, live_manager_tuning, live_policy, ChaosRouter, RuntimeBuilder};
 
 fn main() {
     // The roster a simulated `Scenario::build()` would install on a
@@ -24,7 +24,21 @@ fn main() {
     let layout = install_roster(&mut b, roster, |_| Ok(None)).expect("no storage to open");
     let (manager_ids, host, user) = (layout.managers, layout.hosts[0], layout.users[0].1);
 
+    // Cut two managers away from the host from 0.6 s to 4.4 s of the
+    // runtime clock: C = 2 is unreachable while the cut holds. The chaos
+    // transport asks the simulator's own fault decision for every send.
+    let (cut, heal) = (SimTime::from_millis(600), SimTime::from_millis(4_400));
+    let plan = NemesisPlan::builder(heal)
+        .partition(vec![manager_ids[1], manager_ids[2]], vec![host], cut, heal)
+        .build();
+    let sink = b.metrics().clone();
+    b.wrap_transport(move |router| Ok(ChaosRouter::new(router, plan.net_faults(), 3, sink)?));
+
     let rt = b.start();
+    let sleep_until = |at: SimTime| {
+        let at = Duration::from_nanos(at.as_nanos());
+        std::thread::sleep(at.saturating_sub(rt.epoch().elapsed()));
+    };
     let invoke = |payload: &str| {
         rt.send_from_env(
             user,
@@ -39,30 +53,25 @@ fn main() {
     };
 
     println!("live deployment on {} threads; C=2 of M=3", rt.workers());
-    std::thread::sleep(Duration::from_millis(200));
+    sleep_until(SimTime::from_millis(200));
 
     invoke("first");
-    std::thread::sleep(Duration::from_millis(400));
+    sleep_until(cut);
     println!("request with full connectivity -> expected Allowed");
-
-    // Cut two managers away from the host: C = 2 becomes unreachable.
-    let switch = PartitionSwitch::new(vec![manager_ids[1], manager_ids[2]], vec![host]);
-    rt.router().set_policy(switch.clone());
-    switch.set(true);
     println!("partition engaged: host can reach only manager0");
-    std::thread::sleep(Duration::from_secs(3)); // let the cached lease expire (Te = 2 s)
 
+    // Let the cached lease expire (Te = 2 s) before asking again.
+    sleep_until(SimTime::from_millis(3_600));
     invoke("during partition");
-    std::thread::sleep(Duration::from_millis(800));
+    sleep_until(heal);
     println!("request during partition    -> expected Unavailable (quorum fails)");
 
-    switch.set(false);
     println!("partition healed");
-    std::thread::sleep(Duration::from_millis(300));
+    sleep_until(SimTime::from_millis(4_700));
     invoke("after heal");
-    std::thread::sleep(Duration::from_millis(500));
+    sleep_until(SimTime::from_millis(5_200));
 
-    let (sent, dropped) = rt.router().stats();
+    let (sent, _) = rt.router().stats();
     let snapshot = rt.metrics().snapshot();
     let nodes = rt.shutdown_nodes();
     let agent = nodes[user.index()].as_any().downcast_ref::<UserAgent>().expect("user agent");
@@ -71,8 +80,10 @@ fn main() {
         "\noutcomes: sent={} allowed={} unavailable={} denied={}",
         stats.sent, stats.allowed, stats.unavailable, stats.denied
     );
-    println!("router traffic: {sent} messages, {dropped} dropped by the partition");
+    let dropped = snapshot.counter("rt.chaos_dropped");
+    println!("traffic: {sent} messages routed, {dropped} dropped by the partition");
     assert_eq!(stats.allowed, 2);
+    assert!(dropped > 0);
     assert_eq!(stats.unavailable, 1);
     // The live runtime collects the same metric registry the simulator
     // does (DESIGN.md §11); export the Prometheus snapshot.

@@ -11,8 +11,6 @@
 use wanacl::prelude::*;
 use wanacl::core::host::{AppHost, HostNode, ManagerDirectory};
 use wanacl::core::manager::{ManagerApp, ManagerConfig, ManagerNode};
-use wanacl::sim::net::partition::ScheduledPartitions;
-use wanacl::sim::net::WanNet;
 use wanacl::sim::world::World;
 
 fn main() {
@@ -36,16 +34,16 @@ fn main() {
     acl.add(UserId(1), Right::Use);
 
     // Node layout: managers 0,1; host 2. Host cut from managers 20s-60s.
-    let cut = ScheduledPartitions::cut_between(
-        vec![NodeId::from_index(0), NodeId::from_index(1)],
-        vec![NodeId::from_index(2)],
-        SimTime::from_secs(20),
-        SimTime::from_secs(60),
-    );
-    let net = WanNet::builder()
-        .constant_delay(SimDuration::from_millis(25))
-        .partitions(Box::new(cut))
-        .build();
+    let base = WanNet::builder().constant_delay(SimDuration::from_millis(25)).build();
+    let net = NemesisPlan::builder(SimTime::from_secs(60))
+        .partition(
+            vec![NodeId::from_index(0), NodeId::from_index(1)],
+            vec![NodeId::from_index(2)],
+            SimTime::from_secs(20),
+            SimTime::from_secs(60),
+        )
+        .build()
+        .wrap_net(Box::new(base));
 
     let mut world: World<ProtoMsg> = World::new(11);
     world.set_net(Box::new(net));

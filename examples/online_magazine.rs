@@ -10,8 +10,6 @@
 //! Run with: `cargo run --example online_magazine`
 
 use wanacl::prelude::*;
-use wanacl::sim::net::partition::ScheduledPartitions;
-use wanacl::sim::net::WanNet;
 
 fn main() {
     // Short leases (Te = 10 s) keep revocation snappy; Figure 4's
@@ -25,16 +23,18 @@ fn main() {
 
     // Node layout: managers 0,1; host 2; readers 3,4; admin 5.
     // The host loses contact with both managers between 10 s and 50 s.
-    let cut = ScheduledPartitions::cut_between(
-        vec![NodeId::from_index(0), NodeId::from_index(1)],
-        vec![NodeId::from_index(2)],
-        SimTime::from_secs(10),
-        SimTime::from_secs(50),
-    );
-    let net = WanNet::builder()
+    let base = WanNet::builder()
         .uniform_delay(SimDuration::from_millis(20), SimDuration::from_millis(80))
-        .partitions(Box::new(cut))
         .build();
+    let net = NemesisPlan::builder(SimTime::from_secs(50))
+        .partition(
+            vec![NodeId::from_index(0), NodeId::from_index(1)],
+            vec![NodeId::from_index(2)],
+            SimTime::from_secs(10),
+            SimTime::from_secs(50),
+        )
+        .build()
+        .wrap_net(Box::new(base));
 
     let mut d = Scenario::builder(7)
         .managers(2)

@@ -9,8 +9,6 @@
 use proptest::prelude::*;
 
 use wanacl::prelude::*;
-use wanacl::sim::net::partition::ScheduledPartitions;
-use wanacl::sim::net::WanNet;
 
 const TE_SECS: u64 = 12;
 const HORIZON_SECS: u64 = 60;
@@ -63,20 +61,17 @@ proptest! {
         // Node layout: managers 0..3, host 3, user 4, admin 5. Managers
         // stay mutually connected (the update quorum is reachable), the
         // host loses `cut_managers` of them at `cut_at`.
-        let mut schedule = ScheduledPartitions::new();
+        let end = SimTime::from_secs(10_000);
+        let mut plan = NemesisPlan::builder(end);
         if geo.cut_managers > 0 {
             let side: Vec<NodeId> = (0..geo.cut_managers).map(NodeId::from_index).collect();
-            schedule.add(wanacl::sim::net::partition::Cut::new(
-                side,
-                vec![NodeId::from_index(3)],
-                SimTime::from_secs(geo.cut_at_secs),
-                SimTime::from_secs(10_000),
-            ));
+            let cut_at = SimTime::from_secs(geo.cut_at_secs);
+            plan = plan.partition(side, vec![NodeId::from_index(3)], cut_at, end);
         }
-        let net = WanNet::builder()
+        let base = WanNet::builder()
             .uniform_delay(SimDuration::from_millis(10), SimDuration::from_millis(60))
-            .partitions(Box::new(schedule))
             .build();
+        let net = plan.build().wrap_net(Box::new(base));
 
         let rate = geo.host_rate_milli as f64 / 1000.0;
         // 200 ms of slack: the reply leg in flight.

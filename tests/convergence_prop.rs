@@ -7,8 +7,6 @@
 use proptest::prelude::*;
 
 use wanacl::prelude::*;
-use wanacl::sim::net::partition::{Cut, ScheduledPartitions};
-use wanacl::sim::net::WanNet;
 
 #[derive(Debug, Clone)]
 struct OpEvent {
@@ -66,19 +64,16 @@ proptest! {
             .filter(|&i| i != storm.cut_manager)
             .map(NodeId::from_index)
             .collect();
-        let mut schedule = ScheduledPartitions::new();
+        let start = SimTime::from_millis(storm.cut_window.0);
+        let end = SimTime::from_millis(storm.cut_window.1);
+        let mut plan = NemesisPlan::builder(end);
         if !rest.is_empty() {
-            schedule.add(Cut::new(
-                side,
-                rest,
-                SimTime::from_millis(storm.cut_window.0),
-                SimTime::from_millis(storm.cut_window.1),
-            ));
+            plan = plan.partition(side, rest, start, end);
         }
-        let net = WanNet::builder()
+        let base = WanNet::builder()
             .uniform_delay(SimDuration::from_millis(5), SimDuration::from_millis(50))
-            .partitions(Box::new(schedule))
             .build();
+        let net = plan.build().wrap_net(Box::new(base));
         let tuning = ManagerConfig {
             retry_interval: SimDuration::from_millis(300),
             ..ManagerConfig::default()

@@ -123,7 +123,7 @@ fn manager_set_replacement_mid_flight_converges_and_keeps_serving() {
     // Shrink the manager set to manager 0 only, as version 2, published
     // to a single replica.
     let new_set = vec![d.managers[0]];
-    d.republish_managers(1, 2, new_set.clone());
+    assert!(d.republish_managers(1, 2, new_set.clone()));
     d.run_for(SimDuration::from_secs(4));
 
     for i in 0..3 {

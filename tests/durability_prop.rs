@@ -17,6 +17,7 @@ use wanacl::core::campaign::{
     CampaignConfig, InjectedBug,
 };
 use wanacl::prelude::*;
+use wanacl::sim::metrics::MetricId;
 use wanacl::sim::nemesis::NemesisPlan;
 use wanacl::sim::rng::SimRng;
 use wanacl::sim::time::SimTime;
@@ -73,8 +74,8 @@ fn hundred_seed_disk_fault_sweep_is_clean() {
     let mut recoveries = 0u64;
     for report in &reports {
         assert!(report.is_clean(), "seed {}:\n{}", report.seed, report.render());
-        durable_evidence += report.wal_appends;
-        recoveries += report.recovered_from_disk;
+        durable_evidence += report.metrics.counter(MetricId::MGR_WAL_APPENDS);
+        recoveries += report.metrics.counter(MetricId::MGR_RECOVERED_FROM_DISK);
     }
     assert!(durable_evidence > 100, "sweep made too few ops durable: {durable_evidence}");
     assert!(recoveries > 0, "no seed exercised disk recovery");
@@ -99,7 +100,8 @@ fn full_cluster_restart_preserves_stable_state_across_100_seeds() {
         let seed = config.seed;
         assert!(report.is_clean(), "seed {seed}:\n{}", report.render());
         assert_eq!(
-            report.recovered_from_disk, config.managers as u64,
+            report.metrics.counter(MetricId::MGR_RECOVERED_FROM_DISK),
+            config.managers as u64,
             "seed {seed}: every manager must recover from local storage\n{}",
             report.render()
         );

@@ -48,7 +48,7 @@ fn rebalance_moves_shard_without_losing_rights() {
     // Move shard 0 (tenant 0, buckets 0..=127, managers {0,1}) onto the
     // managers of shard 1 ({2,3}) — ring-next, disjoint from the owners.
     let targets = d.shard_owners(ShardId(1));
-    d.rebalance_shard_at(SimTime::ZERO + SimDuration::from_secs(10), ShardId(0), targets);
+    assert!(d.rebalance_shard_at(SimTime::ZERO + SimDuration::from_secs(10), ShardId(0), targets));
     d.run_for(SimDuration::from_secs(40));
 
     // Sources released, targets active.
@@ -85,7 +85,7 @@ fn rebalance_preserves_revocations_issued_before_the_move() {
     d.admin_op(AclOp::Revoke { app: AppId(0), user: victim, right: Right::Use });
     // Rebalance AFTER the revoke: the tombstone must survive the handoff.
     let targets = d.shard_owners(ShardId(1));
-    d.rebalance_shard_at(SimTime::ZERO + SimDuration::from_secs(10), ShardId(0), targets);
+    assert!(d.rebalance_shard_at(SimTime::ZERO + SimDuration::from_secs(10), ShardId(0), targets));
     d.run_for(SimDuration::from_secs(30));
     // The new owners must hold the revocation (I9: no revoke lost).
     for m in [2usize, 3] {
