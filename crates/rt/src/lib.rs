@@ -8,13 +8,15 @@
 //! substrate-independent and providing a live deployment vehicle that
 //! scales to thousands of logical nodes.
 //!
-//! Each worker multiplexes its share of nodes: inbound envelopes land
-//! in per-node inbox cells (bounded data lane, unbounded control lane),
-//! each wake drains-then-steps one node, every outbound send is moved
-//! onto its destination's mailbox by the in-process [`router`] (or
-//! first through [`chaos`]'s fault decision), and timers fire by
-//! absolute deadline from a per-worker copy of the simulator's time
-//! queue, [`wanacl_sim::queue::Calendar`]. [`live`] installs a
+//! No worker owns a node: inbound envelopes land in per-node cells
+//! (bounded data lane, unbounded control lane), a node woken by a
+//! handler is queued on the worker that ran the handler, an idle worker
+//! steals from a sibling's queue, and each step drains-then-steps one
+//! node. Every outbound send is moved onto its destination's mailbox by
+//! the in-process [`router`] (or first through [`chaos`]'s fault
+//! decision), and timers fall due by absolute deadline from a
+//! per-worker copy of the simulator's time queue,
+//! [`wanacl_sim::queue::Calendar`], onto the node's control lane. [`live`] installs a
 //! `wanacl-core` deployment roster on the pool and soaks it under a
 //! nemesis plan.
 //!

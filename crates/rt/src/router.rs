@@ -14,7 +14,7 @@ use crate::runtime::{CellPush, NodeCell};
 /// An inbox item delivered through a raw channel mailbox (the
 /// [`Router::register`] path used by router/chaos tests and external
 /// taps). Pool-backed nodes instead receive `(from, msg)` pairs through
-/// their worker's `NodeCell`; lifecycle commands travel on the runtime's
+/// their `NodeCell`; lifecycle commands travel on the runtime's
 /// control lane and never appear on either data path.
 #[derive(Debug)]
 pub enum Envelope<M> {
@@ -108,7 +108,10 @@ pub struct Router<M> {
     /// Whether `policy` holds one; never cleared.
     has_policy: AtomicBool,
     metrics: RwLock<Option<MetricsSink>>,
-    sent: AtomicU64,
+    /// Sends no cell counted: policy drops and traffic to taps or to
+    /// unknown ids. A send to a cell is counted under the cell's lock,
+    /// which the push takes anyway.
+    uncelled: AtomicU64,
     dropped: AtomicU64,
     overflowed: AtomicU64,
 }
@@ -117,7 +120,7 @@ impl<M> std::fmt::Debug for Router<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
             .field("nodes", &(self.pool_cells().len() + self.taps.read().len()))
-            .field("sent", &self.sent.load(Ordering::Relaxed))
+            .field("sent", &self.sent())
             .field("dropped", &self.dropped.load(Ordering::Relaxed))
             .field("overflowed", &self.overflowed.load(Ordering::Relaxed))
             .finish()
@@ -127,6 +130,11 @@ impl<M> std::fmt::Debug for Router<M> {
 impl<M> Router<M> {
     fn pool_cells(&self) -> &[Arc<NodeCell<M>>] {
         self.cells.get().map_or(&[], |cells| cells)
+    }
+
+    fn sent(&self) -> u64 {
+        let celled: u64 = self.pool_cells().iter().map(|cell| cell.sent()).sum();
+        celled + self.uncelled.load(Ordering::Relaxed)
     }
 }
 
@@ -139,7 +147,7 @@ impl<M: Send + Sync + 'static> Router<M> {
             policy: RwLock::new(None),
             has_policy: AtomicBool::new(false),
             metrics: RwLock::new(None),
-            sent: AtomicU64::new(0),
+            uncelled: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             overflowed: AtomicU64::new(0),
         })
@@ -190,8 +198,8 @@ impl<M: Send + Sync + 'static> Router<M> {
     /// Routes one message; silently drops on policy denial, a full
     /// inbox, or a closed inbox (matching the unreliable-network model).
     pub fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        self.sent.fetch_add(1, Ordering::Relaxed);
         if self.policy().is_some_and(|policy| !policy.allow(from, to, &msg)) {
+            self.uncelled.fetch_add(1, Ordering::Relaxed);
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -202,7 +210,10 @@ impl<M: Send + Sync + 'static> Router<M> {
                     self.count_overflow();
                 }
             }
-            None => self.send_to_tap(to.index() - cells.len(), from, msg),
+            None => {
+                self.uncelled.fetch_add(1, Ordering::Relaxed);
+                self.send_to_tap(to.index() - cells.len(), from, msg);
+            }
         }
     }
 
@@ -244,7 +255,7 @@ impl<M: Send + Sync + 'static> Router<M> {
 
     /// Messages sent / dropped so far (drops include overflows).
     pub fn stats(&self) -> (u64, u64) {
-        (self.sent.load(Ordering::Relaxed), self.dropped.load(Ordering::Relaxed))
+        (self.sent(), self.dropped.load(Ordering::Relaxed))
     }
 
     /// Messages dropped because the destination inbox was full.
@@ -262,6 +273,7 @@ impl<M: Send + Sync + 'static> Transport<M> for Router<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::Scheduler;
     use crossbeam::channel::unbounded;
 
     #[test]
@@ -340,22 +352,23 @@ mod tests {
         let router: Arc<Router<u32>> = Router::new();
         let sink = MetricsSink::new();
         router.set_metrics(sink.clone());
-        let (wake_tx, wake_rx) = unbounded();
-        let cell = NodeCell::new(0, 2, wake_tx);
+        let sched = Scheduler::new(1);
+        let cell = NodeCell::new(0, 2, sched.clone());
         router.freeze_cells(vec![cell.clone()]);
         let id = NodeId::from_index(0);
         for i in 0..5 {
             router.send(NodeId::ENV, id, i);
         }
         assert_eq!(router.overflowed(), 3);
+        assert_eq!(router.stats(), (5, 3), "the cell counts shed sends too");
         assert_eq!(sink.counter("rt.inbox_overflow"), 3);
-        assert_eq!(wake_rx.try_iter().count(), 1, "one wake per scheduling flip");
+        assert_eq!(sched.queued(0), 1, "one run-queue entry per scheduling flip");
         let (mut ctl, mut data) = (Vec::new(), Vec::new());
-        let more = cell.drain(16, &mut ctl, &mut data);
+        cell.drain(16, &mut ctl, &mut data);
         assert!(ctl.is_empty());
         let got: Vec<u32> = data.iter().map(|(_, m)| *m).collect();
         assert_eq!(got, vec![0, 1], "drop-newest kept the oldest two");
-        assert!(!more);
+        assert!(!cell.finish_step(), "both lanes are empty: the step unschedules the node");
         // A dead cell swallows traffic silently, like a down host.
         cell.clear_dead();
         router.send(NodeId::ENV, id, 9);
@@ -368,8 +381,7 @@ mod tests {
     #[test]
     fn taps_registered_after_the_freeze_take_the_ids_behind_the_cells() {
         let router: Arc<Router<u32>> = Router::new();
-        let (wake_tx, _wake_rx) = unbounded();
-        let cell = NodeCell::new(0, 8, wake_tx);
+        let cell = NodeCell::new(0, 8, Scheduler::new(1));
         router.freeze_cells(vec![cell.clone()]);
         let (tx, rx) = unbounded();
         let tap = router.register(tx);
@@ -393,8 +405,7 @@ mod tests {
     #[test]
     fn batch_applies_policy_per_message() {
         let router: Arc<Router<u32>> = Router::new();
-        let (wake_tx, _wake_rx) = unbounded();
-        let cell = NodeCell::new(0, 2000, wake_tx);
+        let cell = NodeCell::new(0, 2000, Scheduler::new(1));
         router.freeze_cells(vec![cell]);
         let id = NodeId::from_index(0);
         router.set_policy(LossyPolicy::new(0.5));

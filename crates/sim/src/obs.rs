@@ -31,8 +31,8 @@ use crate::metrics::{MetricKey, Metrics};
 /// same totals. Cloning shares the shard; [`MetricsSink::shard`] opens
 /// a new one. This is the live-runtime counterpart of the simulator's
 /// world-owned metrics: each worker of the pool records the
-/// `MetricIncr`/`MetricObserve` effects of its nodes into a shard of
-/// its own, so recorders never contend with each other.
+/// `MetricIncr`/`MetricObserve` effects of the nodes it steps into a
+/// shard of its own, so recorders never contend with each other.
 #[derive(Debug, Clone)]
 pub struct MetricsSink {
     /// The shard this handle records into.
