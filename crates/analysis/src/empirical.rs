@@ -30,10 +30,10 @@
 //! which is exactly why the comparison against the closed form is a
 //! meaningful end-to-end validation of queue, net, and workload layers.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use wanacl_sim::clock::ClockSpec;
+use wanacl_sim::hash::FxHashMap;
 use wanacl_sim::metrics::{HistogramSummary, MetricId as M, Metrics};
 use wanacl_sim::net::partition::EpochIid;
 use wanacl_sim::net::WanNet;
@@ -76,7 +76,7 @@ struct HostProbe {
     managers: Arc<[NodeId]>,
     quorum: u32,
     timeout: SimDuration,
-    pending: HashMap<u64, PendingCheck>,
+    pending: FxHashMap<u64, PendingCheck>,
     /// `reach[r]` = number of finished checks that reached exactly `r`
     /// of the `M` managers before the deadline.
     reach: Vec<u64>,
@@ -85,7 +85,7 @@ struct HostProbe {
 impl HostProbe {
     fn new(managers: Arc<[NodeId]>, quorum: u32, timeout: SimDuration) -> Self {
         let m = managers.len();
-        Self { managers, quorum, timeout, pending: HashMap::new(), reach: vec![0; m + 1] }
+        Self { managers, quorum, timeout, pending: FxHashMap::default(), reach: vec![0; m + 1] }
     }
 }
 
@@ -148,7 +148,7 @@ impl Node for HostProbe {
 struct ManagerProbe {
     peers: Vec<NodeId>,
     timeout: SimDuration,
-    pending: HashMap<u64, u32>,
+    pending: FxHashMap<u64, u32>,
     /// `acks[a]` = number of finished revocations where exactly `a` of
     /// the `M-1` peer managers acknowledged before the deadline.
     acks: Vec<u64>,
@@ -157,7 +157,7 @@ struct ManagerProbe {
 impl ManagerProbe {
     fn new(peers: Vec<NodeId>, timeout: SimDuration) -> Self {
         let n = peers.len();
-        Self { peers, timeout, pending: HashMap::new(), acks: vec![0; n + 1] }
+        Self { peers, timeout, pending: FxHashMap::default(), acks: vec![0; n + 1] }
     }
 }
 

@@ -6,9 +6,10 @@
 //! adjustment of §3.2 (charging the whole round trip against the budget)
 //! falls out of anchoring at query start rather than response receipt.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::hash::FxHashMap;
 
 use crate::types::UserId;
 
@@ -54,7 +55,8 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AclCache {
-    entries: BTreeMap<UserId, Entry>,
+    /// Point lookups only; the order `sweep` needs lives in `expiry`.
+    entries: FxHashMap<UserId, Entry>,
     /// Expiry-ordered index of `(limit, user)` pairs. `sweep` pops only
     /// the pairs whose limit has passed instead of scanning every live
     /// entry. Pairs are invalidated lazily — an entry that was extended,
@@ -100,7 +102,7 @@ impl AclCache {
     /// A refresh never shortens an existing entry's life — a concurrent
     /// slower grant must not truncate a newer one.
     pub fn insert(&mut self, user: UserId, limit: LocalTime) {
-        use std::collections::btree_map::Entry as Slot;
+        use std::collections::hash_map::Entry as Slot;
         match self.entries.entry(user) {
             Slot::Vacant(slot) => {
                 slot.insert(Entry { limit, last_used: LocalTime::ZERO });
@@ -203,6 +205,10 @@ impl AclCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn t(n: u64) -> LocalTime {
@@ -364,5 +370,71 @@ mod tests {
         c.insert(UserId(2), t(100));
         assert_eq!(c.lookup(UserId(1), t(50)), CacheDecision::Expired);
         assert_eq!(c.lookup(UserId(2), t(50)), CacheDecision::Fresh(t(100)));
+    }
+
+    /// The cache as one B-tree from user id to `(limit, last_used)` that
+    /// `sweep` scans whole: the reference the hashed table and its expiry
+    /// index must match.
+    #[derive(Default)]
+    struct Model(BTreeMap<u64, (LocalTime, LocalTime)>);
+
+    impl Model {
+        fn lookup(&mut self, user: u64, now: LocalTime) -> CacheDecision {
+            match self.0.get_mut(&user) {
+                Some((limit, used)) if now < *limit => {
+                    *used = now;
+                    CacheDecision::Fresh(*limit)
+                }
+                Some(_) => {
+                    self.0.remove(&user);
+                    CacheDecision::Expired
+                }
+                None => CacheDecision::Missing,
+            }
+        }
+
+        fn insert(&mut self, user: u64, limit: LocalTime) {
+            let entry = self.0.entry(user).or_insert((limit, LocalTime::ZERO));
+            entry.0 = entry.0.max(limit);
+        }
+
+        fn sweep(&mut self, now: LocalTime) -> usize {
+            let before = self.0.len();
+            self.0.retain(|_, (limit, _)| now < *limit);
+            before - self.0.len()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn cache_agrees_with_a_scanned_btree(
+            ops in prop::collection::vec((0u8..6, 0u64..8, 0u64..60), 0..120),
+        ) {
+            let (mut cache, mut model) = (AclCache::new(), Model::default());
+            for (kind, user, nanos) in ops {
+                let (id, at) = (UserId(user), t(nanos));
+                match kind {
+                    0 | 1 => {
+                        cache.insert(id, at);
+                        model.insert(user, at);
+                    }
+                    2 => prop_assert_eq!(cache.lookup(id, at), model.lookup(user, at)),
+                    3 => prop_assert_eq!(cache.remove(id), model.0.remove(&user).is_some()),
+                    4 => {
+                        cache.touch(id, at);
+                        if let Some((_, used)) = model.0.get_mut(&user) {
+                            *used = (*used).max(at);
+                        }
+                    }
+                    _ => prop_assert_eq!(cache.sweep(at), model.sweep(at)),
+                }
+                prop_assert_eq!(cache.len(), model.0.len());
+                for u in 0..8 {
+                    let want = model.0.get(&u);
+                    prop_assert_eq!(cache.peek(UserId(u)), want.map(|e| e.0));
+                    prop_assert_eq!(cache.last_used(UserId(u)), want.map(|e| e.1));
+                }
+            }
+        }
     }
 }

@@ -14,10 +14,10 @@
 //! channel — as it would hold a key from a handshake. Tagging a
 //! message under a held [`PairKey`] costs two SHA-256 compressions.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use wanacl_auth::hmac::{hmac_sha256, HmacKey, Tag};
+use wanacl_sim::hash::FxHashMap;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::time::SimDuration;
 
@@ -190,13 +190,13 @@ impl std::fmt::Debug for PairKey {
 /// (hash) order cannot reach a trace or a digest.
 pub(crate) struct ChannelEnd {
     keys: Arc<ChannelKeys>,
-    pairs: HashMap<NodeId, PairKey>,
+    pairs: FxHashMap<NodeId, PairKey>,
 }
 
 impl ChannelEnd {
     /// An end with no pair key derived yet.
     pub(crate) fn new(keys: Arc<ChannelKeys>) -> Self {
-        ChannelEnd { keys, pairs: HashMap::new() }
+        ChannelEnd { keys, pairs: FxHashMap::default() }
     }
 
     /// The key node `me` (the owner) shares with `peer`, derived on first

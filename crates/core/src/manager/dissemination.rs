@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use wanacl_sim::backoff::Backoff;
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::hash::FxHashMap;
 use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, NodeId};
 
@@ -33,20 +34,27 @@ struct PendingUpdate {
     started: LocalTime,
 }
 
+/// Hosts caching one user's right, each with the local deadline after
+/// which its cached copy has expired on its own. Sorted by host, so
+/// notices go out in `NodeId` order. A vector keeps them in one
+/// allocation of 16 B a host; a B-tree map outgrows its one 144 B leaf
+/// at the twelfth host and takes 528 B.
+type Holders = Vec<(NodeId, LocalTime)>;
+
 #[derive(Debug)]
 struct PendingRevoke {
     app: AppId,
     user: UserId,
-    /// Host → local deadline after which the cached right has expired on
-    /// its own and retransmission stops.
-    targets: BTreeMap<NodeId, LocalTime>,
+    /// Retransmission to a host stops at its deadline.
+    targets: Holders,
 }
 
 #[derive(Debug, Default)]
 pub(super) struct Dissemination {
     pending: BTreeMap<OpId, PendingUpdate>,
     pending_revokes: Vec<PendingRevoke>,
-    grant_table: BTreeMap<(AppId, UserId), BTreeMap<NodeId, LocalTime>>,
+    /// Point lookups, plus `sweep_grants`' order-free `retain`.
+    grant_table: FxHashMap<(AppId, UserId), Holders>,
     /// Consecutive retry rounds that actually resent something; indexes
     /// into the retry backoff schedule. Reset when a round finds nothing
     /// to resend or fresh work arrives.
@@ -70,7 +78,11 @@ impl Dissemination {
 
     /// Remembers that `host` caches `user`'s right until `deadline`.
     pub(super) fn note_grant(&mut self, app: AppId, user: UserId, host: NodeId, deadline: LocalTime) {
-        self.grant_table.entry((app, user)).or_default().insert(host, deadline);
+        let hosts = self.grant_table.entry((app, user)).or_default();
+        match hosts.binary_search_by_key(&host, |&(h, _)| h) {
+            Ok(i) => hosts[i].1 = deadline,
+            Err(i) => hosts.insert(i, (host, deadline)),
+        }
     }
 
     /// Starts disseminating an op this manager originated to `peers`;
@@ -167,7 +179,7 @@ impl Dissemination {
         if targets.is_empty() {
             return;
         }
-        for &host in targets.keys() {
+        for &(host, _) in &targets {
             ctx.metric_incr(M::MGR_REVOKE_NOTICES);
             ctx.send(host, notice(channel, ctx.id(), host, app, user));
         }
@@ -204,8 +216,8 @@ impl Dissemination {
         }
         let now = ctx.local_now();
         for pr in &mut self.pending_revokes {
-            pr.targets.retain(|_, deadline| now < *deadline);
-            for &host in pr.targets.keys() {
+            pr.targets.retain(|&(_, deadline)| now < deadline);
+            for &(host, _) in &pr.targets {
                 ctx.metric_incr(M::MGR_REVOKE_NOTICES_RESENT);
                 ctx.send(host, notice(channel, ctx.id(), host, pr.app, pr.user));
                 resent += 1;
@@ -222,7 +234,7 @@ impl Dissemination {
     /// Drops grant-table entries whose cached right has expired.
     pub(super) fn sweep_grants(&mut self, now: LocalTime) {
         self.grant_table.retain(|_, hosts| {
-            hosts.retain(|_, deadline| now < *deadline);
+            hosts.retain(|&(_, deadline)| now < deadline);
             !hosts.is_empty()
         });
     }
@@ -237,5 +249,104 @@ impl Dissemination {
     /// A crash loses everything disseminating.
     pub(super) fn clear(&mut self) {
         *self = Dissemination::default();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use wanacl_sim::node::Effect;
+    use wanacl_sim::rng::SimRng;
+    use wanacl_sim::time::SimDuration;
+
+    use super::*;
+
+    /// The grant table as a B-tree from raw `(app, user)` ids to a B-tree
+    /// of hosts: the layout `Holders` replaced, kept as the reference.
+    #[derive(Default)]
+    struct Model {
+        table: BTreeMap<(u32, u64), BTreeMap<NodeId, LocalTime>>,
+        revokes: Vec<((u32, u64), BTreeMap<NodeId, LocalTime>)>,
+    }
+
+    type Notice = (NodeId, AppId, UserId);
+
+    fn notices((app, user): (u32, u64), targets: &BTreeMap<NodeId, LocalTime>) -> impl Iterator<Item = Notice> + '_ {
+        targets.keys().map(move |&h| (h, AppId(app), UserId(user)))
+    }
+
+    impl Model {
+        fn forward(&mut self, key: (u32, u64)) -> Vec<Notice> {
+            let Some(targets) = self.table.remove(&key).filter(|t| !t.is_empty()) else { return vec![] };
+            let sent = notices(key, &targets).collect();
+            self.revokes.push((key, targets));
+            sent
+        }
+
+        fn retry(&mut self, now: LocalTime) -> Vec<Notice> {
+            let mut sent = Vec::new();
+            for (key, targets) in &mut self.revokes {
+                targets.retain(|_, deadline| now < *deadline);
+                sent.extend(notices(*key, targets));
+            }
+            self.revokes.retain(|(_, t)| !t.is_empty());
+            sent
+        }
+    }
+
+    /// Runs `f` on `d` at local time `now`; the notices it sent, in order.
+    fn step(
+        d: &mut Dissemination,
+        now: LocalTime,
+        f: impl FnOnce(&mut Dissemination, &mut Context<'_, ProtoMsg>),
+    ) -> Vec<Notice> {
+        let (mut effects, mut rng, mut next_timer) = (Vec::new(), SimRng::seed_from(1), 0);
+        f(d, &mut Context::new(NodeId::from_index(0), now, &mut effects, &mut rng, &mut next_timer));
+        effects
+            .into_iter()
+            .filter_map(|e| match e {
+                Effect::Send { to, msg: ProtoMsg::RevokeNotice { app, user, .. } } => Some((to, app, user)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn grant_table_sends_the_notices_the_map_of_maps_sends(
+            ops in prop::collection::vec((0u8..5, 0u32..2, 0u64..3, 0usize..8, 0u64..40), 0..80),
+        ) {
+            let backoff = Backoff::new(SimDuration::from_millis(100), SimDuration::from_secs(1));
+            let (mut d, mut model) = (Dissemination::default(), Model::default());
+            for (kind, app, user, host, t) in ops {
+                let (key, now, host) = ((app, user), LocalTime::from_nanos(t), NodeId::from_index(host));
+                let (app, user) = (AppId(app), UserId(user));
+                let (got, want) = match kind {
+                    0 | 1 => {
+                        d.note_grant(app, user, host, now);
+                        model.table.entry(key).or_default().insert(host, now);
+                        (vec![], vec![])
+                    }
+                    2 => {
+                        d.sweep_grants(now);
+                        model.table.retain(|_, hosts| {
+                            hosts.retain(|_, deadline| now < *deadline);
+                            !hosts.is_empty()
+                        });
+                        (vec![], vec![])
+                    }
+                    3 => {
+                        let got = step(&mut d, now, |d, ctx| d.forward_revocation(ctx, &mut None, app, user));
+                        (got, model.forward(key))
+                    }
+                    _ => (step(&mut d, now, |d, ctx| d.retry(ctx, &mut None, &backoff)), model.retry(now)),
+                };
+                prop_assert_eq!(got, want);
+                for key in (0..2).flat_map(|a| (0..3).map(move |u| (a, u))) {
+                    let want = model.table.get(&key).map_or(0, BTreeMap::len);
+                    prop_assert_eq!(d.granted_hosts(AppId(key.0), UserId(key.1)), want);
+                }
+            }
+        }
     }
 }

@@ -4,9 +4,8 @@
 //! `Users(A)` (holders of the *use* right), and `Managers(A)` (holders of
 //! the *manage* right). Only two right kinds exist: `use` and `manage`.
 
-use std::collections::BTreeMap;
-
 use wanacl_auth::signed::AuthEncode;
+use wanacl_sim::hash::FxHashMap;
 use wanacl_sim::metrics::MetricId;
 
 /// Identifies a distributed application.
@@ -169,7 +168,8 @@ impl RightsSet {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Acl {
-    entries: BTreeMap<UserId, RightsSet>,
+    /// Point lookups only: nothing walks the list, so it has no order.
+    entries: FxHashMap<UserId, RightsSet>,
 }
 
 impl Acl {
@@ -199,11 +199,6 @@ impl Acl {
         self.entries.get(&user).map(|s| s.has(right)).unwrap_or(false)
     }
 
-    /// Users holding the given right, in id order.
-    pub fn users_with(&self, right: Right) -> impl Iterator<Item = UserId> + '_ {
-        self.entries.iter().filter(move |(_, s)| s.has(right)).map(|(u, _)| *u)
-    }
-
     /// Number of users holding any right.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -212,11 +207,6 @@ impl Acl {
     /// Whether no user holds any right.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Iterates over all entries in user order.
-    pub fn iter(&self) -> impl Iterator<Item = (UserId, RightsSet)> + '_ {
-        self.entries.iter().map(|(u, s)| (*u, *s))
     }
 }
 
@@ -285,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn users_with_filters_by_right() {
+    fn collect_grants_each_pair_and_no_other_right() {
         let acl: Acl = [
             (UserId(1), Right::Use),
             (UserId(2), Right::Manage),
@@ -293,10 +283,11 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        let users: Vec<UserId> = acl.users_with(Right::Use).collect();
-        assert_eq!(users, vec![UserId(1), UserId(3)]);
-        let mgrs: Vec<UserId> = acl.users_with(Right::Manage).collect();
-        assert_eq!(mgrs, vec![UserId(2)]);
+        assert_eq!(acl.len(), 3);
+        assert!(acl.has(UserId(1), Right::Use) && !acl.has(UserId(1), Right::Manage));
+        assert!(acl.has(UserId(2), Right::Manage) && !acl.has(UserId(2), Right::Use));
+        assert!(acl.has(UserId(3), Right::Use) && !acl.has(UserId(3), Right::Manage));
+        assert!(!acl.has(UserId(4), Right::Use));
     }
 
     #[test]
@@ -305,7 +296,7 @@ mod tests {
         acl.extend([(UserId(1), Right::Use), (UserId(1), Right::Manage)]);
         assert!(acl.has(UserId(1), Right::Use));
         assert!(acl.has(UserId(1), Right::Manage));
-        assert_eq!(acl.iter().count(), 1);
+        assert_eq!(acl.len(), 1);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! traces.
 
 use std::cell::Cell;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -43,6 +43,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use wanacl_sim::clock::LocalTime;
+use wanacl_sim::hash::FxHashSet;
 use wanacl_sim::metrics::MetricId;
 use wanacl_sim::node::{Context, Effect, Node, NodeId, Note};
 use wanacl_sim::obs::MetricsSink;
@@ -763,7 +764,7 @@ struct WorkerNode<M> {
     node: Box<dyn RtNode<M>>,
     rng: SimRng,
     next_timer: u64,
-    cancelled: HashSet<u64>,
+    cancelled: FxHashSet<u64>,
     up: bool,
     /// This incarnation's local-clock zero (`LocalTime` = elapsed).
     started: Instant,
@@ -776,7 +777,7 @@ impl<M> WorkerNode<M> {
             node,
             rng: SimRng::seed_from(seed),
             next_timer: 0,
-            cancelled: HashSet::new(),
+            cancelled: FxHashSet::default(),
             up: true,
             started,
         }

@@ -52,6 +52,7 @@
 
 pub mod backoff;
 pub mod clock;
+pub mod hash;
 pub mod metrics;
 pub mod nemesis;
 pub mod net;

@@ -17,8 +17,7 @@
 //! [`NemesisPlan`](crate::nemesis::NemesisPlan), layered on any base
 //! model by [`NemesisPlan::wrap_net`](crate::nemesis::NemesisPlan::wrap_net).
 
-use std::collections::HashMap;
-
+use crate::hash::FxHashMap;
 use crate::node::NodeId;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -53,7 +52,7 @@ pub struct GilbertElliott {
     mean_good: SimDuration,
     mean_bad: SimDuration,
     /// Lazily advanced per-pair state: (is_good, state valid until).
-    state: HashMap<(NodeId, NodeId), (bool, SimTime)>,
+    state: FxHashMap<(NodeId, NodeId), (bool, SimTime)>,
 }
 
 impl GilbertElliott {
@@ -65,7 +64,7 @@ impl GilbertElliott {
     pub fn new(mean_good: SimDuration, mean_bad: SimDuration) -> Self {
         assert!(mean_good > SimDuration::ZERO, "mean good dwell must be positive");
         assert!(mean_bad > SimDuration::ZERO, "mean bad dwell must be positive");
-        GilbertElliott { mean_good, mean_bad, state: HashMap::new() }
+        GilbertElliott { mean_good, mean_bad, state: FxHashMap::default() }
     }
 
     /// The long-run fraction of time a pair spends partitioned — the
@@ -182,7 +181,7 @@ pub struct DutyCycle {
     mean_attached: SimDuration,
     mean_detached: SimDuration,
     /// Lazily advanced per-node state: (is attached, valid until).
-    state: HashMap<NodeId, (bool, SimTime)>,
+    state: FxHashMap<NodeId, (bool, SimTime)>,
     /// Pairs that bypass the coverage model (e.g. a wired in-vehicle
     /// link between a mobile host and its colocated operator).
     exempt: Vec<(NodeId, NodeId)>,
@@ -197,7 +196,7 @@ impl DutyCycle {
     pub fn new(mobile: Vec<NodeId>, mean_attached: SimDuration, mean_detached: SimDuration) -> Self {
         assert!(mean_attached > SimDuration::ZERO, "mean attached dwell must be positive");
         assert!(mean_detached > SimDuration::ZERO, "mean detached dwell must be positive");
-        DutyCycle { mobile, mean_attached, mean_detached, state: HashMap::new(), exempt: Vec::new() }
+        DutyCycle { mobile, mean_attached, mean_detached, state: FxHashMap::default(), exempt: Vec::new() }
     }
 
     /// Exempts an unordered pair from the coverage model (a local link
