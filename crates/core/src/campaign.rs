@@ -996,10 +996,13 @@ mod tests {
     /// one-replica shape is pinned at 21bf6af, where it took over from
     /// the legacy name service; the disk-fault and policy shapes at
     /// 74ff3aa, before the manager and host were cut into sub-machines).
+    /// Disk-fault seeds 193 and 339, pinned at bd453fc, are the only
+    /// seeds in 1–400 whose run recovers a torn tail: they guard the
+    /// torn-tail path, which seeds 1–3 never reach.
     #[test]
     fn roster_ids_match_campaign_targets_and_runs_reproduce_pinned_digests() {
         type Shape = (&'static str, fn(u64) -> CampaignConfig, u64, &'static [u64]);
-        let shapes: [Shape; 6] = [
+        let shapes: [Shape; 8] = [
             ("flat", quick_config, 1, &[
                 0xe53297824ff91b31, 0x28bef6f8bf23f43e, 0xd702adf1e0998229,
                 0x77da7619670d10d5, 0x3a9da89d0335bef6,
@@ -1022,6 +1025,8 @@ mod tests {
                 0xe2a7df96d9bdd338, 0x9ae209080e3087e0,
             ]),
             ("disk-faults", disk_config, 1, &[0xb5dea969e5e29ab8, 0x6210c5b899144c42, 0x6d367da7ec4a6d5f]),
+            ("disk-faults-torn-tail", disk_config, 193, &[0x04b05b1c01a109f0]),
+            ("disk-faults-torn-tail", disk_config, 339, &[0x1d586c2804750c55]),
             ("freeze-refresh-subset-fail-open", policy_config, 1, &[
                 0xc01a0c181642a7ca, 0xc2b742659d8a8702, 0xb1f46eb8fb755e25,
             ]),
