@@ -25,7 +25,7 @@ use wanacl_auth::signed::{KeyRegistry, PrincipalId};
 use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::nemesis::Window;
 use wanacl_sim::node::{Context, Node, NodeId};
-use wanacl_sim::storage::{Storage, StorageStats};
+use wanacl_sim::storage::Storage;
 use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::audit::{AuditEvent, NsHeld};
@@ -118,16 +118,6 @@ impl DirectoryReplica {
         self.storage = Some(storage);
     }
 
-    /// Mutable access to the attached storage (harness fault knobs).
-    pub fn storage_mut(&mut self) -> Option<&mut (dyn Storage + 'static)> {
-        self.storage.as_deref_mut()
-    }
-
-    /// Storage counters, if storage is attached.
-    pub fn storage_stats(&self) -> Option<StorageStats> {
-        self.storage.as_ref().map(|s| s.stats())
-    }
-
     /// Nemesis hook: the *stale replica* fault. While set, the replica
     /// neither initiates anti-entropy, answers peers' sync requests, nor
     /// forwards accepted publishes — it keeps serving whatever versions
@@ -210,10 +200,12 @@ impl DirectoryReplica {
             ctx.metric_incr(M::NS_PUBLISH_STALE);
             return false;
         }
+        // Held before it is persisted, so a snapshot this record
+        // triggers covers it.
+        self.records.insert(record.app, record.clone());
         self.persist(record);
         Self::note_record(ctx, via, record);
         ctx.metric_incr(M::NS_RECORDS_ACCEPTED);
-        self.records.insert(record.app, record.clone());
         true
     }
 
@@ -707,6 +699,27 @@ mod tests {
             [(_, ProtoMsg::NsRecordReply { record: Some(r), .. })] => assert_eq!(r.version, 3),
             other => panic!("unexpected effects: {other:?}"),
         }
+    }
+
+    /// The record whose append triggers a snapshot is in that snapshot:
+    /// the snapshot truncates the WAL that held it.
+    #[test]
+    fn the_record_that_triggers_a_snapshot_survives_a_crash() {
+        let (registry, kp, writer) = writer_setup();
+        let mut rep = replica(&registry, writer, vec![]);
+        rep.set_storage(Box::new(SimStorage::new(42)));
+        rep.preload(record(&kp, writer, 1, vec![NodeId::from_index(1)]));
+        let mut h = Harness::new(0);
+        h.start(&mut rep);
+        let last = 1 + SNAPSHOT_EVERY;
+        for version in 2..=last {
+            let r = record(&kp, writer, version, vec![NodeId::from_index(version as usize)]);
+            let _ = h.deliver(&mut rep, NodeId::ENV, ProtoMsg::NsPublish { record: Box::new(r) });
+        }
+        assert_eq!(rep.version_of(AppId(0)), last);
+        rep.on_crash();
+        h.recover(&mut rep);
+        assert_eq!(rep.version_of(AppId(0)), last);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! The encodings are versioned and length-prefixed so a torn or
 //! truncated read decodes to `None` instead of garbage; the storage layer
-//! (CRC framing in `wanacl-rt`, torn-tail simulation in `wanacl-sim`)
-//! handles physical corruption below this layer.
+//! below (`wanacl_sim::storage`: CRC frames on a simulated or a real
+//! disk) handles physical corruption.
 
 use wanacl_sim::node::NodeId;
 

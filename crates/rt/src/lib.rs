@@ -33,7 +33,6 @@ pub mod chaos;
 pub mod live;
 pub mod router;
 pub mod runtime;
-pub mod storage;
 
 pub use chaos::ChaosRouter;
 pub use live::{install_roster, live_manager_tuning, live_policy, run_live_campaign, LiveReport};
@@ -42,8 +41,8 @@ pub use runtime::{
     LiveTraceEntry, NodeExit, NodeFactory, NodeResult, Runtime, RuntimeBuilder, RuntimeError,
     TraceBuffer,
 };
-pub use storage::FileStorage;
 pub use wanacl_sim::obs::{metrics_jsonl, prometheus_text, MetricsSink};
+pub use wanacl_sim::storage::FileStorage;
 
 /// The workers' timer wheel is the simulator's calendar — a ring of
 /// 1024 buckets of 2^22 ns with an overflow heap — keyed, as a worker

@@ -22,11 +22,11 @@ use wanacl_core::scenario::{Layout, Roster, RosterNode};
 use wanacl_sim::metrics::Metrics;
 use wanacl_sim::nemesis::NemesisPlan;
 use wanacl_sim::node::NodeId;
+use wanacl_sim::storage::FileStorage;
 use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::chaos::ChaosRouter;
 use crate::runtime::{RuntimeBuilder, RuntimeError};
-use crate::storage::FileStorage;
 
 /// The policy live deployments run: Te = 2 s on undrifting wall clocks,
 /// 100 ms query timeout, two attempts, 500 ms cache sweeps.

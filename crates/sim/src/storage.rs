@@ -1,27 +1,28 @@
-//! Stable-storage abstraction for crash-durable protocol nodes.
+//! Stable storage for crash-durable protocol nodes.
 //!
 //! The paper's quorum-intersection guarantee (every check quorum `C`
 //! intersects every completed update quorum `M − C + 1`) only holds if a
 //! manager that *acknowledged* an update can still answer for it after a
 //! crash. That requires an op log on stable storage. This module defines
-//! the [`Storage`] trait — an append-only write-ahead log plus an
-//! atomically-replaced snapshot — and a deterministic in-memory
-//! implementation, [`SimStorage`], whose fault model covers the classic
-//! disk failure modes:
-//!
-//! * **crash-before-fsync / lost unflushed suffix** — records appended but
-//!   not yet [`Storage::sync`]ed are discarded on [`Storage::crash`];
-//! * **torn tail record** — with configurable probability a crash leaves a
-//!   partially-written final record, which recovery detects and discards;
-//! * **transient sync failure** — [`Storage::sync`] can fail (EIO-style),
-//!   leaving the unflushed buffer intact for a later retry.
-//!
-//! Everything is seeded, so campaigns that inject disk faults replay
-//! exactly. A file-backed implementation with the same contract lives in
-//! the `wanacl-rt` crate.
+//! the [`Storage`] contract — an append-only write-ahead log plus an
+//! atomically-replaced snapshot — and its one implementation, [`Wal`]:
+//! CRC-framed records, `[len: u32 LE][crc32(payload): u32 LE][payload]`,
+//! whose recovery keeps the longest prefix of whole frames and truncates
+//! the rest, on a [`Disk`] of two files. [`SimStorage`] is the log on a
+//! [`MemDisk`], whose seeded faults act on its bytes: a sync whose fsync
+//! fails after the frames were written, and a crash that leaves a prefix
+//! of the first unsynced frame behind (a torn tail). [`FileStorage`] is
+//! the log in a [`DirDisk`], a directory, so the simulator's campaigns
+//! recover through the decoder the live runtime recovers with.
 
 use std::any::Any;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Write as _};
+use std::path::PathBuf;
+use std::time::Instant;
 
+use crate::metrics::MetricId;
+use crate::obs::MetricsSink;
 use crate::rng::SimRng;
 
 /// Error returned by storage operations.
@@ -85,12 +86,14 @@ pub struct StorageStats {
 /// * records appended then [`sync`](Storage::sync)ed successfully survive
 ///   any later [`crash`](Storage::crash);
 /// * records appended but not synced MAY be lost on crash (and in
-///   [`SimStorage`] always are — the pessimistic model);
+///   [`Wal`] always are — the pessimistic model);
 /// * [`write_snapshot`](Storage::write_snapshot) atomically replaces the
-///   previous snapshot and truncates the log — a crash mid-snapshot never
-///   leaves a half-written snapshot visible;
+///   previous snapshot and truncates the log, unsynced records included
+///   (the snapshot covers them) — a crash mid-snapshot never leaves a
+///   half-written snapshot visible;
 /// * [`recover`](Storage::recover) returns the latest snapshot plus every
-///   surviving post-snapshot record, discarding any torn tail.
+///   surviving post-snapshot record, discarding any torn tail. A node
+///   recovers when it starts and after every crash, before it appends.
 pub trait Storage: std::fmt::Debug + Send {
     /// Buffers a record for the op log. Durable only after a successful
     /// [`sync`](Storage::sync).
@@ -118,7 +121,7 @@ pub trait Storage: std::fmt::Debug + Send {
 }
 
 /// Disk fault probabilities for [`SimStorage`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DiskFaultModel {
     /// Probability that a [`Storage::sync`] barrier fails transiently.
     pub sync_fail_prob: f64,
@@ -127,13 +130,107 @@ pub struct DiskFaultModel {
     pub torn_tail_prob: f64,
 }
 
-impl Default for DiskFaultModel {
-    fn default() -> Self {
-        DiskFaultModel { sync_fail_prob: 0.0, torn_tail_prob: 0.0 }
-    }
+/// The two files a [`Wal`] keeps: the log and the snapshot.
+pub trait Disk: std::fmt::Debug + Send + 'static {
+    /// The whole log; empty if there is none or it cannot be read.
+    fn read_wal(&mut self) -> Vec<u8>;
+
+    /// Appends `bytes` to the log and fsyncs it. A failure may leave any
+    /// prefix of `bytes` behind.
+    fn append_wal(&mut self, bytes: &[u8]) -> io::Result<()>;
+
+    /// Cuts the log to its first `len` bytes and fsyncs it.
+    fn truncate_wal(&mut self, len: u64) -> io::Result<()>;
+
+    /// The snapshot; `None` if there is none or it cannot be read.
+    fn read_snapshot(&mut self) -> Option<Vec<u8>>;
+
+    /// Replaces the snapshot in one atomic step.
+    fn replace_snapshot(&mut self, bytes: &[u8]) -> io::Result<()>;
+
+    /// The process died while `lost`, the first unsynced frame, was in
+    /// flight.
+    fn crash(&mut self, _lost: &[u8]) {}
 }
 
-/// Deterministic in-memory stable storage with fault injection.
+/// Bytes of one frame header: length + checksum.
+const FRAME_HEADER: usize = 8;
+
+/// Computes the CRC-32 (IEEE 802.3, reflected) of `bytes`.
+fn crc32(bytes: &[u8]) -> u32 {
+    // Table-driven, one table entry per byte value, built on first use.
+    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut crc = i as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { (crc >> 1) ^ 0xedb8_8320 } else { crc >> 1 };
+            }
+            *entry = crc;
+        }
+        table
+    });
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xff) as usize];
+    }
+    !crc
+}
+
+fn frame(record: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(FRAME_HEADER + record.len());
+    out.extend_from_slice(&(record.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(record).to_le_bytes());
+    out.extend_from_slice(record);
+    out
+}
+
+/// Splits a WAL image into valid records, stopping at the first torn or
+/// corrupt frame. Returns the records, the byte offset of the valid
+/// prefix, and how many trailing garbage regions were discarded (0/1).
+fn parse_wal(bytes: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
+    let word = |at: usize| bytes.get(at..)?.first_chunk().copied().map(u32::from_le_bytes);
+    let mut records = Vec::new();
+    let mut offset = 0;
+    while let (Some(len), Some(crc)) = (word(offset), word(offset + 4)) {
+        let start = offset + FRAME_HEADER;
+        let len = len as usize;
+        let Some(end) = start.checked_add(len).filter(|&e| e <= bytes.len()) else {
+            break; // truncated payload
+        };
+        if crc32(&bytes[start..end]) != crc {
+            break; // torn or bit-rotted frame
+        }
+        records.push(bytes[start..end].to_vec());
+        offset = end;
+    }
+    let torn = u64::from(offset < bytes.len());
+    (records, offset, torn)
+}
+
+/// The one [`Storage`]: a CRC-framed log and a one-frame snapshot on a
+/// [`Disk`].
+#[derive(Debug)]
+pub struct Wal<D> {
+    disk: D,
+    /// Frames appended since the last successful sync.
+    pending: Vec<u8>,
+    /// Length of the log's synced prefix: what the last recovery kept,
+    /// plus what syncs wrote since.
+    synced_len: u64,
+    /// Whether the log may hold bytes past `synced_len` (a failed
+    /// write's, or a log a snapshot has not yet emptied), to cut before
+    /// the log is next written or read.
+    stale_tail: bool,
+    stats: StorageStats,
+    /// Planted-bug hook: when set, `recover()` reports the WAL and
+    /// snapshot gone, as if the files were deleted. The durability
+    /// oracle must catch this.
+    drop_state_on_recover: bool,
+}
+
+/// The log on a [`MemDisk`]: the simulator's stable storage.
 ///
 /// ```
 /// use wanacl_sim::storage::{SimStorage, Storage};
@@ -146,119 +243,117 @@ impl Default for DiskFaultModel {
 /// let rec = st.recover();
 /// assert_eq!(rec.records, vec![b"op-1".to_vec()]); // suffix lost
 /// ```
-#[derive(Debug)]
-pub struct SimStorage {
-    /// Records that survived a sync barrier.
-    durable: Vec<Vec<u8>>,
-    /// Appended but not yet synced.
-    buffered: Vec<Vec<u8>>,
-    snapshot: Option<Vec<u8>>,
-    /// Torn records planted by crashes, reported by the next recovery.
-    pending_torn: u64,
-    faults: DiskFaultModel,
-    rng: SimRng,
-    stats: StorageStats,
-    /// Planted-bug hook: when set, `recover()` silently discards the WAL
-    /// and snapshot, as if the log file were deleted. The durability
-    /// oracle must catch this.
-    drop_state_on_recover: bool,
-}
+pub type SimStorage = Wal<MemDisk>;
 
-impl SimStorage {
-    /// Creates fault-free storage with a deterministic RNG stream.
-    pub fn new(seed: u64) -> Self {
-        SimStorage::with_faults(seed, DiskFaultModel::default())
-    }
+/// The log in a [`DirDisk`]: a live manager's stable storage.
+pub type FileStorage = Wal<DirDisk>;
 
-    /// Creates storage with the given fault model.
-    pub fn with_faults(seed: u64, faults: DiskFaultModel) -> Self {
-        SimStorage {
-            durable: Vec::new(),
-            buffered: Vec::new(),
-            snapshot: None,
-            pending_torn: 0,
-            faults,
-            rng: SimRng::seed_from(seed ^ 0x5349_4d53_544f_5245), // "SIMSTORE"
+impl<D: Disk> Wal<D> {
+    fn on(disk: D) -> Self {
+        Wal {
+            disk,
+            pending: Vec::new(),
+            synced_len: 0,
+            stale_tail: false,
             stats: StorageStats::default(),
             drop_state_on_recover: false,
         }
     }
 
-    /// Replaces the fault model (used when a nemesis plan layers disk
-    /// faults onto a node).
-    pub fn set_fault_model(&mut self, faults: DiskFaultModel) {
-        self.faults = faults;
-    }
-
     /// Arms the planted drop-the-WAL bug: the next recovery returns
-    /// nothing, as if stable storage were wiped.
+    /// nothing, as if stable storage were wiped. Campaigns and the live
+    /// chaos harness arm it to prove the durability oracle (I5) catches
+    /// a recovery bug.
     pub fn set_drop_state_on_recover(&mut self, drop: bool) {
         self.drop_state_on_recover = drop;
     }
 
-    /// Number of appended-but-unsynced records.
-    pub fn unflushed_len(&self) -> usize {
-        self.buffered.len()
+    /// Cuts the log back to its synced prefix if it may hold more.
+    fn cut_stale_tail(&mut self) -> io::Result<()> {
+        if self.stale_tail {
+            self.disk.truncate_wal(self.synced_len)?;
+            self.stale_tail = false;
+        }
+        Ok(())
+    }
+
+    /// Writes the pending frames after the synced prefix.
+    fn write_pending(&mut self) -> io::Result<()> {
+        self.cut_stale_tail()?;
+        // Until the disk confirms, part of `pending` may be on it.
+        self.stale_tail = true;
+        self.disk.append_wal(&self.pending)?;
+        self.stale_tail = false;
+        Ok(())
     }
 }
 
-impl Storage for SimStorage {
+impl<D: Disk> Storage for Wal<D> {
     fn append(&mut self, record: &[u8]) -> Result<(), StorageError> {
         self.stats.appends += 1;
-        self.buffered.push(record.to_vec());
+        self.pending.extend_from_slice(&frame(record));
         Ok(())
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
-        if !self.buffered.is_empty() && self.rng.chance(self.faults.sync_fail_prob) {
-            self.stats.sync_failures += 1;
-            return Err(StorageError::SyncFailed);
+        if !self.pending.is_empty() {
+            if self.write_pending().is_err() {
+                self.stats.sync_failures += 1;
+                return Err(StorageError::SyncFailed);
+            }
+            self.synced_len += self.pending.len() as u64;
+            self.pending.clear();
         }
         self.stats.syncs += 1;
-        self.durable.append(&mut self.buffered);
         Ok(())
     }
 
     fn write_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError> {
-        // Atomic-rename semantics: the new snapshot replaces the old one
-        // in a single step and the log is truncated with it.
-        self.snapshot = Some(snapshot.to_vec());
-        self.durable.clear();
-        self.buffered.clear();
+        self.disk.replace_snapshot(&frame(snapshot)).map_err(|_| StorageError::Io)?;
+        // The snapshot covers every record, synced or not: the log
+        // starts over, and if emptying it fails now the next write does.
+        self.pending.clear();
+        self.synced_len = 0;
+        self.stale_tail = true;
+        self.cut_stale_tail().map_err(|_| StorageError::Io)?;
         self.stats.snapshots += 1;
         Ok(())
     }
 
     fn recover(&mut self) -> Recovered {
         self.stats.recoveries += 1;
-        let torn = self.pending_torn;
-        self.pending_torn = 0;
-        self.stats.torn_records += torn;
+        // What a failed sync left was never acknowledged.
+        let _ = self.cut_stale_tail();
+        let log = self.disk.read_wal();
+        let (records, valid_len, torn_records) = parse_wal(&log);
+        // A torn or corrupt tail goes, so later syncs extend a clean log
+        // instead of burying frames behind bad bytes.
+        self.synced_len = valid_len as u64;
+        self.stale_tail = torn_records > 0;
+        let _ = self.cut_stale_tail();
+        self.stats.torn_records += torn_records;
         if self.drop_state_on_recover {
             // Planted bug: stable storage "reads back" empty.
-            self.durable.clear();
-            self.buffered.clear();
-            self.snapshot = None;
-            return Recovered { snapshot: None, records: Vec::new(), torn_records: torn };
+            return Recovered { snapshot: None, records: Vec::new(), torn_records };
         }
-        Recovered {
-            snapshot: self.snapshot.clone(),
-            records: self.durable.clone(),
-            torn_records: torn,
-        }
+        // The snapshot is one frame, so a corrupt snapshot reads back as
+        // absent rather than as garbage state.
+        let snapshot = match self.disk.read_snapshot().map(|bytes| parse_wal(&bytes)) {
+            Some((mut frames, _, 0)) if frames.len() == 1 => frames.pop(),
+            _ => None,
+        };
+        Recovered { snapshot, records, torn_records }
     }
 
     fn crash(&mut self) {
-        // Lost-unflushed-suffix: everything past the last sync barrier is
-        // gone. With probability `torn_tail_prob` the first lost record
-        // was partially written — it reaches the platter as a torn record
-        // the next recovery must detect and discard.
-        if !self.buffered.is_empty() {
-            self.stats.lost_records += self.buffered.len() as u64;
-            if self.rng.chance(self.faults.torn_tail_prob) {
-                self.pending_torn += 1;
-            }
-            self.buffered.clear();
+        // Everything past the last sync barrier is gone; the first lost
+        // frame may have been half-written.
+        let _ = self.cut_stale_tail();
+        if let Some(&len) = self.pending.first_chunk() {
+            self.stats.lost_records += parse_wal(&self.pending).0.len() as u64;
+            let first = FRAME_HEADER + u32::from_le_bytes(len) as usize;
+            self.disk.crash(&self.pending[..first]);
+            self.pending.clear();
         }
     }
 
@@ -271,59 +366,403 @@ impl Storage for SimStorage {
     }
 }
 
+/// The simulator's disk: both files in memory, with a seeded
+/// [`DiskFaultModel`].
+#[derive(Debug)]
+pub struct MemDisk {
+    wal: Vec<u8>,
+    snapshot: Option<Vec<u8>>,
+    faults: DiskFaultModel,
+    /// Decides which syncs fail and which crashes tear.
+    rng: SimRng,
+    /// Decides where a torn frame is cut.
+    cut_rng: SimRng,
+}
+
+impl SimStorage {
+    /// Creates fault-free storage with a deterministic RNG stream.
+    pub fn new(seed: u64) -> Self {
+        SimStorage::with_faults(seed, DiskFaultModel::default())
+    }
+
+    /// Creates storage with the given fault model.
+    pub fn with_faults(seed: u64, faults: DiskFaultModel) -> Self {
+        Wal::on(MemDisk {
+            wal: Vec::new(),
+            snapshot: None,
+            faults,
+            rng: SimRng::seed_from(seed ^ 0x5349_4d53_544f_5245), // "SIMSTORE"
+            cut_rng: SimRng::seed_from(seed ^ 0x544f_524e_5441_494c), // "TORNTAIL"
+        })
+    }
+
+    /// Replaces the fault model (used when a nemesis plan layers disk
+    /// faults onto a node).
+    pub fn set_fault_model(&mut self, faults: DiskFaultModel) {
+        self.disk.faults = faults;
+    }
+}
+
+impl Disk for MemDisk {
+    fn read_wal(&mut self) -> Vec<u8> {
+        self.wal.clone()
+    }
+
+    fn append_wal(&mut self, bytes: &[u8]) -> io::Result<()> {
+        // A failed fsync still wrote the frames.
+        self.wal.extend_from_slice(bytes);
+        if self.rng.chance(self.faults.sync_fail_prob) {
+            return Err(io::Error::other("injected fsync failure"));
+        }
+        Ok(())
+    }
+
+    fn truncate_wal(&mut self, len: u64) -> io::Result<()> {
+        self.wal.truncate(len as usize);
+        Ok(())
+    }
+
+    fn read_snapshot(&mut self) -> Option<Vec<u8>> {
+        self.snapshot.clone()
+    }
+
+    fn replace_snapshot(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.snapshot = Some(bytes.to_vec());
+        Ok(())
+    }
+
+    fn crash(&mut self, lost: &[u8]) {
+        // With probability `torn_tail_prob` a proper prefix of the first
+        // lost frame reached the platter.
+        if self.rng.chance(self.faults.torn_tail_prob) {
+            let cut = self.cut_rng.range(1, lost.len() as u64) as usize;
+            self.wal.extend_from_slice(&lost[..cut]);
+        }
+    }
+}
+
+/// WAL file name inside the storage directory.
+const WAL_FILE: &str = "wal";
+/// Snapshot file name inside the storage directory.
+const SNAPSHOT_FILE: &str = "snapshot";
+/// Temporary snapshot name (renamed over [`SNAPSHOT_FILE`] when safe).
+const SNAPSHOT_TMP: &str = "snapshot.tmp";
+
+/// A real disk: the two files in a directory.
+#[derive(Debug)]
+pub struct DirDisk {
+    dir: PathBuf,
+    /// The WAL, opened for appending on first write.
+    wal: Option<File>,
+    /// Optional sink for `storage.*` counters and fsync latency.
+    metrics: Option<MetricsSink>,
+}
+
+impl FileStorage {
+    /// Opens (creating if needed) storage rooted at `dir`.
+    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, io::Error> {
+        let dir = dir.into();
+        fs::create_dir_all(&dir)?;
+        Ok(Wal::on(DirDisk { dir, wal: None, metrics: None }))
+    }
+
+    /// Attaches a metrics sink: every WAL write then records a
+    /// `storage.wal_fsync` count and a `storage.wal_fsync_s` wall-clock
+    /// latency sample — the real-disk analogue of the simulator's
+    /// `mgr.wal_appends` accounting.
+    pub fn with_metrics(mut self, metrics: MetricsSink) -> Self {
+        self.disk.metrics = Some(metrics);
+        self
+    }
+}
+
+impl DirDisk {
+    fn wal(&mut self) -> io::Result<&mut File> {
+        let file = match self.wal.take() {
+            Some(file) => file,
+            None => {
+                let file =
+                    OpenOptions::new().create(true).append(true).open(self.dir.join(WAL_FILE))?;
+                // A log this open created survives a power cut only once
+                // its directory entry does.
+                self.sync_dir();
+                file
+            }
+        };
+        Ok(self.wal.insert(file))
+    }
+
+    /// Makes renames and creations in the directory durable (best-effort
+    /// on platforms where a directory cannot be opened).
+    fn sync_dir(&self) {
+        if let Ok(dir) = File::open(&self.dir) {
+            let _ = dir.sync_all();
+        }
+    }
+}
+
+impl Disk for DirDisk {
+    fn read_wal(&mut self) -> Vec<u8> {
+        fs::read(self.dir.join(WAL_FILE)).unwrap_or_default()
+    }
+
+    fn append_wal(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let fsync_start = Instant::now();
+        let result = self.wal().and_then(|wal| {
+            wal.write_all(bytes)?;
+            wal.sync_all()
+        });
+        if let Some(metrics) = &self.metrics {
+            metrics.incr(MetricId::STORAGE_WAL_FSYNC);
+            metrics.observe(MetricId::STORAGE_WAL_FSYNC_S, fsync_start.elapsed().as_secs_f64());
+            if result.is_err() {
+                metrics.incr(MetricId::STORAGE_WAL_FSYNC_FAILED);
+            }
+        }
+        result
+    }
+
+    fn truncate_wal(&mut self, len: u64) -> io::Result<()> {
+        let wal = self.wal()?;
+        wal.set_len(len)?;
+        wal.sync_all()
+    }
+
+    fn read_snapshot(&mut self) -> Option<Vec<u8>> {
+        fs::read(self.dir.join(SNAPSHOT_FILE)).ok()
+    }
+
+    fn replace_snapshot(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let tmp = self.dir.join(SNAPSHOT_TMP);
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
+        self.sync_dir();
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A fresh scratch directory per storage (no tempfile dependency).
+    fn scratch() -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("wanacl-wal-{}-{n}", std::process::id()))
+    }
+
+    /// Overwrites the log's bytes (to damage them).
+    fn rewrite_wal(disk: &mut impl Disk, bytes: &[u8]) {
+        disk.truncate_wal(0).unwrap();
+        disk.append_wal(bytes).unwrap();
+    }
+
+    /// A disk the contract tests run on.
+    trait Rig: Disk + Sized {
+        /// Makes every log write fail (`true`), or succeed again.
+        fn obstruct(&mut self, on: bool);
+    }
+
+    impl Rig for MemDisk {
+        fn obstruct(&mut self, on: bool) {
+            self.faults.sync_fail_prob = if on { 1.0 } else { 0.0 };
+        }
+    }
+
+    impl Rig for DirDisk {
+        fn obstruct(&mut self, on: bool) {
+            // A directory squatting on the WAL path makes the reopen fail
+            // at the filesystem; the log waits beside it.
+            self.wal = None;
+            let (wal, aside) = (self.dir.join(WAL_FILE), self.dir.join("wal.aside"));
+            if on {
+                fs::rename(&wal, &aside).unwrap();
+                fs::create_dir(&wal).unwrap();
+            } else {
+                fs::remove_dir(&wal).unwrap();
+                fs::rename(&aside, &wal).unwrap();
+            }
+        }
+    }
+
+    /// Contract tests: each is written once and runs on fresh, empty
+    /// storage `$st` on each disk.
+    macro_rules! contract {
+        ($($(#[$doc:meta])* fn $name:ident($st:ident) $body:block)*) => {$(
+            $(#[$doc])*
+            #[test]
+            fn $name() {
+                fn run<D: Rig>(mut $st: Wal<D>) $body
+                run(SimStorage::new(0));
+                let dir = scratch();
+                run(FileStorage::open(&dir).unwrap());
+                let _ = fs::remove_dir_all(dir);
+            }
+        )*};
+    }
+
+    contract! {
+        /// In place, and in a new instance on the same disk (a
+        /// restarted process).
+        fn synced_records_survive_crash(st) {
+            st.append(b"a").unwrap();
+            st.append(b"b").unwrap();
+            st.sync().unwrap();
+            st.crash();
+            let rec = st.recover();
+            assert_eq!((rec.records, rec.torn_records), (vec![b"a".to_vec(), b"b".to_vec()], 0));
+            assert_eq!(Wal::on(st.disk).recover().records, vec![b"a".to_vec(), b"b".to_vec()]);
+        }
+
+        fn unsynced_suffix_is_lost_on_crash(st) {
+            st.append(b"a").unwrap();
+            st.sync().unwrap();
+            st.append(b"lost").unwrap();
+            st.crash();
+            assert_eq!(st.recover().records, vec![b"a".to_vec()]);
+            assert_eq!(st.stats().lost_records, 1);
+        }
+
+        /// The snapshot replaces the log, records not yet synced
+        /// included: it covers them.
+        fn snapshot_truncates_log_and_survives(st) {
+            st.append(b"a").unwrap();
+            st.sync().unwrap();
+            st.append(b"unsynced").unwrap();
+            st.write_snapshot(b"snap").unwrap();
+            st.append(b"after").unwrap();
+            st.sync().unwrap();
+            st.crash();
+            let rec = st.recover();
+            assert_eq!(rec.snapshot, Some(b"snap".to_vec()));
+            assert_eq!(rec.records, vec![b"after".to_vec()]);
+        }
+
+        fn torn_tail_is_detected_truncated_and_log_stays_usable(st) {
+            st.append(b"good").unwrap();
+            st.sync().unwrap();
+            // A power cut mid-append: half a frame lands on disk.
+            let bytes = [st.disk.read_wal(), frame(b"torn-record")[..10].to_vec()].concat();
+            rewrite_wal(&mut st.disk, &bytes);
+            let rec = st.recover();
+            assert_eq!((rec.records, rec.torn_records), (vec![b"good".to_vec()], 1));
+            // The tail was truncated: appending works and recovers cleanly.
+            st.append(b"after").unwrap();
+            st.sync().unwrap();
+            let rec = st.recover();
+            assert_eq!(rec.records, vec![b"good".to_vec(), b"after".to_vec()]);
+            assert_eq!(rec.torn_records, 0);
+        }
+
+        fn corrupt_frame_stops_replay_at_the_damage(st) {
+            st.append(b"one").unwrap();
+            st.append(b"two").unwrap();
+            st.sync().unwrap();
+            // Flip a payload bit in the second frame.
+            let mut bytes = st.disk.read_wal();
+            *bytes.last_mut().unwrap() ^= 0x01;
+            rewrite_wal(&mut st.disk, &bytes);
+            let rec = st.recover();
+            assert_eq!((rec.records, rec.torn_records), (vec![b"one".to_vec()], 1));
+        }
+
+        fn corrupt_snapshot_reads_back_as_absent(st) {
+            st.write_snapshot(b"state").unwrap();
+            let mut bytes = st.disk.read_snapshot().unwrap();
+            *bytes.last_mut().unwrap() ^= 0xff;
+            st.disk.replace_snapshot(&bytes).unwrap();
+            assert_eq!(st.recover().snapshot, None);
+        }
+
+        /// A disk that refuses writes (on the in-memory disk: fsyncs that
+        /// fail after the frames were written) fails `sync`, counted;
+        /// once it heals, the same storage syncs again and writes each
+        /// record once.
+        fn failed_wal_reopen_is_an_error_not_a_panic(st) {
+            st.append(b"r1").unwrap();
+            st.sync().unwrap();
+            st.disk.obstruct(true);
+            st.append(b"r2").unwrap();
+            assert_eq!(st.sync(), Err(StorageError::SyncFailed));
+            assert_eq!(st.sync(), Err(StorageError::SyncFailed));
+            assert_eq!(st.stats().sync_failures, 2);
+            st.disk.obstruct(false);
+            assert_eq!(st.sync(), Ok(()));
+            st.crash();
+            assert_eq!(st.recover().records, vec![b"r1".to_vec(), b"r2".to_vec()]);
+        }
+
+        fn empty_directory_recovers_to_nothing(st) {
+            let rec = st.recover();
+            assert_eq!((rec.snapshot, rec.records, rec.torn_records), (None, vec![], 0));
+        }
+
+        fn drop_state_bug_wipes_everything(st) {
+            st.append(b"a").unwrap();
+            st.sync().unwrap();
+            st.write_snapshot(b"snap").unwrap();
+            st.append(b"b").unwrap();
+            st.sync().unwrap();
+            st.set_drop_state_on_recover(true);
+            st.crash();
+            let rec = st.recover();
+            assert_eq!((rec.snapshot, rec.records), (None, vec![]));
+        }
+    }
+
     #[test]
-    fn synced_records_survive_crash() {
-        let mut st = SimStorage::new(1);
-        st.append(b"a").unwrap();
+    fn crc32_matches_known_vectors() {
+        // Standard IEEE CRC-32 check value.
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// A disk whose next log write stops after `cut` bytes and fails, as
+    /// a full disk's would.
+    #[derive(Debug)]
+    struct ShortWrite(MemDisk, Option<usize>);
+
+    impl Disk for ShortWrite {
+        fn read_wal(&mut self) -> Vec<u8> {
+            self.0.read_wal()
+        }
+        fn append_wal(&mut self, bytes: &[u8]) -> io::Result<()> {
+            let Some(cut) = self.1.take() else { return self.0.append_wal(bytes) };
+            self.0.wal.extend_from_slice(&bytes[..cut]);
+            Err(io::Error::other("no space left on device"))
+        }
+        fn truncate_wal(&mut self, len: u64) -> io::Result<()> {
+            self.0.truncate_wal(len)
+        }
+        fn read_snapshot(&mut self) -> Option<Vec<u8>> {
+            self.0.read_snapshot()
+        }
+        fn replace_snapshot(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.0.replace_snapshot(bytes)
+        }
+    }
+
+    #[test]
+    fn a_write_cut_short_is_rewritten_from_the_synced_length() {
+        let mut st = Wal::on(ShortWrite(SimStorage::new(0).disk, None));
+        st.append(b"acked").unwrap();
+        st.sync().unwrap();
         st.append(b"b").unwrap();
-        st.sync().unwrap();
-        st.crash();
-        let rec = st.recover();
-        assert_eq!(rec.records, vec![b"a".to_vec(), b"b".to_vec()]);
-        assert_eq!(rec.torn_records, 0);
-    }
-
-    #[test]
-    fn unsynced_suffix_is_lost_on_crash() {
-        let mut st = SimStorage::new(2);
-        st.append(b"a").unwrap();
-        st.sync().unwrap();
-        st.append(b"lost").unwrap();
-        st.crash();
-        let rec = st.recover();
-        assert_eq!(rec.records, vec![b"a".to_vec()]);
-        assert_eq!(st.stats().lost_records, 1);
-    }
-
-    #[test]
-    fn snapshot_truncates_log_and_survives() {
-        let mut st = SimStorage::new(3);
-        st.append(b"a").unwrap();
-        st.sync().unwrap();
-        st.write_snapshot(b"snap").unwrap();
-        st.append(b"after").unwrap();
-        st.sync().unwrap();
-        st.crash();
-        let rec = st.recover();
-        assert_eq!(rec.snapshot, Some(b"snap".to_vec()));
-        assert_eq!(rec.records, vec![b"after".to_vec()]);
-    }
-
-    #[test]
-    fn sync_failure_keeps_buffer_for_retry() {
-        let mut st =
-            SimStorage::with_faults(4, DiskFaultModel { sync_fail_prob: 1.0, torn_tail_prob: 0.0 });
-        st.append(b"a").unwrap();
+        st.append(b"c").unwrap();
+        // One and a half frames land, then the disk fills up.
+        st.disk.1 = Some(FRAME_HEADER + 1 + 4);
         assert_eq!(st.sync(), Err(StorageError::SyncFailed));
-        assert_eq!(st.unflushed_len(), 1);
-        st.set_fault_model(DiskFaultModel::default());
         st.sync().unwrap();
         st.crash();
-        assert_eq!(st.recover().records, vec![b"a".to_vec()]);
+        let rec = st.recover();
+        assert_eq!(rec.records, vec![b"acked".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+        assert_eq!(rec.torn_records, 0);
     }
 
     #[test]
@@ -332,10 +771,12 @@ mod tests {
             SimStorage::with_faults(5, DiskFaultModel { sync_fail_prob: 0.0, torn_tail_prob: 1.0 });
         st.append(b"a").unwrap();
         st.crash();
+        assert!(!st.disk.wal.is_empty(), "a prefix of the lost frame reached the disk");
         let rec = st.recover();
         assert_eq!(rec.torn_records, 1);
         assert!(rec.records.is_empty());
-        // The torn tail was discarded; it is not reported again.
+        // The torn tail was truncated; it is not reported again.
+        assert!(st.disk.wal.is_empty());
         assert_eq!(st.recover().torn_records, 0);
     }
 
@@ -348,21 +789,6 @@ mod tests {
         st.crash();
         assert_eq!(st.recover().torn_records, 0);
         assert_eq!(st.stats().lost_records, 0);
-    }
-
-    #[test]
-    fn drop_state_bug_wipes_everything() {
-        let mut st = SimStorage::new(7);
-        st.append(b"a").unwrap();
-        st.sync().unwrap();
-        st.write_snapshot(b"snap").unwrap();
-        st.append(b"b").unwrap();
-        st.sync().unwrap();
-        st.set_drop_state_on_recover(true);
-        st.crash();
-        let rec = st.recover();
-        assert!(rec.snapshot.is_none());
-        assert!(rec.records.is_empty());
     }
 
     #[test]
@@ -385,5 +811,204 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
+    }
+
+    #[test]
+    fn sync_records_fsync_count_and_latency() {
+        let dir = scratch();
+        let sink = MetricsSink::new();
+        let mut st = FileStorage::open(&dir).unwrap().with_metrics(sink.clone());
+        st.append(b"r1").unwrap();
+        st.sync().unwrap();
+        st.append(b"r2").unwrap();
+        st.sync().unwrap();
+        assert_eq!(sink.counter("storage.wal_fsync"), 2);
+        assert_eq!(sink.counter("storage.wal_fsync_failed"), 0);
+        let snap = sink.snapshot();
+        let s = snap.histogram("storage.wal_fsync_s").and_then(|h| h.summary()).expect("samples");
+        assert_eq!(s.count, 2);
+        assert!(s.min >= 0.0);
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    /// The record-vector model `SimStorage` was before it kept bytes:
+    /// the reference the byte model matches, draw for draw.
+    #[derive(Debug)]
+    struct Reference {
+        durable: Vec<Vec<u8>>,
+        buffered: Vec<Vec<u8>>,
+        snapshot: Option<Vec<u8>>,
+        unreported_tears: u64,
+        faults: DiskFaultModel,
+        rng: SimRng,
+        stats: StorageStats,
+    }
+
+    impl Reference {
+        fn sync(&mut self) -> bool {
+            if !self.buffered.is_empty() && self.rng.chance(self.faults.sync_fail_prob) {
+                self.stats.sync_failures += 1;
+                return false;
+            }
+            self.stats.syncs += 1;
+            self.durable.append(&mut self.buffered);
+            true
+        }
+
+        fn crash(&mut self) {
+            if !self.buffered.is_empty() {
+                self.stats.lost_records += self.buffered.len() as u64;
+                if self.rng.chance(self.faults.torn_tail_prob) {
+                    self.unreported_tears += 1;
+                }
+                self.buffered.clear();
+            }
+        }
+
+        fn recover(&mut self) -> (Option<Vec<u8>>, Vec<Vec<u8>>, u64) {
+            self.stats.recoveries += 1;
+            let torn = std::mem::take(&mut self.unreported_tears);
+            self.stats.torn_records += torn;
+            (self.snapshot.clone(), self.durable.clone(), torn)
+        }
+    }
+
+    proptest! {
+        /// Random append / sync / crash-and-recover / recover / snapshot
+        /// sequences under random fault odds: the byte model recovers
+        /// what the record model recovers, reports the torn tails it
+        /// reports and keeps the same counters.
+        #[test]
+        fn byte_model_matches_the_record_model(
+            seed in any::<u64>(),
+            (sync_fail, torn) in (0u8..4, 0u8..4),
+            ops in prop::collection::vec((0u8..8, prop::collection::vec(any::<u8>(), 0..12)), 0..60),
+        ) {
+            let faults = DiskFaultModel {
+                sync_fail_prob: f64::from(sync_fail) / 3.0,
+                torn_tail_prob: f64::from(torn) / 3.0,
+            };
+            let mut st = SimStorage::with_faults(seed, faults);
+            let mut model = Reference {
+                durable: Vec::new(),
+                buffered: Vec::new(),
+                snapshot: None,
+                unreported_tears: 0,
+                faults,
+                rng: SimRng::seed_from(seed ^ 0x5349_4d53_544f_5245),
+                stats: StorageStats::default(),
+            };
+            for (op, bytes) in ops {
+                match op {
+                    0..=2 => {
+                        st.append(&bytes).unwrap();
+                        model.stats.appends += 1;
+                        model.buffered.push(bytes);
+                    }
+                    3 | 4 => prop_assert_eq!(st.sync().is_ok(), model.sync()),
+                    5 | 6 => {
+                        // A crash is always followed by a recovery.
+                        if op == 5 {
+                            st.crash();
+                            model.crash();
+                        }
+                        let got = st.recover();
+                        prop_assert_eq!((got.snapshot, got.records, got.torn_records), model.recover());
+                    }
+                    _ => {
+                        st.write_snapshot(&bytes).unwrap();
+                        model.snapshot = Some(bytes);
+                        model.durable.clear();
+                        model.buffered.clear();
+                        model.stats.snapshots += 1;
+                    }
+                }
+                prop_assert_eq!(st.stats(), model.stats);
+            }
+        }
+
+        /// Bit rot in a synced frame: recovery keeps exactly the frames
+        /// before it and reports one torn region.
+        #[test]
+        fn a_flipped_bit_keeps_the_frames_before_it(
+            records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 1..6),
+            (which, at, bit) in (any::<usize>(), any::<usize>(), 0u8..8),
+        ) {
+            let mut st = SimStorage::new(1);
+            for record in &records {
+                st.append(record).unwrap();
+            }
+            st.sync().unwrap();
+            let k = which % records.len();
+            let start: usize = records[..k].iter().map(|r| FRAME_HEADER + r.len()).sum();
+            st.disk.wal[start + at % (FRAME_HEADER + records[k].len())] ^= 1 << bit;
+            let rec = st.recover();
+            prop_assert_eq!(&rec.records[..], &records[..k]);
+            prop_assert_eq!(rec.torn_records, 1);
+        }
+
+        // The frame reader's fuzz harness: whatever the file holds, recovery
+        // keeps exactly a prefix of whole, checksummed frames and says
+        // whether anything followed it.
+        #[test]
+        fn frame_reader_keeps_a_valid_prefix_of_any_bytes(
+            records in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..5),
+            junk in prop::collection::vec(any::<u8>(), 0..24),
+            (how, at, bit) in (0u8..4, any::<usize>(), 0u8..8),
+        ) {
+            let mut image: Vec<u8> = records.iter().flat_map(|r| frame(r)).collect();
+            prop_assert_eq!(parse_wal(&image), (records.clone(), image.len(), 0));
+            // Damage it: cut short, flip a bit, claim a 4 GiB payload, or
+            // append garbage.
+            let at = at % image.len().max(1);
+            match how {
+                0 => image.truncate(at),
+                1 => image.iter_mut().skip(at).take(1).for_each(|b| *b ^= 1 << bit),
+                2 => image.iter_mut().skip(at).take(4).for_each(|b| *b = 0xff),
+                _ => image.extend_from_slice(&junk),
+            }
+            let (kept, offset, torn) = parse_wal(&image);
+            prop_assert!(offset <= image.len());
+            prop_assert_eq!(torn, u64::from(offset < image.len()));
+            let reframed: Vec<u8> = kept.iter().flat_map(|r| frame(r)).collect();
+            prop_assert_eq!(&reframed[..], &image[..offset]);
+            // Arbitrary bytes from the first one on.
+            let (kept, offset, _) = parse_wal(&junk);
+            let reframed: Vec<u8> = kept.iter().flat_map(|r| frame(r)).collect();
+            prop_assert_eq!(&reframed[..], &junk[..offset]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// A crash between writing the next snapshot and renaming it
+        /// leaves `snapshot.tmp` behind, whole or torn: the old snapshot
+        /// and the log written after it recover, the records before it
+        /// do not.
+        #[test]
+        fn snapshot_is_atomic_and_truncates_the_wal(
+            before in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..16), 0..4),
+            snapshot in prop::collection::vec(any::<u8>(), 0..32),
+            after in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..16), 0..4),
+            (next, whole) in (prop::collection::vec(any::<u8>(), 0..32), any::<bool>()),
+        ) {
+            let dir = scratch();
+            let mut st = FileStorage::open(&dir).unwrap();
+            for record in &before {
+                st.append(record).unwrap();
+            }
+            st.sync().unwrap();
+            st.write_snapshot(&snapshot).unwrap();
+            for record in &after {
+                st.append(record).unwrap();
+            }
+            st.sync().unwrap();
+            fs::write(dir.join(SNAPSHOT_TMP), if whole { frame(&next) } else { next }).unwrap();
+            st.crash();
+            let rec = FileStorage::open(&dir).unwrap().recover();
+            let _ = fs::remove_dir_all(&dir);
+            prop_assert_eq!((rec.snapshot, rec.records, rec.torn_records), (Some(snapshot), after, 0));
+        }
     }
 }
