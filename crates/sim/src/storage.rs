@@ -766,6 +766,37 @@ mod tests {
     }
 
     #[test]
+    fn synced_records_survive_crash_and_reopen() {
+        let dir = scratch();
+        let mut st = FileStorage::open(&dir).unwrap();
+        st.append(b"alpha").unwrap();
+        st.append(b"beta").unwrap();
+        st.sync().unwrap();
+        st.append(b"never-synced").unwrap();
+        st.crash();
+
+        // A brand-new instance (fresh process) sees only the synced prefix.
+        let mut st2 = FileStorage::open(&dir).unwrap();
+        let rec = st2.recover();
+        assert_eq!(rec.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+        assert_eq!(rec.torn_records, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sync_failure_keeps_buffer_for_retry() {
+        let mut st =
+            SimStorage::with_faults(4, DiskFaultModel { sync_fail_prob: 1.0, torn_tail_prob: 0.0 });
+        st.append(b"a").unwrap();
+        assert_eq!(st.sync(), Err(StorageError::SyncFailed));
+        assert_eq!(st.pending, frame(b"a"));
+        st.set_fault_model(DiskFaultModel::default());
+        st.sync().unwrap();
+        st.crash();
+        assert_eq!(st.recover().records, vec![b"a".to_vec()]);
+    }
+
+    #[test]
     fn torn_tail_is_reported_once() {
         let mut st =
             SimStorage::with_faults(5, DiskFaultModel { sync_fail_prob: 0.0, torn_tail_prob: 1.0 });
