@@ -93,7 +93,8 @@ pub struct StorageStats {
 ///   half-written snapshot visible;
 /// * [`recover`](Storage::recover) returns the latest snapshot plus every
 ///   surviving post-snapshot record, discarding any torn tail. A node
-///   recovers when it starts and after every crash, before it appends.
+///   recovers when it starts and after every crash, before it appends;
+///   a [`Wal`] that writes a log it has not read reads it first.
 pub trait Storage: std::fmt::Debug + Send {
     /// Buffers a record for the op log. Durable only after a successful
     /// [`sync`](Storage::sync).
@@ -132,8 +133,8 @@ pub struct DiskFaultModel {
 
 /// The two files a [`Wal`] keeps: the log and the snapshot.
 pub trait Disk: std::fmt::Debug + Send + 'static {
-    /// The whole log; empty if there is none or it cannot be read.
-    fn read_wal(&mut self) -> Vec<u8>;
+    /// The whole log; empty if there is none.
+    fn read_wal(&mut self) -> io::Result<Vec<u8>>;
 
     /// Appends `bytes` to the log and fsyncs it. A failure may leave any
     /// prefix of `bytes` behind.
@@ -209,6 +210,20 @@ fn parse_wal(bytes: &[u8]) -> (Vec<Vec<u8>>, usize, u64) {
     (records, offset, torn)
 }
 
+/// What a [`Wal`] knows of the log on its disk.
+#[derive(Debug, Clone, Copy)]
+enum Log {
+    /// Not read since the storage opened or crashed: a torn frame may
+    /// follow the synced prefix, so the log is read before it is written.
+    Unread,
+    /// Exactly this many bytes, all synced frames.
+    Synced(u64),
+    /// This many bytes of synced frames, then bytes never acknowledged (a
+    /// failed write's, or a log a snapshot has not yet emptied), to cut
+    /// before the log is next written or read.
+    Stale(u64),
+}
+
 /// The one [`Storage`]: a CRC-framed log and a one-frame snapshot on a
 /// [`Disk`].
 #[derive(Debug)]
@@ -216,13 +231,7 @@ pub struct Wal<D> {
     disk: D,
     /// Frames appended since the last successful sync.
     pending: Vec<u8>,
-    /// Length of the log's synced prefix: what the last recovery kept,
-    /// plus what syncs wrote since.
-    synced_len: u64,
-    /// Whether the log may hold bytes past `synced_len` (a failed
-    /// write's, or a log a snapshot has not yet emptied), to cut before
-    /// the log is next written or read.
-    stale_tail: bool,
+    log: Log,
     stats: StorageStats,
     /// Planted-bug hook: when set, `recover()` reports the WAL and
     /// snapshot gone, as if the files were deleted. The durability
@@ -253,8 +262,7 @@ impl<D: Disk> Wal<D> {
         Wal {
             disk,
             pending: Vec::new(),
-            synced_len: 0,
-            stale_tail: false,
+            log: Log::Unread,
             stats: StorageStats::default(),
             drop_state_on_recover: false,
         }
@@ -268,22 +276,33 @@ impl<D: Disk> Wal<D> {
         self.drop_state_on_recover = drop;
     }
 
-    /// Cuts the log back to its synced prefix if it may hold more.
-    fn cut_stale_tail(&mut self) -> io::Result<()> {
-        if self.stale_tail {
-            self.disk.truncate_wal(self.synced_len)?;
-            self.stale_tail = false;
+    /// Cuts the log back to its synced prefix, reading the log first if
+    /// this storage has not, and returns the prefix's length.
+    fn synced_prefix(&mut self) -> io::Result<u64> {
+        let (len, cut) = match self.log {
+            Log::Synced(len) => (len, false),
+            Log::Stale(len) => (len, true),
+            // Whole frames were acknowledged before; a torn one goes.
+            Log::Unread => {
+                let log = self.disk.read_wal()?;
+                let valid = parse_wal(&log).1;
+                (valid as u64, valid < log.len())
+            }
+        };
+        if cut {
+            self.disk.truncate_wal(len)?;
         }
-        Ok(())
+        self.log = Log::Synced(len);
+        Ok(len)
     }
 
     /// Writes the pending frames after the synced prefix.
     fn write_pending(&mut self) -> io::Result<()> {
-        self.cut_stale_tail()?;
+        let len = self.synced_prefix()?;
         // Until the disk confirms, part of `pending` may be on it.
-        self.stale_tail = true;
+        self.log = Log::Stale(len);
         self.disk.append_wal(&self.pending)?;
-        self.stale_tail = false;
+        self.log = Log::Synced(len + self.pending.len() as u64);
         Ok(())
     }
 }
@@ -301,7 +320,6 @@ impl<D: Disk> Storage for Wal<D> {
                 self.stats.sync_failures += 1;
                 return Err(StorageError::SyncFailed);
             }
-            self.synced_len += self.pending.len() as u64;
             self.pending.clear();
         }
         self.stats.syncs += 1;
@@ -313,9 +331,8 @@ impl<D: Disk> Storage for Wal<D> {
         // The snapshot covers every record, synced or not: the log
         // starts over, and if emptying it fails now the next write does.
         self.pending.clear();
-        self.synced_len = 0;
-        self.stale_tail = true;
-        self.cut_stale_tail().map_err(|_| StorageError::Io)?;
+        self.log = Log::Stale(0);
+        self.synced_prefix().map_err(|_| StorageError::Io)?;
         self.stats.snapshots += 1;
         Ok(())
     }
@@ -323,14 +340,23 @@ impl<D: Disk> Storage for Wal<D> {
     fn recover(&mut self) -> Recovered {
         self.stats.recoveries += 1;
         // What a failed sync left was never acknowledged.
-        let _ = self.cut_stale_tail();
-        let log = self.disk.read_wal();
-        let (records, valid_len, torn_records) = parse_wal(&log);
-        // A torn or corrupt tail goes, so later syncs extend a clean log
-        // instead of burying frames behind bad bytes.
-        self.synced_len = valid_len as u64;
-        self.stale_tail = torn_records > 0;
-        let _ = self.cut_stale_tail();
+        if let Log::Stale(_) = self.log {
+            let _ = self.synced_prefix();
+        }
+        let (records, torn_records) = match self.disk.read_wal() {
+            Ok(log) => {
+                let (records, valid, torn) = parse_wal(&log);
+                // A torn or corrupt tail goes, so later syncs extend a
+                // clean log instead of burying frames behind bad bytes.
+                let valid = valid as u64;
+                self.log = if torn > 0 { Log::Stale(valid) } else { Log::Synced(valid) };
+                let _ = self.synced_prefix();
+                (records, torn)
+            }
+            // An unreadable log replays nothing, and what this storage
+            // knew of it stands: no write cuts what the log holds.
+            Err(_) => (Vec::new(), 0),
+        };
         self.stats.torn_records += torn_records;
         if self.drop_state_on_recover {
             // Planted bug: stable storage "reads back" empty.
@@ -348,12 +374,19 @@ impl<D: Disk> Storage for Wal<D> {
     fn crash(&mut self) {
         // Everything past the last sync barrier is gone; the first lost
         // frame may have been half-written.
-        let _ = self.cut_stale_tail();
+        if let Log::Stale(_) = self.log {
+            let _ = self.synced_prefix();
+        }
         if let Some(&len) = self.pending.first_chunk() {
             self.stats.lost_records += parse_wal(&self.pending).0.len() as u64;
             let first = FRAME_HEADER + u32::from_le_bytes(len) as usize;
             self.disk.crash(&self.pending[..first]);
             self.pending.clear();
+        }
+        // That frame is read back before the log is written again (a tail
+        // the disk would not cut stays marked for cutting).
+        if let Log::Synced(_) = self.log {
+            self.log = Log::Unread;
         }
     }
 
@@ -404,8 +437,8 @@ impl SimStorage {
 }
 
 impl Disk for MemDisk {
-    fn read_wal(&mut self) -> Vec<u8> {
-        self.wal.clone()
+    fn read_wal(&mut self) -> io::Result<Vec<u8>> {
+        Ok(self.wal.clone())
     }
 
     fn append_wal(&mut self, bytes: &[u8]) -> io::Result<()> {
@@ -502,8 +535,11 @@ impl DirDisk {
 }
 
 impl Disk for DirDisk {
-    fn read_wal(&mut self) -> Vec<u8> {
-        fs::read(self.dir.join(WAL_FILE)).unwrap_or_default()
+    fn read_wal(&mut self) -> io::Result<Vec<u8>> {
+        match fs::read(self.dir.join(WAL_FILE)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+            read => read,
+        }
     }
 
     fn append_wal(&mut self, bytes: &[u8]) -> io::Result<()> {
@@ -591,36 +627,30 @@ mod tests {
         }
     }
 
-    /// Contract tests: each is written once and runs on fresh, empty
-    /// storage `$st` on each disk.
-    macro_rules! contract {
-        ($($(#[$doc:meta])* fn $name:ident($st:ident) $body:block)*) => {$(
-            $(#[$doc])*
-            #[test]
-            fn $name() {
-                fn run<D: Rig>(mut $st: Wal<D>) $body
-                run(SimStorage::new(0));
-                let dir = scratch();
-                run(FileStorage::open(&dir).unwrap());
-                let _ = fs::remove_dir_all(dir);
-            }
-        )*};
+    /// Runs a contract test on fresh, empty storage on each disk.
+    fn on_each_disk(mem: fn(SimStorage), dir: fn(FileStorage)) {
+        mem(SimStorage::new(0));
+        let path = scratch();
+        dir(FileStorage::open(&path).unwrap());
+        let _ = fs::remove_dir_all(path);
     }
 
-    contract! {
-        /// In place, and in a new instance on the same disk (a
-        /// restarted process).
-        fn synced_records_survive_crash(st) {
+    #[test]
+    fn synced_records_survive_crash() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             st.append(b"a").unwrap();
             st.append(b"b").unwrap();
             st.sync().unwrap();
             st.crash();
             let rec = st.recover();
             assert_eq!((rec.records, rec.torn_records), (vec![b"a".to_vec(), b"b".to_vec()], 0));
-            assert_eq!(Wal::on(st.disk).recover().records, vec![b"a".to_vec(), b"b".to_vec()]);
         }
+        on_each_disk(run, run);
+    }
 
-        fn unsynced_suffix_is_lost_on_crash(st) {
+    #[test]
+    fn unsynced_suffix_is_lost_on_crash() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             st.append(b"a").unwrap();
             st.sync().unwrap();
             st.append(b"lost").unwrap();
@@ -628,10 +658,14 @@ mod tests {
             assert_eq!(st.recover().records, vec![b"a".to_vec()]);
             assert_eq!(st.stats().lost_records, 1);
         }
+        on_each_disk(run, run);
+    }
 
-        /// The snapshot replaces the log, records not yet synced
-        /// included: it covers them.
-        fn snapshot_truncates_log_and_survives(st) {
+    /// The snapshot replaces the log, records not yet synced included:
+    /// it covers them.
+    #[test]
+    fn snapshot_truncates_log_and_survives() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             st.append(b"a").unwrap();
             st.sync().unwrap();
             st.append(b"unsynced").unwrap();
@@ -643,12 +677,16 @@ mod tests {
             assert_eq!(rec.snapshot, Some(b"snap".to_vec()));
             assert_eq!(rec.records, vec![b"after".to_vec()]);
         }
+        on_each_disk(run, run);
+    }
 
-        fn torn_tail_is_detected_truncated_and_log_stays_usable(st) {
+    #[test]
+    fn torn_tail_is_detected_truncated_and_log_stays_usable() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             st.append(b"good").unwrap();
             st.sync().unwrap();
             // A power cut mid-append: half a frame lands on disk.
-            let bytes = [st.disk.read_wal(), frame(b"torn-record")[..10].to_vec()].concat();
+            let bytes = [st.disk.read_wal().unwrap(), frame(b"torn-record")[..10].to_vec()].concat();
             rewrite_wal(&mut st.disk, &bytes);
             let rec = st.recover();
             assert_eq!((rec.records, rec.torn_records), (vec![b"good".to_vec()], 1));
@@ -659,32 +697,43 @@ mod tests {
             assert_eq!(rec.records, vec![b"good".to_vec(), b"after".to_vec()]);
             assert_eq!(rec.torn_records, 0);
         }
+        on_each_disk(run, run);
+    }
 
-        fn corrupt_frame_stops_replay_at_the_damage(st) {
+    #[test]
+    fn corrupt_frame_stops_replay_at_the_damage() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             st.append(b"one").unwrap();
             st.append(b"two").unwrap();
             st.sync().unwrap();
             // Flip a payload bit in the second frame.
-            let mut bytes = st.disk.read_wal();
+            let mut bytes = st.disk.read_wal().unwrap();
             *bytes.last_mut().unwrap() ^= 0x01;
             rewrite_wal(&mut st.disk, &bytes);
             let rec = st.recover();
             assert_eq!((rec.records, rec.torn_records), (vec![b"one".to_vec()], 1));
         }
+        on_each_disk(run, run);
+    }
 
-        fn corrupt_snapshot_reads_back_as_absent(st) {
+    #[test]
+    fn corrupt_snapshot_reads_back_as_absent() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             st.write_snapshot(b"state").unwrap();
             let mut bytes = st.disk.read_snapshot().unwrap();
             *bytes.last_mut().unwrap() ^= 0xff;
             st.disk.replace_snapshot(&bytes).unwrap();
             assert_eq!(st.recover().snapshot, None);
         }
+        on_each_disk(run, run);
+    }
 
-        /// A disk that refuses writes (on the in-memory disk: fsyncs that
-        /// fail after the frames were written) fails `sync`, counted;
-        /// once it heals, the same storage syncs again and writes each
-        /// record once.
-        fn failed_wal_reopen_is_an_error_not_a_panic(st) {
+    /// A disk that refuses writes (on the in-memory disk: fsyncs that
+    /// fail after the frames were written) fails `sync`, counted; once it
+    /// heals, the same storage syncs again and writes each record once.
+    #[test]
+    fn failed_wal_reopen_is_an_error_not_a_panic() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             st.append(b"r1").unwrap();
             st.sync().unwrap();
             st.disk.obstruct(true);
@@ -697,13 +746,21 @@ mod tests {
             st.crash();
             assert_eq!(st.recover().records, vec![b"r1".to_vec(), b"r2".to_vec()]);
         }
+        on_each_disk(run, run);
+    }
 
-        fn empty_directory_recovers_to_nothing(st) {
+    #[test]
+    fn empty_directory_recovers_to_nothing() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             let rec = st.recover();
             assert_eq!((rec.snapshot, rec.records, rec.torn_records), (None, vec![], 0));
         }
+        on_each_disk(run, run);
+    }
 
-        fn drop_state_bug_wipes_everything(st) {
+    #[test]
+    fn drop_state_bug_wipes_everything() {
+        fn run<D: Rig>(mut st: Wal<D>) {
             st.append(b"a").unwrap();
             st.sync().unwrap();
             st.write_snapshot(b"snap").unwrap();
@@ -714,6 +771,7 @@ mod tests {
             let rec = st.recover();
             assert_eq!((rec.snapshot, rec.records), (None, vec![]));
         }
+        on_each_disk(run, run);
     }
 
     #[test]
@@ -723,45 +781,57 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// A disk whose next log write stops after `cut` bytes and fails, as
-    /// a full disk's would.
-    #[derive(Debug)]
-    struct ShortWrite(MemDisk, Option<usize>);
-
-    impl Disk for ShortWrite {
-        fn read_wal(&mut self) -> Vec<u8> {
-            self.0.read_wal()
-        }
-        fn append_wal(&mut self, bytes: &[u8]) -> io::Result<()> {
-            let Some(cut) = self.1.take() else { return self.0.append_wal(bytes) };
-            self.0.wal.extend_from_slice(&bytes[..cut]);
-            Err(io::Error::other("no space left on device"))
-        }
-        fn truncate_wal(&mut self, len: u64) -> io::Result<()> {
-            self.0.truncate_wal(len)
-        }
-        fn read_snapshot(&mut self) -> Option<Vec<u8>> {
-            self.0.read_snapshot()
-        }
-        fn replace_snapshot(&mut self, bytes: &[u8]) -> io::Result<()> {
-            self.0.replace_snapshot(bytes)
-        }
-    }
-
+    /// A write the disk cut short, as a full disk's would: the retry
+    /// rewrites from the synced length, not behind the half frame.
     #[test]
     fn a_write_cut_short_is_rewritten_from_the_synced_length() {
-        let mut st = Wal::on(ShortWrite(SimStorage::new(0).disk, None));
+        let mut st = SimStorage::new(0);
         st.append(b"acked").unwrap();
         st.sync().unwrap();
         st.append(b"b").unwrap();
         st.append(b"c").unwrap();
-        // One and a half frames land, then the disk fills up.
-        st.disk.1 = Some(FRAME_HEADER + 1 + 4);
+        st.disk.obstruct(true);
         assert_eq!(st.sync(), Err(StorageError::SyncFailed));
+        // One and a half of the two frames landed.
+        st.disk.wal.truncate(FRAME_HEADER + 5 + FRAME_HEADER + 1 + 4);
+        st.disk.obstruct(false);
         st.sync().unwrap();
         st.crash();
         let rec = st.recover();
         assert_eq!(rec.records, vec![b"acked".to_vec(), b"b".to_vec(), b"c".to_vec()]);
+        assert_eq!(rec.torn_records, 0);
+    }
+
+    /// A storage that has not read its log (a new process that syncs
+    /// before it recovers, or one that could not read the log when it
+    /// recovered) reads it before writing it: a failed sync's retry cuts
+    /// nothing acknowledged.
+    #[test]
+    fn a_log_is_read_before_it_is_written() {
+        let dir = scratch();
+        let fail_then_retry = |st: &mut FileStorage, record: &[u8]| {
+            st.append(record).unwrap();
+            st.disk.obstruct(true);
+            assert_eq!(st.sync(), Err(StorageError::SyncFailed));
+            st.disk.obstruct(false);
+            st.sync().unwrap();
+        };
+        let mut st = FileStorage::open(&dir).unwrap();
+        st.append(b"a").unwrap();
+        st.sync().unwrap();
+        // No recovery.
+        fail_then_retry(&mut FileStorage::open(&dir).unwrap(), b"b");
+        // A recovery that cannot read the log.
+        let mut st = FileStorage::open(&dir).unwrap();
+        st.disk.obstruct(true);
+        assert!(st.recover().records.is_empty());
+        st.disk.obstruct(false);
+        st.append(b"c").unwrap();
+        st.sync().unwrap();
+        fail_then_retry(&mut st, b"d");
+        let rec = FileStorage::open(&dir).unwrap().recover();
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(rec.records, [b"a", b"b", b"c", b"d"].map(|r| r.to_vec()));
         assert_eq!(rec.torn_records, 0);
     }
 
