@@ -5,7 +5,7 @@ use crate::harness::{metric_incrs, sends, traces, Harness};
 use crate::msg::NsRecord;
 use crate::policy::{ExhaustionBehavior, QueryFanout};
 use crate::wrapper::CountingApp;
-use wanacl_sim::node::Effect;
+use crate::harness::Output;
 use wanacl_sim::time::SimDuration;
 
 fn host_with_managers(managers: &[usize]) -> HostNode {
@@ -97,11 +97,11 @@ fn host_with_two_managers_two_attempts() -> HostNode {
 }
 
 /// Every manager `effects` sends a query to.
-fn queried(effects: &[Effect<ProtoMsg>]) -> Vec<NodeId> {
+fn queried(effects: &[Output]) -> Vec<NodeId> {
     sends(effects).into_iter().filter(|(_, m)| matches!(m, ProtoMsg::Query { .. })).map(|(to, _)| to).collect()
 }
 
-fn query_req(effects: &[Effect<ProtoMsg>]) -> ReqId {
+fn query_req(effects: &[Output]) -> ReqId {
     sends(effects)
         .into_iter()
         .find_map(|(_, m)| match m {
@@ -112,7 +112,7 @@ fn query_req(effects: &[Effect<ProtoMsg>]) -> ReqId {
 }
 
 /// The first invoke reply in `effects`, with its addressee.
-fn outcome(effects: &[Effect<ProtoMsg>]) -> Option<(NodeId, &InvokeOutcome)> {
+fn outcome(effects: &[Output]) -> Option<(NodeId, &InvokeOutcome)> {
     sends(effects).into_iter().find_map(|(to, m)| match m {
         ProtoMsg::InvokeReply { outcome, .. } => Some((to, outcome)),
         _ => None,
@@ -210,7 +210,7 @@ fn empty_manager_view_fails_closed_immediately() {
     assert!(matches!(outcome(&effects), Some((to, InvokeOutcome::Unavailable)) if to.index() == 7), "empty view must answer Unavailable in the same event");
     assert!(metric_incrs(&effects).contains(&"host.empty_manager_view"));
     assert!(
-        !effects.iter().any(|e| matches!(e, Effect::SetTimer { .. })),
+        !effects.iter().any(|e| matches!(e, Output::Arm)),
         "no query timer may be armed for an unqueryable attempt"
     );
     assert_eq!(host.stats().unavailable, 1);
@@ -288,7 +288,7 @@ fn latency_split_records_cache_and_quorum_paths() {
     let observes: Vec<&str> = effects
         .iter()
         .filter_map(|e| match e {
-            Effect::MetricObserve { name, .. } => Some(name.def().name),
+            Output::Observe { name, .. } => Some(name.def().name),
             _ => None,
         })
         .collect();
@@ -298,7 +298,7 @@ fn latency_split_records_cache_and_quorum_paths() {
     let effects = h.at(2_000).deliver(&mut host, 7, invoke(1));
     assert!(effects.iter().any(|e| matches!(
         e,
-        Effect::MetricObserve { name: M::HOST_LATENCY_CACHE_S, .. }
+        Output::Observe { name: M::HOST_LATENCY_CACHE_S, .. }
     )));
 }
 
@@ -377,7 +377,7 @@ fn quorum_read_installs_freshest_verified_record() {
     assert!(
         e2.iter().any(|e| matches!(
             e,
-            Effect::MetricObserve { name: M::NS_LOOKUP_LATENCY_S, .. }
+            Output::Observe { name: M::NS_LOOKUP_LATENCY_S, .. }
         )),
         "install must record the lookup latency"
     );
@@ -557,10 +557,10 @@ fn a_host_without_a_live_record_fails_closed_flat_or_sharded() {
     }
 }
 
-fn bad_macs(effects: &[Effect<ProtoMsg>]) -> usize {
+fn bad_macs(effects: &[Output]) -> usize {
     effects
         .iter()
-        .filter(|e| matches!(e, Effect::MetricIncr { name: M::HOST_BAD_CHANNEL_MAC }))
+        .filter(|e| matches!(e, Output::Incr { name: M::HOST_BAD_CHANNEL_MAC }))
         .count()
 }
 

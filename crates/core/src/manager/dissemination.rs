@@ -255,9 +255,12 @@ impl Dissemination {
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
-    use wanacl_sim::node::Effect;
+    use wanacl_sim::clock::DriftClock;
+    use wanacl_sim::node::{Life, Step};
+
+    use crate::harness::Output;
     use wanacl_sim::rng::SimRng;
-    use wanacl_sim::time::SimDuration;
+    use wanacl_sim::time::{SimDuration, SimTime};
 
     use super::*;
 
@@ -294,18 +297,20 @@ mod tests {
         }
     }
 
-    /// Runs `f` on `d` at local time `now`; the notices it sent, in order.
+    /// Runs `f` on `d` at local time `now` through the step rule; the
+    /// notices it sent, in order.
     fn step(
         d: &mut Dissemination,
         now: LocalTime,
         f: impl FnOnce(&mut Dissemination, &mut Context<'_, ProtoMsg>),
     ) -> Vec<Notice> {
-        let (mut effects, mut rng, mut next_timer) = (Vec::new(), SimRng::seed_from(1), 0);
-        f(d, &mut Context::new(NodeId::from_index(0), now, &mut effects, &mut rng, &mut next_timer));
-        effects
-            .into_iter()
+        let (mut life, mut rng, clock) = (Life::default(), SimRng::seed_from(1), DriftClock::perfect());
+        let mut out = Vec::new();
+        let mut step = Step { id: NodeId::from_index(0), life: &mut life, rng: &mut rng, clock: &clock };
+        step.run(SimTime::from_nanos(now.as_nanos()), &mut Vec::new(), &mut out, |ctx| f(d, ctx));
+        out.into_iter()
             .filter_map(|e| match e {
-                Effect::Send { to, msg: ProtoMsg::RevokeNotice { app, user, .. } } => Some((to, app, user)),
+                Output::Send { to, msg: ProtoMsg::RevokeNotice { app, user, .. } } => Some((to, app, user)),
                 _ => None,
             })
             .collect()

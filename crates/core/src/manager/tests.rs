@@ -4,7 +4,7 @@ use super::*;
 use crate::harness::{sends, traces, Harness};
 use crate::msg::{NsRecord, ShardEntry};
 use crate::types::user_bucket;
-use wanacl_sim::node::Effect;
+use crate::harness::Output;
 use wanacl_sim::storage::{DiskFaultModel, SimStorage};
 
 fn manager_with_peers(id: usize, peers: &[usize]) -> (ManagerNode, Harness) {
@@ -59,7 +59,7 @@ fn a_config_without_shards_serves_each_app_as_one_whole_keyspace_shard() {
         let effects = h.deliver(&mut mgr, 7, ProtoMsg::Query { app: AppId(0), user, req: ReqId(req) });
         let grant = QueryVerdict::Grant { te: Policy::builder(2).build().expiry_budget() };
         assert_eq!(verdict(&effects), Some(&grant));
-        assert!(effects.iter().any(|e| matches!(e, Effect::MetricIncr { name: M::SHARD_0_QUERIES })));
+        assert!(effects.iter().any(|e| matches!(e, Output::Incr { name: M::SHARD_0_QUERIES })));
     }
     // An admin op fans out to both peers, and M − C + 1 = 2 copies —
     // this manager's and one ack — make it stable.
@@ -94,7 +94,7 @@ fn admin(op: AclOp, req: u64) -> ProtoMsg {
 }
 
 /// The verdict of the first query reply in `effects`.
-fn verdict(effects: &[Effect<ProtoMsg>]) -> Option<&QueryVerdict> {
+fn verdict(effects: &[Output]) -> Option<&QueryVerdict> {
     sends(effects).into_iter().find_map(|(_, m)| match m {
         ProtoMsg::QueryReply { verdict, .. } => Some(verdict),
         _ => None,
@@ -102,7 +102,7 @@ fn verdict(effects: &[Effect<ProtoMsg>]) -> Option<&QueryVerdict> {
 }
 
 /// Whether `effects` report an op stable to its issuer.
-fn stable(effects: &[Effect<ProtoMsg>]) -> bool {
+fn stable(effects: &[Output]) -> bool {
     sends(effects).iter().any(|(_, m)| matches!(m, ProtoMsg::AdminReply { status: AdminStatus::Stable, .. }))
 }
 
@@ -111,7 +111,7 @@ fn revoke_user_1() -> ProtoMsg {
 }
 
 /// Every `(host, tag)` of the `RevokeNotice`s for user 1 in `effects`.
-fn notice_tags(effects: &[Effect<ProtoMsg>]) -> Vec<(NodeId, wanacl_auth::hmac::Tag)> {
+fn notice_tags(effects: &[Output]) -> Vec<(NodeId, wanacl_auth::hmac::Tag)> {
     sends(effects)
         .into_iter()
         .filter_map(|(to, m)| match m {
@@ -172,7 +172,7 @@ fn rekeying_a_manager_drops_held_keys_and_tags_under_the_new_master() {
     let old = Arc::new(ChannelKeys::from_seed(1));
     let new = Arc::new(ChannelKeys::from_seed(2));
     let (mut mgr, mut h) = manager_with_peers(0, &[]);
-    let reply_tag = |effects: &[Effect<ProtoMsg>]| match sends(effects)[0].1 {
+    let reply_tag = |effects: &[Output]| match sends(effects)[0].1 {
         ProtoMsg::QueryReply { verdict, mac: Some(tag), .. } => (*verdict, *tag),
         other => panic!("expected a tagged reply, got {other:?}"),
     };
@@ -478,7 +478,7 @@ fn transfer(ops: &[(OpId, AclOp)]) -> ProtoMsg {
 }
 
 /// The `(digest, count)` of the step's shard-install event.
-fn installed(effects: &[Effect<ProtoMsg>]) -> Option<(u64, usize)> {
+fn installed(effects: &[Output]) -> Option<(u64, usize)> {
     traces(effects).into_iter().find_map(|t| match t {
         AuditEvent::ShardInstall(ops) => Some((ops.digest, ops.count)),
         _ => None,

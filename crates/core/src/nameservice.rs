@@ -519,7 +519,7 @@ mod tests {
     use wanacl_auth::rsa::KeyPair;
     use crate::harness::{metric_incrs, sends, Harness};
     use wanacl_sim::clock::LocalTime;
-    use wanacl_sim::node::Effect;
+    use crate::harness::Output;
     use wanacl_sim::storage::SimStorage;
 
     const TTL: SimDuration = SimDuration::from_secs(60);
@@ -661,7 +661,7 @@ mod tests {
         // No outgoing probe (the timer still re-arms).
         let effects = h.timer(&mut rep, TAG_SYNC);
         assert!(sends(&effects).is_empty());
-        assert!(effects.iter().any(|e| matches!(e, Effect::SetTimer { .. })));
+        assert!(effects.iter().any(|e| matches!(e, Output::Arm)));
 
         // Incoming probes and deltas are dropped.
         let effects = h.deliver(&mut rep, peer, ProtoMsg::NsSyncRequest { versions: vec![] });
@@ -734,7 +734,7 @@ mod tests {
         let effects = h.start(&mut rep);
         assert!(effects.iter().any(|e| matches!(
             e,
-            Effect::Trace { text }
+            Output::Note { text }
                 if matches!(text.record(), Some(AuditEvent::NsPublish(_)))
         )));
         let v2 = record(&kp, writer, 2, vec![NodeId::from_index(4)]);

@@ -581,8 +581,8 @@ pub enum RosterNode {
 pub struct RosterEntry {
     /// Node name (`manager0`, `host1`, ...).
     pub name: String,
-    /// The local clock a simulated world gives the node (the live
-    /// runtime runs every node on the wall clock).
+    /// The local clock the node runs on, drawn from its RNG stream by
+    /// the step rule's stream rule on either executor.
     pub clock: ClockSpec,
     /// The node.
     pub node: RosterNode,
@@ -592,7 +592,8 @@ pub struct RosterEntry {
 /// [`Scenario::roster`] returns and what each executor installs.
 #[derive(Debug)]
 pub struct Roster {
-    /// Seed for the executor's per-node RNG streams.
+    /// The root of the stream rule (`wanacl_sim::node::Streams`) that
+    /// gives each node its RNG stream and clock, on either executor.
     pub seed: u64,
     /// The nodes, in id order.
     pub entries: Vec<RosterEntry>,

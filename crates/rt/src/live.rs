@@ -26,7 +26,7 @@ use wanacl_sim::storage::FileStorage;
 use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::chaos::ChaosRouter;
-use crate::runtime::{RuntimeBuilder, RuntimeError};
+use crate::runtime::{NodeFactory, RtNode, RuntimeBuilder, RuntimeError};
 
 /// The policy live deployments run: Te = 2 s on undrifting wall clocks,
 /// 100 ms query timeout, two attempts, 500 ms cache sweeps.
@@ -52,42 +52,44 @@ pub fn live_manager_tuning() -> ManagerConfig {
     }
 }
 
-/// Installs a roster on the live runtime, node ids as laid out. Every
-/// manager is restartable: its factory rebuilds it from the roster's
-/// recipe and attaches whatever `open_storage(manager index)` returns —
-/// reopening the same directory there is what lets
-/// [`Runtime::restart`](crate::Runtime::restart) recover from the WAL,
-/// and a directory that cannot be opened fails the restart. All other
-/// nodes are added as they are. Fails if a manager's storage cannot be
-/// opened in the first place.
+/// Installs a roster on the live runtime, node ids as laid out, by the
+/// simulator's stream rule: the runtime's root seed becomes
+/// `roster.seed`, and each node runs on the clock its entry draws from
+/// its own stream. Every manager is restartable: its factory rebuilds
+/// it from the roster's recipe and attaches whatever
+/// `open_storage(manager index)` returns — reopening the same directory
+/// there is what lets [`Runtime::restart`](crate::Runtime::restart)
+/// recover from the WAL, and a directory that cannot be opened fails the
+/// restart. All other nodes are added as they are. Fails if a manager's
+/// storage cannot be opened in the first place.
 pub fn install_roster(
     builder: &mut RuntimeBuilder<ProtoMsg>,
     roster: Roster,
     open_storage: impl Fn(usize) -> std::io::Result<Option<FileStorage>> + Send + Sync + 'static,
 ) -> Result<Layout, String> {
+    builder.seed = roster.seed;
     let open_storage = Arc::new(open_storage);
     for (index, entry) in roster.entries.into_iter().enumerate() {
-        match entry.node {
+        let (node, factory): (Box<dyn RtNode<ProtoMsg>>, _) = match entry.node {
             RosterNode::Manager(spec) => {
                 let open_storage = open_storage.clone();
-                builder.add_node_with_factory(
-                    entry.name,
-                    Arc::new(move || {
-                        let mut node = spec.build();
-                        let storage = open_storage(index)
-                            .map_err(|e| format!("cannot open the storage of manager {index}: {e}"))?;
-                        if let Some(storage) = storage {
-                            node.set_storage(Box::new(storage));
-                        }
-                        Ok(Box::new(node))
-                    }),
-                )?
+                let factory: NodeFactory<ProtoMsg> = Arc::new(move || {
+                    let mut node = spec.build();
+                    let storage = open_storage(index)
+                        .map_err(|e| format!("cannot open the storage of manager {index}: {e}"))?;
+                    if let Some(storage) = storage {
+                        node.set_storage(Box::new(storage));
+                    }
+                    Ok(Box::new(node))
+                });
+                (factory()?, Some(factory))
             }
-            RosterNode::Directory(node) => builder.add_node(entry.name, Box::new(node)),
-            RosterNode::Host(node) => builder.add_node(entry.name, Box::new(node)),
-            RosterNode::User(node) => builder.add_node(entry.name, Box::new(node)),
-            RosterNode::Admin(node) => builder.add_node(entry.name, Box::new(node)),
+            RosterNode::Directory(node) => (Box::new(node), None),
+            RosterNode::Host(node) => (Box::new(node), None),
+            RosterNode::User(node) => (Box::new(node), None),
+            RosterNode::Admin(node) => (Box::new(node), None),
         };
+        builder.push(entry.name, node, factory, entry.clock);
     }
     Ok(roster.layout)
 }

@@ -220,7 +220,8 @@ impl<M: Send + Sync + 'static> Router<M> {
     /// Sends `msgs` to one peer in order, one [`Router::send`] each.
     /// Not a product path: it exists because `wanbench`'s
     /// `router.send_batch_ns_per_msg` probe calls it with this
-    /// signature, and goes when ROADMAP item 5(e) retires that metric.
+    /// signature, and goes when ROADMAP's "Delete what only the frozen
+    /// benchmark holds alive" retires that metric.
     pub fn send_batch(&self, from: NodeId, to: NodeId, msgs: Vec<Arc<M>>)
     where
         M: Clone,
@@ -275,6 +276,13 @@ mod tests {
     use super::*;
     use crate::runtime::Scheduler;
     use crossbeam::channel::unbounded;
+    use wanacl_sim::clock::DriftClock;
+    use wanacl_sim::rng::SimRng;
+
+    /// A cell's step state for tests that never step it.
+    fn perfect() -> (SimRng, DriftClock) {
+        (SimRng::seed_from(0), DriftClock::perfect())
+    }
 
     #[test]
     fn routes_to_registered_inbox() {
@@ -353,7 +361,7 @@ mod tests {
         let sink = MetricsSink::new();
         router.set_metrics(sink.clone());
         let sched = Scheduler::new(1);
-        let cell = NodeCell::new(0, 2, sched.clone());
+        let cell = NodeCell::new(0, 2, sched.clone(), perfect());
         router.freeze_cells(vec![cell.clone()]);
         let id = NodeId::from_index(0);
         for i in 0..5 {
@@ -381,7 +389,7 @@ mod tests {
     #[test]
     fn taps_registered_after_the_freeze_take_the_ids_behind_the_cells() {
         let router: Arc<Router<u32>> = Router::new();
-        let cell = NodeCell::new(0, 8, Scheduler::new(1));
+        let cell = NodeCell::new(0, 8, Scheduler::new(1), perfect());
         router.freeze_cells(vec![cell.clone()]);
         let (tx, rx) = unbounded();
         let tap = router.register(tx);
@@ -405,7 +413,7 @@ mod tests {
     #[test]
     fn batch_applies_policy_per_message() {
         let router: Arc<Router<u32>> = Router::new();
-        let cell = NodeCell::new(0, 2000, Scheduler::new(1));
+        let cell = NodeCell::new(0, 2000, Scheduler::new(1), perfect());
         router.freeze_cells(vec![cell]);
         let id = NodeId::from_index(0);
         router.set_policy(LossyPolicy::new(0.5));

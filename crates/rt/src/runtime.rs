@@ -42,10 +42,9 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-use wanacl_sim::clock::LocalTime;
-use wanacl_sim::hash::FxHashSet;
+use wanacl_sim::clock::{ClockSpec, DriftClock};
 use wanacl_sim::metrics::MetricId;
-use wanacl_sim::node::{Context, Effect, Node, NodeId, Note};
+use wanacl_sim::node::{Context, Effect, Life, Node, NodeId, Note, Sink, Step, Streams, Timer};
 use wanacl_sim::obs::MetricsSink;
 use wanacl_sim::queue::Calendar;
 use wanacl_sim::rng::SimRng;
@@ -228,9 +227,9 @@ pub(crate) enum ControlMsg<M> {
     /// Install a node instance under this id: the first one at start,
     /// a fresh one on restart.
     Install(Box<dyn RtNode<M>>),
-    /// A timer that fell due at the given time; void if the node's epoch
-    /// has moved on or the timer was cancelled.
-    Fire(SimTime, TimerEntry),
+    /// A timer that fell due at the given time; it fires by the step
+    /// rule's timer-fire rule ([`Life::fires`]).
+    Fire(SimTime, Timer),
 }
 
 /// The result of pushing one data message into a [`NodeCell`].
@@ -433,12 +432,14 @@ struct CellState<M> {
 
 /// A node's state between steps. It lives in the cell so that any
 /// worker can step the node; `scheduled` admits one step at a time, so
-/// its lock is never contended.
+/// its lock is never contended. Beside the instance it holds the step
+/// state of the step rule ([`Step`]): lifecycle and timers, RNG stream
+/// and clock, all carried across crashes and restarts.
 struct NodeState<M> {
     slot: NodeSlot<M>,
-    /// Bumped by crash, kill, restart and poison: a timer armed under
-    /// an older epoch is void.
-    epoch: u32,
+    life: Life,
+    rng: SimRng,
+    clock: DriftClock,
 }
 
 /// One logical node: its state, shared between the router (producers)
@@ -454,7 +455,14 @@ pub(crate) struct NodeCell<M> {
 }
 
 impl<M> NodeCell<M> {
-    pub(crate) fn new(index: u32, capacity: usize, sched: Arc<Scheduler>) -> Arc<Self> {
+    /// The cell of node `index`, with its stream and clock from the
+    /// stream rule ([`Streams`]).
+    pub(crate) fn new(
+        index: u32,
+        capacity: usize,
+        sched: Arc<Scheduler>,
+        (rng, clock): (SimRng, DriftClock),
+    ) -> Arc<Self> {
         Arc::new(NodeCell {
             index,
             home: index as usize % sched.workers(),
@@ -467,7 +475,7 @@ impl<M> NodeCell<M> {
                 alive: true,
                 sent: 0,
             }),
-            node: Mutex::new(NodeState { slot: NodeSlot::Empty, epoch: 0 }),
+            node: Mutex::new(NodeState { slot: NodeSlot::Empty, life: Life::default(), rng, clock }),
         })
     }
 
@@ -553,6 +561,7 @@ struct NodeSpec<M> {
     name: String,
     node: Box<dyn RtNode<M>>,
     factory: Option<NodeFactory<M>>,
+    clock: ClockSpec,
 }
 
 /// Decorates the base router into the transport nodes send through
@@ -563,7 +572,8 @@ type TransportWrap<M> =
 /// Builds a pooled deployment.
 pub struct RuntimeBuilder<M> {
     nodes: Vec<NodeSpec<M>>,
-    seed: u64,
+    /// The stream rule's root (a roster installs its own).
+    pub(crate) seed: u64,
     metrics: MetricsSink,
     workers: Option<usize>,
     trace: Option<TraceBuffer>,
@@ -577,7 +587,9 @@ impl<M> std::fmt::Debug for RuntimeBuilder<M> {
 }
 
 impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
-    /// Starts a builder; `seed` feeds each node's RNG stream.
+    /// Starts a builder; `seed` is the root of the stream rule
+    /// ([`Streams`]) that gives each node its RNG stream and clock, as
+    /// `World::new(seed)` does.
     pub fn new(seed: u64) -> Self {
         RuntimeBuilder {
             nodes: Vec::new(),
@@ -629,10 +641,22 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
         self
     }
 
-    /// Adds a node; returns the id it will run under. Ids are assigned
-    /// densely in add order, exactly like the simulator.
+    /// Adds a node on a perfect clock; returns the id it will run under.
+    /// Ids are assigned densely in add order, exactly like the simulator.
     pub fn add_node(&mut self, name: impl Into<String>, node: Box<dyn RtNode<M>>) -> NodeId {
-        self.nodes.push(NodeSpec { name: name.into(), node, factory: None });
+        self.push(name.into(), node, None, ClockSpec::Perfect)
+    }
+
+    /// Adds a node on the clock `clock` draws from its stream, with the
+    /// factory [`Runtime::restart`] rebuilds it by, if any.
+    pub(crate) fn push(
+        &mut self,
+        name: String,
+        node: Box<dyn RtNode<M>>,
+        factory: Option<NodeFactory<M>>,
+        clock: ClockSpec,
+    ) -> NodeId {
+        self.nodes.push(NodeSpec { name, node, factory, clock });
         NodeId::from_index(self.nodes.len() - 1)
     }
 
@@ -647,8 +671,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
         factory: NodeFactory<M>,
     ) -> Result<NodeId, String> {
         let node = factory()?;
-        self.nodes.push(NodeSpec { name: name.into(), node, factory: Some(factory) });
-        Ok(NodeId::from_index(self.nodes.len() - 1))
+        Ok(self.push(name.into(), node, Some(factory), ClockSpec::Perfect))
     }
 
     /// Spawns the worker pool and returns the running deployment.
@@ -682,10 +705,19 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
             })
             .clamp(1, nnodes.max(1));
 
-        // Freeze the routing table before any worker runs.
+        // Freeze the routing table before any worker runs. Each cell
+        // gets its node's stream and clock by the simulator's rule.
         let sched = Scheduler::new(nworkers);
-        let cells: Vec<Arc<NodeCell<M>>> =
-            (0..nnodes).map(|i| NodeCell::new(i as u32, INBOX_CAPACITY, sched.clone())).collect();
+        let (mut streams, _net) = Streams::new(self.seed);
+        let cells: Vec<Arc<NodeCell<M>>> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let state = streams.node(&spec.name, spec.clock);
+                NodeCell::new(i as u32, INBOX_CAPACITY, sched.clone(), state)
+            })
+            .collect();
         router.freeze_cells(cells.clone());
 
         let mut names = Vec::with_capacity(nnodes);
@@ -704,7 +736,6 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
             let worker = Worker {
                 index: w,
                 sched: sched.clone(),
-                seed: self.seed,
                 cells: cells.clone(),
                 sinks: Sinks::new(
                     epoch,
@@ -712,6 +743,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
                     self.metrics.shard(),
                     self.trace.clone(),
                 ),
+                effects: Vec::new(),
                 ctls: Vec::new(),
                 data: Vec::new(),
             };
@@ -759,36 +791,11 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A node instance as a stepping worker sees it.
-struct WorkerNode<M> {
-    node: Box<dyn RtNode<M>>,
-    rng: SimRng,
-    next_timer: u64,
-    cancelled: FxHashSet<u64>,
-    up: bool,
-    /// This incarnation's local-clock zero (`LocalTime` = elapsed).
-    started: Instant,
-}
-
-impl<M> WorkerNode<M> {
-    fn new(node: Box<dyn RtNode<M>>, deployment_seed: u64, idx: u32, started: Instant) -> Self {
-        let seed = deployment_seed ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        WorkerNode {
-            node,
-            rng: SimRng::seed_from(seed),
-            next_timer: 0,
-            cancelled: FxHashSet::default(),
-            up: true,
-            started,
-        }
-    }
-}
-
 enum NodeSlot<M> {
     /// No instance under this id (not installed yet, or halted).
     Empty,
     /// A live instance.
-    Live(WorkerNode<M>),
+    Live(Box<dyn RtNode<M>>),
     /// A handler panicked; the message is held for kill/stop replies.
     Poisoned(String),
 }
@@ -801,36 +808,33 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "node handler panicked (non-string payload)".into())
 }
 
-/// One armed timer, queued at its deadline: the node's index, its timer
-/// epoch at arm time (a mismatch at fire time means the node crashed or
-/// restarted since), the timer id (for the cancelled set) and the tag
-/// passed back to `on_timer`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TimerEntry {
-    node: u32,
-    epoch: u32,
-    id: u64,
-    tag: u64,
+/// Runs `f` (a node's handler, through the step rule) under
+/// `catch_unwind`: a panic becomes its message.
+fn guarded(f: impl FnOnce()) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(panic_message)
 }
 
-/// Where a handler's effects land. Owned by one worker and reused
-/// across steps, the way `World::with_node_ctx` reuses its effects
-/// scratch: once the buffers have grown, a step allocates nothing here.
+/// The live worker's [`Sink`]: where the step rule drains a handler's
+/// effects. Owned by one worker and reused across steps.
 struct Sinks<M> {
-    /// What the handler's [`Context`] collects into; empty between
-    /// handlers.
-    effects: Vec<Effect<M>>,
     /// Takes every send as its effect is applied.
     transport: Arc<dyn Transport<M>>,
     /// The timers this worker's handlers armed, keyed by nanoseconds
-    /// since `epoch_instant`. Cancellation happens at fire time (stale
-    /// epoch or cancelled id), so arming never searches the queue.
-    timers: Calendar<TimerEntry>,
+    /// since `epoch_instant`. Cancellation happens at fire time (the
+    /// timer-fire rule), so arming never searches the queue.
+    timers: Calendar<Timer>,
     /// This worker's shard of the deployment's sink: no other worker
     /// records into it.
     metrics: MetricsSink,
     trace: Option<TraceBuffer>,
     epoch_instant: Instant,
+    /// The running handler's one clock read, as wall time since
+    /// `epoch_instant`: its node's local time, its timers' deadlines and
+    /// its trace stamps all derive from it.
+    now: SimTime,
+    /// A test's stand-in for the wall clock.
+    #[cfg(test)]
+    scripted: Option<SimTime>,
 }
 
 impl<M> Sinks<M> {
@@ -841,96 +845,74 @@ impl<M> Sinks<M> {
         trace: Option<TraceBuffer>,
     ) -> Self {
         Sinks {
-            effects: Vec::new(),
             transport,
             timers: Calendar::new(),
             metrics,
             trace,
             epoch_instant: epoch,
+            now: SimTime::ZERO,
+            #[cfg(test)]
+            scripted: None,
         }
+    }
+
+    /// Reads the clock for the next handler.
+    fn tick(&mut self) -> SimTime {
+        #[cfg(test)]
+        if let Some(at) = self.scripted {
+            self.now = at;
+            return at;
+        }
+        self.now = since(self.epoch_instant);
+        self.now
+    }
+}
+
+impl<M: Send + Sync + 'static> Sink<M> for Sinks<M> {
+    fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
+        self.transport.send(from, to, msg);
+    }
+
+    fn arm(&mut self, due: SimTime, timer: Timer) {
+        self.timers.push(due, timer);
+    }
+
+    fn note(&mut self, from: NodeId, text: Note) {
+        if let Some(buffer) = &self.trace {
+            buffer.push(LiveTraceEntry { at: self.now, node: from, text });
+        }
+    }
+
+    fn incr(&mut self, name: MetricId) {
+        self.metrics.incr(name);
+    }
+
+    fn observe(&mut self, name: MetricId, value: f64) {
+        self.metrics.observe(name, value);
+    }
+
+    /// Audit text is built only for a consumer: without a capture
+    /// buffer the node is told not to produce it.
+    fn notes(&self) -> bool {
+        self.trace.is_some()
     }
 }
 
 /// Wall time since `epoch` as a [`SimTime`]: the clock of the timer
-/// queues, the trace buffer and the chaos transport's fault windows.
+/// queues, the trace buffer, the nodes' local clocks and the chaos
+/// transport's fault windows.
 pub(crate) fn since(epoch: Instant) -> SimTime {
-    wall(epoch, Instant::now())
-}
-
-/// `now` as wall time since `epoch`.
-fn wall(epoch: Instant, now: Instant) -> SimTime {
-    SimTime::from_nanos(now.saturating_duration_since(epoch).as_nanos() as u64)
-}
-
-/// Runs one handler invocation under `catch_unwind`, hands its sends
-/// to the transport and folds the rest of its effects into the timer
-/// queue and the worker's metrics shard. `now` is the handler's one
-/// clock read: the node's local time, its timers' deadlines and its
-/// trace stamps all derive from it. Returns the panic message if the
-/// handler blew up.
-fn invoke<M, F>(
-    wn: &mut WorkerNode<M>,
-    idx: u32,
-    tepoch: u32,
-    sinks: &mut Sinks<M>,
-    now: Instant,
-    call: F,
-) -> Result<(), String>
-where
-    M: Send + Sync + Clone + std::fmt::Debug + 'static,
-    F: FnOnce(&mut dyn RtNode<M>, &mut Context<'_, M>),
-{
-    let id = NodeId::from_index(idx as usize);
-    let local = LocalTime::from_nanos(now.saturating_duration_since(wn.started).as_nanos() as u64);
-    let at = wall(sinks.epoch_instant, now);
-    // Audit text is built only for a consumer: without a capture
-    // buffer the node is told not to produce it.
-    let notes = sinks.trace.is_some();
-    {
-        let node = &mut wn.node;
-        let rng = &mut wn.rng;
-        let next_timer = &mut wn.next_timer;
-        let fx = &mut sinks.effects;
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(move || {
-            let mut ctx = Context::new(id, local, fx, rng, next_timer).with_notes(notes);
-            call(&mut **node, &mut ctx);
-        })) {
-            sinks.effects.clear();
-            return Err(panic_message(payload));
-        }
-    }
-    for effect in sinks.effects.drain(..) {
-        match effect {
-            Effect::Send { to, msg } => sinks.transport.send(id, to, msg),
-            Effect::SetTimer { id: timer_id, local_delay, tag } => {
-                let due = at + local_delay;
-                let entry = TimerEntry { node: idx, epoch: tepoch, id: timer_id.into_raw(), tag };
-                sinks.timers.push(due, entry);
-            }
-            Effect::CancelTimer { id: timer_id } => {
-                wn.cancelled.insert(timer_id.into_raw());
-            }
-            Effect::MetricIncr { name } => sinks.metrics.incr(name),
-            Effect::MetricObserve { name, value } => sinks.metrics.observe(name, value),
-            // Traces (audit notes) feed the live oracle; a node emits
-            // them only when told a capture buffer is listening.
-            Effect::Trace { text } => {
-                if let Some(buffer) = &sinks.trace {
-                    buffer.push(LiveTraceEntry { at, node: id, text });
-                }
-            }
-        }
-    }
-    Ok(())
+    SimTime::from_nanos(Instant::now().saturating_duration_since(epoch).as_nanos() as u64)
 }
 
 struct Worker<M> {
     index: usize,
     sched: Arc<Scheduler>,
-    seed: u64,
     cells: Vec<Arc<NodeCell<M>>>,
     sinks: Sinks<M>,
-    /// Reusable buffers a step drains its cell's two lanes into.
+    /// Reusable buffers: the step rule's effects scratch, and the two
+    /// lanes a step drains its cell into.
+    effects: Vec<Effect<M>>,
     ctls: Vec<ControlMsg<M>>,
     data: Vec<(NodeId, M)>,
 }
@@ -964,8 +946,8 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
     /// query timeout every answered check leaves behind costs no step.
     fn queue_due_timers(&mut self, now: SimTime) {
         while let Some((due, timer)) = self.sinks.timers.pop_due(now) {
-            let cell = &self.cells[timer.node as usize];
-            if cell.node.try_lock().is_ok_and(|mut node| node.discard_void(&timer)) {
+            let cell = &self.cells[timer.node.index()];
+            if cell.node.try_lock().is_ok_and(|mut node| !node.life.fires(&timer)) {
                 continue;
             }
             cell.push_control(ControlMsg::Fire(due, timer));
@@ -983,7 +965,7 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         {
             let mut node = cell.node.lock().unwrap_or_else(|e| e.into_inner());
             cell.drain(MAX_STEP_BATCH, &mut self.ctls, &mut self.data);
-            node.step(cell, idx, self.seed, &mut self.sinks, &mut self.ctls, &mut self.data);
+            node.step(cell, idx, &mut self.sinks, &mut self.effects, &mut self.ctls, &mut self.data);
         }
         if cell.finish_step() {
             self.sched.push(self.index, idx);
@@ -992,46 +974,47 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
 }
 
 impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> NodeState<M> {
-    /// Runs the handlers for one drained batch. Whatever a halt, a
-    /// panic or a down node leaves in the buffers is void and cleared.
+    /// Runs the handlers for one drained batch through the step rule.
+    /// Whatever a halt, a panic or a down node leaves in the buffers is
+    /// void and cleared.
     fn step(
         &mut self,
         cell: &NodeCell<M>,
         idx: u32,
-        seed: u64,
         sinks: &mut Sinks<M>,
+        effects: &mut Vec<Effect<M>>,
         ctls: &mut Vec<ControlMsg<M>>,
         data: &mut Vec<(NodeId, M)>,
     ) {
+        let id = NodeId::from_index(idx as usize);
         for ctl in ctls.drain(..) {
+            let mut step = Step { id, life: &mut self.life, rng: &mut self.rng, clock: &self.clock };
             let result = match ctl {
                 ControlMsg::Crash => match &mut self.slot {
-                    NodeSlot::Live(wn) if wn.up => {
-                        wn.up = false;
-                        // Pending timers die with the volatile state.
-                        self.epoch = self.epoch.wrapping_add(1);
-                        wn.cancelled.clear();
-                        catch_unwind(AssertUnwindSafe(|| wn.node.on_crash())).map_err(panic_message)
-                    }
+                    NodeSlot::Live(node) => guarded(|| {
+                        step.crash(&mut **node, sinks);
+                    }),
                     _ => Ok(()),
                 },
                 ControlMsg::Recover => match &mut self.slot {
-                    NodeSlot::Live(wn) if !wn.up => {
-                        wn.up = true;
-                        invoke(wn, idx, self.epoch, sinks, Instant::now(), |node, ctx| {
-                            node.on_recover(ctx)
-                        })
+                    NodeSlot::Live(node) if step.recover(sinks) => {
+                        run(&mut step, &mut **node, sinks, effects, |node, ctx| node.on_recover(ctx))
                     }
                     _ => Ok(()),
                 },
                 ControlMsg::Halt(exit, reply) => {
                     let result = match std::mem::replace(&mut self.slot, NodeSlot::Empty) {
-                        NodeSlot::Live(wn) => Ok((exit, wn.node)),
+                        NodeSlot::Live(node) => Ok((exit, node)),
                         NodeSlot::Poisoned(msg) => Err(msg),
                         NodeSlot::Empty => Err(format!("node {idx} has no live instance")),
                     };
                     cell.clear_dead();
-                    self.epoch = self.epoch.wrapping_add(1);
+                    match exit {
+                        NodeExit::Killed => step.kill(sinks),
+                        NodeExit::Stopped => {
+                            step.life.down();
+                        }
+                    }
                     let _ = reply.send(result);
                     // The node is off the pool: the rest of the batch
                     // is void.
@@ -1039,44 +1022,37 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> NodeState<M> {
                     return;
                 }
                 ControlMsg::Install(node) => {
-                    // A fresh incarnation: old timers are dead, the
-                    // local clock and RNG restart, `on_start` replays
-                    // durable state.
-                    self.epoch = self.epoch.wrapping_add(1);
-                    let now = Instant::now();
-                    let mut wn = WorkerNode::new(node, seed, idx, now);
-                    let result = invoke(&mut wn, idx, self.epoch, sinks, now, |node, ctx| {
-                        node.on_start(ctx)
-                    });
-                    self.slot = NodeSlot::Live(wn);
-                    result
+                    // A fresh instance in a new incarnation: old timers
+                    // are dead, and `on_start` replays durable state.
+                    step.restart(sinks);
+                    self.slot = NodeSlot::Live(node);
+                    let NodeSlot::Live(node) = &mut self.slot else { unreachable!("just installed") };
+                    run(&mut step, &mut **node, sinks, effects, |node, ctx| node.on_start(ctx))
                 }
-                ControlMsg::Fire(_, timer) if self.discard_void(&timer) => Ok(()),
                 ControlMsg::Fire(due, timer) => match &mut self.slot {
-                    NodeSlot::Live(wn) if wn.up => {
-                        let now = Instant::now();
-                        let drift = wall(sinks.epoch_instant, now).saturating_since(due);
+                    NodeSlot::Live(node) if step.life.fires(&timer) => {
+                        let at = sinks.tick();
+                        let drift = at.saturating_since(due);
                         sinks.metrics.observe(MetricId::RT_TIMER_DRIFT_NS, drift.as_nanos() as f64);
-                        invoke(wn, idx, self.epoch, sinks, now, |node, ctx| {
-                            node.on_timer(ctx, timer.tag)
-                        })
+                        run(&mut step, &mut **node, sinks, effects, |node, ctx| node.on_timer(ctx, timer.tag))
                     }
                     _ => Ok(()),
                 },
             };
             if let Err(msg) = result {
-                self.poison(cell, msg);
+                self.poison(cell, sinks, msg);
             }
         }
 
         let mut result = Ok(());
-        if let NodeSlot::Live(wn) = &mut self.slot {
+        if let NodeSlot::Live(node) = &mut self.slot {
             // A crashed (down) node hears nothing: the batch is consumed
             // and dropped.
-            if wn.up && !data.is_empty() {
+            if self.life.is_up() && !data.is_empty() {
                 sinks.metrics.observe(MetricId::RT_BATCH_SIZE, data.len() as f64);
+                let mut step = Step { id, life: &mut self.life, rng: &mut self.rng, clock: &self.clock };
                 for (from, msg) in data.drain(..) {
-                    result = invoke(wn, idx, self.epoch, sinks, Instant::now(), |node, ctx| {
+                    result = run(&mut step, &mut **node, sinks, effects, |node, ctx| {
                         node.on_message(ctx, from, msg)
                     });
                     if result.is_err() {
@@ -1086,31 +1062,37 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> NodeState<M> {
             }
         }
         if let Err(msg) = result {
-            self.poison(cell, msg);
+            self.poison(cell, sinks, msg);
         }
         data.clear();
     }
 
-    /// Whether `timer` cannot fire: it was armed before a crash, kill or
-    /// restart, or it was cancelled (its id then leaves the cancelled
-    /// set, so the set never outgrows the timer queue).
-    fn discard_void(&mut self, timer: &TimerEntry) -> bool {
-        match &mut self.slot {
-            _ if timer.epoch != self.epoch => true,
-            NodeSlot::Live(wn) => wn.cancelled.remove(&timer.id),
-            _ => false,
-        }
-    }
-
     /// Marks a node's remains after a handler panic: the cell goes
     /// dead (traffic to it silently vanishes, like a crashed process),
-    /// pending timers die via the epoch bump, and the message is held
-    /// for the kill/stop reply.
-    fn poison(&mut self, cell: &NodeCell<M>, msg: String) {
+    /// the node dies like a killed one (its timers void), and the
+    /// message is held for the kill/stop reply.
+    fn poison(&mut self, cell: &NodeCell<M>, sinks: &mut Sinks<M>, msg: String) {
         cell.clear_dead();
-        self.epoch = self.epoch.wrapping_add(1);
+        let id = NodeId::from_index(cell.index as usize);
+        Step { id, life: &mut self.life, rng: &mut self.rng, clock: &self.clock }.kill(sinks);
         self.slot = NodeSlot::Poisoned(msg);
     }
+}
+
+/// Runs one handler of `node` through the step rule at a fresh clock
+/// read, under `catch_unwind`. A panicking handler's effects are
+/// dropped, and its message returned.
+fn run<M: Send + Sync + Clone + std::fmt::Debug + 'static>(
+    step: &mut Step<'_>,
+    node: &mut dyn RtNode<M>,
+    sinks: &mut Sinks<M>,
+    effects: &mut Vec<Effect<M>>,
+    call: impl FnOnce(&mut dyn RtNode<M>, &mut Context<'_, M>),
+) -> Result<(), String> {
+    let at = sinks.tick();
+    let result = guarded(|| step.run(at, effects, sinks, |ctx| call(node, ctx)));
+    effects.clear();
+    result
 }
 
 /// Runtime-side view of one node slot.
@@ -1955,7 +1937,7 @@ mod tests {
 
         let router: Arc<Router<ProtoMsg>> = Router::new();
         let sched = Scheduler::new(1);
-        let cell = NodeCell::new(0, INBOX_CAPACITY, sched.clone());
+        let cell = NodeCell::new(0, INBOX_CAPACITY, sched.clone(), Streams::new(23).0.node("host", ClockSpec::Perfect));
         router.freeze_cells(vec![cell.clone()]);
         let (manager_tx, manager_rx) = unbounded();
         let (client_tx, client_rx) = unbounded();
@@ -1965,9 +1947,9 @@ mod tests {
         let mut worker = Worker {
             index: 0,
             sched,
-            seed: 23,
             cells: vec![cell],
             sinks: Sinks::new(epoch, router.clone(), MetricsSink::new(), None),
+            effects: Vec::new(),
             ctls: Vec::new(),
             data: Vec::new(),
         };
@@ -1979,10 +1961,7 @@ mod tests {
             }
         }
         fn cancelled(worker: &Worker<ProtoMsg>) -> usize {
-            match &worker.cells[0].node.lock().expect("node lock").slot {
-                NodeSlot::Live(wn) => wn.cancelled.len(),
-                _ => panic!("host is live"),
-            }
+            worker.cells[0].node.lock().expect("node lock").life.cancelled()
         }
         // Fires every timer armed so far (not the ones the firings arm).
         fn fire_due(worker: &mut Worker<ProtoMsg>) {
@@ -2071,3 +2050,7 @@ mod tests {
         assert!(std::error::Error::source(&err).is_some());
     }
 }
+
+#[cfg(test)]
+#[path = "step_tests.rs"]
+mod step_tests;

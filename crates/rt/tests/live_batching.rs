@@ -114,9 +114,8 @@ impl Node for FloodNode {
             }
         }
     }
-    fn on_recover(&mut self, ctx: &mut Context<'_, u64>) {
+    fn on_recover(&mut self, _ctx: &mut Context<'_, u64>) {
         self.recovered = true;
-        ctx.metric_incr(MetricId::NODE_RECOVERIES);
     }
     fn as_any(&self) -> &dyn Any {
         self

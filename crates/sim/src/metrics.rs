@@ -140,8 +140,8 @@ registry! {
     NET_DROP_PARTITIONED = "net.drop.partitioned", Counter, "messages", "`World` drop: partition (sim only)";
     NET_DUPLICATED = "net.duplicated", Counter, "messages", "`World` message delivered twice (sim only)";
     NET_SENT = "net.sent", Counter, "messages", "`World` per `Effect::Send` (sim only)";
-    NODE_CRASHES = "node.crashes", Counter, "events", "`World` node crash (sim only)";
-    NODE_RECOVERIES = "node.recoveries", Counter, "events", "`World` node recovery (sim only)";
+    NODE_CRASHES = "node.crashes", Counter, "events", "Step rule: node crash, or a live kill or handler panic";
+    NODE_RECOVERIES = "node.recoveries", Counter, "events", "Step rule: node recovery, or a live restart";
     NS_DEGRADED_ROUNDS = "ns.degraded_rounds", Counter, "rounds", "`HostNode` quorum read settled below quorum (§12)";
     NS_FORGED_REPLY = "ns.forged_reply", Counter, "replies", "`DirectoryReplica` forgery emitted inside a malicious window (§12)";
     NS_INSTALLS = "ns.installs", Counter, "rounds", "`HostNode` directory record installed (§12)";

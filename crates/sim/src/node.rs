@@ -1,19 +1,35 @@
-//! Node identity, the [`Node`] behaviour trait, and the [`Context`] handed
-//! to a node while it handles an event.
+//! Node identity, the [`Node`] behaviour trait, the [`Context`] handed
+//! to a node while it handles an event, and the step rule both executors
+//! run a node by.
 //!
 //! Nodes are deliberately cut off from real simulation time: the only clock
 //! a node can read through its [`Context`] is its own (possibly drifting)
 //! local clock, exactly as in a real deployment. Timers are likewise set in
-//! local-clock units; the world converts them to real time using the node's
-//! clock rate.
+//! local-clock units; the step rule converts them to real time using the
+//! node's clock rate.
+//!
+//! # The step rule
+//!
+//! A node is the same function of (local time, event, RNG stream) on the
+//! simulated [`crate::world::World`] and on the live runtime, because both
+//! run it through what this module defines once:
+//! - [`Streams`], the stream rule: how a seed becomes each node's RNG
+//!   stream and clock;
+//! - [`Life`], the per-node step state beside that stream and clock: the
+//!   up flag, the incarnation, the timer-id counter and the cancelled
+//!   set, with the lifecycle transitions and the timer-fire rule;
+//! - [`Step`], the one effect dispatch: it builds the [`Context`], runs
+//!   the handler and drains the effects into a [`Sink`], which each
+//!   executor implements and a test substitutes a recording fake for.
 
 use std::any::Any;
 use std::fmt;
 
-use crate::clock::LocalTime;
+use crate::clock::{ClockSpec, DriftClock, LocalTime};
+use crate::hash::FxHashSet;
 use crate::metrics::MetricId;
 use crate::rng::SimRng;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// Identifies a node in the simulated world.
 ///
@@ -54,8 +70,7 @@ impl std::fmt::Display for NodeId {
 pub struct TimerId(pub(crate) u64);
 
 impl TimerId {
-    /// The raw driver-assigned id (for external drivers like
-    /// `wanacl-rt`).
+    /// The raw id: the node's count of timers armed before this one.
     pub fn into_raw(self) -> u64 {
         self.0
     }
@@ -209,9 +224,10 @@ pub struct Context<'a, M> {
 impl<'a, M> Context<'a, M> {
     /// Builds a context for one event dispatch.
     ///
-    /// Drivers (the simulated world, the threaded runtime) call this; node
-    /// code only ever receives a ready-made context. `next_timer` is the
-    /// driver's monotonically increasing timer-id counter. Trace notes
+    /// [`Step::run`] calls this for both executors; node code only ever
+    /// receives a ready-made context. `next_timer` is the node's own
+    /// timer-id counter ([`Life`] keeps it): each
+    /// [`Context::set_timer`] takes its value and adds one. Trace notes
     /// are on; a driver that drops them says so with
     /// [`Context::with_notes`].
     pub fn new(
@@ -350,9 +366,377 @@ pub trait Node {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// The stream rule: how a run's seed becomes one RNG stream and one
+/// clock per node.
+///
+/// The root stream is `SimRng::seed_from(seed)`. The network's stream is
+/// forked from it first, as `"net"`, then `node:{i}:{name}` for each node
+/// in index order, and each node draws its clock from its own stream
+/// before anything else. A fork draws from the root (see
+/// [`SimRng::fork`]), so node `i`'s stream is fixed by the seed, `i` and
+/// its name; an executor with no simulated network still forks `"net"`.
+#[derive(Debug)]
+pub struct Streams {
+    root: SimRng,
+    nodes: usize,
+}
+
+impl Streams {
+    /// The stream rule of `seed`, and the network's stream.
+    pub fn new(seed: u64) -> (Streams, SimRng) {
+        let mut root = SimRng::seed_from(seed);
+        let net = root.fork("net");
+        (Streams { root, nodes: 0 }, net)
+    }
+
+    /// The next node's stream, and the clock `spec` draws from it.
+    pub fn node(&mut self, name: &str, spec: ClockSpec) -> (SimRng, DriftClock) {
+        let mut rng = self.root.fork(&format!("node:{}:{name}", self.nodes));
+        self.nodes += 1;
+        let clock = spec.build(&mut rng);
+        (rng, clock)
+    }
+}
+
+/// An armed timer as an executor queues it: the node, its id, the tag
+/// `on_timer` gets back, and the incarnation that armed it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Timer {
+    /// The node that armed it.
+    pub node: NodeId,
+    /// Its id in that node's timer-id sequence.
+    pub id: TimerId,
+    /// The tag handed back to [`Node::on_timer`].
+    pub tag: u64,
+    /// The node's incarnation when it was armed.
+    pub incarnation: u32,
+}
+
+/// A node's lifecycle and timer state. With the node's RNG stream and
+/// clock it is the step state an executor keeps per node, across
+/// crashes and restarts.
+///
+/// Timer ids start at 0 when the node is added and are never reused. An
+/// incarnation ends at a crash, a kill or a restart, and on the live
+/// runtime at a stop or a handler panic; a timer armed in an earlier one
+/// is void.
+/// A cancelled id stays in the cancelled set until its timer pops, so
+/// the set never outgrows the pending timers.
+#[derive(Debug)]
+pub struct Life {
+    up: bool,
+    incarnation: u32,
+    next_timer: u64,
+    cancelled: FxHashSet<u64>,
+}
+
+impl Default for Life {
+    /// A node that was just added: up, incarnation 0, next timer id 0.
+    fn default() -> Self {
+        Life { up: true, incarnation: 0, next_timer: 0, cancelled: FxHashSet::default() }
+    }
+}
+
+impl Life {
+    /// Whether the node is up.
+    pub fn is_up(&self) -> bool {
+        self.up
+    }
+
+    /// Cancelled ids whose timers have not popped yet.
+    pub fn cancelled(&self) -> usize {
+        self.cancelled.len()
+    }
+
+    /// The timer-fire rule: `timer` fires iff the node is up, in the
+    /// incarnation that armed it, and the timer was not cancelled. Call
+    /// it when the timer pops; a cancelled id leaves the set here.
+    pub fn fires(&mut self, timer: &Timer) -> bool {
+        let cancelled = !self.cancelled.is_empty() && self.cancelled.remove(&timer.id.0);
+        !cancelled && self.up && timer.incarnation == self.incarnation
+    }
+
+    /// Takes the node down into a new incarnation, voiding its timers.
+    /// Returns whether it was up.
+    pub fn down(&mut self) -> bool {
+        let was_up = std::mem::replace(&mut self.up, false);
+        self.incarnation = self.incarnation.wrapping_add(1);
+        // Every earlier timer is void by incarnation now.
+        self.cancelled.clear();
+        was_up
+    }
+
+    /// Brings the node up in the incarnation it is in. Returns whether
+    /// it was down.
+    fn up(&mut self) -> bool {
+        !std::mem::replace(&mut self.up, true)
+    }
+}
+
+/// Where a step's effects go. Each executor implements it: the simulated
+/// world over its event queue and network model, the live worker over
+/// its transport and timer calendar. Timer cancellation is not a sink
+/// call: the cancelled set is step state ([`Life`]).
+pub trait Sink<M> {
+    /// Hands `msg` from `from` to the network.
+    fn send(&mut self, from: NodeId, to: NodeId, msg: M);
+    /// Queues `timer` to pop at real instant `due`.
+    fn arm(&mut self, due: SimTime, timer: Timer);
+    /// Records a trace note of `from`.
+    fn note(&mut self, from: NodeId, text: Note);
+    /// Increments a run-level counter.
+    fn incr(&mut self, name: MetricId);
+    /// Records a run-level histogram sample.
+    fn observe(&mut self, name: MetricId, value: f64);
+    /// Whether notes are consumed ([`Context::with_notes`]). The
+    /// simulator's answer is always yes, so its event indices, traces
+    /// and digests do not depend on who is listening.
+    fn notes(&self) -> bool {
+        true
+    }
+}
+
+/// One node's step state, borrowed for one step from wherever the
+/// executor keeps it: the world's per-node columns, or the live node's
+/// cell.
+#[derive(Debug)]
+pub struct Step<'a> {
+    /// The node.
+    pub id: NodeId,
+    /// Its lifecycle and timer state.
+    pub life: &'a mut Life,
+    /// Its RNG stream.
+    pub rng: &'a mut SimRng,
+    /// Its local clock.
+    pub clock: &'a DriftClock,
+}
+
+impl Step<'_> {
+    /// The one effect dispatch: runs `handler` at real instant `at`, with
+    /// the node's clock read there as its local time, then drains the
+    /// effects into `sink` in order. A timer is due at `at` plus the
+    /// real span the clock needs to measure its local delay. `effects`
+    /// is an empty scratch buffer, left empty.
+    pub fn run<M, S: Sink<M> + ?Sized>(
+        &mut self,
+        at: SimTime,
+        effects: &mut Vec<Effect<M>>,
+        sink: &mut S,
+        handler: impl FnOnce(&mut Context<'_, M>),
+    ) {
+        debug_assert!(effects.is_empty());
+        let local_now = self.clock.read(at);
+        let notes = sink.notes();
+        handler(&mut Context::new(self.id, local_now, effects, self.rng, &mut self.life.next_timer).with_notes(notes));
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send { to, msg } => sink.send(self.id, to, msg),
+                Effect::SetTimer { id, local_delay, tag } => {
+                    let timer = Timer { node: self.id, id, tag, incarnation: self.life.incarnation };
+                    sink.arm(at + self.clock.real_duration_for(local_delay), timer);
+                }
+                Effect::CancelTimer { id } => {
+                    self.life.cancelled.insert(id.0);
+                }
+                Effect::Trace { text } => sink.note(self.id, text),
+                Effect::MetricIncr { name } => sink.incr(name),
+                Effect::MetricObserve { name, value } => sink.observe(name, value),
+            }
+        }
+    }
+
+    /// A crash: an up node goes down into a new incarnation, drops its
+    /// volatile state (`on_crash`) and is counted. Returns whether it
+    /// was up.
+    pub fn crash<M, N: Node<Msg = M> + ?Sized, S: Sink<M> + ?Sized>(
+        &mut self,
+        node: &mut N,
+        sink: &mut S,
+    ) -> bool {
+        if !self.life.is_up() {
+            return false;
+        }
+        self.life.down();
+        node.on_crash();
+        sink.incr(MetricId::NODE_CRASHES);
+        true
+    }
+
+    /// A recovery: a down node comes up and is counted; the executor
+    /// then runs `on_recover` through [`Step::run`]. Returns whether it
+    /// was down.
+    pub fn recover<M, S: Sink<M> + ?Sized>(&mut self, sink: &mut S) -> bool {
+        let recovered = self.life.up();
+        if recovered {
+            sink.incr(MetricId::NODE_RECOVERIES);
+        }
+        recovered
+    }
+
+    /// A process death (the live runtime's kill, or a handler panic): the
+    /// node goes down into a new incarnation without `on_crash`, and an
+    /// up node is counted as a crash.
+    pub fn kill<M, S: Sink<M> + ?Sized>(&mut self, sink: &mut S) {
+        if self.life.down() {
+            sink.incr(MetricId::NODE_CRASHES);
+        }
+    }
+
+    /// A fresh instance takes the node's place: a new incarnation, up,
+    /// with the node's stream, timer ids and clock carried on. After a
+    /// kill it is counted as a recovery; the executor then runs
+    /// `on_start` through [`Step::run`].
+    pub fn restart<M, S: Sink<M> + ?Sized>(&mut self, sink: &mut S) {
+        if !self.life.down() {
+            sink.incr(MetricId::NODE_RECOVERIES);
+        }
+        self.life.up();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_i_streams_from_the_roots_draw_i_plus_2() {
+        let seed = 42;
+        let (mut streams, _net) = Streams::new(seed);
+        let mut root = SimRng::seed_from(seed);
+        let _net_draw = root.next_u64();
+        for i in 0..4 {
+            let name = format!("n{i}");
+            let (mut rng, clock) = streams.node(&name, ClockSpec::Perfect);
+            let draw = root.next_u64(); // the root's (i + 2)-th draw
+            let label = format!("node:{i}:{name}");
+            let mut want = SimRng::seed_from(draw ^ crate::rng::fnv1a(label.as_bytes()));
+            assert_eq!(rng.next_u64(), want.next_u64(), "node {i}");
+            assert_eq!(clock, DriftClock::perfect());
+        }
+    }
+
+    #[test]
+    fn a_node_draws_its_clock_first_from_its_own_stream() {
+        let spec = ClockSpec::RandomRate { min_rate: 0.5 };
+        let (mut streams, _) = Streams::new(9);
+        let (mut rng, clock) = streams.node("a", spec);
+        let (mut again, _) = Streams::new(9);
+        let (mut fresh, _) = again.node("a", ClockSpec::Perfect);
+        assert_eq!(spec.build(&mut fresh), clock, "the clock is the stream's first draw");
+        assert_eq!(rng.next_u64(), fresh.next_u64());
+        // A perfect-rate draw range takes nothing from the stream.
+        let (mut perfect, _) = Streams::new(9);
+        let (mut rng1, clock1) = perfect.node("a", ClockSpec::RandomRate { min_rate: 1.0 });
+        let (mut plain, _) = Streams::new(9);
+        let (mut plain_rng, _) = plain.node("a", ClockSpec::Perfect);
+        assert_eq!((clock1, rng1.next_u64()), (DriftClock::perfect(), plain_rng.next_u64()));
+    }
+
+    /// Arms three timers, cancels the second; steps through crash,
+    /// recover, kill and restart.
+    #[test]
+    fn the_step_rule_arms_cancels_and_voids_timers() {
+        let (mut life, mut rng) = (Life::default(), SimRng::seed_from(1));
+        let clock = DriftClock::new(0.5, SimDuration::ZERO);
+        let mut fx: Vec<Effect<u32>> = Vec::new();
+        let mut out: Vec<Output> = Vec::new();
+        let mut step = Step { id: NodeId(3), life: &mut life, rng: &mut rng, clock: &clock };
+        step.run(SimTime::from_secs(10), &mut fx, &mut out, |ctx| {
+            assert_eq!(ctx.local_now(), LocalTime::from_nanos(5_000_000_000), "the clock read at the instant");
+            let ids: Vec<TimerId> = (0..3).map(|tag| ctx.set_timer(SimDuration::from_secs(1), tag)).collect();
+            assert_eq!(ids, [TimerId(0), TimerId(1), TimerId(2)], "a node's ids start at 0");
+            ctx.cancel_timer(ids[1]);
+            ctx.send(NodeId(1), 7);
+            ctx.metric_incr(MetricId::NET_SENT);
+        });
+        assert!(fx.is_empty(), "the scratch buffer is left empty");
+        let armed: Vec<Timer> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::Arm { due, timer } => {
+                    assert_eq!(*due, SimTime::from_secs(12), "one local second is two real ones at rate 0.5");
+                    Some(*timer)
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(armed.len(), 3);
+        assert_eq!(out[3..], [Output::Send { to: NodeId(1), msg: 7 }, Output::Incr { name: MetricId::NET_SENT }]);
+        assert_eq!(life.cancelled(), 1);
+        assert!(life.fires(&armed[0]));
+        assert!(!life.fires(&armed[1]), "cancelled");
+        assert_eq!(life.cancelled(), 0, "a popped timer leaves the cancelled set");
+
+        let mut out: Vec<Output> = Vec::new();
+        let mut step = Step { id: NodeId(3), life: &mut life, rng: &mut rng, clock: &clock };
+        assert!(step.crash(&mut Inert, &mut out));
+        assert!(!step.crash(&mut Inert, &mut out), "a down node does not crash again");
+        assert!(step.recover(&mut out));
+        assert!(!step.recover(&mut out));
+        step.kill(&mut out);
+        step.restart(&mut out);
+        let mut next = None;
+        step.run(SimTime::from_secs(20), &mut fx, &mut out, |ctx| next = Some(ctx.set_timer(SimDuration::ZERO, 9)));
+        assert_eq!(next, Some(TimerId(3)), "ids are never reused");
+        assert!(!life.fires(&armed[2]), "armed in an incarnation that ended");
+        let counted: Vec<&str> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::Incr { name } => Some(name.def().name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(counted, ["node.crashes", "node.recoveries", "node.crashes", "node.recoveries"]);
+    }
+
+    #[test]
+    fn the_first_instance_is_not_a_recovery() {
+        let (mut life, mut rng, clock) = (Life::default(), SimRng::seed_from(1), DriftClock::perfect());
+        let mut out: Vec<Output> = Vec::new();
+        Step { id: NodeId(0), life: &mut life, rng: &mut rng, clock: &clock }.restart(&mut out);
+        assert!(out.is_empty() && life.is_up());
+    }
+
+    /// One call the recording sink saw.
+    #[derive(Debug, PartialEq)]
+    enum Output {
+        Send { to: NodeId, msg: u32 },
+        Arm { due: SimTime, timer: Timer },
+        Incr { name: MetricId },
+        Other,
+    }
+
+    impl Sink<u32> for Vec<Output> {
+        fn send(&mut self, _from: NodeId, to: NodeId, msg: u32) {
+            self.push(Output::Send { to, msg });
+        }
+        fn arm(&mut self, due: SimTime, timer: Timer) {
+            self.push(Output::Arm { due, timer });
+        }
+        fn note(&mut self, _from: NodeId, _text: Note) {
+            self.push(Output::Other);
+        }
+        fn incr(&mut self, name: MetricId) {
+            self.push(Output::Incr { name });
+        }
+        fn observe(&mut self, _name: MetricId, _value: f64) {
+            self.push(Output::Other);
+        }
+    }
+
+    #[derive(Debug)]
+    struct Inert;
+
+    impl Node for Inert {
+        type Msg = u32;
+        fn on_message(&mut self, _ctx: &mut Context<'_, u32>, _from: NodeId, _msg: u32) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
 
     #[test]
     fn env_id_displays_specially() {

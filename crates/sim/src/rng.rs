@@ -2,9 +2,11 @@
 //!
 //! Every source of randomness in a run descends from a single `u64` seed,
 //! so a scenario replays identically given the same seed ([`crate::world`]
-//! invariant I6 in DESIGN.md). Sub-streams are *forked* by hashing a label
-//! into the parent seed, which keeps streams independent of the order in
-//! which they are created.
+//! invariant I6 in DESIGN.md). A sub-stream is *forked* from its parent:
+//! the parent's next draw, with a label hashed into it, seeds the child.
+//! So a child depends on how many draws its parent made before the fork,
+//! and the order of the forks is part of the seed rule
+//! ([`crate::node::Streams`] fixes it for a run's nodes).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,11 +36,14 @@ impl SimRng {
         SimRng { inner: StdRng::seed_from_u64(seed) }
     }
 
-    /// Forks an independent child stream identified by `label`.
+    /// Forks a child stream identified by `label`: the child is seeded
+    /// with the parent's next 64-bit draw XOR the FNV-1a hash of the
+    /// label.
     ///
-    /// Forking is stable: the child depends only on the parent's seed
-    /// lineage and the label, not on how much the parent has been used
-    /// before other forks.
+    /// A fork advances the parent by one draw. So the child depends on
+    /// the parent's seed, the label and every draw or fork the parent
+    /// made before it, and two forks with the same label give two
+    /// different streams.
     pub fn fork(&mut self, label: &str) -> SimRng {
         let base: u64 = self.inner.gen();
         SimRng::seed_from(base ^ fnv1a(label.as_bytes()))
@@ -189,7 +194,7 @@ impl Zipf {
 }
 
 /// FNV-1a hash, used only to mix fork labels into seeds.
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -226,6 +231,22 @@ mod tests {
         let mut c1 = p1.fork("net");
         let mut c2 = p2.fork("net");
         assert_eq!(c1.next_u64(), c2.next_u64());
+    }
+
+    #[test]
+    fn a_fork_draws_from_its_parent() {
+        let mut parent = SimRng::seed_from(5);
+        let (mut first, mut second) = (parent.fork("node"), parent.fork("node"));
+        assert_ne!(first.next_u64(), second.next_u64(), "a second fork with the same label differs");
+        let mut root = SimRng::seed_from(5);
+        let draws = [root.next_u64(), root.next_u64()];
+        let mut again = SimRng::seed_from(5);
+        again.fork("node");
+        assert_eq!(
+            again.fork("node").next_u64(),
+            SimRng::seed_from(draws[1] ^ fnv1a(b"node")).next_u64(),
+            "the child's seed is the parent's next draw XOR the label's hash"
+        );
     }
 
     #[test]

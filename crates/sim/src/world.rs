@@ -8,73 +8,38 @@
 //! # Layout
 //!
 //! Node state is stored **struct-of-arrays**: names, boxed protocol
-//! state machines, clocks, liveness metadata, and RNG streams live in
-//! parallel vectors indexed by the dense [`NodeId`]. Dispatch touches only
-//! the columns it needs (clock + rng + node for a delivery; a 8-byte meta
-//! word for an up-check), which keeps the hot loop's working set small at
-//! 10k+ nodes. Pending events live in a bucketed calendar queue (see
-//! [`crate::queue`]); timer cancellation is a dense bitset over the
-//! monotonically-assigned timer ids rather than a hash set.
+//! state machines, clocks, lifecycle state ([`Life`]) and RNG streams
+//! live in parallel vectors indexed by the dense [`NodeId`]. A step
+//! borrows one node's clock, life and stream from those columns as a
+//! [`Step`] — the step rule the live runtime runs too — and the rest of
+//! the world (queue, network, metrics, trace) is the [`Sink`] its effects
+//! drain into. Pending events live in a bucketed calendar queue (see
+//! [`crate::queue`]).
 
 use crate::clock::{ClockSpec, DriftClock, LocalTime};
 use crate::metrics::{MetricId, Metrics};
 use crate::net::{DropReason, NetModel, PerfectNet, Verdict};
-use crate::node::{Context, Effect, Node, NodeId};
+use crate::node::{Context, Effect, Life, Node, NodeId, Note, Sink, Step, Streams, Timer};
 use crate::queue::{EventQueue, Scheduler};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent};
 
+/// Node `$id`'s step state, borrowed from `$world`'s columns.
+macro_rules! step {
+    ($world:expr, $id:expr) => {{
+        let i = $id.index();
+        Step { id: $id, life: &mut $world.meta[i], rng: &mut $world.node_rngs[i], clock: &$world.clocks[i] }
+    }};
+}
+
 /// What the queue holds.
 #[derive(Debug)]
 enum EventKind<M> {
     Deliver { from: NodeId, to: NodeId, msg: M },
-    Timer { node: NodeId, id: u64, tag: u64, incarnation: u32 },
+    Timer(Timer),
     Crash { node: NodeId },
     Recover { node: NodeId },
-}
-
-/// Per-node liveness metadata, kept in its own dense column so up-checks
-/// and incarnation guards never touch the boxed node state.
-#[derive(Debug, Clone, Copy)]
-struct NodeMeta {
-    up: bool,
-    incarnation: u32,
-}
-
-/// Dense bitset over timer ids recording pending cancellations.
-///
-/// Timer ids are assigned from a monotonically increasing counter, so the
-/// id space is contiguous and a bit per id beats a `HashSet<u64>`: no
-/// hashing on the timer hot path and one cache line covers 512 timers.
-/// The set only grows when a cancellation actually happens.
-#[derive(Debug, Default)]
-struct CancelSet {
-    words: Vec<u64>,
-}
-
-impl CancelSet {
-    fn insert(&mut self, id: u64) {
-        let w = (id >> 6) as usize;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        self.words[w] |= 1u64 << (id & 63);
-    }
-
-    /// Clears and reports the bit — `true` iff the timer was cancelled.
-    fn take(&mut self, id: u64) -> bool {
-        let w = (id >> 6) as usize;
-        match self.words.get_mut(w) {
-            Some(word) => {
-                let bit = 1u64 << (id & 63);
-                let was = *word & bit != 0;
-                *word &= !bit;
-                was
-            }
-            None => false,
-        }
-    }
 }
 
 /// A passive observer of world events, registered with
@@ -144,112 +109,45 @@ pub struct ObserverId(usize);
 /// assert_eq!(world.now(), SimTime::from_secs(2));
 /// ```
 pub struct World<M> {
-    now: SimTime,
-    queue: EventQueue<EventKind<M>>,
     // Node arena, struct-of-arrays: parallel columns indexed by NodeId.
     names: Vec<String>,
     nodes: Vec<Box<dyn Node<Msg = M>>>,
     clocks: Vec<DriftClock>,
-    meta: Vec<NodeMeta>,
+    meta: Vec<Life>,
     node_rngs: Vec<SimRng>,
-    net: Box<dyn NetModel>,
-    net_rng: SimRng,
-    root_rng: SimRng,
-    cancelled_timers: CancelSet,
-    next_timer: u64,
+    streams: Streams,
     /// Reusable buffer for node effects; handlers never re-enter, so one
     /// scratch vector serves every dispatch without reallocating.
     effects_scratch: Vec<Effect<M>>,
+    started: bool,
+    env: Env<M>,
+}
+
+/// Everything of a [`World`] but its nodes: the [`Sink`] a step's
+/// effects drain into.
+struct Env<M> {
+    now: SimTime,
+    queue: EventQueue<EventKind<M>>,
+    net: Box<dyn NetModel>,
+    net_rng: SimRng,
     metrics: Metrics,
     trace: Trace,
     observers: Vec<Box<dyn Observer>>,
     observers_want_messages: bool,
     event_index: u64,
-    started: bool,
 }
 
 impl<M> std::fmt::Debug for World<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
-            .field("now", &self.now)
+            .field("now", &self.env.now)
             .field("nodes", &self.nodes.len())
-            .field("queued", &self.queue.len())
+            .field("queued", &self.env.queue.len())
             .finish_non_exhaustive()
     }
 }
 
-impl<M: Clone + std::fmt::Debug + 'static> World<M> {
-    /// Creates an empty world with a perfect 50 ms network and the
-    /// default calendar-queue scheduler.
-    pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, Scheduler::default())
-    }
-
-    /// Creates an empty world using an explicit event [`Scheduler`].
-    ///
-    /// Both schedulers produce identical event orderings; the naive
-    /// heap ([`Scheduler::NaiveHeap`]) exists only as the reference the
-    /// parity tests run the calendar queue against.
-    pub fn with_scheduler(seed: u64, scheduler: Scheduler) -> Self {
-        let mut root_rng = SimRng::seed_from(seed);
-        let net_rng = root_rng.fork("net");
-        World {
-            now: SimTime::ZERO,
-            queue: EventQueue::new(scheduler),
-            names: Vec::new(),
-            nodes: Vec::new(),
-            clocks: Vec::new(),
-            meta: Vec::new(),
-            node_rngs: Vec::new(),
-            net: Box::new(PerfectNet::new(SimDuration::from_millis(50))),
-            net_rng,
-            root_rng,
-            cancelled_timers: CancelSet::default(),
-            next_timer: 0,
-            effects_scratch: Vec::new(),
-            metrics: Metrics::new(),
-            trace: Trace::new(),
-            observers: Vec::new(),
-            observers_want_messages: false,
-            event_index: 0,
-            started: false,
-        }
-    }
-
-    /// Replaces the network model. Usually called before the first step.
-    pub fn set_net(&mut self, net: Box<dyn NetModel>) {
-        self.net = net;
-    }
-
-    /// Turns on event tracing (off by default).
-    pub fn enable_trace(&mut self) {
-        self.trace.set_enabled(true);
-    }
-
-    /// Registers a passive [`Observer`] and returns a handle for
-    /// retrieving it later with [`World::observer_as`].
-    ///
-    /// Observers see every subsequent event whether or not tracing is
-    /// enabled. Register them before the first step for a complete view.
-    pub fn add_observer(&mut self, observer: Box<dyn Observer>) -> ObserverId {
-        self.observers_want_messages |= observer.wants_message_events();
-        self.observers.push(observer);
-        ObserverId(self.observers.len() - 1)
-    }
-
-    /// Immutable access to a registered observer downcast to its
-    /// concrete type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is foreign or the observer is not a `T`.
-    pub fn observer_as<T: 'static>(&self, id: ObserverId) -> &T {
-        self.observers[id.0]
-            .as_any()
-            .downcast_ref::<T>()
-            .unwrap_or_else(|| panic!("observer {} is not a {}", id.0, std::any::type_name::<T>()))
-    }
-
+impl<M> Env<M> {
     /// Whether per-message events (Sent/Delivered) need to be built at
     /// all: only when something will consume them.
     fn wants_message_events(&self) -> bool {
@@ -267,7 +165,133 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.trace.push(at, event);
     }
 
-    /// Adds a node and returns its id.
+    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
+        self.queue.push(at, kind);
+    }
+}
+
+impl<M: Clone + std::fmt::Debug> Sink<M> for Env<M> {
+    fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
+        self.metrics.incr(MetricId::NET_SENT);
+        if self.wants_message_events() {
+            self.emit(TraceEvent::Sent { from, to, desc: format!("{msg:?}") });
+        }
+        if to == from {
+            // Self-sends bypass the network: local IPC.
+            self.push(self.now, EventKind::Deliver { from, to, msg });
+            return;
+        }
+        match self.net.transmit(from, to, self.now, &mut self.net_rng) {
+            Verdict::Deliver(delay) => {
+                self.push(self.now + delay, EventKind::Deliver { from, to, msg });
+            }
+            Verdict::Duplicate(first, second) => {
+                self.metrics.incr(MetricId::NET_DUPLICATED);
+                self.push(self.now + first, EventKind::Deliver { from, to, msg: msg.clone() });
+                self.push(self.now + second, EventKind::Deliver { from, to, msg });
+            }
+            Verdict::Drop(reason) => {
+                let name = match reason {
+                    DropReason::Partitioned => MetricId::NET_DROP_PARTITIONED,
+                    DropReason::Loss => MetricId::NET_DROP_LOSS,
+                    DropReason::DestinationDown => MetricId::NET_DROP_DESTINATION_DOWN,
+                };
+                self.metrics.incr(name);
+                self.emit(TraceEvent::Dropped { from, to, reason });
+            }
+        }
+    }
+
+    fn arm(&mut self, due: SimTime, timer: Timer) {
+        self.push(due, EventKind::Timer(timer));
+    }
+
+    fn note(&mut self, from: NodeId, text: Note) {
+        self.emit(TraceEvent::Note { node: from, text });
+    }
+
+    fn incr(&mut self, name: MetricId) {
+        self.metrics.incr(name);
+    }
+
+    fn observe(&mut self, name: MetricId, value: f64) {
+        self.metrics.observe(name, value);
+    }
+}
+
+impl<M: Clone + std::fmt::Debug + 'static> World<M> {
+    /// Creates an empty world with a perfect 50 ms network and the
+    /// default calendar-queue scheduler.
+    pub fn new(seed: u64) -> Self {
+        Self::with_scheduler(seed, Scheduler::default())
+    }
+
+    /// Creates an empty world using an explicit event [`Scheduler`].
+    ///
+    /// Both schedulers produce identical event orderings; the naive
+    /// heap ([`Scheduler::NaiveHeap`]) exists only as the reference the
+    /// parity tests run the calendar queue against.
+    pub fn with_scheduler(seed: u64, scheduler: Scheduler) -> Self {
+        let (streams, net_rng) = Streams::new(seed);
+        World {
+            names: Vec::new(),
+            nodes: Vec::new(),
+            clocks: Vec::new(),
+            meta: Vec::new(),
+            node_rngs: Vec::new(),
+            streams,
+            effects_scratch: Vec::new(),
+            started: false,
+            env: Env {
+                now: SimTime::ZERO,
+                queue: EventQueue::new(scheduler),
+                net: Box::new(PerfectNet::new(SimDuration::from_millis(50))),
+                net_rng,
+                metrics: Metrics::new(),
+                trace: Trace::new(),
+                observers: Vec::new(),
+                observers_want_messages: false,
+                event_index: 0,
+            },
+        }
+    }
+
+    /// Replaces the network model. Usually called before the first step.
+    pub fn set_net(&mut self, net: Box<dyn NetModel>) {
+        self.env.net = net;
+    }
+
+    /// Turns on event tracing (off by default).
+    pub fn enable_trace(&mut self) {
+        self.env.trace.set_enabled(true);
+    }
+
+    /// Registers a passive [`Observer`] and returns a handle for
+    /// retrieving it later with [`World::observer_as`].
+    ///
+    /// Observers see every subsequent event whether or not tracing is
+    /// enabled. Register them before the first step for a complete view.
+    pub fn add_observer(&mut self, observer: Box<dyn Observer>) -> ObserverId {
+        self.env.observers_want_messages |= observer.wants_message_events();
+        self.env.observers.push(observer);
+        ObserverId(self.env.observers.len() - 1)
+    }
+
+    /// Immutable access to a registered observer downcast to its
+    /// concrete type.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle is foreign or the observer is not a `T`.
+    pub fn observer_as<T: 'static>(&self, id: ObserverId) -> &T {
+        self.env.observers[id.0]
+            .as_any()
+            .downcast_ref::<T>()
+            .unwrap_or_else(|| panic!("observer {} is not a {}", id.0, std::any::type_name::<T>()))
+    }
+
+    /// Adds a node and returns its id. Its RNG stream and clock come
+    /// from the stream rule ([`Streams`]).
     ///
     /// Nodes added before the first step get `on_start` when the world
     /// starts; nodes added later get it immediately.
@@ -278,13 +302,12 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         clock: ClockSpec,
     ) -> NodeId {
         let name = name.into();
-        let mut rng = self.root_rng.fork(&format!("node:{}:{}", self.nodes.len(), name));
-        let clock = clock.build(&mut rng);
+        let (rng, clock) = self.streams.node(&name, clock);
         let id = NodeId(self.nodes.len() as u32);
         self.names.push(name);
         self.nodes.push(node);
         self.clocks.push(clock);
-        self.meta.push(NodeMeta { up: true, incarnation: 0 });
+        self.meta.push(Life::default());
         self.node_rngs.push(rng);
         if self.started {
             self.start_node(id);
@@ -294,7 +317,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Current real simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.env.now
     }
 
     /// Number of nodes in the world.
@@ -313,7 +336,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Whether the node is currently up.
     pub fn is_up(&self, id: NodeId) -> bool {
-        self.meta[id.index()].up
+        self.meta[id.index()].is_up()
     }
 
     /// The node's clock.
@@ -323,7 +346,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// The node's local-clock reading at the current real time.
     pub fn local_time(&self, id: NodeId) -> LocalTime {
-        self.clocks[id.index()].read(self.now)
+        self.clocks[id.index()].read(self.env.now)
     }
 
     /// Immutable access to a node downcast to its concrete type.
@@ -352,12 +375,12 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
 
     /// Run-level metrics.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.env.metrics
     }
 
     /// The event trace (empty unless [`World::enable_trace`] was called).
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.env.trace
     }
 
     /// Schedules delivery of `msg` to `to` at absolute time `at`, as if
@@ -367,8 +390,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     ///
     /// Panics if `at` is in the past.
     pub fn inject(&mut self, at: SimTime, to: NodeId, msg: M) {
-        assert!(at >= self.now, "cannot inject into the past ({at} < {})", self.now);
-        self.push(at, EventKind::Deliver { from: NodeId::ENV, to, msg });
+        assert!(at >= self.env.now, "cannot inject into the past ({at} < {})", self.env.now);
+        self.env.push(at, EventKind::Deliver { from: NodeId::ENV, to, msg });
     }
 
     /// Schedules a crash of `node` at `at`.
@@ -377,8 +400,8 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.push(at, EventKind::Crash { node });
+        assert!(at >= self.env.now, "cannot schedule into the past");
+        self.env.push(at, EventKind::Crash { node });
     }
 
     /// Schedules a recovery of `node` at `at`.
@@ -387,8 +410,25 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.push(at, EventKind::Recover { node });
+        assert!(at >= self.env.now, "cannot schedule into the past");
+        self.env.push(at, EventKind::Recover { node });
+    }
+
+    /// Restarts `node` now, as the live runtime's kill and restart do:
+    /// the instance dies without `on_crash`, and `fresh` takes its place
+    /// in a new incarnation and starts, with the node's stream, timer ids
+    /// and clock carried on.
+    pub fn restart(&mut self, node: NodeId, fresh: Box<dyn Node<Msg = M>>) {
+        self.ensure_started();
+        if self.meta[node.index()].is_up() {
+            self.env.emit(TraceEvent::Crashed { node });
+        }
+        let mut step = step!(self, node);
+        step.kill(&mut self.env);
+        step.restart(&mut self.env);
+        self.nodes[node.index()] = fresh;
+        self.env.emit(TraceEvent::Recovered { node });
+        self.start_node(node);
     }
 
     /// Runs until the queue is exhausted or `deadline` is reached; the
@@ -396,14 +436,14 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// events do not exist).
     pub fn run_until(&mut self, deadline: SimTime) {
         self.run_until_idle(deadline);
-        if deadline > self.now && deadline != SimTime::MAX {
-            self.now = deadline;
+        if deadline > self.env.now && deadline != SimTime::MAX {
+            self.env.now = deadline;
         }
     }
 
     /// Runs for a real-time span from the current time.
     pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.now + span;
+        let deadline = self.env.now + span;
         self.run_until(deadline);
     }
 
@@ -413,19 +453,19 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     /// never goes idle, so the deadline is mandatory.
     pub fn run_until_idle(&mut self, deadline: SimTime) -> bool {
         self.ensure_started();
-        while let Some((at, kind)) = self.queue.pop_due(deadline) {
-            self.now = at;
+        while let Some((at, kind)) = self.env.queue.pop_due(deadline) {
+            self.env.now = at;
             self.dispatch(kind);
         }
-        self.queue.len() == 0
+        self.env.queue.len() == 0
     }
 
     /// Processes a single queued event. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
-        let Some((at, kind)) = self.queue.pop() else { return false };
-        self.now = at;
+        let Some((at, kind)) = self.env.queue.pop() else { return false };
+        self.env.now = at;
         self.dispatch(kind);
         true
     }
@@ -440,43 +480,21 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         }
     }
 
-    /// Runs a node handler with a fresh [`Context`] over the scratch
-    /// effects buffer, then applies whatever the handler emitted.
-    ///
-    /// `call` receives the node and its context. The scratch buffer is
-    /// reusable because effect application never re-enters a handler.
+    /// Runs a node handler through the step rule ([`Step::run`]) over
+    /// the scratch effects buffer; the effects drain into [`Env`].
     fn with_node_ctx(
         &mut self,
         id: NodeId,
         call: impl FnOnce(&mut dyn Node<Msg = M>, &mut Context<'_, M>),
     ) {
         let mut effects = std::mem::take(&mut self.effects_scratch);
-        debug_assert!(effects.is_empty());
-        {
-            let idx = id.index();
-            let mut ctx = Context {
-                id,
-                local_now: self.clocks[idx].read(self.now),
-                effects: &mut effects,
-                rng: &mut self.node_rngs[idx],
-                next_timer: &mut self.next_timer,
-                // Always on, whoever listens: event indices, traces and
-                // digests must not depend on the observers installed.
-                notes: true,
-            };
-            call(self.nodes[idx].as_mut(), &mut ctx);
-        }
-        self.apply_effects(id, &mut effects);
-        effects.clear();
+        let node = self.nodes[id.index()].as_mut();
+        step!(self, id).run(self.env.now, &mut effects, &mut self.env, |ctx| call(node, ctx));
         self.effects_scratch = effects;
     }
 
     fn start_node(&mut self, id: NodeId) {
         self.with_node_ctx(id, |node, ctx| node.on_start(ctx));
-    }
-
-    fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        self.queue.push(at, kind);
     }
 
     fn dispatch(&mut self, kind: EventKind<M>) {
@@ -485,114 +503,38 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
                 if to.index() >= self.nodes.len() {
                     return;
                 }
-                if !self.meta[to.index()].up {
-                    self.metrics.incr(MetricId::NET_DROP_DESTINATION_DOWN);
-                    self.emit(TraceEvent::Dropped {
+                if !self.meta[to.index()].is_up() {
+                    self.env.metrics.incr(MetricId::NET_DROP_DESTINATION_DOWN);
+                    self.env.emit(TraceEvent::Dropped {
                         from,
                         to,
                         reason: DropReason::DestinationDown,
                     });
                     return;
                 }
-                self.metrics.incr(MetricId::NET_DELIVERED);
-                if self.wants_message_events() {
-                    self.emit(TraceEvent::Delivered { from, to, desc: format!("{msg:?}") });
+                self.env.metrics.incr(MetricId::NET_DELIVERED);
+                if self.env.wants_message_events() {
+                    self.env.emit(TraceEvent::Delivered { from, to, desc: format!("{msg:?}") });
                 }
                 self.with_node_ctx(to, |node, ctx| node.on_message(ctx, from, msg));
             }
-            EventKind::Timer { node, id, tag, incarnation } => {
-                if self.cancelled_timers.take(id) {
+            EventKind::Timer(timer) => {
+                if !self.meta[timer.node.index()].fires(&timer) {
                     return;
                 }
-                let meta = self.meta[node.index()];
-                if !meta.up || meta.incarnation != incarnation {
-                    return;
-                }
-                self.emit(TraceEvent::TimerFired { node, tag });
-                self.with_node_ctx(node, |n, ctx| n.on_timer(ctx, tag));
+                self.env.emit(TraceEvent::TimerFired { node: timer.node, tag: timer.tag });
+                self.with_node_ctx(timer.node, |n, ctx| n.on_timer(ctx, timer.tag));
             }
             EventKind::Crash { node } => {
-                let meta = &mut self.meta[node.index()];
-                if !meta.up {
-                    return;
+                let n = self.nodes[node.index()].as_mut();
+                if step!(self, node).crash(n, &mut self.env) {
+                    self.env.emit(TraceEvent::Crashed { node });
                 }
-                meta.up = false;
-                meta.incarnation += 1;
-                self.nodes[node.index()].on_crash();
-                self.metrics.incr(MetricId::NODE_CRASHES);
-                self.emit(TraceEvent::Crashed { node });
             }
             EventKind::Recover { node } => {
-                if self.meta[node.index()].up {
-                    return;
-                }
-                self.meta[node.index()].up = true;
-                self.metrics.incr(MetricId::NODE_RECOVERIES);
-                self.emit(TraceEvent::Recovered { node });
-                self.with_node_ctx(node, |n, ctx| n.on_recover(ctx));
-            }
-        }
-    }
-
-    fn apply_effects(&mut self, origin: NodeId, effects: &mut Vec<Effect<M>>) {
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    self.metrics.incr(MetricId::NET_SENT);
-                    if self.wants_message_events() {
-                        self.emit(TraceEvent::Sent { from: origin, to, desc: format!("{msg:?}") });
-                    }
-                    if to == origin {
-                        // Self-sends bypass the network: local IPC.
-                        self.push(self.now, EventKind::Deliver { from: origin, to, msg });
-                        continue;
-                    }
-                    match self.net.transmit(origin, to, self.now, &mut self.net_rng) {
-                        Verdict::Deliver(delay) => {
-                            self.push(self.now + delay, EventKind::Deliver { from: origin, to, msg });
-                        }
-                        Verdict::Duplicate(first, second) => {
-                            self.metrics.incr(MetricId::NET_DUPLICATED);
-                            self.push(
-                                self.now + first,
-                                EventKind::Deliver { from: origin, to, msg: msg.clone() },
-                            );
-                            self.push(self.now + second, EventKind::Deliver { from: origin, to, msg });
-                        }
-                        Verdict::Drop(reason) => {
-                            let name = match reason {
-                                DropReason::Partitioned => MetricId::NET_DROP_PARTITIONED,
-                                DropReason::Loss => MetricId::NET_DROP_LOSS,
-                                DropReason::DestinationDown => MetricId::NET_DROP_DESTINATION_DOWN,
-                            };
-                            self.metrics.incr(name);
-                            self.emit(TraceEvent::Dropped { from: origin, to, reason });
-                        }
-                    }
-                }
-                Effect::SetTimer { id, local_delay, tag } => {
-                    let real_delay = self.clocks[origin.index()].real_duration_for(local_delay);
-                    self.push(
-                        self.now + real_delay,
-                        EventKind::Timer {
-                            node: origin,
-                            id: id.0,
-                            tag,
-                            incarnation: self.meta[origin.index()].incarnation,
-                        },
-                    );
-                }
-                Effect::CancelTimer { id } => {
-                    self.cancelled_timers.insert(id.0);
-                }
-                Effect::Trace { text } => {
-                    self.emit(TraceEvent::Note { node: origin, text });
-                }
-                Effect::MetricIncr { name } => {
-                    self.metrics.incr(name);
-                }
-                Effect::MetricObserve { name, value } => {
-                    self.metrics.observe(name, value);
+                if step!(self, node).recover(&mut self.env) {
+                    self.env.emit(TraceEvent::Recovered { node });
+                    self.with_node_ctx(node, |n, ctx| n.on_recover(ctx));
                 }
             }
         }
