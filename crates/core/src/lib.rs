@@ -58,6 +58,7 @@ pub mod cache;
 pub mod campaign;
 pub mod channel;
 pub mod client;
+mod durable;
 #[cfg(test)]
 mod harness;
 pub mod host;

@@ -49,13 +49,14 @@ use wanacl_sim::time::SimDuration;
 
 use crate::audit::{AuditEvent, Recovery};
 use crate::channel::ChannelEnd;
+use crate::durable::DurableLog;
 use crate::msg::{admin_signing_bytes, AclOp, AdminStatus, OpId, ProtoMsg, QueryVerdict, RejectReason, ReqId};
 use crate::policy::Policy;
-use crate::storelog::{decode_snapshot, decode_wal_record, encode_release, encode_snapshot, WalRecord};
+use crate::storelog::{decode_snapshot, decode_wal_record, encode_record, encode_release, encode_snapshot, WalRecord};
 use crate::types::{Acl, AppId, Right, ShardId, UserId};
 
 use dissemination::Dissemination;
-use durability::{Durability, Unlogged};
+use durability::{Durability, Unlogged, WAL_METRICS};
 use handoff::{Crossing, Handoff, ShardRoute};
 use replica::Replica;
 
@@ -216,7 +217,9 @@ pub struct ManagerStats {
     pub peer_updates_applied: u64,
     /// Delta syncs served to recovering peers.
     pub syncs_served: u64,
-    /// WAL records appended (storage-backed managers only).
+    /// WAL records appended (storage-backed managers only). Read from
+    /// the storage's own count by [`ManagerNode::stats`]; the manager
+    /// never stores it.
     pub wal_appends: u64,
     /// Snapshots written (each truncates the WAL).
     pub snapshot_writes: u64,
@@ -233,6 +236,10 @@ pub struct ManagerStats {
 pub struct ManagerNode {
     config: ManagerConfig,
     replica: Replica,
+    /// The WAL, holding each applied op's promise until it is durable.
+    /// Without storage it reproduces the paper's volatile managers
+    /// (sync-only recovery).
+    wal: DurableLog<OpId, Unlogged>,
     durability: Durability,
     dissemination: Dissemination,
     handoff: Handoff,
@@ -250,7 +257,8 @@ impl ManagerNode {
     pub fn new(config: ManagerConfig) -> Self {
         ManagerNode {
             replica: Replica::new(&config.apps),
-            durability: Durability::new(config.snapshot_every),
+            wal: DurableLog::new(config.snapshot_every, Some(WAL_METRICS)),
+            durability: Durability::default(),
             dissemination: Dissemination::default(),
             handoff: Handoff::new(&config),
             last_heard: Default::default(),
@@ -281,17 +289,12 @@ impl ManagerNode {
     /// storage already holds state (a process restart), `on_start`
     /// replays it before serving.
     pub fn set_storage(&mut self, storage: Box<dyn Storage>) {
-        self.durability.attach(storage);
-    }
-
-    /// The attached storage, for fault-model configuration and stats.
-    pub fn storage_mut(&mut self) -> Option<&mut (dyn Storage + '_)> {
-        self.durability.storage_mut()
+        self.wal.attach(storage);
     }
 
     /// Counters of the attached storage, if any.
     pub fn storage_stats(&self) -> Option<StorageStats> {
-        self.durability.storage_stats()
+        self.wal.storage_stats()
     }
 
     /// Installs pairwise channel keys: `QueryReply` and `RevokeNotice`
@@ -304,7 +307,8 @@ impl ManagerNode {
 
     /// The manager's counters.
     pub fn stats(&self) -> ManagerStats {
-        self.stats
+        // Every record the log appended is one the storage counted.
+        ManagerStats { wal_appends: self.storage_stats().map_or(0, |s| s.appends), ..self.stats }
     }
 
     /// Whether the manager currently holds `right` for `user` on `app`.
@@ -362,7 +366,7 @@ impl ManagerNode {
         ctx.set_timer(self.heartbeat_period(), TAG_HEARTBEAT);
         self.dissemination.arm_retry(ctx, &self.config.retry_backoff());
         ctx.set_timer(self.config.grant_sweep_interval, TAG_GSWEEP);
-        match self.durability.recover() {
+        match self.wal.recover() {
             Some(recovered) if after_crash || recovered.snapshot.is_some() || !recovered.records.is_empty() => {
                 self.restore_from(ctx, recovered);
                 // Everything this manager ever acked was fsynced before
@@ -428,36 +432,33 @@ impl ManagerNode {
     /// to it (acking a peer, or counting ourselves toward the quorum).
     /// Without storage the promise is honoured immediately.
     fn log(&mut self, ctx: &mut Context<'_, ProtoMsg>, id: OpId, op: AclOp, ack_to: Option<NodeId>) {
-        if self.durability.hold(ctx, &mut self.stats, id, op, ack_to) {
-            self.flush(ctx);
-        } else {
-            self.commit(ctx, id, Unlogged { op, ack_to });
+        match self.wal.hold(ctx, id, Unlogged { op, ack_to }, |u| encode_record(id, &u.op)) {
+            Some(unlogged) => self.commit(ctx, id, unlogged),
+            None => self.flush(ctx),
         }
     }
 
     /// Attempts the WAL sync barrier; every op it made durable commits,
     /// then the snapshot cadence is checked.
     fn flush(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        let committed = self.durability.barrier(ctx);
+        let committed = self.wal.barrier(ctx);
         if committed.is_empty() {
             return;
         }
         for (id, unlogged) in committed {
             self.commit(ctx, id, unlogged);
         }
-        if self.durability.snapshot_due() {
-            let snapshot = self.replica.snapshot(self.handoff.release_markers());
-            if self.durability.write_snapshot(&encode_snapshot(&snapshot)) {
-                self.stats.snapshot_writes += 1;
-                ctx.metric_incr(M::MGR_SNAPSHOT_WRITES);
-            }
+        let snapshot = || encode_snapshot(&self.replica.snapshot(self.handoff.release_markers()));
+        if self.wal.snapshot_if_due(snapshot) {
+            self.stats.snapshot_writes += 1;
+            ctx.metric_incr(M::MGR_SNAPSHOT_WRITES);
         }
     }
 
     /// The op is durable (or durability is not modelled): honour its
     /// promise.
     fn commit(&mut self, ctx: &mut Context<'_, ProtoMsg>, id: OpId, Unlogged { op, ack_to }: Unlogged) {
-        if self.durability.has_storage() {
+        if self.wal.has_storage() {
             // Everything acked from here on must survive any crash; the
             // oracle's durability invariant checks recoveries against
             // these notes.
@@ -478,9 +479,9 @@ impl ManagerNode {
     /// deployments are expected to attach storage).
     fn release_source(&mut self, ctx: &mut Context<'_, ProtoMsg>, shard: ShardId) {
         let Some(epoch) = self.handoff.release_due(shard) else { return };
-        if self.durability.has_storage() {
+        if self.wal.has_storage() {
             let marker = encode_release(shard, epoch);
-            if !self.durability.append(ctx, &mut self.stats, &marker) || !self.durability.sync(ctx) {
+            if !self.wal.append(ctx, &marker) || !self.wal.sync(ctx) {
                 return;
             }
             self.flush(ctx);
@@ -582,7 +583,7 @@ impl ManagerNode {
             // Log-before-ack: the ack is a quorum promise, so it is
             // withheld until the record survives a sync barrier.
             self.log(ctx, id, op, Some(from));
-        } else if self.durability.is_unlogged(id) {
+        } else if self.wal.held().contains_key(&id) {
             // A retransmission of an op still awaiting its barrier:
             // retry the barrier rather than acking prematurely.
             self.flush(ctx);
@@ -838,6 +839,7 @@ impl Node for ManagerNode {
         // fsynced (and may tear the tail record). The Lamport counter is
         // modelled as persisted in-memory, so post-crash operations never
         // reuse an OpId; disk recovery additionally re-derives a floor.
+        self.wal.crash();
         self.durability.crash();
         self.dissemination.clear();
         self.last_heard.clear();

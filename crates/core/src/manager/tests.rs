@@ -360,12 +360,7 @@ fn update_ack_is_withheld_until_the_wal_sync_succeeds() {
     );
     assert!(mgr.acl_has(AppId(0), UserId(8), Right::Use), "still applied in memory");
     // The disk heals and the origin's retransmission arrives.
-    mgr.storage_mut()
-        .unwrap()
-        .as_any_mut()
-        .downcast_mut::<SimStorage>()
-        .unwrap()
-        .set_fault_model(DiskFaultModel::default());
+    mgr.wal.set_disk_faults(DiskFaultModel::default());
     let e2 = h.deliver(&mut mgr, 1, ProtoMsg::Update { id, op });
     assert!(sends(&e2).iter().any(|(_, m)| matches!(m, ProtoMsg::UpdateAck { .. })));
     assert_eq!(mgr.stats().wal_appends, 1, "the retransmission is not re-logged");

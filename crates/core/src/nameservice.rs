@@ -9,9 +9,14 @@
 //! The paper's single trusted directory is the one-replica case of
 //! [`DirectoryReplica`]; with more, no single point is trusted: N
 //! replicas hold versioned, writer-signed manager-set records, converge
-//! through anti-entropy sync backed by the WAL/snapshot [`Storage`]
-//! machinery, and serve [`ProtoMsg::NsRecordReply`] answers that hosts
-//! cross-check against a read quorum (freshest verified version wins).
+//! through anti-entropy sync, and serve [`ProtoMsg::NsRecordReply`]
+//! answers that hosts cross-check against a read quorum (freshest
+//! verified version wins).
+//! A replica given [`Storage`] keeps it through the durable log the
+//! managers use: an accepted record is appended and held, and only once
+//! its fsync barrier succeeds is it served, announced and pushed to
+//! peers. A failed barrier is retried on a timer, so a crash never takes
+//! back a version the replica served.
 //! A replica is *not* trusted: hosts verify every record signature, and
 //! replica state accepted from peers is re-verified before it is
 //! stored, so one compromised replica can neither forge a manager set
@@ -29,6 +34,7 @@ use wanacl_sim::storage::Storage;
 use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::audit::{AuditEvent, NsHeld};
+use crate::durable::DurableLog;
 use crate::msg::{NsRecord, ProtoMsg};
 use crate::types::AppId;
 
@@ -43,9 +49,24 @@ fn capped_negative_ttl(negative_ttl: SimDuration) -> SimDuration {
 
 /// Timer tag of the periodic anti-entropy round.
 const TAG_SYNC: u64 = 1;
+/// Timer tag of the retry of a failed barrier.
+const TAG_FLUSH: u64 = 2;
+
+/// How long after a failed barrier it is retried.
+const FLUSH_RETRY: SimDuration = SimDuration::from_millis(500);
 
 /// How many accepted records trigger a snapshot that truncates the WAL.
 const SNAPSHOT_EVERY: u64 = 8;
+
+/// Where a held record came from, which decides how it is noted once
+/// durable, and whether it is pushed to peers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    /// A writer's publish: noted `NsPublish` and pushed to peers.
+    Publish,
+    /// A peer's sync response: noted `NsApply`.
+    Peer,
+}
 
 /// One replica of the replicated directory.
 ///
@@ -54,7 +75,8 @@ const SNAPSHOT_EVERY: u64 = 8;
 /// (advertise held versions, receive strictly-newer records) plus an
 /// eager push of freshly accepted publishes. Every record accepted from
 /// any source — writer publish, peer sync, or its own WAL at recovery —
-/// is verified against the namespace writer's key first.
+/// is verified against the namespace writer's key first, and none is
+/// served before its barrier succeeds.
 ///
 /// Fault hooks for the nemesis harness:
 /// * [`set_suppress_sync`](DirectoryReplica::set_suppress_sync) freezes
@@ -70,10 +92,13 @@ pub struct DirectoryReplica {
     peers: Vec<NodeId>,
     registry: Arc<KeyRegistry>,
     writer: PrincipalId,
-    storage: Option<Box<dyn Storage>>,
+    /// The WAL, holding each accepted record until its barrier, keyed by
+    /// `(app, version)`.
+    log: DurableLog<(AppId, u64), (NsRecord, Source)>,
+    /// Whether a barrier retry is pending.
+    flush_armed: bool,
     sync_interval: SimDuration,
     sync_cursor: usize,
-    since_snapshot: u64,
     lookups: u64,
     suppress_sync: bool,
     malicious: Option<Window>,
@@ -96,10 +121,10 @@ impl DirectoryReplica {
             peers,
             registry,
             writer,
-            storage: None,
+            log: DurableLog::new(SNAPSHOT_EVERY, None),
+            flush_armed: false,
             sync_interval: ttl.mul_f64(0.25),
             sync_cursor: 0,
-            since_snapshot: 0,
             lookups: 0,
             suppress_sync: false,
             malicious: None,
@@ -111,11 +136,13 @@ impl DirectoryReplica {
         self.negative_ttl = ttl;
     }
 
-    /// Attaches stable storage: accepted records are WAL-appended and
-    /// fsynced before they are served, snapshots truncate the log, and
-    /// crash recovery replays both.
+    /// Attaches stable storage. An accepted record is WAL-appended and
+    /// held: it is served, announced and pushed to peers only once its
+    /// fsync barrier succeeds, and a failed barrier is retried on a timer
+    /// until one does. Every 8th record written snapshots and truncates
+    /// the log, and crash recovery replays both.
     pub fn set_storage(&mut self, storage: Box<dyn Storage>) {
-        self.storage = Some(storage);
+        self.log.attach(storage);
     }
 
     /// Nemesis hook: the *stale replica* fault. While set, the replica
@@ -178,69 +205,76 @@ impl DirectoryReplica {
         });
     }
 
-    /// Verifies and stores a record if it is strictly newer than what is
-    /// held; persists it and emits the audit event `via` on acceptance.
+    /// Verifies a record and, if it is strictly newer than any held,
+    /// logs it and holds it until its barrier (see
+    /// [`set_storage`](DirectoryReplica::set_storage)).
     ///
-    /// Takes the record by reference: verification and the
-    /// newer-than-held check run on the borrowed payload, so rejected,
-    /// stale, and duplicate publishes (the common case under eager push
-    /// plus anti-entropy) never copy the manager/shard vectors. The one
-    /// clone happens only on actual acceptance — once per config change.
-    fn accept(
-        &mut self,
-        ctx: &mut Context<'_, ProtoMsg>,
-        record: &NsRecord,
-        via: fn(NsHeld) -> AuditEvent,
-    ) -> bool {
+    /// Takes the record as the message carried it: rejected, stale, and
+    /// duplicate publishes (the common case under eager push plus
+    /// anti-entropy) are dropped uncopied, and an accepted one is held
+    /// as it came.
+    fn accept(&mut self, ctx: &mut Context<'_, ProtoMsg>, record: NsRecord, source: Source) {
         if !record.verify(&self.registry, self.writer) {
             ctx.metric_incr(M::NS_PUBLISH_REJECTED);
-            return false;
+            return;
         }
-        if record.version <= self.version_of(record.app) {
+        // Newer than held counts the records awaiting their barrier too.
+        let pending = self.log.held().range((record.app, 0)..=(record.app, u64::MAX)).next_back();
+        if record.version <= pending.map_or(self.version_of(record.app), |(&(_, version), _)| version) {
             ctx.metric_incr(M::NS_PUBLISH_STALE);
-            return false;
+            return;
         }
-        // Held before it is persisted, so a snapshot this record
-        // triggers covers it.
-        self.records.insert(record.app, record.clone());
-        self.persist(record);
-        Self::note_record(ctx, via, record);
-        ctx.metric_incr(M::NS_RECORDS_ACCEPTED);
-        true
+        let key = (record.app, record.version);
+        match self.log.hold(ctx, key, (record, source), |(record, _)| encode_record(record)) {
+            Some((record, source)) => self.serve(ctx, record, source),
+            None => self.flush(ctx),
+        }
     }
 
-    fn persist(&mut self, record: &NsRecord) {
-        let Some(storage) = self.storage.as_mut() else { return };
-        let _ = storage.append(&encode_record(record));
-        // A failed barrier keeps the buffer; the next accept retries it.
-        let _ = storage.sync();
-        self.since_snapshot += 1;
-        if self.since_snapshot >= SNAPSHOT_EVERY {
-            let snapshot = encode_snapshot(self.records.values());
-            if storage.write_snapshot(&snapshot).is_ok() {
-                self.since_snapshot = 0;
-            }
+    /// Runs the barrier and serves every record it made durable, then
+    /// checks the snapshot cadence; a failed barrier arms its retry
+    /// instead.
+    fn flush(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
+        for (_, (record, source)) in self.log.barrier(ctx) {
+            self.serve(ctx, record, source);
         }
+        if self.log.held().is_empty() {
+            // After the inserts, so the snapshot holds what triggered it.
+            self.log.snapshot_if_due(|| encode_snapshot(self.records.values()));
+        } else if !std::mem::replace(&mut self.flush_armed, true) {
+            ctx.set_timer(FLUSH_RETRY, TAG_FLUSH);
+        }
+    }
+
+    /// Serves a durable record: noted, counted, pushed to peers if
+    /// published here, and stored.
+    fn serve(&mut self, ctx: &mut Context<'_, ProtoMsg>, record: NsRecord, source: Source) {
+        let via = match source {
+            Source::Publish => AuditEvent::NsPublish,
+            Source::Peer => AuditEvent::NsApply,
+        };
+        Self::note_record(ctx, via, &record);
+        ctx.metric_incr(M::NS_RECORDS_ACCEPTED);
+        if source == Source::Publish && !self.suppress_sync {
+            // Eager push: peers converge ahead of the next anti-entropy
+            // round (they re-verify on receipt).
+            ctx.multicast(self.peers.clone(), ProtoMsg::NsPublish { record: Box::new(record.clone()) });
+        }
+        self.records.insert(record.app, record);
     }
 
     /// Replays stable storage into the in-memory record map (freshest
     /// version wins; signatures re-verified — a WAL is not a trust root).
-    fn recover_from_disk(&mut self) {
-        let Some(storage) = self.storage.as_mut() else { return };
-        let recovered = storage.recover();
-        let mut decoded: Vec<NsRecord> = Vec::new();
-        if let Some(snapshot) = &recovered.snapshot {
-            decoded.extend(decode_snapshot(snapshot));
-        }
-        decoded.extend(recovered.records.iter().filter_map(|r| decode_record(r)));
-        for record in decoded {
-            if !record.verify(&self.registry, self.writer) {
-                continue;
-            }
-            if record.version > self.records.get(&record.app).map(|r| r.version).unwrap_or(0) {
+    /// Returns whether there is storage.
+    fn recover_from_disk(&mut self) -> bool {
+        let Some(recovered) = self.log.recover() else { return false };
+        let snapshot = recovered.snapshot.as_deref().map(decode_snapshot).unwrap_or_default();
+        for record in snapshot.into_iter().chain(recovered.records.iter().filter_map(|r| decode_record(r))) {
+            if record.verify(&self.registry, self.writer) && record.version > self.version_of(record.app) {
                 self.records.insert(record.app, record);
             }
         }
+        true
     }
 
     /// Announces every held record (idempotent for the oracle) and arms
@@ -271,14 +305,10 @@ impl Node for DirectoryReplica {
     type Msg = ProtoMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        self.recover_from_disk();
         // Genesis records arrive via preload() before storage sees them;
         // snapshot everything so they survive the first crash too.
-        if let Some(storage) = self.storage.as_mut() {
-            if !self.records.is_empty() {
-                let _ = storage.write_snapshot(&encode_snapshot(self.records.values()));
-                self.since_snapshot = 0;
-            }
+        if self.recover_from_disk() && !self.records.is_empty() {
+            self.log.write_snapshot(&encode_snapshot(self.records.values()));
         }
         self.announce_and_arm(ctx);
     }
@@ -311,15 +341,7 @@ impl Node for DirectoryReplica {
                 };
                 ctx.send(from, ProtoMsg::NsRecordReply { app, ttl, record });
             }
-            ProtoMsg::NsPublish { record } => {
-                let accepted = self.accept(ctx, &record, AuditEvent::NsPublish);
-                if accepted && !self.suppress_sync {
-                    // Eager push: peers converge ahead of the next
-                    // anti-entropy round (they re-verify on receipt).
-                    let peers = self.peers.clone();
-                    ctx.multicast(peers, ProtoMsg::NsPublish { record });
-                }
-            }
+            ProtoMsg::NsPublish { record } => self.accept(ctx, *record, Source::Publish),
             ProtoMsg::NsSyncRequest { versions } => {
                 if self.suppress_sync {
                     ctx.metric_incr(M::NS_SYNC_SUPPRESSED);
@@ -347,8 +369,8 @@ impl Node for DirectoryReplica {
                     ctx.metric_incr(M::NS_SYNC_SUPPRESSED);
                     return;
                 }
-                for record in &records {
-                    self.accept(ctx, record, AuditEvent::NsApply);
+                for record in records {
+                    self.accept(ctx, record, Source::Peer);
                 }
             }
             _ => {
@@ -358,29 +380,32 @@ impl Node for DirectoryReplica {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, ProtoMsg>, tag: u64) {
-        if tag != TAG_SYNC {
-            return;
+        match tag {
+            TAG_FLUSH => {
+                self.flush_armed = false;
+                self.flush(ctx);
+            }
+            TAG_SYNC => {
+                if !self.suppress_sync && !self.peers.is_empty() {
+                    let peer = self.peers[self.sync_cursor % self.peers.len()];
+                    self.sync_cursor = self.sync_cursor.wrapping_add(1);
+                    ctx.metric_incr(M::NS_SYNC_ROUNDS);
+                    ctx.send(peer, ProtoMsg::NsSyncRequest { versions: self.held_versions() });
+                }
+                self.arm_sync(ctx);
+            }
+            _ => {}
         }
-        if !self.suppress_sync && !self.peers.is_empty() {
-            let peer = self.peers[self.sync_cursor % self.peers.len()];
-            self.sync_cursor = self.sync_cursor.wrapping_add(1);
-            ctx.metric_incr(M::NS_SYNC_ROUNDS);
-            ctx.send(peer, ProtoMsg::NsSyncRequest { versions: self.held_versions() });
-        }
-        self.arm_sync(ctx);
     }
 
     fn on_crash(&mut self) {
-        if let Some(storage) = self.storage.as_mut() {
-            storage.crash();
-        }
+        self.log.crash();
         self.records.clear();
-        self.since_snapshot = 0;
+        self.flush_armed = false;
     }
 
     fn on_recover(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
-        self.recover_from_disk();
-        if self.storage.is_some() && !self.records.is_empty() {
+        if self.recover_from_disk() && !self.records.is_empty() {
             ctx.metric_incr(M::NS_RECOVERED_FROM_DISK);
         }
         self.announce_and_arm(ctx);
@@ -520,7 +545,7 @@ mod tests {
     use crate::harness::{metric_incrs, sends, Harness};
     use wanacl_sim::clock::LocalTime;
     use crate::harness::Output;
-    use wanacl_sim::storage::SimStorage;
+    use wanacl_sim::storage::{DiskFaultModel, SimStorage};
 
     const TTL: SimDuration = SimDuration::from_secs(60);
 
@@ -720,6 +745,94 @@ mod tests {
         rep.on_crash();
         h.recover(&mut rep);
         assert_eq!(rep.version_of(AppId(0)), last);
+    }
+
+    /// The version a query is answered with (0 = none).
+    fn served(h: &mut Harness, rep: &mut DirectoryReplica) -> u64 {
+        match &sends(&h.deliver(rep, NodeId::from_index(9), ProtoMsg::NsQuery { app: AppId(0) }))[..] {
+            [(_, ProtoMsg::NsRecordReply { record, .. })] => record.as_ref().map_or(0, |r| r.version),
+            other => panic!("unexpected effects: {other:?}"),
+        }
+    }
+
+    /// A peerless replica on a disk whose syncs fail with `sync_fail_prob`,
+    /// started with v1.
+    fn on_faulty_disk(sync_fail_prob: f64) -> (DirectoryReplica, Harness, KeyPair, PrincipalId) {
+        let (registry, kp, writer) = writer_setup();
+        let mut rep = replica(&registry, writer, vec![]);
+        let faults = DiskFaultModel { sync_fail_prob, torn_tail_prob: 0.0 };
+        rep.set_storage(Box::new(SimStorage::with_faults(42, faults)));
+        rep.preload(record(&kp, writer, 1, vec![NodeId::from_index(1)]));
+        let mut h = Harness::new(0);
+        h.start(&mut rep);
+        (rep, h, kp, writer)
+    }
+
+    /// A record whose barrier failed is not served, so a crash cannot take
+    /// it back: served v2, then v1 after recovery, before the barrier held
+    /// the promise.
+    #[test]
+    fn a_record_whose_barrier_failed_is_never_served() {
+        let (mut rep, mut h, kp, writer) = on_faulty_disk(1.0);
+        let v2 = record(&kp, writer, 2, vec![NodeId::from_index(4)]);
+        let effects = h.deliver(&mut rep, NodeId::ENV, ProtoMsg::NsPublish { record: Box::new(v2) });
+        assert!(!metric_incrs(&effects).contains(&"ns.records_accepted"));
+        assert!(effects.iter().any(|e| matches!(e, Output::Arm)), "the failed barrier arms its retry");
+        assert_eq!(served(&mut h, &mut rep), 1);
+        rep.on_crash();
+        h.recover(&mut rep);
+        assert_eq!(served(&mut h, &mut rep), 1);
+    }
+
+    proptest! {
+        /// Publishes, queries, crashes and barrier retries on a disk whose
+        /// syncs never, sometimes or always fail: no version served is
+        /// ever lower than one served before, and what a failed barrier
+        /// holds is served once a retry's barrier succeeds.
+        #[test]
+        fn a_replica_never_serves_a_version_it_served_an_older_one_after(
+            fail in 0usize..3,
+            steps in prop::collection::vec(0u8..5, 12..40),
+        ) {
+            let sync_fail_prob = [0.0, 0.5, 1.0][fail];
+            let (mut rep, mut h, kp, writer) = on_faulty_disk(sync_fail_prob);
+            let (mut version, mut highest, mut armed) = (1, 1, false);
+            for step in steps {
+                let effects = match step {
+                    0 | 1 => {
+                        version += 1;
+                        let r = record(&kp, writer, version, vec![NodeId::from_index(version as usize)]);
+                        h.deliver(&mut rep, NodeId::ENV, ProtoMsg::NsPublish { record: Box::new(r) })
+                    }
+                    2 => {
+                        let now = served(&mut h, &mut rep);
+                        prop_assert!(now >= highest, "served v{now} after v{highest}");
+                        highest = now;
+                        Vec::new()
+                    }
+                    3 => {
+                        rep.on_crash();
+                        armed = false;
+                        h.recover(&mut rep)
+                    }
+                    _ if std::mem::take(&mut armed) => h.timer(&mut rep, TAG_FLUSH),
+                    _ => Vec::new(),
+                };
+                armed |= effects.iter().any(|e| matches!(e, Output::Arm));
+            }
+            let held = rep.log.held().keys().next_back().map(|&(_, v)| v);
+            prop_assert!(armed || held.is_none(), "a held record has a retry pending");
+            for _ in 0..64 {
+                if !std::mem::take(&mut armed) {
+                    break;
+                }
+                armed = h.timer(&mut rep, TAG_FLUSH).iter().any(|e| matches!(e, Output::Arm));
+            }
+            if let (Some(held), true) = (held, sync_fail_prob < 1.0) {
+                prop_assert_eq!(served(&mut h, &mut rep), held);
+            }
+            prop_assert!(served(&mut h, &mut rep) >= highest);
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Audit events are built on demand: a driver that drops notes
-//! (`Context::with_notes(false)`, the live runtime without
+//! Audit events are built on demand: a driver that drops notes (a sink
+//! whose `notes()` is false, the live runtime without
 //! `capture_traces()`) must see exactly the effects a note-consuming
-//! driver sees, minus the `Effect::Trace` entries — and the line a
-//! consumer's event prints must not move by a byte.
+//! driver sees, minus the notes — and the line a consumer's event prints
+//! must not move by a byte.
 
 use std::fmt::Debug;
 
@@ -11,10 +11,11 @@ use wanacl_core::prelude::{
     Acl, AclOp, AppHost, AppId, CountingApp, ExhaustionBehavior, HostNode, ManagerDirectory,
     ManagerNode, OpId, Policy, ProtoMsg, QueryVerdict, ReqId, Right, UserId,
 };
-use wanacl_sim::clock::LocalTime;
-use wanacl_sim::node::{Context, Effect, Node, NodeId};
+use wanacl_sim::clock::DriftClock;
+use wanacl_sim::metrics::MetricId;
+use wanacl_sim::node::{Context, Life, Node, NodeId, Note, Sink, Step, Timer};
 use wanacl_sim::rng::SimRng;
-use wanacl_sim::time::SimDuration;
+use wanacl_sim::time::{SimDuration, SimTime};
 
 const FAIL_CLOSED: AppId = AppId(0);
 const FAIL_OPEN: AppId = AppId(1);
@@ -22,16 +23,58 @@ const HOST: usize = 3;
 const CLIENT: usize = 9;
 const ADMIN: usize = 8;
 
-/// One node driven by hand: every handler call appends `(step, effect)`
-/// to the log.
+/// One call the step rule made on the recording sink. Most fields are
+/// read only through `Debug`, in `without_notes`.
+#[derive(Debug)]
+#[allow(dead_code)]
+enum Seen {
+    Send { to: NodeId, msg: ProtoMsg },
+    Arm { due: SimTime, timer: Timer },
+    Note(Note),
+    Incr(MetricId),
+    Observe(MetricId, f64),
+    /// Timers cancelled so far, read after each step: the step rule keeps
+    /// cancellations in [`Life`], not the sink. No timer pops in these
+    /// scripts, so the count only grows.
+    Cancelled(usize),
+}
+
+/// The recording sink: its `notes()` is the on/off toggle under test.
+/// Every call is logged as `(step, call)`.
+struct Recorder {
+    notes: bool,
+    step: usize,
+    log: Vec<(usize, Seen)>,
+}
+
+impl Sink<ProtoMsg> for Recorder {
+    fn send(&mut self, _from: NodeId, to: NodeId, msg: ProtoMsg) {
+        self.log.push((self.step, Seen::Send { to, msg }));
+    }
+    fn arm(&mut self, due: SimTime, timer: Timer) {
+        self.log.push((self.step, Seen::Arm { due, timer }));
+    }
+    fn note(&mut self, _from: NodeId, text: Note) {
+        self.log.push((self.step, Seen::Note(text)));
+    }
+    fn incr(&mut self, name: MetricId) {
+        self.log.push((self.step, Seen::Incr(name)));
+    }
+    fn observe(&mut self, name: MetricId, value: f64) {
+        self.log.push((self.step, Seen::Observe(name, value)));
+    }
+    fn notes(&self) -> bool {
+        self.notes
+    }
+}
+
+/// One node stepped by hand through [`Step::run`] into a [`Recorder`].
 struct Driven<N> {
     node: N,
     id: NodeId,
+    life: Life,
     rng: SimRng,
-    next_timer: u64,
-    notes: bool,
-    log: Vec<(usize, Effect<ProtoMsg>)>,
-    steps: usize,
+    sink: Recorder,
 }
 
 impl<N: Node<Msg = ProtoMsg>> Driven<N> {
@@ -39,31 +82,27 @@ impl<N: Node<Msg = ProtoMsg>> Driven<N> {
         Driven {
             node,
             id: NodeId::from_index(id),
+            life: Life::default(),
             rng: SimRng::seed_from(7),
-            next_timer: 0,
-            notes,
-            log: Vec::new(),
-            steps: 0,
+            sink: Recorder { notes, step: 0, log: Vec::new() },
         }
     }
 
-    /// Runs one handler at local time `ms`; returns its effects' index
-    /// range in the log.
+    /// Runs one handler at `ms` on a perfect clock; returns its calls'
+    /// index range in the log.
     fn call(
         &mut self,
         ms: u64,
         handler: impl FnOnce(&mut N, &mut Context<'_, ProtoMsg>),
     ) -> std::ops::Range<usize> {
-        let mut effects = Vec::new();
-        let now = LocalTime::from_nanos(ms * 1_000_000);
-        let mut ctx = Context::new(self.id, now, &mut effects, &mut self.rng, &mut self.next_timer)
-            .with_notes(self.notes);
-        handler(&mut self.node, &mut ctx);
-        let start = self.log.len();
-        let step = self.steps;
-        self.steps += 1;
-        self.log.extend(effects.into_iter().map(|e| (step, e)));
-        start..self.log.len()
+        let start = self.sink.log.len();
+        let clock = DriftClock::perfect();
+        let mut step = Step { id: self.id, life: &mut self.life, rng: &mut self.rng, clock: &clock };
+        let node = &mut self.node;
+        step.run(SimTime::from_nanos(ms * 1_000_000), &mut Vec::new(), &mut self.sink, |ctx| handler(node, ctx));
+        self.sink.log.push((self.sink.step, Seen::Cancelled(self.life.cancelled())));
+        self.sink.step += 1;
+        start..self.sink.log.len()
     }
 
     fn deliver(&mut self, ms: u64, from: usize, msg: ProtoMsg) -> std::ops::Range<usize> {
@@ -71,22 +110,24 @@ impl<N: Node<Msg = ProtoMsg>> Driven<N> {
     }
 
     fn notes(&self) -> Vec<String> {
-        self.log
+        self.sink
+            .log
             .iter()
-            .filter_map(|(_, e)| match e {
-                Effect::Trace { text } => Some(text.to_string()),
+            .filter_map(|(_, seen)| match seen {
+                Seen::Note(text) => Some(text.to_string()),
                 _ => None,
             })
             .collect()
     }
 
-    /// The log without its notes, rendered for comparison (`Effect` is
+    /// The log without its notes, rendered for comparison (`ProtoMsg` is
     /// `Debug`, not `PartialEq`).
     fn without_notes(&self) -> Vec<String> {
-        self.log
+        self.sink
+            .log
             .iter()
-            .filter(|(_, e)| !matches!(e, Effect::Trace { .. }))
-            .map(|(step, e)| format!("{step}: {e:?}"))
+            .filter(|(_, seen)| !matches!(seen, Seen::Note(_)))
+            .map(|(step, seen)| format!("{step}: {seen:?}"))
             .collect()
     }
 }
@@ -98,10 +139,10 @@ fn invoke(app: AppId, user: u64, req: u64) -> ProtoMsg {
 /// The query id and timer tag the host's last step produced.
 fn query_of(host: &Driven<HostNode>, step: std::ops::Range<usize>) -> (ReqId, u64) {
     let mut found = (None, None);
-    for (_, effect) in &host.log[step] {
-        match effect {
-            Effect::Send { msg: ProtoMsg::Query { req, .. }, .. } => found.0 = Some(*req),
-            Effect::SetTimer { tag, .. } => found.1 = Some(*tag),
+    for (_, seen) in &host.sink.log[step] {
+        match seen {
+            Seen::Send { msg: ProtoMsg::Query { req, .. }, .. } => found.0 = Some(*req),
+            Seen::Arm { timer, .. } => found.1 = Some(timer.tag),
             _ => {}
         }
     }
@@ -181,10 +222,10 @@ fn manager_script(notes: bool) -> Driven<ManagerNode> {
     let op = AclOp::Revoke { app: FAIL_CLOSED, user: UserId(1), right: Right::Use };
     let step = manager
         .deliver(2, ADMIN, ProtoMsg::Admin { op, req: ReqId(1), issuer: UserId(0), signature: None });
-    let id: OpId = manager.log[step]
+    let id: OpId = manager.sink.log[step]
         .iter()
-        .find_map(|(_, e)| match e {
-            Effect::Send { msg: ProtoMsg::Update { id, .. }, .. } => Some(*id),
+        .find_map(|(_, seen)| match seen {
+            Seen::Send { msg: ProtoMsg::Update { id, .. }, .. } => Some(*id),
             _ => None,
         })
         .expect("the revoke is disseminated");

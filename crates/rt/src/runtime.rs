@@ -1047,8 +1047,10 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> NodeState<M> {
         let mut result = Ok(());
         if let NodeSlot::Live(node) = &mut self.slot {
             // A crashed (down) node hears nothing: the batch is consumed
-            // and dropped.
-            if self.life.is_up() && !data.is_empty() {
+            // and dropped, and counted as `World` counts it.
+            if !self.life.is_up() && !data.is_empty() {
+                sinks.metrics.add(MetricId::NET_DROP_DESTINATION_DOWN, data.len() as u64);
+            } else if !data.is_empty() {
                 sinks.metrics.observe(MetricId::RT_BATCH_SIZE, data.len() as f64);
                 let mut step = Step { id, life: &mut self.life, rng: &mut self.rng, clock: &self.clock };
                 for (from, msg) in data.drain(..) {

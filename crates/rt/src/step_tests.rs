@@ -40,11 +40,13 @@ struct Outputs {
 }
 
 /// The counts both executors keep: everything but the simulated
-/// network's and the live runtime's own.
+/// network's and the live runtime's own, save the drop of a message to
+/// a down node, which both count.
 fn counts(metrics: &Metrics) -> Vec<(String, u64)> {
     let counters = metrics.counters().map(|(name, n)| (name.to_owned(), n));
     let samples = metrics.histograms().map(|(name, h)| (format!("{name} samples"), h.count() as u64));
-    counters.chain(samples).filter(|(name, _)| !name.starts_with("net.") && !name.starts_with("rt.")).collect()
+    let own = |name: &str| (name.starts_with("net.") && name != "net.drop.destination_down") || name.starts_with("rt.");
+    counters.chain(samples).filter(|(name, _)| !own(name)).collect()
 }
 
 fn roster(config: &CampaignConfig) -> Roster {
@@ -231,8 +233,9 @@ fn on_live(config: &CampaignConfig, k: NodeId, inputs: &[(SimTime, Input)], end:
 }
 
 /// The recorded sequence: a check, a query and a directory lookup from
-/// peers, then a crash, a recovery and a restart, and the same three
-/// messages again; timers fall due all along.
+/// peers, then a crash, a query to the crashed node, a recovery and a
+/// restart, and the same three messages again; timers fall due all
+/// along.
 fn inputs(layout: &Layout, k: NodeId) -> Vec<(SimTime, Input)> {
     let host = *layout.hosts.iter().rev().find(|h| **h != k).expect("a peer host");
     let (user, agent) = *layout.users.iter().rev().find(|(_, a)| *a != k).expect("a peer agent");
@@ -248,7 +251,13 @@ fn inputs(layout: &Layout, k: NodeId) -> Vec<(SimTime, Input)> {
     for (i, (from, msg)) in messages(1).into_iter().enumerate() {
         inputs.push((ms(500 + 200 * i as u64), Input::Deliver(from, msg)));
     }
-    inputs.extend([(ms(2_000), Input::Crash), (ms(3_000), Input::Recover), (ms(5_000), Input::Restart)]);
+    let [_, to_the_crashed, _] = messages(5);
+    inputs.extend([
+        (ms(2_000), Input::Crash),
+        (ms(2_500), Input::Deliver(to_the_crashed.0, to_the_crashed.1)),
+        (ms(3_000), Input::Recover),
+        (ms(5_000), Input::Restart),
+    ]);
     for (i, (from, msg)) in messages(10).into_iter().enumerate() {
         inputs.push((ms(6_000 + 200 * i as u64), Input::Deliver(from, msg)));
     }
@@ -273,7 +282,8 @@ fn every_roster_node_kind_steps_alike_on_both_executors() {
         assert!(!sim.sends.is_empty(), "the {kind} sent nothing: the sequence tests nothing");
         assert_eq!(sim, live, "the {kind} steps differently");
         let count = |name: &str| live.counts.iter().find(|(n, _)| n == name).map_or(0, |(_, n)| *n);
-        assert_eq!((count("node.crashes"), count("node.recoveries")), (2, 2), "the {kind}'s lifecycle counts");
+        let lifecycle = (count("node.crashes"), count("node.recoveries"), count("net.drop.destination_down"));
+        assert_eq!(lifecycle, (2, 2, 1), "the {kind}'s lifecycle and down-node drop counts");
     }
 }
 

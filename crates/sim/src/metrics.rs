@@ -135,7 +135,7 @@ registry! {
     MGR_WAL_APPENDS = "mgr.wal_appends", Counter, "records", "`ManagerNode` WAL record appended (§9)";
     MGR_WAL_SYNC_FAILED = "mgr.wal_sync_failed", Counter, "records", "`ManagerNode` WAL fsync refused by storage (§9)";
     NET_DELIVERED = "net.delivered", Counter, "messages", "`World` message handed to a node (sim only)";
-    NET_DROP_DESTINATION_DOWN = "net.drop.destination_down", Counter, "messages", "`World` drop: destination crashed (sim only)";
+    NET_DROP_DESTINATION_DOWN = "net.drop.destination_down", Counter, "messages", "`World` or live worker drop: destination crashed";
     NET_DROP_LOSS = "net.drop.loss", Counter, "messages", "`World` drop: random loss (sim only)";
     NET_DROP_PARTITIONED = "net.drop.partitioned", Counter, "messages", "`World` drop: partition (sim only)";
     NET_DUPLICATED = "net.duplicated", Counter, "messages", "`World` message delivered twice (sim only)";
