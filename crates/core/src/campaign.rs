@@ -13,21 +13,20 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use wanacl_sim::clock::ClockSpec;
 use wanacl_sim::metrics::{MetricId, Metrics};
-use wanacl_sim::nemesis::{FaultMix, NemesisPlan, NemesisTargets};
+use wanacl_sim::nemesis::{Fault, FaultMix, NemesisNet, NemesisPlan, NemesisTargets};
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::storage::{DiskFaultModel, SimStorage};
 use wanacl_sim::time::{SimDuration, SimTime};
-use wanacl_sim::world::ObserverId;
 
-use crate::client::AdminAction;
+use crate::client::{AdminAction, UserStats};
 use crate::manager::ManagerNode;
 use crate::msg::{AclOp, ProtoMsg};
 use crate::nameservice::DirectoryReplica;
 use crate::oracle::{InvariantOracle, OracleStats, OracleViolation};
 use crate::policy::Policy;
-use crate::scenario::{Deployment, Layout, Roster, Scenario};
+use crate::scenario::{Layout, Roster, Scenario};
 use crate::types::{AppId, Right, ShardId, UserId};
 
 /// A deliberately planted protocol bug, for proving the oracle catches
@@ -178,7 +177,7 @@ pub struct CampaignReport {
     /// How much evidence the oracle checked.
     pub oracle_stats: OracleStats,
     /// Aggregate user-visible outcomes.
-    pub user_stats: crate::client::UserStats,
+    pub user_stats: UserStats,
     /// Order-sensitive FNV-1a fingerprint of every audit note the oracle
     /// saw (see [`InvariantOracle::audit_digest`]). Two runs of the same
     /// seed must agree on this — it is how the parallel executor proves
@@ -252,44 +251,28 @@ fn effective_read_quorum(config: &CampaignConfig) -> usize {
     }
 }
 
-/// The number of managers a config actually deploys: the sharded
-/// layout overrides `managers` with two per shard.
-fn effective_managers(config: &CampaignConfig) -> usize {
-    if config.tenants > 0 {
-        2 * config.tenants * config.shards_per_tenant
-    } else {
-        config.managers
-    }
-}
-
-/// The deterministic node layout a campaign deployment will get, known
-/// before the world is built (managers first, then directory replicas,
-/// then hosts — asserted against the real deployment). In sharded mode
-/// `shard_managers[s]` lists the two genesis owners of global shard `s`.
-pub fn campaign_targets(config: &CampaignConfig) -> NemesisTargets {
-    let mgr_count = effective_managers(config);
-    let managers: Vec<NodeId> = (0..mgr_count).map(NodeId::from_index).collect();
-    let shard_managers: Vec<Vec<NodeId>> = if config.tenants > 0 {
-        (0..config.tenants * config.shards_per_tenant)
-            .map(|s| vec![NodeId::from_index(2 * s), NodeId::from_index(2 * s + 1)])
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let host_base = mgr_count + config.ns_replicas;
-    let ns_replicas: Vec<NodeId> = (mgr_count..host_base).map(NodeId::from_index).collect();
-    let hosts: Vec<NodeId> =
-        (host_base..host_base + config.hosts).map(NodeId::from_index).collect();
-    NemesisTargets { managers, hosts, ns_replicas, shard_managers }
-}
-
 /// Samples the nemesis plan the given config's seed implies: the
 /// storage, directory and shard fault families join the mix as
 /// `disk_faults`, `ns_faults` (with replicas) and `shard_faults` (with
 /// tenants) ask. Without any of them the plan is byte-identical to what
 /// earlier campaigns produced.
 pub fn sample_plan(config: &CampaignConfig) -> NemesisPlan {
-    let targets = campaign_targets(config);
+    sample_for(config, &campaign_scenario(config).roster().layout)
+}
+
+/// [`sample_plan`] over a layout already built: the plan attacks the
+/// layout's own managers, replicas, hosts and shards.
+fn sample_for(config: &CampaignConfig, layout: &Layout) -> NemesisPlan {
+    let targets = NemesisTargets {
+        managers: layout.managers.clone(),
+        hosts: layout.hosts.clone(),
+        ns_replicas: layout.ns_replicas.clone(),
+        shard_managers: layout
+            .shard_maps
+            .values()
+            .flat_map(|(_, entries)| entries.iter().map(|e| e.managers.clone()))
+            .collect(),
+    };
     let horizon = SimTime::ZERO + config.horizon;
     let mut rng = SimRng::seed_from(config.seed ^ 0x6e65_6d65);
     let mix = FaultMix {
@@ -335,8 +318,7 @@ fn admin_script(config: &CampaignConfig) -> Vec<AdminAction> {
 /// The deployment a campaign runs, on either executor: every user
 /// granted and issuing a Poisson workload, the scripted admin churn,
 /// drifting clocks, and the flat, replicated-directory or sharded
-/// layout the config asks for. Its roster's node ids equal
-/// [`campaign_targets`].
+/// layout the config asks for.
 ///
 /// # Panics
 ///
@@ -373,45 +355,103 @@ pub fn campaign_scenario(config: &CampaignConfig) -> Scenario {
     scenario
 }
 
-/// What a campaign adds to its roster that is the same whoever runs it.
+/// One step of a campaign's timeline.
+#[derive(Debug)]
+pub enum CampaignStep {
+    /// Deliver an environment message: a rebalance's signed
+    /// `ShardHandoff` kickoff, or a one-shard deployment's republish.
+    Inject(NodeId, ProtoMsg),
+    /// Crash the node (it loses volatile state).
+    Crash(NodeId),
+    /// Recover the crashed node.
+    Recover(NodeId),
+}
+
+/// Everything a campaign installs, the same whoever runs it.
 #[derive(Debug)]
 pub struct CampaignArming {
-    /// Environment messages to deliver at campaign times, in the order
-    /// to schedule them: the signed `ShardHandoff` kickoffs of every
-    /// rebalance, or a one-shard deployment's mid-horizon republish.
-    pub injections: Vec<(SimTime, NodeId, ProtoMsg)>,
+    /// The roster with the plan's node settings applied: hosts pinned
+    /// to a stale shard map, stale and malicious directory replicas.
+    pub roster: Roster,
+    /// What happens when, in time order.
+    pub timeline: Vec<(SimTime, CampaignStep)>,
+    /// The plan's network faults, in plan order.
+    pub net_faults: Vec<Fault>,
+    /// Each manager's disk-fault model, by manager index (the default,
+    /// fault-free model for a manager no fault names).
+    pub disks: Vec<DiskFaultModel>,
     /// The oracle, armed with the directory shape and every shard-map
     /// version the run can legitimately route by.
     pub oracle: InvariantOracle,
 }
 
-/// Arms a campaign roster for `plan`, before any executor installs it:
-/// pins the hosts a stale-shard-map fault names, turns the plan's
-/// rebalances into kickoffs (ring-next targets, skipping moves an
-/// earlier move made non-disjoint) while advancing `roster.layout`'s
-/// shard maps, republishes a tenantless deployment's one-entry map to ONE
-/// replica mid-horizon (anti-entropy must spread it — the path
-/// stale-replica and split-brain faults attack), and builds the oracle,
-/// every deployment's shard maps registered with it. `slack` is
-/// the oracle's timing tolerance: zero under the simulator, wall-clock
-/// jitter on live threads.
+/// Arms a campaign roster for `plan`: the one reader of a plan, for
+/// both executors. Each fault lands in exactly one output. Rebalances
+/// become kickoffs (ring-next targets, skipping moves an earlier move
+/// made non-disjoint) while `roster.layout`'s shard maps advance, and a
+/// tenantless deployment with a replicated directory republishes its
+/// one-entry map to ONE replica mid-horizon (anti-entropy must spread
+/// it — the path stale-replica and split-brain faults attack). The
+/// timeline is sorted stably, so steps due at one instant keep the
+/// order they were armed in: injections, then outages in plan order.
+/// `slack` is the oracle's timing tolerance: zero under the simulator,
+/// wall-clock jitter on live threads.
 pub fn arm_campaign(
     config: &CampaignConfig,
     plan: &NemesisPlan,
-    roster: &mut Roster,
+    mut roster: Roster,
     slack: SimDuration,
 ) -> CampaignArming {
+    let mut net_faults = Vec::new();
+    let mut outages = Vec::new();
+    let mut disks = vec![DiskFaultModel::default(); roster.layout.managers.len()];
+    let mut moves: Vec<(u32, SimTime)> = Vec::new();
+    let apps: Vec<AppId> = roster.layout.shard_maps.keys().copied().collect();
+    for fault in &plan.faults {
+        match fault {
+            Fault::Drop { .. }
+            | Fault::Duplicate { .. }
+            | Fault::DelaySpike { .. }
+            | Fault::Partition { .. }
+            | Fault::AsymmetricPartition { .. }
+            | Fault::FlappingPartition { .. }
+            | Fault::DirectorySplit { .. } => net_faults.push(fault.clone()),
+            Fault::Crash { node, at, down_for } => outages.push((*node, *at, *down_for)),
+            Fault::ClusterRestart { nodes, at, down_for } => {
+                outages.extend(nodes.iter().map(|node| (*node, *at, *down_for)));
+            }
+            Fault::DiskFault { node, sync_fail_prob, torn_tail_prob } => {
+                if let Some(i) = roster.layout.managers.iter().position(|m| m == node) {
+                    disks[i] = DiskFaultModel {
+                        sync_fail_prob: *sync_fail_prob,
+                        torn_tail_prob: *torn_tail_prob,
+                    };
+                }
+            }
+            Fault::StaleReplica { replica } => roster.replica_mut(*replica).set_suppress_sync(true),
+            Fault::MaliciousReplica { replica, window } => {
+                roster.replica_mut(*replica).set_malicious(*window);
+            }
+            Fault::ShardRebalance { shard, at } => moves.push((*shard, *at)),
+            Fault::StaleShardMap { host } => {
+                for &app in &apps {
+                    roster.host_mut(*host).set_pin_ns_version(app);
+                }
+            }
+        }
+    }
+
     let mut oracle = InvariantOracle::new(&config.policy, slack);
     if config.ns_replicas > 0 {
         oracle.set_directory(config.ns_replicas, effective_read_quorum(config), CAMPAIGN_NS_TTL);
     }
-    let mut injections = Vec::new();
+    let mut timeline = Vec::new();
     if config.tenants == 0 {
         let at = SimTime::ZERO + config.horizon.mul_f64(0.4);
         // `None` without a replicated directory: nothing to republish.
         let managers = roster.layout.managers.clone();
         if let Some((replica, msg)) = roster.layout.republish(0, 2, managers) {
-            injections.push((at, replica, msg));
+            timeline.push((at, CampaignStep::Inject(replica, msg)));
         }
     }
 
@@ -424,7 +464,6 @@ pub fn arm_campaign(
     };
     expect_maps(&mut oracle, &roster.layout);
     let total_shards: u32 = roster.layout.shard_maps.values().map(|(_, es)| es.len() as u32).sum();
-    let mut moves: Vec<(u32, SimTime)> = plan.shard_rebalances();
     if let Some(InjectedBug::LostHandoff { manager_index }) = config.inject_bug {
         // Force one rebalance whose targets include the bugged
         // manager: with ring-next targeting, moving the ring-
@@ -433,8 +472,8 @@ pub fn arm_campaign(
         let owned = (manager_index / 2) as u32;
         let victim = (owned + total_shards - 1) % total_shards;
         moves.push((victim, SimTime::ZERO + config.horizon.mul_f64(0.5)));
-        moves.sort_by_key(|&(_, at)| at);
     }
+    moves.sort_by_key(|&(_, at)| at);
     for (s, at) in moves {
         let shard = ShardId(s % total_shards);
         let sources = roster.layout.shard_owners(shard);
@@ -446,61 +485,76 @@ pub fn arm_campaign(
             continue;
         };
         for node in recipients {
-            injections.push((at, node, kickoff.clone()));
+            timeline.push((at, CampaignStep::Inject(node, kickoff.clone())));
         }
         expect_maps(&mut oracle, &roster.layout);
     }
-    let apps: Vec<AppId> = roster.layout.shard_maps.keys().copied().collect();
-    for host in plan.stale_shard_map_hosts() {
-        for &app in &apps {
-            roster.host_mut(host).set_pin_ns_version(app);
-        }
+    for (node, at, down_for) in outages {
+        timeline.push((at, CampaignStep::Crash(node)));
+        timeline.push((at + down_for, CampaignStep::Recover(node)));
     }
-    CampaignArming { injections, oracle }
+    timeline.sort_by_key(|&(at, _)| at);
+    CampaignArming { roster, timeline, net_faults, disks, oracle }
 }
 
-/// The simulator's half of a campaign: the faulty WAN, simulated disks,
-/// the directory and planted-bug hooks that need a built node, and the
-/// plan's crash/recover lifecycle.
-fn build_deployment(
+/// The report of a finished run, whichever executor ran it.
+pub fn campaign_report(
     config: &CampaignConfig,
     plan: &NemesisPlan,
-) -> (Deployment, ObserverId) {
+    oracle: &InvariantOracle,
+    user_stats: UserStats,
+    metrics: Metrics,
+) -> CampaignReport {
+    CampaignReport {
+        seed: config.seed,
+        plan: plan.clone(),
+        violations: oracle.violations().to_vec(),
+        oracle_stats: oracle.stats(),
+        user_stats,
+        audit_digest: oracle.audit_digest(),
+        metrics,
+    }
+}
+
+/// Runs one campaign with the plan the seed implies.
+pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
+    let roster = campaign_scenario(config).roster();
+    let plan = sample_for(config, &roster.layout);
+    run_roster(config, &plan, roster)
+}
+
+/// Runs one campaign under an explicit plan (replay and shrinking).
+pub fn run_with_plan(config: &CampaignConfig, plan: &NemesisPlan) -> CampaignReport {
+    run_roster(config, plan, campaign_scenario(config).roster())
+}
+
+/// The simulator's half of a campaign: the armed roster on a `World`
+/// over a faulty WAN, simulated disks for managers and replicas, the
+/// planted-bug hooks that need a built node, and the timeline as
+/// scheduled events; then the run, the oracle watching.
+fn run_roster(config: &CampaignConfig, plan: &NemesisPlan, roster: Roster) -> CampaignReport {
+    let CampaignArming { roster, timeline, net_faults, disks, oracle } =
+        arm_campaign(config, plan, roster, SimDuration::ZERO);
     let base = WanNet::builder()
         .uniform_delay(SimDuration::from_millis(10), SimDuration::from_millis(60))
         .loss(0.01)
         .build();
-    let mut roster = campaign_scenario(config).roster();
-    let CampaignArming { injections, oracle } =
-        arm_campaign(config, plan, &mut roster, SimDuration::ZERO);
-    let mut deployment = roster.into_deployment(Some(Box::new(plan.wrap_net(Box::new(base)))));
-
-    // The arithmetic layout used for plan sampling must match reality.
-    let targets = campaign_targets(config);
-    assert_eq!(deployment.managers, targets.managers, "manager layout drifted");
-    assert_eq!(deployment.hosts, targets.hosts, "host layout drifted");
-    assert_eq!(deployment.ns_replicas, targets.ns_replicas, "replica layout drifted");
+    let net = NemesisNet::new(Box::new(base), net_faults);
+    let mut deployment = roster.into_deployment(Some(Box::new(net)));
 
     // Every manager gets deterministic simulated stable storage: acks
     // become durable promises (fsync-before-ack), and crash recovery
-    // replays snapshot + WAL locally before the delta peer sync. The
-    // disks the plan targets degrade, and a planted drop-WAL bug forgets
-    // its state on recovery.
-    let disk_faults = plan.disk_faults();
-    for (i, &mgr) in deployment.managers.clone().iter().enumerate() {
+    // replays snapshot + WAL locally before the delta peer sync. A
+    // planted drop-WAL bug forgets its state on recovery.
+    for (i, (&mgr, faults)) in deployment.managers.clone().iter().zip(disks).enumerate() {
         let disk_seed = config.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        let mut storage = SimStorage::new(disk_seed);
-        for &(_, sync_fail_prob, torn_tail_prob) in disk_faults.iter().filter(|f| f.0 == mgr) {
-            storage.set_fault_model(DiskFaultModel { sync_fail_prob, torn_tail_prob });
-        }
+        let mut storage = SimStorage::with_faults(disk_seed, faults);
         let drop_wal = Some(InjectedBug::DropWal { manager_index: i });
         storage.set_drop_state_on_recover(config.inject_bug == drop_wal);
         deployment.world.node_as_mut::<ManagerNode>(mgr).set_storage(Box::new(storage));
     }
-
-    // Directory replicas get their own stable storage (so crash-restart
-    // faults exercise WAL/snapshot recovery), then the plan's directory
-    // faults are armed.
+    // Directory replicas get their own stable storage, so crash-restart
+    // faults exercise WAL/snapshot recovery.
     for (i, &replica) in deployment.ns_replicas.clone().iter().enumerate() {
         let disk_seed =
             config.seed ^ 0x6e73_6469 ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -508,12 +562,6 @@ fn build_deployment(
             .world
             .node_as_mut::<DirectoryReplica>(replica)
             .set_storage(Box::new(SimStorage::new(disk_seed)));
-    }
-    for replica in plan.stale_replicas() {
-        deployment.world.node_as_mut::<DirectoryReplica>(replica).set_suppress_sync(true);
-    }
-    for (replica, window) in plan.malicious_replicas() {
-        deployment.world.node_as_mut::<DirectoryReplica>(replica).set_malicious(window);
     }
 
     match config.inject_bug {
@@ -531,23 +579,15 @@ fn build_deployment(
         Some(InjectedBug::DropWal { .. }) | None => {}
     }
 
-    for (at, node, msg) in injections {
-        deployment.world.inject(at, node, msg);
+    for (at, step) in timeline {
+        match step {
+            CampaignStep::Inject(node, msg) => deployment.world.inject(at, node, msg),
+            CampaignStep::Crash(node) => deployment.world.schedule_crash(at, node),
+            CampaignStep::Recover(node) => deployment.world.schedule_recover(at, node),
+        }
     }
-    plan.install_lifecycle(&mut deployment.world);
     let oracle_id = deployment.world.add_observer(Box::new(oracle));
-    (deployment, oracle_id)
-}
 
-/// Runs one campaign with the plan the seed implies.
-pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
-    let plan = sample_plan(config);
-    run_with_plan(config, &plan)
-}
-
-/// Runs one campaign under an explicit plan (replay and shrinking).
-pub fn run_with_plan(config: &CampaignConfig, plan: &NemesisPlan) -> CampaignReport {
-    let (mut deployment, oracle_id) = build_deployment(config, plan);
     // Drain tail: any lease issued near the horizon is still live for up
     // to Te afterwards; keep the oracle watching until it must be dead.
     let total = config.horizon + config.policy.revocation_bound() + config.policy.revocation_bound();
@@ -564,15 +604,7 @@ pub fn run_with_plan(config: &CampaignConfig, plan: &NemesisPlan) -> CampaignRep
     let user_stats = deployment.aggregate_user_stats();
     let metrics = deployment.world.metrics().clone();
     let oracle = deployment.world.observer_as::<InvariantOracle>(oracle_id);
-    CampaignReport {
-        seed: config.seed,
-        plan: plan.clone(),
-        violations: oracle.violations().to_vec(),
-        oracle_stats: oracle.stats(),
-        user_stats,
-        audit_digest: oracle.audit_digest(),
-        metrics,
-    }
+    campaign_report(config, plan, oracle, user_stats, metrics)
 }
 
 /// Folds the per-seed metric bags of a sweep into one rollup, merging
@@ -705,6 +737,10 @@ mod tests {
         CampaignConfig { seed, horizon: SimDuration::from_secs(5), ..CampaignConfig::default() }
     }
 
+    fn layout(config: &CampaignConfig) -> Layout {
+        campaign_scenario(config).roster().layout
+    }
+
     #[test]
     fn campaigns_are_deterministic() {
         let config = quick_config(42);
@@ -816,14 +852,14 @@ mod tests {
             horizon: SimDuration::from_secs(6),
             ..quick_config(11)
         };
-        let targets = campaign_targets(&config);
+        let managers = layout(&config).managers;
         let mut b = NemesisPlan::builder(SimTime::ZERO + config.horizon);
-        for &m in &targets.managers {
+        for &m in &managers {
             b = b.disk_fault(m, 0.2, 0.8);
         }
         let plan = b
             .cluster_restart(
-                targets.managers.clone(),
+                managers,
                 SimTime::ZERO + SimDuration::from_millis(2500),
                 SimDuration::from_millis(400),
             )
@@ -851,10 +887,9 @@ mod tests {
                 inject_bug: Some(InjectedBug::DropWal { manager_index: 0 }),
                 ..quick_config(seed)
             };
-            let targets = campaign_targets(&config);
             let plan = NemesisPlan::builder(SimTime::ZERO + config.horizon)
                 .cluster_restart(
-                    vec![targets.managers[0]],
+                    vec![layout(&config).managers[0]],
                     SimTime::ZERO + SimDuration::from_millis(3500),
                     SimDuration::from_millis(300),
                 )
@@ -929,16 +964,91 @@ mod tests {
     #[test]
     fn sharded_layout_matches_deployment_and_plans_draw_shard_faults() {
         let config = sharded_config(3);
-        let targets = campaign_targets(&config);
-        assert_eq!(targets.managers.len(), 8, "2 tenants x 2 shards x 2 managers");
-        assert_eq!(targets.shard_managers.len(), 4);
-        assert_eq!(targets.ns_replicas[0], NodeId::from_index(8));
-        assert_eq!(targets.hosts[0], NodeId::from_index(11));
+        let layout = layout(&config);
+        assert_eq!(layout.managers.len(), 8, "2 tenants x 2 shards x 2 managers");
+        for s in 0..4 {
+            let owners = vec![NodeId::from_index(2 * s), NodeId::from_index(2 * s + 1)];
+            assert_eq!(layout.shard_owners(ShardId(s as u32)), owners, "shard {s}");
+        }
+        assert!(layout.shard_owners(ShardId(4)).is_empty());
+        assert_eq!(layout.ns_replicas[0], NodeId::from_index(8));
+        assert_eq!(layout.hosts[0], NodeId::from_index(11));
         // Over a handful of seeds the shard fault kinds actually appear.
         let drew_rebalance = (0..10).any(|seed| {
-            !sample_plan(&sharded_config(seed)).shard_rebalances().is_empty()
+            let plan = sample_plan(&sharded_config(seed));
+            plan.faults.iter().any(|f| matches!(f, Fault::ShardRebalance { .. }))
         });
         assert!(drew_rebalance, "no seed in 0..10 drew a shard rebalance");
+    }
+
+    /// `arm_campaign` is the one reader of a plan: a plan holding every
+    /// fault variant arms each into exactly one output — the roster's
+    /// nodes, the timeline, the net faults or the disks — the net ones
+    /// being exactly `NemesisPlan::net_faults`, and the rebalances come
+    /// out in time order whatever the plan order.
+    #[test]
+    fn arming_routes_each_fault_variant_to_exactly_one_output() {
+        let config = sharded_config(1);
+        let Layout { managers: m, hosts: h, ns_replicas: r, .. } = layout(&config);
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        let down = SimDuration::from_millis(300);
+        let plan = NemesisPlan::builder(at(8_000))
+            .drop_burst(at(100), at(200), 0.5)
+            .duplicate_burst(at(100), at(200), 0.5)
+            .delay_spike(at(100), at(200), SimDuration::from_millis(5), SimDuration::from_millis(9))
+            .partition(vec![m[0]], vec![h[0]], at(100), at(200))
+            .asymmetric_partition(vec![m[0]], vec![h[0]], at(100), at(200))
+            .flapping_partition(vec![m[0]], vec![h[0]], at(100), at(900), down)
+            .directory_split(vec![r[0]], vec![r[1], r[2]], at(100), at(200))
+            .crash(m[1], at(1_000), down)
+            .cluster_restart(vec![m[0], m[1]], at(3_000), down)
+            .disk_fault(m[2], 0.1, 0.5)
+            .stale_replica(r[0])
+            .malicious_replica(r[1], at(1_000), at(2_000))
+            .shard_rebalance(1, at(5_000))
+            .stale_shard_map(h[0])
+            .shard_rebalance(0, at(2_000))
+            .build();
+        let kinds: std::collections::BTreeSet<String> = plan
+            .faults
+            .iter()
+            .map(|f| f.to_string().split(' ').next().unwrap_or("").to_owned())
+            .collect();
+        assert_eq!(kinds.len(), 14, "one fault of every variant: {kinds:?}");
+
+        let only = |f: &[Fault]| NemesisPlan { horizon: plan.horizon, faults: f.to_vec() };
+        let arm = |faults: &[Fault]| {
+            let roster = campaign_scenario(&config).roster();
+            let a = arm_campaign(&config, &only(faults), roster, SimDuration::ZERO);
+            let nodes: Vec<String> =
+                a.roster.entries.iter().map(|e| format!("{:?}", e.node)).collect();
+            let steps: Vec<String> = a.timeline.iter().map(|step| format!("{step:?}")).collect();
+            (nodes, steps, a.net_faults, a.disks, a.timeline)
+        };
+        let quiet = arm(&[]);
+        assert!(quiet.1.is_empty() && quiet.2.is_empty(), "a sharded deployment arms no republish");
+        for fault in &plan.faults {
+            let (nodes, steps, net, disks, _) = arm(std::slice::from_ref(fault));
+            let landed = [nodes != quiet.0, steps != quiet.1, !net.is_empty(), disks != quiet.3];
+            assert_eq!(landed.iter().filter(|&&l| l).count(), 1, "{fault} landed in {landed:?}");
+            assert_eq!(net, only(std::slice::from_ref(fault)).net_faults());
+        }
+        let (.., disks, timeline) = arm(&plan.faults);
+        let mut want = vec![DiskFaultModel::default(); 8];
+        want[2] = DiskFaultModel { sync_fail_prob: 0.1, torn_tail_prob: 0.5 };
+        assert_eq!(disks, want);
+        assert!(timeline.windows(2).all(|w| w[0].0 <= w[1].0), "the timeline is in time order");
+        let kickoffs: Vec<(SimTime, u32)> = timeline
+            .iter()
+            .filter_map(|(at, step)| match step {
+                CampaignStep::Inject(_, ProtoMsg::ShardHandoff { shard, .. }) => {
+                    Some((*at, shard.0))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kickoffs.first(), Some(&(at(2_000), 0)), "{kickoffs:?}");
+        assert_eq!(kickoffs.last(), Some(&(at(5_000), 1)), "{kickoffs:?}");
     }
 
     #[test]
@@ -988,11 +1098,10 @@ mod tests {
         assert!(violation.event_index > 0, "violation must carry a replay coordinate");
     }
 
-    /// One description, checked against the arithmetic layout the plan
-    /// sampler uses and against history: for each deployment shape the
-    /// roster's ids are `campaign_targets`', and the world installed
-    /// from it reproduces, note for note, the run the hand-assembled
-    /// deployment of the parent commit (1f081cb) produced (the
+    /// One description, checked against history: for each deployment
+    /// shape the world installed from the roster reproduces, note for
+    /// note, the run the hand-assembled deployment of 1f081cb
+    /// produced (the
     /// one-replica shape is pinned at 21bf6af, where it took over from
     /// the legacy name service; the disk-fault and policy shapes at
     /// 74ff3aa, before the manager and host were cut into sub-machines).
@@ -1033,16 +1142,7 @@ mod tests {
         ];
         for (shape, config_for, first_seed, digests) in shapes {
             for (seed, &pinned) in (first_seed..).zip(digests) {
-                let config = config_for(seed);
-                let roster = campaign_scenario(&config).roster();
-                let targets = campaign_targets(&config);
-                assert_eq!(roster.layout.managers, targets.managers, "{shape} seed {seed}");
-                assert_eq!(roster.layout.ns_replicas, targets.ns_replicas, "{shape} seed {seed}");
-                assert_eq!(roster.layout.hosts, targets.hosts, "{shape} seed {seed}");
-                for (s, owners) in targets.shard_managers.iter().enumerate() {
-                    assert_eq!(&roster.layout.shard_owners(ShardId(s as u32)), owners, "{shape}");
-                }
-                let digest = run_campaign(&config).audit_digest;
+                let digest = run_campaign(&config_for(seed)).audit_digest;
                 assert_eq!(digest, pinned, "{shape} seed {seed}: {digest:#018x}");
             }
         }

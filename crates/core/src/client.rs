@@ -274,8 +274,6 @@ pub struct AdminAction {
 /// Progress of one admin operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpProgress {
-    /// Not yet sent.
-    Scheduled,
     /// Sent, awaiting the manager's `Applied`.
     Sent,
     /// Applied at the receiving manager.

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::audit::{AllowPath, AuditEvent, NodeList, NsHeld, Recovery, ShardOps};
     pub use crate::cache::{AclCache, CacheDecision};
     pub use crate::campaign::{
-        campaign_targets, rollup_metrics, run_campaign, run_campaigns_parallel, run_plans_parallel,
+        rollup_metrics, run_campaign, run_campaigns_parallel, run_plans_parallel,
         run_with_plan, sample_plan, shrink_plan, CampaignConfig, CampaignReport, InjectedBug,
     };
     pub use crate::channel::ChannelKeys;

@@ -634,6 +634,18 @@ impl Roster {
             other => panic!("{id} is not a host: {other:?}"),
         }
     }
+
+    /// The directory replica with id `id`, before installation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a directory replica of this roster.
+    pub fn replica_mut(&mut self, id: NodeId) -> &mut DirectoryReplica {
+        match &mut self.entries[id.index()].node {
+            RosterNode::Directory(replica) => replica,
+            other => panic!("{id} is not a directory replica: {other:?}"),
+        }
+    }
 }
 
 /// Node ids, key material and shard maps of a deployment — the part of

@@ -1368,3 +1368,29 @@ fn a_check_after_the_heal_is_decided_by_who_answers_now() {
     assert_eq!(d.user_agent(0).stats().allowed, 2);
     assert_eq!(sent_and_retried(&d), (4 + 2 * R, R - 1));
 }
+
+/// The reproduction of the ROADMAP item "A revoke that became stable is
+/// reported stable, and every run says whether it settled", pinned as
+/// it fails today. The manager says `Stable` once; on this lossy WAN
+/// seed 5 loses that one reply, and the agent, which re-sends only ops
+/// still `Sent`, waits at `Applied` for good. The item's fix flips this
+/// assertion to `is_some()`.
+#[test]
+fn a_stable_revoke_whose_one_stable_reply_is_lost_is_never_reported_stable() {
+    let net = WanNet::builder().constant_delay(SimDuration::from_millis(20)).loss(0.2).build();
+    let mut d = Scenario::builder(5)
+        .managers(5)
+        .hosts(1)
+        .users(1)
+        .policy(Policy::builder(3).build())
+        .all_users_granted()
+        .net(Box::new(net))
+        .build();
+    d.run_for(SimDuration::from_secs(1));
+    d.revoke(UserId(1), Right::Use);
+    d.run_for(SimDuration::from_secs(30));
+    let quorum = d.world.metrics().histogram("mgr.time_to_quorum_s").map(|h| h.count());
+    assert!(quorum.is_some_and(|n| n > 0), "the revoke never reached its update quorum");
+    assert_eq!(d.admin_agent().progress(0), Some(OpProgress::Applied));
+    assert_eq!(d.admin_agent().stable_latency(0), None);
+}

@@ -3,30 +3,35 @@
 //! soak that replays a [`NemesisPlan`] against it over wall-clock time.
 //!
 //! [`run_live_campaign`] is the threaded twin of
-//! `wanacl_core::campaign::run_with_plan`: same [`CampaignConfig`], same
-//! roster, same admin script, same rebalance kickoffs, same oracle — so
-//! flat versus sharded is data, not a second driver.
+//! `wanacl_core::campaign::run_with_plan`. Both call
+//! [`arm_campaign`] — the one reader of a plan — on the same
+//! [`CampaignConfig`]'s roster, so both run the same roster with the
+//! same node settings, the same timeline of kickoffs and outages, the
+//! same net faults and the same oracle, and both report through
+//! [`campaign_report`]. What is live alone is the wall-clock dispatch of
+//! that timeline, the manager-0 kill cycle, and the [`LiveReport`].
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use wanacl_core::campaign::{arm_campaign, campaign_scenario, CampaignConfig, InjectedBug};
+use wanacl_core::campaign::{
+    arm_campaign, campaign_report, campaign_scenario, CampaignArming, CampaignConfig,
+    CampaignReport, CampaignStep, InjectedBug,
+};
 use wanacl_core::client::{UserAgent, UserStats};
 use wanacl_core::manager::ManagerConfig;
 use wanacl_core::msg::ProtoMsg;
-use wanacl_core::oracle::InvariantOracle;
 use wanacl_core::policy::{Policy, PolicyBuilder};
 use wanacl_core::scenario::{Layout, Roster, RosterNode};
-use wanacl_sim::metrics::Metrics;
 use wanacl_sim::nemesis::NemesisPlan;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::storage::FileStorage;
 use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::chaos::ChaosRouter;
-use crate::runtime::{NodeFactory, RtNode, RuntimeBuilder, RuntimeError};
+use crate::runtime::{NodeFactory, RtNode, Runtime, RuntimeBuilder, RuntimeError};
 
 /// The policy live deployments run: Te = 2 s on undrifting wall clocks,
 /// 100 ms query timeout, two attempts, 500 ms cache sweeps.
@@ -98,68 +103,57 @@ pub fn install_roster(
 /// scheduling, sleep overshoot) the deterministic simulator never has.
 const LIVE_ORACLE_SLACK: SimDuration = SimDuration::from_millis(1_000);
 
-/// The outcome of one live soak.
+/// What a live soak has beyond its [`CampaignReport`].
 #[derive(Debug)]
 pub struct LiveReport {
     /// Worker threads the pool ran.
     pub workers: usize,
     /// Every scheduled step, stamped with when it actually fired.
     pub lifecycle: Vec<String>,
-    /// The campaign oracle after replaying the captured live trace.
-    pub oracle: InvariantOracle,
     /// Number of trace events the oracle saw.
     pub trace_events: usize,
-    /// Nodes that panicked or could not be restarted — a failed soak
-    /// even when the oracle is clean.
+    /// Nodes that panicked or could not be killed or restarted — a
+    /// failed soak even when the oracle is clean.
     pub failures: Vec<String>,
-    /// Aggregate user-visible outcomes.
-    pub user_stats: UserStats,
-    /// The deployment-wide metric bag at shutdown.
-    pub metrics: Metrics,
 }
 
-impl LiveReport {
-    /// No invariant violated and no node lost.
-    pub fn is_clean(&self) -> bool {
-        self.oracle.is_clean() && self.failures.is_empty()
-    }
-}
-
+/// One step of a soak's schedule: an armed timeline step, or half of
+/// the manager-0 process-death cycle.
 enum Step {
-    Inject(NodeId, ProtoMsg),
-    Crash(NodeId),
-    Recover(NodeId),
+    Armed(CampaignStep),
     Kill(NodeId),
     Restart(NodeId),
 }
 
 /// Runs one campaign on the live runtime: the config's roster (fast
 /// manager timers, managers on fresh [`FileStorage`] WALs), the plan's
-/// network faults replayed by a [`ChaosRouter`], its outages and the
-/// armed kickoffs dispatched against the wall clock, and — the live
-/// extra — a process-death kill/restart of manager 0 at 0.40 × horizon
-/// (recovery from the WAL) plus a crash/recover of it at 0.65. The run
-/// drains for 2·Te past the horizon, then the captured trace feeds the
-/// campaign oracle.
+/// network faults replayed by a [`ChaosRouter`], the armed timeline
+/// dispatched against the wall clock, and — the live extra — a
+/// process-death kill/restart of manager 0 at 0.40 × horizon (recovery
+/// from the WAL) plus a crash/recover of it at 0.65. The run drains for
+/// 2·Te past the horizon, then the captured trace feeds the campaign
+/// oracle. The plan's disk faults are not armed: a [`FileStorage`] has
+/// no fault model. Returns the run's [`CampaignReport`], built as the
+/// simulator builds it, beside the [`LiveReport`]. The soak is clean
+/// when the report is and no node failed.
 ///
-/// `plan = None` is the fault-free control: no chaos transport, no
-/// outages, no manager-0 cycle. Of the planted bugs only
-/// [`InjectedBug::DropWal`] has a live form (the manager's storage
-/// forgets its state on recovery); callers reject the others.
+/// `plan = None` is the fault-free control: an empty plan and no
+/// manager-0 cycle. Of the planted bugs only [`InjectedBug::DropWal`]
+/// has a live form (the manager's storage forgets its state on
+/// recovery); callers reject the others.
 pub fn run_live_campaign(
     config: &CampaignConfig,
     plan: Option<&NemesisPlan>,
     workers: usize,
-) -> Result<LiveReport, RuntimeError> {
+) -> Result<(CampaignReport, LiveReport), RuntimeError> {
     static RUNS: AtomicUsize = AtomicUsize::new(0);
     let horizon = SimTime::ZERO + config.horizon;
     let quiet = NemesisPlan::builder(horizon).build();
     let faults = plan.unwrap_or(&quiet);
 
-    let mut roster = campaign_scenario(config)
-        .manager_tuning(live_manager_tuning())
-        .roster();
-    let armed = arm_campaign(config, faults, &mut roster, LIVE_ORACLE_SLACK);
+    let roster = campaign_scenario(config).manager_tuning(live_manager_tuning()).roster();
+    let CampaignArming { roster, timeline, net_faults, mut oracle, .. } =
+        arm_campaign(config, faults, roster, LIVE_ORACLE_SLACK);
 
     // Fresh WAL directories per run; managers respawn from them.
     let wal_dir: PathBuf = std::env::temp_dir().join(format!(
@@ -193,7 +187,6 @@ pub fn run_live_campaign(
         let _ = std::fs::remove_dir_all(&wal_dir);
         RuntimeError::WalDir { path: wal_dir.clone(), source: std::io::Error::other(e) }
     })?;
-    let net_faults = faults.net_faults();
     if !net_faults.is_empty() {
         let (seed, sink) = (config.seed, sink.clone());
         builder
@@ -203,80 +196,34 @@ pub fn run_live_campaign(
         let _ = std::fs::remove_dir_all(&wal_dir);
     })?;
     let workers = rt.workers();
-    let epoch = rt.epoch();
 
-    // The schedule, as offsets from the epoch. Injections travel the
-    // env channel, which bypasses chaos, exactly as the simulator's
-    // `World::inject` bypasses the faulty net.
+    // The schedule, as offsets from the epoch.
     let offset = |at: SimTime| Duration::from_secs_f64(at.as_secs_f64());
-    let mut schedule: Vec<(Duration, Step)> = armed
-        .injections
-        .into_iter()
-        .map(|(at, node, msg)| (offset(at), Step::Inject(node, msg)))
-        .collect();
-    for (node, down, up) in faults.outages() {
-        schedule.push((offset(down), Step::Crash(node)));
-        schedule.push((offset(up), Step::Recover(node)));
-    }
+    let mut schedule: Vec<(Duration, Step)> =
+        timeline.into_iter().map(|(at, step)| (offset(at), Step::Armed(step))).collect();
     if plan.is_some() {
         let victim = layout.managers[0];
         let kill_at = offset(SimTime::ZERO + config.horizon.mul_f64(0.40));
         schedule.push((kill_at, Step::Kill(victim)));
         schedule.push((kill_at + Duration::from_millis(300), Step::Restart(victim)));
         let crash_at = offset(SimTime::ZERO + config.horizon.mul_f64(0.65));
-        schedule.push((crash_at, Step::Crash(victim)));
-        schedule.push((crash_at + Duration::from_millis(200), Step::Recover(victim)));
+        schedule.push((crash_at, Step::Armed(CampaignStep::Crash(victim))));
+        let recover_at = crash_at + Duration::from_millis(200);
+        schedule.push((recover_at, Step::Armed(CampaignStep::Recover(victim))));
     }
     schedule.sort_by_key(|(at, _)| *at);
+    let (lifecycle, mut failures) = dispatch(&mut rt, schedule);
 
-    let (mut lifecycle, mut failures) = (Vec::new(), Vec::new());
-    for (at, step) in schedule {
-        std::thread::sleep(at.saturating_sub(epoch.elapsed()));
-        let stamp = epoch.elapsed().as_secs_f64();
-        lifecycle.push(match step {
-            Step::Inject(n, msg) => {
-                let what = match &msg {
-                    ProtoMsg::ShardHandoff { shard, epoch, .. } => {
-                        format!("handoff kickoff (shard {}, map v{epoch})", shard.0)
-                    }
-                    _ => "directory republish".to_owned(),
-                };
-                rt.send_from_env(n, msg);
-                format!("{what} -> {n} at {stamp:.2}s")
-            }
-            Step::Crash(n) => {
-                rt.crash(n);
-                format!("crash {n} at {stamp:.2}s")
-            }
-            Step::Recover(n) => {
-                rt.recover(n);
-                format!("recover {n} at {stamp:.2}s")
-            }
-            Step::Kill(n) => match rt.kill(n) {
-                Ok(exit) => format!("kill {n} at {stamp:.2}s ({exit:?})"),
-                Err(e) => format!("kill {n} at {stamp:.2}s FAILED: {e}"),
-            },
-            Step::Restart(n) => match rt.restart(n) {
-                Ok(()) => format!("restart {n} at {stamp:.2}s"),
-                Err(e) => {
-                    failures.push(format!("node {} failed to restart: {e}", n.index()));
-                    format!("restart {n} at {stamp:.2}s FAILED: {e}")
-                }
-            },
-        });
-    }
     // Drain tail: run past the horizon so residual leases expire and
     // retransmissions settle, mirroring the simulated campaign.
     let te = config.policy.revocation_bound();
-    std::thread::sleep(offset(horizon + te + te).saturating_sub(epoch.elapsed()));
+    std::thread::sleep(offset(horizon + te + te).saturating_sub(rt.epoch().elapsed()));
 
     let results = rt.shutdown();
     let metrics = sink.snapshot();
     let _ = std::fs::remove_dir_all(&wal_dir);
 
-    let mut oracle = armed.oracle;
     let trace_events = traces.replay_into(&mut oracle);
-
     for (i, result) in results.iter().enumerate() {
         if let Err(msg) = result {
             failures.push(format!("node {i} panicked: {msg}"));
@@ -291,13 +238,106 @@ pub fn run_live_campaign(
             }
         }
     }
-    Ok(LiveReport {
-        workers,
-        lifecycle,
-        oracle,
-        trace_events,
-        failures,
-        user_stats,
-        metrics,
-    })
+    let report = campaign_report(config, faults, &oracle, user_stats, metrics);
+    Ok((report, LiveReport { workers, lifecycle, trace_events, failures }))
+}
+
+/// Sleeps to each step of a time-sorted schedule (offsets from the
+/// runtime's epoch) and performs it. Injections travel the env channel,
+/// which bypasses chaos exactly as the simulator's `World::inject`
+/// bypasses the faulty net. Returns the lifecycle lines and the node
+/// failures the steps met: a node that cannot be killed (it panicked
+/// first) or restarted.
+fn dispatch(
+    rt: &mut Runtime<ProtoMsg>,
+    schedule: Vec<(Duration, Step)>,
+) -> (Vec<String>, Vec<String>) {
+    let epoch = rt.epoch();
+    let (mut lifecycle, mut failures) = (Vec::new(), Vec::new());
+    for (at, step) in schedule {
+        std::thread::sleep(at.saturating_sub(epoch.elapsed()));
+        let stamp = epoch.elapsed().as_secs_f64();
+        lifecycle.push(match step {
+            Step::Armed(CampaignStep::Inject(n, msg)) => {
+                let what = match &msg {
+                    ProtoMsg::ShardHandoff { shard, epoch, .. } => {
+                        format!("handoff kickoff (shard {}, map v{epoch})", shard.0)
+                    }
+                    _ => "directory republish".to_owned(),
+                };
+                rt.send_from_env(n, msg);
+                format!("{what} -> {n} at {stamp:.2}s")
+            }
+            Step::Armed(CampaignStep::Crash(n)) => {
+                rt.crash(n);
+                format!("crash {n} at {stamp:.2}s")
+            }
+            Step::Armed(CampaignStep::Recover(n)) => {
+                rt.recover(n);
+                format!("recover {n} at {stamp:.2}s")
+            }
+            Step::Kill(n) => match rt.kill(n) {
+                Ok(exit) => format!("kill {n} at {stamp:.2}s ({exit:?})"),
+                Err(e) => {
+                    failures.push(format!("node {} could not be killed: {e}", n.index()));
+                    format!("kill {n} at {stamp:.2}s FAILED: {e}")
+                }
+            },
+            Step::Restart(n) => match rt.restart(n) {
+                Ok(()) => format!("restart {n} at {stamp:.2}s"),
+                Err(e) => {
+                    failures.push(format!("node {} failed to restart: {e}", n.index()));
+                    format!("restart {n} at {stamp:.2}s FAILED: {e}")
+                }
+            },
+        });
+    }
+    (lifecycle, failures)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wanacl_sim::node::Context;
+
+    /// A node that panics as it starts, if told to.
+    struct Doomed(bool);
+
+    impl wanacl_sim::node::Node for Doomed {
+        type Msg = ProtoMsg;
+
+        fn on_start(&mut self, _ctx: &mut Context<'_, ProtoMsg>) {
+            assert!(!self.0, "doomed on start");
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<'_, ProtoMsg>, _from: NodeId, _msg: ProtoMsg) {}
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A node that panicked before its scheduled kill fails the soak,
+    /// even though the restart that follows replaces it with a fresh,
+    /// running instance that shuts down cleanly.
+    #[test]
+    fn a_node_that_panicked_before_its_kill_fails_the_soak() {
+        let mut builder: RuntimeBuilder<ProtoMsg> = RuntimeBuilder::new(1);
+        builder.workers(1);
+        let built = AtomicUsize::new(0);
+        let factory: NodeFactory<ProtoMsg> =
+            Arc::new(move || Ok(Box::new(Doomed(built.fetch_add(1, Ordering::Relaxed) == 0))));
+        let node = builder.add_node_with_factory("doomed", factory).expect("factory builds");
+        let mut rt = builder.start();
+        let schedule = [Step::Kill(node), Step::Restart(node)].map(|step| (Duration::ZERO, step));
+        let (lifecycle, failures) = dispatch(&mut rt, schedule.into());
+        assert!(lifecycle[0].contains("FAILED: doomed on start"), "{lifecycle:?}");
+        assert!(lifecycle[1].starts_with("restart"), "{lifecycle:?}");
+        assert_eq!(failures, ["node 0 could not be killed: doomed on start"]);
+        assert!(rt.shutdown()[0].is_ok(), "the restarted incarnation stops cleanly");
+    }
 }

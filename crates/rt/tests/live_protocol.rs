@@ -410,18 +410,19 @@ fn live_sharded_roster_rebalances_and_survives_manager_zero_kill() {
     let plan = NemesisPlan::builder(SimTime::ZERO + config.horizon)
         .shard_rebalance(0, SimTime::ZERO + SimDuration::from_secs(1))
         .build();
-    let report = run_live_campaign(&config, Some(&plan), 0).expect("runtime starts");
-    assert!(report.is_clean(), "{:?} {:?}", report.oracle.violations(), report.failures);
-    let stats = report.oracle.stats();
+    let (report, live) = run_live_campaign(&config, Some(&plan), 0).expect("runtime starts");
+    assert!(report.is_clean(), "{:?}", report.violations);
+    assert!(live.failures.is_empty(), "{:?}", live.failures);
+    let stats = report.oracle_stats;
     assert!(stats.shard_handoffs >= 1 && stats.shard_installs >= 1, "{stats:?}");
     assert!(stats.shard_allows >= 1 && stats.revokes >= 1, "no evidence: {stats:?}");
     assert_eq!(stats.untyped_notes, 0, "a live node sent the oracle text in place of an event");
     assert!(report.user_stats.allowed >= 1, "{:?}", report.user_stats);
     for step in ["handoff kickoff", "kill n0", "restart n0", "crash n0", "recover n0"] {
         assert!(
-            report.lifecycle.iter().any(|l| l.starts_with(step) && !l.contains("FAILED")),
+            live.lifecycle.iter().any(|l| l.starts_with(step) && !l.contains("FAILED")),
             "missing `{step}` in {:?}",
-            report.lifecycle
+            live.lifecycle
         );
     }
 }

@@ -75,7 +75,6 @@ pub mod prelude {
     pub use crate::net::{NetModel, PerfectNet, Verdict, WanNet};
     pub use crate::node::{Context, Node, NodeId, TimerId};
     pub use crate::obs::{metrics_jsonl, prometheus_text, MetricsSink};
-    pub use crate::queue::Scheduler;
     pub use crate::rng::{SimRng, Zipf};
     pub use crate::storage::{DiskFaultModel, Recovered, SimStorage, Storage, StorageStats};
     pub use crate::time::{SimDuration, SimTime};

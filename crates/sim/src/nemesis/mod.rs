@@ -14,9 +14,14 @@
 //!   [`NemesisPlan::sample`], which draws a weighted random campaign
 //!   from a [`SimRng`] — the same seed always yields the same plan;
 //! * network faults layer *on top of* any base [`crate::net::NetModel`] via
-//!   [`NemesisNet`], and lifecycle faults install into a
-//!   [`crate::world::World`] as ordinary crash/recover events, so the
-//!   protocol under test cannot tell a nemesis run from a hostile WAN.
+//!   [`NemesisNet`], so the protocol under test cannot tell a nemesis
+//!   run from a hostile WAN.
+//!
+//! What every other fault does to a deployment — a crash becomes a
+//! crash/recover pair, a disk fault a storage model, a stale replica a
+//! node setting — is decided in one place, `wanacl_core`'s
+//! `campaign::arm_campaign`, which reads a plan once for both
+//! executors. This module only describes plans.
 //!
 //! Pair a plan with a passive safety checker (a
 //! [`crate::world::Observer`]) to get a randomized model checker: on a
@@ -656,114 +661,9 @@ impl NemesisPlan {
         self.faults.iter().filter(|f| f.is_net()).cloned().collect()
     }
 
-    /// The `(shard, at)` rebalance kickoffs in the plan, in time order —
-    /// for the campaign driver, which signs the map records and injects
-    /// the handoffs.
-    pub fn shard_rebalances(&self) -> Vec<(u32, SimTime)> {
-        let mut out: Vec<(u32, SimTime)> = self
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::ShardRebalance { shard, at } => Some((*shard, *at)),
-                _ => None,
-            })
-            .collect();
-        out.sort_by_key(|&(_, at)| at);
-        out
-    }
-
-    /// Hosts whose shard map the driver pins before the run starts.
-    pub fn stale_shard_map_hosts(&self) -> Vec<NodeId> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::StaleShardMap { host } => Some(*host),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Wraps a base network model with this plan's network faults.
     pub fn wrap_net(&self, base: Box<dyn crate::net::NetModel>) -> NemesisNet {
         NemesisNet::new(base, self.net_faults())
-    }
-
-    /// The plan's lifecycle faults as `(node, down, up)` outages, in
-    /// plan order: crashes and every member of a correlated cluster
-    /// restart. Each executor turns these into its own crash/recover
-    /// calls.
-    pub fn outages(&self) -> Vec<(NodeId, SimTime, SimTime)> {
-        let mut out = Vec::new();
-        for fault in &self.faults {
-            match fault {
-                Fault::Crash { node, at, down_for } => out.push((*node, *at, *at + *down_for)),
-                Fault::ClusterRestart { nodes, at, down_for } => {
-                    out.extend(nodes.iter().map(|node| (*node, *at, *at + *down_for)));
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// Schedules the plan's [outages](NemesisPlan::outages) into a
-    /// world. Call before running; events already in the past are
-    /// skipped rather than panicking, so a plan can be installed mid-run
-    /// for staged scenarios.
-    pub fn install_lifecycle<M: Clone + std::fmt::Debug + 'static>(
-        &self,
-        world: &mut crate::world::World<M>,
-    ) {
-        let now = world.now();
-        for (node, down, up) in self.outages() {
-            if down >= now {
-                world.schedule_crash(down, node);
-            }
-            if up >= now {
-                world.schedule_recover(up, node);
-            }
-        }
-    }
-
-    /// The storage-fault entries, as `(node, sync_fail_prob,
-    /// torn_tail_prob)` triples. The campaign driver applies these to
-    /// each node's stable storage before the run starts.
-    pub fn disk_faults(&self) -> Vec<(NodeId, f64, f64)> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::DiskFault { node, sync_fail_prob, torn_tail_prob } => {
-                    Some((*node, *sync_fail_prob, *torn_tail_prob))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The replicas whose anti-entropy the plan suppresses. The
-    /// campaign driver applies these to each replica before the run
-    /// starts.
-    pub fn stale_replicas(&self) -> Vec<NodeId> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::StaleReplica { replica } => Some(*replica),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The malicious-replica entries as `(replica, window)` pairs. The
-    /// campaign driver arms each replica's forgery window before the
-    /// run starts.
-    pub fn malicious_replicas(&self) -> Vec<(NodeId, Window)> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::MaliciousReplica { replica, window } => Some((*replica, *window)),
-                _ => None,
-            })
-            .collect()
     }
 
     /// A numbered, human-readable listing of the plan (for violation
@@ -1112,22 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_plan_accessors_extract_and_order_driver_faults() {
-        let plan = NemesisPlan::builder(SimTime::from_secs(60))
-            .shard_rebalance(1, SimTime::from_secs(30))
-            .stale_shard_map(n(3))
-            .shard_rebalance(0, SimTime::from_secs(10))
-            .build();
-        assert_eq!(
-            plan.shard_rebalances(),
-            vec![(0, SimTime::from_secs(10)), (1, SimTime::from_secs(30))],
-            "rebalances come out in time order"
-        );
-        assert_eq!(plan.stale_shard_map_hosts(), vec![n(3)]);
-        assert!(plan.net_faults().is_empty(), "driver faults are not net faults");
-    }
-
-    #[test]
     fn directory_sampling_is_deterministic_and_keeps_other_plans_stable() {
         // The extra targets field alone must not perturb plans drawn
         // without the directory family.
@@ -1192,9 +1076,6 @@ mod tests {
             .directory_split(vec![n(5)], vec![n(6), n(7)], SimTime::from_secs(2), SimTime::from_secs(9))
             .malicious_replica(n(6), SimTime::from_secs(10), SimTime::from_secs(20))
             .build();
-        assert_eq!(plan.stale_replicas(), vec![n(5)]);
-        let window = Window::new(SimTime::from_secs(10), SimTime::from_secs(20));
-        assert_eq!(plan.malicious_replicas(), vec![(n(6), window)]);
         // Only the split is a network fault, and it severs like a
         // symmetric partition while open.
         let net = plan.net_faults();
@@ -1215,7 +1096,6 @@ mod tests {
             .disk_fault(n(0), 0.1, 0.5)
             .cluster_restart(vec![n(0), n(1), n(2)], SimTime::from_secs(5), SimDuration::from_secs(1))
             .build();
-        assert_eq!(plan.disk_faults(), vec![(n(0), 0.1, 0.5)]);
         assert!(plan.net_faults().is_empty(), "storage faults are not network faults");
         let text = plan.describe();
         assert!(text.contains("disk-fault"), "{text}");

@@ -17,34 +17,16 @@
 //! transport's delayed deliveries; the live users key it by nanoseconds
 //! since their epoch.
 //!
-//! **Ordering is bit-identical to the naive heap.** Both schedulers pop in
+//! **Ordering is bit-identical to the naive heap.** The calendar pops in
 //! strict `(time, seq)` order — buckets partition the timeline, so the first
 //! occupied bucket always holds the globally minimal event, and within a
-//! bucket the per-bucket heap restores the total order. The naive heap is
-//! kept as [`Scheduler::NaiveHeap`], the parity reference the calendar
-//! queue's tests compare against; no product surface selects it.
+//! bucket the per-bucket heap restores the total order. The naive heap
+//! survives only in this module's tests, as the parity reference.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::SimTime;
-
-/// Which event-scheduler implementation a [`crate::world::World`] uses.
-///
-/// Both produce exactly the same event order (`(time, seq)`; FIFO among
-/// simultaneous events), so the choice never changes a run's outcome —
-/// only its wall-clock speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Bucketed calendar queue with a heap fallback for far-future
-    /// events. The default: near-constant-time scheduling for the dense
-    /// near-future traffic that dominates large worlds.
-    #[default]
-    Calendar,
-    /// A single global `BinaryHeap`: the parity reference for the
-    /// calendar queue's ordering tests, not a product option.
-    NaiveHeap,
-}
 
 /// Log2 of the bucket width in nanoseconds (2^22 ns ≈ 4.19 ms).
 const WIDTH_SHIFT: u32 = 22;
@@ -55,7 +37,7 @@ const WORDS: usize = NBUCKETS / 64;
 /// The window span in nanoseconds (~4.3 seconds).
 const WINDOW_NS: u64 = (NBUCKETS as u64) << WIDTH_SHIFT;
 
-pub(crate) struct Entry<T> {
+struct Entry<T> {
     at: SimTime,
     seq: u64,
     kind: T,
@@ -79,7 +61,7 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-pub(crate) type MinHeap<T> = BinaryHeap<Reverse<Entry<T>>>;
+type MinHeap<T> = BinaryHeap<Reverse<Entry<T>>>;
 
 /// Pops the heap's minimum if it is due at or before `limit`.
 fn pop_if_due<T>(heap: &mut MinHeap<T>, limit: SimTime) -> Option<Entry<T>> {
@@ -88,60 +70,6 @@ fn pop_if_due<T>(heap: &mut MinHeap<T>, limit: SimTime) -> Option<Entry<T>> {
         return None;
     }
     Some(PeekMut::pop(top).0)
-}
-
-/// The world's pending-event set, ordered by `(time, seq)`.
-pub(crate) enum EventQueue<T> {
-    Heap { heap: MinHeap<T>, seq: u64 },
-    Calendar(Box<Calendar<T>>),
-}
-
-impl<T> EventQueue<T> {
-    pub(crate) fn new(scheduler: Scheduler) -> Self {
-        match scheduler {
-            Scheduler::NaiveHeap => EventQueue::Heap { heap: BinaryHeap::new(), seq: 0 },
-            Scheduler::Calendar => EventQueue::Calendar(Box::default()),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap { heap, .. } => heap.len(),
-            EventQueue::Calendar(c) => c.len,
-        }
-    }
-
-    pub(crate) fn push(&mut self, at: SimTime, kind: T) {
-        match self {
-            EventQueue::Heap { heap, seq } => {
-                heap.push(Reverse(Entry { at, seq: *seq, kind }));
-                *seq += 1;
-            }
-            EventQueue::Calendar(c) => c.push(at, kind),
-        }
-    }
-
-    #[cfg(test)]
-    fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap { heap, .. } => heap.peek().map(|Reverse(e)| e.at),
-            EventQueue::Calendar(c) => c.next_time(),
-        }
-    }
-
-    /// Removes and returns the next event if it is due at or before
-    /// `limit`.
-    pub(crate) fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, T)> {
-        match self {
-            EventQueue::Heap { heap, .. } => pop_if_due(heap, limit).map(|e| (e.at, e.kind)),
-            EventQueue::Calendar(c) => c.pop_due(limit),
-        }
-    }
-
-    /// Removes and returns the next event in `(time, seq)` order.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.pop_due(SimTime::MAX)
-    }
 }
 
 /// A time-ordered queue: a sliding window of 1024 buckets ~4.2 ms wide
@@ -210,6 +138,11 @@ impl<T> Calendar<T> {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Number of queued items.
+    pub(crate) fn len(&self) -> usize {
+        self.len
     }
 
     /// Queues `item` at time `at`; among items at the same time, the
@@ -327,16 +260,42 @@ impl<T> Calendar<T> {
 mod tests {
     use super::*;
 
-    fn drain(q: &mut EventQueue<u32>) -> Vec<(u64, u32)> {
+    /// The parity reference: one global heap in `(time, push order)`.
+    #[derive(Default)]
+    struct NaiveHeap {
+        heap: MinHeap<u32>,
+        seq: u64,
+    }
+
+    impl NaiveHeap {
+        fn push(&mut self, at: SimTime, kind: u32) {
+            self.heap.push(Reverse(Entry { at, seq: self.seq, kind }));
+            self.seq += 1;
+        }
+
+        fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, u32)> {
+            pop_if_due(&mut self.heap, limit).map(|e| (e.at, e.kind))
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u32)> {
+            self.pop_due(SimTime::MAX)
+        }
+
+        fn next_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse(e)| e.at)
+        }
+    }
+
+    fn drain(mut pop: impl FnMut() -> Option<(SimTime, u32)>) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
-        while let Some((at, kind)) = q.pop() {
+        while let Some((at, kind)) = pop() {
             out.push((at.as_nanos(), kind));
         }
         out
     }
 
-    /// Both schedulers must agree with a reference sort on a mixed
-    /// near/far/simultaneous schedule.
+    /// The calendar and the naive heap must agree with a reference sort
+    /// on a mixed near/far/simultaneous schedule.
     #[test]
     fn calendar_matches_heap_order() {
         let times: Vec<u64> = vec![
@@ -351,8 +310,8 @@ mod tests {
             WINDOW_NS,
             1_000,
         ];
-        let mut cal = EventQueue::new(Scheduler::Calendar);
-        let mut heap = EventQueue::new(Scheduler::NaiveHeap);
+        let mut cal = Calendar::new();
+        let mut heap = NaiveHeap::default();
         for (seq, &t) in times.iter().enumerate() {
             cal.push(SimTime::from_nanos(t), seq as u32);
             heap.push(SimTime::from_nanos(t), seq as u32);
@@ -360,15 +319,15 @@ mod tests {
         let mut expect: Vec<(u64, u32)> =
             times.iter().enumerate().map(|(s, &t)| (t, s as u32)).collect();
         expect.sort_by_key(|&(t, s)| (t, s));
-        assert_eq!(drain(&mut cal), expect);
-        assert_eq!(drain(&mut heap), expect);
+        assert_eq!(drain(|| cal.pop()), expect);
+        assert_eq!(drain(|| heap.pop()), expect);
     }
 
     /// Pushes after a forward rebase may land before the new window base;
     /// the front heap must keep them first.
     #[test]
     fn push_before_base_after_rebase_stays_ordered() {
-        let mut q = EventQueue::new(Scheduler::Calendar);
+        let mut q = Calendar::new();
         // Far-future event forces a rebase on first peek.
         q.push(SimTime::from_nanos(10 * WINDOW_NS), 0u32);
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(10 * WINDOW_NS)));
@@ -376,18 +335,20 @@ mod tests {
         q.push(SimTime::from_nanos(5), 1);
         q.push(SimTime::from_nanos(7), 2);
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(5)));
-        assert_eq!(drain(&mut q), vec![(5, 1), (7, 2), (10 * WINDOW_NS, 0)]);
+        assert_eq!(drain(|| q.pop()), vec![(5, 1), (7, 2), (10 * WINDOW_NS, 0)]);
     }
 
     /// Randomized interleaving of pushes and pops must match the naive
-    /// heap exactly, including FIFO among equal timestamps.
+    /// heap exactly, including FIFO among equal timestamps and items
+    /// tens of windows out, which wait in the overflow heap and drain
+    /// through forward rebases past empty stretches of the timeline.
     #[test]
     fn randomized_parity_with_heap() {
         use crate::rng::SimRng;
         for seed in 0..20u64 {
             let mut rng = SimRng::seed_from(seed);
-            let mut cal = EventQueue::new(Scheduler::Calendar);
-            let mut heap = EventQueue::new(Scheduler::NaiveHeap);
+            let mut cal = Calendar::new();
+            let mut heap = NaiveHeap::default();
             let mut seq = 0u64;
             let mut now = 0u64;
             let mut popped = Vec::new();
@@ -395,11 +356,12 @@ mod tests {
                 if rng.chance(0.6) || cal.len() == 0 {
                     // Push at now + a delay spanning near & far future,
                     // with plenty of exact collisions.
-                    let delay = match rng.range(0, 4) {
+                    let delay = match rng.range(0, 5) {
                         0 => 0,
                         1 => rng.range(0, 1_000_000),
                         2 => rng.range(0, WINDOW_NS),
-                        _ => rng.range(0, 4 * WINDOW_NS),
+                        3 => rng.range(0, 4 * WINDOW_NS),
+                        _ => rng.range(10 * WINDOW_NS, 100 * WINDOW_NS),
                     };
                     let at = SimTime::from_nanos(now + delay);
                     cal.push(at, seq as u32);
@@ -450,8 +412,8 @@ mod tests {
 
         for seed in 0..20u64 {
             let mut rng = SimRng::seed_from(seed);
-            let mut cal = EventQueue::new(Scheduler::Calendar);
-            let mut heap = EventQueue::new(Scheduler::NaiveHeap);
+            let mut cal = Calendar::new();
+            let mut heap = NaiveHeap::default();
             let (mut pushed, mut popped, mut clock) = (0u32, 0u32, 0u64);
             for _ in 0..6_000 {
                 match rng.range(0, 3) {
@@ -482,7 +444,7 @@ mod tests {
                 assert_eq!(Some(item), heap.pop(), "seed {seed}");
                 popped += 1;
             }
-            assert!(heap.len() == 0 && pushed > 1_000);
+            assert!(heap.heap.is_empty() && pushed > 1_000);
             assert_eq!(popped, pushed, "seed {seed}: every item drains");
         }
     }

@@ -20,7 +20,7 @@ use crate::clock::{ClockSpec, DriftClock, LocalTime};
 use crate::metrics::{MetricId, Metrics};
 use crate::net::{DropReason, NetModel, PerfectNet, Verdict};
 use crate::node::{Context, Effect, Life, Node, NodeId, Note, Sink, Step, Streams, Timer};
-use crate::queue::{EventQueue, Scheduler};
+use crate::queue::Calendar;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent};
@@ -127,7 +127,7 @@ pub struct World<M> {
 /// effects drain into.
 struct Env<M> {
     now: SimTime,
-    queue: EventQueue<EventKind<M>>,
+    queue: Calendar<EventKind<M>>,
     net: Box<dyn NetModel>,
     net_rng: SimRng,
     metrics: Metrics,
@@ -220,18 +220,8 @@ impl<M: Clone + std::fmt::Debug> Sink<M> for Env<M> {
 }
 
 impl<M: Clone + std::fmt::Debug + 'static> World<M> {
-    /// Creates an empty world with a perfect 50 ms network and the
-    /// default calendar-queue scheduler.
+    /// Creates an empty world with a perfect 50 ms network.
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, Scheduler::default())
-    }
-
-    /// Creates an empty world using an explicit event [`Scheduler`].
-    ///
-    /// Both schedulers produce identical event orderings; the naive
-    /// heap ([`Scheduler::NaiveHeap`]) exists only as the reference the
-    /// parity tests run the calendar queue against.
-    pub fn with_scheduler(seed: u64, scheduler: Scheduler) -> Self {
         let (streams, net_rng) = Streams::new(seed);
         World {
             names: Vec::new(),
@@ -244,7 +234,7 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
             started: false,
             env: Env {
                 now: SimTime::ZERO,
-                queue: EventQueue::new(scheduler),
+                queue: Calendar::new(),
                 net: Box::new(PerfectNet::new(SimDuration::from_millis(50))),
                 net_rng,
                 metrics: Metrics::new(),

@@ -1,17 +1,18 @@
-//! Determinism properties of the indexed event queue and the workload
-//! generators.
-//!
-//! The calendar queue replaced the global `BinaryHeap` on the simulator
-//! hot path; these tests pin the contract that made that swap safe:
-//! for any seed, a world stepped on the calendar scheduler produces a
-//! **byte-identical** trace to the same world on the naive heap, and
-//! every workload generator yields a fixed sequence for a fixed seed no
-//! matter which thread runs it.
+//! Determinism properties of the world and the workload generators: a
+//! world re-run from the same seed produces a **byte-identical** trace,
+//! and every workload generator yields a fixed sequence for a fixed
+//! seed no matter which thread runs it. The calendar queue's parity
+//! with a naive heap is checked here under far-future pressure and at
+//! queue level (`wanacl_sim::queue`'s tests).
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use wanacl_sim::clock::ClockSpec;
 use wanacl_sim::net::WanNet;
 use wanacl_sim::node::{Context, Node, NodeId};
-use wanacl_sim::queue::Scheduler;
+use wanacl_sim::queue::Calendar;
+use wanacl_sim::trace::TraceEvent;
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::{SimDuration, SimTime};
 use wanacl_sim::workload::{arrivals, LoadCurve, RegionalTopology, ZipfPopularity};
@@ -62,8 +63,8 @@ impl Node for Gossip {
     }
 }
 
-fn gossip_trace(seed: u64, scheduler: Scheduler) -> String {
-    let mut world: World<u64> = World::with_scheduler(seed, scheduler);
+fn gossip_trace(seed: u64) -> String {
+    let mut world: World<u64> = World::new(seed);
     world.enable_trace();
     world.set_net(Box::new(
         WanNet::builder()
@@ -87,23 +88,11 @@ fn gossip_trace(seed: u64, scheduler: Scheduler) -> String {
 }
 
 #[test]
-fn calendar_trace_is_byte_identical_to_heap() {
-    for seed in 0..10u64 {
-        let cal = gossip_trace(seed, Scheduler::Calendar);
-        let heap = gossip_trace(seed, Scheduler::NaiveHeap);
-        assert!(!cal.is_empty(), "seed {seed} produced an empty trace");
-        assert_eq!(cal, heap, "seed {seed}: calendar and heap traces diverge");
-    }
-}
-
-#[test]
 fn calendar_trace_is_stable_across_runs() {
     for seed in [3u64, 17, 4242] {
-        assert_eq!(
-            gossip_trace(seed, Scheduler::Calendar),
-            gossip_trace(seed, Scheduler::Calendar),
-            "seed {seed}: re-running the same world changed the trace"
-        );
+        let trace = gossip_trace(seed);
+        assert!(!trace.is_empty(), "seed {seed} produced an empty trace");
+        assert_eq!(trace, gossip_trace(seed), "seed {seed}: a re-run changed the trace");
     }
 }
 
@@ -165,12 +154,48 @@ fn workload_generators_are_thread_stable() {
 
 #[test]
 fn schedulers_agree_under_far_future_and_rebase_pressure() {
-    // Push the calendar through its overflow/rebase machinery: inject
-    // events far beyond the bucket window, interleaved with near-term
-    // chatter, and require heap parity on the resulting trace.
+    // Push the calendar through its overflow/rebase machinery: items far
+    // beyond the bucket window (~4.3s), interleaved with near-term
+    // chatter pushed as each item pops, and require the pop order of a
+    // naive heap ordered by (time, push order).
     for seed in 0..5u64 {
-        let run = |scheduler| {
-            let mut world: World<u64> = World::with_scheduler(seed, scheduler);
+        let mut rng = SimRng::seed_from(seed);
+        let mut cal = Calendar::new();
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut push = |cal: &mut Calendar<u64>, heap: &mut BinaryHeap<_>, at: SimTime| {
+            cal.push(at, seq);
+            heap.push(Reverse((at, seq)));
+            seq += 1;
+        };
+        for k in 0..50u64 {
+            push(&mut cal, &mut heap, SimTime::ZERO + SimDuration::from_secs(20 + k * 7));
+        }
+        for i in 0..200u64 {
+            push(&mut cal, &mut heap, SimTime::ZERO + SimDuration::from_millis(i % 40));
+        }
+        let mut popped = 0;
+        while let Some((at, item)) = cal.pop() {
+            let Reverse(want) = heap.pop().expect("heap holds as many items");
+            assert_eq!((at, item), want, "seed {seed}: calendar diverged from heap order");
+            popped += 1;
+            if popped < 2_000 {
+                for _ in 0..rng.range(0, 2) {
+                    let delay = SimDuration::from_millis(rng.range(0, 12));
+                    push(&mut cal, &mut heap, at + delay);
+                }
+            }
+        }
+        assert!(heap.is_empty(), "seed {seed}: calendar drained before the heap");
+        assert!(popped > 250, "seed {seed}: the chatter never ran");
+    }
+
+    // The same pressure on a world: every far-future injection is
+    // delivered at its own time and in injection order, the trace never
+    // runs backwards, and a re-run reproduces it byte for byte.
+    for seed in 0..5u64 {
+        let run = || {
+            let mut world: World<u64> = World::new(seed);
             world.enable_trace();
             let ids: Vec<NodeId> = (0..3).map(NodeId::from_index).collect();
             for (i, &id) in ids.iter().enumerate() {
@@ -182,19 +207,31 @@ fn schedulers_agree_under_far_future_and_rebase_pressure() {
                 );
                 assert_eq!(got, id);
             }
-            // Far beyond one calendar window (~4.3s): these live in the
-            // overflow heap and drain through a rebase.
+            let mut injected = Vec::new();
             for k in 0..50u64 {
                 let at = SimTime::ZERO + SimDuration::from_secs(20 + k * 7);
-                world.inject(at, ids[(k % 3) as usize], k);
+                let to = ids[(k % 3) as usize];
+                world.inject(at, to, k);
+                injected.push((at, to, format!("{k:?}")));
             }
             world.run_until(SimTime::ZERO + SimDuration::from_secs(400));
+            let entries = world.trace().entries();
+            assert!(
+                entries.windows(2).all(|w| w[0].at <= w[1].at),
+                "seed {seed}: the trace runs backwards"
+            );
+            let delivered: Vec<_> = entries
+                .iter()
+                .filter_map(|e| match &e.event {
+                    TraceEvent::Delivered { from, to, desc } if *from == NodeId::ENV => {
+                        Some((e.at, *to, desc.clone()))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(delivered, injected, "seed {seed}: far-future injections misdelivered");
             world.trace().to_text()
         };
-        assert_eq!(
-            run(Scheduler::Calendar),
-            run(Scheduler::NaiveHeap),
-            "seed {seed}: overflow/rebase path diverged from heap order"
-        );
+        assert_eq!(run(), run(), "seed {seed}: a re-run changed the trace");
     }
 }

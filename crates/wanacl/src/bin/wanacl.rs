@@ -26,7 +26,8 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use wanacl::core::campaign::{
-    rollup_metrics, run_campaigns_parallel, sample_plan, shrink_plan, CampaignConfig, InjectedBug,
+    campaign_scenario, rollup_metrics, run_campaigns_parallel, sample_plan, shrink_plan,
+    CampaignConfig, CampaignReport, InjectedBug,
 };
 use wanacl::prelude::*;
 use wanacl::rt::{live_policy, run_live_campaign, LiveReport};
@@ -483,6 +484,11 @@ fn campaign_config(flags: &mut Flags, live: bool) -> CampaignConfig {
     config
 }
 
+/// The number of managers the config's roster lays out.
+fn manager_count(config: &CampaignConfig) -> usize {
+    campaign_scenario(config).roster().layout.managers.len()
+}
+
 /// `M=3` or `tenants=2 shards/tenant=2 M=8`: the manager plane of a
 /// campaign header.
 fn plane(config: &CampaignConfig) -> String {
@@ -491,7 +497,7 @@ fn plane(config: &CampaignConfig) -> String {
             "tenants={} shards/tenant={} M={}",
             config.tenants,
             config.shards_per_tenant,
-            campaign_targets(config).managers.len()
+            manager_count(config)
         )
     } else {
         format!("M={}", config.managers)
@@ -632,7 +638,8 @@ fn chaos(mut flags: Flags) {
     // derivation, same sampler — `wanacl nemesis --seed S` and `wanacl
     // chaos --seed S` replay one fault plan on two executors.
     let mut plan = sample_plan(&config);
-    if config.tenants > 0 && plan.shard_rebalances().is_empty() {
+    let rebalances = plan.faults.iter().any(|f| matches!(f, Fault::ShardRebalance { .. }));
+    if config.tenants > 0 && !rebalances {
         plan.faults.push(Fault::ShardRebalance {
             shard: 0,
             at: SimTime::ZERO + config.horizon.mul_f64(0.5),
@@ -652,15 +659,15 @@ fn chaos(mut flags: Flags) {
         print!("{}", plan.describe());
     }
     let plan = (!control).then_some(&plan);
-    let report = match run_live_campaign(&config, plan, workers) {
-        Ok(report) => report,
+    let (report, live) = match run_live_campaign(&config, plan, workers) {
+        Ok(reports) => reports,
         Err(e) => usage_error(&format!("chaos: cannot start the live runtime: {e}")),
     };
-    println!("chaos: worker pool of {} threads", report.workers);
-    for line in &report.lifecycle {
+    println!("chaos: worker pool of {} threads", live.workers);
+    for line in &live.lifecycle {
         println!("  {line}");
     }
-    let stats = report.oracle.stats();
+    let stats = &report.oracle_stats;
     println!(
         "oracle: {} allows ({} shard-routed), {} revokes, {} handoffs, {} installs \
          checked over {} live trace events",
@@ -669,7 +676,7 @@ fn chaos(mut flags: Flags) {
         stats.revokes,
         stats.shard_handoffs,
         stats.shard_installs,
-        report.trace_events
+        live.trace_events
     );
     let users = report.user_stats;
     println!(
@@ -690,16 +697,16 @@ fn chaos(mut flags: Flags) {
         );
     }
     if let Some(path) = &report_out {
-        write_or_exit(path, soak_report_jsonl(&config, c, plan, &report));
+        write_or_exit(path, soak_report_jsonl(&config, c, plan, &report, &live));
         println!("report: JSONL soak report -> {path}");
     }
-    for v in report.oracle.violations() {
+    for v in &report.violations {
         println!("VIOLATION: {v}");
     }
-    for failure in &report.failures {
+    for failure in &live.failures {
         println!("FAILURE: {failure}");
     }
-    if !report.is_clean() {
+    if !(report.is_clean() && live.failures.is_empty()) {
         std::process::exit(1);
     }
     println!("chaos soak clean: no invariant violations, no node failures");
@@ -733,7 +740,8 @@ fn soak_report_jsonl(
     config: &CampaignConfig,
     check_quorum: usize,
     plan: Option<&NemesisPlan>,
-    report: &LiveReport,
+    report: &CampaignReport,
+    live: &LiveReport,
 ) -> String {
     let mut out = format!(
         "{{\"kind\":\"meta\",\"seed\":{},\"seconds\":{},\"managers\":{},\"hosts\":{},\
@@ -741,7 +749,7 @@ fn soak_report_jsonl(
          \"inject_bug\":\"{}\",\"tenants\":{},\"shards_per_tenant\":{}}}\n",
         config.seed,
         config.horizon.as_secs_f64(),
-        campaign_targets(config).managers.len(),
+        manager_count(config),
         config.hosts,
         config.users,
         config.intensity,
@@ -754,11 +762,11 @@ fn soak_report_jsonl(
         for fault in &plan.faults {
             out.push_str(&json_line("fault", "desc", &fault.to_string()));
         }
-        for step in &report.lifecycle {
+        for step in &live.lifecycle {
             out.push_str(&json_line("lifecycle", "desc", step));
         }
     }
-    let stats = report.oracle.stats();
+    let stats = &report.oracle_stats;
     out.push_str(&format!(
         "{{\"kind\":\"oracle\",\"allows\":{},\"revokes\":{},\"handoffs\":{},\"installs\":{},\
          \"trace_events\":{},\"digest\":{},\"violations\":{}}}\n",
@@ -766,14 +774,14 @@ fn soak_report_jsonl(
         stats.revokes,
         stats.shard_handoffs,
         stats.shard_installs,
-        report.trace_events,
-        report.oracle.audit_digest(),
-        report.oracle.violations().len()
+        live.trace_events,
+        report.audit_digest,
+        report.violations.len()
     ));
-    for v in report.oracle.violations() {
+    for v in &report.violations {
         out.push_str(&json_line("violation", "detail", &v.to_string()));
     }
-    for failure in &report.failures {
+    for failure in &live.failures {
         out.push_str(&json_line("panic", "detail", failure));
     }
     let checks: Vec<String> = check_fields(&report.metrics)
@@ -785,7 +793,7 @@ fn soak_report_jsonl(
     out.push_str(&format!(
         "{{\"kind\":\"outcome\",\"clean\":{},\"sent\":{},\"allowed\":{},\"denied\":{},\
          \"unavailable\":{},\"timeouts\":{}}}\n",
-        report.is_clean(),
+        report.is_clean() && live.failures.is_empty(),
         users.sent,
         users.allowed,
         users.denied,

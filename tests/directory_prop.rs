@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use wanacl::core::campaign::{
-    campaign_targets, rollup_metrics, run_campaign, run_campaigns_parallel, run_plans_parallel,
+    campaign_scenario, rollup_metrics, run_campaign, run_campaigns_parallel, run_plans_parallel,
     run_with_plan, shrink_plan, CampaignConfig, InjectedBug,
 };
 use wanacl::prelude::*;
@@ -39,8 +39,7 @@ fn directory_config(seed: u64, intensity: f64) -> CampaignConfig {
 /// that same window — all while the campaign republishes version 2 into
 /// replica 0 mid-run.
 fn directory_churn_plan(config: &CampaignConfig) -> NemesisPlan {
-    let targets = campaign_targets(config);
-    let r = &targets.ns_replicas;
+    let r = &campaign_scenario(config).roster().layout.ns_replicas;
     assert_eq!(r.len(), 3, "plan is written for three replicas");
     let mut rng = SimRng::seed_from(config.seed ^ 0x6e73_6469); // "nsdi"
     let start = SimTime::ZERO + SimDuration::from_secs_f64(rng.uniform(1.0, 2.5));

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 
 use wanacl::core::campaign::{
-    campaign_targets, run_campaign, run_campaigns_parallel, run_plans_parallel, run_with_plan,
+    campaign_scenario, run_campaign, run_campaigns_parallel, run_plans_parallel, run_with_plan,
     CampaignConfig, InjectedBug,
 };
 use wanacl::prelude::*;
@@ -36,15 +36,15 @@ fn disk_config(seed: u64, intensity: f64) -> CampaignConfig {
 /// seed-derived probabilities, and the whole manager set crash-restarts
 /// together mid-run.
 fn full_restart_plan(config: &CampaignConfig) -> NemesisPlan {
-    let targets = campaign_targets(config);
+    let managers = campaign_scenario(config).roster().layout.managers;
     let mut rng = SimRng::seed_from(config.seed ^ 0x6475_7261); // "dura"
     let mut b = NemesisPlan::builder(SimTime::ZERO + config.horizon);
-    for &m in &targets.managers {
+    for &m in &managers {
         b = b.disk_fault(m, rng.uniform(0.05, 0.35), rng.uniform(0.3, 1.0));
     }
     let at = SimTime::ZERO + SimDuration::from_secs_f64(rng.uniform(2.0, 4.0));
     let down = SimDuration::from_secs_f64(rng.uniform(0.2, 0.8));
-    b.cluster_restart(targets.managers.clone(), at, down).build()
+    b.cluster_restart(managers, at, down).build()
 }
 
 proptest! {
