@@ -405,9 +405,8 @@ pub fn ablation_workload(c: usize, te: SimDuration, fanout: QueryFanout, seed: u
 /// losing 20 % of messages. Returns the mean seconds from issue to
 /// update quorum over seeds 1–20 and how many of them got there within
 /// 30 s. The time is the issuing manager's own `mgr.time_to_quorum_s`,
-/// not the admin agent's `stable_latency`: the one `Stable` reply can
-/// itself be lost, and the agent then reads "never" for a quorum the
-/// manager reached in 40 ms.
+/// not the admin agent's `stable_latency`, which adds the agent's resend
+/// cadence whenever the `Stable` reply is lost and asked again.
 pub fn retry_cadence(retry: SimDuration) -> (f64, usize) {
     let reached: Vec<f64> = (1..=20)
         .filter_map(|seed| {

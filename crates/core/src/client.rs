@@ -293,6 +293,13 @@ struct OpRecord {
     stable_after: Option<SimDuration>,
 }
 
+impl OpRecord {
+    /// Whether the op still awaits its `Stable` confirmation.
+    fn in_flight(&self) -> bool {
+        matches!(self.progress, OpProgress::Sent | OpProgress::Applied)
+    }
+}
+
 /// One row of an admin shard-routing table: operations on `app` whose
 /// subject hashes into `lo..=hi` go to `manager`.
 #[derive(Debug, Clone, Copy)]
@@ -321,7 +328,7 @@ pub struct AdminAgentConfig {
     pub routes: Vec<AdminRoute>,
     /// Scripted operations.
     pub script: Vec<AdminAction>,
-    /// Retransmission period until the manager confirms `Applied`.
+    /// Retransmission period until the manager confirms `Stable`.
     pub resend_interval: SimDuration,
     /// §2.3 blocking semantics: issue operations strictly one at a
     /// time, starting the next only once the previous one is `Stable`
@@ -384,9 +391,12 @@ impl AdminAgent {
 
     /// Whether an operation is still awaiting its `Stable` confirmation.
     pub fn has_in_flight(&self) -> bool {
-        self.ops
-            .iter()
-            .any(|r| matches!(r.progress, OpProgress::Sent | OpProgress::Applied))
+        self.ops.iter().any(OpRecord::in_flight)
+    }
+
+    /// How often an operation not yet `Stable` is sent again.
+    pub fn resend_interval(&self) -> SimDuration {
+        self.config.resend_interval
     }
 
     /// Operations queued behind the in-flight one (serial mode only).
@@ -521,12 +531,14 @@ impl Node for AdminAgent {
                 }
             }
             TAG_RESEND => {
-                // Persist toward the manager until it confirms receipt.
+                // Persist toward the manager until it confirms the op
+                // stable: a lost `Applied` or `Stable` is asked again, and
+                // the manager answers a repeat with the op's status now.
                 let unconfirmed: Vec<usize> = self
                     .ops
                     .iter()
                     .enumerate()
-                    .filter(|(_, r)| r.progress == OpProgress::Sent)
+                    .filter(|(_, r)| r.in_flight())
                     .map(|(i, _)| i)
                     .collect();
                 for idx in unconfirmed {

@@ -8,7 +8,7 @@ use wanacl_sim::backoff::Backoff;
 use wanacl_sim::clock::LocalTime;
 use wanacl_sim::hash::FxHashMap;
 use wanacl_sim::metrics::MetricId as M;
-use wanacl_sim::node::{Context, NodeId};
+use wanacl_sim::node::{Context, NodeId, TimerId};
 
 use crate::audit::AuditEvent;
 use crate::channel::ChannelEnd;
@@ -30,7 +30,7 @@ struct PendingUpdate {
     /// itself toward the update quorum only once the op is WAL-synced
     /// (without storage this is immediate).
     self_durable: bool,
-    issuer: Option<(NodeId, ReqId)>,
+    issuer: (NodeId, ReqId),
     started: LocalTime,
 }
 
@@ -59,6 +59,12 @@ pub(super) struct Dissemination {
     /// into the retry backoff schedule. Reset when a round finds nothing
     /// to resend or fresh work arrives.
     retry_round: u32,
+    /// The armed retry tick.
+    retry_timer: Option<TimerId>,
+    /// Each admin request this manager originated, by `(agent, request
+    /// id)`, and whether its op is stable yet: a repeat is answered from
+    /// here instead of minting a second op. Point lookups only.
+    requests: FxHashMap<(NodeId, ReqId), bool>,
 }
 
 /// A `RevokeNotice` for `host`, tagged under the key shared with it.
@@ -70,6 +76,13 @@ fn notice(channel: &mut Option<ChannelEnd>, me: NodeId, host: NodeId, app: AppId
 impl Dissemination {
     pub(super) fn pending_updates(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The status of an admin request this manager originated, if it
+    /// did.
+    pub(super) fn status(&self, issuer: (NodeId, ReqId)) -> Option<AdminStatus> {
+        let stable = *self.requests.get(&issuer)?;
+        Some(if stable { AdminStatus::Stable } else { AdminStatus::Applied })
     }
 
     pub(super) fn granted_hosts(&self, app: AppId, user: UserId) -> usize {
@@ -95,6 +108,7 @@ impl Dissemination {
         quorum: usize,
         issuer: (NodeId, ReqId),
     ) {
+        self.requests.insert(issuer, false);
         self.pending.insert(
             id,
             PendingUpdate {
@@ -104,7 +118,7 @@ impl Dissemination {
                 stable: false,
                 self_durable: false,
                 quorum,
-                issuer: Some(issuer),
+                issuer,
                 started: ctx.local_now(),
             },
         );
@@ -155,9 +169,9 @@ impl Dissemination {
                     AuditEvent::GrantStable { app, user, id }
                 }
             });
-            if let Some((issuer, req)) = pending.issuer {
-                ctx.send(issuer, ProtoMsg::AdminReply { req, status: AdminStatus::Stable });
-            }
+            let (agent, req) = pending.issuer;
+            self.requests.insert(pending.issuer, true);
+            ctx.send(agent, ProtoMsg::AdminReply { req, status: AdminStatus::Stable });
         }
         if pending.unacked.is_empty() && pending.self_durable {
             self.pending.remove(&id);
@@ -195,16 +209,38 @@ impl Dissemination {
 
     pub(super) fn arm_retry(&mut self, ctx: &mut Context<'_, ProtoMsg>, backoff: &Backoff) {
         let delay = backoff.delay(self.retry_round, ctx.rng());
-        ctx.set_timer(delay, TAG_RETRY);
+        self.retry_timer = Some(ctx.set_timer(delay, TAG_RETRY));
+    }
+
+    /// `peer` was heard from after a silence (a healed cut, or its
+    /// recovery): what it has not acked goes to it now, and a backed-off
+    /// retry cadence restarts from its base, so one lost message costs a
+    /// base period rather than a capped one.
+    pub(super) fn peer_back(&mut self, ctx: &mut Context<'_, ProtoMsg>, peer: NodeId, backoff: &Backoff) {
+        let mut owed = false;
+        for (id, pending) in self.pending.iter().filter(|(_, p)| p.unacked.contains(&peer)) {
+            ctx.metric_incr(M::MGR_UPDATES_RESENT);
+            ctx.send(peer, ProtoMsg::Update { id: *id, op: pending.op });
+            owed = true;
+        }
+        if owed && self.retry_round > 0 {
+            if let Some(timer) = self.retry_timer.take() {
+                ctx.cancel_timer(timer);
+            }
+            self.retry_round = 0;
+            self.arm_retry(ctx, backoff);
+        }
     }
 
     /// The retry tick: resends every unacked update, and every notice
-    /// until the cached right would have expired anyway (§3.4).
+    /// until the cached right would have expired anyway (§3.4). `heard`
+    /// says whether a peer has been heard from lately.
     pub(super) fn retry(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
         channel: &mut Option<ChannelEnd>,
         backoff: &Backoff,
+        heard: impl Fn(NodeId) -> bool,
     ) {
         let mut resent = 0u64;
         for (id, pending) in &self.pending {
@@ -226,8 +262,11 @@ impl Dissemination {
         self.pending_revokes.retain(|pr| !pr.targets.is_empty());
         // Graceful degradation: rounds that keep finding unacknowledged
         // work (a partition, a dead peer) back off toward `retry_cap`;
-        // an idle round snaps the cadence back to the base interval.
-        self.retry_round = if resent == 0 { 0 } else { self.retry_round.saturating_add(1) };
+        // an idle round snaps the cadence back to the base interval, and
+        // so does one owed to a peer still heard from — a one-way cut
+        // that the peer-back rule cannot see heal.
+        let talking = self.pending.values().flat_map(|p| &p.unacked).any(|&peer| heard(peer));
+        self.retry_round = if resent == 0 || talking { 0 } else { self.retry_round.saturating_add(1) };
         self.arm_retry(ctx, backoff);
     }
 
@@ -344,7 +383,7 @@ mod tests {
                         let got = step(&mut d, now, |d, ctx| d.forward_revocation(ctx, &mut None, app, user));
                         (got, model.forward(key))
                     }
-                    _ => (step(&mut d, now, |d, ctx| d.retry(ctx, &mut None, &backoff)), model.retry(now)),
+                    _ => (step(&mut d, now, |d, ctx| d.retry(ctx, &mut None, &backoff, |_| false)), model.retry(now)),
                 };
                 prop_assert_eq!(got, want);
                 for key in (0..2).flat_map(|a| (0..3).map(move |u| (a, u))) {

@@ -3,6 +3,8 @@
 //! and where recovery stands — replaying the disk, or waiting on a
 //! peer's state (§3.4).
 
+use std::collections::BTreeSet;
+
 use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, NodeId};
 
@@ -34,11 +36,14 @@ pub(super) const WAL_METRICS: LogMetrics = LogMetrics {
 pub(super) struct Durability {
     /// Refusing queries until a peer supplies state (no storage).
     pub(super) recovering: bool,
-    /// Serving from locally-replayed durable state, with a delta peer
-    /// sync still in flight for freshness. Unlike `recovering`, queries
-    /// ARE answered in this mode (local replay is sufficient for
-    /// safety: everything this manager ever acked was fsynced first).
-    delta_syncing: bool,
+    /// The peers the sync in flight still asks. A cold sync ends at the
+    /// first answer; a warm one — serving from locally-replayed durable
+    /// state and syncing for freshness, or pulling a winner a peer
+    /// showed — asks until every peer has answered, since one peer may
+    /// lack what another holds. Unlike `recovering`, queries ARE
+    /// answered meanwhile (local replay is sufficient for safety:
+    /// everything this manager ever acked was fsynced first).
+    awaiting: BTreeSet<NodeId>,
     /// Consecutive recovery sync requests without a response.
     sync_round: u32,
 }
@@ -47,7 +52,7 @@ impl Durability {
     /// A crash: the sync in flight is forgotten.
     pub(super) fn crash(&mut self) {
         self.sync_round = 0;
-        self.delta_syncing = false;
+        self.awaiting.clear();
     }
 
     /// Starts a peer sync after a recovery. A `cold` one (nothing durable
@@ -61,40 +66,62 @@ impl Durability {
         replica: &Replica,
         cold: bool,
     ) {
-        let has_peers = !config.peers.is_empty();
-        self.recovering = cold && has_peers;
-        if has_peers {
-            self.delta_syncing = !cold;
+        self.recovering = cold && !config.peers.is_empty();
+        self.pull(ctx, config, replica);
+    }
+
+    /// Asks every peer for the winners this replica lacks: a warm sync,
+    /// unless a cold one is in flight. A sync already in flight asks
+    /// again at once; otherwise the backed-off retry is armed.
+    pub(super) fn pull(&mut self, ctx: &mut Context<'_, ProtoMsg>, config: &ManagerConfig, replica: &Replica) {
+        let idle = !self.syncing();
+        self.awaiting.extend(config.peers.iter().copied());
+        if idle {
             self.request_sync(ctx, config, replica);
+        } else {
+            self.ask(ctx, replica);
         }
     }
 
-    /// Asks every peer for the winners this replica lacks, and arms the
-    /// backed-off retry of the request.
+    /// Asks the peers still awaited, and arms the backed-off retry of
+    /// the request.
     pub(super) fn request_sync(
         &mut self,
         ctx: &mut Context<'_, ProtoMsg>,
         config: &ManagerConfig,
         replica: &Replica,
     ) {
-        let (stamps, slots) = (replica.stamps(), replica.slots());
-        for peer in &config.peers {
-            ctx.send(*peer, ProtoMsg::SyncRequest { stamps: stamps.clone(), slots: slots.clone() });
+        if self.awaiting.is_empty() {
+            return;
         }
+        self.ask(ctx, replica);
         let delay = config.retry_backoff().delay(self.sync_round, ctx.rng());
         self.sync_round = self.sync_round.saturating_add(1);
         ctx.set_timer(delay, TAG_SYNC);
     }
 
-    /// A peer's state arrived: serving resumes.
-    pub(super) fn synced(&mut self) {
-        self.recovering = false;
-        self.delta_syncing = false;
-        self.sync_round = 0;
+    fn ask(&self, ctx: &mut Context<'_, ProtoMsg>, replica: &Replica) {
+        let (stamps, slots) = (replica.stamps(), replica.slots());
+        for &peer in &self.awaiting {
+            ctx.send(peer, ProtoMsg::SyncRequest { stamps: stamps.clone(), slots: slots.clone() });
+        }
     }
 
-    /// Whether a sync is outstanding, cold or delta.
+    /// `peer` answered the sync in flight. Returns whether that ended
+    /// it: serving resumes.
+    pub(super) fn answered(&mut self, peer: NodeId) -> bool {
+        self.awaiting.remove(&peer);
+        if self.recovering || self.awaiting.is_empty() {
+            self.recovering = false;
+            self.awaiting.clear();
+            self.sync_round = 0;
+            return true;
+        }
+        false
+    }
+
+    /// Whether a sync is outstanding, cold or warm.
     pub(super) fn syncing(&self) -> bool {
-        self.recovering || self.delta_syncing
+        self.recovering || !self.awaiting.is_empty()
     }
 }

@@ -158,6 +158,13 @@ impl Replica {
         self.origin_stamps.iter().map(|(&n, &s)| (n, s)).collect()
     }
 
+    /// Whether a peer's `slots` name a winner newer than this replica's
+    /// for its slot. Its stamps cannot say so: a high-water mark hides a
+    /// gap below a later op.
+    pub(super) fn lacks_any(&self, slots: &[Slot]) -> bool {
+        slots.iter().any(|&(app, user, right, id)| self.lww.get(&(app, user, right)).is_none_or(|&(mine, _)| mine < id))
+    }
+
     /// Whether a peer's `stamps` show ops this replica has not applied.
     pub(super) fn behind(&self, stamps: &[(NodeId, u64)]) -> bool {
         stamps.iter().any(|(n, s)| self.origin_stamps.get(n).is_none_or(|mine| mine < s))

@@ -38,6 +38,11 @@
 //!   `(shard, epoch, source)`, and no install without a corresponding
 //!   handoff. A lost or doubled grant/revoke during the move diverges
 //!   the FNV digest.
+//!
+//! The tenth verdict, **settle (I10)**, reads no audit event: a
+//! campaign judges it on the finished nodes
+//! ([`campaign_report`](crate::campaign::campaign_report)), at the
+//! oracle's [`last_event`](InvariantOracle::last_event).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -77,6 +82,12 @@ pub enum InvariantKind {
     /// I9: a shard handoff lost or invented operations — the install
     /// digest diverged from the source's, or had no source at all.
     RebalanceSafety,
+    /// I10: the run did not settle by its deadline — an admin op still
+    /// awaited `Stable`, a manager still held an update to retransmit,
+    /// or two current owners of a shard disagreed on a scripted right.
+    /// Judged once, on the finished nodes, by
+    /// [`campaign_report`](crate::campaign::campaign_report).
+    Settle,
 }
 
 impl std::fmt::Display for InvariantKind {
@@ -91,6 +102,7 @@ impl std::fmt::Display for InvariantKind {
             InvariantKind::DirectoryIntegrity => "directory-integrity",
             InvariantKind::TenantIsolation => "tenant-isolation",
             InvariantKind::RebalanceSafety => "rebalance-safety",
+            InvariantKind::Settle => "settle",
         };
         f.write_str(s)
     }
@@ -246,6 +258,8 @@ pub struct InvariantOracle {
     violations: Vec<OracleViolation>,
     stats: OracleStats,
     digest: Fnv1a,
+    /// When the newest event seen happened, and its index.
+    last_event: (SimTime, u64),
 }
 
 /// FNV-1a offset basis (64-bit).
@@ -312,6 +326,7 @@ impl InvariantOracle {
             violations: Vec::new(),
             stats: OracleStats::default(),
             digest: Fnv1a(FNV_OFFSET),
+            last_event: (SimTime::ZERO, 0),
         };
         if let Some(freeze) = policy.freeze() {
             if freeze.ti + policy.expiry_budget() > policy.revocation_bound() {
@@ -388,6 +403,12 @@ impl InvariantOracle {
     /// Evidence counters.
     pub fn stats(&self) -> OracleStats {
         self.stats
+    }
+
+    /// When the newest event seen so far happened, and its index: the
+    /// replay coordinate of a verdict on the run as a whole.
+    pub fn last_event(&self) -> (SimTime, u64) {
+        self.last_event
     }
 
     /// Order-sensitive FNV-1a fingerprint of every audit note seen so
@@ -795,6 +816,7 @@ impl InvariantOracle {
 
 impl Observer for InvariantOracle {
     fn on_event(&mut self, at: SimTime, index: u64, event: &TraceEvent) {
+        self.last_event = (at, index);
         if let TraceEvent::Note { node, text } = event {
             self.digest.note(*node, text);
             match text.record::<AuditEvent>() {

@@ -339,6 +339,15 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
         self.clocks[id.index()].read(self.env.now)
     }
 
+    /// Immutable access to a node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a node of this world.
+    pub fn node(&self, id: NodeId) -> &dyn Node<Msg = M> {
+        &*self.nodes[id.index()]
+    }
+
     /// Immutable access to a node downcast to its concrete type.
     ///
     /// # Panics

@@ -168,6 +168,25 @@ fn source_kill_mid_handoff_sweep_holds_i9_on_both_executors() {
     assert_eq!(rollup_metrics(&sequential), rollup_metrics(&parallel));
 }
 
+/// The handoff primary killed 10 ms after the kickoff, down for 3 s: its
+/// co-source releases meanwhile, and the primary comes back with the
+/// shard active and no coordination. The released source re-seeds it
+/// with the kickoff beside its `ShardReleased`; the primary freezes
+/// again, its new transfer (the writes it took while back) is installed
+/// over its first, and the move completes — the run settles, I9 intact.
+#[test]
+fn a_primary_killed_after_the_kickoff_is_re_seeded_and_the_move_completes() {
+    let config = sweep_config(2730);
+    let kickoff = SimTime::ZERO + SimDuration::from_millis(2_400);
+    let plan = NemesisPlan::builder(SimTime::ZERO + SimDuration::from_secs(6))
+        .shard_rebalance(2, kickoff)
+        .crash(NodeId::from_index(4), kickoff + SimDuration::from_millis(10), SimDuration::from_millis(3_010))
+        .build();
+    let report = run_with_plan(&config, &plan);
+    assert!(report.is_clean(), "{}", report.render());
+    assert!(report.oracle_stats.shard_installs >= 4, "both sources' transfers reached both targets");
+}
+
 /// The planted lost-handoff bug (target drops the tail op of a shard
 /// transfer) must be caught, shrink to a smaller still-failing plan,
 /// and replay bit-identically on both executors.
