@@ -9,20 +9,31 @@ use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, NodeId};
 
 use crate::durable::LogMetrics;
-use crate::msg::{AclOp, ProtoMsg};
+use crate::msg::{AclOp, OpId, ProtoMsg};
+use crate::types::ShardId;
 
 use super::replica::Replica;
 use super::{ManagerConfig, TAG_SYNC};
 
-/// An op applied in memory but awaiting a successful WAL sync barrier.
-/// The promise attached to it (ack to a peer, or counting ourselves
-/// toward the quorum) is withheld until the record is durable.
+/// What a WAL record is about: the log holds one promise per key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(super) enum Logged {
+    /// An applied op.
+    Op(OpId),
+    /// A shard-release marker.
+    Release(ShardId),
+}
+
+/// The promise a WAL record carries, withheld until the record is
+/// durable.
 #[derive(Debug)]
-pub(super) struct Unlogged {
-    pub(super) op: AclOp,
-    /// Peer to ack once durable; `None` for locally-originated or
-    /// sync-merged ops.
-    pub(super) ack_to: Option<NodeId>,
+pub(super) enum Unlogged {
+    /// An op applied in memory: ack it to `ack_to`, or with `None` (an
+    /// op this manager originated or merged) count this manager toward
+    /// its quorum.
+    Op { op: AclOp, ack_to: Option<NodeId> },
+    /// This manager no longer serves the shard.
+    Release,
 }
 
 /// The manager's log counts under `mgr.wal_*`.

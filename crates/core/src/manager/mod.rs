@@ -56,7 +56,7 @@ use crate::storelog::{decode_snapshot, decode_wal_record, encode_record, encode_
 use crate::types::{Acl, AppId, Right, ShardId, UserId};
 
 use dissemination::Dissemination;
-use durability::{Durability, Unlogged, WAL_METRICS};
+use durability::{Durability, Logged, Unlogged, WAL_METRICS};
 use handoff::{Crossing, Handoff, ShardRoute};
 use replica::Replica;
 
@@ -68,6 +68,8 @@ const TAG_RETRY: u64 = 2 << TAG_KIND_SHIFT;
 const TAG_GSWEEP: u64 = 3 << TAG_KIND_SHIFT;
 const TAG_SYNC: u64 = 4 << TAG_KIND_SHIFT;
 const TAG_HANDOFF: u64 = 5 << TAG_KIND_SHIFT;
+/// The wake of a WAL write that went in flight and landed.
+const TAG_LANDED: u64 = 6 << TAG_KIND_SHIFT;
 
 /// `shard.N.queries` and `shard.N.updates`, indexed by [`ShardId::metric`].
 const SHARD_QUERY_METRICS: [M; 9] = [
@@ -239,7 +241,7 @@ pub struct ManagerNode {
     /// The WAL, holding each applied op's promise until it is durable.
     /// Without storage it reproduces the paper's volatile managers
     /// (sync-only recovery).
-    wal: DurableLog<OpId, Unlogged>,
+    wal: DurableLog<Logged, Unlogged>,
     durability: Durability,
     dissemination: Dissemination,
     handoff: Handoff,
@@ -257,7 +259,7 @@ impl ManagerNode {
     pub fn new(config: ManagerConfig) -> Self {
         ManagerNode {
             replica: Replica::new(&config.apps),
-            wal: DurableLog::new(config.snapshot_every, Some(WAL_METRICS)),
+            wal: DurableLog::new(config.snapshot_every, Some(WAL_METRICS), TAG_LANDED),
             durability: Durability::default(),
             dissemination: Dissemination::default(),
             handoff: Handoff::new(&config),
@@ -438,21 +440,33 @@ impl ManagerNode {
     /// to it (acking a peer, or counting ourselves toward the quorum).
     /// Without storage the promise is honoured immediately.
     fn log(&mut self, ctx: &mut Context<'_, ProtoMsg>, id: OpId, op: AclOp, ack_to: Option<NodeId>) {
-        match self.wal.hold(ctx, id, Unlogged { op, ack_to }, |u| encode_record(id, &u.op)) {
-            Some(unlogged) => self.commit(ctx, id, unlogged),
+        self.hold(ctx, Logged::Op(id), Unlogged::Op { op, ack_to }, || encode_record(id, &op));
+    }
+
+    /// Logs `record()` and holds `promise` until it is durable.
+    fn hold(
+        &mut self,
+        ctx: &mut Context<'_, ProtoMsg>,
+        key: Logged,
+        promise: Unlogged,
+        record: impl FnOnce() -> Vec<u8>,
+    ) {
+        match self.wal.hold(ctx, key, promise, |_| record()) {
+            Some(promise) => self.commit(ctx, key, promise),
             None => self.flush(ctx),
         }
     }
 
-    /// Attempts the WAL sync barrier; every op it made durable commits,
-    /// then the snapshot cadence is checked.
+    /// Attempts the WAL sync barrier; every promise it made durable is
+    /// kept, then the snapshot cadence is checked. A barrier in flight
+    /// wakes the manager (`TAG_LANDED`) to run this again.
     fn flush(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         let committed = self.wal.barrier(ctx);
         if committed.is_empty() {
             return;
         }
-        for (id, unlogged) in committed {
-            self.commit(ctx, id, unlogged);
+        for (key, promise) in committed {
+            self.commit(ctx, key, promise);
         }
         let snapshot = || encode_snapshot(&self.replica.snapshot(self.handoff.release_markers()));
         if self.wal.snapshot_if_due(snapshot) {
@@ -461,40 +475,42 @@ impl ManagerNode {
         }
     }
 
-    /// The op is durable (or durability is not modelled): honour its
+    /// The record is durable (or durability is not modelled): keep its
     /// promise.
-    fn commit(&mut self, ctx: &mut Context<'_, ProtoMsg>, id: OpId, Unlogged { op, ack_to }: Unlogged) {
-        if self.wal.has_storage() {
-            // Everything acked from here on must survive any crash; the
-            // oracle's durability invariant checks recoveries against
-            // these notes.
-            let (app, user, right, revoke) = (op.app(), op.user(), op.right(), op.is_revoke());
-            ctx.trace_record(|| AuditEvent::Durable { app, user, right, revoke, id });
-        }
-        match ack_to {
-            Some(peer) => ctx.send(peer, ProtoMsg::UpdateAck { id }),
-            None => self.stats.quorum_reached += u64::from(self.dissemination.self_durable(ctx, id)),
+    fn commit(&mut self, ctx: &mut Context<'_, ProtoMsg>, key: Logged, promise: Unlogged) {
+        match (key, promise) {
+            (Logged::Op(id), Unlogged::Op { op, ack_to }) => {
+                if self.wal.has_storage() {
+                    // Everything acked from here on must survive any
+                    // crash; the oracle's durability invariant checks
+                    // recoveries against these notes.
+                    let (app, user, right, revoke) = (op.app(), op.user(), op.right(), op.is_revoke());
+                    ctx.trace_record(|| AuditEvent::Durable { app, user, right, revoke, id });
+                }
+                match ack_to {
+                    Some(peer) => ctx.send(peer, ProtoMsg::UpdateAck { id }),
+                    None => self.stats.quorum_reached += u64::from(self.dissemination.self_durable(ctx, id)),
+                }
+            }
+            (Logged::Release(shard), _) => {
+                if let Some((app, lo, hi)) = self.handoff.released(ctx, shard, &mut self.stats) {
+                    self.dissemination.cancel_in(app, lo, hi);
+                }
+            }
+            // Never held: an op's key goes with an op's promise.
+            (Logged::Op(_), Unlogged::Release) => {}
         }
     }
 
     /// Every target holds this source's copy of `shard`: write the
-    /// release marker durably (fsync included — the barrier also commits
-    /// any op waiting on it), then renounce the shard. A failed write
-    /// leaves the shard frozen for the handoff tick to retry. Without
-    /// storage the release is immediate (and survives nothing — sharded
-    /// deployments are expected to attach storage).
+    /// release marker durably, then renounce the shard (the barrier also
+    /// commits any op waiting on it). Until the marker is durable the
+    /// shard stays frozen, and a failed write is retried by the handoff
+    /// tick. Without storage the release is immediate (and survives
+    /// nothing — sharded deployments are expected to attach storage).
     fn release_source(&mut self, ctx: &mut Context<'_, ProtoMsg>, shard: ShardId) {
         let Some(epoch) = self.handoff.release_due(shard) else { return };
-        if self.wal.has_storage() {
-            let marker = encode_release(shard, epoch);
-            if !self.wal.append(ctx, &marker) || !self.wal.sync(ctx) {
-                return;
-            }
-            self.flush(ctx);
-        }
-        if let Some((app, lo, hi)) = self.handoff.released(ctx, shard, &mut self.stats) {
-            self.dissemination.cancel_in(app, lo, hi);
-        }
+        self.hold(ctx, Logged::Release(shard), Unlogged::Release, || encode_release(shard, epoch));
     }
 
     fn on_admin(
@@ -601,7 +617,7 @@ impl ManagerNode {
             // Log-before-ack: the ack is a quorum promise, so it is
             // withheld until the record survives a sync barrier.
             self.log(ctx, id, op, Some(from));
-        } else if self.wal.held().contains_key(&id) {
+        } else if self.wal.holds(&Logged::Op(id)) {
             // A retransmission of an op still awaiting its barrier:
             // retry the barrier rather than acking prematurely.
             self.flush(ctx);
@@ -857,6 +873,7 @@ impl Node for ManagerNode {
                 self.dissemination.sweep_grants(ctx.local_now());
                 ctx.set_timer(self.config.grant_sweep_interval, TAG_GSWEEP);
             }
+            TAG_LANDED => self.flush(ctx),
             TAG_SYNC if self.durability.syncing() => {
                 self.durability.request_sync(ctx, &self.config, &self.replica);
             }

@@ -576,6 +576,29 @@ fn handoff_source_freezes_transfers_and_releases_then_activates_targets() {
         && matches!(m, ProtoMsg::ShardActivate { shard: ShardId(0), epoch: 2 })));
 }
 
+/// A release marker and an op made durable by one barrier, which is also
+/// the one that snapshots: the snapshot records the release, so it
+/// survives the crash that follows the log's cut.
+#[test]
+fn a_release_made_durable_by_a_snapshotting_barrier_survives_a_crash() {
+    let (mut mgr, mut h) = sharded_manager(0, 0, 0, 255);
+    mgr.wal = DurableLog::new(1, Some(WAL_METRICS), TAG_LANDED);
+    mgr.set_storage(Box::new(SimStorage::with_faults(
+        5,
+        DiskFaultModel { sync_fail_prob: 1.0, torn_tail_prob: 0.0 },
+    )));
+    // An op held behind a failing disk, then the handoff's release.
+    h.deliver(&mut mgr, 9, admin(AclOp::Add { app: AppId(0), user: UserId(7), right: Right::Use }, 1));
+    h.deliver(&mut mgr, 2, kickoff(0, 255, 1));
+    mgr.wal.set_disk_faults(DiskFaultModel::default());
+    h.deliver(&mut mgr, 1, ProtoMsg::ShardTransferAck { shard: ShardId(0), epoch: 2 });
+    assert!(mgr.shard_released(ShardId(0)));
+    assert_eq!(mgr.stats().snapshot_writes, 1);
+    mgr.on_crash();
+    h.recover(&mut mgr);
+    assert!(mgr.shard_released(ShardId(0)), "the snapshot forgot the release");
+}
+
 #[test]
 fn handoff_target_installs_activates_and_rejects_foreign_buckets() {
     // Manager 2 owns the upper half of app 0's keyspace; shard 0

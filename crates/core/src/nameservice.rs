@@ -51,6 +51,8 @@ fn capped_negative_ttl(negative_ttl: SimDuration) -> SimDuration {
 const TAG_SYNC: u64 = 1;
 /// Timer tag of the retry of a failed barrier.
 const TAG_FLUSH: u64 = 2;
+/// Timer tag of the wake when a write in flight lands.
+const TAG_LANDED: u64 = 3;
 
 /// How long after a failed barrier it is retried.
 const FLUSH_RETRY: SimDuration = SimDuration::from_millis(500);
@@ -121,7 +123,7 @@ impl DirectoryReplica {
             peers,
             registry,
             writer,
-            log: DurableLog::new(SNAPSHOT_EVERY, None),
+            log: DurableLog::new(SNAPSHOT_EVERY, None, TAG_LANDED),
             flush_armed: false,
             sync_interval: ttl.mul_f64(0.25),
             sync_cursor: 0,
@@ -219,8 +221,8 @@ impl DirectoryReplica {
             return;
         }
         // Newer than held counts the records awaiting their barrier too.
-        let pending = self.log.held().range((record.app, 0)..=(record.app, u64::MAX)).next_back();
-        if record.version <= pending.map_or(self.version_of(record.app), |(&(_, version), _)| version) {
+        let pending = self.log.last_held((record.app, 0)..=(record.app, u64::MAX));
+        if record.version <= pending.map_or(self.version_of(record.app), |&(_, version)| version) {
             ctx.metric_incr(M::NS_PUBLISH_STALE);
             return;
         }
@@ -233,15 +235,15 @@ impl DirectoryReplica {
 
     /// Runs the barrier and serves every record it made durable, then
     /// checks the snapshot cadence; a failed barrier arms its retry
-    /// instead.
+    /// instead, and a write in flight wakes the replica when it lands.
     fn flush(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         for (_, (record, source)) in self.log.barrier(ctx) {
             self.serve(ctx, record, source);
         }
-        if self.log.held().is_empty() {
+        if self.log.is_clear() {
             // After the inserts, so the snapshot holds what triggered it.
             self.log.snapshot_if_due(|| encode_snapshot(self.records.values()));
-        } else if !std::mem::replace(&mut self.flush_armed, true) {
+        } else if !self.log.in_flight() && !std::mem::replace(&mut self.flush_armed, true) {
             ctx.set_timer(FLUSH_RETRY, TAG_FLUSH);
         }
     }
@@ -385,6 +387,7 @@ impl Node for DirectoryReplica {
                 self.flush_armed = false;
                 self.flush(ctx);
             }
+            TAG_LANDED => self.flush(ctx),
             TAG_SYNC => {
                 if !self.suppress_sync && !self.peers.is_empty() {
                     let peer = self.peers[self.sync_cursor % self.peers.len()];
@@ -820,7 +823,7 @@ mod tests {
                 };
                 armed |= effects.iter().any(|e| matches!(e, Output::Arm));
             }
-            let held = rep.log.held().keys().next_back().map(|&(_, v)| v);
+            let held = rep.log.last_held(..).map(|&(_, v)| v);
             prop_assert!(armed || held.is_none(), "a held record has a retry pending");
             for _ in 0..64 {
                 if !std::mem::take(&mut armed) {

@@ -48,6 +48,7 @@ use wanacl_sim::node::{Context, Effect, Life, Node, NodeId, Note, Sink, Step, St
 use wanacl_sim::obs::MetricsSink;
 use wanacl_sim::queue::Calendar;
 use wanacl_sim::rng::SimRng;
+use wanacl_sim::storage::{self, Fire};
 use wanacl_sim::time::SimTime;
 use wanacl_sim::trace::TraceEvent;
 use wanacl_sim::world::Observer;
@@ -731,6 +732,15 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
             cell.push_control(ControlMsg::Install(spec.node));
         }
 
+        // A disk's wake is a due timer on the node's control lane. It holds
+        // the cells weakly: a write that lands after the deployment is
+        // gone wakes nobody.
+        let weak: Vec<_> = cells.iter().map(Arc::downgrade).collect();
+        let fire: Fire = Arc::new(move |timer: Timer| {
+            if let Some(cell) = weak[timer.node.index()].upgrade() {
+                cell.push_control(ControlMsg::Fire(since(epoch), timer));
+            }
+        });
         let mut pool = WorkerPool { sched: sched.clone(), handles: Vec::with_capacity(nworkers) };
         for w in 0..nworkers {
             let worker = Worker {
@@ -749,7 +759,13 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
             };
             match std::thread::Builder::new()
                 .name(format!("rt-worker-{w}"))
-                .spawn(move || worker.run())
+                .spawn({
+                    let fire = fire.clone();
+                    move || {
+                        storage::take_wakes(fire);
+                        worker.run()
+                    }
+                })
             {
                 Ok(handle) => pool.handles.push(handle),
                 // Dropping `pool` here shuts down every spawned worker
@@ -1083,7 +1099,8 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> NodeState<M> {
 
 /// Runs one handler of `node` through the step rule at a fresh clock
 /// read, under `catch_unwind`. A panicking handler's effects are
-/// dropped, and its message returned.
+/// dropped, and its message returned. A disk write the handler hands
+/// over may go in flight: the disk wakes the node in this incarnation.
 fn run<M: Send + Sync + Clone + std::fmt::Debug + 'static>(
     step: &mut Step<'_>,
     node: &mut dyn RtNode<M>,
@@ -1092,7 +1109,9 @@ fn run<M: Send + Sync + Clone + std::fmt::Debug + 'static>(
     call: impl FnOnce(&mut dyn RtNode<M>, &mut Context<'_, M>),
 ) -> Result<(), String> {
     let at = sinks.tick();
-    let result = guarded(|| step.run(at, effects, sinks, |ctx| call(node, ctx)));
+    let (id, incarnation) = (step.id, step.life.incarnation());
+    let result =
+        guarded(|| storage::in_step(id, incarnation, || step.run(at, effects, sinks, |ctx| call(node, ctx))));
     effects.clear();
     result
 }
@@ -1235,12 +1254,15 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Runtime<M> {
             return Err(format!("node {index} has no restart factory"));
         };
         let fresh = factory()?;
+        // The killed instance goes before the fresh one starts, and with
+        // it its disk, once the write it left in flight lands: `on_start`
+        // reads a quiet log.
+        self.slots[index] = RtSlot::Running;
         // Revive before queueing the install so traffic arriving from
         // now on sits behind `on_start`, like packets reaching a
         // booting process.
         self.cells[index].revive();
         self.cells[index].push_control(ControlMsg::Install(fresh));
-        self.slots[index] = RtSlot::Running;
         self.metrics.incr(MetricId::RT_NODE_RESTARTED);
         Ok(())
     }

@@ -443,6 +443,11 @@ impl Life {
         self.up
     }
 
+    /// The incarnation the node is in.
+    pub fn incarnation(&self) -> u32 {
+        self.incarnation
+    }
+
     /// Cancelled ids whose timers have not popped yet.
     pub fn cancelled(&self) -> usize {
         self.cancelled.len()

@@ -14,14 +14,25 @@
 //! of the first unsynced frame behind (a torn tail). [`FileStorage`] is
 //! the log in a [`DirDisk`], a directory, so the simulator's campaigns
 //! recover through the decoder the live runtime recovers with.
+//!
+//! A [`DirDisk`] writes on an I/O thread of its own. A barrier asked
+//! during a live runtime's step ([`in_step`]) goes *in flight*: the step
+//! returns at once, and the node is woken with a timer when the write
+//! lands ([`Storage::barrier`]). A [`MemDisk`] writes inline, so the
+//! simulator never sees a write in flight.
 
 use std::any::Any;
+use std::cell::{Cell, RefCell};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::PathBuf;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crate::metrics::MetricId;
+use crate::node::{NodeId, Timer, TimerId};
 use crate::obs::MetricsSink;
 use crate::rng::SimRng;
 
@@ -79,6 +90,83 @@ pub struct StorageStats {
     pub lost_records: u64,
 }
 
+/// What [`Storage::barrier`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Barrier {
+    /// Every record appended before the call is durable, or the barrier
+    /// failed and the records wait for a retry.
+    Done(Result<(), StorageError>),
+    /// The disk took the write in flight; the node is woken with the
+    /// barrier's tag once it lands.
+    Started,
+    /// The write in flight has not landed yet.
+    Waiting,
+    /// The write in flight landed with this outcome. Records appended
+    /// after the disk took it wait for the next barrier.
+    Landed(Result<(), StorageError>),
+}
+
+/// How an executor fires a timer of one of its nodes from another
+/// thread: the live runtime queues it on the node's control lane.
+pub type Fire = Arc<dyn Fn(Timer) + Send + Sync>;
+
+thread_local! {
+    /// The executor's [`Fire`] on a thread that steps nodes.
+    static FIRE: RefCell<Option<Fire>> = const { RefCell::new(None) };
+    /// The node this thread is stepping, and its incarnation.
+    static STEP: Cell<Option<(NodeId, u32)>> = const { Cell::new(None) };
+}
+
+/// Lets the steps this thread runs hand writes over in flight: a write a
+/// disk takes during [`in_step`] wakes its node through `fire`.
+pub fn take_wakes(fire: Fire) {
+    FIRE.with(|slot| *slot.borrow_mut() = Some(fire));
+}
+
+/// Runs `f` as a step of `node` in `incarnation`. On a thread that
+/// [`take_wakes`], a barrier asked in it may go in flight, and the wake
+/// is a timer of that incarnation, so a crash, a kill or a restart in
+/// between voids it.
+pub fn in_step<R>(node: NodeId, incarnation: u32, f: impl FnOnce() -> R) -> R {
+    struct Leave;
+    impl Drop for Leave {
+        fn drop(&mut self) {
+            STEP.with(|step| step.set(None));
+        }
+    }
+    STEP.with(|step| step.set(Some((node, incarnation))));
+    let _leave = Leave;
+    f()
+}
+
+/// Wakes the node that handed a write over: it fires the node's
+/// `on_timer(tag)` in the incarnation that handed it.
+pub struct Waker {
+    fire: Fire,
+    timer: Timer,
+}
+
+impl std::fmt::Debug for Waker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Waker").field("timer", &self.timer).finish()
+    }
+}
+
+impl Waker {
+    /// The running step's waker for `tag`, on a thread that takes wakes.
+    fn for_step(tag: u64) -> Option<Waker> {
+        let (node, incarnation) = STEP.with(Cell::get)?;
+        let fire = FIRE.with(|slot| slot.borrow().clone())?;
+        // No timer is ever armed or cancelled under this id.
+        Some(Waker { fire, timer: Timer { node, id: TimerId(u64::MAX), tag, incarnation } })
+    }
+
+    /// Fires the wake.
+    pub fn wake(self) {
+        (self.fire)(self.timer);
+    }
+}
+
 /// An append-only op log plus snapshot on stable storage.
 ///
 /// Contract (what "stable" means here):
@@ -100,9 +188,18 @@ pub trait Storage: std::fmt::Debug + Send {
     /// [`sync`](Storage::sync).
     fn append(&mut self, record: &[u8]) -> Result<(), StorageError>;
 
-    /// Write barrier: makes all buffered records durable. On failure the
-    /// buffer is kept so the caller can retry.
+    /// Write barrier: makes all buffered records durable, waiting for the
+    /// disk. On failure the buffer is kept so the caller can retry.
     fn sync(&mut self) -> Result<(), StorageError>;
+
+    /// The barrier of a step that does not wait for the disk. A disk that
+    /// writes in the background, asked during a live runtime's step
+    /// ([`in_step`]), takes the write in flight: [`Barrier::Started`].
+    /// When it lands the node gets `on_timer(tag)`, and the next call
+    /// reports [`Barrier::Landed`]. Otherwise it is [`sync`](Storage::sync).
+    /// A sync, a snapshot, a crash or a recovery waits for a write in
+    /// flight.
+    fn barrier(&mut self, tag: u64) -> Barrier;
 
     /// Atomically replaces the snapshot and truncates the op log.
     fn write_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError>;
@@ -152,6 +249,21 @@ pub trait Disk: std::fmt::Debug + Send + 'static {
     /// The process died while `lost`, the first unsynced frame, was in
     /// flight.
     fn crash(&mut self, _lost: &[u8]) {}
+
+    /// Appends and fsyncs `bytes` like [`append_wal`](Disk::append_wal),
+    /// after every write handed over before. A disk that writes in the
+    /// background and is given `wake` returns `None`: the write is in
+    /// flight, and `wake` runs once [`landed`](Disk::landed) has its
+    /// outcome. Any other returns the outcome.
+    fn hand_over(&mut self, bytes: &[u8], _wake: Option<Waker>) -> Option<io::Result<()>> {
+        Some(self.append_wal(bytes))
+    }
+
+    /// The outcome of the write in flight once it has landed (with
+    /// `wait`, once it lands); `None` before, or with none in flight.
+    fn landed(&mut self, _wait: bool) -> Option<io::Result<()>> {
+        None
+    }
 }
 
 /// Bytes of one frame header: length + checksum.
@@ -229,8 +341,10 @@ enum Log {
 #[derive(Debug)]
 pub struct Wal<D> {
     disk: D,
-    /// Frames appended since the last successful sync.
+    /// Frames appended since the last successful sync, and not in flight.
     pending: Vec<u8>,
+    /// Frames in the write in flight; empty when none is.
+    writing: Vec<u8>,
     log: Log,
     stats: StorageStats,
     /// Planted-bug hook: when set, `recover()` reports the WAL and
@@ -258,10 +372,12 @@ pub type SimStorage = Wal<MemDisk>;
 pub type FileStorage = Wal<DirDisk>;
 
 impl<D: Disk> Wal<D> {
-    fn on(disk: D) -> Self {
+    /// The log on `disk`, not yet read.
+    pub fn on(disk: D) -> Self {
         Wal {
             disk,
             pending: Vec::new(),
+            writing: Vec::new(),
             log: Log::Unread,
             stats: StorageStats::default(),
             drop_state_on_recover: false,
@@ -296,14 +412,50 @@ impl<D: Disk> Wal<D> {
         Ok(len)
     }
 
-    /// Writes the pending frames after the synced prefix.
-    fn write_pending(&mut self) -> io::Result<()> {
-        let len = self.synced_prefix()?;
-        // Until the disk confirms, part of `pending` may be on it.
+    /// Hands the pending frames to the disk, to follow the synced
+    /// prefix: in flight if the disk takes `wake`, else written at once.
+    fn start(&mut self, wake: Option<Waker>) -> Barrier {
+        if self.pending.is_empty() {
+            self.stats.syncs += 1;
+            return Barrier::Done(Ok(()));
+        }
+        let Ok(len) = self.synced_prefix() else {
+            self.stats.sync_failures += 1;
+            return Barrier::Done(Err(StorageError::SyncFailed));
+        };
+        // Until the disk confirms, part of the frames may be on it.
         self.log = Log::Stale(len);
-        self.disk.append_wal(&self.pending)?;
-        self.log = Log::Synced(len + self.pending.len() as u64);
-        Ok(())
+        std::mem::swap(&mut self.pending, &mut self.writing);
+        match self.disk.hand_over(&self.writing, wake) {
+            Some(result) => Barrier::Done(self.finish(result)),
+            None => Barrier::Started,
+        }
+    }
+
+    /// The write in flight, if any, has landed (with `wait`, once it
+    /// lands): its outcome.
+    fn land(&mut self, wait: bool) -> Option<Result<(), StorageError>> {
+        if self.writing.is_empty() {
+            return None;
+        }
+        let result = self.disk.landed(wait)?;
+        Some(self.finish(result))
+    }
+
+    /// Ends a write: its frames extend the synced prefix, or go back in
+    /// front of the frames appended since, for a retry.
+    fn finish(&mut self, result: io::Result<()>) -> Result<(), StorageError> {
+        // A write always follows the prefix `start` marked stale.
+        if let (Ok(()), Log::Stale(len)) = (result, self.log) {
+            self.log = Log::Synced(len + self.writing.len() as u64);
+            self.writing.clear();
+            self.stats.syncs += 1;
+            return Ok(());
+        }
+        self.writing.append(&mut self.pending);
+        std::mem::swap(&mut self.pending, &mut self.writing);
+        self.stats.sync_failures += 1;
+        Err(StorageError::SyncFailed)
     }
 }
 
@@ -315,18 +467,27 @@ impl<D: Disk> Storage for Wal<D> {
     }
 
     fn sync(&mut self) -> Result<(), StorageError> {
-        if !self.pending.is_empty() {
-            if self.write_pending().is_err() {
-                self.stats.sync_failures += 1;
-                return Err(StorageError::SyncFailed);
-            }
-            self.pending.clear();
+        self.land(true).unwrap_or(Ok(()))?;
+        match self.start(None) {
+            Barrier::Done(result) => result,
+            other => unreachable!("a write without a waker is done at once, not {other:?}"),
         }
-        self.stats.syncs += 1;
-        Ok(())
+    }
+
+    fn barrier(&mut self, tag: u64) -> Barrier {
+        if self.writing.is_empty() {
+            return self.start(Waker::for_step(tag));
+        }
+        match self.land(false) {
+            Some(result) => Barrier::Landed(result),
+            None => Barrier::Waiting,
+        }
     }
 
     fn write_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError> {
+        // The snapshot covers the frames of a write in flight, landed or
+        // not.
+        self.land(true);
         self.disk.replace_snapshot(&frame(snapshot)).map_err(|_| StorageError::Io)?;
         // The snapshot covers every record, synced or not: the log
         // starts over, and if emptying it fails now the next write does.
@@ -338,6 +499,7 @@ impl<D: Disk> Storage for Wal<D> {
     }
 
     fn recover(&mut self) -> Recovered {
+        self.land(true);
         self.stats.recoveries += 1;
         // What a failed sync left was never acknowledged.
         if let Log::Stale(_) = self.log {
@@ -372,8 +534,10 @@ impl<D: Disk> Storage for Wal<D> {
     }
 
     fn crash(&mut self) {
-        // Everything past the last sync barrier is gone; the first lost
-        // frame may have been half-written.
+        // A write in flight lands whole or fails; then everything past the
+        // last sync barrier is gone, and the first lost frame may have
+        // been half-written.
+        self.land(true);
         if let Log::Stale(_) = self.log {
             let _ = self.synced_prefix();
         }
@@ -481,55 +645,180 @@ const SNAPSHOT_FILE: &str = "snapshot";
 /// Temporary snapshot name (renamed over [`SNAPSHOT_FILE`] when safe).
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
 
-/// A real disk: the two files in a directory.
+/// A real disk: the two files in a directory. Every write runs on the
+/// disk's own I/O thread, in the order it was handed over; an append
+/// handed over with a [`Waker`] is in flight until the thread reports
+/// back, and any other write waits for its turn and its outcome.
 #[derive(Debug)]
 pub struct DirDisk {
     dir: PathBuf,
+    /// Where the writes go to the thread; taken when the disk drops.
+    jobs: Option<Sender<Job>>,
+    thread: Option<JoinHandle<()>>,
+    /// Where the thread reports the outcome of the append in flight.
+    in_flight: Option<Receiver<io::Result<()>>>,
+}
+
+/// A write for the I/O thread.
+type Job = Box<dyn FnOnce(&mut Files) + Send>;
+
+/// What the I/O thread writes with: the directory, the open log and
+/// where fsyncs are counted.
+#[derive(Debug)]
+struct Files {
+    dir: PathBuf,
     /// The WAL, opened for appending on first write.
     wal: Option<File>,
-    /// Optional sink for `storage.*` counters and fsync latency.
     metrics: Option<MetricsSink>,
+    /// Makes the directory's fsync fail.
+    #[cfg(test)]
+    fail_dir_sync: bool,
 }
 
 impl FileStorage {
     /// Opens (creating if needed) storage rooted at `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, io::Error> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(Wal::on(DirDisk { dir, wal: None, metrics: None }))
+        DirDisk::open(dir).map(Wal::on)
     }
 
-    /// Attaches a metrics sink: every WAL write then records a
-    /// `storage.wal_fsync` count and a `storage.wal_fsync_s` wall-clock
-    /// latency sample — the real-disk analogue of the simulator's
-    /// `mgr.wal_appends` accounting.
-    pub fn with_metrics(mut self, metrics: MetricsSink) -> Self {
-        self.disk.metrics = Some(metrics);
+    /// Attaches a metrics sink: every later fsync the disk waits for (an
+    /// append's, a cut-back's, a snapshot's and the directory's) records
+    /// a `storage.wal_fsync` count and a `storage.wal_fsync_s`
+    /// wall-clock latency sample, the real-disk analogue of the
+    /// simulator's `mgr.wal_appends` accounting.
+    pub fn with_metrics(self, metrics: MetricsSink) -> Self {
+        let _ = self.disk.submit(Box::new(move |files| files.metrics = Some(metrics)));
         self
     }
 }
 
-impl DirDisk {
-    fn wal(&mut self) -> io::Result<&mut File> {
-        let file = match self.wal.take() {
-            Some(file) => file,
-            None => {
-                let file =
-                    OpenOptions::new().create(true).append(true).open(self.dir.join(WAL_FILE))?;
-                // A log this open created survives a power cut only once
-                // its directory entry does.
-                self.sync_dir();
-                file
+impl Files {
+    /// Fsyncs `file`, counted and timed.
+    fn fsync(&self, file: &File) -> io::Result<()> {
+        let start = Instant::now();
+        let result = file.sync_all();
+        if let Some(metrics) = &self.metrics {
+            metrics.incr(MetricId::STORAGE_WAL_FSYNC);
+            metrics.observe(MetricId::STORAGE_WAL_FSYNC_S, start.elapsed().as_secs_f64());
+            if result.is_err() {
+                metrics.incr(MetricId::STORAGE_WAL_FSYNC_FAILED);
             }
-        };
-        Ok(self.wal.insert(file))
+        }
+        result
     }
 
-    /// Makes renames and creations in the directory durable (best-effort
-    /// on platforms where a directory cannot be opened).
-    fn sync_dir(&self) {
-        if let Ok(dir) = File::open(&self.dir) {
-            let _ = dir.sync_all();
+    /// Makes renames and creations in the directory durable. Best-effort
+    /// only where the directory cannot be opened (some platforms); a
+    /// directory that opens but does not sync is an error.
+    fn sync_dir(&self) -> io::Result<()> {
+        let Ok(dir) = File::open(&self.dir) else { return Ok(()) };
+        #[cfg(test)]
+        if self.fail_dir_sync {
+            return Err(io::Error::other("injected directory fsync failure"));
+        }
+        self.fsync(&dir)
+    }
+
+    /// The log, opened (and, if this creates it, its directory entry
+    /// made durable) on first use.
+    fn wal(&mut self) -> io::Result<File> {
+        if let Some(file) = self.wal.take() {
+            return Ok(file);
+        }
+        let file = OpenOptions::new().create(true).append(true).open(self.dir.join(WAL_FILE))?;
+        // A log this open created survives a power cut only once its
+        // directory entry does.
+        self.sync_dir()?;
+        Ok(file)
+    }
+
+    /// Runs `write` on the log, which stays open.
+    fn on_wal(&mut self, write: impl FnOnce(&Self, &mut File) -> io::Result<()>) -> io::Result<()> {
+        let mut file = self.wal()?;
+        let result = write(self, &mut file);
+        self.wal = Some(file);
+        result
+    }
+
+    fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.on_wal(|files, wal| {
+            wal.write_all(bytes)?;
+            files.fsync(wal)
+        })
+    }
+
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.on_wal(|files, wal| {
+            wal.set_len(len)?;
+            files.fsync(wal)
+        })
+    }
+
+    fn replace_snapshot(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let tmp = self.dir.join(SNAPSHOT_TMP);
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        self.fsync(&file)?;
+        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
+        // Until the rename is durable the old snapshot may come back, so
+        // the log must not be cut.
+        self.sync_dir()
+    }
+}
+
+impl DirDisk {
+    /// The disk in `dir`, created if need be, and its I/O thread.
+    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, io::Error> {
+        let dir = dir.into();
+        fs::create_dir_all(&dir)?;
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let mut files = Files {
+            dir: dir.clone(),
+            wal: None,
+            metrics: None,
+            #[cfg(test)]
+            fail_dir_sync: false,
+        };
+        let thread = std::thread::Builder::new()
+            .name("wal-io".into())
+            .spawn(move || queue.into_iter().for_each(|job| job(&mut files)))?;
+        Ok(DirDisk { dir, jobs: Some(jobs), thread: Some(thread), in_flight: None })
+    }
+
+    /// Hands `job` to the I/O thread, after every write handed over
+    /// before it. Returns it if the thread is gone.
+    fn submit(&self, job: Job) -> Result<(), Job> {
+        match &self.jobs {
+            Some(jobs) => jobs.send(job).map_err(|mpsc::SendError(job)| job),
+            None => Err(job),
+        }
+    }
+
+    /// Runs `write` on the I/O thread and waits for its outcome.
+    fn write(&mut self, write: impl FnOnce(&mut Files) -> io::Result<()> + Send + 'static) -> io::Result<()> {
+        let (done, outcome) = mpsc::channel();
+        let _ = self.submit(Box::new(move |files| {
+            let _ = done.send(write(files));
+        }));
+        outcome.recv().unwrap_or_else(|_| Err(gone()))
+    }
+}
+
+/// The error of a write the I/O thread never ran.
+fn gone() -> io::Error {
+    io::Error::other("the disk's I/O thread is gone")
+}
+
+impl Drop for DirDisk {
+    /// Waits for the writes handed over: a process that reopens the
+    /// directory next reads a quiet log.
+    fn drop(&mut self) {
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            // The thread itself may drop the last owner of its disk.
+            if thread.thread().id() != std::thread::current().id() {
+                let _ = thread.join();
+            }
         }
     }
 }
@@ -543,25 +832,12 @@ impl Disk for DirDisk {
     }
 
     fn append_wal(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let fsync_start = Instant::now();
-        let result = self.wal().and_then(|wal| {
-            wal.write_all(bytes)?;
-            wal.sync_all()
-        });
-        if let Some(metrics) = &self.metrics {
-            metrics.incr(MetricId::STORAGE_WAL_FSYNC);
-            metrics.observe(MetricId::STORAGE_WAL_FSYNC_S, fsync_start.elapsed().as_secs_f64());
-            if result.is_err() {
-                metrics.incr(MetricId::STORAGE_WAL_FSYNC_FAILED);
-            }
-        }
-        result
+        let bytes = bytes.to_vec();
+        self.write(move |files| files.append(&bytes))
     }
 
     fn truncate_wal(&mut self, len: u64) -> io::Result<()> {
-        let wal = self.wal()?;
-        wal.set_len(len)?;
-        wal.sync_all()
+        self.write(move |files| files.truncate(len))
     }
 
     fn read_snapshot(&mut self) -> Option<Vec<u8>> {
@@ -569,13 +845,36 @@ impl Disk for DirDisk {
     }
 
     fn replace_snapshot(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let tmp = self.dir.join(SNAPSHOT_TMP);
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        self.sync_dir();
-        Ok(())
+        let bytes = bytes.to_vec();
+        self.write(move |files| files.replace_snapshot(&bytes))
+    }
+
+    fn hand_over(&mut self, bytes: &[u8], wake: Option<Waker>) -> Option<io::Result<()>> {
+        let Some(wake) = wake else { return Some(self.append_wal(bytes)) };
+        let (done, outcome) = mpsc::channel();
+        let bytes = bytes.to_vec();
+        let job = Box::new(move |files: &mut Files| {
+            let _ = done.send(files.append(&bytes));
+            wake.wake();
+        });
+        match self.submit(job) {
+            Ok(()) => {
+                self.in_flight = Some(outcome);
+                None
+            }
+            Err(_) => Some(Err(gone())),
+        }
+    }
+
+    fn landed(&mut self, wait: bool) -> Option<io::Result<()>> {
+        let outcome = self.in_flight.as_ref()?;
+        let received = match outcome.try_recv() {
+            Err(TryRecvError::Empty) if wait => outcome.recv().ok(),
+            Err(TryRecvError::Empty) => return None,
+            received => received.ok(),
+        };
+        self.in_flight = None;
+        Some(received.unwrap_or_else(|| Err(gone())))
     }
 }
 
@@ -615,7 +914,11 @@ mod tests {
         fn obstruct(&mut self, on: bool) {
             // A directory squatting on the WAL path makes the reopen fail
             // at the filesystem; the log waits beside it.
-            self.wal = None;
+            self.write(|files| {
+                files.wal = None;
+                Ok(())
+            })
+            .unwrap();
             let (wal, aside) = (self.dir.join(WAL_FILE), self.dir.join("wal.aside"));
             if on {
                 fs::rename(&wal, &aside).unwrap();
@@ -914,6 +1217,9 @@ mod tests {
         assert_ne!(run(11), run(12));
     }
 
+    /// Every fsync the disk waits for is counted and timed: the log's
+    /// directory when the log is created, each append, and a snapshot's
+    /// file, directory and cut-back.
     #[test]
     fn sync_records_fsync_count_and_latency() {
         let dir = scratch();
@@ -923,13 +1229,101 @@ mod tests {
         st.sync().unwrap();
         st.append(b"r2").unwrap();
         st.sync().unwrap();
-        assert_eq!(sink.counter("storage.wal_fsync"), 2);
+        assert_eq!(sink.counter("storage.wal_fsync"), 3);
+        st.write_snapshot(b"snap").unwrap();
+        assert_eq!(sink.counter("storage.wal_fsync"), 6);
         assert_eq!(sink.counter("storage.wal_fsync_failed"), 0);
         let snap = sink.snapshot();
         let s = snap.histogram("storage.wal_fsync_s").and_then(|h| h.summary()).expect("samples");
-        assert_eq!(s.count, 2);
+        assert_eq!(s.count, 6);
         assert!(s.min >= 0.0);
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// Makes the directory's fsync fail (`true`), or succeed again.
+    fn fail_dir_sync(st: &mut FileStorage, on: bool) {
+        st.disk
+            .write(move |files| {
+                files.fail_dir_sync = on;
+                Ok(())
+            })
+            .unwrap();
+    }
+
+    /// A directory that opens but does not sync fails the write that
+    /// needed it: the log's creation, and a snapshot, whose log is then
+    /// not cut, so no record is lost if the rename never reached the
+    /// disk.
+    #[test]
+    fn a_failed_directory_fsync_fails_the_write_that_needed_it() {
+        let dir = scratch();
+        let mut st = FileStorage::open(&dir).unwrap();
+        fail_dir_sync(&mut st, true);
+        st.append(b"a").unwrap();
+        assert_eq!(st.sync(), Err(StorageError::SyncFailed), "the log's creation");
+        fail_dir_sync(&mut st, false);
+        st.sync().unwrap();
+        st.append(b"b").unwrap();
+        st.sync().unwrap();
+        fail_dir_sync(&mut st, true);
+        assert_eq!(st.write_snapshot(b"snap"), Err(StorageError::Io));
+        assert_eq!(parse_wal(&st.disk.read_wal().unwrap()).0, [b"a".to_vec(), b"b".to_vec()]);
+        drop(st);
+        let rec = FileStorage::open(&dir).unwrap().recover();
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(rec.records, [b"a".to_vec(), b"b".to_vec()]);
+    }
+
+    /// A barrier in flight when the process crashes, or when its storage
+    /// is dropped: every record whose barrier completed recovers once and
+    /// in order, the one in flight whole or not at all, and the wake that
+    /// follows a crash carries the incarnation the crash ended.
+    #[test]
+    fn a_crash_or_drop_with_a_barrier_in_flight_recovers_whole_records() {
+        let (fired, wakes) = mpsc::channel();
+        let fired = std::sync::Mutex::new(fired);
+        take_wakes(Arc::new(move |timer| fired.lock().unwrap().send(timer).unwrap()));
+        let node = NodeId::from_index(3);
+        let wait = || wakes.recv_timeout(std::time::Duration::from_secs(10)).expect("a wake");
+        let records = |names: &[&[u8]]| names.iter().map(|r| r.to_vec()).collect::<Vec<_>>();
+        let dir = scratch();
+        let mut st = FileStorage::open(&dir).unwrap();
+
+        // A write in flight lands, then wakes its node.
+        st.append(b"a").unwrap();
+        assert_eq!(in_step(node, 0, || st.barrier(7)), Barrier::Started);
+        let wake = wait();
+        assert_eq!((wake.node, wake.tag, wake.incarnation), (node, 7, 0));
+        assert_eq!(st.barrier(7), Barrier::Landed(Ok(())));
+
+        // A crash waits for the write in flight: it lands whole, and its
+        // wake is void in the incarnation the crash began.
+        st.append(b"b").unwrap();
+        assert_eq!(in_step(node, 0, || st.barrier(7)), Barrier::Started);
+        st.crash();
+        let mut life = crate::node::Life::default();
+        life.down();
+        assert!(!life.fires(&wait()), "a wake after the crash");
+        assert_eq!(st.recover().records, records(&[b"a", b"b"]));
+
+        // A write in flight that fails is lost whole at the crash.
+        st.append(b"c").unwrap();
+        st.disk.obstruct(true);
+        assert_eq!(in_step(node, 0, || st.barrier(7)), Barrier::Started);
+        st.crash();
+        wait();
+        st.disk.obstruct(false);
+        let rec = st.recover();
+        assert_eq!((rec.records, rec.torn_records, st.stats().lost_records), (records(&[b"a", b"b"]), 0, 1));
+
+        // Dropped with a write in flight (a killed process the restart
+        // replaces): the fresh storage reads a quiet log.
+        st.append(b"d").unwrap();
+        assert_eq!(in_step(node, 0, || st.barrier(7)), Barrier::Started);
+        drop(st);
+        let rec = FileStorage::open(&dir).unwrap().recover();
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!((rec.records, rec.torn_records), (records(&[b"a", b"b", b"d"]), 0));
     }
 
     /// The record-vector model `SimStorage` was before it kept bytes:
