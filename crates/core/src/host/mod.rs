@@ -472,13 +472,29 @@ impl HostNode {
         }
     }
 
-    fn on_query_reply(&mut self, ctx: &mut Context<'_, ProtoMsg>, from: NodeId, req: ReqId, verdict: QueryVerdict) {
+    #[allow(clippy::too_many_arguments)]
+    fn on_query_reply(
+        &mut self,
+        ctx: &mut Context<'_, ProtoMsg>,
+        from: NodeId,
+        req: ReqId,
+        app: AppId,
+        user: UserId,
+        verdict: QueryVerdict,
+        mac: Option<Tag>,
+    ) {
         // Figure 3: responses arriving after the attempt's timer are
         // ignored — only the *current* attempt's query id is indexed.
+        // A late reply is dropped before its tag is checked: it could
+        // change nothing, so verifying it would be wasted work.
         let Some(id) = self.checks.current(req) else {
             ctx.metric_incr(M::HOST_LATE_REPLY);
             return;
         };
+        let verify = |k: &PairKey, tag: &Tag| k.verify_query_reply(req, app, user, &verdict, tag);
+        if !self.tag_ok(ctx, from, mac, verify) {
+            return;
+        }
         let Some(state) = self.checks.get(id).and_then(|p| self.apps.get(&p.app)) else { return };
         // Only nodes in the current manager view may vote: a reply from
         // anywhere else (a compromised host guessing request ids, per
@@ -520,10 +536,7 @@ impl Node for HostNode {
                 self.on_invoke(ctx, from, app, user, req, payload, signature);
             }
             ProtoMsg::QueryReply { req, app, user, verdict, mac } => {
-                let verify = |k: &PairKey, tag: &Tag| k.verify_query_reply(req, app, user, &verdict, tag);
-                if self.tag_ok(ctx, from, mac, verify) {
-                    self.on_query_reply(ctx, from, req, verdict);
-                }
+                self.on_query_reply(ctx, from, req, app, user, verdict, mac);
             }
             ProtoMsg::RevokeNotice { app, user, mac } => {
                 let verify = |k: &PairKey, tag: &Tag| k.verify_revoke_notice(app, user, tag);

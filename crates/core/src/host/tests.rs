@@ -636,6 +636,66 @@ fn authenticated_host_rejects_every_kind_of_wrong_tag() {
     assert_eq!(host.stats().revoke_flushes, 1);
 }
 
+/// An authenticated host asking managers 0, 1 and 2 with `C` = 2, the
+/// channel keys it holds and the query round `invoke(1)` opened.
+fn two_of_three_host(h: &mut Harness) -> (HostNode, Arc<crate::channel::ChannelKeys>, ReqId) {
+    let keys = Arc::new(crate::channel::ChannelKeys::from_seed(1));
+    let ids = (0..3).map(NodeId::from_index).collect::<Vec<_>>();
+    let policy = Policy::builder(2).revocation_bound(SimDuration::from_secs(10)).max_attempts(1).build();
+    let mut host = host_with_directory(ManagerDirectory::Static(ids.into()), policy);
+    host.set_channel_keys(keys.clone());
+    let req = open_query(h, &mut host, 1);
+    (host, keys, req)
+}
+
+/// Manager `from`'s tag on `grant_reply(req, 1, ..)` to host 9.
+fn grant_tag(keys: &crate::channel::ChannelKeys, from: usize, req: ReqId) -> Option<wanacl_auth::hmac::Tag> {
+    let v = crate::channel::grant(9);
+    Some(keys.tag_query_reply(NodeId::from_index(from), NodeId::from_index(9), req, AppId(0), UserId(1), &v))
+}
+
+/// The third manager's reply reaches a check its first two already
+/// settled. It is dropped as late before its tag is checked: a forged
+/// tag counts no bad MAC, and no key is derived for the sender.
+#[test]
+fn a_forged_late_reply_counts_late_and_is_never_verified() {
+    let mut h = Harness::new(9);
+    let (mut host, keys, req) = two_of_three_host(&mut h);
+    let tag = |from| grant_tag(&keys, from, req);
+    assert!(outcome(&h.deliver(&mut host, 0, grant_reply(req, 1, tag(0)))).is_none());
+    let effects = h.deliver(&mut host, 1, grant_reply(req, 1, tag(1)));
+    assert!(matches!(outcome(&effects), Some((_, InvokeOutcome::Allowed { .. }))));
+    let limit = host.cached_limit(AppId(0), UserId(1));
+    assert!(limit.is_some());
+
+    let deny = ProtoMsg::QueryReply { req, app: AppId(0), user: UserId(1), verdict: QueryVerdict::Deny, mac: None };
+    let effects = h.deliver(&mut host, 2, deny);
+    assert!(metric_incrs(&effects).contains(&"host.late_reply"), "{effects:?}");
+    assert_eq!(bad_macs(&effects), 0);
+    assert!(sends(&effects).is_empty());
+    assert_eq!(host.cached_limit(AppId(0), UserId(1)), limit);
+    assert_eq!(host.channel.as_ref().map(|c| c.peers()), Some(2), "no key derived for manager 2");
+}
+
+/// A forged reply to the current attempt is still checked: it counts
+/// `host.bad_channel_mac` and casts no vote, so the check needs two
+/// genuine replies more.
+#[test]
+fn a_forged_current_reply_counts_a_bad_mac_and_casts_no_vote() {
+    let mut h = Harness::new(9);
+    let (mut host, keys, req) = two_of_three_host(&mut h);
+    let tag = |from| grant_tag(&keys, from, req);
+    // Manager 1's tag, sent as manager 0.
+    let effects = h.deliver(&mut host, 0, grant_reply(req, 1, tag(1)));
+    assert_eq!(bad_macs(&effects), 1);
+    assert!(!metric_incrs(&effects).contains(&"host.late_reply"));
+    assert!(sends(&effects).is_empty());
+    assert!(outcome(&h.deliver(&mut host, 1, grant_reply(req, 1, tag(1)))).is_none(), "one vote is below C");
+    let effects = h.deliver(&mut host, 2, grant_reply(req, 1, tag(2)));
+    assert_eq!(bad_macs(&effects), 0);
+    assert!(matches!(outcome(&effects), Some((_, InvokeOutcome::Allowed { .. }))));
+}
+
 #[test]
 fn rekeying_a_host_drops_held_keys_and_rejects_tags_of_the_old_master() {
     use crate::channel::ChannelKeys;

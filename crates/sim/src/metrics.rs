@@ -64,7 +64,7 @@ registry! {
     HOST_ALLOWED = "host.allowed", Counter, "decisions", "`HostNode` final outcome: allow (Figure 4)";
     HOST_ATTEMPT_RETRY = "host.attempt_retry", Counter, "attempts", "`HostNode` check attempts ≥ 2";
     HOST_AUTH_REJECT = "host.auth_reject", Counter, "invokes", "`HostNode` signature verification failed";
-    HOST_BAD_CHANNEL_MAC = "host.bad_channel_mac", Counter, "messages", "`HostNode` query reply or revoke notice whose channel tag fails";
+    HOST_BAD_CHANNEL_MAC = "host.bad_channel_mac", Counter, "messages", "`HostNode` revoke notice, or reply to a current check attempt, whose channel tag fails";
     HOST_CACHE_HIT = "host.cache_hit", Counter, "invokes", "`HostNode` cache lookup hit (§3.2)";
     HOST_CACHE_MISS = "host.cache_miss", Counter, "invokes", "`HostNode` cache lookup miss (§3.2)";
     HOST_CACHE_SWEPT = "host.cache_swept", Counter, "entries", "`HostNode` expired lease removed by the sweep";

@@ -8,20 +8,25 @@
 //! pointer-chasing comparisons become the profile's hottest frames.
 //!
 //! [`Calendar`] replaces it with a **bucketed calendar queue**: near-future
-//! events are spread across fixed-width time buckets (each a small heap),
-//! far-future events overflow into a fallback heap and are redistributed
-//! when the scanning window catches up. Pops scan a bitmask of occupied
-//! buckets, so the common case touches a heap of only the events that share
-//! a ~4 ms slice of time. The same queue holds the simulated world's
-//! events, each live runtime worker's timers and the live chaos
-//! transport's delayed deliveries; the live users key it by nanoseconds
-//! since their epoch.
+//! events are spread across fixed-width time buckets, far-future events
+//! wait in an unsorted overflow list and are redistributed when the
+//! scanning window catches up. Pops scan a bitmask of occupied buckets,
+//! so the common case touches only the events that share a ~4 ms slice
+//! of time. As in Brown's calendar queue (CACM 1988), the ordered
+//! structures hold only keys: each bucket is a small heap of 24-byte
+//! `(time, seq, slot)` keys, and the items themselves stay put in a slab
+//! from push to pop, so a sift moves a key, never an item. The same queue
+//! holds the simulated world's events, each live runtime worker's timers
+//! and the live chaos transport's delayed deliveries; the live users key
+//! it by nanoseconds since their epoch.
 //!
 //! **Ordering is bit-identical to the naive heap.** The calendar pops in
 //! strict `(time, seq)` order — buckets partition the timeline, so the first
 //! occupied bucket always holds the globally minimal event, and within a
-//! bucket the per-bucket heap restores the total order. The naive heap
-//! survives only in this module's tests, as the parity reference.
+//! bucket the per-bucket heap restores the total order. The overflow need
+//! not be sorted: a rebase scans it for its minimum and moves every key
+//! inside the new window into its bucket's heap. The naive heap survives
+//! only in this module's tests, as the parity reference.
 
 use std::cmp::Reverse;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -37,34 +42,21 @@ const WORDS: usize = NBUCKETS / 64;
 /// The window span in nanoseconds (~4.3 seconds).
 const WINDOW_NS: u64 = (NBUCKETS as u64) << WIDTH_SHIFT;
 
-struct Entry<T> {
+/// A queued item's place in the order, and the slab slot holding it.
+/// Fields compare in declaration order: time first, then push order
+/// (FIFO among simultaneous items); `seq` is unique, so `slot` never
+/// decides.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    kind: T,
+    slot: usize,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Time first, then insertion order: FIFO among simultaneous events.
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-type MinHeap<T> = BinaryHeap<Reverse<Entry<T>>>;
+type MinHeap = BinaryHeap<Reverse<Key>>;
 
 /// Pops the heap's minimum if it is due at or before `limit`.
-fn pop_if_due<T>(heap: &mut MinHeap<T>, limit: SimTime) -> Option<Entry<T>> {
+fn pop_if_due(heap: &mut MinHeap, limit: SimTime) -> Option<Key> {
     let top = heap.peek_mut()?;
     if top.0.at > limit {
         return None;
@@ -73,7 +65,7 @@ fn pop_if_due<T>(heap: &mut MinHeap<T>, limit: SimTime) -> Option<Entry<T>> {
 }
 
 /// A time-ordered queue: a sliding window of 1024 buckets ~4.2 ms wide
-/// starting at `base`, an overflow heap for items beyond the window and
+/// starting at `base`, an overflow list for items beyond the window and
 /// a rarely-used `front` heap for items before `base` (possible right
 /// after a window rebase jumped forward). Items pop in `(time, push
 /// order)` order.
@@ -98,22 +90,25 @@ pub struct Calendar<T> {
     /// Bucket index to start pop scans from; no bucket before it is
     /// occupied.
     cursor: usize,
-    buckets: Vec<MinHeap<T>>,
+    buckets: Vec<MinHeap>,
     /// One bit per bucket: set iff the bucket is non-empty.
     occupied: [u64; WORDS],
-    /// Items at or beyond `base + WINDOW_NS`.
-    overflow: MinHeap<T>,
-    /// Items before `base`. Non-empty only between a forward rebase and
+    /// Keys at or beyond `base + WINDOW_NS`, in no order.
+    overflow: Vec<Key>,
+    /// Keys before `base`. Non-empty only between a forward rebase and
     /// the next bucket pop; always drained first.
-    front: MinHeap<T>,
-    len: usize,
+    front: MinHeap,
+    /// The items, each in the slot its key names until it pops.
+    slots: Vec<Option<T>>,
+    /// The empty slots, reused before the slab grows.
+    free: Vec<usize>,
     /// Push counter: the tie-break among items due at the same time.
     seq: u64,
 }
 
 impl<T> std::fmt::Debug for Calendar<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Calendar").field("len", &self.len).finish_non_exhaustive()
+        f.debug_struct("Calendar").field("len", &self.len()).finish_non_exhaustive()
     }
 }
 
@@ -126,9 +121,10 @@ impl<T> Default for Calendar<T> {
             cursor: 0,
             buckets,
             occupied: [0; WORDS],
-            overflow: BinaryHeap::new(),
+            overflow: Vec::new(),
             front: BinaryHeap::new(),
-            len: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
         }
     }
@@ -142,31 +138,45 @@ impl<T> Calendar<T> {
 
     /// Number of queued items.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.slots.len() - self.free.len()
     }
 
     /// Queues `item` at time `at`; among items at the same time, the
     /// earlier push pops first.
     pub fn push(&mut self, at: SimTime, item: T) {
-        let entry = Entry { at, seq: self.seq, kind: item };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(item);
+                slot
+            }
+            None => {
+                self.slots.push(Some(item));
+                self.slots.len() - 1
+            }
+        };
+        let key = Key { at, seq: self.seq, slot };
         self.seq += 1;
-        self.len += 1;
         let t = at.as_nanos();
         if t < self.base {
-            self.front.push(Reverse(entry));
+            self.front.push(Reverse(key));
             return;
         }
         let off = (t - self.base) >> WIDTH_SHIFT;
         if off >= NBUCKETS as u64 {
-            self.overflow.push(Reverse(entry));
+            self.overflow.push(key);
         } else {
             let idx = off as usize;
-            self.buckets[idx].push(Reverse(entry));
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
+            self.file(idx, key);
             // A live queue's pushes are stamped on other threads and may
             // precede the last pop: the scan moves back to them.
             self.cursor = self.cursor.min(idx);
         }
+    }
+
+    /// Puts `key` in bucket `idx` and marks the bucket occupied.
+    fn file(&mut self, idx: usize, key: Key) {
+        self.buckets[idx].push(Reverse(key));
+        self.occupied[idx >> 6] |= 1u64 << (idx & 63);
     }
 
     /// First occupied bucket at or after `from`, via the bitmask.
@@ -189,21 +199,23 @@ impl<T> Calendar<T> {
     }
 
     /// Slides the window forward so the overflow minimum lands in a
-    /// bucket, redistributing every overflow item that now fits.
+    /// bucket, moving every overflow key that now fits into its bucket.
     /// Callers guarantee the buckets and `front` are empty.
     fn rebase(&mut self) {
         debug_assert!(self.front.is_empty());
-        let min = match self.overflow.peek() {
-            Some(Reverse(e)) => e.at.as_nanos(),
-            None => return,
-        };
+        let Some(min) = self.overflow.iter().map(|k| k.at.as_nanos()).min() else { return };
         self.base = min >> WIDTH_SHIFT << WIDTH_SHIFT;
         self.cursor = 0;
         let end = self.base.saturating_add(WINDOW_NS);
-        while let Some(entry) = pop_if_due(&mut self.overflow, SimTime::from_nanos(end - 1)) {
-            let idx = ((entry.at.as_nanos() - self.base) >> WIDTH_SHIFT) as usize;
-            self.buckets[idx].push(Reverse(entry));
-            self.occupied[idx >> 6] |= 1u64 << (idx & 63);
+        let mut i = 0;
+        while let Some(&key) = self.overflow.get(i) {
+            let t = key.at.as_nanos();
+            if t < end {
+                self.overflow.swap_remove(i);
+                self.file(((t - self.base) >> WIDTH_SHIFT) as usize, key);
+            } else {
+                i += 1;
+            }
         }
     }
 
@@ -225,29 +237,32 @@ impl<T> Calendar<T> {
     pub fn next_time(&mut self) -> Option<SimTime> {
         // `front` items are strictly earlier than anything in a bucket
         // or the overflow (all ≥ base), so they win unconditionally.
-        if let Some(Reverse(e)) = self.front.peek() {
-            return Some(e.at);
+        if let Some(Reverse(k)) = self.front.peek() {
+            return Some(k.at);
         }
         let idx = self.next_bucket()?;
-        self.buckets[idx].peek().map(|Reverse(e)| e.at)
+        self.buckets[idx].peek().map(|Reverse(k)| k.at)
     }
 
     /// Removes and returns the next item if it is due at or before
     /// `limit`, in one scan.
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, T)> {
-        let entry = if self.front.is_empty() {
+        let key = if self.front.is_empty() {
             let idx = self.next_bucket()?;
-            let entry = pop_if_due(&mut self.buckets[idx], limit)?;
+            let key = pop_if_due(&mut self.buckets[idx], limit)?;
             if self.buckets[idx].is_empty() {
                 self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
             }
             self.cursor = idx;
-            entry
+            key
         } else {
             pop_if_due(&mut self.front, limit)?
         };
-        self.len -= 1;
-        Some((entry.at, entry.kind))
+        let Some(item) = self.slots[key.slot].take() else {
+            unreachable!("slot {} is held by its key until the key pops", key.slot)
+        };
+        self.free.push(key.slot);
+        Some((key.at, item))
     }
 
     /// Removes and returns the next item.
@@ -263,18 +278,23 @@ mod tests {
     /// The parity reference: one global heap in `(time, push order)`.
     #[derive(Default)]
     struct NaiveHeap {
-        heap: MinHeap<u32>,
+        heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
         seq: u64,
     }
 
     impl NaiveHeap {
         fn push(&mut self, at: SimTime, kind: u32) {
-            self.heap.push(Reverse(Entry { at, seq: self.seq, kind }));
+            self.heap.push(Reverse((at, self.seq, kind)));
             self.seq += 1;
         }
 
         fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, u32)> {
-            pop_if_due(&mut self.heap, limit).map(|e| (e.at, e.kind))
+            let Reverse((at, _, kind)) = *self.heap.peek()?;
+            if at > limit {
+                return None;
+            }
+            self.heap.pop();
+            Some((at, kind))
         }
 
         fn pop(&mut self) -> Option<(SimTime, u32)> {
@@ -282,7 +302,7 @@ mod tests {
         }
 
         fn next_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|Reverse(e)| e.at)
+            self.heap.peek().map(|Reverse((at, _, _))| *at)
         }
     }
 
@@ -446,6 +466,109 @@ mod tests {
             }
             assert!(heap.heap.is_empty() && pushed > 1_000);
             assert_eq!(popped, pushed, "seed {seed}: every item drains");
+        }
+    }
+
+    /// Sifts move keys, not items: a key that grows past 24 bytes gives
+    /// back what keeping items in the slab saved.
+    #[test]
+    fn heap_key_is_24_bytes() {
+        assert!(std::mem::size_of::<Reverse<Key>>() <= 24);
+    }
+
+    /// The campaign's shape: each request arms a timeout 5 s out,
+    /// beyond the ~4.3 s window, and its reply comes 10–60 ms later and
+    /// sends the client's next request. Thousands of timeouts wait in
+    /// the overflow list across several rebases; the calendar must pop
+    /// exactly what the naive heap pops.
+    #[test]
+    fn request_timeouts_beyond_the_window_pop_in_heap_order() {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed_from(7);
+        let mut cal = Calendar::new();
+        let mut heap = NaiveHeap::default();
+        // Item `i` is a client's next request iff `requests[i]`.
+        let mut requests = Vec::new();
+        let push = |cal: &mut Calendar<u32>, heap: &mut NaiveHeap, requests: &mut Vec<bool>, at, request| {
+            cal.push(SimTime::from_nanos(at), requests.len() as u32);
+            heap.push(SimTime::from_nanos(at), requests.len() as u32);
+            requests.push(request);
+        };
+        for client in 0..20 {
+            push(&mut cal, &mut heap, &mut requests, client * 1_000_000, true);
+        }
+        let (mut popped, mut bases, mut overflow_peak) = (0, vec![0], 0);
+        while let Some((at, item)) = cal.pop() {
+            assert_eq!(Some((at, item)), heap.pop(), "item {item}");
+            popped += 1;
+            let now = at.as_nanos();
+            if requests[item as usize] && now < 30_000_000_000 {
+                push(&mut cal, &mut heap, &mut requests, now + 5_000_000_000 + rng.range(0, 1_000_000), false);
+                push(&mut cal, &mut heap, &mut requests, now + rng.range(10_000_000, 60_000_000), true);
+            }
+            overflow_peak = overflow_peak.max(cal.overflow.len());
+            if bases.last() != Some(&cal.base) {
+                bases.push(cal.base);
+            }
+        }
+        assert!(heap.pop().is_none());
+        assert_eq!(popped, requests.len());
+        let timeouts = requests.iter().filter(|&&r| !r).count();
+        assert!(timeouts > 5_000 && overflow_peak > 1_000, "{timeouts} timeouts, overflow peak {overflow_peak}");
+        assert!(bases.len() > 5, "rebases: {bases:?}");
+    }
+
+    /// Every pushed item is dropped exactly once: by its pop, or with
+    /// the queue.
+    #[test]
+    fn each_item_is_dropped_once_popped_or_with_the_queue() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        struct Counted(u32, Rc<RefCell<Vec<u32>>>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1.borrow_mut().push(self.0);
+            }
+        }
+        let dropped = Rc::new(RefCell::new(Vec::new()));
+        let mut q = Calendar::new();
+        // Near, far (overflow) and, after the rebase below, behind the
+        // window (front).
+        for (i, t) in [3, 1, 2 * WINDOW_NS, 5 * WINDOW_NS, 5 * WINDOW_NS, 7].into_iter().enumerate() {
+            q.push(SimTime::from_nanos(t), Counted(i as u32, dropped.clone()));
+        }
+        let (at, first) = q.pop().expect("queued");
+        assert_eq!((at.as_nanos(), first.0), (1, 1));
+        assert!(dropped.borrow().is_empty(), "a popped item belongs to the caller");
+        drop(first);
+        assert_eq!(q.pop().map(|(_, c)| c.0), Some(0));
+        assert_eq!(q.pop().map(|(_, c)| c.0), Some(5));
+        assert_eq!(q.next_time(), Some(SimTime::from_nanos(2 * WINDOW_NS)), "rebased");
+        q.push(SimTime::from_nanos(9), Counted(6, dropped.clone()));
+        assert_eq!(q.len(), 4);
+        drop(q);
+        let mut seen = dropped.borrow().clone();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..7).collect::<Vec<_>>());
+    }
+
+    /// The slab keeps no more slots than the most items ever queued at
+    /// once: a pop's slot is reused by the next push.
+    #[test]
+    fn the_slab_never_outgrows_the_most_items_held() {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed_from(3);
+        let mut q = Calendar::new();
+        let mut now = 0;
+        for k in [1, 16, 300] {
+            for i in 0..20_000u64 {
+                if q.len() < k && (q.len() == 0 || rng.chance(0.5)) {
+                    q.push(SimTime::from_nanos(now + rng.range(0, 2 * WINDOW_NS)), i);
+                } else {
+                    now = q.pop().expect("non-empty").0.as_nanos();
+                }
+                assert!(q.slots.len() <= k, "{} slots for at most {k} items", q.slots.len());
+            }
         }
     }
 }
