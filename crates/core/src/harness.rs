@@ -6,7 +6,7 @@
 
 use wanacl_sim::clock::{DriftClock, LocalTime};
 use wanacl_sim::metrics::MetricId;
-use wanacl_sim::node::{Context, Effect, Life, Node, NodeId, Note, Sink, Step, Timer};
+use wanacl_sim::node::{Armed, Context, Effect, Life, Node, NodeId, Note, Sink, Step, Timer};
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::SimTime;
 
@@ -27,8 +27,9 @@ impl Sink<ProtoMsg> for Vec<Output> {
     fn send(&mut self, _from: NodeId, to: NodeId, msg: ProtoMsg) {
         self.push(Output::Send { to, msg });
     }
-    fn arm(&mut self, _due: SimTime, _timer: Timer) {
+    fn arm(&mut self, _due: SimTime, _timer: Timer) -> Option<Armed> {
         self.push(Output::Arm);
+        None
     }
     fn note(&mut self, _from: NodeId, text: Note) {
         self.push(Output::Note { text });

@@ -13,7 +13,7 @@ use wanacl_core::prelude::{
 };
 use wanacl_sim::clock::DriftClock;
 use wanacl_sim::metrics::MetricId;
-use wanacl_sim::node::{Context, Life, Node, NodeId, Note, Sink, Step, Timer};
+use wanacl_sim::node::{Armed, Context, Life, Node, NodeId, Note, Sink, Step, Timer};
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::time::{SimDuration, SimTime};
 
@@ -33,10 +33,11 @@ enum Seen {
     Note(Note),
     Incr(MetricId),
     Observe(MetricId, f64),
-    /// Timers cancelled so far, read after each step: the step rule keeps
-    /// cancellations in [`Life`], not the sink. No timer pops in these
-    /// scripts, so the count only grows.
-    Cancelled(usize),
+    /// Timers armed and not cancelled, read after each step: the step
+    /// rule keeps them in [`Life`], and this sink queues nothing to
+    /// disarm. No timer pops in these scripts, so a cancel is the only
+    /// way down.
+    Armed(usize),
 }
 
 /// The recording sink: its `notes()` is the on/off toggle under test.
@@ -51,8 +52,9 @@ impl Sink<ProtoMsg> for Recorder {
     fn send(&mut self, _from: NodeId, to: NodeId, msg: ProtoMsg) {
         self.log.push((self.step, Seen::Send { to, msg }));
     }
-    fn arm(&mut self, due: SimTime, timer: Timer) {
+    fn arm(&mut self, due: SimTime, timer: Timer) -> Option<Armed> {
         self.log.push((self.step, Seen::Arm { due, timer }));
+        None
     }
     fn note(&mut self, _from: NodeId, text: Note) {
         self.log.push((self.step, Seen::Note(text)));
@@ -100,7 +102,7 @@ impl<N: Node<Msg = ProtoMsg>> Driven<N> {
         let mut step = Step { id: self.id, life: &mut self.life, rng: &mut self.rng, clock: &clock };
         let node = &mut self.node;
         step.run(SimTime::from_nanos(ms * 1_000_000), &mut Vec::new(), &mut self.sink, |ctx| handler(node, ctx));
-        self.sink.log.push((self.sink.step, Seen::Cancelled(self.life.cancelled())));
+        self.sink.log.push((self.sink.step, Seen::Armed(self.life.armed())));
         self.sink.step += 1;
         start..self.sink.log.len()
     }

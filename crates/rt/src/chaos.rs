@@ -99,7 +99,9 @@ impl<M: Send + Sync + 'static> ChaosRouter<M> {
                     .next_time()
                     .and_then(|due| epoch.checked_add(Duration::from_nanos(due.as_nanos())));
                 match deadline.map_or_else(|| delay_rx.recv(), |d| delay_rx.recv_deadline(d)) {
-                    Ok((due, from, to, msg)) => queue.push(due, (from, to, msg)),
+                    Ok((due, from, to, msg)) => {
+                        queue.push(due, (from, to, msg));
+                    }
                     Err(RecvTimeoutError::Timeout) => {}
                     // The deployment stopped: what is still queued is lost
                     // in flight.

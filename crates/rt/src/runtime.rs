@@ -20,7 +20,11 @@
 //! simulator's event queue — keyed by nanoseconds since the runtime
 //! epoch, queues what is due on the node's control lane and parks until
 //! the next deadline; the gap between a timer's deadline and the step
-//! that fires it is recorded in the `rt.timer_drift_ns` histogram.
+//! that fires it is recorded in the `rt.timer_drift_ns` histogram. A
+//! cancel takes the timer out of the calendar that holds it: at once on
+//! that calendar's worker, and from any other worker through the
+//! owner's disarm inbox, which the owner empties before it looks for due
+//! timers.
 //!
 //! Node panics are caught per handler invocation: a panicking node
 //! becomes a reportable [`NodeResult`] error and its worker keeps
@@ -44,9 +48,9 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use wanacl_sim::clock::{ClockSpec, DriftClock};
 use wanacl_sim::metrics::MetricId;
-use wanacl_sim::node::{Context, Effect, Life, Node, NodeId, Note, Sink, Step, Streams, Timer};
+use wanacl_sim::node::{Armed, Context, Effect, Life, Node, NodeId, Note, Sink, Step, Streams, Timer};
 use wanacl_sim::obs::MetricsSink;
-use wanacl_sim::queue::Calendar;
+use wanacl_sim::queue::{Calendar, Handle};
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::storage::{self, Fire};
 use wanacl_sim::time::SimTime;
@@ -274,12 +278,23 @@ struct QueueState {
     parked: bool,
 }
 
+/// Cancels of the timers one worker's calendar holds, posted by the
+/// other workers.
+#[derive(Default)]
+struct DisarmInbox {
+    handles: parking_lot::Mutex<Vec<Handle>>,
+    /// `handles` is not empty, readable without the lock.
+    posted: AtomicBool,
+}
+
 /// The pool's run queues, one per worker. A node is on at most one
 /// queue at a time (its cell's `scheduled` flag says whether it is), and
 /// whichever worker pops it steps it.
 pub(crate) struct Scheduler {
     id: usize,
     queues: Box<[RunQueue]>,
+    /// One per worker.
+    disarms: Box<[DisarmInbox]>,
     /// Workers parked, or looking at the queues one last time before
     /// they park.
     sleepers: AtomicUsize,
@@ -291,6 +306,7 @@ impl Scheduler {
         Arc::new(Scheduler {
             id: NEXT_SCHEDULER.fetch_add(1, Ordering::Relaxed),
             queues: (0..workers.max(1)).map(|_| RunQueue::default()).collect(),
+            disarms: (0..workers.max(1)).map(|_| DisarmInbox::default()).collect(),
             sleepers: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         })
@@ -392,6 +408,25 @@ impl Scheduler {
         }
         s.parked = false;
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Posts a cancel of a timer worker `w`'s calendar holds.
+    fn post_disarm(&self, w: usize, handle: Handle) {
+        let inbox = &self.disarms[w];
+        let mut handles = inbox.handles.lock();
+        handles.push(handle);
+        inbox.posted.store(true, Ordering::Relaxed);
+    }
+
+    /// Swaps the cancels posted to worker `w` into `into`, which is
+    /// empty; takes no lock when none were posted.
+    fn take_disarms(&self, w: usize, into: &mut Vec<Handle>) {
+        let inbox = &self.disarms[w];
+        if inbox.posted.load(Ordering::Relaxed) {
+            let mut handles = inbox.handles.lock();
+            inbox.posted.store(false, Ordering::Relaxed);
+            std::mem::swap(&mut *handles, into);
+        }
     }
 
     fn is_shut_down(&self) -> bool {
@@ -743,20 +778,15 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> RuntimeBuilder<M> {
         });
         let mut pool = WorkerPool { sched: sched.clone(), handles: Vec::with_capacity(nworkers) };
         for w in 0..nworkers {
-            let worker = Worker {
-                index: w,
-                sched: sched.clone(),
-                cells: cells.clone(),
-                sinks: Sinks::new(
-                    epoch,
-                    transport.clone(),
-                    self.metrics.shard(),
-                    self.trace.clone(),
-                ),
-                effects: Vec::new(),
-                ctls: Vec::new(),
-                data: Vec::new(),
-            };
+            let worker = Worker::new(
+                w,
+                sched.clone(),
+                cells.clone(),
+                epoch,
+                transport.clone(),
+                self.metrics.shard(),
+                self.trace.clone(),
+            );
             match std::thread::Builder::new()
                 .name(format!("rt-worker-{w}"))
                 .spawn({
@@ -835,9 +865,14 @@ fn guarded(f: impl FnOnce()) -> Result<(), String> {
 struct Sinks<M> {
     /// Takes every send as its effect is applied.
     transport: Arc<dyn Transport<M>>,
+    /// The index of the worker that owns this sink.
+    worker: usize,
+    /// Where a cancel of a timer another worker's calendar holds goes.
+    sched: Arc<Scheduler>,
     /// The timers this worker's handlers armed, keyed by nanoseconds
-    /// since `epoch_instant`. Cancellation happens at fire time (the
-    /// timer-fire rule), so arming never searches the queue.
+    /// since `epoch_instant`. A cancel takes its timer out by handle,
+    /// here or through the owning worker's disarm inbox, so the calendar
+    /// holds only pending timers and never searches for one.
     timers: Calendar<Timer>,
     /// This worker's shard of the deployment's sink: no other worker
     /// records into it.
@@ -854,24 +889,6 @@ struct Sinks<M> {
 }
 
 impl<M> Sinks<M> {
-    fn new(
-        epoch: Instant,
-        transport: Arc<dyn Transport<M>>,
-        metrics: MetricsSink,
-        trace: Option<TraceBuffer>,
-    ) -> Self {
-        Sinks {
-            transport,
-            timers: Calendar::new(),
-            metrics,
-            trace,
-            epoch_instant: epoch,
-            now: SimTime::ZERO,
-            #[cfg(test)]
-            scripted: None,
-        }
-    }
-
     /// Reads the clock for the next handler.
     fn tick(&mut self) -> SimTime {
         #[cfg(test)]
@@ -889,8 +906,17 @@ impl<M: Send + Sync + 'static> Sink<M> for Sinks<M> {
         self.transport.send(from, to, msg);
     }
 
-    fn arm(&mut self, due: SimTime, timer: Timer) {
-        self.timers.push(due, timer);
+    fn arm(&mut self, due: SimTime, timer: Timer) -> Option<Armed> {
+        Some(Armed { queue: self.worker as u32, handle: self.timers.push(due, timer) })
+    }
+
+    fn disarm(&mut self, armed: Armed) {
+        match armed.queue as usize {
+            w if w == self.worker => {
+                self.timers.cancel(armed.handle);
+            }
+            w => self.sched.post_disarm(w, armed.handle),
+        }
     }
 
     fn note(&mut self, from: NodeId, text: Note) {
@@ -926,14 +952,50 @@ struct Worker<M> {
     sched: Arc<Scheduler>,
     cells: Vec<Arc<NodeCell<M>>>,
     sinks: Sinks<M>,
-    /// Reusable buffers: the step rule's effects scratch, and the two
-    /// lanes a step drains its cell into.
+    /// Reusable buffers: the step rule's effects scratch, the two lanes
+    /// a step drains its cell into, and the cancels taken from this
+    /// worker's disarm inbox.
     effects: Vec<Effect<M>>,
     ctls: Vec<ControlMsg<M>>,
     data: Vec<(NodeId, M)>,
+    disarms: Vec<Handle>,
 }
 
 impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
+    /// Worker `index` of the pool `sched` runs, stepping `cells`.
+    fn new(
+        index: usize,
+        sched: Arc<Scheduler>,
+        cells: Vec<Arc<NodeCell<M>>>,
+        epoch: Instant,
+        transport: Arc<dyn Transport<M>>,
+        metrics: MetricsSink,
+        trace: Option<TraceBuffer>,
+    ) -> Self {
+        let sinks = Sinks {
+            transport,
+            worker: index,
+            sched: sched.clone(),
+            timers: Calendar::new(),
+            metrics,
+            trace,
+            epoch_instant: epoch,
+            now: SimTime::ZERO,
+            #[cfg(test)]
+            scripted: None,
+        };
+        Worker {
+            index,
+            sched,
+            cells,
+            sinks,
+            effects: Vec::new(),
+            ctls: Vec::new(),
+            data: Vec::new(),
+            disarms: Vec::new(),
+        }
+    }
+
     fn run(mut self) {
         self.sched.enter(self.index);
         // Shutdown comes after every node was stopped (or the whole
@@ -956,14 +1018,19 @@ impl<M: Send + Sync + Clone + std::fmt::Debug + 'static> Worker<M> {
         }
     }
 
-    /// Moves every timer due by `now` onto its node's control lane; the
-    /// step that drains it fires it or finds it void. A void timer of a
-    /// node that no worker is stepping is dropped here instead, so the
-    /// query timeout every answered check leaves behind costs no step.
+    /// Takes out the timers other workers cancelled, then moves every
+    /// timer due by `now` onto its node's control lane; the step that
+    /// drains it fires it or finds it void. A void timer of a node that
+    /// no worker is stepping is dropped here instead, and costs no step;
+    /// the step judges the rest, so this look does not fire.
     fn queue_due_timers(&mut self, now: SimTime) {
+        self.sched.take_disarms(self.index, &mut self.disarms);
+        for handle in self.disarms.drain(..) {
+            self.sinks.timers.cancel(handle);
+        }
         while let Some((due, timer)) = self.sinks.timers.pop_due(now) {
             let cell = &self.cells[timer.node.index()];
-            if cell.node.try_lock().is_ok_and(|mut node| !node.life.fires(&timer)) {
+            if cell.node.try_lock().is_ok_and(|node| !node.life.would_fire(&timer)) {
                 continue;
             }
             cell.push_control(ControlMsg::Fire(due, timer));
@@ -1925,88 +1992,106 @@ mod tests {
         assert_eq!(got, want, "stalled with {} wakes queued", sched.queued(0) + sched.queued(1));
     }
 
-    /// A partitioned host's retry storm must not leave timer ids behind.
-    /// Drives a `Worker` by hand (its run queue, `step` and
-    /// `queue_due_timers`, no thread), so the cancelled set can be read
-    /// and the clock skipped: `fire_due` queues the timers due as of the
-    /// end of time.
-    #[test]
-    fn timed_out_attempts_leave_no_cancelled_timer_ids_behind() {
-        use crate::router::Envelope;
-        use wanacl_core::prelude::{
-            AppHost, AppId, CountingApp, HostNode, InvokeOutcome, ManagerDirectory, Policy,
-            ProtoMsg, QueryVerdict, ReqId, UserId,
-        };
-        use wanacl_sim::time::SimDuration;
+    use crate::router::Envelope;
+    use wanacl_core::prelude::{
+        AppHost, AppId, CountingApp, HostNode, InvokeOutcome, ManagerDirectory, Policy, ProtoMsg,
+        QueryVerdict, ReqId, UserId,
+    };
 
-        const ATTEMPTS: u32 = 3;
-        const STORM: u64 = 20;
-        let app = AppId(0);
-        let host_id = NodeId::from_index(0);
-        // Ids 1 and 2 are channel taps: the one manager and the client.
-        let (manager, client) = (NodeId::from_index(1), NodeId::from_index(2));
-        let host = HostNode::new(
-            vec![AppHost {
-                app,
-                policy: Policy::builder(1)
-                    .revocation_bound(SimDuration::from_secs(10))
-                    .query_timeout(SimDuration::from_millis(100))
-                    .max_attempts(ATTEMPTS)
-                    .build(),
-                directory: ManagerDirectory::Static(vec![manager].into()),
-                application: Box::new(CountingApp::new()),
-            }],
-            None,
-        );
+    /// A host stepped by hand on a pool of workers (their run queues,
+    /// `step` and `queue_due_timers`, no thread), so its armed timers and
+    /// the calendars can be read and the clock skipped. Ids 1 and 2 are
+    /// channel taps: the one manager and the client.
+    struct HandHost {
+        workers: Vec<Worker<ProtoMsg>>,
+        router: Arc<Router<ProtoMsg>>,
+        manager: Receiver<Envelope<ProtoMsg>>,
+        client: Receiver<Envelope<ProtoMsg>>,
+    }
 
-        let router: Arc<Router<ProtoMsg>> = Router::new();
-        let sched = Scheduler::new(1);
-        let cell = NodeCell::new(0, INBOX_CAPACITY, sched.clone(), Streams::new(23).0.node("host", ClockSpec::Perfect));
-        router.freeze_cells(vec![cell.clone()]);
-        let (manager_tx, manager_rx) = unbounded();
-        let (client_tx, client_rx) = unbounded();
-        assert_eq!(router.register(manager_tx), manager);
-        assert_eq!(router.register(client_tx), client);
-        let epoch = Instant::now();
-        let mut worker = Worker {
-            index: 0,
-            sched,
-            cells: vec![cell],
-            sinks: Sinks::new(epoch, router.clone(), MetricsSink::new(), None),
-            effects: Vec::new(),
-            ctls: Vec::new(),
-            data: Vec::new(),
-        };
+    impl HandHost {
+        const APP: AppId = AppId(0);
 
-        // Steps queued nodes until the run queue is empty.
-        fn run_queued(worker: &mut Worker<ProtoMsg>) {
-            while let Some(idx) = worker.sched.pop(worker.index) {
+        /// A host whose checks try `attempts` times under a 100 ms query
+        /// timeout, on a pool of `workers` hand-driven workers.
+        fn new(workers: usize, attempts: u32) -> Self {
+            use wanacl_sim::time::SimDuration;
+            let manager = NodeId::from_index(1);
+            let host = HostNode::new(
+                vec![AppHost {
+                    app: Self::APP,
+                    policy: Policy::builder(1)
+                        .revocation_bound(SimDuration::from_secs(10))
+                        .query_timeout(SimDuration::from_millis(100))
+                        .max_attempts(attempts)
+                        .build(),
+                    directory: ManagerDirectory::Static(vec![manager].into()),
+                    application: Box::new(CountingApp::new()),
+                }],
+                None,
+            );
+            let router: Arc<Router<ProtoMsg>> = Router::new();
+            let sched = Scheduler::new(workers);
+            let cell = NodeCell::new(0, INBOX_CAPACITY, sched.clone(), Streams::new(23).0.node("host", ClockSpec::Perfect));
+            router.freeze_cells(vec![cell.clone()]);
+            let (manager_tx, manager_rx) = unbounded();
+            let (client_tx, client_rx) = unbounded();
+            assert_eq!(router.register(manager_tx), manager);
+            assert_eq!(router.register(client_tx), NodeId::from_index(2));
+            let epoch = Instant::now();
+            let workers = (0..workers)
+                .map(|w| Worker::new(w, sched.clone(), vec![cell.clone()], epoch, router.clone(), MetricsSink::new(), None))
+                .collect();
+            cell.push_control(ControlMsg::Install(Box::new(host)));
+            let mut hand = HandHost { workers, router, manager: manager_rx, client: client_rx };
+            hand.run_queued(0);
+            hand
+        }
+
+        fn host(&self) -> NodeId {
+            NodeId::from_index(0)
+        }
+
+        /// Steps the host on worker `w` until no run queue holds it.
+        fn run_queued(&mut self, w: usize) {
+            let worker = &mut self.workers[w];
+            while let Some(idx) = worker.sched.pop(w) {
                 worker.step(idx);
             }
         }
-        fn cancelled(worker: &Worker<ProtoMsg>) -> usize {
-            worker.cells[0].node.lock().expect("node lock").life.cancelled()
+
+        /// The host's armed timers.
+        fn armed(&self) -> usize {
+            self.workers[0].cells[0].node.lock().expect("node lock").life.armed()
         }
-        // Fires every timer armed so far (not the ones the firings arm).
-        fn fire_due(worker: &mut Worker<ProtoMsg>) {
-            worker.queue_due_timers(SimTime::MAX);
-            run_queued(worker);
+
+        /// Timers worker `w`'s calendar holds.
+        fn queued(&self, w: usize) -> usize {
+            self.workers[w].sinks.timers.len()
         }
-        worker.cells[0].push_control(ControlMsg::Install(Box::new(host)));
-        run_queued(&mut worker);
-        let invoke_from_client = |worker: &mut Worker<ProtoMsg>, n: u64| {
-            let msg = ProtoMsg::Invoke {
-                app,
-                user: UserId(n),
-                req: ReqId(n),
-                payload: "".into(),
-                signature: None,
-            };
-            router.send(client, host_id, msg);
-            run_queued(worker);
-        };
-        let outcomes = |n: usize| -> Vec<InvokeOutcome> {
-            let got: Vec<InvokeOutcome> = client_rx
+
+        /// A check of user `n` from the client, stepped on worker `w`.
+        fn invoke(&mut self, w: usize, n: u64) {
+            let msg = ProtoMsg::Invoke { app: Self::APP, user: UserId(n), req: ReqId(n), payload: "".into(), signature: None };
+            self.router.send(NodeId::from_index(2), self.host(), msg);
+            self.run_queued(w);
+        }
+
+        /// The manager grants the query it got, stepped on worker `w`.
+        fn grant(&mut self, w: usize) {
+            use wanacl_sim::time::SimDuration;
+            let Envelope::Msg { msg: query, .. } = self.manager.try_recv().expect("a query");
+            let ProtoMsg::Query { req, user, .. } = query else { panic!("manager got {query:?}") };
+            let verdict = QueryVerdict::Grant { te: SimDuration::from_secs(5) };
+            let grant = ProtoMsg::QueryReply { req, app: Self::APP, user, verdict, mac: None };
+            self.router.send(NodeId::from_index(1), self.host(), grant);
+            self.run_queued(w);
+        }
+
+        /// The outcomes the client got; there must be `n`.
+        fn outcomes(&self, n: usize) -> Vec<InvokeOutcome> {
+            let got: Vec<InvokeOutcome> = self
+                .client
                 .try_iter()
                 .map(|Envelope::Msg { msg, .. }| match msg {
                     ProtoMsg::InvokeReply { outcome, .. } => outcome,
@@ -2015,39 +2100,111 @@ mod tests {
                 .collect();
             assert_eq!(got.len(), n);
             got
-        };
+        }
+    }
+
+    /// A partitioned host's retry storm leaves no timer behind, and the
+    /// checks a healed manager answers leave the calendar holding only
+    /// the pending timers: a cancel takes its timer out at once.
+    #[test]
+    fn timed_out_attempts_leave_no_cancelled_timer_ids_behind() {
+        const ATTEMPTS: u32 = 3;
+        const STORM: u64 = 20;
+        let mut hand = HandHost::new(1, ATTEMPTS);
+        let pending = hand.armed();
+        assert_eq!(hand.queued(0), pending, "the host's own timers");
 
         // Partitioned: the manager tap swallows every query, so each
-        // attempt of each check runs into its query timer.
+        // attempt of each check runs into its query timer. A due timer
+        // is only looked at while its node is unlocked: the step fires
+        // it.
         for n in 0..STORM {
-            invoke_from_client(&mut worker, n);
+            hand.invoke(0, n);
         }
-        for _ in 0..ATTEMPTS {
-            fire_due(&mut worker);
+        let checks = pending + STORM as usize;
+        assert_eq!((hand.armed(), hand.queued(0)), (checks, checks));
+        assert_eq!(hand.manager.try_iter().count() as u64, STORM);
+        for attempt in 1..=ATTEMPTS {
+            hand.workers[0].queue_due_timers(SimTime::MAX);
+            assert_eq!((hand.armed(), hand.queued(0)), (checks, 0), "looked at, not fired");
+            hand.run_queued(0);
+            let retries = if attempt < ATTEMPTS { STORM } else { 0 };
+            assert_eq!(hand.manager.try_iter().count() as u64, retries, "attempt {attempt}'s timers fired");
         }
-        assert!(outcomes(STORM as usize).iter().all(|o| *o == InvokeOutcome::Unavailable));
-        assert_eq!(manager_rx.try_iter().count() as u64, STORM * u64::from(ATTEMPTS));
-        assert_eq!(cancelled(&worker), 0, "a timer that fired is not cancelled afterwards");
+        assert!(hand.outcomes(STORM as usize).iter().all(|o| *o == InvokeOutcome::Unavailable));
+        assert_eq!((hand.armed(), hand.queued(0)), (pending, pending), "a timer that fired is gone");
 
-        // Healed: the manager answers, so the host cancels a query timer
-        // that is still queued. That id is forgotten when the
-        // entry matures — the set drains to empty.
-        invoke_from_client(&mut worker, STORM);
-        let Envelope::Msg { msg: query, .. } = manager_rx.try_recv().expect("query");
-        let ProtoMsg::Query { req, user, .. } = query else { panic!("manager got {query:?}") };
-        let grant = ProtoMsg::QueryReply {
-            req,
-            app,
-            user,
-            verdict: QueryVerdict::Grant { te: SimDuration::from_secs(5) },
-            mac: None,
-        };
-        router.send(manager, host_id, grant);
-        run_queued(&mut worker);
-        assert!(matches!(outcomes(1)[0], InvokeOutcome::Allowed { .. }));
-        assert_eq!(cancelled(&worker), 1, "the live timer's id waits for its queue entry");
-        fire_due(&mut worker);
-        assert_eq!(cancelled(&worker), 0);
+        // Healed: the manager answers, so the host cancels each query
+        // timer while it is queued, and the calendar lets it go at once.
+        for n in STORM..2 * STORM {
+            hand.invoke(0, n);
+            hand.grant(0);
+        }
+        assert!(hand.outcomes(STORM as usize).iter().all(|o| matches!(o, InvokeOutcome::Allowed { .. })));
+        assert_eq!(hand.armed(), hand.queued(0), "the calendar holds only pending timers");
+        assert!(hand.armed() <= pending + STORM as usize, "no query timer is pending");
+    }
+
+    /// A check that ran on one worker and whose reply runs on another:
+    /// the cancel is posted to the worker whose calendar holds the
+    /// timer, which takes it out at its next loop.
+    #[test]
+    fn a_cross_worker_cancel_frees_the_owners_slot_at_its_next_loop() {
+        let mut hand = HandHost::new(2, 1);
+        let pending = hand.armed();
+        hand.invoke(0, 1);
+        assert_eq!((hand.armed(), hand.queued(0)), (pending + 1, pending + 1));
+        hand.grant(1);
+        assert!(matches!(hand.outcomes(1)[0], InvokeOutcome::Allowed { .. }));
+        let refreshes = hand.queued(1);
+        assert_eq!(hand.armed(), pending + refreshes, "the query timer is disarmed");
+        assert_eq!(hand.queued(0), pending + 1, "the owner has not looked yet");
+        hand.workers[0].queue_due_timers(SimTime::ZERO);
+        assert_eq!(hand.queued(0), pending, "the owner's next loop takes it out");
+        hand.workers[0].queue_due_timers(SimTime::ZERO);
+        assert_eq!(hand.queued(0), pending, "a cancel is taken once");
+    }
+
+    /// A disk's wake is a timer no handler armed: the node's lifecycle
+    /// alone decides it, and it fires.
+    #[test]
+    fn a_disk_wake_fires_though_it_was_never_armed() {
+        use wanacl_sim::storage::{Barrier, FileStorage, Storage};
+        /// Hands a write in flight per message, under the message as tag,
+        /// and reports each wake.
+        struct Writer {
+            storage: FileStorage,
+            woken: Sender<u64>,
+        }
+        impl Node for Writer {
+            type Msg = u64;
+            fn on_message(&mut self, _ctx: &mut Context<'_, u64>, _from: NodeId, tag: u64) {
+                self.storage.append(b"record").expect("an append");
+                assert_eq!(self.storage.barrier(tag), Barrier::Started, "a live step's write goes in flight");
+            }
+            fn on_timer(&mut self, _ctx: &mut Context<'_, u64>, tag: u64) {
+                assert_eq!(self.storage.barrier(tag), Barrier::Landed(Ok(())));
+                self.woken.send(tag).expect("the test waits");
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("wanacl-rt-wake-{}", std::process::id()));
+        let (woken, wakes) = unbounded();
+        let mut b: RuntimeBuilder<u64> = RuntimeBuilder::new(29);
+        let storage = FileStorage::open(&dir).expect("a WAL directory");
+        let writer = b.add_node("writer", Box::new(Writer { storage, woken }));
+        let rt = b.start();
+        for tag in [7, 8] {
+            rt.send_from_env(writer, tag);
+            assert_eq!(wakes.recv_timeout(Duration::from_secs(5)), Ok(tag), "the wake fires");
+        }
+        rt.shutdown_nodes();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -200,9 +200,7 @@ fn on_live(config: &CampaignConfig, k: NodeId, inputs: &[(SimTime, Input)], end:
     let sends = Arc::new(Mutex::new(Vec::new()));
     let tape = Tape { router: router.clone(), node: k, now: now.clone(), sends: sends.clone() };
     let (metrics, notes) = (MetricsSink::new(), TraceBuffer::new());
-    let sinks = Sinks::new(Instant::now(), Arc::new(tape), metrics.shard(), Some(notes.clone()));
-    let worker =
-        Worker { index: 0, sched, cells, sinks, effects: Vec::new(), ctls: Vec::new(), data: Vec::new() };
+    let worker = Worker::new(0, sched, cells, Instant::now(), Arc::new(tape), metrics.shard(), Some(notes.clone()));
     let mut live = Driven { worker, now };
     let cell = live.worker.cells[k.index()].clone();
 

@@ -16,8 +16,8 @@
 //! - [`Streams`], the stream rule: how a seed becomes each node's RNG
 //!   stream and clock;
 //! - [`Life`], the per-node step state beside that stream and clock: the
-//!   up flag, the incarnation, the timer-id counter and the cancelled
-//!   set, with the lifecycle transitions and the timer-fire rule;
+//!   up flag, the incarnation, the timer-id counter and the armed
+//!   timers, with the lifecycle transitions and the timer-fire rule;
 //! - [`Step`], the one effect dispatch: it builds the [`Context`], runs
 //!   the handler and drains the effects into a [`Sink`], which each
 //!   executor implements and a test substitutes a recording fake for.
@@ -26,8 +26,9 @@ use std::any::Any;
 use std::fmt;
 
 use crate::clock::{ClockSpec, DriftClock, LocalTime};
-use crate::hash::FxHashSet;
+use crate::hash::FxHashMap;
 use crate::metrics::MetricId;
+use crate::queue::Handle;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -70,6 +71,11 @@ impl std::fmt::Display for NodeId {
 pub struct TimerId(pub(crate) u64);
 
 impl TimerId {
+    /// The id of a disk's wake ([`crate::storage::Waker`]): a timer that
+    /// is never armed or cancelled, so only the node's lifecycle decides
+    /// whether it fires.
+    pub(crate) const WAKE: TimerId = TimerId(u64::MAX);
+
     /// The raw id: the node's count of timers armed before this one.
     pub fn into_raw(self) -> u64 {
         self.0
@@ -412,6 +418,17 @@ pub struct Timer {
     pub incarnation: u32,
 }
 
+/// Where a [`Sink`] queued an armed timer: which of the executor's
+/// queues (the live worker's index; the simulator has one) and the
+/// timer's handle in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Armed {
+    /// The queue holding the timer.
+    pub queue: u32,
+    /// The timer's handle in that queue.
+    pub handle: Handle,
+}
+
 /// A node's lifecycle and timer state. With the node's RNG stream and
 /// clock it is the step state an executor keeps per node, across
 /// crashes and restarts.
@@ -420,20 +437,22 @@ pub struct Timer {
 /// incarnation ends at a crash, a kill or a restart, and on the live
 /// runtime at a stop or a handler panic; a timer armed in an earlier one
 /// is void.
-/// A cancelled id stays in the cancelled set until its timer pops, so
-/// the set never outgrows the pending timers.
+/// The armed map holds the node's pending timers of this incarnation,
+/// each with where its sink queued it: a timer leaves it when it fires
+/// or is cancelled, and a cancel takes it out of its queue too. A timer
+/// of an ended incarnation stays queued until it is due, and is void.
 #[derive(Debug)]
 pub struct Life {
     up: bool,
     incarnation: u32,
     next_timer: u64,
-    cancelled: FxHashSet<u64>,
+    armed: FxHashMap<u64, Option<Armed>>,
 }
 
 impl Default for Life {
     /// A node that was just added: up, incarnation 0, next timer id 0.
     fn default() -> Self {
-        Life { up: true, incarnation: 0, next_timer: 0, cancelled: FxHashSet::default() }
+        Life { up: true, incarnation: 0, next_timer: 0, armed: FxHashMap::default() }
     }
 }
 
@@ -448,17 +467,30 @@ impl Life {
         self.incarnation
     }
 
-    /// Cancelled ids whose timers have not popped yet.
-    pub fn cancelled(&self) -> usize {
-        self.cancelled.len()
+    /// Timers armed in this incarnation that have neither fired nor
+    /// been cancelled.
+    pub fn armed(&self) -> usize {
+        self.armed.len()
     }
 
-    /// The timer-fire rule: `timer` fires iff the node is up, in the
-    /// incarnation that armed it, and the timer was not cancelled. Call
-    /// it when the timer pops; a cancelled id leaves the set here.
+    /// The timer-fire rule, without firing: `timer` fires iff the node
+    /// is up, in the incarnation that armed it, and the timer is armed —
+    /// or is a disk's wake, which never is. A timer can be judged void
+    /// here early and fired later by [`Life::fires`].
+    pub fn would_fire(&self, timer: &Timer) -> bool {
+        self.up
+            && timer.incarnation == self.incarnation
+            && (timer.id == TimerId::WAKE || self.armed.contains_key(&timer.id.0))
+    }
+
+    /// The timer-fire rule ([`Life::would_fire`]), applied when the
+    /// timer is due: a timer that fires is no longer armed.
     pub fn fires(&mut self, timer: &Timer) -> bool {
-        let cancelled = !self.cancelled.is_empty() && self.cancelled.remove(&timer.id.0);
-        !cancelled && self.up && timer.incarnation == self.incarnation
+        let fires = self.would_fire(timer);
+        if fires {
+            self.armed.remove(&timer.id.0);
+        }
+        fires
     }
 
     /// Takes the node down into a new incarnation, voiding its timers.
@@ -467,7 +499,7 @@ impl Life {
         let was_up = std::mem::replace(&mut self.up, false);
         self.incarnation = self.incarnation.wrapping_add(1);
         // Every earlier timer is void by incarnation now.
-        self.cancelled.clear();
+        self.armed.clear();
         was_up
     }
 
@@ -480,13 +512,19 @@ impl Life {
 
 /// Where a step's effects go. Each executor implements it: the simulated
 /// world over its event queue and network model, the live worker over
-/// its transport and timer calendar. Timer cancellation is not a sink
-/// call: the cancelled set is step state ([`Life`]).
+/// its transport and timer calendar. A timer the sink arms is taken out
+/// of its queue again when the node cancels it; which timers are armed
+/// is step state ([`Life`]).
 pub trait Sink<M> {
     /// Hands `msg` from `from` to the network.
     fn send(&mut self, from: NodeId, to: NodeId, msg: M);
-    /// Queues `timer` to pop at real instant `due`.
-    fn arm(&mut self, due: SimTime, timer: Timer);
+    /// Queues `timer` to pop at real instant `due`, and says where for
+    /// [`Sink::disarm`]; a sink that keeps no queue (a recording fake)
+    /// says `None`.
+    fn arm(&mut self, due: SimTime, timer: Timer) -> Option<Armed>;
+    /// Takes a cancelled timer out of the queue [`Sink::arm`] put it in.
+    /// A timer that already popped is not in it any more.
+    fn disarm(&mut self, _armed: Armed) {}
     /// Records a trace note of `from`.
     fn note(&mut self, from: NodeId, text: Note);
     /// Increments a run-level counter.
@@ -538,10 +576,13 @@ impl Step<'_> {
                 Effect::Send { to, msg } => sink.send(self.id, to, msg),
                 Effect::SetTimer { id, local_delay, tag } => {
                     let timer = Timer { node: self.id, id, tag, incarnation: self.life.incarnation };
-                    sink.arm(at + self.clock.real_duration_for(local_delay), timer);
+                    let armed = sink.arm(at + self.clock.real_duration_for(local_delay), timer);
+                    self.life.armed.insert(id.0, armed);
                 }
                 Effect::CancelTimer { id } => {
-                    self.life.cancelled.insert(id.0);
+                    if let Some(Some(armed)) = self.life.armed.remove(&id.0) {
+                        sink.disarm(armed);
+                    }
                 }
                 Effect::Trace { text } => sink.note(self.id, text),
                 Effect::MetricIncr { name } => sink.incr(name),
@@ -637,25 +678,27 @@ mod tests {
         assert_eq!((clock1, rng1.next_u64()), (DriftClock::perfect(), plain_rng.next_u64()));
     }
 
-    /// Arms three timers, cancels the second; steps through crash,
-    /// recover, kill and restart.
+    /// Arms three timers, cancels the second, which leaves its queue at
+    /// once; steps through crash, recover, kill and restart.
     #[test]
     fn the_step_rule_arms_cancels_and_voids_timers() {
         let (mut life, mut rng) = (Life::default(), SimRng::seed_from(1));
         let clock = DriftClock::new(0.5, SimDuration::ZERO);
         let mut fx: Vec<Effect<u32>> = Vec::new();
-        let mut out: Vec<Output> = Vec::new();
+        let mut out = Recording::default();
         let mut step = Step { id: NodeId(3), life: &mut life, rng: &mut rng, clock: &clock };
         step.run(SimTime::from_secs(10), &mut fx, &mut out, |ctx| {
             assert_eq!(ctx.local_now(), LocalTime::from_nanos(5_000_000_000), "the clock read at the instant");
             let ids: Vec<TimerId> = (0..3).map(|tag| ctx.set_timer(SimDuration::from_secs(1), tag)).collect();
             assert_eq!(ids, [TimerId(0), TimerId(1), TimerId(2)], "a node's ids start at 0");
             ctx.cancel_timer(ids[1]);
+            ctx.cancel_timer(ids[1]);
             ctx.send(NodeId(1), 7);
             ctx.metric_incr(MetricId::NET_SENT);
         });
         assert!(fx.is_empty(), "the scratch buffer is left empty");
         let armed: Vec<Timer> = out
+            .calls
             .iter()
             .filter_map(|o| match o {
                 Output::Arm { due, timer } => {
@@ -666,13 +709,24 @@ mod tests {
             })
             .collect();
         assert_eq!(armed.len(), 3);
-        assert_eq!(out[3..], [Output::Send { to: NodeId(1), msg: 7 }, Output::Incr { name: MetricId::NET_SENT }]);
-        assert_eq!(life.cancelled(), 1);
-        assert!(life.fires(&armed[0]));
+        assert_eq!(
+            out.calls[3..],
+            [
+                Output::Disarm { tag: 1 },
+                Output::Send { to: NodeId(1), msg: 7 },
+                Output::Incr { name: MetricId::NET_SENT }
+            ],
+            "a cancel disarms once"
+        );
+        assert_eq!((life.armed(), out.timers.len()), (2, 2), "the cancelled timer left its queue");
+        let (_, first) = out.timers.pop().expect("armed");
+        assert!(life.would_fire(&first) && life.would_fire(&first), "judging does not fire");
+        assert!(life.fires(&first));
+        assert!(!life.fires(&first), "a timer fires once");
         assert!(!life.fires(&armed[1]), "cancelled");
-        assert_eq!(life.cancelled(), 0, "a popped timer leaves the cancelled set");
+        assert_eq!(life.armed(), 1);
 
-        let mut out: Vec<Output> = Vec::new();
+        let mut out = Recording::default();
         let mut step = Step { id: NodeId(3), life: &mut life, rng: &mut rng, clock: &clock };
         assert!(step.crash(&mut Inert, &mut out));
         assert!(!step.crash(&mut Inert, &mut out), "a down node does not crash again");
@@ -683,8 +737,10 @@ mod tests {
         let mut next = None;
         step.run(SimTime::from_secs(20), &mut fx, &mut out, |ctx| next = Some(ctx.set_timer(SimDuration::ZERO, 9)));
         assert_eq!(next, Some(TimerId(3)), "ids are never reused");
-        assert!(!life.fires(&armed[2]), "armed in an incarnation that ended");
+        assert!(!life.would_fire(&armed[2]), "armed in an incarnation that ended");
+        assert_eq!(life.armed(), 1, "only this incarnation's timer");
         let counted: Vec<&str> = out
+            .calls
             .iter()
             .filter_map(|o| match o {
                 Output::Incr { name } => Some(name.def().name),
@@ -692,14 +748,20 @@ mod tests {
             })
             .collect();
         assert_eq!(counted, ["node.crashes", "node.recoveries", "node.crashes", "node.recoveries"]);
+
+        // A disk's wake is never armed: the lifecycle alone judges it.
+        let wake = Timer { node: NodeId(3), id: TimerId::WAKE, tag: 5, incarnation: life.incarnation() };
+        assert!(life.fires(&wake) && life.fires(&wake), "a wake is not consumed");
+        life.down();
+        assert!(!life.fires(&wake), "a wake that outlives its incarnation");
     }
 
     #[test]
     fn the_first_instance_is_not_a_recovery() {
         let (mut life, mut rng, clock) = (Life::default(), SimRng::seed_from(1), DriftClock::perfect());
-        let mut out: Vec<Output> = Vec::new();
+        let mut out = Recording::default();
         Step { id: NodeId(0), life: &mut life, rng: &mut rng, clock: &clock }.restart(&mut out);
-        assert!(out.is_empty() && life.is_up());
+        assert!(out.calls.is_empty() && life.is_up());
     }
 
     /// One call the recording sink saw.
@@ -707,25 +769,39 @@ mod tests {
     enum Output {
         Send { to: NodeId, msg: u32 },
         Arm { due: SimTime, timer: Timer },
+        Disarm { tag: u64 },
         Incr { name: MetricId },
         Other,
     }
 
-    impl Sink<u32> for Vec<Output> {
+    /// A sink that records its calls, and queues armed timers in a
+    /// calendar as the executors do.
+    #[derive(Default)]
+    struct Recording {
+        calls: Vec<Output>,
+        timers: crate::queue::Calendar<Timer>,
+    }
+
+    impl Sink<u32> for Recording {
         fn send(&mut self, _from: NodeId, to: NodeId, msg: u32) {
-            self.push(Output::Send { to, msg });
+            self.calls.push(Output::Send { to, msg });
         }
-        fn arm(&mut self, due: SimTime, timer: Timer) {
-            self.push(Output::Arm { due, timer });
+        fn arm(&mut self, due: SimTime, timer: Timer) -> Option<Armed> {
+            self.calls.push(Output::Arm { due, timer });
+            Some(Armed { queue: 0, handle: self.timers.push(due, timer) })
+        }
+        fn disarm(&mut self, armed: Armed) {
+            let timer = self.timers.cancel(armed.handle).expect("a cancel disarms an armed timer");
+            self.calls.push(Output::Disarm { tag: timer.tag });
         }
         fn note(&mut self, _from: NodeId, _text: Note) {
-            self.push(Output::Other);
+            self.calls.push(Output::Other);
         }
         fn incr(&mut self, name: MetricId) {
-            self.push(Output::Incr { name });
+            self.calls.push(Output::Incr { name });
         }
         fn observe(&mut self, _name: MetricId, _value: f64) {
-            self.push(Output::Other);
+            self.calls.push(Output::Other);
         }
     }
 

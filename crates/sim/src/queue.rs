@@ -14,11 +14,20 @@
 //! so the common case touches only the events that share a ~4 ms slice
 //! of time. As in Brown's calendar queue (CACM 1988), the ordered
 //! structures hold only keys: each bucket is a small heap of 24-byte
-//! `(time, seq, slot)` keys, and the items themselves stay put in a slab
-//! from push to pop, so a sift moves a key, never an item. The same queue
-//! holds the simulated world's events, each live runtime worker's timers
-//! and the live chaos transport's delayed deliveries; the live users key
-//! it by nanoseconds since their epoch.
+//! `(time, seq, slot, generation)` keys, and the items themselves stay
+//! put in a slab from push to pop, so a sift moves a key, never an item.
+//! The same queue holds the simulated world's events, each live runtime
+//! worker's timers and the live chaos transport's delayed deliveries; the
+//! live users key it by nanoseconds since their epoch.
+//!
+//! **A cancel frees its item at once.** A push returns a [`Handle`]: the
+//! item's slot and the slot's generation, which each pop or cancel
+//! bumps. [`Calendar::cancel`] takes the item out of its slot in `O(1)`,
+//! as a hashed timing wheel does (Varghese and Lauck, SOSP 1987); its key
+//! stays behind, dead, until a pop or a rebase meets it or the dead keys
+//! outnumber both the live items and a floor, when one pass drops them
+//! all. A stale handle — its item popped, cancelled, or its slot reused —
+//! cancels nothing.
 //!
 //! **Ordering is bit-identical to the naive heap.** The calendar pops in
 //! strict `(time, seq)` order — buckets partition the timeline, so the first
@@ -41,16 +50,35 @@ const NBUCKETS: usize = 1024;
 const WORDS: usize = NBUCKETS / 64;
 /// The window span in nanoseconds (~4.3 seconds).
 const WINDOW_NS: u64 = (NBUCKETS as u64) << WIDTH_SHIFT;
+/// Dead keys the queue may hold beyond its live items before one pass
+/// drops them all.
+const DEAD_FLOOR: usize = 1024;
 
-/// A queued item's place in the order, and the slab slot holding it.
-/// Fields compare in declaration order: time first, then push order
-/// (FIFO among simultaneous items); `seq` is unique, so `slot` never
-/// decides.
+/// A queued item's place in the order, and the slab slot holding it in
+/// the generation it was pushed in. Fields compare in declaration order:
+/// time first, then push order (FIFO among simultaneous items); `seq` is
+/// unique, so `slot` and `gen` never decide.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     at: SimTime,
     seq: u64,
-    slot: usize,
+    slot: u32,
+    gen: u32,
+}
+
+/// Names one pushed item for [`Calendar::cancel`]. It goes stale when
+/// the item pops or is cancelled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Handle {
+    slot: u32,
+    gen: u32,
+}
+
+/// One slab slot: its item while a live key names it, and its
+/// generation, which moves on when the item leaves.
+struct Slot<T> {
+    gen: u32,
+    item: Option<T>,
 }
 
 type MinHeap = BinaryHeap<Reverse<Key>>;
@@ -78,11 +106,14 @@ fn pop_if_due(heap: &mut MinHeap, limit: SimTime) -> Option<Key> {
 ///
 /// let mut q = Calendar::new();
 /// q.push(SimTime::from_millis(20), "late");
+/// let never = q.push(SimTime::from_millis(1), "cancelled");
 /// q.push(SimTime::from_millis(5), "early");
+/// assert_eq!(q.cancel(never), Some("cancelled"));
 /// assert_eq!(q.next_time(), Some(SimTime::from_millis(5)));
 /// assert_eq!(q.pop_due(SimTime::from_millis(10)), Some((SimTime::from_millis(5), "early")));
 /// assert_eq!(q.pop_due(SimTime::from_millis(10)), None, "not due yet");
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(20), "late")));
+/// assert_eq!(q.cancel(never), None, "a stale handle");
 /// ```
 pub struct Calendar<T> {
     /// Window start in nanoseconds, aligned down to the bucket width.
@@ -98,10 +129,13 @@ pub struct Calendar<T> {
     /// Keys before `base`. Non-empty only between a forward rebase and
     /// the next bucket pop; always drained first.
     front: MinHeap,
-    /// The items, each in the slot its key names until it pops.
-    slots: Vec<Option<T>>,
+    /// The items, each in the slot its key names until it pops or is
+    /// cancelled.
+    slots: Vec<Slot<T>>,
     /// The empty slots, reused before the slab grows.
-    free: Vec<usize>,
+    free: Vec<u32>,
+    /// Keys still queued whose item was cancelled.
+    dead: usize,
     /// Push counter: the tie-break among items due at the same time.
     seq: u64,
 }
@@ -125,6 +159,7 @@ impl<T> Default for Calendar<T> {
             front: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
+            dead: 0,
             seq: 0,
         }
     }
@@ -136,30 +171,38 @@ impl<T> Calendar<T> {
         Self::default()
     }
 
-    /// Number of queued items.
-    pub(crate) fn len(&self) -> usize {
+    /// Number of queued items; a cancelled one is gone.
+    pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
     }
 
+    /// Whether no item is queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Queues `item` at time `at`; among items at the same time, the
-    /// earlier push pops first.
-    pub fn push(&mut self, at: SimTime, item: T) {
+    /// earlier push pops first. The handle cancels it.
+    pub fn push(&mut self, at: SimTime, item: T) -> Handle {
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot] = Some(item);
+                self.slots[slot as usize].item = Some(item);
                 slot
             }
             None => {
-                self.slots.push(Some(item));
-                self.slots.len() - 1
+                // Slots count the most items ever queued at once, far
+                // below 2^32.
+                self.slots.push(Slot { gen: 0, item: Some(item) });
+                (self.slots.len() - 1) as u32
             }
         };
-        let key = Key { at, seq: self.seq, slot };
+        let handle = Handle { slot, gen: self.slots[slot as usize].gen };
+        let key = Key { at, seq: self.seq, slot, gen: handle.gen };
         self.seq += 1;
         let t = at.as_nanos();
         if t < self.base {
             self.front.push(Reverse(key));
-            return;
+            return handle;
         }
         let off = (t - self.base) >> WIDTH_SHIFT;
         if off >= NBUCKETS as u64 {
@@ -171,6 +214,49 @@ impl<T> Calendar<T> {
             // precede the last pop: the scan moves back to them.
             self.cursor = self.cursor.min(idx);
         }
+        handle
+    }
+
+    /// Takes the item out of the queue now, if the handle is not stale.
+    pub fn cancel(&mut self, handle: Handle) -> Option<T> {
+        let item = self.take(handle.slot, handle.gen)?;
+        self.dead += 1;
+        self.collect();
+        Some(item)
+    }
+
+    /// Takes the item in `slot` if it is still in generation `gen`; the
+    /// slot moves to the next generation and is freed.
+    fn take(&mut self, slot: u32, gen: u32) -> Option<T> {
+        let s = self.slots.get_mut(slot as usize).filter(|s| s.gen == gen)?;
+        s.gen = s.gen.wrapping_add(1);
+        let item = s.item.take();
+        self.free.push(slot);
+        item
+    }
+
+    /// Whether `key`'s item is still queued.
+    fn live(slots: &[Slot<T>], key: &Key) -> bool {
+        slots[key.slot as usize].gen == key.gen
+    }
+
+    /// Drops every dead key once they outnumber both the live items and
+    /// [`DEAD_FLOOR`], so the keys held stay within twice the items (or
+    /// the floor), and each cancel pays for the pass in `O(1)`.
+    fn collect(&mut self) {
+        if self.dead <= DEAD_FLOOR || self.dead <= self.len() {
+            return;
+        }
+        let slots = &self.slots;
+        for (idx, bucket) in self.buckets.iter_mut().enumerate() {
+            bucket.retain(|Reverse(k)| Self::live(slots, k));
+            if bucket.is_empty() {
+                self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
+            }
+        }
+        self.overflow.retain(|k| Self::live(slots, k));
+        self.front.retain(|Reverse(k)| Self::live(slots, k));
+        self.dead = 0;
     }
 
     /// Puts `key` in bucket `idx` and marks the bucket occupied.
@@ -198,11 +284,16 @@ impl<T> Calendar<T> {
         }
     }
 
-    /// Slides the window forward so the overflow minimum lands in a
-    /// bucket, moving every overflow key that now fits into its bucket.
-    /// Callers guarantee the buckets and `front` are empty.
+    /// Drops the overflow's dead keys, then slides the window forward so
+    /// the overflow minimum lands in a bucket, moving every overflow key
+    /// that now fits into its bucket. Callers guarantee the buckets and
+    /// `front` are empty.
     fn rebase(&mut self) {
         debug_assert!(self.front.is_empty());
+        let held = self.overflow.len();
+        let slots = &self.slots;
+        self.overflow.retain(|k| Self::live(slots, k));
+        self.dead -= held - self.overflow.len();
         let Some(min) = self.overflow.iter().map(|k| k.at.as_nanos()).min() else { return };
         self.base = min >> WIDTH_SHIFT << WIDTH_SHIFT;
         self.cursor = 0;
@@ -219,9 +310,9 @@ impl<T> Calendar<T> {
         }
     }
 
-    /// Index of the bucket holding the next item, rebasing the window if
-    /// it has been exhausted. `None` when only `front` has items (or the
-    /// queue is empty).
+    /// Index of the bucket holding the next key, rebasing the window if
+    /// it has been exhausted. `None` when only `front` has keys (or the
+    /// queue holds none).
     fn next_bucket(&mut self) -> Option<usize> {
         if let Some(idx) = self.first_occupied(self.cursor) {
             return Some(idx);
@@ -233,36 +324,57 @@ impl<T> Calendar<T> {
         None
     }
 
-    /// The time of the next item, without removing it.
-    pub fn next_time(&mut self) -> Option<SimTime> {
-        // `front` items are strictly earlier than anything in a bucket
-        // or the overflow (all ≥ base), so they win unconditionally.
+    /// The next key, live or dead, without removing it.
+    fn peek_key(&mut self) -> Option<Key> {
+        // `front` keys are strictly earlier than anything in a bucket or
+        // the overflow (all ≥ base), so they win unconditionally.
         if let Some(Reverse(k)) = self.front.peek() {
-            return Some(k.at);
+            return Some(*k);
         }
         let idx = self.next_bucket()?;
-        self.buckets[idx].peek().map(|Reverse(k)| k.at)
+        self.buckets[idx].peek().map(|Reverse(k)| *k)
+    }
+
+    /// Removes the next key, live or dead, if it is due at or before
+    /// `limit`, in one scan.
+    fn pop_key(&mut self, limit: SimTime) -> Option<Key> {
+        if !self.front.is_empty() {
+            return pop_if_due(&mut self.front, limit);
+        }
+        let idx = self.next_bucket()?;
+        let key = pop_if_due(&mut self.buckets[idx], limit)?;
+        if self.buckets[idx].is_empty() {
+            self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
+        }
+        self.cursor = idx;
+        Some(key)
+    }
+
+    /// The time of the next item, without removing it.
+    pub fn next_time(&mut self) -> Option<SimTime> {
+        loop {
+            let key = self.peek_key()?;
+            if Self::live(&self.slots, &key) {
+                return Some(key.at);
+            }
+            self.pop_key(key.at);
+            self.dead -= 1;
+        }
     }
 
     /// Removes and returns the next item if it is due at or before
-    /// `limit`, in one scan.
+    /// `limit`.
     pub fn pop_due(&mut self, limit: SimTime) -> Option<(SimTime, T)> {
-        let key = if self.front.is_empty() {
-            let idx = self.next_bucket()?;
-            let key = pop_if_due(&mut self.buckets[idx], limit)?;
-            if self.buckets[idx].is_empty() {
-                self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
+        loop {
+            let key = self.pop_key(limit)?;
+            match self.take(key.slot, key.gen) {
+                Some(item) => {
+                    self.collect();
+                    return Some((key.at, item));
+                }
+                None => self.dead -= 1,
             }
-            self.cursor = idx;
-            key
-        } else {
-            pop_if_due(&mut self.front, limit)?
-        };
-        let Some(item) = self.slots[key.slot].take() else {
-            unreachable!("slot {} is held by its key until the key pops", key.slot)
-        };
-        self.free.push(key.slot);
-        Some((key.at, item))
+        }
     }
 
     /// Removes and returns the next item.
@@ -303,6 +415,20 @@ mod tests {
 
         fn next_time(&self) -> Option<SimTime> {
             self.heap.peek().map(|Reverse((at, _, _))| *at)
+        }
+
+        /// Takes out the item pushed as `kind`, if it is still queued.
+        fn remove(&mut self, kind: u32) -> Option<u32> {
+            let held = self.heap.len();
+            self.heap.retain(|Reverse((_, _, k))| *k != kind);
+            (self.heap.len() < held).then_some(kind)
+        }
+    }
+
+    impl<T> Calendar<T> {
+        /// Keys held, live and dead.
+        fn keys(&self) -> usize {
+            self.buckets.iter().map(BinaryHeap::len).sum::<usize>() + self.overflow.len() + self.front.len()
         }
     }
 
@@ -358,10 +484,12 @@ mod tests {
         assert_eq!(drain(|| q.pop()), vec![(5, 1), (7, 2), (10 * WINDOW_NS, 0)]);
     }
 
-    /// Randomized interleaving of pushes and pops must match the naive
-    /// heap exactly, including FIFO among equal timestamps and items
-    /// tens of windows out, which wait in the overflow heap and drain
-    /// through forward rebases past empty stretches of the timeline.
+    /// Randomized interleaving of pushes, pops and cancels must match
+    /// the naive heap exactly, including FIFO among equal timestamps and
+    /// items tens of windows out, which wait in the overflow heap and
+    /// drain through forward rebases past empty stretches of the
+    /// timeline. A cancel names any item pushed so far, popped and
+    /// cancelled ones too.
     #[test]
     fn randomized_parity_with_heap() {
         use crate::rng::SimRng;
@@ -369,11 +497,15 @@ mod tests {
             let mut rng = SimRng::seed_from(seed);
             let mut cal = Calendar::new();
             let mut heap = NaiveHeap::default();
+            let mut handles = Vec::new();
             let mut seq = 0u64;
             let mut now = 0u64;
             let mut popped = Vec::new();
             for _ in 0..2_000 {
-                if rng.chance(0.6) || cal.len() == 0 {
+                if seq > 0 && rng.chance(0.2) {
+                    let kind = rng.range(0, seq) as u32;
+                    assert_eq!(cal.cancel(handles[kind as usize]), heap.remove(kind), "seed {seed}");
+                } else if rng.chance(0.6) || cal.is_empty() {
                     // Push at now + a delay spanning near & far future,
                     // with plenty of exact collisions.
                     let delay = match rng.range(0, 5) {
@@ -384,7 +516,7 @@ mod tests {
                         _ => rng.range(10 * WINDOW_NS, 100 * WINDOW_NS),
                     };
                     let at = SimTime::from_nanos(now + delay);
-                    cal.push(at, seq as u32);
+                    handles.push(cal.push(at, seq as u32));
                     heap.push(at, seq as u32);
                     seq += 1;
                 } else {
@@ -414,10 +546,11 @@ mod tests {
 
     /// The live pattern: pushes are stamped on other threads and may
     /// precede the last pop, pops take only what a clock says is due,
-    /// and an idle loop parks on `next_time`. The calendar must stay in
-    /// step with the naive heap throughout (due order across buckets and
-    /// overflow, `next_time` the earliest item), never hand out an item
-    /// past its limit, and drain every item.
+    /// handlers cancel timers they armed, and an idle loop parks on
+    /// `next_time`. The calendar must stay in step with the naive heap
+    /// throughout (due order across buckets and overflow, `next_time`
+    /// the earliest live item), never hand out an item past its limit,
+    /// and drain every item it was not told to cancel.
     #[test]
     fn live_pattern_parity_with_heap() {
         use crate::rng::SimRng;
@@ -434,20 +567,27 @@ mod tests {
             let mut rng = SimRng::seed_from(seed);
             let mut cal = Calendar::new();
             let mut heap = NaiveHeap::default();
-            let (mut pushed, mut popped, mut clock) = (0u32, 0u32, 0u64);
+            let mut handles = Vec::new();
+            let (mut pushed, mut popped, mut cancelled, mut clock) = (0u32, 0u32, 0u32, 0u64);
             for _ in 0..6_000 {
-                match rng.range(0, 3) {
+                match rng.range(0, 4) {
                     0 => {
                         let at = match rng.range(0, 3) {
                             0 => clock.saturating_sub(rng.range(0, 50_000_000)),
                             1 => clock + rng.range(0, 100_000_000),
                             _ => clock + rng.range(0, 3 * WINDOW_NS),
                         };
-                        cal.push(SimTime::from_nanos(at), pushed);
+                        handles.push(cal.push(SimTime::from_nanos(at), pushed));
                         heap.push(SimTime::from_nanos(at), pushed);
                         pushed += 1;
                     }
-                    1 => {
+                    1 if pushed > 0 => {
+                        let kind = rng.range(0, u64::from(pushed)) as u32;
+                        let gone = cal.cancel(handles[kind as usize]);
+                        assert_eq!(gone, heap.remove(kind), "seed {seed}");
+                        cancelled += u32::from(gone.is_some());
+                    }
+                    2 => {
                         clock += rng.range(0, 20_000_000);
                         let limit = SimTime::from_nanos(clock);
                         while let Some(item) = cal.pop_due(limit) {
@@ -464,8 +604,8 @@ mod tests {
                 assert_eq!(Some(item), heap.pop(), "seed {seed}");
                 popped += 1;
             }
-            assert!(heap.heap.is_empty() && pushed > 1_000);
-            assert_eq!(popped, pushed, "seed {seed}: every item drains");
+            assert!(heap.heap.is_empty() && pushed > 1_000 && cancelled > 100);
+            assert_eq!(popped + cancelled, pushed, "seed {seed}: every item drains or is cancelled");
         }
     }
 
@@ -518,8 +658,8 @@ mod tests {
         assert!(bases.len() > 5, "rebases: {bases:?}");
     }
 
-    /// Every pushed item is dropped exactly once: by its pop, or with
-    /// the queue.
+    /// Every pushed item is dropped exactly once: by its pop, by its
+    /// cancel, or with the queue.
     #[test]
     fn each_item_is_dropped_once_popped_or_with_the_queue() {
         use std::cell::RefCell;
@@ -544,12 +684,19 @@ mod tests {
         assert_eq!(q.pop().map(|(_, c)| c.0), Some(0));
         assert_eq!(q.pop().map(|(_, c)| c.0), Some(5));
         assert_eq!(q.next_time(), Some(SimTime::from_nanos(2 * WINDOW_NS)), "rebased");
-        q.push(SimTime::from_nanos(9), Counted(6, dropped.clone()));
-        assert_eq!(q.len(), 4);
+        let front = q.push(SimTime::from_nanos(9), Counted(6, dropped.clone()));
+        let near = q.push(SimTime::from_nanos(3 * WINDOW_NS), Counted(7, dropped.clone()));
+        let far = q.push(SimTime::from_nanos(9 * WINDOW_NS), Counted(8, dropped.clone()));
+        for handle in [front, near, far] {
+            let item = q.cancel(handle).expect("queued");
+            assert!(!dropped.borrow().contains(&item.0), "a cancelled item belongs to the caller");
+        }
+        assert_eq!(dropped.borrow()[3..], [6, 7, 8], "each dropped by its cancel");
+        assert_eq!(q.len(), 3);
         drop(q);
         let mut seen = dropped.borrow().clone();
         seen.sort_unstable();
-        assert_eq!(seen, (0..7).collect::<Vec<_>>());
+        assert_eq!(seen, (0..9).collect::<Vec<_>>());
     }
 
     /// The slab keeps no more slots than the most items ever queued at
@@ -562,7 +709,7 @@ mod tests {
         let mut now = 0;
         for k in [1, 16, 300] {
             for i in 0..20_000u64 {
-                if q.len() < k && (q.len() == 0 || rng.chance(0.5)) {
+                if q.len() < k && (q.is_empty() || rng.chance(0.5)) {
                     q.push(SimTime::from_nanos(now + rng.range(0, 2 * WINDOW_NS)), i);
                 } else {
                     now = q.pop().expect("non-empty").0.as_nanos();
@@ -570,5 +717,67 @@ mod tests {
                 assert!(q.slots.len() <= k, "{} slots for at most {k} items", q.slots.len());
             }
         }
+    }
+
+    /// A handle goes stale when its item pops, when it is cancelled and
+    /// when its slot holds a later item: it then cancels nothing.
+    #[test]
+    fn a_stale_handle_cancels_nothing() {
+        let ms = SimTime::from_millis;
+        let mut q = Calendar::new();
+        let popped = q.push(ms(1), 'a');
+        assert_eq!(q.pop(), Some((ms(1), 'a')));
+        assert_eq!(q.cancel(popped), None, "after its pop");
+
+        let reused = q.push(ms(2), 'b');
+        assert_eq!(reused.slot, popped.slot, "the slot is reused in its next generation");
+        assert_eq!(q.cancel(popped), None, "after its slot was reused");
+        assert_eq!(q.cancel(reused), Some('b'));
+        assert_eq!(q.cancel(reused), None, "after its cancel");
+
+        let held = q.push(ms(3), 'c');
+        for stale in [popped, reused] {
+            assert_eq!(q.cancel(stale), None);
+        }
+        assert_eq!((q.len(), q.next_time()), (1, Some(ms(3))), "the slot's item stays");
+        assert_eq!(q.pop(), Some((ms(3), 'c')));
+        assert_eq!((q.cancel(held), q.pop(), q.is_empty()), (None, None, true));
+    }
+
+    /// The live shape: each check arms a timeout and its reply cancels
+    /// it, so nearly every key goes dead. The dead keys never outnumber
+    /// both the live items and the floor, and when every timer is gone
+    /// the queue holds nothing.
+    #[test]
+    fn dead_keys_never_exceed_the_live_items_or_the_floor() {
+        use crate::rng::SimRng;
+        let mut rng = SimRng::seed_from(11);
+        let mut q = Calendar::new();
+        let mut pending = Vec::new();
+        let (mut now, mut passes) = (0u64, 0);
+        for _ in 0..50_000 {
+            now += rng.range(0, 200_000);
+            if rng.chance(0.5) {
+                // A timeout 500 ms out, or past the window.
+                let out = if rng.chance(0.9) { 500_000_000 } else { 2 * WINDOW_NS };
+                pending.push(q.push(SimTime::from_nanos(now + out), ()));
+            } else if !pending.is_empty() {
+                // Most replies come soon; some much later.
+                let newest = pending.len() - 1;
+                let i = if rng.chance(0.9) { newest } else { rng.range(0, newest as u64 + 1) as usize };
+                let keys = q.keys();
+                q.cancel(pending.swap_remove(i));
+                passes += usize::from(q.keys() < keys);
+            }
+            while q.pop_due(SimTime::from_nanos(now)).is_some() {}
+            let dead = q.keys() - q.len();
+            assert!(dead <= q.len().max(DEAD_FLOOR), "{dead} dead keys beside {} items", q.len());
+            assert_eq!(dead, q.dead);
+        }
+        assert!(passes > 3, "a cancel dropped the dead keys {passes} times");
+        while let Some(handle) = pending.pop() {
+            q.cancel(handle);
+        }
+        assert_eq!((q.next_time(), q.pop(), q.keys()), (None, None, 0), "the dead keys went with the last look");
     }
 }

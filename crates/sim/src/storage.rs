@@ -157,8 +157,7 @@ impl Waker {
     fn for_step(tag: u64) -> Option<Waker> {
         let (node, incarnation) = STEP.with(Cell::get)?;
         let fire = FIRE.with(|slot| slot.borrow().clone())?;
-        // No timer is ever armed or cancelled under this id.
-        Some(Waker { fire, timer: Timer { node, id: TimerId(u64::MAX), tag, incarnation } })
+        Some(Waker { fire, timer: Timer { node, id: TimerId::WAKE, tag, incarnation } })
     }
 
     /// Fires the wake.

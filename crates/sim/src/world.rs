@@ -19,7 +19,7 @@
 use crate::clock::{ClockSpec, DriftClock, LocalTime};
 use crate::metrics::{MetricId, Metrics};
 use crate::net::{DropReason, NetModel, PerfectNet, Verdict};
-use crate::node::{Context, Effect, Life, Node, NodeId, Note, Sink, Step, Streams, Timer};
+use crate::node::{Armed, Context, Effect, Life, Node, NodeId, Note, Sink, Step, Streams, Timer};
 use crate::queue::Calendar;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -202,8 +202,12 @@ impl<M: Clone + std::fmt::Debug> Sink<M> for Env<M> {
         }
     }
 
-    fn arm(&mut self, due: SimTime, timer: Timer) {
-        self.push(due, EventKind::Timer(timer));
+    fn arm(&mut self, due: SimTime, timer: Timer) -> Option<Armed> {
+        Some(Armed { queue: 0, handle: self.queue.push(due, EventKind::Timer(timer)) })
+    }
+
+    fn disarm(&mut self, armed: Armed) {
+        self.queue.cancel(armed.handle);
     }
 
     fn note(&mut self, from: NodeId, text: Note) {
@@ -447,16 +451,17 @@ impl<M: Clone + std::fmt::Debug + 'static> World<M> {
     }
 
     /// Runs until the event queue drains or `deadline` is hit, whichever
-    /// comes first; returns `true` if the queue drained. Useful for
-    /// protocols with no periodic timers; a deployment with heartbeats
-    /// never goes idle, so the deadline is mandatory.
+    /// comes first; returns `true` if the queue drained. A cancelled
+    /// timer is not queued, so a world left with only cancelled timers is
+    /// idle. Useful for protocols with no periodic timers; a deployment
+    /// with heartbeats never goes idle, so the deadline is mandatory.
     pub fn run_until_idle(&mut self, deadline: SimTime) -> bool {
         self.ensure_started();
         while let Some((at, kind)) = self.env.queue.pop_due(deadline) {
             self.env.now = at;
             self.dispatch(kind);
         }
-        self.env.queue.len() == 0
+        self.env.queue.is_empty()
     }
 
     /// Processes a single queued event. Returns `false` when the queue is
@@ -757,6 +762,63 @@ mod tests {
         let node = world.add_node("c", Box::new(CancelNode::default()), ClockSpec::Perfect);
         world.run_until(SimTime::from_secs(5));
         assert!(!world.node_as::<CancelNode>(node).fired);
+    }
+
+    /// Checks whose query timers are all cancelled leave the queue
+    /// holding only the pending timers, and a world whose only queued
+    /// items were cancelled timers is idle.
+    #[test]
+    fn cancelled_timers_leave_the_queue_and_the_world_idles() {
+        use crate::node::TimerId;
+        /// Each check from the environment queries the server under a
+        /// 10 s timeout that its pong cancels; a pong from the
+        /// environment cancels the timer armed at start.
+        struct Checker {
+            server: NodeId,
+            queries: std::collections::VecDeque<TimerId>,
+            start: Option<TimerId>,
+            fired: u32,
+        }
+        impl Node for Checker {
+            type Msg = Msg;
+            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+                self.start = Some(ctx.set_timer(SimDuration::from_secs(60), 0));
+            }
+            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
+                match (msg, from == NodeId::ENV) {
+                    (Msg::Ping, _) => {
+                        ctx.send(self.server, Msg::Ping);
+                        self.queries.push_back(ctx.set_timer(SimDuration::from_secs(10), 1));
+                    }
+                    (Msg::Pong, false) => ctx.cancel_timer(self.queries.pop_front().expect("a query")),
+                    (Msg::Pong, true) => ctx.cancel_timer(self.start.take().expect("the start timer")),
+                }
+            }
+            fn on_timer(&mut self, _c: &mut Context<'_, Msg>, _tag: u64) {
+                self.fired += 1;
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        const CHECKS: u64 = 500;
+        let mut world: World<Msg> = World::new(13);
+        let server = world.add_node("server", Box::new(PingPong::default()), ClockSpec::Perfect);
+        let checker = Checker { server, queries: Default::default(), start: None, fired: 0 };
+        let checker = world.add_node("checker", Box::new(checker), ClockSpec::Perfect);
+        for i in 0..CHECKS {
+            world.inject(SimTime::from_millis(2 * i + 1), checker, Msg::Ping);
+        }
+        assert!(!world.run_until_idle(SimTime::from_secs(2)));
+        assert_eq!(world.node_as::<PingPong>(server).pings, CHECKS as u32);
+        assert_eq!(world.env.queue.len(), 1, "only the start timer is pending");
+        assert_eq!(world.meta[checker.index()].armed(), 1);
+        world.inject(SimTime::from_secs(3), checker, Msg::Pong);
+        assert!(world.run_until_idle(SimTime::from_secs(5)), "the cancelled timers are gone");
+        assert_eq!((world.node_as::<Checker>(checker).fired, world.meta[checker.index()].armed()), (0, 0));
     }
 
     #[test]
