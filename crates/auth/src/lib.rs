@@ -39,5 +39,5 @@ pub mod prelude {
     pub use crate::hmac::{hmac_sha256, Tag};
     pub use crate::rsa::{KeyPair, PublicKey, SecretKey, Signature};
     pub use crate::sha256::{Digest, Sha256};
-    pub use crate::signed::{AuthEncode, KeyRegistry, PrincipalId, Signed};
+    pub use crate::signed::{AuthEncode, AuthSink, KeyRegistry, PrincipalId, Signed};
 }

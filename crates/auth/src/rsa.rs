@@ -100,8 +100,7 @@ pub fn sign(key: &SecretKey, message: &[u8]) -> Signature {
 /// assert!(!verify(&kp.public, b"grant more access", &sig));
 /// ```
 pub fn verify(key: &PublicKey, message: &[u8], sig: &Signature) -> bool {
-    let m = Digest::of(message).prefix_u64() % key.n;
-    mod_pow(sig.0, key.e, key.n) == m
+    PreparedKey::new(*key).verify(&Digest::of(message), sig)
 }
 
 /// Modular exponentiation by squaring, `base^exp mod modulus`.
@@ -109,13 +108,124 @@ pub fn verify(key: &PublicKey, message: &[u8], sig: &Signature) -> bool {
 /// # Panics
 ///
 /// Panics if `modulus` is zero.
-pub fn mod_pow(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
-    assert!(modulus != 0, "modulus must be non-zero");
-    if modulus == 1 {
-        return 0;
+pub fn mod_pow(base: u64, exp: u64, modulus: u64) -> u64 {
+    Modulus::new(modulus).pow(base, exp)
+}
+
+/// A public key with its modulus prepared for Montgomery arithmetic, so
+/// that a key checked many times works its constants out once.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PreparedKey {
+    modulus: Modulus,
+    e: u64,
+}
+
+impl PreparedKey {
+    pub(crate) fn new(key: PublicKey) -> Self {
+        PreparedKey { modulus: Modulus::new(key.n), e: key.e }
     }
+
+    pub(crate) fn public(&self) -> PublicKey {
+        PublicKey { n: self.modulus.n, e: self.e }
+    }
+
+    /// Whether `sig` is the signature of the message hashed to `digest`.
+    pub(crate) fn verify(&self, digest: &Digest, sig: &Signature) -> bool {
+        self.modulus.pow(sig.0, self.e) == digest.prefix_u64() % self.modulus.n
+    }
+}
+
+/// A modulus `n` and, when `n` is odd, its Montgomery constants for
+/// `R = 2^64` (Montgomery, "Modular Multiplication Without Trial
+/// Division", Math. Comp. 1985): a product is reduced by two multiplies
+/// and a shift instead of a 128-bit division. An even `n` has no such
+/// constants and takes the 128-bit remainder loop; the two give the same
+/// results.
+#[derive(Debug, Clone, Copy)]
+struct Modulus {
+    n: u64,
+    /// `-n^-1 mod R`.
+    n_neg_inv: u64,
+    /// `R^2 mod n`, which [`Modulus::mont_form`] multiplies by.
+    r2: u64,
+}
+
+impl Modulus {
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    fn new(n: u64) -> Self {
+        assert!(n != 0, "modulus must be non-zero");
+        if n.is_multiple_of(2) {
+            return Modulus { n, n_neg_inv: 0, r2: 0 };
+        }
+        // Newton's iteration doubles the correct low bits of an inverse
+        // mod 2^k; `n` is its own inverse mod 2^3, so five steps reach 64.
+        let mut inv = n;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n.wrapping_mul(inv)));
+        }
+        let r = n.wrapping_neg() % n;
+        let r2 = (r as u128 * r as u128 % n as u128) as u64;
+        Modulus { n, n_neg_inv: inv.wrapping_neg(), r2 }
+    }
+
+    /// `base^exp mod n`.
+    fn pow(&self, base: u64, exp: u64) -> u64 {
+        if self.n.is_multiple_of(2) {
+            return mod_pow_u128(base, exp, self.n);
+        }
+        self.redc(self.pow_mont(base, exp) as u128)
+    }
+
+    /// `base^exp` in Montgomery form, left to right over the bits of
+    /// `exp`; `n` must be odd.
+    fn pow_mont(&self, base: u64, exp: u64) -> u64 {
+        if exp == 0 {
+            return self.mont_form(1);
+        }
+        let b = self.mont_form(base % self.n);
+        let mut x = b;
+        for bit in (0..63 - exp.leading_zeros()).rev() {
+            x = self.mul(x, x);
+            if exp >> bit & 1 == 1 {
+                x = self.mul(x, b);
+            }
+        }
+        x
+    }
+
+    /// `a·R mod n` for `a < n`.
+    fn mont_form(&self, a: u64) -> u64 {
+        self.mul(a, self.r2)
+    }
+
+    /// `a·b·R^-1 mod n` for Montgomery forms `a, b < n`.
+    fn mul(&self, a: u64, b: u64) -> u64 {
+        self.redc(a as u128 * b as u128)
+    }
+
+    /// `t·R^-1 mod n` for `t < n·R`. `t + m·n` is below `2·n·R`, which
+    /// passes 2^128 once `n` passes 2^63 (every generated modulus does),
+    /// so the carry out of the add is the quotient's 65th bit.
+    fn redc(&self, t: u128) -> u64 {
+        let m = (t as u64).wrapping_mul(self.n_neg_inv);
+        let (sum, carry) = t.overflowing_add(m as u128 * self.n as u128);
+        let u = (sum >> 64) as u64;
+        if carry || u >= self.n {
+            u.wrapping_sub(self.n)
+        } else {
+            u
+        }
+    }
+}
+
+/// `base^exp mod modulus` by right-to-left squaring with a 128-bit
+/// remainder per product: the path for an even modulus, and the
+/// reference the Montgomery path is tested against.
+fn mod_pow_u128(base: u64, mut exp: u64, modulus: u64) -> u64 {
     let m = modulus as u128;
-    let mut result: u128 = 1;
+    let mut result: u128 = 1 % m;
     let mut b = (base % modulus) as u128;
     while exp > 0 {
         if exp & 1 == 1 {
@@ -124,8 +234,7 @@ pub fn mod_pow(mut base: u64, mut exp: u64, modulus: u64) -> u64 {
         b = b * b % m;
         exp >>= 1;
     }
-    base = result as u64;
-    base
+    result as u64
 }
 
 /// Greatest common divisor.
@@ -176,14 +285,18 @@ pub fn is_prime(n: u64) -> bool {
         d /= 2;
         s += 1;
     }
+    // Compared in Montgomery form: 1 and n - 1 are R and n - R there.
+    let modulus = Modulus::new(n);
+    let one = modulus.mont_form(1);
+    let minus_one = n - one;
     'witness: for a in [2u64, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37] {
-        let mut x = mod_pow(a, d, n);
-        if x == 1 || x == n - 1 {
+        let mut x = modulus.pow_mont(a, d);
+        if x == one || x == minus_one {
             continue;
         }
         for _ in 0..s - 1 {
-            x = ((x as u128 * x as u128) % n as u128) as u64;
-            if x == n - 1 {
+            x = modulus.mul(x, x);
+            if x == minus_one {
                 continue 'witness;
             }
         }
@@ -206,8 +319,106 @@ fn random_prime<R: Rng>(rng: &mut R) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Exact primality by trial division, for the ranges it can cover.
+    fn is_prime_by_division(n: u64) -> bool {
+        n >= 2 && (2..).take_while(|p| p * p <= n).all(|p| !n.is_multiple_of(p))
+    }
+
+    proptest! {
+        #[test]
+        fn montgomery_pow_matches_u128_on_moduli_past_2_pow_63(
+            n in (1u64 << 63)..=u64::MAX,
+            base in any::<u64>(),
+            exp in any::<u64>(),
+        ) {
+            let n = n | 1;
+            prop_assert_eq!(mod_pow(base, exp, n), mod_pow_u128(base, exp, n));
+            prop_assert_eq!(mod_pow(base, 65_537, n), mod_pow_u128(base, 65_537, n));
+        }
+
+        #[test]
+        fn montgomery_pow_matches_u128_near_u64_max(
+            below in 0u64..1 << 20,
+            base in any::<u64>(),
+            exp in any::<u64>(),
+        ) {
+            let n = (u64::MAX - below) | 1;
+            // Operands just under n make `t + m·n` carry out of 128 bits.
+            for b in [base, n - 1, n - 2, n - 1 - below % (n - 1)] {
+                prop_assert_eq!(mod_pow(b, exp, n), mod_pow_u128(b, exp, n));
+            }
+        }
+
+        #[test]
+        fn montgomery_pow_matches_u128_on_small_odd_moduli(
+            n in 0u64..1 << 16,
+            base in any::<u64>(),
+            exp in 0u64..1 << 12,
+        ) {
+            let n = n | 1;
+            prop_assert_eq!(mod_pow(base, exp, n), mod_pow_u128(base, exp, n));
+        }
+
+        #[test]
+        fn mod_pow_stays_total_on_even_moduli(
+            n in 1u64..=u64::MAX / 2,
+            base in any::<u64>(),
+            exp in any::<u64>(),
+        ) {
+            let n = n * 2;
+            prop_assert_eq!(mod_pow(base, exp, n), mod_pow_u128(base, exp, n));
+        }
+    }
+
+    #[test]
+    fn mod_pow_edge_exponents_and_moduli() {
+        for n in [1u64, 3, 1_000, 0xc000_0001, 0xc000_0001 * 0xc000_0003, u64::MAX] {
+            for base in [0u64, 1, 2, n - 1, n, u64::MAX] {
+                for exp in [0u64, 1, 2, 3, 65_537, u64::MAX] {
+                    assert_eq!(mod_pow(base, exp, n), mod_pow_u128(base, exp, n), "{base}^{exp} mod {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn is_prime_agrees_with_trial_division_below_2_pow_20() {
+        for n in 0..1u64 << 20 {
+            assert_eq!(is_prime(n), is_prime_by_division(n), "{n}");
+        }
+    }
+
+    #[test]
+    fn is_prime_agrees_with_trial_division_just_below_2_pow_32() {
+        for n in (1u64 << 32) - 20_000..1 << 32 {
+            assert_eq!(is_prime(n), is_prime_by_division(n), "{n}");
+        }
+    }
+
+    #[test]
+    fn sign_returns_the_pinned_signatures() {
+        // (seed, n, d, signature over "grant access", over ""), as the
+        // 128-bit remainder loop computed them.
+        let pinned = [
+            (1u64, 0xbdca067dab245e87u64, 0x8f0b1c95fe2a0641u64, 0x7d91cfb8f8f66d36u64, 0x15b3c12b4ea12082u64),
+            (2, 0x9fb0e38d92aea32b, 0x9381f8dea2bb93a1, 0x7b51a818f0759c86, 0x291c634c2eaa6c66),
+            (3, 0xab5c728169209267, 0x5d3e5fbb70ace521, 0xa82c33217a59448e, 0x80016ec37d764490),
+            (4, 0xc954a0728b4db6b3, 0x95eba0b598f23431, 0x635360aa29437f36, 0x52a83cce87c7cbee),
+            (5, 0xf0acc4cdc51ba383, 0x3b9ee10589791ba1, 0x9937fdab723895cb, 0xe3af73c69b2adf7c),
+        ];
+        for (seed, n, d, grant, empty) in pinned {
+            let kp = KeyPair::generate(&mut StdRng::seed_from_u64(seed));
+            assert_eq!((kp.public.n, kp.secret.d), (n, d), "seed {seed}");
+            assert_eq!(kp.sign(b"grant access"), Signature(grant), "seed {seed}");
+            assert_eq!(kp.sign(b""), Signature(empty), "seed {seed}");
+            assert!(verify(&kp.public, b"grant access", &Signature(grant)));
+            assert!(verify(&kp.public, b"", &Signature(empty)));
+        }
+    }
 
     #[test]
     fn mod_pow_small_cases() {

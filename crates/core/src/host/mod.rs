@@ -41,7 +41,7 @@ use wanacl_sim::node::{Context, Node, NodeId};
 use crate::audit::{AllowPath, AuditEvent};
 use crate::cache::CacheDecision;
 use crate::channel::{ChannelEnd, PairKey};
-use crate::msg::{invoke_signing_bytes, managers_of, InvokeOutcome, ProtoMsg, QueryVerdict, ReqId, ShardEntry};
+use crate::msg::{managers_of, InvokeSigning, InvokeOutcome, ProtoMsg, QueryVerdict, ReqId, ShardEntry};
 use crate::policy::Policy;
 use crate::types::{AppId, UserId};
 use crate::wrapper::Application;
@@ -434,10 +434,8 @@ impl HostNode {
         ctx.metric_incr(M::HOST_INVOKES);
         // Authentication (§2.1): the message must really come from `user`.
         if let Some(registry) = &self.registry {
-            let ok = signature.is_some_and(|sig| {
-                let key = registry.public_key(user.into());
-                key.is_some_and(|pk| rsa::verify(&pk, &invoke_signing_bytes(user, app, req, &payload), &sig))
-            });
+            let signed = InvokeSigning { user, app, req, payload: &payload };
+            let ok = signature.is_some_and(|sig| registry.verify(user.into(), &signed, &sig));
             if !ok {
                 self.stats.auth_rejects += 1;
                 ctx.metric_incr(M::HOST_AUTH_REJECT);

@@ -50,7 +50,7 @@ use wanacl_sim::time::SimDuration;
 use crate::audit::{AuditEvent, Recovery};
 use crate::channel::ChannelEnd;
 use crate::durable::DurableLog;
-use crate::msg::{admin_signing_bytes, AclOp, AdminStatus, OpId, ProtoMsg, QueryVerdict, RejectReason, ReqId};
+use crate::msg::{AclOp, AdminSigning, AdminStatus, OpId, ProtoMsg, QueryVerdict, RejectReason, ReqId};
 use crate::policy::Policy;
 use crate::storelog::{decode_snapshot, decode_wal_record, encode_record, encode_release, encode_snapshot, WalRecord};
 use crate::types::{Acl, AppId, Right, ShardId, UserId};
@@ -566,10 +566,8 @@ impl ManagerNode {
             return;
         }
         if let Some(registry) = &self.config.registry {
-            let ok = signature.is_some_and(|sig| {
-                let key = registry.public_key(issuer.into());
-                key.is_some_and(|pk| rsa::verify(&pk, &admin_signing_bytes(issuer, &op), &sig))
-            });
+            let signed = AdminSigning { issuer, op: &op };
+            let ok = signature.is_some_and(|sig| registry.verify(issuer.into(), &signed, &sig));
             if !ok {
                 reject(ctx, RejectReason::BadSignature);
                 return;

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use wanacl_auth::rsa::Signature;
-use wanacl_auth::signed::AuthEncode;
+use wanacl_auth::signed::{AuthEncode, AuthSink};
 use wanacl_sim::node::NodeId;
 use wanacl_sim::time::SimDuration;
 
@@ -122,16 +122,16 @@ impl std::fmt::Display for AclOp {
 }
 
 impl AuthEncode for AclOp {
-    fn auth_encode(&self, out: &mut Vec<u8>) {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
         match self {
             AclOp::Add { app, user, right } => {
-                out.push(0);
+                out.put(&[0]);
                 app.auth_encode(out);
                 user.auth_encode(out);
                 right.auth_encode(out);
             }
             AclOp::Revoke { app, user, right } => {
-                out.push(1);
+                out.put(&[1]);
                 app.auth_encode(out);
                 user.auth_encode(out);
                 right.auth_encode(out);
@@ -623,29 +623,126 @@ fn ns_record_signing_bytes(app: AppId, version: u64, shards: &[ShardEntry]) -> V
     out
 }
 
+/// An admin operation as its signature covers it: the issuer, then the
+/// op's kind, app, user and right. A client signs its
+/// [`AuthEncode::auth_bytes`] ([`admin_signing_bytes`]); a manager hashes
+/// the same encoding as it is written
+/// ([`wanacl_auth::signed::KeyRegistry::verify`]).
+pub(crate) struct AdminSigning<'a> {
+    pub(crate) issuer: UserId,
+    pub(crate) op: &'a AclOp,
+}
+
+impl AuthEncode for AdminSigning<'_> {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        self.issuer.auth_encode(out);
+        self.op.auth_encode(out);
+    }
+}
+
+/// An invoke request as its signature covers it: user, app, request id,
+/// then the payload behind its length. A client signs its
+/// [`AuthEncode::auth_bytes`] ([`invoke_signing_bytes`]); a host hashes
+/// the same encoding as it is written.
+pub(crate) struct InvokeSigning<'a> {
+    pub(crate) user: UserId,
+    pub(crate) app: AppId,
+    pub(crate) req: ReqId,
+    pub(crate) payload: &'a str,
+}
+
+impl AuthEncode for InvokeSigning<'_> {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        self.user.auth_encode(out);
+        self.app.auth_encode(out);
+        self.req.0.auth_encode(out);
+        self.payload.auth_encode(out);
+    }
+}
+
 /// Canonical bytes signed for an admin operation.
 pub fn admin_signing_bytes(issuer: UserId, op: &AclOp) -> Vec<u8> {
-    // Issuer, then the op's kind, app, user and right.
     let mut out = Vec::with_capacity(8 + 1 + 4 + 8 + 1);
-    issuer.auth_encode(&mut out);
-    op.auth_encode(&mut out);
+    AdminSigning { issuer, op }.auth_encode(&mut out);
     out
 }
 
 /// Canonical bytes signed for an invoke request.
 pub fn invoke_signing_bytes(user: UserId, app: AppId, req: ReqId, payload: &str) -> Vec<u8> {
-    // User, app, request id, then the payload behind its length.
     let mut out = Vec::with_capacity(8 + 4 + 8 + 8 + payload.len());
-    user.auth_encode(&mut out);
-    app.auth_encode(&mut out);
-    req.0.auth_encode(&mut out);
-    payload.auth_encode(&mut out);
+    InvokeSigning { user, app, req, payload }.auth_encode(&mut out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use wanacl_auth::sha256::{Digest, Sha256};
+
+    /// The digest of `message`'s encoding, hashed as it is written.
+    fn streamed(message: &impl AuthEncode) -> Digest {
+        let mut hasher = Sha256::new();
+        message.auth_encode(&mut hasher);
+        hasher.finish()
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_invoke_digest_is_the_digest_of_the_signed_bytes(
+            user in any::<u64>(),
+            app in any::<u32>(),
+            req in any::<u64>(),
+            // 28 bytes lead the payload: lengths 0..=150 end in the
+            // first, second and third block, and on their edges.
+            payload in ".{0,150}",
+        ) {
+            let (user, app, req) = (UserId(user), AppId(app), ReqId(req));
+            let bytes = invoke_signing_bytes(user, app, req, &payload);
+            let signed = InvokeSigning { user, app, req, payload: &payload };
+            prop_assert_eq!(streamed(&signed), Digest::of(&bytes));
+            prop_assert_eq!(signed.auth_bytes(), bytes);
+        }
+
+        #[test]
+        fn streamed_admin_digest_is_the_digest_of_the_signed_bytes(
+            issuer in any::<u64>(),
+            app in any::<u32>(),
+            user in any::<u64>(),
+            revoke in any::<bool>(),
+            manage in any::<bool>(),
+        ) {
+            let right = if manage { Right::Manage } else { Right::Use };
+            let (app, user) = (AppId(app), UserId(user));
+            let op = if revoke { AclOp::Revoke { app, user, right } } else { AclOp::Add { app, user, right } };
+            let bytes = admin_signing_bytes(UserId(issuer), &op);
+            prop_assert_eq!(streamed(&AdminSigning { issuer: UserId(issuer), op: &op }), Digest::of(&bytes));
+        }
+    }
+
+    #[test]
+    fn a_registry_checks_invoke_and_admin_signatures_as_rsa_verify_does() {
+        use rand::SeedableRng;
+        use wanacl_auth::rsa;
+        let mut registry = wanacl_auth::signed::KeyRegistry::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let user = UserId(9);
+        let keys = registry.enroll(user.into(), &mut rng);
+        for len in [0usize, 35, 36, 37, 99, 100, 101] {
+            let payload = "p".repeat(len);
+            let bytes = invoke_signing_bytes(user, AppId(3), ReqId(4), &payload);
+            let sig = rsa::sign(&keys.secret, &bytes);
+            let signed = InvokeSigning { user, app: AppId(3), req: ReqId(4), payload: &payload };
+            assert!(registry.verify(user.into(), &signed, &sig), "len {len}");
+            assert!(rsa::verify(&keys.public, &bytes, &sig), "len {len}");
+            let other = InvokeSigning { req: ReqId(5), ..signed };
+            assert!(!registry.verify(user.into(), &other, &sig), "len {len}");
+            assert!(!registry.verify(UserId(10).into(), &signed, &sig), "unknown signer");
+        }
+        let sig = rsa::sign(&keys.secret, &admin_signing_bytes(user, &add()));
+        assert!(registry.verify(user.into(), &AdminSigning { issuer: user, op: &add() }, &sig));
+        assert!(!registry.verify(user.into(), &AdminSigning { issuer: user, op: &revoke() }, &sig));
+    }
 
     fn add() -> AclOp {
         AclOp::Add { app: AppId(1), user: UserId(2), right: Right::Use }

@@ -4,7 +4,7 @@
 //! `Users(A)` (holders of the *use* right), and `Managers(A)` (holders of
 //! the *manage* right). Only two right kinds exist: `use` and `manage`.
 
-use wanacl_auth::signed::AuthEncode;
+use wanacl_auth::signed::{AuthEncode, AuthSink};
 use wanacl_sim::hash::FxHashMap;
 use wanacl_sim::metrics::MetricId;
 
@@ -19,8 +19,8 @@ impl std::fmt::Display for AppId {
 }
 
 impl AuthEncode for AppId {
-    fn auth_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0.to_be_bytes());
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        out.put(&self.0.to_be_bytes());
     }
 }
 
@@ -36,8 +36,8 @@ impl std::fmt::Display for UserId {
 }
 
 impl AuthEncode for UserId {
-    fn auth_encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0.to_be_bytes());
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        out.put(&self.0.to_be_bytes());
     }
 }
 
@@ -101,11 +101,11 @@ impl std::fmt::Display for Right {
 }
 
 impl AuthEncode for Right {
-    fn auth_encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        out.put(&[match self {
             Right::Use => 0,
             Right::Manage => 1,
-        });
+        }]);
     }
 }
 
