@@ -12,6 +12,7 @@
 //! same code with a key used once.
 
 use crate::sha256::{Digest, Sha256};
+use crate::signed::AuthEncode;
 
 const BLOCK_LEN: usize = 64;
 
@@ -75,17 +76,18 @@ impl HmacKey {
         HmacKey { inner: absorb(0x36), outer: absorb(0x5c) }
     }
 
-    /// Computes `HMAC-SHA256(key, message)`.
-    pub fn tag(&self, message: &[u8]) -> Tag {
+    /// Computes `HMAC-SHA256(key, message)` over `message`'s canonical
+    /// bytes, hashed as they are encoded.
+    pub fn tag<M: AuthEncode + ?Sized>(&self, message: &M) -> Tag {
         let mut inner = Sha256::resume(self.inner, BLOCK_LEN as u64);
-        inner.update(message);
+        message.auth_encode(&mut inner);
         let mut outer = Sha256::resume(self.outer, BLOCK_LEN as u64);
         outer.update(inner.finish().as_bytes());
         Tag(outer.finish().0)
     }
 
     /// Constant-time-ish tag comparison (full scan regardless of mismatch).
-    pub fn verify(&self, message: &[u8], tag: &Tag) -> bool {
+    pub fn verify<M: AuthEncode + ?Sized>(&self, message: &M, tag: &Tag) -> bool {
         let expected = self.tag(message);
         let mut diff = 0u8;
         for (a, b) in expected.0.iter().zip(tag.0.iter()) {
@@ -175,11 +177,11 @@ mod tests {
         for (i, (key, data, want)) in rfc4231().into_iter().enumerate() {
             assert_eq!(hmac_sha256(&key, &data).to_hex(), want, "one-shot, vector {i}");
             let held = HmacKey::new(&key);
-            assert_eq!(held.tag(&data).to_hex(), want, "keyed, vector {i}");
+            assert_eq!(held.tag(&data[..]).to_hex(), want, "keyed, vector {i}");
             // A held key tags any number of messages, and verifies what
             // the one-shot form tagged.
-            assert_eq!(held.tag(&data).to_hex(), want, "keyed again, vector {i}");
-            assert!(held.verify(&data, &hmac_sha256(&key, &data)), "vector {i}");
+            assert_eq!(held.tag(&data[..]).to_hex(), want, "keyed again, vector {i}");
+            assert!(held.verify(&data[..], &hmac_sha256(&key, &data)), "vector {i}");
         }
     }
 
@@ -223,7 +225,7 @@ mod tests {
             for msg_len in [0usize, 1, 31, 54, 55, 56, 57, 63, 64, 65, 119, 120, 128, 200] {
                 let msg = vec![0xa5u8; msg_len];
                 let want = reference_hmac(&key, &msg);
-                assert_eq!(held.tag(&msg), want, "key {key_len} msg {msg_len}");
+                assert_eq!(held.tag(&msg[..]), want, "key {key_len} msg {msg_len}");
             }
         }
     }
@@ -236,9 +238,9 @@ mod tests {
         ) {
             let want = reference_hmac(&key, &msg);
             let held = HmacKey::new(&key);
-            prop_assert_eq!(held.tag(&msg), want);
+            prop_assert_eq!(held.tag(&msg[..]), want);
             prop_assert_eq!(hmac_sha256(&key, &msg), want);
-            prop_assert!(held.verify(&msg, &want));
+            prop_assert!(held.verify(&msg[..], &want));
             prop_assert!(verify(&key, &msg, &want));
         }
     }

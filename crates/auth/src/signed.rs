@@ -22,9 +22,11 @@ impl std::fmt::Display for PrincipalId {
     }
 }
 
-/// Where canonical bytes go: a buffer to sign or send, or straight into
-/// the hash a signature covers. One encoder feeds both, so the digest a
-/// verifier checks cannot drift from the bytes a signer signed.
+/// Where canonical bytes go: a buffer to sign, send or store, or
+/// straight into a hash (a signature's SHA-256, an HMAC's inner hash, an
+/// FNV-1a digest). One encoder feeds them all, so a digest a verifier
+/// checks cannot drift from the bytes a signer signed, nor a record read
+/// back from the bytes written.
 pub trait AuthSink {
     /// Appends `bytes`.
     fn put(&mut self, bytes: &[u8]);
@@ -44,11 +46,12 @@ impl AuthSink for Sha256 {
     }
 }
 
-/// Canonical byte encoding for signing.
+/// Canonical byte encoding: what is signed, tagged, logged or digested.
 ///
 /// Implementations must be injective for values that should be
 /// distinguishable: two different payloads must encode to different byte
-/// strings, or signatures could be replayed across meanings.
+/// strings, or signatures could be replayed across meanings. Integers
+/// are big-endian; a field whose length varies goes behind its length.
 pub trait AuthEncode {
     /// Appends the canonical encoding of `self` to `out`.
     fn auth_encode<S: AuthSink>(&self, out: &mut S);
@@ -61,9 +64,30 @@ pub trait AuthEncode {
     }
 }
 
+impl AuthEncode for u32 {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        out.put(&self.to_be_bytes());
+    }
+}
+
 impl AuthEncode for u64 {
     fn auth_encode<S: AuthSink>(&self, out: &mut S) {
         out.put(&self.to_be_bytes());
+    }
+}
+
+/// Bytes encoded already, written as they are: with no length in front,
+/// a slice is a whole message or the last field of one.
+impl AuthEncode for [u8] {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        out.put(self);
+    }
+}
+
+/// A fixed number of bytes, written as they are: the type delimits them.
+impl<const N: usize> AuthEncode for [u8; N] {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        out.put(self);
     }
 }
 
@@ -89,6 +113,62 @@ impl<T: AuthEncode> AuthEncode for Vec<T> {
     }
 }
 
+/// Reads back what an [`AuthEncode`] wrote to storage: one cursor over a
+/// byte slice. A short read, a count the remaining bytes cannot hold and
+/// trailing bytes are each `None`, so bytes from a disk decode to the
+/// value they encode or to nothing.
+#[derive(Debug)]
+pub struct AuthDecoder<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> AuthDecoder<'a> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        AuthDecoder { rest: bytes }
+    }
+
+    /// The next `len` bytes.
+    pub fn slice(&mut self, len: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.rest.split_at_checked(len)?;
+        self.rest = rest;
+        Some(head)
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        Some(self.slice(1)?[0])
+    }
+
+    /// The next big-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_be_bytes(self.slice(4)?.try_into().ok()?))
+    }
+
+    /// The next big-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_be_bytes(self.slice(8)?.try_into().ok()?))
+    }
+
+    /// An element count, a big-endian `u32`, rejected when the remaining
+    /// bytes cannot hold that many elements of at least `min_each` (> 0)
+    /// bytes: a count read from disk must not size an allocation first.
+    pub fn count(&mut self, min_each: usize) -> Option<usize> {
+        let count = self.u32()? as usize;
+        (count <= self.rest.len() / min_each).then_some(count)
+    }
+
+    /// Whether every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.rest.is_empty()
+    }
+
+    /// `value`, if every byte has been read; trailing bytes are `None`.
+    pub fn finish<T>(self, value: T) -> Option<T> {
+        self.is_empty().then_some(value)
+    }
+}
+
 /// A payload carrying a verifiable claim of who produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Signed<T> {
@@ -103,7 +183,7 @@ pub struct Signed<T> {
 impl<T: AuthEncode> Signed<T> {
     /// Signs `payload` as `signer` using `key`.
     pub fn seal(payload: T, signer: PrincipalId, key: &SecretKey) -> Signed<T> {
-        let signature = rsa::sign(key, &SignerThen(signer, &payload).auth_bytes());
+        let signature = sign_bytes(signer, &payload, key);
         Signed { payload, signer, signature }
     }
 
@@ -112,52 +192,41 @@ impl<T: AuthEncode> Signed<T> {
     /// Returns `false` when the signer is unknown or the signature does
     /// not check out.
     pub fn verify(&self, registry: &KeyRegistry) -> bool {
-        registry.verify(self.signer, &SignerThen(self.signer, &self.payload), &self.signature)
+        verify_bytes(registry, self.signer, &self.payload, &self.signature)
     }
 }
 
-/// The bytes a [`Signed`] envelope's signature covers: the signer id,
-/// then the payload's encoding.
-struct SignerThen<'a, T>(PrincipalId, &'a T);
+/// The bytes a signature covers: the signer id, then the message's
+/// encoding.
+struct SignerThen<'a, T: ?Sized>(PrincipalId, &'a T);
 
-impl<T: AuthEncode> AuthEncode for SignerThen<'_, T> {
+impl<T: AuthEncode + ?Sized> AuthEncode for SignerThen<'_, T> {
     fn auth_encode<S: AuthSink>(&self, out: &mut S) {
         self.0 .0.auth_encode(out);
         self.1.auth_encode(out);
     }
 }
 
-/// The bytes a detached signature covers: the signer id, then bytes the
-/// caller encoded already.
-struct Detached<'a>(PrincipalId, &'a [u8]);
-
-impl AuthEncode for Detached<'_> {
-    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
-        self.0 .0.auth_encode(out);
-        out.put(self.1);
-    }
-}
-
-/// Signs pre-encoded canonical bytes as `signer` — the detached
-/// counterpart of [`Signed::seal`] for records that carry their
-/// signature inline (e.g. directory records replicated by value) rather
-/// than inside an envelope. The signer id is prepended exactly as
-/// `seal` does, so detached and enveloped signatures share the same
-/// mis-attribution resistance.
-pub fn sign_bytes(signer: PrincipalId, bytes: &[u8], key: &SecretKey) -> Signature {
-    rsa::sign(key, &Detached(signer, bytes).auth_bytes())
+/// Signs `message`'s canonical bytes as `signer`, behind the signer id
+/// so the signature cannot be attributed to another principal.
+/// [`Signed::seal`] signs its payload this way; a record that carries
+/// its signature inline (e.g. a directory record replicated by value)
+/// calls it directly.
+pub fn sign_bytes<M: AuthEncode + ?Sized>(signer: PrincipalId, message: &M, key: &SecretKey) -> Signature {
+    rsa::sign(key, &SignerThen(signer, message).auth_bytes())
 }
 
 /// Verifies a detached signature produced by [`sign_bytes`] against the
-/// registry. Returns `false` for unknown signers, tampered bytes, or
-/// signatures attributed to the wrong principal.
-pub fn verify_bytes(
+/// registry, hashing `message` as it is encoded. Returns `false` for
+/// unknown signers, tampered bytes, or signatures attributed to the
+/// wrong principal.
+pub fn verify_bytes<M: AuthEncode + ?Sized>(
     registry: &KeyRegistry,
     signer: PrincipalId,
-    bytes: &[u8],
+    message: &M,
     sig: &Signature,
 ) -> bool {
-    registry.verify(signer, &Detached(signer, bytes), sig)
+    registry.verify(signer, &SignerThen(signer, message), sig)
 }
 
 /// rustc-hash v1's multiplier, the constant `wanacl_sim::hash::FxHasher`
@@ -242,7 +311,7 @@ impl KeyRegistry {
     /// [`AuthEncode::auth_bytes`] under [`KeyRegistry::public_key`], with
     /// the bytes hashed as they are encoded. `false` for an unknown
     /// signer.
-    pub fn verify<T: AuthEncode>(&self, signer: PrincipalId, message: &T, sig: &Signature) -> bool {
+    pub fn verify<T: AuthEncode + ?Sized>(&self, signer: PrincipalId, message: &T, sig: &Signature) -> bool {
         self.keys.get(&signer).is_some_and(|key| {
             let mut hasher = Sha256::new();
             message.auth_encode(&mut hasher);
@@ -358,6 +427,31 @@ mod tests {
     }
 
     #[test]
+    fn decoder_reads_back_what_the_encoder_wrote_and_rejects_what_it_did_not() {
+        let bytes = [&[5][..], &7u32.auth_bytes(), &9u64.auth_bytes(), b"ab"].concat();
+        let mut d = AuthDecoder::new(&bytes);
+        assert_eq!((d.u8(), d.u32(), d.u64()), (Some(5), Some(7), Some(9)));
+        assert!(!d.is_empty());
+        assert_eq!(d.slice(2), Some(&b"ab"[..]));
+        assert_eq!(d.finish("all read"), Some("all read"));
+        // A short read.
+        assert_eq!(AuthDecoder::new(&[0; 3]).u32(), None);
+        assert_eq!(AuthDecoder::new(&[0; 7]).u64(), None);
+        assert_eq!(AuthDecoder::new(&[]).u8(), None);
+        assert_eq!(AuthDecoder::new(&[0; 2]).slice(3), None);
+        // Trailing bytes.
+        let mut d = AuthDecoder::new(&[0; 5]);
+        assert_eq!(d.u32(), Some(0));
+        assert_eq!(d.finish(()), None);
+        // A count of 3 over five bytes: elements of one byte fit, of two
+        // do not.
+        let counted = [0, 0, 0, 3, 1, 2, 3, 4, 5];
+        assert_eq!(AuthDecoder::new(&counted).count(1), Some(3));
+        assert_eq!(AuthDecoder::new(&counted).count(2), None);
+        assert_eq!(AuthDecoder::new(&[0xff; 4]).count(1), None);
+    }
+
+    #[test]
     fn vec_encoding_includes_length() {
         let a: Vec<u64> = vec![1, 2];
         let b: Vec<u64> = vec![1, 2, 0];
@@ -437,8 +531,8 @@ mod tests {
         let (reg, kp, id) = setup();
         let payload = 99u64;
         let enveloped = Signed::seal(payload, id, &kp.secret);
-        let detached = sign_bytes(id, &payload.auth_bytes(), &kp.secret);
+        let detached = sign_bytes(id, &payload.auth_bytes()[..], &kp.secret);
         assert_eq!(enveloped.signature, detached);
-        assert!(verify_bytes(&reg, id, &payload.auth_bytes(), &detached));
+        assert!(verify_bytes(&reg, id, &payload.auth_bytes()[..], &detached));
     }
 }

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use wanacl_auth::hmac::{hmac_sha256, HmacKey, Tag};
+use wanacl_auth::signed::{AuthEncode, AuthSink};
 use wanacl_sim::hash::FxHashMap;
 use wanacl_sim::node::NodeId;
 use wanacl_sim::time::SimDuration;
@@ -148,7 +149,7 @@ impl PairKey {
         user: UserId,
         verdict: &QueryVerdict,
     ) -> Tag {
-        self.0.tag(query_reply_bytes(req, app, user, verdict).as_bytes())
+        self.0.tag(&QueryReplyTagging(req, app, user, verdict))
     }
 
     /// Verifies a `QueryReply` tag.
@@ -160,17 +161,17 @@ impl PairKey {
         verdict: &QueryVerdict,
         tag: &Tag,
     ) -> bool {
-        self.0.verify(query_reply_bytes(req, app, user, verdict).as_bytes(), tag)
+        self.0.verify(&QueryReplyTagging(req, app, user, verdict), tag)
     }
 
     /// Tags a `RevokeNotice`.
     pub fn tag_revoke_notice(&self, app: AppId, user: UserId) -> Tag {
-        self.0.tag(revoke_notice_bytes(app, user).as_bytes())
+        self.0.tag(&RevokeNoticeTagging(app, user))
     }
 
     /// Verifies a `RevokeNotice` tag.
     pub fn verify_revoke_notice(&self, app: AppId, user: UserId, tag: &Tag) -> bool {
-        self.0.verify(revoke_notice_bytes(app, user).as_bytes(), tag)
+        self.0.verify(&RevokeNoticeTagging(app, user), tag)
     }
 }
 
@@ -218,67 +219,30 @@ impl std::fmt::Debug for ChannelEnd {
     }
 }
 
-/// The widest authenticated encoding, a granting `QueryReply`: `"qr"`,
-/// request, app, user, verdict byte, `te`. (A `RevokeNotice` is `"rn"`,
-/// app, user: 14 bytes.)
-const ENCODED_MAX: usize = 2 + 8 + 4 + 8 + 1 + 8;
+/// A `QueryReply` as its tag covers it: `"qr"`, request, app, user,
+/// then the verdict. The pair key streams it into the HMAC's inner hash.
+struct QueryReplyTagging<'a>(ReqId, AppId, UserId, &'a QueryVerdict);
 
-/// A message's authenticated encoding, on the stack.
-struct Encoded {
-    buf: [u8; ENCODED_MAX],
-    len: usize,
-}
-
-impl Encoded {
-    fn new() -> Self {
-        Encoded { buf: [0; ENCODED_MAX], len: 0 }
-    }
-
-    fn put(&mut self, bytes: &[u8]) {
-        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
-    }
-
-    fn as_bytes(&self) -> &[u8] {
-        &self.buf[..self.len]
+impl AuthEncode for QueryReplyTagging<'_> {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        let QueryReplyTagging(req, app, user, verdict) = self;
+        out.put(b"qr");
+        req.0.auth_encode(out);
+        app.auth_encode(out);
+        user.auth_encode(out);
+        verdict.auth_encode(out);
     }
 }
 
-fn query_reply_bytes(req: ReqId, app: AppId, user: UserId, verdict: &QueryVerdict) -> Encoded {
-    let mut out = Encoded::new();
-    out.put(b"qr");
-    out.put(&req.0.to_be_bytes());
-    out.put(&app.0.to_be_bytes());
-    out.put(&user.0.to_be_bytes());
-    match verdict {
-        QueryVerdict::Grant { te } => {
-            out.put(&[1]);
-            out.put(&te.as_nanos().to_be_bytes());
-        }
-        QueryVerdict::Deny => out.put(&[0]),
-        QueryVerdict::Unavailable { reason } => out.put(&[2, reject_reason_byte(*reason)]),
-    }
-    out
-}
+/// A `RevokeNotice` as its tag covers it: `"rn"`, app, user.
+struct RevokeNoticeTagging(AppId, UserId);
 
-fn reject_reason_byte(reason: crate::msg::RejectReason) -> u8 {
-    use crate::msg::RejectReason::*;
-    match reason {
-        NotAuthorized => 0,
-        BadSignature => 1,
-        Recovering => 2,
-        // 3 was `UnknownApp`, retired: an unserved app is an unknown shard.
-        UnknownShard => 4,
-        ShardMoved => 5,
+impl AuthEncode for RevokeNoticeTagging {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        out.put(b"rn");
+        self.0.auth_encode(out);
+        self.1.auth_encode(out);
     }
-}
-
-fn revoke_notice_bytes(app: AppId, user: UserId) -> Encoded {
-    let mut out = Encoded::new();
-    out.put(b"rn");
-    out.put(&app.0.to_be_bytes());
-    out.put(&user.0.to_be_bytes());
-    out
 }
 
 /// A grant verdict helper used in tests.
@@ -483,7 +447,13 @@ mod tests {
                 }
                 QueryVerdict::Unavailable { reason } => {
                     msg.push(2);
-                    msg.push(reject_reason_byte(reason));
+                    msg.push(match reason {
+                        RejectReason::NotAuthorized => 0,
+                        RejectReason::BadSignature => 1,
+                        RejectReason::Recovering => 2,
+                        RejectReason::UnknownShard => 4,
+                        RejectReason::ShardMoved => 5,
+                    });
                 }
             }
             assert_eq!(
@@ -507,18 +477,6 @@ mod tests {
             ChannelKeys::from_seed(9).tag_revoke_notice(n(0), n(1), app, user),
             from_seed.tag_revoke_notice(n(0), n(1), app, user)
         );
-    }
-
-    #[test]
-    fn encodings_fit_the_stack_buffer() {
-        // `put` would panic past the end; the widest verdict fills the
-        // buffer exactly.
-        let widest = every_verdict()
-            .iter()
-            .map(|v| query_reply_bytes(ReqId(u64::MAX), AppId(u32::MAX), UserId(u64::MAX), v).len)
-            .max();
-        assert_eq!((widest, ENCODED_MAX), (Some(31), 31));
-        assert_eq!(revoke_notice_bytes(AppId(u32::MAX), UserId(u64::MAX)).len, 14);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use wanacl_auth::signed::KeyRegistry;
+use wanacl_auth::signed::{AuthEncode, KeyRegistry};
 use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::node::{Context, NodeId};
 use wanacl_sim::time::SimDuration;
@@ -14,8 +14,8 @@ use wanacl_sim::time::SimDuration;
 use crate::audit::{AuditEvent, ShardOps};
 use crate::msg::{AclOp, NsRecord, OpId, ProtoMsg, ShardEntry};
 use crate::policy::Policy;
-use crate::storelog::encode_record;
-use crate::types::{user_bucket, AppId, ShardId, UserId};
+use crate::storelog::WalRecord;
+use crate::types::{user_bucket, AppId, Fnv1a, ShardId, UserId};
 
 use super::replica::Replica;
 use super::{ManagerConfig, ManagerStats, TAG_HANDOFF};
@@ -24,14 +24,11 @@ use super::{ManagerConfig, ManagerStats, TAG_HANDOFF};
 /// ops. Source and target both compute it; the oracle's rebalance-safety
 /// invariant (I9) compares the two sides.
 pub fn transfer_digest(ops: &[(OpId, AclOp)]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::default();
     for (id, op) in ops {
-        for byte in encode_record(*id, op) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        WalRecord::Op(*id, *op).auth_encode(&mut hash);
     }
-    hash
+    hash.0
 }
 
 /// Source-side handoff bookkeeping while the shard is frozen.

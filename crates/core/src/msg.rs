@@ -61,6 +61,14 @@ impl std::fmt::Display for OpId {
     }
 }
 
+/// The origin's index as a big-endian `u32`, then the sequence number.
+impl AuthEncode for OpId {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        (self.origin.index() as u32).auth_encode(out);
+        self.seq.auth_encode(out);
+    }
+}
+
 /// An access-control update (§2.3's `Add` and `Revoke`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AclOp {
@@ -160,6 +168,24 @@ pub enum QueryVerdict {
     },
 }
 
+/// A kind byte — deny 0, grant 1, unavailable 2 — then a grant's `te`
+/// in nanoseconds or an unavailable answer's reason.
+impl AuthEncode for QueryVerdict {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        match self {
+            QueryVerdict::Grant { te } => {
+                out.put(&[1]);
+                te.as_nanos().auth_encode(out);
+            }
+            QueryVerdict::Deny => out.put(&[0]),
+            QueryVerdict::Unavailable { reason } => {
+                out.put(&[2]);
+                reason.auth_encode(out);
+            }
+        }
+    }
+}
+
 /// The outcome a host reports to the invoking user.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InvokeOutcome {
@@ -192,22 +218,25 @@ pub enum AdminStatus {
     },
 }
 
-/// Why a manager refused an admin operation.
+/// Why a manager refused an admin operation. The discriminant is the
+/// reason's canonical byte; 3 was `UnknownApp`, retired: an unserved app
+/// is an unknown shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum RejectReason {
     /// The issuer does not hold the `manage` right for the application.
-    NotAuthorized,
+    NotAuthorized = 0,
     /// The operation's signature did not verify.
-    BadSignature,
+    BadSignature = 1,
     /// The manager is recovering and has not yet synchronized state.
-    Recovering,
+    Recovering = 2,
     /// No shard this manager serves covers the request's `(app, user
     /// bucket)` — an unserved app, or a misrouted request from a stale
     /// shard map. Retryable: another manager set may own the shard.
-    UnknownShard,
+    UnknownShard = 4,
     /// The shard was handed off to another manager set; the sender
     /// should refresh its shard map and retry there.
-    ShardMoved,
+    ShardMoved = 5,
 }
 
 impl std::fmt::Display for RejectReason {
@@ -219,6 +248,12 @@ impl std::fmt::Display for RejectReason {
             RejectReason::UnknownShard => write!(f, "unknown shard"),
             RejectReason::ShardMoved => write!(f, "shard handed off"),
         }
+    }
+}
+
+impl AuthEncode for RejectReason {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        out.put(&[*self as u8]);
     }
 }
 
@@ -580,9 +615,9 @@ impl NsRecord {
         writer: wanacl_auth::signed::PrincipalId,
         key: &wanacl_auth::rsa::SecretKey,
     ) -> NsRecord {
-        let bytes = ns_record_signing_bytes(app, version, &shards);
-        let signature = wanacl_auth::signed::sign_bytes(writer, &bytes, key);
-        NsRecord { app, version, shards, signature }
+        let mut record = NsRecord { app, version, shards, signature: Signature(0) };
+        record.signature = wanacl_auth::signed::sign_bytes(writer, &NsSigning(&record), key);
+        record
     }
 
     /// Every manager the record names, in first-appearance order.
@@ -590,37 +625,39 @@ impl NsRecord {
         managers_of(&self.shards)
     }
 
-    /// Verifies the record against the writer's registered key.
+    /// Verifies the record against the writer's registered key, hashing
+    /// its canonical bytes as they are encoded.
     pub fn verify(
         &self,
         registry: &wanacl_auth::signed::KeyRegistry,
         writer: wanacl_auth::signed::PrincipalId,
     ) -> bool {
-        let bytes = ns_record_signing_bytes(self.app, self.version, &self.shards);
-        wanacl_auth::signed::verify_bytes(registry, writer, &bytes, &self.signature)
+        wanacl_auth::signed::verify_bytes(registry, writer, &NsSigning(self), &self.signature)
     }
 }
 
-/// Canonical bytes signed for a directory record. The writer principal
-/// is bound by the detached-signature discipline
-/// ([`wanacl_auth::signed::sign_bytes`] prepends the signer id), so the
-/// body binds `(app, version)` and every entry's shard, bucket range and
-/// managers, each list behind its length.
-fn ns_record_signing_bytes(app: AppId, version: u64, shards: &[ShardEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    app.auth_encode(&mut out);
-    version.auth_encode(&mut out);
-    (shards.len() as u64).auth_encode(&mut out);
-    for entry in shards {
-        u64::from(entry.shard.0).auth_encode(&mut out);
-        out.push(entry.lo);
-        out.push(entry.hi);
-        (entry.managers.len() as u64).auth_encode(&mut out);
-        for m in &entry.managers {
-            (m.index() as u64).auth_encode(&mut out);
+/// A directory record as its writer's signature covers it: every field
+/// but the signature. The writer principal is bound by the
+/// detached-signature discipline ([`wanacl_auth::signed::sign_bytes`]
+/// prepends the signer id), so the body binds `(app, version)` and every
+/// entry's shard, bucket range and managers, each list behind its length.
+struct NsSigning<'a>(&'a NsRecord);
+
+impl AuthEncode for NsSigning<'_> {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        let NsRecord { app, version, shards, .. } = self.0;
+        app.auth_encode(out);
+        version.auth_encode(out);
+        (shards.len() as u64).auth_encode(out);
+        for entry in shards {
+            u64::from(entry.shard.0).auth_encode(out);
+            out.put(&[entry.lo, entry.hi]);
+            (entry.managers.len() as u64).auth_encode(out);
+            for m in &entry.managers {
+                (m.index() as u64).auth_encode(out);
+            }
         }
     }
-    out
 }
 
 /// An admin operation as its signature covers it: the issuer, then the
@@ -847,7 +884,10 @@ mod tests {
 
     #[test]
     fn ns_record_signing_bytes_bind_all_fields() {
-        let bytes = |app, version, shards: &[ShardEntry]| ns_record_signing_bytes(AppId(app), version, shards);
+        let bytes = |app, version, shards: &[ShardEntry]| {
+            let record = NsRecord { app: AppId(app), version, shards: shards.to_vec(), signature: Signature(0) };
+            NsSigning(&record).auth_bytes()
+        };
         let base = bytes(1, 3, &[entry(0, 0, 255, &[0, 1])]);
         assert_ne!(base, bytes(2, 3, &[entry(0, 0, 255, &[0, 1])]));
         assert_ne!(base, bytes(1, 4, &[entry(0, 0, 255, &[0, 1])]));

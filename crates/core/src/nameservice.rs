@@ -26,7 +26,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use wanacl_auth::signed::{KeyRegistry, PrincipalId};
+use wanacl_auth::signed::{AuthDecoder, AuthEncode, AuthSink, KeyRegistry, PrincipalId};
 use wanacl_sim::metrics::MetricId as M;
 use wanacl_sim::nemesis::Window;
 use wanacl_sim::node::{Context, Node, NodeId};
@@ -35,8 +35,8 @@ use wanacl_sim::time::{SimDuration, SimTime};
 
 use crate::audit::{AuditEvent, NsHeld};
 use crate::durable::DurableLog;
-use crate::msg::{NsRecord, ProtoMsg};
-use crate::types::AppId;
+use crate::msg::{NsRecord, ProtoMsg, ShardEntry};
+use crate::types::{AppId, ShardId};
 
 /// Upper bound on the TTL carried by a "no such app" answer: even a
 /// misconfigured negative TTL must not pin "no managers" in host caches
@@ -227,7 +227,7 @@ impl DirectoryReplica {
             return;
         }
         let key = (record.app, record.version);
-        match self.log.hold(ctx, key, (record, source), |(record, _)| encode_record(record)) {
+        match self.log.hold(ctx, key, (record, source), |(record, _)| Logged(record).auth_bytes()) {
             Some((record, source)) => self.serve(ctx, record, source),
             None => self.flush(ctx),
         }
@@ -270,7 +270,7 @@ impl DirectoryReplica {
     /// Returns whether there is storage.
     fn recover_from_disk(&mut self) -> bool {
         let Some(recovered) = self.log.recover() else { return false };
-        let snapshot = recovered.snapshot.as_deref().map(decode_snapshot).unwrap_or_default();
+        let snapshot = recovered.snapshot.as_deref().and_then(decode_snapshot).unwrap_or_default();
         for record in snapshot.into_iter().chain(recovered.records.iter().filter_map(|r| decode_record(r))) {
             if record.verify(&self.registry, self.writer) && record.version > self.version_of(record.app) {
                 self.records.insert(record.app, record);
@@ -431,107 +431,68 @@ impl Node for DirectoryReplica {
 //                                                     (all big-endian)
 // snapshot := (len:u32 | record) *
 
-/// Bytes of a record with no shard entries.
-const RECORD_HEAD_LEN: usize = 4 + 8 + 8 + 4;
+/// A record as the WAL holds it (the layout above).
+struct Logged<'a>(&'a NsRecord);
 
-fn encode_record(record: &NsRecord) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_HEAD_LEN + 18 * record.shards.len());
-    out.extend_from_slice(&record.app.0.to_be_bytes());
-    out.extend_from_slice(&record.version.to_be_bytes());
-    out.extend_from_slice(&record.signature.0.to_be_bytes());
-    out.extend_from_slice(&(record.shards.len() as u32).to_be_bytes());
-    for e in &record.shards {
-        out.extend_from_slice(&e.shard.0.to_be_bytes());
-        out.push(e.lo);
-        out.push(e.hi);
-        out.extend_from_slice(&(e.managers.len() as u32).to_be_bytes());
-        for m in &e.managers {
-            out.extend_from_slice(&(m.index() as u64).to_be_bytes());
+impl AuthEncode for Logged<'_> {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        let NsRecord { app, version, shards, signature } = self.0;
+        app.auth_encode(out);
+        version.auth_encode(out);
+        signature.0.auth_encode(out);
+        (shards.len() as u32).auth_encode(out);
+        for e in shards {
+            e.shard.0.auth_encode(out);
+            out.put(&[e.lo, e.hi]);
+            (e.managers.len() as u32).auth_encode(out);
+            for m in &e.managers {
+                (m.index() as u64).auth_encode(out);
+            }
         }
-    }
-    out
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.at..self.at + n)?;
-        self.at += n;
-        Some(slice)
-    }
-
-    /// Reads an element count, rejecting one the remaining bytes could
-    /// not hold at `min_each` bytes per element: the count comes from
-    /// disk and sizes an allocation.
-    fn count(&mut self, min_each: usize) -> Option<usize> {
-        let count = u32::from_be_bytes(self.take(4)?.try_into().ok()?) as usize;
-        (count <= (self.bytes.len() - self.at) / min_each).then_some(count)
-    }
-
-    /// Reads a node id, stored in eight bytes: one that does not fit a
-    /// `NodeId` was never written by `encode_record`.
-    fn node(&mut self) -> Option<NodeId> {
-        let raw = u64::from_be_bytes(self.take(8)?.try_into().ok()?);
-        Some(NodeId::from_index(u32::try_from(raw).ok()? as usize))
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
     }
 }
 
 fn decode_record(bytes: &[u8]) -> Option<NsRecord> {
-    let mut cur = Cursor { bytes, at: 0 };
-    let app = AppId(u32::from_be_bytes(cur.take(4)?.try_into().ok()?));
-    let version = u64::from_be_bytes(cur.take(8)?.try_into().ok()?);
-    let signature = wanacl_auth::rsa::Signature(u64::from_be_bytes(cur.take(8)?.try_into().ok()?));
+    let mut d = AuthDecoder::new(bytes);
+    let (app, version) = (AppId(d.u32()?), d.u64()?);
+    let signature = wanacl_auth::rsa::Signature(d.u64()?);
     // An entry is at least shard + lo + hi + mcount.
-    let scount = cur.count(4 + 1 + 1 + 4)?;
-    let mut shards = Vec::with_capacity(scount);
-    for _ in 0..scount {
-        let shard = crate::types::ShardId(u32::from_be_bytes(cur.take(4)?.try_into().ok()?));
-        let lo = cur.take(1)?[0];
-        let hi = cur.take(1)?[0];
-        let mcount = cur.count(8)?;
-        let mut managers = Vec::with_capacity(mcount);
-        for _ in 0..mcount {
-            managers.push(cur.node()?);
-        }
-        shards.push(crate::msg::ShardEntry { shard, lo, hi, managers });
-    }
-    if !cur.done() {
-        return None;
-    }
-    Some(NsRecord { app, version, shards, signature })
+    let shards = (0..d.count(4 + 1 + 1 + 4)?)
+        .map(|_| {
+            let (shard, lo, hi) = (ShardId(d.u32()?), d.u8()?, d.u8()?);
+            // A manager is stored in eight bytes: one that does not fit a
+            // `NodeId` was never written by `Logged`.
+            let managers = (0..d.count(8)?)
+                .map(|_| Some(NodeId::from_index(u32::try_from(d.u64()?).ok()? as usize)))
+                .collect::<Option<_>>()?;
+            Some(ShardEntry { shard, lo, hi, managers })
+        })
+        .collect::<Option<_>>()?;
+    d.finish(NsRecord { app, version, shards, signature })
 }
 
 fn encode_snapshot<'a>(records: impl Iterator<Item = &'a NsRecord>) -> Vec<u8> {
     let mut out = Vec::new();
     for record in records {
-        let bytes = encode_record(record);
-        out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-        out.extend_from_slice(&bytes);
+        let at = out.len();
+        out.put(&[0; 4]);
+        Logged(record).auth_encode(&mut out);
+        let len = (out.len() - at - 4) as u32;
+        out[at..at + 4].copy_from_slice(&len.to_be_bytes());
     }
     out
 }
 
-fn decode_snapshot(bytes: &[u8]) -> Vec<NsRecord> {
-    let mut out = Vec::new();
-    let mut rest = bytes;
-    while let Some((len, tail)) = rest.split_first_chunk::<4>() {
-        let Some((body, tail)) = tail.split_at_checked(u32::from_be_bytes(*len) as usize) else {
-            break;
-        };
-        rest = tail;
-        if let Some(record) = decode_record(body) {
-            out.push(record);
-        }
+/// Decodes a snapshot; `None` if any record in it does not decode, or
+/// a length prefix is cut short.
+fn decode_snapshot(bytes: &[u8]) -> Option<Vec<NsRecord>> {
+    let mut d = AuthDecoder::new(bytes);
+    let mut records = Vec::new();
+    while !d.is_empty() {
+        let len = d.u32()? as usize;
+        records.push(decode_record(d.slice(len)?)?);
     }
-    out
+    Some(records)
 }
 
 #[cfg(test)]
@@ -551,6 +512,13 @@ mod tests {
     use wanacl_sim::storage::{DiskFaultModel, SimStorage};
 
     const TTL: SimDuration = SimDuration::from_secs(60);
+
+    /// Bytes of a record with no shard entries.
+    const RECORD_HEAD_LEN: usize = 4 + 8 + 8 + 4;
+
+    fn encode_record(record: &NsRecord) -> Vec<u8> {
+        Logged(record).auth_bytes()
+    }
 
     fn writer_setup() -> (Arc<KeyRegistry>, KeyPair, PrincipalId) {
         let mut rng = StdRng::seed_from_u64(77);
@@ -898,7 +866,31 @@ mod tests {
         assert_eq!(decode_record(&encode_record(&empty)), Some(empty.clone()));
 
         let snapshot = encode_snapshot([r.clone(), smallest.clone(), empty.clone()].iter());
-        assert_eq!(decode_snapshot(&snapshot), vec![r, smallest, empty]);
+        assert_eq!(decode_snapshot(&snapshot), Some(vec![r, smallest, empty]));
+    }
+
+    /// A snapshot decodes whole or not at all, like the manager's: one
+    /// damaged record in the middle, or a length prefix cut short, and
+    /// recovery reads none of it.
+    #[test]
+    fn a_snapshot_with_one_damaged_record_is_rejected() {
+        let (_, kp, writer) = writer_setup();
+        let records: Vec<NsRecord> =
+            (1..=3).map(|v| record(&kp, writer, v, vec![NodeId::from_index(v as usize)])).collect();
+        let snapshot = encode_snapshot(records.iter());
+        assert_eq!(decode_snapshot(&snapshot), Some(records.clone()));
+        let first = 4 + encode_record(&records[0]).len();
+        // The middle record's manager count, raised past its bytes.
+        let mut damaged = snapshot.clone();
+        damaged[first + 4 + RECORD_HEAD_LEN + 6 + 3] += 1;
+        assert_eq!(decode_snapshot(&damaged), None, "damaged middle record");
+        // The middle record's length, one short of its body.
+        let mut damaged = snapshot.clone();
+        damaged[first + 3] -= 1;
+        assert_eq!(decode_snapshot(&damaged), None, "length one short");
+        assert_eq!(decode_snapshot(&snapshot[..snapshot.len() - 1]), None, "torn tail");
+        assert_eq!(decode_snapshot(&[&snapshot[..], &[0, 0]].concat()), None, "a length prefix cut short");
+        assert_eq!(decode_snapshot(&[]), Some(Vec::new()), "no records");
     }
 
     fn node_ids() -> impl Strategy<Value = Vec<NodeId>> {
@@ -936,9 +928,9 @@ mod tests {
             if let Some(record) = decode_record(&bytes) {
                 prop_assert_eq!(encode_record(&record), bytes.clone());
             }
-            // A snapshot skips what it cannot read; each record it does
-            // return took at least a length prefix and a record head.
-            prop_assert!(decode_snapshot(&bytes).len() <= bytes.len() / (4 + RECORD_HEAD_LEN));
+            if let Some(records) = decode_snapshot(&bytes) {
+                prop_assert_eq!(encode_snapshot(records.iter()), bytes);
+            }
         }
 
         #[test]
@@ -953,9 +945,11 @@ mod tests {
                 prop_assert_eq!(encode_record(&record), damaged);
             }
             let snapshot = encode_snapshot(records.iter());
-            prop_assert_eq!(decode_snapshot(&snapshot), records.clone());
+            prop_assert_eq!(decode_snapshot(&snapshot), Some(records.clone()));
             let damaged = mangled(&snapshot, how, at, bit);
-            prop_assert!(decode_snapshot(&damaged).len() <= records.len());
+            if let Some(records) = decode_snapshot(&damaged) {
+                prop_assert_eq!(encode_snapshot(records.iter()), damaged);
+            }
         }
     }
 }

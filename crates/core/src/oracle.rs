@@ -47,6 +47,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
+use wanacl_auth::signed::AuthSink;
 use wanacl_sim::node::{NodeId, Note};
 use wanacl_sim::time::{SimDuration, SimTime};
 use wanacl_sim::trace::TraceEvent;
@@ -55,7 +56,7 @@ use wanacl_sim::world::Observer;
 use crate::audit::{AllowPath, AuditEvent, NodeList, NsHeld, Recovery, ShardOps};
 use crate::msg::OpId;
 use crate::policy::Policy;
-use crate::types::{user_bucket, AppId, Right, ShardId, UserId};
+use crate::types::{user_bucket, AppId, Fnv1a, Right, ShardId, UserId};
 
 /// Which safety invariant a violation broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,39 +263,15 @@ pub struct InvariantOracle {
     last_event: (SimTime, u64),
 }
 
-/// FNV-1a offset basis (64-bit).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A running FNV-1a digest that notes are printed into.
-#[derive(Debug, Clone, Copy)]
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn fold(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds one note: the node's index as eight little-endian bytes,
-    /// the note's line, `0xff`. The digest is a cheap, order-sensitive
-    /// fingerprint of the full audit stream — two runs of the same seed
-    /// must produce the same digest, which is how the parallel campaign
-    /// executor proves bit-for-bit determinism.
-    fn note(&mut self, node: NodeId, note: &Note) {
-        self.fold(&(node.index() as u64).to_le_bytes());
-        let _ = write!(self, "{note}");
-        self.fold(&[0xff]);
-    }
-}
-
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.fold(s.as_bytes());
-        Ok(())
-    }
+/// Folds one note into `digest`: the node's index as eight
+/// little-endian bytes, the note's line, `0xff`. The digest is a cheap,
+/// order-sensitive fingerprint of the full audit stream — two runs of
+/// the same seed must produce the same digest, which is how the parallel
+/// campaign executor proves bit-for-bit determinism.
+fn fold_note(digest: &mut Fnv1a, node: NodeId, note: &Note) {
+    digest.put(&(node.index() as u64).to_le_bytes());
+    let _ = write!(digest, "{note}");
+    digest.put(&[0xff]);
 }
 
 impl InvariantOracle {
@@ -325,7 +302,7 @@ impl InvariantOracle {
             handoff_digests: BTreeMap::new(),
             violations: Vec::new(),
             stats: OracleStats::default(),
-            digest: Fnv1a(FNV_OFFSET),
+            digest: Fnv1a::default(),
             last_event: (SimTime::ZERO, 0),
         };
         if let Some(freeze) = policy.freeze() {
@@ -818,7 +795,7 @@ impl Observer for InvariantOracle {
     fn on_event(&mut self, at: SimTime, index: u64, event: &TraceEvent) {
         self.last_event = (at, index);
         if let TraceEvent::Note { node, text } = event {
-            self.digest.note(*node, text);
+            fold_note(&mut self.digest, *node, text);
             match text.record::<AuditEvent>() {
                 Some(event) => self.on_audit(at, index, *node, event),
                 None => self.stats.untyped_notes += 1,

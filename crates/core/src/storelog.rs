@@ -1,4 +1,5 @@
-//! Binary codec for the manager's stable-storage records.
+//! Binary codec for the manager's stable-storage records, written by
+//! [`AuthEncode`] and read by one [`AuthDecoder`].
 //!
 //! The WAL holds one record per applied ACL operation — `(OpId, AclOp)` —
 //! and the snapshot holds everything needed to rebuild the manager's
@@ -7,11 +8,13 @@
 //! the ACL itself is reconstructed (bootstrap ACL + winning op per slot
 //! is exactly the ACL, since every ACL change flows through an op).
 //!
-//! The encodings are versioned and length-prefixed so a torn or
-//! truncated read decodes to `None` instead of garbage; the storage layer
-//! below (`wanacl_sim::storage`: CRC frames on a simulated or a real
-//! disk) handles physical corruption.
+//! A WAL record is 26 bytes, of fixed layout; the snapshot is versioned
+//! and counts its lists. A torn or truncated read decodes to `None`
+//! instead of garbage; the storage layer below (`wanacl_sim::storage`:
+//! CRC frames on a simulated or a real disk) handles physical
+//! corruption.
 
+use wanacl_auth::signed::{AuthDecoder, AuthEncode, AuthSink};
 use wanacl_sim::node::NodeId;
 
 use crate::msg::{AclOp, OpId};
@@ -26,36 +29,12 @@ const SNAPSHOT_MAGIC: &[u8; 4] = b"WSNP";
 /// Bytes of one encoded WAL record.
 pub const RECORD_LEN: usize = 26;
 
-fn right_byte(right: Right) -> u8 {
-    match right {
-        Right::Use => 0,
-        Right::Manage => 1,
-    }
-}
+/// Bytes of an op id or of a released shard with its epoch.
+const ID_LEN: usize = 12;
 
-fn right_from(byte: u8) -> Option<Right> {
-    match byte {
-        0 => Some(Right::Use),
-        1 => Some(Right::Manage),
-        _ => None,
-    }
-}
-
-/// Encodes one applied operation as a fixed-size WAL record.
-pub fn encode_record(id: OpId, op: &AclOp) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_LEN);
-    out.push(if op.is_revoke() { 1 } else { 0 });
-    out.extend_from_slice(&op.app().0.to_be_bytes());
-    out.extend_from_slice(&op.user().0.to_be_bytes());
-    out.push(right_byte(op.right()));
-    out.extend_from_slice(&(id.origin.index() as u32).to_be_bytes());
-    out.extend_from_slice(&id.seq.to_be_bytes());
-    out
-}
-
-/// One decoded WAL record: either an applied ACL operation or a
-/// shard-release marker (the manager durably renounced ownership of a
-/// shard during a handoff, so it must stay silent for it after a crash).
+/// One WAL record: either an applied ACL operation or a shard-release
+/// marker (the manager durably renounced ownership of a shard during a
+/// handoff, so it must stay silent for it after a crash).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecord {
     /// An applied `(OpId, AclOp)` pair — record kinds 0 (add) and 1
@@ -70,53 +49,65 @@ pub enum WalRecord {
     },
 }
 
-/// Encodes a shard-release marker as a fixed-size WAL record, reusing
-/// the op-record layout: the shard id rides in the app-field slot and
-/// the epoch in the user-field slot; the remaining fields are zero.
+/// An op record is the op's canonical bytes (kind, app, user, right),
+/// then its id. A release marker is kind 2, the shard id where an op's
+/// app goes, the epoch where its user goes, and thirteen zero bytes.
+impl AuthEncode for WalRecord {
+    fn auth_encode<S: AuthSink>(&self, out: &mut S) {
+        match self {
+            WalRecord::Op(id, op) => {
+                op.auth_encode(out);
+                id.auth_encode(out);
+            }
+            WalRecord::ShardRelease { shard, epoch } => {
+                out.put(&[2]);
+                shard.0.auth_encode(out);
+                epoch.auth_encode(out);
+                out.put(&[0; RECORD_LEN - 13]);
+            }
+        }
+    }
+}
+
+/// Encodes one applied operation as a fixed-size WAL record.
+pub fn encode_record(id: OpId, op: &AclOp) -> Vec<u8> {
+    WalRecord::Op(id, *op).auth_bytes()
+}
+
+/// Encodes a shard-release marker as a fixed-size WAL record.
 pub fn encode_release(shard: ShardId, epoch: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_LEN);
-    out.push(2);
-    out.extend_from_slice(&shard.0.to_be_bytes());
-    out.extend_from_slice(&epoch.to_be_bytes());
-    out.push(0);
-    out.extend_from_slice(&0u32.to_be_bytes());
-    out.extend_from_slice(&0u64.to_be_bytes());
-    out
+    WalRecord::ShardRelease { shard, epoch }.auth_bytes()
 }
 
-/// Decodes any WAL record kind; `None` on wrong length or invalid
-/// fields. [`decode_record`] remains the op-only entry point for
-/// callers that never see release markers.
+fn decode_op_id(d: &mut AuthDecoder<'_>) -> Option<OpId> {
+    let origin = NodeId::from_index(d.u32()? as usize);
+    Some(OpId { origin, seq: d.u64()? })
+}
+
+/// Decodes any WAL record kind; `None` on a wrong length, an unknown
+/// kind or right, or a release marker whose padding is not zero.
 pub fn decode_wal_record(bytes: &[u8]) -> Option<WalRecord> {
-    if bytes.len() != RECORD_LEN {
-        return None;
-    }
-    if bytes[0] == 2 {
-        let shard = ShardId(u32::from_be_bytes(bytes[1..5].try_into().ok()?));
-        let epoch = u64::from_be_bytes(bytes[5..13].try_into().ok()?);
-        return Some(WalRecord::ShardRelease { shard, epoch });
-    }
-    decode_record(bytes).map(|(id, op)| WalRecord::Op(id, op))
-}
-
-/// Decodes a WAL record; `None` on wrong length or invalid fields.
-pub fn decode_record(bytes: &[u8]) -> Option<(OpId, AclOp)> {
-    if bytes.len() != RECORD_LEN {
-        return None;
-    }
-    let kind = bytes[0];
-    let app = AppId(u32::from_be_bytes(bytes[1..5].try_into().ok()?));
-    let user = UserId(u64::from_be_bytes(bytes[5..13].try_into().ok()?));
-    let right = right_from(bytes[13])?;
-    let origin = u32::from_be_bytes(bytes[14..18].try_into().ok()?);
-    let seq = u64::from_be_bytes(bytes[18..26].try_into().ok()?);
-    let id = OpId { origin: NodeId::from_index(origin as usize), seq };
-    let op = match kind {
-        0 => AclOp::Add { app, user, right },
-        1 => AclOp::Revoke { app, user, right },
-        _ => return None,
+    let mut d = AuthDecoder::new(bytes);
+    let kind = d.u8()?;
+    let record = if kind == 2 {
+        let (shard, epoch) = (ShardId(d.u32()?), d.u64()?);
+        let padding = d.slice(RECORD_LEN - 13)?;
+        padding.iter().all(|&b| b == 0).then_some(WalRecord::ShardRelease { shard, epoch })?
+    } else {
+        let (app, user) = (AppId(d.u32()?), UserId(d.u64()?));
+        let right = match d.u8()? {
+            0 => Right::Use,
+            1 => Right::Manage,
+            _ => return None,
+        };
+        let op = match kind {
+            0 => AclOp::Add { app, user, right },
+            1 => AclOp::Revoke { app, user, right },
+            _ => return None,
+        };
+        WalRecord::Op(decode_op_id(&mut d)?, op)
     };
-    Some((id, op))
+    d.finish(record)
 }
 
 /// Everything a manager persists in a snapshot.
@@ -133,82 +124,52 @@ pub struct SnapshotState {
     pub released: Vec<(ShardId, u64)>,
 }
 
-/// Encodes a snapshot.
+/// Encodes a snapshot: magic, version, Lamport counter, then the applied
+/// ids, the slot entries and the released shards, each list behind a
+/// `u32` count.
 pub fn encode_snapshot(state: &SnapshotState) -> Vec<u8> {
     let mut out = Vec::with_capacity(
-        16 + state.applied.len() * 12
-            + state.lww.len() * (14 + RECORD_LEN)
-            + state.released.len() * 12,
+        25 + state.applied.len() * ID_LEN + state.lww.len() * RECORD_LEN + state.released.len() * ID_LEN,
     );
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.push(SNAPSHOT_VERSION);
-    out.extend_from_slice(&state.lamport.to_be_bytes());
-    out.extend_from_slice(&(state.applied.len() as u32).to_be_bytes());
+    out.put(SNAPSHOT_MAGIC);
+    out.put(&[SNAPSHOT_VERSION]);
+    state.lamport.auth_encode(&mut out);
+    (state.applied.len() as u32).auth_encode(&mut out);
     for id in &state.applied {
-        out.extend_from_slice(&(id.origin.index() as u32).to_be_bytes());
-        out.extend_from_slice(&id.seq.to_be_bytes());
+        id.auth_encode(&mut out);
     }
-    out.extend_from_slice(&(state.lww.len() as u32).to_be_bytes());
+    (state.lww.len() as u32).auth_encode(&mut out);
     for (_, _, _, id, op) in &state.lww {
         // The record's own (app, user, right) fields are the slot key, so
         // the WAL record encoding doubles as the slot entry encoding.
-        out.extend_from_slice(&encode_record(*id, op));
+        WalRecord::Op(*id, *op).auth_encode(&mut out);
     }
-    out.extend_from_slice(&(state.released.len() as u32).to_be_bytes());
+    (state.released.len() as u32).auth_encode(&mut out);
     for (shard, epoch) in &state.released {
-        out.extend_from_slice(&shard.0.to_be_bytes());
-        out.extend_from_slice(&epoch.to_be_bytes());
+        shard.0.auth_encode(&mut out);
+        epoch.auth_encode(&mut out);
     }
     out
 }
 
-/// Reads a big-endian `u32` element count and splits off the `N`-byte
-/// elements it announces. A count the remaining bytes cannot hold is
-/// rejected here, before it sizes an allocation: it comes from disk.
-fn take_elements<'a, const N: usize>(rest: &mut &'a [u8]) -> Option<&'a [[u8; N]]> {
-    let (count, tail) = rest.split_first_chunk::<4>()?;
-    let count = u32::from_be_bytes(*count) as usize;
-    if count > tail.len() / N {
-        return None;
-    }
-    let (elements, tail) = tail.split_at(count * N);
-    *rest = tail;
-    Some(elements.as_chunks::<N>().0)
-}
-
-/// A 12-byte element: an applied op id or a released shard with its epoch.
-fn u32_then_u64(&[a, b, c, d, ref tail @ ..]: &[u8; 12]) -> (u32, u64) {
-    (u32::from_be_bytes([a, b, c, d]), u64::from_be_bytes(*tail))
-}
-
 /// Decodes a snapshot; `None` on any structural mismatch.
 pub fn decode_snapshot(bytes: &[u8]) -> Option<SnapshotState> {
-    let rest = bytes.strip_prefix(&SNAPSHOT_MAGIC[..])?;
-    let rest = rest.strip_prefix(&[SNAPSHOT_VERSION])?;
-    let (lamport, mut rest) = rest.split_first_chunk::<8>()?;
-    let lamport = u64::from_be_bytes(*lamport);
-    let applied = take_elements::<12>(&mut rest)?
-        .iter()
-        .map(|e| {
-            let (origin, seq) = u32_then_u64(e);
-            OpId { origin: NodeId::from_index(origin as usize), seq }
-        })
-        .collect();
-    let lww = take_elements::<RECORD_LEN>(&mut rest)?
-        .iter()
-        .map(|e| decode_record(e).map(|(id, op)| (op.app(), op.user(), op.right(), id, op)))
-        .collect::<Option<_>>()?;
-    let released = take_elements::<12>(&mut rest)?
-        .iter()
-        .map(|e| {
-            let (shard, epoch) = u32_then_u64(e);
-            (ShardId(shard), epoch)
-        })
-        .collect();
-    if !rest.is_empty() {
+    let mut d = AuthDecoder::new(bytes);
+    if d.slice(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC || d.u8()? != SNAPSHOT_VERSION {
         return None;
     }
-    Some(SnapshotState { lamport, applied, lww, released })
+    let lamport = d.u64()?;
+    let applied = (0..d.count(ID_LEN)?).map(|_| decode_op_id(&mut d)).collect::<Option<_>>()?;
+    let lww = (0..d.count(RECORD_LEN)?)
+        .map(|_| match decode_wal_record(d.slice(RECORD_LEN)?)? {
+            WalRecord::Op(id, op) => Some((op.app(), op.user(), op.right(), id, op)),
+            WalRecord::ShardRelease { .. } => None,
+        })
+        .collect::<Option<_>>()?;
+    let released = (0..d.count(ID_LEN)?)
+        .map(|_| Some((ShardId(d.u32()?), d.u64()?)))
+        .collect::<Option<_>>()?;
+    d.finish(SnapshotState { lamport, applied, lww, released })
 }
 
 #[cfg(test)]
@@ -231,7 +192,7 @@ pub(crate) mod tests {
             let rid = id(i, 900 + i as u64);
             let bytes = encode_record(rid, op);
             assert_eq!(bytes.len(), RECORD_LEN);
-            assert_eq!(decode_record(&bytes), Some((rid, *op)));
+            assert_eq!(decode_wal_record(&bytes), Some(WalRecord::Op(rid, *op)));
         }
     }
 
@@ -239,13 +200,14 @@ pub(crate) mod tests {
     fn truncated_or_corrupt_record_is_rejected() {
         let op = AclOp::Add { app: AppId(1), user: UserId(2), right: Right::Use };
         let bytes = encode_record(id(0, 1), &op);
-        assert_eq!(decode_record(&bytes[..RECORD_LEN - 1]), None);
+        assert_eq!(decode_wal_record(&bytes[..RECORD_LEN - 1]), None);
+        assert_eq!(decode_wal_record(&[&bytes[..], &[0]].concat()), None, "trailing byte");
         let mut bad_kind = bytes.clone();
         bad_kind[0] = 9;
-        assert_eq!(decode_record(&bad_kind), None);
+        assert_eq!(decode_wal_record(&bad_kind), None);
         let mut bad_right = bytes;
         bad_right[13] = 7;
-        assert_eq!(decode_record(&bad_right), None);
+        assert_eq!(decode_wal_record(&bad_right), None);
     }
 
     #[test]
@@ -275,9 +237,13 @@ pub(crate) mod tests {
             decode_wal_record(&bytes),
             Some(WalRecord::ShardRelease { shard: ShardId(3), epoch: 17 })
         );
-        // The op-only decoder must not misread a release as an op.
-        assert_eq!(decode_record(&bytes), None);
-        // And the generic decoder still reads op records.
+        // Its thirteen padding bytes are zero, or it is no release.
+        for at in 13..RECORD_LEN {
+            let mut padded = bytes.clone();
+            padded[at] = 1;
+            assert_eq!(decode_wal_record(&padded), None, "padding byte {at}");
+        }
+        // And the same decoder reads op records.
         let op = AclOp::Add { app: AppId(1), user: UserId(2), right: Right::Use };
         let op_bytes = encode_record(id(0, 5), &op);
         assert_eq!(decode_wal_record(&op_bytes), Some(WalRecord::Op(id(0, 5), op)));
@@ -364,16 +330,12 @@ pub(crate) mod tests {
     }
 
     /// Reject, or mean exactly these bytes: whatever a decoder accepts
-    /// must encode back to its input (a release marker's eleven padding
-    /// bytes excepted, which `decode_wal_record` does not read).
+    /// must encode back to its input, all of it.
     fn check_decoders(bytes: &[u8]) -> Result<(), TestCaseError> {
-        if let Some((id, op)) = decode_record(bytes) {
-            prop_assert_eq!(encode_record(id, &op), bytes);
-        }
         match decode_wal_record(bytes) {
             Some(WalRecord::Op(id, op)) => prop_assert_eq!(encode_record(id, &op), bytes),
             Some(WalRecord::ShardRelease { shard, epoch }) => {
-                prop_assert_eq!(&encode_release(shard, epoch)[..13], &bytes[..13])
+                prop_assert_eq!(encode_release(shard, epoch), bytes)
             }
             None => {}
         }

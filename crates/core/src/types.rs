@@ -67,6 +67,35 @@ impl std::fmt::Display for ShardId {
     }
 }
 
+/// A running 64-bit FNV-1a digest, as a sink for canonical bytes: each
+/// byte is folded in with one multiply, in order. `Default` is the
+/// offset basis, the digest of no bytes. It also takes text
+/// (`fmt::Write`), folded as its UTF-8 bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a(pub(crate) u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl AuthSink for Fnv1a {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.put(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Hashes a user into the 256-slot bucket space shards partition.
 ///
 /// FNV-1a over the big-endian user id, folded to the low byte. The
@@ -74,12 +103,9 @@ impl std::fmt::Display for ShardId {
 /// its owning shard under a given map — is the same in every world, so
 /// replayed counterexamples route identically.
 pub fn user_bucket(user: UserId) -> u8 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in user.0.to_be_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash & 0xff) as u8
+    let mut hash = Fnv1a::default();
+    user.auth_encode(&mut hash);
+    (hash.0 & 0xff) as u8
 }
 
 /// The two access-right kinds of §2.1.

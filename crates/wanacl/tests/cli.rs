@@ -1,8 +1,10 @@
 //! The `wanacl` binary's flag handling: a flag the subcommand does not
 //! read, or a value that does not parse or is out of range, is a usage
 //! error (exit 2) that names the flag — never a silent fall-back to a
-//! default, never a library panic.
+//! default, never a library panic. And the planted-bug campaigns print
+//! the counterexamples committed under `tests/golden/`.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 fn wanacl(args: &[&str]) -> Output {
@@ -145,4 +147,41 @@ fn sharded_chaos_honours_the_planted_drop_wal_bug() {
         "{stdout}"
     );
     assert!(!stdout.contains("soak clean"), "{stdout}");
+}
+
+/// Each planted bug is caught (exit 1) and printed as exactly its
+/// committed counterexample: event indices, violation details (the
+/// lost-handoff one prints `transfer_digest` values) and the shrunk
+/// plan, which a moved, added or reordered audit event would shift.
+/// Regenerating a golden is a deliberate act: run the command and
+/// commit its stdout.
+#[test]
+fn planted_bugs_print_their_committed_counterexamples() {
+    for (bug, flags) in [
+        ("cache-expiry", "--seed 1 --campaigns 10 --horizon-secs 8"),
+        ("drop-wal", "--seed 1 --campaigns 10 --horizon-secs 8 --disk-faults true"),
+        (
+            "ns-trust-unsigned",
+            "--seed 1 --campaigns 10 --horizon-secs 8 --ns-replicas 3 --ns-faults true",
+        ),
+        (
+            "lost-handoff",
+            "--seed 0 --campaigns 1 --users 4 --tenants 2 --shards-per-tenant 2 --ns-replicas 3",
+        ),
+    ] {
+        let mut args = vec!["nemesis"];
+        args.extend(flags.split(' '));
+        args.extend(["--inject-bug", bug]);
+        let out = wanacl(&args);
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("../../tests/golden/nemesis-{bug}.txt"));
+        let want = std::fs::read_to_string(&golden).expect("read the golden");
+        assert_eq!(out.status.code(), Some(1), "{bug}: {}", stderr(&out));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            want,
+            "{bug}: stdout is not {}",
+            golden.display()
+        );
+    }
 }
