@@ -1,8 +1,9 @@
 //! The `wanacl` binary's flag handling: a flag the subcommand does not
 //! read, or a value that does not parse or is out of range, is a usage
 //! error (exit 2) that names the flag — never a silent fall-back to a
-//! default, never a library panic. And the planted-bug campaigns print
-//! the counterexamples committed under `tests/golden/`.
+//! default, never a library panic. And the planted-bug campaigns, the
+//! default `nemesis`, `audit --seed 7`, `demo` and `obs` in both
+//! formats print the outputs committed under `tests/golden/`.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -172,16 +173,38 @@ fn planted_bugs_print_their_committed_counterexamples() {
         let mut args = vec!["nemesis"];
         args.extend(flags.split(' '));
         args.extend(["--inject-bug", bug]);
-        let out = wanacl(&args);
-        let golden = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("../../tests/golden/nemesis-{bug}.txt"));
-        let want = std::fs::read_to_string(&golden).expect("read the golden");
-        assert_eq!(out.status.code(), Some(1), "{bug}: {}", stderr(&out));
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            want,
-            "{bug}: stdout is not {}",
-            golden.display()
-        );
+        assert_prints_golden(&args, 1, &format!("nemesis-{bug}.txt"));
+    }
+}
+
+/// Runs `wanacl args`, expects exit `code`, and compares stdout with
+/// `tests/golden/<name>`.
+fn assert_prints_golden(args: &[&str], code: i32, name: &str) {
+    let out = wanacl(args);
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden").join(name);
+    let want = std::fs::read_to_string(&golden).expect("read the golden");
+    assert_eq!(out.status.code(), Some(code), "{args:?}: {}", stderr(&out));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        want,
+        "{args:?}: stdout is not {}",
+        golden.display()
+    );
+}
+
+/// The clean outputs a change to the oracle's digest, the audit
+/// events' encoding or the metrics export must leave alone: the audit
+/// summary, a default campaign, the demo's outcome table and the
+/// metrics snapshot in both formats. Each is seed-deterministic.
+#[test]
+fn clean_runs_print_their_committed_outputs() {
+    for (args, name) in [
+        (&["audit", "--seed", "7"][..], "audit-seed-7.txt"),
+        (&["nemesis"][..], "nemesis.txt"),
+        (&["demo"][..], "demo.txt"),
+        (&["obs"][..], "obs.prom"),
+        (&["obs", "--format", "jsonl"][..], "obs.jsonl"),
+    ] {
+        assert_prints_golden(args, 0, name);
     }
 }
