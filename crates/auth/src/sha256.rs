@@ -134,7 +134,22 @@ impl Sha256 {
     }
 
     /// Absorbs more input.
-    pub fn update(&mut self, mut data: &[u8]) {
+    #[inline]
+    pub fn update(&mut self, data: &[u8]) {
+        // A field streamed into an open block (a tag's ids, a
+        // signature's header) is one fixed-size copy once inlined.
+        let len = self.buffer_len;
+        if len + data.len() < 64 {
+            self.buffer[len..len + data.len()].copy_from_slice(data);
+            self.buffer_len = len + data.len();
+            self.total_len = self.total_len.wrapping_add(data.len() as u64);
+            return;
+        }
+        self.update_blocks(data);
+    }
+
+    /// [`Sha256::update`] for input that fills the open block.
+    fn update_blocks(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
             let take = (64 - self.buffer_len).min(data.len());
