@@ -6,6 +6,9 @@ included; a return address is looked up one byte back, at its call. A
 function's *self* share is the samples whose interrupted PC lies in it
 (its innermost inlined frame); its *inclusive* share is the samples with
 it anywhere on the chain, each sample counted once per function.
+Functions that lie on exactly the same samples (a run of wrappers, such
+as the std runtime's frames above `main`) make one inclusive row: the
+innermost of them, with the count of outer frames folded into it.
 
 Usage: report.py [--threads REGEX] FILE...
 """
@@ -77,6 +80,24 @@ def symbolize(addresses, segments):
     return names
 
 
+def inclusive_rows(chains):
+    """(samples, innermost function, frames folded) per distinct sample set."""
+    samples_of = collections.defaultdict(set)
+    for i, chain in enumerate(chains):
+        for func in chain:
+            samples_of[func].add(i)
+    groups = collections.defaultdict(list)
+    for func, ids in samples_of.items():
+        groups[frozenset(ids)].append(func)
+    rows = []
+    for ids, funcs in groups.items():
+        chain = chains[min(ids)]
+        inner = min(funcs, key=chain.index)
+        rows.append((len(ids), inner, len(funcs) - 1))
+    rows.sort(key=lambda row: (-row[0], row[1]))
+    return rows
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--threads", default=".", help="regex on thread names to keep")
@@ -89,18 +110,19 @@ def main():
     keep = re.compile(args.threads)
     kept = [frames for tid, frames in samples if keep.search(threads.get(tid, "?"))]
     names = symbolize({a for frames in kept for a in frames}, segments)
-    self_count, incl_count = collections.Counter(), collections.Counter()
-    for frames in kept:
-        self_count[names[frames[0]][0]] += 1
-        incl_count.update({f for a in frames for f in names[a]})
+    chains = [[f for a in frames for f in names[a]] for frames in kept]
+    self_count = collections.Counter(chain[0] for chain in chains)
     print(f"samples {len(samples)} (dropped {dropped}); threads matching /{args.threads}/: {len(kept)}")
     for name, n in per_thread.most_common():
         print(f"  thread {name:<24} {n:>8}")
     total = max(len(kept), 1)
-    for title, counts in (("self", self_count), ("inclusive", incl_count)):
-        print(f"\n{title:>9}   samples  function")
-        for name, n in counts.most_common(TOP):
-            print(f"{100 * n / total:8.1f}%  {n:>8}  {name}")
+    print(f"\n{'self':>9}   samples  function")
+    for name, n in self_count.most_common(TOP):
+        print(f"{100 * n / total:8.1f}%  {n:>8}  {name}")
+    print(f"\n{'inclusive':>9}   samples  function (+ outer frames on the same samples)")
+    for n, name, folded in inclusive_rows(chains)[:TOP]:
+        more = f" (+{folded})" if folded else ""
+        print(f"{100 * n / total:8.1f}%  {n:>8}  {name}{more}")
     return 0 if kept else 1
 
 
