@@ -20,6 +20,7 @@ use wanacl_sim::node::NodeId;
 use wanacl_sim::rng::SimRng;
 use wanacl_sim::storage::{DiskFaultModel, SimStorage};
 use wanacl_sim::time::{SimDuration, SimTime};
+use wanacl_sim::world::Observer;
 
 use crate::client::{AdminAction, AdminAgent, OpProgress, UserStats};
 use crate::manager::ManagerNode;
@@ -635,19 +636,25 @@ pub fn campaign_report(
 pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
     let roster = campaign_scenario(config).roster();
     let plan = sample_for(config, &roster.layout);
-    run_roster(config, &plan, roster)
+    run_roster(config, &plan, roster, None)
 }
 
 /// Runs one campaign under an explicit plan (replay and shrinking).
 pub fn run_with_plan(config: &CampaignConfig, plan: &NemesisPlan) -> CampaignReport {
-    run_roster(config, plan, campaign_scenario(config).roster())
+    run_roster(config, plan, campaign_scenario(config).roster(), None)
 }
 
 /// The simulator's half of a campaign: the armed roster on a `World`
 /// over a faulty WAN, simulated disks for managers and replicas, the
 /// planted-bug hooks that need a built node, and the timeline as
-/// scheduled events; then the run, the oracle watching.
-fn run_roster(config: &CampaignConfig, plan: &NemesisPlan, roster: Roster) -> CampaignReport {
+/// scheduled events; then the run, the oracle (and `watch`, if any,
+/// after it) watching.
+fn run_roster(
+    config: &CampaignConfig,
+    plan: &NemesisPlan,
+    roster: Roster,
+    watch: Option<Box<dyn Observer>>,
+) -> CampaignReport {
     let CampaignArming { roster, timeline, net_faults, disks, oracle, drain_until, settle_by } =
         arm_campaign(config, plan, roster, SimDuration::ZERO);
     let base = WanNet::builder()
@@ -702,6 +709,9 @@ fn run_roster(config: &CampaignConfig, plan: &NemesisPlan, roster: Roster) -> Ca
         }
     }
     let oracle_id = deployment.world.add_observer(Box::new(oracle));
+    if let Some(watch) = watch {
+        deployment.world.add_observer(watch);
+    }
 
     // The run ends where the arming says: past the horizon by the drain
     // tail, then as soon as it has settled or its settle deadline passed,
@@ -855,6 +865,12 @@ pub fn shrink_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use wanacl_auth::signed::AuthSink;
+    use wanacl_sim::trace::TraceEvent;
+
+    use crate::types::Fnv1a;
 
     fn quick_config(seed: u64) -> CampaignConfig {
         CampaignConfig { seed, horizon: SimDuration::from_secs(5), ..CampaignConfig::default() }
@@ -1309,47 +1325,110 @@ mod tests {
         assert_eq!(small_report.violations[0].kind, crate::oracle::InvariantKind::Settle);
     }
 
+    /// The audit digest as it was defined while the oracle folded each
+    /// note's `Display` line: FNV-1a over `node index as eight
+    /// little-endian bytes ‖ line ‖ 0xff` per note, into the shared
+    /// cell. Every digest pinned before the oracle folded encoded bytes
+    /// is checked through it, so each pinned world still proves that it
+    /// emits history's note stream, note for note.
+    struct DisplayFold(Rc<Cell<u64>>);
+
+    impl Observer for DisplayFold {
+        fn on_event(&mut self, _at: SimTime, _index: u64, event: &TraceEvent) {
+            if let TraceEvent::Note { node, text } = event {
+                let mut hash = Fnv1a(self.0.get());
+                hash.put(&(node.index() as u64).to_le_bytes());
+                hash.put(text.to_string().as_bytes());
+                hash.put(&[0xff]);
+                self.0.set(hash.0);
+            }
+        }
+
+        fn wants_message_events(&self) -> bool {
+            false
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// A fresh [`DisplayFold`] and the cell it folds into.
+    fn display_fold() -> (Box<dyn Observer>, Rc<Cell<u64>>) {
+        let digest = Rc::new(Cell::new(Fnv1a::default().0));
+        (Box::new(DisplayFold(Rc::clone(&digest))), digest)
+    }
+
     /// One description, checked against history: for each deployment
     /// shape the world installed from the roster reproduces, note for
-    /// note, its pinned run. Disk-fault seeds 142 and 193 are the only
-    /// seeds in 1–400 whose run recovers a torn tail: they guard the
-    /// torn-tail path, which seeds 1–3 never reach.
+    /// note, its pinned run — the digest of its `Display` lines pinned
+    /// before the oracle folded encoded bytes, beside the oracle's
+    /// digest. Disk-fault seeds 142 and 193 are the only seeds in 1–400
+    /// whose run recovers a torn tail: they guard the torn-tail path,
+    /// which seeds 1–3 never reach.
     #[test]
     fn roster_ids_match_campaign_targets_and_runs_reproduce_pinned_digests() {
-        type Shape = (&'static str, fn(u64) -> CampaignConfig, u64, &'static [u64]);
+        type Shape = (&'static str, fn(u64) -> CampaignConfig, u64, &'static [(u64, u64)]);
         let shapes: [Shape; 8] = [
             ("flat", quick_config, 1, &[
-                0xa2bb4a08a56ee1e2, 0x2199939f0842bbbd, 0x05fa8c1cde39626a,
-                0x760fc7f43b971a69, 0xe1596747393fb01d,
+                (0xa2bb4a08a56ee1e2, 0x241c255bec4d3c03),
+                (0x2199939f0842bbbd, 0xd624a860a6ae99c8),
+                (0x05fa8c1cde39626a, 0x391f36f79495879d),
+                (0x760fc7f43b971a69, 0xcba95fa43ab1272d),
+                (0xe1596747393fb01d, 0xcf89bb370a397be1),
             ]),
             ("one-replica-directory", |s| CampaignConfig { ns_replicas: 1, ..quick_config(s) }, 1, &[
-                0x64abcd324a5ac5bc, 0x2f4b58ddaa88506a, 0x8e998f2e096d1994,
-                0xecc3188cc01a450a, 0xf3024f1e0982ffd5,
+                (0x64abcd324a5ac5bc, 0x5e737133ac7cea3a),
+                (0x2f4b58ddaa88506a, 0xcd651840429b8766),
+                (0x8e998f2e096d1994, 0x704b4e4da54ccd22),
+                (0xecc3188cc01a450a, 0x76c8199212d11774),
+                (0xf3024f1e0982ffd5, 0xc89ce6e37c90ac16),
             ]),
             (
                 "replicated-directory",
                 |s| CampaignConfig { ns_replicas: 3, ns_faults: true, ..quick_config(s) },
                 1,
                 &[
-                    0x24c7adbf1205edbd, 0x3c02c19e15cae95e, 0x447d16c17b1af75e,
-                    0x60f8306a49c0d3ac, 0xff902284aef1ee25,
+                    (0x24c7adbf1205edbd, 0x1442bd7f6e312635),
+                    (0x3c02c19e15cae95e, 0xb527d0e4eff5bca4),
+                    (0x447d16c17b1af75e, 0x3763f3e2fe302bc7),
+                    (0x60f8306a49c0d3ac, 0x8d083a5a90e7cd03),
+                    (0xff902284aef1ee25, 0x6823a4066bbcecbf),
                 ],
             ),
             ("sharded", sharded_config, 21, &[
-                0x04c23e97b5674c83, 0x24c6dc92da762246, 0xbf1b0c0ec7f4bb9a,
-                0x2a2dc2074919a85a, 0x107e7f52f1daa8cd,
+                (0x04c23e97b5674c83, 0x105f058c5f08babd),
+                (0x24c6dc92da762246, 0x183528ac940085b8),
+                (0xbf1b0c0ec7f4bb9a, 0x610ced2b7004466c),
+                (0x2a2dc2074919a85a, 0x6ab13d963fbfbeb1),
+                (0x107e7f52f1daa8cd, 0x59f8d93194731a46),
             ]),
-            ("disk-faults", disk_config, 1, &[0x2e28fc1970a73a54, 0x6442b8bb3aa89ebf, 0x6d367da7ec4a6d5f]),
-            ("disk-faults-torn-tail", disk_config, 193, &[0xcc6d2113a68b4868]),
-            ("disk-faults-torn-tail", disk_config, 142, &[0x7c71d942325c9e22]),
+            ("disk-faults", disk_config, 1, &[
+                (0x2e28fc1970a73a54, 0xdafffe415ed7a735),
+                (0x6442b8bb3aa89ebf, 0xacea8e4a3cb11be0),
+                (0x6d367da7ec4a6d5f, 0xbac908f12ec172bb),
+            ]),
+            ("disk-faults-torn-tail", disk_config, 193, &[(0xcc6d2113a68b4868, 0xce08c5362b8e5bc6)]),
+            ("disk-faults-torn-tail", disk_config, 142, &[(0x7c71d942325c9e22, 0x5622ea36a958689b)]),
             ("freeze-refresh-subset-fail-open", policy_config, 1, &[
-                0xc01a0c181642a7ca, 0xc93a5a500f080598, 0xb1f46eb8fb755e25,
+                (0xc01a0c181642a7ca, 0x33c1147e0b771f6d),
+                (0xc93a5a500f080598, 0xd488f1274513ece2),
+                (0xb1f46eb8fb755e25, 0x081f12afef71b452),
             ]),
         ];
         for (shape, config_for, first_seed, digests) in shapes {
             for (seed, &pinned) in (first_seed..).zip(digests) {
-                let digest = run_campaign(&config_for(seed)).audit_digest;
-                assert_eq!(digest, pinned, "{shape} seed {seed}: {digest:#018x}");
+                let config = config_for(seed);
+                let roster = campaign_scenario(&config).roster();
+                let plan = sample_for(&config, &roster.layout);
+                let (watch, lines) = display_fold();
+                let digest = run_roster(&config, &plan, roster, Some(watch)).audit_digest;
+                let got = (lines.get(), digest);
+                assert_eq!(got, pinned, "{shape} seed {seed}: ({:#018x}, {digest:#018x})", got.0);
             }
         }
     }
@@ -1399,12 +1478,15 @@ mod tests {
             .admin_script(script)
             .build();
         let oracle = d.world.add_observer(Box::new(InvariantOracle::new(&policy, SimDuration::ZERO)));
+        let (watch, lines) = display_fold();
+        d.world.add_observer(watch);
         d.run_for(SimDuration::from_secs(8));
         assert!(d.world.metrics().counter("mgr.revoke_notices") > 0, "no revoke notice was tagged");
         assert!(d.world.metrics().counter("host.revoke_flush") > 0, "no tagged notice verified");
         let oracle = d.world.observer_as::<InvariantOracle>(oracle);
         assert!(oracle.is_clean(), "{:?}", oracle.violations());
         let digest = oracle.audit_digest();
-        assert_eq!(digest, 0xb3c2f93a557e6ff6, "{digest:#018x}");
+        assert_eq!(lines.get(), 0xb3c2f93a557e6ff6, "{:#018x}", lines.get());
+        assert_eq!(digest, 0xc27105b0d462c267, "{digest:#018x}");
     }
 }

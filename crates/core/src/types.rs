@@ -69,8 +69,7 @@ impl std::fmt::Display for ShardId {
 
 /// A running 64-bit FNV-1a digest, as a sink for canonical bytes: each
 /// byte is folded in with one multiply, in order. `Default` is the
-/// offset basis, the digest of no bytes. It also takes text
-/// (`fmt::Write`), folded as its UTF-8 bytes.
+/// offset basis, the digest of no bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Fnv1a(pub(crate) u64);
 
@@ -86,13 +85,6 @@ impl AuthSink for Fnv1a {
         for &byte in bytes {
             self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
-    }
-}
-
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.put(s.as_bytes());
-        Ok(())
     }
 }
 

@@ -1,11 +1,13 @@
 //! The line every [`AuditEvent`] prints is pinned here, one literal per
-//! variant and per allow/recovery path: trace exports, violation
-//! reports and every audit digest are made of these bytes. Beside it, a
-//! property: the oracle's streamed digest is FNV-1a over what
-//! `to_string()` would have built, and `Note::len()` is that string's
-//! length.
+//! variant and per allow/recovery path: trace exports, `wanacl audit`
+//! and violation reports are made of these bytes. Beside it, properties
+//! of the encoding the audit digest folds instead: two events encode
+//! alike exactly when they print alike, a text note never folds like an
+//! event, and the oracle's streamed digest is FNV-1a over each note's
+//! encoded bytes, while `Note::len()` is the printed line's length.
 
 use proptest::prelude::*;
+use wanacl_auth::signed::AuthEncode;
 use wanacl_core::prelude::*;
 use wanacl_sim::clock::LocalTime;
 use wanacl_sim::node::{NodeId, Note};
@@ -225,25 +227,110 @@ fn event_from(kind: u8, v: [u64; 4], managers: &[usize]) -> AuditEvent {
     }
 }
 
-/// FNV-1a over `node ‖ line ‖ 0xff` per note, the way the digest was
-/// defined when notes were strings.
-fn reference_digest(notes: &[(NodeId, String)]) -> u64 {
+/// A note as the audit digest folds it: an event's encoded bytes, or a
+/// text note's line.
+enum Folded {
+    Event(Vec<u8>),
+    Text(String),
+}
+
+/// FNV-1a over `node ‖ tag ‖ bytes ‖ 0xff` per note: the node's index as
+/// a big-endian `u32`; tag 1 and an event's encoding, or tag 0 and a
+/// text's length as a big-endian `u64` and its UTF-8 bytes.
+fn reference_digest(notes: &[(NodeId, Folded)]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for (node, line) in notes {
-        let index = (node.index() as u64).to_le_bytes();
-        for byte in index.into_iter().chain(line.bytes()).chain([0xff]) {
+    for (node, note) in notes {
+        let mut bytes = (node.index() as u32).to_be_bytes().to_vec();
+        match note {
+            Folded::Event(encoded) => {
+                bytes.push(1);
+                bytes.extend_from_slice(encoded);
+            }
+            Folded::Text(line) => {
+                bytes.push(0);
+                bytes.extend_from_slice(&(line.len() as u64).to_be_bytes());
+                bytes.extend_from_slice(line.as_bytes());
+            }
+        }
+        bytes.push(0xff);
+        for byte in bytes {
             hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     hash
 }
 
+/// The oracle's digest after it has seen `notes`, in order.
+fn oracle_digest(notes: impl IntoIterator<Item = (NodeId, Note)>) -> u64 {
+    let policy = Policy::builder(2).build();
+    let mut oracle = InvariantOracle::new(&policy, SimDuration::ZERO);
+    for (i, (node, text)) in notes.into_iter().enumerate() {
+        let event = TraceEvent::Note { node, text };
+        oracle.on_event(SimTime::from_secs(i as u64), i as u64, &event);
+    }
+    oracle.audit_digest()
+}
+
+/// A field value: mostly 0–2, so that two draws often print alike;
+/// sometimes any `u64`.
+fn field() -> impl Strategy<Value = u64> {
+    (0u64..3, any::<u64>(), 0u8..4).prop_map(|(small, wide, pick)| if pick == 0 { wide } else { small })
+}
+
 proptest! {
+    #![proptest_config(ProptestConfig { cases: 4_096, ..ProptestConfig::default() })]
+    /// The second event keeps each of the first's kind, fields and
+    /// managers with even odds, so the pairs cover equal events, one
+    /// field apart, and the same fields under another kind.
+    #[test]
+    fn events_encode_alike_exactly_when_they_print_alike(
+        kinds in (0u8..21, 0u8..21),
+        first in (field(), field(), field(), field()),
+        fresh in (field(), field(), field(), field()),
+        keep in any::<u8>(),
+        managers in (prop::collection::vec(0usize..3, 0..3), prop::collection::vec(0usize..3, 0..3)),
+    ) {
+        let a = [first.0, first.1, first.2, first.3];
+        let fresh = [fresh.0, fresh.1, fresh.2, fresh.3];
+        let b: [u64; 4] = std::array::from_fn(|i| if keep >> i & 1 == 1 { a[i] } else { fresh[i] });
+        let kind = if keep & 0x10 != 0 { kinds.0 } else { kinds.1 };
+        let other = if keep & 0x20 != 0 { &managers.0 } else { &managers.1 };
+        let (x, y) = (event_from(kinds.0, a, &managers.0), event_from(kind, b, other));
+        prop_assert_eq!(
+            x.to_string() == y.to_string(),
+            x.auth_bytes() == y.auth_bytes(),
+            "{} / {}",
+            x,
+            y
+        );
+    }
+}
+
+proptest! {
+    /// A text note folds as tag 0, an event as tag 1: no line — not the
+    /// event's own, not its encoded bytes read as text — folds like it.
+    #[test]
+    fn a_text_note_never_folds_like_an_event(
+        kind in 0u8..21,
+        v in (any::<u64>(), field(), field(), field()),
+        managers in prop::collection::vec(0usize..1000, 0..12),
+        node in 0usize..64,
+    ) {
+        let event = event_from(kind, [v.0, v.1, v.2, v.3], &managers);
+        let record = oracle_digest([(n(node), Note::of(event.clone()))]);
+        for text in [event.to_string(), String::from_utf8_lossy(&event.auth_bytes()).into_owned()] {
+            prop_assert!(oracle_digest([(n(node), Note::Text(text.clone()))]) != record, "{}", text);
+        }
+    }
+
+    /// The oracle's digest matches the reference fold of each note's
+    /// encoded bytes, and `Note::len()` the rendered line's length.
+    /// Kind 21 is a text note carrying the line of event kind 0.
     #[test]
     fn streamed_digest_and_len_match_the_rendered_line(
         stream in prop::collection::vec(
             (
-                0u8..21,
+                0u8..22,
                 (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
                 prop::collection::vec(0usize..1000, 0..12),
                 0usize..64,
@@ -251,19 +338,22 @@ proptest! {
             1..8,
         ),
     ) {
-        let policy = Policy::builder(2).build();
-        let mut oracle = InvariantOracle::new(&policy, SimDuration::ZERO);
-        let mut rendered = Vec::new();
-        for (i, (kind, (a, b, c, d), managers, node)) in stream.into_iter().enumerate() {
-            let event = event_from(kind, [a, b, c, d], &managers);
+        let mut notes = Vec::new();
+        let mut folded = Vec::new();
+        for (kind, (a, b, c, d), managers, node) in stream {
+            let event = event_from(kind % 21, [a, b, c, d], &managers);
             let line = event.to_string();
             prop_assert!(line.starts_with("audit="), "{line}");
-            let note = Note::of(event);
+            let (note, fold) = if kind == 21 {
+                (Note::Text(line.clone()), Folded::Text(line.clone()))
+            } else {
+                let encoded = event.auth_bytes();
+                (Note::of(event), Folded::Event(encoded))
+            };
             prop_assert_eq!(note.len(), line.len());
-            rendered.push((n(node), line));
-            let event = TraceEvent::Note { node: n(node), text: note };
-            oracle.on_event(SimTime::from_secs(i as u64), i as u64, &event);
+            notes.push((n(node), note));
+            folded.push((n(node), fold));
         }
-        prop_assert_eq!(oracle.audit_digest(), reference_digest(&rendered));
+        prop_assert_eq!(oracle_digest(notes), reference_digest(&folded));
     }
 }

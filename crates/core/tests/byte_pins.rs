@@ -1,7 +1,8 @@
 //! Hex pins of the bytes the system stores, signs, tags and digests: a
 //! manager's WAL records and snapshot, a directory record's WAL bytes,
 //! signing bytes and snapshot, the channel's `QueryReply` and
-//! `RevokeNotice` tags, `transfer_digest` and `user_bucket`.
+//! `RevokeNotice` tags, `transfer_digest`, `user_bucket` and each audit
+//! event's encoding, which the oracle's audit digest folds.
 //!
 //! A host and a manager compute a tag with the same code, and a writer
 //! and a reader of a WAL share one codec, so a layout that moved on both
@@ -14,11 +15,11 @@ use std::sync::{Arc, Mutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wanacl_auth::rsa;
-use wanacl_auth::signed::{KeyRegistry, PrincipalId};
+use wanacl_auth::signed::{AuthEncode, KeyRegistry, PrincipalId};
 use wanacl_core::manager::transfer_digest;
 use wanacl_core::prelude::*;
 use wanacl_core::storelog::{encode_record, encode_release, encode_snapshot};
-use wanacl_sim::clock::ClockSpec;
+use wanacl_sim::clock::{ClockSpec, LocalTime};
 use wanacl_sim::node::NodeId;
 use wanacl_sim::storage::{Barrier, Recovered, SimStorage, Storage, StorageError, StorageStats};
 use wanacl_sim::time::{SimDuration, SimTime};
@@ -249,4 +250,120 @@ fn transfer_digests_and_user_buckets() {
     assert_eq!(transfer_digest(&[add(), revoke()]), 0x678c_afe3_4cba_4b8d);
     let buckets = [0, 1, 2, 0x0102_0304_0506_0708, u64::MAX].map(|u| user_bucket(UserId(u)));
     assert_eq!(buckets, [197, 18, 95, 237, 61]);
+}
+
+/// One encoding per [`AuditEvent`] variant, and per allow and recovery
+/// path: a kind byte, then the fields in declaration order at fixed
+/// width, big-endian, with lists behind a `u64` count.
+#[test]
+fn audit_events() {
+    let (app, user) = (AppId(3), UserId(41));
+    let t = |nanos| LocalTime::from_nanos(nanos);
+    let id = OpId { origin: n(1), seq: 4 };
+    let managers: NodeList = [n(0), n(2)].into_iter().collect();
+    let held = NsHeld { app, version: 7, managers: managers.clone() };
+    let ops = ShardOps { shard: ShardId(1), epoch: 4, src: n(2), digest: 777, count: 3 };
+    let quorum = |limit| AllowPath::Quorum {
+        confirms: 2,
+        c: 2,
+        managers: managers.clone(),
+        started: t(1_000),
+        limit,
+    };
+    let au = "000000030000000000000029"; // app 3 | user 41
+    let op = "000000010000000000000004"; // origin 1 | seq 4
+    let mgrs = "00000000000000020000000000000002"; // count 2 | node 0 | node 2
+    let table: [(AuditEvent, Vec<&str>); 22] = [
+        // kind | app | user | path: cache | now | limit
+        (
+            AuditEvent::Allow { app, user, path: AllowPath::Cache { now: t(4), limit: t(5) } },
+            vec!["00", au, "00", "0000000000000004", "0000000000000005"],
+        ),
+        // … path: quorum | confirms | c | managers | started | limit present | limit
+        (
+            AuditEvent::Allow { app, user, path: quorum(Some(t(5))) },
+            vec![
+                "00", au, "01", "0000000000000002", "0000000000000002", mgrs, "00000000000003e8",
+                "01", "0000000000000005",
+            ],
+        ),
+        // … limit absent
+        (
+            AuditEvent::Allow { app, user, path: quorum(None) },
+            vec![
+                "00", au, "01", "0000000000000002", "0000000000000002", mgrs, "00000000000003e8",
+                "00",
+            ],
+        ),
+        (AuditEvent::Allow { app, user, path: AllowPath::FailOpen }, vec!["00", au, "02"]),
+        // kind | app | user | started | limit | te
+        (
+            AuditEvent::CacheStore {
+                app,
+                user,
+                started: t(1),
+                limit: t(2),
+                te: SimDuration::from_nanos(3),
+            },
+            vec!["01", au, "0000000000000001", "0000000000000002", "0000000000000003"],
+        ),
+        (AuditEvent::Grant { app, user, te: SimDuration::from_nanos(9) }, vec!["02", au, "0000000000000009"]),
+        (AuditEvent::Deny { app, user }, vec!["03", au]),
+        // kind | revoke | app | user | op
+        (AuditEvent::Apply { revoke: true, app, user, id }, vec!["04", "01", au, op]),
+        (AuditEvent::GrantStable { app, user, id }, vec!["05", au, op]),
+        (AuditEvent::RevokeStable { app, user, id }, vec!["06", au, op]),
+        // kind | app | user | right | revoke | op
+        (
+            AuditEvent::Durable { app, user, right: Right::Manage, revoke: false, id },
+            vec!["07", au, "01", "00", op],
+        ),
+        // kind | disk | replayed | torn | slots: count, (app | user | right | op)…
+        (
+            AuditEvent::Recovered(Recovery::Disk {
+                replayed: 2,
+                torn: 1,
+                slots: vec![(app, user, Right::Use, id)],
+            }),
+            vec![
+                "08", "00", "0000000000000002", "0000000000000001", "0000000000000001", au, "00",
+                op,
+            ],
+        ),
+        (AuditEvent::Recovered(Recovery::Sync { merged: 12 }), vec!["08", "01", "000000000000000c"]),
+        (AuditEvent::Freeze { app }, vec!["09", "00000003"]),
+        (AuditEvent::Thaw { app }, vec!["0a", "00000003"]),
+        // kind | app | version | managers
+        (AuditEvent::NsPublish(held.clone()), vec!["0b", "00000003", "0000000000000007", mgrs]),
+        (AuditEvent::NsApply(held), vec!["0c", "00000003", "0000000000000007", mgrs]),
+        // kind | app | version | acks | quorum | managers | ttl
+        (
+            AuditEvent::NsInstall {
+                app,
+                version: 7,
+                acks: 2,
+                quorum: 2,
+                managers: managers.clone(),
+                ttl: SimDuration::from_nanos(9),
+            },
+            vec![
+                "0d", "00000003", "0000000000000007", "0000000000000002", "0000000000000002", mgrs,
+                "0000000000000009",
+            ],
+        ),
+        (AuditEvent::NsDegraded { app, version: 7 }, vec!["0e", "00000003", "0000000000000007"]),
+        (AuditEvent::NsExpire { app, version: 7 }, vec!["0f", "00000003", "0000000000000007"]),
+        // kind | shard | epoch | src | digest | count
+        (
+            AuditEvent::ShardHandoff(ops.clone()),
+            vec!["10", "00000001", "0000000000000004", "00000002", "0000000000000309", "0000000000000003"],
+        ),
+        (
+            AuditEvent::ShardInstall(ops),
+            vec!["11", "00000001", "0000000000000004", "00000002", "0000000000000309", "0000000000000003"],
+        ),
+    ];
+    for (event, want) in table {
+        assert_eq!(hex(&event.auth_bytes()), want.concat(), "{event}");
+    }
 }
