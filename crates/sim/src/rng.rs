@@ -1,8 +1,8 @@
 //! Seeded, forkable randomness for deterministic simulation.
 //!
 //! Every source of randomness in a run descends from a single `u64` seed,
-//! so a scenario replays identically given the same seed ([`crate::world`]
-//! invariant I6 in DESIGN.md). A sub-stream is *forked* from its parent:
+//! so a scenario replays identically given the same seed ([`crate::world`],
+//! DESIGN §4's determinism). A sub-stream is *forked* from its parent:
 //! the parent's next draw, with a label hashed into it, seeds the child.
 //! So a child depends on how many draws its parent made before the fork,
 //! and the order of the forks is part of the seed rule

@@ -2,8 +2,9 @@
 //! read, or a value that does not parse or is out of range, is a usage
 //! error (exit 2) that names the flag — never a silent fall-back to a
 //! default, never a library panic. And the planted-bug campaigns, the
-//! default `nemesis`, `audit --seed 7`, `demo` and `obs` in both
-//! formats print the outputs committed under `tests/golden/`.
+//! default `nemesis`, one `nemesis` sweep per fault family,
+//! `audit --seed 7`, `demo` and `obs` in both formats print the
+//! outputs committed under `tests/golden/`.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -194,17 +195,29 @@ fn assert_prints_golden(args: &[&str], code: i32, name: &str) {
 
 /// The clean outputs a change to the oracle's digest, the audit
 /// events' encoding or the metrics export must leave alone: the audit
-/// summary, a default campaign, the demo's outcome table and the
-/// metrics snapshot in both formats. Each is seed-deterministic.
+/// summary, a default campaign, one sweep per fault family (disk,
+/// directory and shard faults, at the seeds and counts CI ran them
+/// with), the demo's outcome table and the metrics snapshot in both
+/// formats. Each is seed-deterministic.
 #[test]
 fn clean_runs_print_their_committed_outputs() {
     for (args, name) in [
-        (&["audit", "--seed", "7"][..], "audit-seed-7.txt"),
-        (&["nemesis"][..], "nemesis.txt"),
-        (&["demo"][..], "demo.txt"),
-        (&["obs"][..], "obs.prom"),
-        (&["obs", "--format", "jsonl"][..], "obs.jsonl"),
+        ("audit --seed 7", "audit-seed-7.txt"),
+        ("nemesis", "nemesis.txt"),
+        ("nemesis --seed 1 --campaigns 10 --horizon-secs 8 --disk-faults true", "nemesis-disk-faults.txt"),
+        (
+            "nemesis --seed 1 --campaigns 10 --horizon-secs 8 --ns-replicas 3 --ns-faults true",
+            "nemesis-ns-faults.txt",
+        ),
+        (
+            "nemesis --seed 24 --campaigns 2 --users 4 --tenants 2 --shards-per-tenant 2 \
+             --ns-replicas 3 --shard-faults true",
+            "nemesis-shard-faults.txt",
+        ),
+        ("demo", "demo.txt"),
+        ("obs", "obs.prom"),
+        ("obs --format jsonl", "obs.jsonl"),
     ] {
-        assert_prints_golden(args, 0, name);
+        assert_prints_golden(&args.split_whitespace().collect::<Vec<_>>(), 0, name);
     }
 }
